@@ -6,7 +6,7 @@
 //! Inputs are tab-separated `key\tvalue` tables; the mapper tags each
 //! record with its side, the reducer cross-products matching keys.
 
-use eclipse_core::{LiveCluster, MapReduce, ReusePolicy};
+use eclipse_core::{LiveCluster, LiveStats, MapReduce, ReusePolicy};
 
 /// Two-table equi-join.
 pub struct EquiJoin;
@@ -53,9 +53,23 @@ pub fn run_equijoin(
     user: &str,
     reducers: usize,
 ) -> Vec<(String, String)> {
-    let (out, _) =
-        cluster.run_job_inputs(&EquiJoin, &[left, right], user, reducers, ReusePolicy::default());
-    out
+    join_tables(cluster, &[left, right], user, reducers).0
+}
+
+/// The join as one multi-input job: both tables mapped into one
+/// shuffle, the per-partition output flattened into sorted rows.
+fn join_tables(
+    cluster: &LiveCluster,
+    tables: &[&str],
+    user: &str,
+    reducers: usize,
+) -> (Vec<(String, String)>, LiveStats) {
+    let (parts, stats) = cluster
+        .try_run_job_inputs_partitioned(&EquiJoin, tables, user, reducers, ReusePolicy::default())
+        .expect("join job failed");
+    let mut rows: Vec<(String, String)> = parts.into_iter().flatten().collect();
+    rows.sort();
+    (rows, stats)
 }
 
 #[cfg(test)]
@@ -115,20 +129,8 @@ mod tests {
         let c = LiveCluster::new(LiveConfig::small().with_block_size(512));
         c.upload("dim", "t", table(&row_refs).as_bytes());
         c.upload("fact", "t", table(&row_refs).as_bytes());
-        let (first, s1) = c.run_job_inputs(
-            &EquiJoin,
-            &["dim", "fact"],
-            "t",
-            3,
-            ReusePolicy::default(),
-        );
-        let (second, s2) = c.run_job_inputs(
-            &EquiJoin,
-            &["dim", "fact"],
-            "t",
-            3,
-            ReusePolicy::default(),
-        );
+        let (first, s1) = join_tables(&c, &["dim", "fact"], "t", 3);
+        let (second, s2) = join_tables(&c, &["dim", "fact"], "t", 3);
         assert_eq!(first, second);
         assert_eq!(s1.cache_hits, 0);
         assert!(

@@ -94,8 +94,9 @@ pub fn run_terasort(
     // Phase 2: range-partitioned sort. Partition p's reducer output is
     // already key-sorted; concatenation is the global order.
     let sorter = RangeSort { boundaries };
-    let (parts, _) =
-        cluster.run_job_partitioned(&sorter, input, user, reducers, ReusePolicy::default());
+    let (parts, _) = cluster
+        .try_run_job_inputs_partitioned(&sorter, &[input], user, reducers, ReusePolicy::default())
+        .expect("sort job failed");
     let partition_sizes: Vec<usize> =
         parts.iter().map(|p| p.iter().map(|(_, _)| 1).sum()).collect();
     let records: Vec<String> =

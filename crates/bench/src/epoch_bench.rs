@@ -143,13 +143,15 @@ pub fn epoch_sweep(quick: bool) -> EpochBenchReport {
         let file = format!("rerun-{i}");
         rerun_cluster.upload(&file, "bench", concat.as_bytes());
         let t = Instant::now();
-        let (oracle, _) = rerun_cluster.run_job_partitioned(
-            &WordCount,
-            &file,
-            "bench",
-            REDUCERS,
-            ReusePolicy::default(),
-        );
+        let (oracle, _) = rerun_cluster
+            .try_run_job_inputs_partitioned(
+                &WordCount,
+                &[&file],
+                "bench",
+                REDUCERS,
+                ReusePolicy::default(),
+            )
+            .expect("batch re-run");
         rerun_total += t.elapsed().as_secs_f64();
 
         let snap = driver.snapshot(rep.epoch).expect("published epoch readable");

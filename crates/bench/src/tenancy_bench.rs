@@ -67,7 +67,7 @@ impl LatencySummary {
 /// One execution mode's side of the storm comparison.
 #[derive(Clone, Copy, Debug)]
 pub struct StormPoint {
-    /// `"serial"` (scoped executor, arrival order) or `"pool"`
+    /// `"serial"` (one-shot jobs, arrival order) or `"pool"`
     /// (persistent workers, weighted-fair admission).
     pub mode: &'static str,
     pub jobs: usize,
@@ -155,7 +155,7 @@ pub fn storm_sweep(quick: bool) -> Vec<StormPoint> {
         storm.iter().map(|a| per_tenant[a.tenant]).sum()
     };
 
-    // Serial: scoped executor, one job at a time in arrival order.
+    // Serial: one-shot jobs, one at a time in arrival order.
     let (serial_point, reference) = {
         let c = storm_cluster();
         let files = upload_mix(&c, &tenants, quick);

@@ -679,8 +679,8 @@ const EPOCH_KINDS: [RpcKind; 6] = [
 /// crashes, graceful leaves, and drop bursts (the new fault points),
 /// plus in-wave network ops keyed off the map-commit clock. Executor
 /// fault-plan ops (`CrashAtMaps`, `FailTask`, …) are deliberately
-/// absent — the pool path leaves the injected plan undrained, so a
-/// sampled-but-unfired fault would silently weaken the oracle.
+/// absent — an injected plan is drained whole by the first wave to
+/// begin, so the sampler could not aim them at an epoch.
 /// `wave_maps` is the smallest wave's map count, so every sampled
 /// in-wave point actually fires.
 pub fn sample_epoch_schedule(
@@ -1299,7 +1299,7 @@ fn run_schedule(
     let excused = |e: &JobError| match e {
         JobError::TaskFailed { .. } => allowed.task_failed,
         JobError::DataLoss(_) => allowed.data_loss,
-        JobError::Open(_) | JobError::Cancelled => false,
+        JobError::Open(_) | JobError::Cancelled | JobError::InvalidRequest(_) => false,
     };
     let mut outcome = match res {
         Ok((out, stats)) => {
@@ -1434,8 +1434,8 @@ fn run_epoch_schedule(
             DstFault::DropOnLink { from, to, at, n } => {
                 armed.push((at, ChaosOp::Net(NetOp::DropLink { from, to, n })));
             }
-            // The pool path never drains the executor fault plan, so
-            // plan-side ops have no business in an epoch schedule.
+            // Plan-side ops are never sampled for an epoch schedule
+            // (see `sample_epoch_schedule`).
             _ => debug_assert!(false, "non-epoch fault {f:?} in an epoch schedule"),
         }
     }
@@ -1492,7 +1492,7 @@ fn run_epoch_schedule(
         let excused = match e {
             JobError::TaskFailed { .. } => allowed.task_failed,
             JobError::DataLoss(_) => allowed.data_loss,
-            JobError::Open(_) | JobError::Cancelled => false,
+            JobError::Open(_) | JobError::Cancelled | JobError::InvalidRequest(_) => false,
         };
         if !excused {
             return (

@@ -27,11 +27,14 @@
 //! [`DstEvent::EpochBarrier`] so the DST harness can aim faults at
 //! exactly that point; a failed epoch surfaces as a typed [`JobError`]
 //! and leaves the stream readable at its previous epoch.
+#![deny(clippy::too_many_lines)]
 
-use crate::job::JobError;
-use crate::live::{DstEvent, LiveCluster, LiveStats, MapReduce, PoolJob};
+use crate::job::{JobError, ReusePolicy};
+use crate::live::{
+    reduce_grouped, DstEvent, Grouped, LiveCluster, LiveStats, MapReduce, MapWorker, Run,
+};
 use bytes::Bytes;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -89,7 +92,7 @@ struct EpochState {
     /// The materialized grouped multiset, per partition: every value
     /// every committed epoch ever shuffled, keyed exactly as a one-shot
     /// batch over the concatenated input would key it.
-    parts: Vec<HashMap<String, Vec<String>>>,
+    parts: Vec<Grouped>,
     closed: bool,
 }
 
@@ -99,7 +102,7 @@ struct EpochState {
 /// directly (self-executing waves) in tests and benches.
 pub struct EpochDriver {
     cluster: Arc<LiveCluster>,
-    app: Arc<dyn MapReduce>,
+    pub(crate) app: Arc<dyn MapReduce>,
     name: String,
     user: String,
     tenant: u16,
@@ -120,7 +123,6 @@ impl EpochDriver {
     /// Open a stream: reserves the standing job slot and the tenant
     /// identity. No cluster work happens until the first commit.
     pub fn new(cluster: Arc<LiveCluster>, spec: StreamSpec) -> EpochDriver {
-        assert!(spec.reducers > 0);
         let tenant = cluster.tenant_of(&spec.user);
         let jid = cluster.reserve_jid();
         EpochDriver {
@@ -142,27 +144,23 @@ impl EpochDriver {
         }
     }
 
-    /// Ingest one delta and commit it as the next epoch, executing the
-    /// wave's map tasks inline on the calling thread. The pool-backed
-    /// path ([`crate::server::StreamHandle::commit_epoch`]) shares the
-    /// shared workers instead.
+    /// Ingest one delta and commit it as the next epoch, mapping the
+    /// wave inline on the calling thread. The pool-backed path
+    /// ([`crate::server::StreamHandle::commit_epoch`]) additionally
+    /// lets the server's workers help.
     pub fn commit_epoch(&self, delta: &[u8]) -> Result<EpochReport, JobError> {
-        let cluster = Arc::clone(&self.cluster);
-        self.commit_epoch_via(delta, &|job| {
-            for tid in 0..job.task_count() {
-                cluster.pool_exec_task(job, tid, job.task_node(tid));
-            }
-        })
+        let cluster = &*self.cluster;
+        self.commit_epoch_via(delta, &|wave| MapWorker::at(cluster, wave, &*self.app, 0).work_all())
     }
 
-    /// Commit one epoch, delegating wave execution to `exec`. The
-    /// callback must return only once every task of the job has been
-    /// driven to completion ([`PoolJob::done`] — committed or aborted);
-    /// the driver then drains the barrier, folds, and publishes.
+    /// Commit one epoch, delegating the wave's map phase to `exec`.
+    /// The callback must return only once the run is
+    /// [done](Run::done) — every task committed, or aborted; the
+    /// driver then drains the barrier, folds, and publishes.
     pub(crate) fn commit_epoch_via(
         &self,
         delta: &[u8],
-        exec: &dyn Fn(&Arc<PoolJob>),
+        exec: &dyn Fn(&Arc<Run>),
     ) -> Result<EpochReport, JobError> {
         let mut st = self.state.lock().expect("epoch state");
         if st.closed {
@@ -174,22 +172,25 @@ impl EpochDriver {
         // without colliding with its own partial upload.
         let file = format!("{}.e{}i{}", self.name, epoch, st.ingests);
         self.cluster.try_upload(&file, &self.user, delta)?;
-        let job = self.cluster.begin_epoch_wave(
-            Arc::clone(&self.app),
-            &file,
+        // Map only the delta's blocks, on the stream's standing jid:
+        // per-epoch task ids restart at 0, and the epoch tag lets the
+        // shuffle plane ack-drop any straggler from a previous wave.
+        let wave = Run::begin(
+            &self.cluster,
+            &[&file],
             &self.user,
             self.reducers,
-            self.jid,
-            epoch,
+            ReusePolicy::default(),
+            Some((self.jid, epoch)),
         )?;
-        exec(&job);
-        debug_assert!(job.done(), "wave executor returned before the barrier");
+        exec(&wave);
+        debug_assert!(wave.done(), "wave executor returned before the barrier");
         // Barrier reached, not yet published: the epoch-boundary fault
         // point. DST aims crashes/partitions here.
         self.cluster.observe(DstEvent::EpochBarrier { epoch });
-        let (delta_parts, stats) = self.cluster.drain_pool_job(&job)?;
+        let (delta_parts, stats) = wave.finish_grouped(&self.cluster)?;
         if st.parts.is_empty() {
-            st.parts = vec![HashMap::new(); self.reducers];
+            st.parts = vec![Grouped::new(); self.reducers];
         }
         let mut records_folded = 0u64;
         for (p, grouped) in delta_parts.into_iter().enumerate() {
@@ -198,7 +199,8 @@ impl EpochDriver {
                 st.parts[p].entry(k).or_default().append(&mut vs);
             }
         }
-        let snapshot = materialize(&*self.app, &st.parts);
+        let snapshot: EpochSnapshot =
+            Arc::new(st.parts.iter().map(|g| reduce_grouped(&*self.app, g)).collect());
         let cached = self.publish_ocache(epoch, &snapshot);
         {
             let mut ret = self.retained.lock().expect("retained");
@@ -296,23 +298,6 @@ fn part_tag(p: usize) -> String {
     format!("materialized/p{p}")
 }
 
-/// Sort and reduce the materialized grouped multiset into the
-/// snapshot shape a one-shot batch would produce: for every partition,
-/// keys in order, `reduce` over each key's full value multiset.
-fn materialize(app: &dyn MapReduce, parts: &[HashMap<String, Vec<String>>]) -> EpochSnapshot {
-    let mut out = Vec::with_capacity(parts.len());
-    for grouped in parts {
-        let mut entries: Vec<(&String, &Vec<String>)> = grouped.iter().collect();
-        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        let mut part = Vec::new();
-        for (k, vs) in entries {
-            app.reduce(k, vs, &mut |ok, ov| part.push((ok, ov)));
-        }
-        out.push(part);
-    }
-    Arc::new(out)
-}
-
 /// Wire shape of one materialized partition in oCache: `u32` epoch,
 /// `u32` record count, then length-prefixed key/value pairs. The
 /// embedded epoch is what lets a reader detect that the stable tag has
@@ -360,20 +345,8 @@ fn decode_partition(data: &[u8]) -> Option<(u32, Vec<(String, String)>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::ReusePolicy;
     use crate::live::LiveConfig;
-
-    struct WordCount;
-    impl MapReduce for WordCount {
-        fn map(&self, block: &[u8], emit: &mut dyn FnMut(String, String)) {
-            for w in String::from_utf8_lossy(block).split_whitespace() {
-                emit(w.to_string(), "1".to_string());
-            }
-        }
-        fn reduce(&self, key: &str, values: &[String], emit: &mut dyn FnMut(String, String)) {
-            emit(key.to_string(), values.len().to_string());
-        }
-    }
+    use crate::testkit::WordCount;
 
     fn driver_on(c: &Arc<LiveCluster>, name: &str, reducers: usize) -> EpochDriver {
         EpochDriver::new(
@@ -410,7 +383,9 @@ mod tests {
             assert_eq!(d.published(), rep.epoch);
         }
         c.upload("oracle", "tester", concat.as_bytes());
-        let (oracle, _) = c.run_job_partitioned(&WordCount, "oracle", "tester", 4, ReusePolicy::default());
+        let (oracle, _) = c
+            .try_run_job_inputs_partitioned(&WordCount, &["oracle"], "tester", 4, ReusePolicy::default())
+            .expect("oracle batch");
         let snap = d.snapshot(3).expect("published epoch readable");
         assert_eq!(*snap, oracle, "materialized result != one-shot batch");
         d.close();

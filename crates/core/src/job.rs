@@ -23,6 +23,9 @@ pub enum JobError {
     TaskFailed { task: usize, attempts: u32 },
     /// The job server shut down before this queued job was started.
     Cancelled,
+    /// The request itself cannot run (no reducers, no inputs, more map
+    /// tasks than a job slot can number). Nothing was executed.
+    InvalidRequest(&'static str),
 }
 
 impl std::fmt::Display for JobError {
@@ -34,6 +37,7 @@ impl std::fmt::Display for JobError {
                 write!(f, "task {task} failed after {attempts} attempts")
             }
             JobError::Cancelled => write!(f, "job server shut down before the job started"),
+            JobError::InvalidRequest(why) => write!(f, "invalid job request: {why}"),
         }
     }
 }

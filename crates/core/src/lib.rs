@@ -35,3 +35,6 @@ pub use server::{
 pub use shuffle::{Spill, SpillBuffer};
 pub use timeline::{TaskEvent, TaskKind, Timeline};
 pub use sim_exec::{EclipseConfig, EclipseSim, SchedulerKind};
+
+#[cfg(test)]
+pub(crate) mod testkit;

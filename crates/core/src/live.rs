@@ -6,6 +6,38 @@
 //! is the executable proof that the EclipseMR design computes correct
 //! results, and it powers the examples and the integration tests.
 //!
+//! # Execution model: one run, one map attempt, one fold
+//!
+//! Every execution — a one-shot [`LiveCluster::run_job`], a job
+//! admitted by [`crate::server::JobServer`], one epoch wave of a
+//! [`crate::epoch::EpochDriver`] stream — is the same three things:
+//!
+//! - A **`Run`** (`live/run.rs`) is everything about one execution that
+//!   is not a thread: the validated request, its frozen placement
+//!   (`live/place.rs`: LAF/delay, or replicated map-out) as per-node
+//!   queues with atomic cursors, the attempt ledger and commit board,
+//!   the fault schedule, the reduce-partition channels, and the
+//!   counters that become [`LiveStats`]. It is registered cluster-wide
+//!   from begin to retire, so crash/join/leave recovery
+//!   (`live/membership.rs`) walks every run alike.
+//! - A **`MapWorker`** (`live/worker.rs`) is one thread's state on one
+//!   run — node identity, spill buffer, one parked unsettled attempt —
+//!   and the only implementation of a map attempt: claim, read (iCache
+//!   first), map, combine, ship over the windowed lane, settle, commit,
+//!   re-home when its node crashes, drain retries and backups.
+//! - The **partition fold** dedups shuffle batches against the commit
+//!   board, groups by key, then sorts and reduces; an epoch wave exits
+//!   after the grouping and folds into its stream's materialized state.
+//!
+//! Threads are *supplied* to that code in two shapes. A one-shot job
+//! borrows its application (`&dyn MapReduce`), which a persistent
+//! thread cannot hold, so it spawns scoped map workers and reducer
+//! lanes for its own lifetime. A job server or stream driver maps its
+//! run inline on its own persistent thread while the server's pool
+//! workers attach as helpers, because per-job thread spawning is most
+//! of a small job's fixed cost (0.368 ms one-shot against 0.064 ms
+//! through the server, measured by `benchmark/`).
+//!
 //! # Transport plane (see DESIGN.md §8e)
 //!
 //! Every inter-node interaction travels as a framed RPC over a
@@ -64,34 +96,42 @@
 //!   back through surviving replicas; only when *every* copy of a block
 //!   is gone does the job end with [`JobError::DataLoss`] — never a
 //!   wrong or partial result, never a hang.
+#![deny(clippy::too_many_lines)]
 
 use crate::job::{JobError, ReusePolicy};
-use crate::shuffle::{Spill, SpillBuffer};
 use crate::sim_exec::SchedulerKind;
 use bytes::Bytes;
 use eclipse_cache::{CacheKey, DistributedCache, OutputTag};
-use eclipse_dhtfs::{BlockId, BlockStore, DhtFs, DhtFsConfig, FsError};
-use eclipse_net::{
-    MemTransport, NetSnapshot, RetryPolicy, Rpc, RpcReply, SendTicket, TcpTransport, Transport,
-    CLIENT,
-};
-use eclipse_ring::{
-    ChordNet, ClusterView, HeartbeatMonitor, MembershipEvent, NodeId, Ring, RingError, ServerInfo,
-};
+use eclipse_dhtfs::{BlockId, BlockStore, DhtFs, DhtFsConfig};
+use eclipse_net::{MemTransport, RetryPolicy, Rpc, RpcReply, SendTicket, TcpTransport, Transport, CLIENT};
+use eclipse_ring::{ClusterView, HeartbeatMonitor, NodeId, Ring};
 use eclipse_sched::{DelayScheduler, LafScheduler};
-use eclipse_util::{HashKey, KeyRange};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use eclipse_util::KeyRange;
 use parking_lot::{Mutex, RwLock};
-use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-/// Commit-board sentinel: no attempt of this task has committed yet.
-const UNCOMMITTED: u32 = u32::MAX;
-/// Claim-slot sentinel: no worker has claimed this task yet.
-const NO_CLAIM: u32 = u32::MAX;
+mod membership;
+mod place;
+mod router;
+mod run;
+mod worker;
+
+pub use run::PartitionedOutput;
+pub(crate) use run::{reduce_grouped, Grouped, Run};
+pub(crate) use worker::MapWorker;
+
+use router::{bind_endpoint, ShuffleRouter, MAX_JOB_SLOTS};
+
+/// The host's hardware parallelism, read once: the standard library
+/// re-reads cgroup limits on every call, which is most of a small
+/// job's fixed cost if paid per run.
+pub(crate) fn hardware_threads() -> usize {
+    static PAR: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *PAR.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
+}
+
 /// Bounded retry budget per map task; exceeding it is a terminal
 /// [`JobError::TaskFailed`].
 const MAX_ATTEMPTS: u32 = 4;
@@ -168,8 +208,8 @@ pub enum TransportKind {
 }
 
 /// Speculative re-execution tuning (straggler mitigation). Enabled via
-/// [`LiveConfig::with_speculation`]: the driver tracks per-task attempt
-/// progress through heartbeats and launches a backup attempt on the
+/// [`LiveConfig::with_speculation`]: attempts report progress through
+/// heartbeats, and an idle map worker requests a backup attempt on the
 /// least-loaded node when an attempt falls far behind the running
 /// median task duration. Correctness is free — the commit-board CAS
 /// picks whichever attempt finishes first and reducer dedup drops the
@@ -183,7 +223,7 @@ pub struct SpeculationConfig {
     /// Don't speculate before this many tasks have committed (the
     /// median needs mass before it means anything).
     pub min_completed: u64,
-    /// Monitor polling period in microseconds.
+    /// Minimum spacing of straggler-watch passes, in microseconds.
     pub poll_micros: u64,
 }
 
@@ -227,7 +267,7 @@ pub struct LiveConfig {
     pub cache_shards: usize,
     /// Speculative re-execution of straggling map attempts (off by
     /// default — zero overhead when `None`: no progress heartbeats, no
-    /// monitor thread).
+    /// straggler watch).
     pub speculation: Option<SpeculationConfig>,
     /// Replicated map-out factor r (default 1 = off). With r ≥ 2 every
     /// map task's input block is placed on r nodes chosen among the
@@ -428,7 +468,8 @@ enum FaultOp {
 /// A deterministic fault-injection schedule for one job run.
 ///
 /// Build a plan, hand it to [`LiveCluster::inject_faults`], and the
-/// next `run_job*` call executes it: crashes fire at exact points in
+/// next run to begin — a one-shot job, a server job or an epoch wave —
+/// executes it: crashes fire at exact points in
 /// the job's own progress (blocks mapped, shuffle batches sent, reduce
 /// start), so a given (plan, input, scheduler) triple replays the same
 /// failure every time — the foundation of the chaos suite.
@@ -552,683 +593,6 @@ pub trait DstObserver: Send + Sync {
     fn on_event(&self, ev: DstEvent);
 }
 
-/// How one map attempt ended (executor-internal).
-enum Attempt {
-    /// Complete output shipped; eligible to commit.
-    Shipped,
-    /// The worker's node crashed mid-attempt: at least one send was
-    /// suppressed, so the attempt must not commit.
-    Voided,
-    /// An injected task fault consumed the attempt before output.
-    Faulted,
-    /// A *different* attempt of the same task committed while this one
-    /// ran: the per-attempt cancellation token (checked at spill
-    /// boundaries) stopped it early. Safe by construction — the token
-    /// only fires after another attempt's complete output committed, so
-    /// cancellation can never suppress a committed send.
-    Cancelled,
-}
-
-/// What one map attempt produced: its terminal state plus the
-/// still-in-flight windowed send tickets the deferred settle step must
-/// redeem — shuffle batches tagged with the partition they carry, then
-/// best-effort cache inserts.
-type AttemptOutcome = (Attempt, Vec<(SendTicket, usize)>, Vec<SendTicket>);
-
-/// Per-reducer output partitions paired with the run's [`LiveStats`]:
-/// what every partitioned `run_job*` entry point yields.
-pub type PartitionedOutput = (Vec<Vec<(String, String)>>, LiveStats);
-
-/// A drained job's grouped (pre-reduce) state: per reduce partition,
-/// each key's full value multiset, plus the wave's statistics.
-pub(crate) type GroupedOutput = (Vec<HashMap<String, Vec<String>>>, LiveStats);
-
-/// A shipped attempt whose windowed batches are still in flight: the
-/// worker holds it across the *next* attempt's map work (acks overlap
-/// with compute) and settles it — flush, then the commit CAS — before
-/// anything that needs the task committed. The happens-before edge is
-/// untouched: commit still strictly follows acknowledged delivery.
-struct PendingCommit {
-    tid: usize,
-    attempt: u32,
-    /// Windowed cross-node shuffle batches, with the partition each
-    /// one carries (re-homed on loss).
-    shuffle: Vec<(SendTicket, usize)>,
-    /// Best-effort windowed cache inserts (outcome ignored).
-    cache: Vec<SendTicket>,
-    /// This attempt was a speculative backup (its commit is a
-    /// `speculative_wins`; its loss is not requeued).
-    speculative: bool,
-    /// When the attempt started — a winning commit feeds the running
-    /// median the speculation monitor compares stragglers against.
-    started: Instant,
-}
-
-/// Bits of a wire task id reserved for the per-job task index; the
-/// bits above carry the job slot. A *global* task id (gtid) is
-/// `(jid << JOB_SHIFT) | tid`, letting shuffle batches, heartbeats and
-/// assignments from concurrent jobs share one transport without
-/// colliding.
-const JOB_SHIFT: u32 = 20;
-/// Mask extracting the per-job task index from a gtid.
-const TID_MASK: u32 = (1 << JOB_SHIFT) - 1;
-/// Job slots: jids are assigned modulo this, keeping every gtid
-/// strictly below `u32::MAX` (the heartbeat liveness sentinel) while
-/// leaving a full 2048-job window before a slot is reused — and slot
-/// reuse is safe anyway because `begin_job` prunes the slot's gtid
-/// space.
-const MAX_JOB_SLOTS: u32 = 1 << (31 - JOB_SHIFT);
-
-/// One shuffle batch: the complete output of `(task, attempt)` for one
-/// reduce partition. Reducers use the pair for exactly-once dedup.
-struct TaskBatch {
-    task: u32,
-    attempt: u32,
-    records: Vec<(String, String)>,
-}
-
-/// Reorder-tolerant duplicate detector for one map attempt's shuffle
-/// sequence numbers. Sequence numbers below `next` are all delivered;
-/// out-of-order arrivals park in `ahead` until the gap below them
-/// fills, keeping the set small (bounded by the sender's ack window)
-/// instead of remembering every seq ever seen.
-#[derive(Debug, Default)]
-struct SeqTracker {
-    next: u32,
-    ahead: HashSet<u32>,
-}
-
-impl SeqTracker {
-    /// True if `seq` is new (caller must deliver it), false for a
-    /// duplicate in any arrival order.
-    fn admit(&mut self, seq: u32) -> bool {
-        if seq < self.next || !self.ahead.insert(seq) {
-            return false;
-        }
-        while self.ahead.remove(&self.next) {
-            self.next += 1;
-        }
-        true
-    }
-}
-
-/// One live job's routing state: where its reduce partitions ingest
-/// and which node each partition's shuffle batches are addressed to.
-struct JobRoute {
-    /// Reduce-partition channels.
-    sinks: Vec<Sender<TaskBatch>>,
-    /// Home node per reduce partition. Re-homed when the home becomes
-    /// unreachable.
-    homes: Vec<NodeId>,
-    /// Execution epoch this route ingests (0 for batch jobs). A
-    /// standing job re-installs its route each epoch; batches tagged
-    /// with any other epoch are acknowledged and dropped — their wave
-    /// is over (commit happens-after acknowledged delivery, so a stale
-    /// epoch's batch is either already folded or its wave aborted).
-    epoch: u32,
-}
-
-/// The receiving half of the shuffle and control planes, shared by every
-/// node's RPC handler. Multi-job: every wire task id is a *global* task
-/// id `(jid << JOB_SHIFT) | tid`, so batches, dedup trackers, progress
-/// entries and assignments from concurrent jobs never collide.
-/// `begin_job` installs a job's partition channels and homes under its
-/// jid; `end_job` tears them down so stragglers are dropped instead of
-/// delivered into a later job reusing the slot.
-struct ShuffleRouter {
-    /// Routing state per live job, keyed by jid.
-    jobs: RwLock<HashMap<u32, JobRoute>>,
-    /// Transport-level dedup, one tracker per `(gtid, attempt)`.
-    /// At-least-once retry can re-deliver a batch whose *response* was
-    /// lost, and the windowed one-way lane can deliver retransmissions
-    /// out of order; neither a duplicate nor a reordered duplicate may
-    /// reach a reducer twice.
-    seen: Mutex<HashMap<(u32, u32), SeqTracker>>,
-    /// Tasks (gtids) whose commit has settled, with the winning attempt.
-    /// Bounds dedup memory: once a task settles, every loser's `seen`
-    /// tracker is pruned and late loser batches are acknowledged without
-    /// ever creating one — only the winner's tracker survives (late
-    /// retransmissions of acked frames must still dedup).
-    settled: Mutex<HashMap<u32, u32>>,
-    /// Speculation progress board: gtid → (first heard, latest promille
-    /// 0..=1000), fed by `Heartbeat` frames addressed to the driver.
-    progress: Mutex<HashMap<u32, (Instant, u32)>>,
-    /// Control plane: global task ids assigned per node via `TaskAssign`.
-    assigned: Mutex<HashMap<u32, Vec<u32>>>,
-}
-
-impl ShuffleRouter {
-    fn new() -> ShuffleRouter {
-        ShuffleRouter {
-            jobs: RwLock::new(HashMap::new()),
-            seen: Mutex::new(HashMap::new()),
-            settled: Mutex::new(HashMap::new()),
-            progress: Mutex::new(HashMap::new()),
-            assigned: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Drop every gtid-keyed entry belonging to `jid` — called on both
-    /// begin (slot reuse after [`MAX_JOB_SLOTS`] jobs must not inherit
-    /// a predecessor's dedup state) and end (free the memory).
-    fn prune_job(&self, jid: u32) {
-        self.seen.lock().retain(|&(t, _), _| t >> JOB_SHIFT != jid);
-        self.settled.lock().retain(|&t, _| t >> JOB_SHIFT != jid);
-        self.progress.lock().retain(|&t, _| t >> JOB_SHIFT != jid);
-        for q in self.assigned.lock().values_mut() {
-            q.retain(|&t| t >> JOB_SHIFT != jid);
-        }
-    }
-
-    fn begin_job(&self, jid: u32, sinks: Vec<Sender<TaskBatch>>, homes: Vec<NodeId>) {
-        self.begin_epoch(jid, sinks, homes, 0);
-    }
-
-    /// Install (or re-install) `jid`'s route for one execution epoch of
-    /// a standing job. Pruning the jid's dedup state here is what lets
-    /// per-epoch task ids restart at 0: epoch N+1's `(gtid, attempt)`
-    /// trackers never collide with epoch N's, because N's were dropped
-    /// at this barrier and N's late batches are epoch-gated before they
-    /// can recreate one.
-    fn begin_epoch(
-        &self,
-        jid: u32,
-        sinks: Vec<Sender<TaskBatch>>,
-        homes: Vec<NodeId>,
-        epoch: u32,
-    ) {
-        self.prune_job(jid);
-        self.jobs.write().insert(jid, JobRoute { sinks, homes, epoch });
-    }
-
-    fn end_job(&self, jid: u32) {
-        self.jobs.write().remove(&jid);
-        self.prune_job(jid);
-    }
-
-    fn home_of(&self, jid: u32, partition: usize) -> NodeId {
-        self.jobs.read()[&jid].homes[partition]
-    }
-
-    fn set_home(&self, jid: u32, partition: usize, node: NodeId) {
-        if let Some(route) = self.jobs.write().get_mut(&jid) {
-            route.homes[partition] = node;
-        }
-    }
-
-    /// Proactively re-home every partition of every live job addressed
-    /// at `victim` onto `to` (the victim's ring successor). Crash and
-    /// graceful-leave recovery both call this so post-event spills go
-    /// straight to the current owner instead of discovering the stale
-    /// home through a failed send (which burns an attempt's worth of
-    /// retry budget).
-    fn rehome_from(&self, victim: NodeId, to: NodeId) {
-        let mut jobs = self.jobs.write();
-        for route in jobs.values_mut() {
-            for h in route.homes.iter_mut() {
-                if *h == victim {
-                    *h = to;
-                }
-            }
-        }
-    }
-
-    /// Feed one batch into its partition channel. Duplicates are
-    /// acknowledged without re-delivery; `false` means the batch's job
-    /// is not accepting shuffle output (teardown or a stale slot).
-    fn deliver(
-        &self,
-        task: u32,
-        attempt: u32,
-        seq: u32,
-        epoch: u32,
-        partition: u32,
-        records: Vec<(String, String)>,
-    ) -> bool {
-        let jobs = self.jobs.read();
-        let Some(route) = jobs.get(&(task >> JOB_SHIFT)) else { return false };
-        // The epoch gate comes BEFORE dedup admission: a stale-epoch
-        // retransmission must not seed a fresh `seen` tracker that
-        // would then falsely dedup the current epoch's identically
-        // numbered batches (per-epoch task ids restart at 0).
-        if route.epoch != epoch {
-            return true; // ack-drop: that wave already committed or aborted
-        }
-        if let Some(&winner) = self.settled.lock().get(&task) {
-            if winner != attempt {
-                // A losing attempt of a settled task: acknowledge and
-                // drop without creating a tracker (dedup memory stays
-                // bounded by settled-task pruning).
-                return true;
-            }
-        }
-        if !self.seen.lock().entry((task, attempt)).or_default().admit(seq) {
-            return true; // duplicate of a batch that already landed
-        }
-        let Some(tx) = route.sinks.get(partition as usize) else { return false };
-        tx.send(TaskBatch { task, attempt, records }).is_ok()
-    }
-
-    /// The task's commit settled with `attempt` winning: prune every
-    /// loser's dedup tracker and remember the winner so late loser
-    /// deliveries are ack-dropped trackerless.
-    fn settle_task(&self, task: u32, attempt: u32) {
-        self.settled.lock().insert(task, attempt);
-        self.seen.lock().retain(|&(t, a), _| t != task || a == attempt);
-    }
-
-    /// Record heartbeat-carried map progress (speculation input).
-    fn note_progress(&self, task: u32, progress: u32) {
-        let mut board = self.progress.lock();
-        let e = board.entry(task).or_insert_with(|| (Instant::now(), progress));
-        e.1 = e.1.max(progress);
-    }
-
-    /// Snapshot of one job's progress board for its speculation
-    /// monitor, with local task ids.
-    fn progress_entries(&self, jid: u32) -> Vec<(u32, Instant, u32)> {
-        self.progress
-            .lock()
-            .iter()
-            .filter(|(&t, _)| t >> JOB_SHIFT == jid)
-            .map(|(&t, &(at, p))| (t & TID_MASK, at, p))
-            .collect()
-    }
-
-    fn assign(&self, node: NodeId, gtid: u32) {
-        self.assigned.lock().entry(node.0).or_default().push(gtid);
-    }
-
-    /// Drain one job's entries from the per-node assignment inboxes
-    /// into placement-order queues of local task ids. Other jobs'
-    /// assignments stay parked.
-    fn take_assignments(&self, jid: u32, nodes: usize) -> Vec<Vec<usize>> {
-        let mut inbox = self.assigned.lock();
-        (0..nodes)
-            .map(|n| {
-                let Some(q) = inbox.get_mut(&(n as u32)) else { return Vec::new() };
-                let mut mine = Vec::new();
-                q.retain(|&gtid| {
-                    if gtid >> JOB_SHIFT == jid {
-                        mine.push((gtid & TID_MASK) as usize);
-                        false
-                    } else {
-                        true
-                    }
-                });
-                mine
-            })
-            .collect()
-    }
-}
-
-/// Bind `node`'s RPC endpoint: the serving side of every data-plane,
-/// cache, shuffle and control message addressed to it.
-fn bind_endpoint(
-    net: &Arc<dyn Transport>,
-    node: NodeId,
-    store: Arc<BlockStore>,
-    cache: Arc<DistributedCache>,
-    router: Arc<ShuffleRouter>,
-    slow_serving: Arc<RwLock<HashMap<u32, u64>>>,
-) {
-    // The handler keeps a Weak transport: `ReplicaSync` relays a
-    // `PutBlock` onward, and a strong Arc here would cycle
-    // (transport → handler → transport) and leak the TCP threads.
-    let weak = Arc::downgrade(net);
-    net.bind(
-        node,
-        Arc::new(move |rpc| {
-            // An injected straggler is slow end to end: its RPC *serving*
-            // is delayed too, not just its map compute (a real slow host
-            // answers block reads and accepts shuffle batches late).
-            let delay = slow_serving.read().get(&node.0).copied().unwrap_or(0);
-            if delay > 0 {
-                std::thread::sleep(Duration::from_micros(delay));
-            }
-            match rpc {
-            Rpc::GetBlock { block } => RpcReply::Block(store.get(node, block)),
-            Rpc::PutBlock { block, data } => {
-                store.put(node, block, data);
-                RpcReply::Ack
-            }
-            Rpc::ReplicaSync { block, to } => {
-                // Relay this node's replica to the re-replication
-                // target; `Missing` reports a destroyed source copy.
-                let Some(data) = store.get(node, block) else {
-                    return RpcReply::Missing;
-                };
-                let Some(net) = weak.upgrade() else {
-                    return RpcReply::Error("transport shut down".into());
-                };
-                let bytes = data.len() as u64;
-                match net.call(node, to, Rpc::PutBlock { block, data }) {
-                    Ok(RpcReply::Ack) => RpcReply::Synced { bytes },
-                    Ok(r) => RpcReply::Error(format!("unexpected reply {r:?}")),
-                    Err(e) => RpcReply::Error(e.to_string()),
-                }
-            }
-            Rpc::CacheGet { key } => {
-                RpcReply::CacheValue(cache.with_node(node, |c| c.get_payload(&key, 0.0)))
-            }
-            Rpc::CachePut { key, data, ttl, tenant, pin } => {
-                cache.with_node(node, |c| {
-                    if pin {
-                        c.put_payload_pinned(key, data, 0.0, ttl, tenant)
-                    } else {
-                        c.put_payload_tenant(key, data, 0.0, ttl, tenant)
-                    }
-                });
-                RpcReply::Ack
-            }
-            Rpc::ShuffleBatch { task, attempt, seq, epoch, partition, records } => {
-                if router.deliver(task, attempt, seq, epoch, partition, records) {
-                    RpcReply::Ack
-                } else {
-                    RpcReply::Error("no job accepting shuffle output".into())
-                }
-            }
-            Rpc::Heartbeat { .. } => RpcReply::Ack,
-            Rpc::TaskAssign { task, .. } => {
-                router.assign(node, task);
-                RpcReply::Ack
-            }
-            Rpc::RangeHandoff { key, data } => {
-                // A re-homed cache entry arriving from its previous
-                // owner (elastic join or leave). Adopt it into this
-                // node's shard; a lost handoff is only a future miss,
-                // so there is no further handshake.
-                cache.with_node(node, |c| c.put_payload(key, data, 0.0, None));
-                RpcReply::Ack
-            }
-            Rpc::BlockPull { block, from } => {
-                // Elastic handoff: this node is the block's new ideal
-                // holder and pulls the payload from `from`. The same
-                // relay shape as `ReplicaSync`, but pull-driven — the
-                // new holder drives its own catch-up.
-                if let Some(data) = store.get(node, block) {
-                    return RpcReply::Synced { bytes: data.len() as u64 };
-                }
-                let Some(net) = weak.upgrade() else {
-                    return RpcReply::Error("transport shut down".into());
-                };
-                match net.call(node, from, Rpc::GetBlock { block }) {
-                    Ok(RpcReply::Block(Some(data))) => {
-                        let bytes = data.len() as u64;
-                        store.put(node, block, data);
-                        RpcReply::Synced { bytes }
-                    }
-                    Ok(RpcReply::Block(None)) => RpcReply::Missing,
-                    Ok(r) => RpcReply::Error(format!("unexpected reply {r:?}")),
-                    Err(e) => RpcReply::Error(e.to_string()),
-                }
-            }
-            }
-        }),
-    );
-}
-
-/// Per-run shared state: the attempt ledger, fault schedule and
-/// recovery accounting. Lives on the driver's stack; worker and
-/// reducer threads share it by reference inside the thread scope.
-struct RunRt {
-    /// Job slot this run occupies: wire task ids are
-    /// `(jid << JOB_SHIFT) | tid`.
-    jid: u32,
-    /// Cache-quota tenant the job's inserts are accounted to
-    /// (0 = untagged).
-    tenant: u16,
-    /// Commit board: `commits[t]` is the winning attempt number, or
-    /// [`UNCOMMITTED`]. Written once per task by CAS.
-    commits: Vec<AtomicU32>,
-    /// Next attempt number to hand out per task.
-    next_attempt: Vec<AtomicU32>,
-    /// Index of the node whose worker most recently claimed each task —
-    /// the crash handler re-queues the victim's claims.
-    claims: Vec<AtomicU32>,
-    /// Count of committed tasks (fast all-done check).
-    committed: AtomicUsize,
-    /// Tasks needing re-execution after a crash / fault / panic.
-    retry: Mutex<Vec<usize>>,
-    /// First terminal error wins.
-    error: Mutex<Option<JobError>>,
-    aborted: AtomicBool,
-    /// Crash flags, indexed by node index. A poisoned node's worker
-    /// stops; its sends are suppressed ("the crash loses in-flight
-    /// messages").
-    poisoned: Vec<AtomicBool>,
-    /// Committed map count (drives `CrashAfterMaps` triggers).
-    maps_done: AtomicU64,
-    /// Shuffle batches sent (drives `CrashAfterSpills` triggers).
-    spills_sent: AtomicU64,
-    /// Remaining fault schedule; crash ops are consumed when they fire.
-    ops: Mutex<Vec<FaultOp>>,
-    /// Faults were scheduled at job start — when false, the hot path
-    /// never touches `ops`.
-    armed: bool,
-    /// DST progress observer for this run (cloned from the cluster at
-    /// job start so the hot path never takes the cluster's lock).
-    obs: Option<Arc<dyn DstObserver>>,
-    /// Non-speculative failures per task. Only these count against the
-    /// retry budget — a lost backup must not push a healthy task over
-    /// [`MAX_ATTEMPTS`].
-    failures: Vec<AtomicU32>,
-    /// Running map attempts per node index (scheduler load signal for
-    /// backup placement).
-    running: Vec<AtomicU32>,
-    /// Backup launch requests from the monitor: `(task, preferred node
-    /// index)`. Idle workers drain this in phase 2.
-    spec: Mutex<Vec<(usize, u32)>>,
-    /// At most one backup per task, ever.
-    spec_launched: Vec<AtomicBool>,
-    /// Committed map attempt durations in nanos — the monitor's median
-    /// baseline. Only populated when speculation is on.
-    durations: Mutex<Vec<u64>>,
-    attempts: AtomicU64,
-    retries: AtomicU64,
-    failed_nodes: AtomicU64,
-    recovered_blocks: AtomicU64,
-    stabilize_rounds: AtomicU64,
-    recovery_nanos: AtomicU64,
-    speculative_attempts: AtomicU64,
-    speculative_wins: AtomicU64,
-    cancelled_attempts: AtomicU64,
-    local_shuffle_records: AtomicU64,
-    joins: AtomicU64,
-    leaves: AtomicU64,
-    handoff_blocks: AtomicU64,
-    handoff_bytes: AtomicU64,
-    drained_tasks: AtomicU64,
-    /// Elastic joins scheduled for this run: per-node ledgers are sized
-    /// `nodes + planned_joins` so a joiner's index is in range, and one
-    /// parked worker thread is spawned per planned join.
-    planned_joins: usize,
-    /// Identities posted by the join handler for parked worker threads
-    /// to adopt.
-    joined: Mutex<Vec<NodeId>>,
-}
-
-impl RunRt {
-    fn new(
-        jid: u32,
-        tenant: u16,
-        tasks: usize,
-        nodes: usize,
-        ops: Vec<FaultOp>,
-        obs: Option<Arc<dyn DstObserver>>,
-    ) -> RunRt {
-        let planned_joins =
-            ops.iter().filter(|op| matches!(op, FaultOp::JoinAtMaps { .. })).count();
-        let slots = nodes + planned_joins;
-        RunRt {
-            jid,
-            tenant,
-            commits: (0..tasks).map(|_| AtomicU32::new(UNCOMMITTED)).collect(),
-            next_attempt: (0..tasks).map(|_| AtomicU32::new(0)).collect(),
-            claims: (0..tasks).map(|_| AtomicU32::new(NO_CLAIM)).collect(),
-            committed: AtomicUsize::new(0),
-            retry: Mutex::new(Vec::new()),
-            error: Mutex::new(None),
-            aborted: AtomicBool::new(false),
-            poisoned: (0..slots).map(|_| AtomicBool::new(false)).collect(),
-            maps_done: AtomicU64::new(0),
-            spills_sent: AtomicU64::new(0),
-            armed: !ops.is_empty(),
-            ops: Mutex::new(ops),
-            obs,
-            failures: (0..tasks).map(|_| AtomicU32::new(0)).collect(),
-            running: (0..slots).map(|_| AtomicU32::new(0)).collect(),
-            spec: Mutex::new(Vec::new()),
-            spec_launched: (0..tasks).map(|_| AtomicBool::new(false)).collect(),
-            durations: Mutex::new(Vec::new()),
-            attempts: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            failed_nodes: AtomicU64::new(0),
-            recovered_blocks: AtomicU64::new(0),
-            stabilize_rounds: AtomicU64::new(0),
-            recovery_nanos: AtomicU64::new(0),
-            speculative_attempts: AtomicU64::new(0),
-            speculative_wins: AtomicU64::new(0),
-            cancelled_attempts: AtomicU64::new(0),
-            local_shuffle_records: AtomicU64::new(0),
-            joins: AtomicU64::new(0),
-            leaves: AtomicU64::new(0),
-            handoff_blocks: AtomicU64::new(0),
-            handoff_bytes: AtomicU64::new(0),
-            drained_tasks: AtomicU64::new(0),
-            planned_joins,
-            joined: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Pop a backup request this worker should run: prefer tasks whose
-    /// backup the monitor placed here, else any task whose primary runs
-    /// elsewhere. Entries whose task already committed are dropped.
-    fn pop_spec(&self, me: usize) -> Option<usize> {
-        let mut q = self.spec.lock();
-        q.retain(|&(tid, _)| self.commits[tid].load(Ordering::Acquire) == UNCOMMITTED);
-        let pick = q
-            .iter()
-            .position(|&(_, pref)| pref == me as u32)
-            .or_else(|| {
-                q.iter().position(|&(tid, _)| self.claims[tid].load(Ordering::Acquire) != me as u32)
-            })?;
-        Some(q.remove(pick).0)
-    }
-
-    /// Record a terminal error (first one wins) and stop the job.
-    fn abort(&self, e: JobError) {
-        let mut slot = self.error.lock();
-        if slot.is_none() {
-            *slot = Some(e);
-        }
-        self.aborted.store(true, Ordering::Release);
-    }
-
-    fn is_aborted(&self) -> bool {
-        self.aborted.load(Ordering::Acquire)
-    }
-
-    fn node_down(&self, n: NodeId) -> bool {
-        self.poisoned.get(n.index()).is_some_and(|p| p.load(Ordering::Acquire))
-    }
-
-    /// Report a progress milestone to the DST observer, if one is set.
-    fn notify(&self, ev: DstEvent) {
-        if let Some(o) = &self.obs {
-            o.on_event(ev);
-        }
-    }
-
-    /// Remove and return the first due crash op matching `pred`.
-    fn take_crash(&self, pred: impl Fn(&FaultOp) -> bool) -> Option<NodeId> {
-        let mut ops = self.ops.lock();
-        let i = ops.iter().position(pred)?;
-        match ops.remove(i) {
-            FaultOp::CrashAfterMaps { node, .. }
-            | FaultOp::CrashAfterSpills { node, .. }
-            | FaultOp::CrashInReduce { node } => Some(node),
-            _ => None,
-        }
-    }
-
-    fn due_after_maps(&self, done: u64) -> Option<NodeId> {
-        self.take_crash(|op| matches!(op, FaultOp::CrashAfterMaps { maps, .. } if done >= *maps))
-    }
-
-    fn due_after_spills(&self, sent: u64) -> Option<NodeId> {
-        self.take_crash(
-            |op| matches!(op, FaultOp::CrashAfterSpills { spills, .. } if sent >= *spills),
-        )
-    }
-
-    fn due_in_reduce(&self) -> Option<NodeId> {
-        self.take_crash(|op| matches!(op, FaultOp::CrashInReduce { .. }))
-    }
-
-    /// Pop one due elastic join (armed on the committed-maps clock).
-    fn due_join(&self, done: u64) -> bool {
-        let mut ops = self.ops.lock();
-        match ops
-            .iter()
-            .position(|op| matches!(op, FaultOp::JoinAtMaps { maps } if done >= *maps))
-        {
-            Some(i) => {
-                ops.remove(i);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Pop one due graceful leave (armed on the committed-maps clock).
-    fn due_leave(&self, done: u64) -> Option<NodeId> {
-        let mut ops = self.ops.lock();
-        let i = ops
-            .iter()
-            .position(|op| matches!(op, FaultOp::LeaveAtMaps { maps, .. } if done >= *maps))?;
-        match ops.remove(i) {
-            FaultOp::LeaveAtMaps { node, .. } => Some(node),
-            _ => unreachable!("position matched LeaveAtMaps"),
-        }
-    }
-
-    /// Straggler delay for attempts executed by `node` (0 = none).
-    fn slow_micros(&self, node: NodeId) -> u64 {
-        self.ops
-            .lock()
-            .iter()
-            .find_map(|op| match op {
-                FaultOp::SlowNode { node: n, micros } if *n == node => Some(*micros),
-                _ => None,
-            })
-            .unwrap_or(0)
-    }
-
-    /// Does an injected fault kill this `(task, attempt)`?
-    fn injected_failure(&self, task: usize, attempt: u32) -> bool {
-        self.ops.lock().iter().any(
-            |op| matches!(op, FaultOp::FailTask { task: t, times } if *t == task && attempt < *times),
-        )
-    }
-}
-
-/// One entry in the run's task ledger: a block to map at a chosen
-/// node, optionally restricted to a subset of reduce partitions.
-/// Replicated map-out (`map_replication > 1`) splits a block's
-/// partitions across its replica holders so each reducer's share is
-/// produced by the holder nearest its home on the ring.
-struct MapTask {
-    /// Index into the job's input list (reduce-side joins tag records).
-    source: usize,
-    bid: BlockId,
-    /// The block's ring key — backup placement routes by it.
-    key: HashKey,
-    /// Where the attempt runs (and which cache shard it charges).
-    node: NodeId,
-    /// `Some(mask)`: emit only partitions with `mask[p]`. `None`: all.
-    parts: Option<Arc<Vec<bool>>>,
-}
 
 /// A live EclipseMR deployment.
 pub struct LiveCluster {
@@ -1258,17 +622,17 @@ pub struct LiveCluster {
     /// job so a straggler also serves block reads and shuffle late.
     slow_serving: Arc<RwLock<HashMap<u32, u64>>>,
     /// DST progress observer (see [`DstObserver`]); cloned into each
-    /// run's `RunRt` at job start.
+    /// [`Run`] when it begins.
     observer: RwLock<Option<Arc<dyn DstObserver>>>,
     /// Membership bookkeeping (paper §II): every join, leave and crash
     /// is applied as a [`MembershipEvent`], bumping the epoch that lets
     /// placement state (cache ranges, shuffle homes) notice staleness.
     view: Mutex<ClusterView>,
-    /// Ledgers of every in-flight run, keyed by jid, so crash/join/
+    /// Every in-flight run, keyed by jid, so crash/join/
     /// leave recovery can walk *all* live jobs and the public
     /// [`join_node`](Self::join_node) / [`leave_node`](Self::leave_node)
     /// entry points can drain their queues while jobs are running.
-    active: Mutex<HashMap<u32, Arc<RunRt>>>,
+    active: Mutex<HashMap<u32, Arc<Run>>>,
     /// Monotonic jid source; wraps into [`MAX_JOB_SLOTS`] slots.
     next_jid: AtomicU32,
     /// Serializes recovery (crash, join, leave) cluster-wide: ring and
@@ -1364,7 +728,7 @@ impl LiveCluster {
     }
 
     /// Snapshot of the live run ledgers (crash/join/leave walk these).
-    fn live_runs(&self) -> Vec<Arc<RunRt>> {
+    fn live_runs(&self) -> Vec<Arc<Run>> {
         self.active.lock().values().cloned().collect()
     }
 
@@ -1446,8 +810,8 @@ impl LiveCluster {
         }
     }
 
-    /// Schedule faults for the next `run_job*` call. Multiple calls
-    /// accumulate; the next job drains the whole schedule.
+    /// Schedule faults for the next run to begin. Multiple calls
+    /// accumulate; that run drains the whole schedule.
     pub fn inject_faults(&self, plan: FaultPlan) {
         self.faults.lock().extend(plan.ops);
     }
@@ -1582,88 +946,22 @@ impl LiveCluster {
         reducers: usize,
         reuse: ReusePolicy,
     ) -> Result<(Vec<(String, String)>, LiveStats), JobError> {
-        let (parts, stats) = self.try_run_job_partitioned(app, input, user, reducers, reuse)?;
-        let mut result: Vec<(String, String)> = parts.into_iter().flatten().collect();
-        result.sort();
-        Ok((result, stats))
-    }
-
-    /// Like [`run_job`](Self::run_job), but returns each reduce
-    /// partition's output separately (in partition order, each internally
-    /// key-sorted). With a range partitioner, concatenating the
-    /// partitions yields globally sorted output without a final merge.
-    pub fn run_job_partitioned(
-        &self,
-        app: &dyn MapReduce,
-        input: &str,
-        user: &str,
-        reducers: usize,
-        reuse: ReusePolicy,
-    ) -> (Vec<Vec<(String, String)>>, LiveStats) {
-        self.try_run_job_partitioned(app, input, user, reducers, reuse)
-            .unwrap_or_else(|e| panic!("job failed: {e}"))
-    }
-
-    /// Fallible twin of [`run_job_partitioned`](Self::run_job_partitioned).
-    pub fn try_run_job_partitioned(
-        &self,
-        app: &dyn MapReduce,
-        input: &str,
-        user: &str,
-        reducers: usize,
-        reuse: ReusePolicy,
-    ) -> Result<PartitionedOutput, JobError> {
-        self.try_run_job_inputs_partitioned(app, &[input], user, reducers, reuse)
-    }
-
-    /// Run a job over several input files at once (reduce-side join):
-    /// every input's blocks are mapped (with their source index passed to
-    /// [`MapReduce::map_tagged`]) into one shared shuffle, and a single
-    /// reduce phase sees the co-grouped records of all inputs.
-    pub fn run_job_inputs(
-        &self,
-        app: &dyn MapReduce,
-        inputs: &[&str],
-        user: &str,
-        reducers: usize,
-        reuse: ReusePolicy,
-    ) -> (Vec<(String, String)>, LiveStats) {
-        self.try_run_job_inputs(app, inputs, user, reducers, reuse)
-            .unwrap_or_else(|e| panic!("job failed: {e}"))
-    }
-
-    /// Fallible twin of [`run_job_inputs`](Self::run_job_inputs).
-    pub fn try_run_job_inputs(
-        &self,
-        app: &dyn MapReduce,
-        inputs: &[&str],
-        user: &str,
-        reducers: usize,
-        reuse: ReusePolicy,
-    ) -> Result<(Vec<(String, String)>, LiveStats), JobError> {
         let (parts, stats) =
-            self.try_run_job_inputs_partitioned(app, inputs, user, reducers, reuse)?;
+            self.try_run_job_inputs_partitioned(app, &[input], user, reducers, reuse)?;
         let mut result: Vec<(String, String)> = parts.into_iter().flatten().collect();
         result.sort();
         Ok((result, stats))
     }
 
-    /// Multi-input variant of
-    /// [`run_job_partitioned`](Self::run_job_partitioned).
-    pub fn run_job_inputs_partitioned(
-        &self,
-        app: &dyn MapReduce,
-        inputs: &[&str],
-        user: &str,
-        reducers: usize,
-        reuse: ReusePolicy,
-    ) -> (Vec<Vec<(String, String)>>, LiveStats) {
-        self.try_run_job_inputs_partitioned(app, inputs, user, reducers, reuse)
-            .unwrap_or_else(|e| panic!("job failed: {e}"))
-    }
-
-    /// The core executor: fallible, multi-input, partitioned. All other
-    /// `run_job*` entry points funnel here.
+    /// The general one-shot job: fallible, over several input files at
+    /// once, output kept per reduce partition. Every input's blocks are
+    /// mapped (with their source index passed to
+    /// [`MapReduce::map_tagged`], for reduce-side joins) into one
+    /// shared shuffle, and a single reduce phase sees the co-grouped
+    /// records of all inputs. Partitions come back in partition order,
+    /// each internally key-sorted — with a range partitioner,
+    /// concatenating them yields globally sorted output without a final
+    /// merge.
     pub fn try_run_job_inputs_partitioned(
         &self,
         app: &dyn MapReduce,
@@ -1672,1435 +970,11 @@ impl LiveCluster {
         reducers: usize,
         reuse: ReusePolicy,
     ) -> Result<PartitionedOutput, JobError> {
-        assert!(reducers > 0);
-        assert!(!inputs.is_empty());
-        let metas: Vec<_> = {
-            let fs = self.fs.read();
-            let mut v = Vec::with_capacity(inputs.len());
-            for input in inputs {
-                v.push(fs.open(input, user).map_err(JobError::from)?.clone());
-            }
-            v
-        };
-        let node_count = self.cache.num_nodes();
-        let mut stats =
-            LiveStats { tasks_per_node: vec![0; node_count], ..Default::default() };
-        // Attribute transport traffic to this job by snapshot delta.
-        let net_before = self.net.stats();
-
-        // Worker identities and reducer homes are fixed at job start;
-        // replicated map-out needs both *before* placement so a block's
-        // replica holders can be drawn from the reducer-home nodes.
-        let workers: Vec<NodeId> = self.ring.read().node_ids();
-        let homes: Vec<NodeId> =
-            (0..reducers).map(|p| workers[p % workers.len()]).collect();
-
-        // ---- Placement. With `map_replication == 1`, every block goes
-        // through the production scheduler. With r > 1 the scheduler is
-        // bypassed: each block is replicated onto r nodes chosen from
-        // the reducer-home set (nearest to the block's key on the ring)
-        // and mapped at all of them, each placement emitting only the
-        // partitions whose home is nearest to it — the shuffle becomes
-        // mostly node-local at the cost of r-fold map work.
-        let mut inflight = vec![0u64; node_count];
-        let mut tasks: Vec<MapTask> = Vec::new();
-        let repl = self.cfg.map_replication.clamp(1, workers.len());
-        if repl > 1 {
-            let ring = self.ring.read().clone();
-            let pos = |n: NodeId| ring.key_of(n).map(|k| k.0).unwrap_or(0);
-            // Distinct home nodes, first-appearance order.
-            let mut home_nodes: Vec<NodeId> = Vec::new();
-            for &h in &homes {
-                if !home_nodes.contains(&h) {
-                    home_nodes.push(h);
-                }
-            }
-            for (source, meta) in metas.iter().enumerate() {
-                for b in &meta.blocks {
-                    // r placements: reducer-home nodes nearest to the
-                    // block key (clockwise), padded from the remaining
-                    // workers when homes are fewer than r.
-                    let dist = |n: NodeId| b.key.0.wrapping_sub(pos(n));
-                    let mut cand = home_nodes.clone();
-                    cand.sort_by_key(|&n| (dist(n), n.0));
-                    let mut placements: Vec<NodeId> =
-                        cand.into_iter().take(repl).collect();
-                    if placements.len() < repl {
-                        let mut rest: Vec<NodeId> = workers
-                            .iter()
-                            .copied()
-                            .filter(|n| !placements.contains(n))
-                            .collect();
-                        rest.sort_by_key(|&n| (dist(n), n.0));
-                        placements.extend(rest.into_iter().take(repl - placements.len()));
-                    }
-                    // Nearest-holder rule: each partition is produced by
-                    // the placement closest behind its reducer's home on
-                    // the ring (distance 0 ⇒ same node ⇒ local shuffle).
-                    // The masks partition the reducer set, so each
-                    // (block, partition) is emitted by exactly one
-                    // placement and the output stays byte-identical.
-                    let mut masks: Vec<Vec<bool>> =
-                        vec![vec![false; reducers]; placements.len()];
-                    for p in 0..reducers {
-                        let hk = pos(homes[p]);
-                        let pi = placements
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|&(_, &n)| (hk.wrapping_sub(pos(n)), n.0))
-                            .map(|(i, _)| i)
-                            .unwrap();
-                        masks[pi][p] = true;
-                    }
-                    // Materialize the extra replicas: relay from an
-                    // existing holder (`ReplicaSync`), then record the
-                    // new holder in FS metadata so reads and future
-                    // recovery see it. A failed relay is skipped — the
-                    // map attempt falls back to a remote fetch.
-                    let holders: Vec<NodeId> = self
-                        .fs
-                        .read()
-                        .block_holders(b.id)
-                        .map(|h| h.to_vec())
-                        .unwrap_or_default();
-                    for &node in &placements {
-                        if holders.contains(&node) || self.store.holds(node, b.id) {
-                            continue;
-                        }
-                        let Some(&src) = holders.first() else { break };
-                        let sync = Rpc::ReplicaSync { block: b.id, to: node };
-                        if let Ok(RpcReply::Synced { .. }) =
-                            self.net.call(CLIENT, src, sync)
-                        {
-                            let _ = self.fs.write().add_replica(b.id, node);
-                        }
-                    }
-                    for (pi, &node) in placements.iter().enumerate() {
-                        if !masks[pi].iter().any(|&m| m) {
-                            continue; // no partition routed here
-                        }
-                        tasks.push(MapTask {
-                            source,
-                            bid: b.id,
-                            key: b.key,
-                            node,
-                            parts: Some(Arc::new(std::mem::take(&mut masks[pi]))),
-                        });
-                        stats.tasks_per_node[node.index()] += 1;
-                        stats.map_tasks += 1;
-                    }
-                }
-            }
-        } else {
-            let mut sched = self.sched.lock();
-            for (source, meta) in metas.iter().enumerate() {
-                for b in &meta.blocks {
-                    let node = match &mut *sched {
-                        LiveSched::Laf(laf) => {
-                            laf.assign_balanced(b.key, 0.0, |n| inflight[n.index()] as f64)
-                        }
-                        LiveSched::Delay(d) => {
-                            d.decide(b.key, 0.0, |n| inflight[n.index()] as f64).node()
-                        }
-                    };
-                    inflight[node.index()] += 1;
-                    tasks.push(MapTask { source, bid: b.id, key: b.key, node, parts: None });
-                    stats.tasks_per_node[node.index()] += 1;
-                    stats.map_tasks += 1;
-                }
-            }
-            // Install the (possibly re-partitioned) ranges once per job,
-            // not once per block — the map phase addresses shards by node
-            // id; ranges only matter for future home_of lookups.
-            if let LiveSched::Laf(laf) = &*sched {
-                self.cache.set_ranges(laf.ranges().to_vec());
-            }
-        }
-        // Control plane: hand each placement to its node through the
-        // windowed one-way lane — the whole assignment stream is in
-        // flight at once instead of paying one driver round-trip per
-        // task. Per-destination FIFO keeps every node's queue in
-        // placement order — the determinism the frozen-queue cursors
-        // rely on. An unreachable assignee still gets its queue entry
-        // at flush time (the queue is driver state; only the
-        // notification travelled).
-        // Job slot: wire task ids from concurrent jobs must not
-        // collide, so every id this job puts on the wire is the global
-        // `(jid << JOB_SHIFT) | tid`.
-        assert!(tasks.len() <= TID_MASK as usize, "too many map tasks for one job");
-        let jid = self.next_jid.fetch_add(1, Ordering::Relaxed) % MAX_JOB_SLOTS;
-        let gtid = move |tid: usize| (jid << JOB_SHIFT) | tid as u32;
-        let tenant = self.tenant_of(user);
-        let mut assigns: Vec<(SendTicket, NodeId, usize)> = Vec::new();
-        for (tid, t) in tasks.iter().enumerate() {
-            let (bid, node) = (t.bid, t.node);
-            match self.net.send(CLIENT, node, Rpc::TaskAssign { task: gtid(tid), block: bid }) {
-                Ok(ticket) => assigns.push((ticket, node, tid)),
-                Err(_) => self.router.assign(node, gtid(tid)),
-            }
-        }
-        for (ticket, node, tid) in assigns {
-            if self.net.flush(&[ticket]).is_err() {
-                self.router.assign(node, gtid(tid));
-            }
-        }
-        let queues = self.router.take_assignments(jid, node_count);
-        let tasks = &tasks;
-        let queues = &queues;
-
-        // Per-run fault schedule and attempt ledger. Registered in
-        // `self.active` under this job's jid so crash/join/leave
-        // recovery walks every in-flight ledger; deregistered the
-        // moment the run's threads exit.
-        let rt_arc = Arc::new(RunRt::new(
-            jid,
-            tenant,
-            tasks.len(),
-            node_count,
-            std::mem::take(&mut *self.faults.lock()),
-            self.observer.read().clone(),
-        ));
-        self.active.lock().insert(jid, Arc::clone(&rt_arc));
-        let rt: &RunRt = &rt_arc;
-        rt.notify(DstEvent::JobStart { tasks: tasks.len() });
-
-        // A straggler is slow end to end, not just at map compute: for
-        // the duration of this job its RPC *serving* (block reads,
-        // shuffle ingest) is delayed too, at a fraction of the map
-        // delay so request fan-in doesn't multiply it unboundedly.
-        // Entries are scoped to this run (removed at teardown); when
-        // concurrent jobs schedule `SlowNode` on the same node, last
-        // writer wins for the overlap.
-        let slow_nodes: Vec<u32> = {
-            let ops = rt.ops.lock();
-            let mut slow = self.slow_serving.write();
-            let mut mine = Vec::new();
-            for op in ops.iter() {
-                if let FaultOp::SlowNode { node, micros } = op {
-                    slow.insert(node.0, micros / SLOW_SERVE_DIV);
-                    mine.push(node.0);
-                }
-            }
-            mine
-        };
-
-        // ---- Pipelined map + shuffle + reduce -----------------------
-        // Proactive shuffle over real channels (§II-D): every spill is
-        // combined map-side, then pushed to its reduce partition while
-        // the map phase is still running. Reducer threads group keys as
-        // records stream in and fold them once the last mapper hangs up.
-        let hits = AtomicU64::new(0);
-        let misses = AtomicU64::new(0);
-        let remote = AtomicU64::new(0);
-        let spill_count = AtomicU64::new(0);
-        let steal_count = AtomicU64::new(0);
-
-        let mut senders: Vec<Sender<TaskBatch>> = Vec::with_capacity(reducers);
-        let mut receivers = Vec::with_capacity(reducers);
-        for _ in 0..reducers {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let outputs: Vec<Mutex<Vec<(String, String)>>> =
-            (0..reducers).map(|_| Mutex::new(Vec::new())).collect();
-
-        // Frozen work queues plus one atomic cursor per assigned node:
-        // workers claim blocks with fetch_add, so every block's first
-        // attempt starts exactly once no matter who executes it; crash
-        // re-execution flows through the retry queue instead.
-        let cursors: Vec<AtomicUsize> =
-            (0..node_count).map(|_| AtomicUsize::new(0)).collect();
-        let cursors = &cursors;
-        // Worker threads start under the identities of the ring members
-        // at job start (`workers`, computed at placement); a thread
-        // whose node crashes mid-job re-homes to a survivor (see
-        // `rehome`). Thread count follows the machine's parallelism
-        // (times `map_slots` when latency hiding is wanted): stealing
-        // lets fewer threads drain every node's queue, so threads
-        // beyond that would only add context switching (virtual nodes
-        // share the same cores).
-        let par = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        // `map_slots` oversubscribes past the core count to hide wire
-        // round-trips (see [`LiveConfig::map_slots`]); still never more
-        // threads than virtual nodes, so identities stay unique.
-        let threads = workers.len().min(par * self.cfg.map_slots.max(1));
-
-        // The partition count (and thus the output shape) is always
-        // `reducers`; the reducer THREAD count is capped at hardware
-        // parallelism like the map side. Each thread drains several
-        // partition channels in turn — safe because the channels are
-        // unbounded, so mappers never block on a lane the thread has
-        // not reached yet.
-        let red_threads = reducers
-            .min(std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
-        let mut lanes: Vec<Vec<(usize, Receiver<TaskBatch>)>> =
-            (0..red_threads).map(|_| Vec::new()).collect();
-        for (r, rx) in receivers.into_iter().enumerate() {
-            lanes[r % red_threads].push((r, rx));
-        }
-
-        // Shuffle plane: partition `p`'s reducer "lives on" a home node
-        // (assigned at placement) and batches are addressed there as
-        // `ShuffleBatch` RPCs; the receiving handler feeds the
-        // partition channel. A partition re-homes when its home becomes
-        // unreachable.
-        self.router.begin_job(jid, senders.clone(), homes.clone());
-
-        let workers = &workers;
-        std::thread::scope(|scope| {
-            // Speculation monitor: watches the progress board the map
-            // attempts feed over heartbeats, and launches one backup
-            // attempt for any task whose age exceeds `slowdown` times
-            // the running median of committed attempt durations. The
-            // backup is *requested* here (pushed to `rt.spec`); an idle
-            // worker executes it, so placement load is real.
-            if let Some(spec) = self.cfg.speculation {
-                scope.spawn(move || loop {
-                    if rt.is_aborted()
-                        || rt.committed.load(Ordering::Acquire) == tasks.len()
-                    {
-                        break;
-                    }
-                    let median = {
-                        let d = rt.durations.lock();
-                        if d.len() < spec.min_completed as usize {
-                            None
-                        } else {
-                            let mut v = d.clone();
-                            v.sort_unstable();
-                            Some(v[v.len() / 2])
-                        }
-                    };
-                    if let Some(median) = median {
-                        // A floor keeps µs-scale medians from flagging
-                        // scheduling jitter as stragglers.
-                        let threshold = Duration::from_nanos(
-                            (median as f64 * spec.slowdown) as u64 + 200_000,
-                        );
-                        for (task, started, _progress) in self.router.progress_entries(jid) {
-                            let tid = task as usize;
-                            if tid >= tasks.len()
-                                || rt.commits[tid].load(Ordering::Acquire) != UNCOMMITTED
-                                || started.elapsed() < threshold
-                                || rt.spec_launched[tid].swap(true, Ordering::AcqRel)
-                            {
-                                continue;
-                            }
-                            // Place the backup on the least-loaded live
-                            // node other than the straggling claimant.
-                            let avoid = NodeId(rt.claims[tid].load(Ordering::Acquire));
-                            let down: Vec<NodeId> = workers
-                                .iter()
-                                .copied()
-                                .filter(|&n| rt.node_down(n))
-                                .collect();
-                            let load = |n: NodeId| {
-                                rt.running
-                                    .get(n.index())
-                                    .map(|r| r.load(Ordering::Acquire) as u64)
-                                    .unwrap_or(u64::MAX)
-                            };
-                            let choice = match &mut *self.sched.lock() {
-                                LiveSched::Laf(laf) => {
-                                    laf.backup_for(tasks[tid].key, avoid, &down, load)
-                                }
-                                LiveSched::Delay(_) => workers
-                                    .iter()
-                                    .copied()
-                                    .filter(|&n| n != avoid && !rt.node_down(n))
-                                    .min_by_key(|&n| (load(n), n.0)),
-                            };
-                            if let Some(node) = choice {
-                                rt.spec.lock().push((tid, node.index() as u32));
-                            } else {
-                                // Nowhere to run it; allow a later retry.
-                                rt.spec_launched[tid].store(false, Ordering::Release);
-                            }
-                        }
-                    }
-                    std::thread::sleep(Duration::from_micros(spec.poll_micros));
-                });
-            }
-
-            // Reducer side: consume spills concurrently with the maps,
-            // deduplicating by (task, attempt) against the commit board.
-            for lane in lanes {
-                let outputs = &outputs;
-                scope.spawn(move || {
-                    for (r, rx) in lane {
-                        // Hash-ingest while the stream is live; sort once
-                        // at fold time so each partition's output stays
-                        // key-sorted (terasort depends on that).
-                        let mut grouped: HashMap<String, Vec<String>> = HashMap::new();
-                        // Batches from attempts that have not committed
-                        // yet; resolved once the channel closes (the
-                        // commit board is final by then).
-                        let mut pending: Vec<TaskBatch> = Vec::new();
-                        let ingest =
-                            |grouped: &mut HashMap<String, Vec<String>>, batch: TaskBatch| {
-                                for (k, v) in batch.records {
-                                    grouped.entry(k).or_default().push(v);
-                                }
-                            };
-                        while let Ok(batch) = rx.recv() {
-                            let tid = (batch.task & TID_MASK) as usize;
-                            match rt.commits[tid].load(Ordering::Acquire) {
-                                a if a == batch.attempt => ingest(&mut grouped, batch),
-                                UNCOMMITTED => pending.push(batch),
-                                // A losing attempt's output: re-executed
-                                // elsewhere, drop to avoid double-count.
-                                _ => {}
-                            }
-                        }
-                        for batch in pending {
-                            if rt.commits[(batch.task & TID_MASK) as usize]
-                                .load(Ordering::Acquire)
-                                == batch.attempt
-                            {
-                                ingest(&mut grouped, batch);
-                            }
-                        }
-                        // Reduce-phase crash: all maps have committed by
-                        // now, so recovery re-replicates and heals the
-                        // ring but has nothing to re-queue.
-                        if rt.armed {
-                            while let Some(victim) = rt.due_in_reduce() {
-                                self.crash_node_mid_job(victim, rt);
-                            }
-                        }
-                        if rt.is_aborted() {
-                            continue;
-                        }
-                        let mut entries: Vec<(String, Vec<String>)> =
-                            grouped.into_iter().collect();
-                        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                        let mut out = Vec::new();
-                        for (k, vs) in &entries {
-                            app.reduce(k, vs, &mut |ok, ov| out.push((ok, ov)));
-                        }
-                        *outputs[r].lock() = out;
-                    }
-                });
-            }
-
-            // Mapper side: up to one worker thread per live virtual
-            // node, bounded by hardware parallelism. The whole worker
-            // body lives in `worker_loop` so elastic joiners run it
-            // too: latent lanes park until a mid-job join hands them a
-            // fresh identity through `rt.joined`.
-            let worker_loop = |wi: usize, start: NodeId| {
-                        // Threads are execution resources, not nodes:
-                        // each starts under one virtual node's identity
-                        // but re-homes to a survivor when that node
-                        // crashes (with fewer cores than nodes a single
-                        // thread already serves many virtual nodes, so
-                        // its exit would strand the whole job).
-                        let me = Cell::new(start);
-                        // One spill buffer and one combine scratch per
-                        // worker; the buffer is flushed at the end of
-                        // every task so each batch carries exactly one
-                        // (task, attempt) tag.
-                        let mut buffer: SpillBuffer<(String, String)> =
-                            SpillBuffer::new(reducers, self.cfg.shuffle_batch_bytes);
-                        let mut scratch: Vec<String> = Vec::new();
-                        let spec_on = self.cfg.speculation.is_some();
-
-                        // Per-attempt cancellation token: fires only
-                        // once *another* attempt of the same task has
-                        // committed — so cancellation can never
-                        // suppress a committed attempt's sends.
-                        let cancelled_now = |tid: usize, attempt: u32| {
-                            let c = rt.commits[tid].load(Ordering::Acquire);
-                            c != UNCOMMITTED && c != attempt
-                        };
-                        // Sleep in slices, checking the token, so a
-                        // straggling attempt stops burning its node
-                        // soon after losing the commit race. Returns
-                        // true when cancelled.
-                        let cancellable_sleep = |tid: usize, attempt: u32, micros: u64| {
-                            let mut left = micros;
-                            while left > 0 {
-                                if cancelled_now(tid, attempt) {
-                                    return true;
-                                }
-                                let step = left.min(SLOW_SLICE_MICROS);
-                                std::thread::sleep(Duration::from_micros(step));
-                                left -= step;
-                            }
-                            cancelled_now(tid, attempt)
-                        };
-
-                        // Execute one attempt: read the block (replica
-                        // fallback included), map it, ship every spill.
-                        // Windowed sends stay in flight at return — the
-                        // caller settles them via [`PendingCommit`].
-                        let exec = |tid: usize,
-                                    attempt: u32,
-                                    buffer: &mut SpillBuffer<(String, String)>,
-                                    scratch: &mut Vec<String>|
-                         -> Result<AttemptOutcome, JobError> {
-                            let t = &tasks[tid];
-                            let (source, bid, owner) = (t.source, t.bid, t.node);
-                            let parts = t.parts.as_deref();
-                            // Announce the attempt to the progress board
-                            // BEFORE any injected straggle: the monitor's
-                            // first-heard timestamp must cover the whole
-                            // slow period, or stragglers look young.
-                            if spec_on {
-                                let _ = self.net.call(
-                                    me.get(),
-                                    CLIENT,
-                                    Rpc::Heartbeat {
-                                        from: me.get(),
-                                        clock: 0,
-                                        task: gtid(tid),
-                                        progress: 0,
-                                    },
-                                );
-                            }
-                            if rt.armed {
-                                let delay = rt.slow_micros(me.get());
-                                if delay > 0 && cancellable_sleep(tid, attempt, delay) {
-                                    return Ok((Attempt::Cancelled, Vec::new(), Vec::new()));
-                                }
-                                if rt.injected_failure(tid, attempt) {
-                                    return Ok((Attempt::Faulted, Vec::new(), Vec::new()));
-                                }
-                            }
-                            if owner != me.get() {
-                                steal_count.fetch_add(1, Ordering::Relaxed);
-                            }
-                            // All cache and locality accounting uses the
-                            // ASSIGNED node: stats and cache placement
-                            // are identical with or without stealing.
-                            // When that node is dead its cache shard died
-                            // with it, so the read goes straight to the
-                            // replica chain.
-                            let key = CacheKey::Input(HashKey::of_block(
-                                inputs[source],
-                                bid.index,
-                            ));
-                            // Best-effort windowed cache inserts in
-                            // flight; flushed at attempt end to release
-                            // their window slots (outcome ignored — the
-                            // cache is an optimization).
-                            let cache_tickets: RefCell<Vec<SendTicket>> =
-                                RefCell::new(Vec::new());
-                            let payload = if rt.node_down(owner) {
-                                misses.fetch_add(1, Ordering::Relaxed);
-                                remote.fetch_add(1, Ordering::Relaxed);
-                                self.fetch_block(bid, me.get())?
-                            } else {
-                                // Cross-node cache traffic (a stolen task
-                                // probing its assigned node's shard) rides
-                                // `CacheGet`/`CachePut`; same-node access
-                                // stays direct.
-                                let cached = self.cache_lookup(me.get(), owner, &key);
-                                match cached {
-                                    Some(p) => {
-                                        hits.fetch_add(1, Ordering::Relaxed);
-                                        p
-                                    }
-                                    None => {
-                                        misses.fetch_add(1, Ordering::Relaxed);
-                                        if !self.store.holds(owner, bid) {
-                                            remote.fetch_add(1, Ordering::Relaxed);
-                                        }
-                                        let p = self.fetch_block(bid, owner)?;
-                                        if reuse.cache_input && !rt.node_down(owner) {
-                                            if let Some(t) = self.cache_insert(
-                                                me.get(),
-                                                owner,
-                                                key,
-                                                p.clone(),
-                                                rt.tenant,
-                                            ) {
-                                                cache_tickets.borrow_mut().push(t);
-                                            }
-                                        }
-                                        p
-                                    }
-                                }
-                            };
-                            // "A crash loses in-flight messages": once
-                            // this worker's node is poisoned, nothing it
-                            // ships may reach a reducer — the voided
-                            // flag keeps the attempt from committing.
-                            let voided = Cell::new(false);
-                            // Set when the cancellation token fires at a
-                            // spill boundary: another attempt committed,
-                            // so the rest of this one is wasted work.
-                            let cancelled = Cell::new(false);
-                            // Coarse progress estimate for the monitor:
-                            // bytes emitted so far over the input size.
-                            let emitted = Cell::new(0u64);
-                            let total = payload.len().max(1) as u64;
-                            // A batch lost by the transport (partition,
-                            // exhausted retries) also voids the attempt:
-                            // it re-executes and its uncommitted output
-                            // is dropped by reducer dedup — retried, not
-                            // double-counted.
-                            let shipfail = Cell::new(false);
-                            // Sequence number within this attempt, for
-                            // at-least-once dedup at the receiver.
-                            let seq = Cell::new(0u32);
-                            // Windowed cross-node batches in flight:
-                            // every ticket is flushed before the commit
-                            // decision so commit still happens-after
-                            // delivery.
-                            let shuffle_tickets: RefCell<Vec<(SendTicket, usize)>> =
-                                RefCell::new(Vec::new());
-                            let mut ship = |spill: Spill<(String, String)>| {
-                                if spill.records.is_empty() {
-                                    return;
-                                }
-                                // Spill boundary = cancellation point: a
-                                // losing attempt stops shipping as soon
-                                // as the winner has committed (its sends
-                                // so far are dropped by reducer dedup).
-                                if cancelled_now(tid, attempt) {
-                                    cancelled.set(true);
-                                    return;
-                                }
-                                if rt.node_down(me.get()) {
-                                    voided.set(true);
-                                    return;
-                                }
-                                // A straggler is also slow *sending*: a
-                                // fraction of the map delay per batch,
-                                // sliced so cancellation still lands.
-                                if rt.armed {
-                                    let d = rt.slow_micros(me.get());
-                                    if d > 0
-                                        && cancellable_sleep(tid, attempt, d / SLOW_SEND_DIV)
-                                    {
-                                        cancelled.set(true);
-                                        return;
-                                    }
-                                }
-                                if spec_on {
-                                    let promille =
-                                        ((emitted.get() * 1000) / total).min(1000) as u32;
-                                    let _ = self.net.call(
-                                        me.get(),
-                                        CLIENT,
-                                        Rpc::Heartbeat {
-                                            from: me.get(),
-                                            clock: 0,
-                                            task: gtid(tid),
-                                            progress: promille,
-                                        },
-                                    );
-                                }
-                                let records = if app.has_combiner() {
-                                    combine_sorted_runs(app, spill.records, scratch)
-                                } else {
-                                    // No combiner: ship records untouched.
-                                    spill.records
-                                };
-                                let s = seq.get();
-                                seq.set(s + 1);
-                                let home = self.router.home_of(jid, spill.partition);
-                                if home != me.get() && !rt.node_down(home) {
-                                    // Windowed one-way send: the worker
-                                    // keeps mapping while the batch and
-                                    // its ack are in flight. Blocks only
-                                    // when `home`'s ack window is full.
-                                    match self.net.send(
-                                        me.get(),
-                                        home,
-                                        Rpc::ShuffleBatch {
-                                            task: gtid(tid),
-                                            attempt,
-                                            seq: s,
-                                            epoch: 0,
-                                            partition: spill.partition as u32,
-                                            records,
-                                        },
-                                    ) {
-                                        Ok(ticket) => {
-                                            shuffle_tickets
-                                                .borrow_mut()
-                                                .push((ticket, spill.partition));
-                                        }
-                                        Err(_) => {
-                                            // The batch is gone with the
-                                            // frame. Re-home the partition
-                                            // so the re-execution ships
-                                            // locally instead of burning
-                                            // its whole attempt budget on
-                                            // the same cut link.
-                                            self.router
-                                                .set_home(jid, spill.partition, me.get());
-                                            shipfail.set(true);
-                                            return;
-                                        }
-                                    }
-                                } else {
-                                    // Local delivery: home is this node
-                                    // (or dead, in which case the
-                                    // partition re-homes here first).
-                                    if home != me.get() {
-                                        self.router.set_home(jid, spill.partition, me.get());
-                                    }
-                                    let n = records.len() as u64;
-                                    if !self.router.deliver(
-                                        gtid(tid),
-                                        attempt,
-                                        s,
-                                        0,
-                                        spill.partition as u32,
-                                        records,
-                                    ) {
-                                        // Job teardown: losing the spill
-                                        // is fine then.
-                                        return;
-                                    }
-                                    rt.local_shuffle_records.fetch_add(n, Ordering::Relaxed);
-                                }
-                                spill_count.fetch_add(1, Ordering::Relaxed);
-                                let sent =
-                                    rt.spills_sent.fetch_add(1, Ordering::AcqRel) + 1;
-                                // Observer first: a transport fault
-                                // scheduled at this spill count is
-                                // installed before a crash at the same
-                                // count starts recovering through it.
-                                rt.notify(DstEvent::SpillSent { sent });
-                                if rt.armed {
-                                    // Drain *every* due crash, not just
-                                    // the first: two ops scheduled at
-                                    // the same batch count must both
-                                    // fire here — the counter passes
-                                    // each value exactly once (found by
-                                    // DST seed 545).
-                                    while let Some(victim) = rt.due_after_spills(sent) {
-                                        self.crash_node_mid_job(victim, rt);
-                                    }
-                                }
-                            };
-                            // Map + proactive spill. The buffer is empty
-                            // at entry and drained before return, so a
-                            // batch never mixes tasks or attempts.
-                            app.map_tagged(source, &payload, &mut |k, v| {
-                                let bytes = (k.len() + v.len()) as u64;
-                                emitted.set(emitted.get() + bytes);
-                                let p = app
-                                    .partition(&k, reducers)
-                                    .unwrap_or_else(|| buffer.partition_of(shuffle_hash(&k)));
-                                // Replicated map-out: this placement only
-                                // produces its mask's partitions; sibling
-                                // placements cover the rest.
-                                if let Some(mask) = parts {
-                                    if !mask[p] {
-                                        return;
-                                    }
-                                }
-                                if let Some(spill) = buffer.push_to(p, bytes, Some((k, v))) {
-                                    ship(spill);
-                                }
-                            });
-                            for spill in buffer.flush() {
-                                ship(spill);
-                            }
-                            let _ = ship;
-                            // Batch boundary: put every coalesced frame
-                            // (shuffle + cache) on the wire now, so the
-                            // acks travel while the *next* attempt maps
-                            // and the deferred settle finds them done.
-                            self.net.nudge();
-                            let kind = if cancelled.get() {
-                                Attempt::Cancelled
-                            } else if voided.get() {
-                                Attempt::Voided
-                            } else if shipfail.get() {
-                                // Lost shuffle output: bounded re-execution,
-                                // same as an injected task fault.
-                                Attempt::Faulted
-                            } else {
-                                Attempt::Shipped
-                            };
-                            Ok((kind, shuffle_tickets.into_inner(), cache_tickets.into_inner()))
-                        };
-
-                        // Settle a deferred attempt: redeem every window
-                        // slot, then decide its commit. An attempt may
-                        // only commit once every cross-node batch is
-                        // acknowledged, so the send→commit happens-before
-                        // edge is the same as with blocking round-trips —
-                        // the flush has merely been riding alongside the
-                        // *next* attempt's map work. Tickets are flushed
-                        // even on the failure paths: each holds a window
-                        // slot until redeemed.
-                        let settle = |p: PendingCommit| {
-                            let mut lost = false;
-                            for (ticket, partition) in &p.shuffle {
-                                if self.net.flush(std::slice::from_ref(ticket)).is_err() {
-                                    // Same recovery as a synchronous
-                                    // ship failure: re-home, re-execute,
-                                    // dedup drops the losing attempt.
-                                    self.router.set_home(jid, *partition, me.get());
-                                    lost = true;
-                                }
-                            }
-                            let _ = self.net.flush(&p.cache);
-                            // A crash since shipping voids the attempt
-                            // (mirrors the mid-ship voided flag); the
-                            // re-execution's batches win via dedup. A
-                            // lost *backup* is simply dropped — the
-                            // primary is still running, and a backup
-                            // must never burn the task's retry budget.
-                            if lost || rt.node_down(me.get()) {
-                                if !p.speculative {
-                                    rt.failures[p.tid].fetch_add(1, Ordering::AcqRel);
-                                    rt.retry.lock().push(p.tid);
-                                }
-                                return;
-                            }
-                            // Commit: all sends of this attempt
-                            // happened-before this CAS, so any reducer
-                            // that sees the committed attempt will
-                            // receive its batches.
-                            if rt.commits[p.tid]
-                                .compare_exchange(
-                                    UNCOMMITTED,
-                                    p.attempt,
-                                    Ordering::AcqRel,
-                                    Ordering::Acquire,
-                                )
-                                .is_ok()
-                            {
-                                rt.committed.fetch_add(1, Ordering::AcqRel);
-                                // The race is decided: prune the dedup
-                                // trackers of every losing attempt and
-                                // ack-drop their late batches from now
-                                // on (bounded dedup memory).
-                                self.router.settle_task(gtid(p.tid), p.attempt);
-                                if spec_on {
-                                    rt.durations
-                                        .lock()
-                                        .push(p.started.elapsed().as_nanos() as u64);
-                                }
-                                if p.speculative {
-                                    rt.speculative_wins.fetch_add(1, Ordering::Relaxed);
-                                }
-                                let done = rt.maps_done.fetch_add(1, Ordering::AcqRel) + 1;
-                                // Observer before crash triggers (see
-                                // the spill-side note).
-                                rt.notify(DstEvent::MapCommitted { done });
-                                if rt.armed {
-                                    // Drain every due crash (see the
-                                    // spill-side note): a second op at
-                                    // the same commit count would
-                                    // otherwise never fire when this is
-                                    // the last map commit.
-                                    while let Some(victim) = rt.due_after_maps(done) {
-                                        self.crash_node_mid_job(victim, rt);
-                                    }
-                                    // Elastic events fire on the same
-                                    // logical clock, crashes first so a
-                                    // join/leave due at the same commit
-                                    // count sees the repaired ring.
-                                    while rt.due_join(done) {
-                                        let seq = rt.joins.load(Ordering::Relaxed);
-                                        self.admit_and_handoff(
-                                            &format!("join-{seq}"),
-                                            Some(rt),
-                                        );
-                                    }
-                                    while let Some(n) = rt.due_leave(done) {
-                                        // A leaver that already crashed
-                                        // (or left) is a no-op; only a
-                                        // handoff that lost the sole
-                                        // replica is terminal.
-                                        if let Err(FsError::DataLoss(b)) =
-                                            self.graceful_leave(n, Some(rt))
-                                        {
-                                            rt.abort(JobError::DataLoss(b));
-                                        }
-                                    }
-                                }
-                            }
-                        };
-
-                        // Claim and execute one attempt of `tid`. A
-                        // shipped attempt is parked in `pending` — its
-                        // acks ride alongside the next attempt's map
-                        // work — and the previously parked attempt is
-                        // settled here, after a whole attempt's worth
-                        // of overlap.
-                        let run_attempt = |tid: usize,
-                                           speculative: bool,
-                                           buffer: &mut SpillBuffer<(String, String)>,
-                                           scratch: &mut Vec<String>,
-                                           pending: &mut Option<PendingCommit>| {
-                            if rt.commits[tid].load(Ordering::Acquire) != UNCOMMITTED {
-                                return; // an earlier attempt already won
-                            }
-                            if rt.node_down(me.get()) {
-                                // Our node crashed between claiming and
-                                // executing; hand the task back (the
-                                // loop re-homes before the next pop). A
-                                // backup is just dropped — its primary
-                                // is still in flight.
-                                if !speculative {
-                                    rt.retry.lock().push(tid);
-                                }
-                                return;
-                            }
-                            // Retry budget: only *failed* non-speculative
-                            // attempts count. Attempt numbers alone can't
-                            // gate any more — a backup inflates them
-                            // without a single failure.
-                            if !speculative
-                                && rt.failures[tid].load(Ordering::Acquire) >= MAX_ATTEMPTS
-                            {
-                                rt.abort(JobError::TaskFailed {
-                                    task: tid,
-                                    attempts: rt.next_attempt[tid].load(Ordering::Acquire),
-                                });
-                                return;
-                            }
-                            let attempt =
-                                rt.next_attempt[tid].fetch_add(1, Ordering::AcqRel);
-                            if attempt > 0 && !speculative {
-                                rt.retries.fetch_add(1, Ordering::Relaxed);
-                                // Exponential backoff before re-execution.
-                                std::thread::sleep(Duration::from_micros(
-                                    RETRY_BACKOFF_BASE_MICROS << attempt.min(6),
-                                ));
-                            }
-                            rt.attempts.fetch_add(1, Ordering::Relaxed);
-                            if speculative {
-                                rt.speculative_attempts.fetch_add(1, Ordering::Relaxed);
-                            } else {
-                                // The claim drives crash re-queueing and
-                                // straggler avoidance; a backup must not
-                                // overwrite the primary's claim.
-                                rt.claims[tid]
-                                    .store(me.get().index() as u32, Ordering::Release);
-                            }
-                            let started = Instant::now();
-                            if let Some(r) = rt.running.get(me.get().index()) {
-                                r.fetch_add(1, Ordering::AcqRel);
-                            }
-                            let outcome = std::panic::catch_unwind(
-                                std::panic::AssertUnwindSafe(|| {
-                                    exec(tid, attempt, buffer, scratch)
-                                }),
-                            );
-                            if let Some(r) = rt.running.get(me.get().index()) {
-                                r.fetch_sub(1, Ordering::AcqRel);
-                            }
-                            match outcome {
-                                Ok(Ok((Attempt::Shipped, shuffle, cache))) => {
-                                    // Park this attempt; settle the one
-                                    // whose acks just had a whole map
-                                    // attempt to arrive.
-                                    let prev = pending.replace(PendingCommit {
-                                        tid,
-                                        attempt,
-                                        shuffle,
-                                        cache,
-                                        speculative,
-                                        started,
-                                    });
-                                    if let Some(prev) = prev {
-                                        settle(prev);
-                                    }
-                                }
-                                Ok(Ok((Attempt::Cancelled, shuffle, cache))) => {
-                                    // Another attempt committed while
-                                    // this one mapped: redeem the window
-                                    // slots, drop the partial output
-                                    // (reducer dedup ignores it), move
-                                    // on. No retry, no failure charged.
-                                    for (ticket, _) in &shuffle {
-                                        let _ = self.net.flush(std::slice::from_ref(ticket));
-                                    }
-                                    let _ = self.net.flush(&cache);
-                                    buffer.reset();
-                                    rt.cancelled_attempts.fetch_add(1, Ordering::Relaxed);
-                                }
-                                Ok(Ok((_voided_or_faulted, shuffle, cache))) => {
-                                    // Our own crash voided the attempt,
-                                    // or an injected fault / lost batch
-                                    // consumed it; survivors re-execute.
-                                    // Redeem the window slots first —
-                                    // outcomes are irrelevant (reducer
-                                    // dedup drops the losing attempt).
-                                    for (ticket, _) in &shuffle {
-                                        let _ = self.net.flush(std::slice::from_ref(ticket));
-                                    }
-                                    let _ = self.net.flush(&cache);
-                                    buffer.reset();
-                                    if !speculative {
-                                        rt.failures[tid].fetch_add(1, Ordering::AcqRel);
-                                        rt.retry.lock().push(tid);
-                                    }
-                                }
-                                Err(_) => {
-                                    // A panic inside map/combine:
-                                    // bounded retry. Any in-flight
-                                    // tickets died with the unwind;
-                                    // their window slots expire.
-                                    buffer.reset();
-                                    if !speculative {
-                                        rt.failures[tid].fetch_add(1, Ordering::AcqRel);
-                                        rt.retry.lock().push(tid);
-                                    }
-                                }
-                                Ok(Err(e)) => {
-                                    buffer.reset();
-                                    // A backup failing to read its block
-                                    // is not terminal — the primary (or
-                                    // a real retry) still owns the task.
-                                    if !speculative {
-                                        rt.abort(e);
-                                    }
-                                }
-                            }
-                        };
-
-                        // If this thread's node crashed, adopt the
-                        // identity of the next surviving node in ring
-                        // order. False only when every node is dead.
-                        let rehome = || -> bool {
-                            if !rt.node_down(me.get()) {
-                                return true;
-                            }
-                            for step in 0..workers.len() {
-                                let n = workers[(wi + step) % workers.len()];
-                                if !rt.node_down(n) {
-                                    me.set(n);
-                                    return true;
-                                }
-                            }
-                            false
-                        };
-
-                        // The worker's one parked (shipped, unsettled)
-                        // attempt; see `run_attempt`.
-                        let mut pending: Option<PendingCommit> = None;
-                        // Replicated map-out pins sub-tasks to their
-                        // placement: stealing one onto another node
-                        // would turn its carefully co-located shuffle
-                        // remote again. Phase 1 then drains the own
-                        // queue only; leftovers (a placement without a
-                        // worker thread, or a straggler's backlog) are
-                        // picked up by phase 2's grace-gated steal.
-                        let pinned = repl > 1;
-                        let steal_span = if pinned { 1 } else { workers.len() };
-                        // Phase 1 — frozen queues: own queue first
-                        // (locality), then steal from the other live
-                        // nodes' tails, ring order.
-                        'phase1: for step in 0..steal_span {
-                            let owner = workers[(wi + step) % workers.len()];
-                            loop {
-                                if rt.is_aborted() || !rehome() {
-                                    break 'phase1;
-                                }
-                                let i = cursors[owner.index()]
-                                    .fetch_add(1, Ordering::Relaxed);
-                                let Some(&tid) = queues[owner.index()].get(i) else {
-                                    break;
-                                };
-                                run_attempt(tid, false, &mut buffer, &mut scratch, &mut pending);
-                            }
-                        }
-                        // Phase 2 — drain crash/fault re-executions
-                        // until every task has committed.
-                        let mut idle_rounds = 0u32;
-                        loop {
-                            if rt.is_aborted()
-                                || rt.committed.load(Ordering::Acquire) == tasks.len()
-                                || !rehome()
-                            {
-                                break;
-                            }
-                            let next = rt.retry.lock().pop();
-                            match next {
-                                Some(tid) => {
-                                    idle_rounds = 0;
-                                    run_attempt(
-                                        tid,
-                                        false,
-                                        &mut buffer,
-                                        &mut scratch,
-                                        &mut pending,
-                                    );
-                                }
-                                // Out of work: run a requested backup if
-                                // the monitor queued one, else settle our
-                                // parked attempt before idling — the
-                                // all-committed exit above (ours and
-                                // every other worker's) waits on it.
-                                None => {
-                                    if let Some(tid) = rt.pop_spec(me.get().index()) {
-                                        idle_rounds = 0;
-                                        run_attempt(
-                                            tid,
-                                            true,
-                                            &mut buffer,
-                                            &mut scratch,
-                                            &mut pending,
-                                        );
-                                    } else if let Some(p) = pending.take() {
-                                        settle(p);
-                                    } else {
-                                        idle_rounds += 1;
-                                        // Pinned mode's work-conserving
-                                        // fallback: after a grace period
-                                        // of idleness, steal leftover
-                                        // pinned sub-tasks (a placement
-                                        // with no worker thread, or a
-                                        // straggler's backlog) — losing
-                                        // their shuffle locality beats
-                                        // stalling the job.
-                                        let mut stolen = None;
-                                        if pinned && idle_rounds > 20 {
-                                            for step in 0..workers.len() {
-                                                let oix =
-                                                    (wi + step) % workers.len();
-                                                // A queue whose owner has a
-                                                // live thread will drain on
-                                                // its own — stealing from it
-                                                // trades shuffle locality for
-                                                // nothing unless the owner
-                                                // has straggled well past the
-                                                // grace. Orphaned queues
-                                                // (owner index beyond the
-                                                // thread count) have no one
-                                                // else coming.
-                                                let orphan = oix >= threads;
-                                                if !orphan && idle_rounds <= 200
-                                                {
-                                                    continue;
-                                                }
-                                                let owner = workers[oix];
-                                                let i = cursors[owner.index()]
-                                                    .fetch_add(1, Ordering::Relaxed);
-                                                if let Some(&tid) =
-                                                    queues[owner.index()].get(i)
-                                                {
-                                                    stolen = Some(tid);
-                                                    break;
-                                                }
-                                            }
-                                        }
-                                        match stolen {
-                                            Some(tid) => {
-                                                idle_rounds = 0;
-                                                run_attempt(
-                                                    tid,
-                                                    false,
-                                                    &mut buffer,
-                                                    &mut scratch,
-                                                    &mut pending,
-                                                );
-                                            }
-                                            None => std::thread::sleep(
-                                                Duration::from_micros(100),
-                                            ),
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        // Abort/rehome exits can leave a parked attempt;
-                        // settle it so its window slots are redeemed.
-                        if let Some(p) = pending.take() {
-                            settle(p);
-                        }
-            };
-            let worker_loop = &worker_loop;
-            std::thread::scope(|map_scope| {
-                for (wi, &me) in workers.iter().enumerate().take(threads) {
-                    map_scope.spawn(move || worker_loop(wi, me));
-                }
-                // Latent lanes for elastic joiners: one parked thread
-                // per planned mid-job join. Each waits for a join to
-                // publish its node id, then runs the full worker loop
-                // under that identity so in-flight tasks (retries,
-                // backups, stolen queue tails) can land on the joiner;
-                // if the job finishes or aborts first, the lane exits.
-                for _ in 0..rt.planned_joins {
-                    map_scope.spawn(move || loop {
-                        if rt.is_aborted()
-                            || rt.committed.load(Ordering::Acquire) == tasks.len()
-                        {
-                            return;
-                        }
-                        // Bind before matching: a guard temporary in the
-                        // match scrutinee would stay locked across the
-                        // whole worker loop, deadlocking a second join's
-                        // `joined.push` on this same mutex.
-                        let id = rt.joined.lock().pop();
-                        match id {
-                            Some(id) => {
-                                return worker_loop(id.index() % workers.len(), id);
-                            }
-                            None => std::thread::sleep(Duration::from_micros(200)),
-                        }
-                    });
-                }
-            });
-            // Every worker has exited. If tasks are still uncommitted
-            // and nothing aborted yet, all workers died mid-job — fail
-            // loudly instead of folding partial output.
-            if !rt.is_aborted() && rt.committed.load(Ordering::Acquire) != tasks.len() {
-                let tid = (0..tasks.len())
-                    .find(|&t| rt.commits[t].load(Ordering::Acquire) == UNCOMMITTED)
-                    .unwrap_or(0);
-                rt.abort(JobError::DataLoss(tasks[tid].bid));
-            }
-            // All mappers done: tear down the shuffle plane (dropping
-            // the router's channel clones) and hang up so the reducers
-            // fold and exit. Straggler RPC deliveries after this point
-            // are refused rather than leaking into a later job.
-            self.router.end_job(jid);
-            drop(senders);
-        });
-        // The run is over: deregister its ledger so external join/leave
-        // calls and crash recovery stop walking it.
-        self.active.lock().remove(&jid);
-        // The straggler's serving delay ends with the job it was
-        // injected into (both success and error exits pass here).
-        // Remove only this run's entries — concurrent jobs may have
-        // their own stragglers in flight.
-        if !slow_nodes.is_empty() {
-            let mut slow = self.slow_serving.write();
-            for n in &slow_nodes {
-                slow.remove(n);
-            }
-        }
-        rt.notify(DstEvent::JobEnd);
-
-        if rt.is_aborted() {
-            let e = rt
-                .error
-                .lock()
-                .take()
-                .unwrap_or(JobError::TaskFailed { task: 0, attempts: 0 });
-            return Err(e);
-        }
-
-        stats.cache_hits = hits.into_inner();
-        stats.cache_misses = misses.into_inner();
-        stats.remote_reads = remote.into_inner();
-        stats.spills = spill_count.into_inner();
-        stats.steals = steal_count.into_inner();
-        stats.reduce_tasks = reducers as u64;
-        stats.attempts = rt.attempts.load(Ordering::Relaxed);
-        stats.retries = rt.retries.load(Ordering::Relaxed);
-        stats.failed_nodes = rt.failed_nodes.load(Ordering::Relaxed);
-        stats.recovered_blocks = rt.recovered_blocks.load(Ordering::Relaxed);
-        stats.stabilize_rounds = rt.stabilize_rounds.load(Ordering::Relaxed);
-        stats.recovery_nanos = rt.recovery_nanos.load(Ordering::Relaxed);
-        stats.speculative_attempts = rt.speculative_attempts.load(Ordering::Relaxed);
-        stats.speculative_wins = rt.speculative_wins.load(Ordering::Relaxed);
-        stats.cancelled_attempts = rt.cancelled_attempts.load(Ordering::Relaxed);
-        stats.local_shuffle_records = rt.local_shuffle_records.load(Ordering::Relaxed);
-        stats.joins = rt.joins.load(Ordering::Relaxed);
-        stats.leaves = rt.leaves.load(Ordering::Relaxed);
-        stats.handoff_blocks = rt.handoff_blocks.load(Ordering::Relaxed);
-        stats.handoff_bytes = rt.handoff_bytes.load(Ordering::Relaxed);
-        stats.drained_tasks = rt.drained_tasks.load(Ordering::Relaxed);
-        // Mid-job joiners appear as (zero-assignment) columns so the
-        // per-node task counts always cover the final membership.
-        let final_nodes = self.cache.num_nodes();
-        if stats.tasks_per_node.len() < final_nodes {
-            stats.tasks_per_node.resize(final_nodes, 0);
-        }
-        let net = self.net.stats().since(net_before);
-        stats.bytes_sent = net.bytes_sent;
-        stats.rpcs = net.rpcs;
-        stats.rpc_retries = net.rpc_retries;
-        stats.timeouts = net.timeouts;
-
-        let parts: Vec<Vec<(String, String)>> =
-            outputs.into_iter().map(|m| m.into_inner()).collect();
-        Ok((parts, stats))
+        let run = Run::begin(self, inputs, user, reducers, reuse, None)?;
+        let parts = run.drive_scoped(self, app);
+        Ok((parts, run.retire(self)?))
     }
 
-    /// Crash `victim` while jobs are running: the full detection →
-    /// ring-repair → re-replication → re-queue flow, serialized so
-    /// concurrent triggers handle one crash at a time. `rt` is the run
-    /// whose fault schedule (or membership call) triggered the crash —
-    /// recovery counters and the DST event land on it — but the crash
-    /// itself hits *every* live run: each is poisoned and has its
-    /// victim-claimed tasks re-queued.
-    fn crash_node_mid_job(&self, victim: NodeId, rt: &RunRt) {
-        let _gate = self.recovery_gate.lock();
-        let vi = victim.index();
-        // Already crashed (or joined after the job started): no-op.
-        if vi >= rt.poisoned.len() || rt.poisoned[vi].swap(true, Ordering::AcqRel) {
-            return;
-        }
-        // Poison the victim on every other live run too: their workers
-        // must stop shipping under its identity from this instant.
-        let runs = self.live_runs();
-        for other in runs.iter().filter(|r| !std::ptr::eq(r.as_ref(), rt)) {
-            if let Some(p) = other.poisoned.get(vi) {
-                p.store(true, Ordering::Release);
-            }
-        }
-        if !self.ring.read().contains(victim) {
-            return;
-        }
-        // The victim's ring key, captured before repair removes it:
-        // after recovery the key's owner is the successor that inherited
-        // the range, which is where re-homed shuffle partitions go.
-        let vkey = self.ring.read().key_of(victim).ok();
-        let t0 = Instant::now();
-        // The crash instant: payloads, cache shard and network endpoint
-        // die; from here on every send from the victim is suppressed
-        // (see `ship`), and every in-flight RPC *to* the victim is
-        // woken with a connection error instead of hanging until
-        // heartbeat expiry.
-        self.store.wipe_node(victim);
-        self.cache.invalidate_node(victim);
-        self.net.close_endpoint(victim);
-        // Detection: advance the logical clock past the heartbeat
-        // timeout and ping every member over the transport; live nodes
-        // ack and beat, the victim's closed endpoint cannot.
-        {
-            let mut mon = self.monitor.lock();
-            let step = HEARTBEAT_TIMEOUT_SECS + 1;
-            let clock = self.clock.fetch_add(step, Ordering::AcqRel) + step;
-            let now = clock as f64;
-            for n in self.ring.read().node_ids() {
-                let beat = !rt
-                    .poisoned
-                    .get(n.index())
-                    .is_some_and(|p| p.load(Ordering::Acquire))
-                    && matches!(
-                        self.net.call(
-                            CLIENT,
-                            n,
-                            Rpc::Heartbeat { from: CLIENT, clock, task: u32::MAX, progress: 0 },
-                        ),
-                        Ok(RpcReply::Ack)
-                    );
-                if beat {
-                    mon.heartbeat(n, now);
-                }
-            }
-            let dead = mon.expired(now);
-            debug_assert!(dead.contains(&victim), "victim must be detected");
-        }
-        // Ring repair, mirrored through protocol-level Chord
-        // stabilization: successors/predecessors re-converge around the
-        // hole exactly as the paper's stabilization procedure would.
-        // Every pointer a node follows is first probed over the
-        // transport, so the dead endpoint (and any partitioned peer) is
-        // routed around rather than adopted.
-        {
-            let mut chord = ChordNet::converged_from(self.ring.read().members().cloned());
-            chord.fail(victim);
-            let max = 4 * chord.len() + 8;
-            if let Some(rounds) = chord
-                .stabilize_until_converged_probed(max, &mut |a, b| self.net.probe(a, b))
-            {
-                rt.stabilize_rounds.fetch_add(rounds as u64, Ordering::Relaxed);
-            }
-        }
-        // Re-replication from survivors + scheduler/ring rebuild.
-        match self.recover_node(victim) {
-            Ok(report) => {
-                rt.failed_nodes.fetch_add(1, Ordering::Relaxed);
-                rt.recovered_blocks.fetch_add(report.recovered_blocks, Ordering::Relaxed);
-                // Re-home the victim's shuffle partitions at the ring
-                // successor that inherited its range — epoch-aware
-                // placement: fetches after this event go to the current
-                // nearest holder, not the job-start snapshot.
-                if let Some(key) = vkey {
-                    if let Ok(heir) = self.ring.read().owner_of(key).map(|s| s.id) {
-                        self.router.rehome_from(victim, heir);
-                    }
-                }
-                let _ = self.view.lock().apply(MembershipEvent::Fail(victim));
-            }
-            Err(e) => {
-                rt.recovery_nanos
-                    .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                rt.abort(e.into());
-                return;
-            }
-        }
-        // Re-queue the victim's claimed-but-uncommitted tasks on every
-        // live run; each run's own voided attempts also self-requeue
-        // (duplicates are safe: the ledger commits each task once,
-        // reducers dedup by attempt).
-        let requeue = |run: &RunRt| {
-            for tid in 0..run.commits.len() {
-                if run.commits[tid].load(Ordering::Acquire) == UNCOMMITTED
-                    && run.claims[tid].load(Ordering::Acquire) == vi as u32
-                {
-                    run.retry.lock().push(tid);
-                }
-            }
-        };
-        for run in &runs {
-            requeue(run);
-        }
-        if !runs.iter().any(|r| std::ptr::eq(r.as_ref(), rt)) {
-            requeue(rt);
-        }
-        rt.recovery_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        rt.notify(DstEvent::NodeCrashed { node: victim });
-    }
-
-    /// Metadata + payload recovery shared by the mid-job path and the
-    /// public [`fail_node`](Self::fail_node): re-replicate the victim's
-    /// blocks from survivors and rebuild ring-derived state.
-    fn recover_node(&self, node: NodeId) -> Result<RecoveryReport, FsError> {
-        let plan = {
-            let mut fs = self.fs.write();
-            fs.fail_node(node)?
-        };
-        let mut report = RecoveryReport::default();
-        for copy in plan {
-            // Drive re-replication over the transport: the surviving
-            // holder relays its replica to the new home (`ReplicaSync`
-            // → nested `PutBlock`). The transport's bounded retry
-            // absorbs dropped frames; `Missing` — or an unreachable
-            // source — means the double failure destroyed every copy.
-            let sync = Rpc::ReplicaSync { block: copy.block, to: copy.to };
-            match self.net.call(CLIENT, copy.from, sync) {
-                Ok(RpcReply::Synced { bytes }) => {
-                    report.recovered_blocks += 1;
-                    report.recovered_bytes += bytes;
-                }
-                _ => return Err(FsError::DataLoss(copy.block)),
-            }
-        }
-        let new_ring = self.fs.read().ring().clone();
-        *self.ring.write() = new_ring.clone();
-        self.rebuild_placement(&new_ring);
-        // Cache entries on the failed node die with it.
-        self.cache.invalidate_node(node);
-        Ok(report)
-    }
-
-    /// Re-derive every piece of placement state from a changed ring:
-    /// scheduler membership (counters survive — the scheduler is the
-    /// same, only the membership moved under it) and the distributed
-    /// cache's hash-key ranges. Shared by crash recovery, elastic join
-    /// and graceful leave.
-    fn rebuild_placement(&self, ring: &Ring) {
-        let mut sched = self.sched.lock();
-        match &mut *sched {
-            LiveSched::Laf(laf) => {
-                laf.set_nodes(ring);
-                self.cache.set_ranges(laf.ranges().to_vec());
-            }
-            LiveSched::Delay(d) => {
-                d.set_nodes(ring);
-                self.cache.set_ranges(d.ranges().to_vec());
-            }
-        }
-    }
 
     /// Store an application-tagged object in oCache (e.g. iteration
     /// output). Placed on the tag's home server under the current cache
@@ -3157,796 +1031,18 @@ impl LiveCluster {
         self.cache.hit_ratio()
     }
 
-    /// Admit a new virtual node: a fresh ring position, cache shard and
-    /// (empty) store shard. The joiner walks the Chord stabilize flow,
-    /// pulls the block replicas its new range makes it responsible for
-    /// from their current holders ([`Rpc::BlockPull`]), and inherits
-    /// stranded cache entries ([`Rpc::RangeHandoff`]). Works while a
-    /// job is running: in-flight scheduling immediately includes the
-    /// joiner. Returns its id.
-    pub fn join_node(&self, name: &str) -> NodeId {
-        self.admit_and_handoff(name, None)
-    }
-
-    /// Retire a node gracefully: drain its queued-but-uncommitted
-    /// tasks back to the scheduler, push its cache range and block
-    /// replicas to ring successors, then deregister it. The dual of
-    /// [`join_node`](Self::join_node); shares crash-recovery machinery
-    /// (commit-board CAS, attempt ledger) so committed work on the
-    /// leaver stands. Works while a job is running.
-    pub fn leave_node(&self, node: NodeId) -> Result<RecoveryReport, FsError> {
-        self.graceful_leave(node, None)
-    }
-
-    /// The join flow proper, serialized with crash recovery through the
-    /// cluster's recovery gate. `trigger` is the run whose fault
-    /// schedule requested the join; `None` (the public entry point)
-    /// accounts the join to every live run instead, and every live
-    /// run's latent joiner lanes get the new identity.
-    fn admit_and_handoff(&self, name: &str, trigger: Option<&RunRt>) -> NodeId {
-        let _gate = self.recovery_gate.lock();
-        let runs = self.live_runs();
-        let tally: Vec<&RunRt> = match trigger {
-            Some(r) => vec![r],
-            None => runs.iter().map(|r| r.as_ref()).collect(),
-        };
-        let t0 = Instant::now();
-        let id = self.cache.add_node(self.cfg.cache_per_node);
-        // The joiner opens its endpoint before anything is routed to it.
-        bind_endpoint(
-            &self.net,
-            id,
-            Arc::clone(&self.store),
-            Arc::clone(&self.cache),
-            Arc::clone(&self.router),
-            Arc::clone(&self.slow_serving),
-        );
-        let old_members: Vec<ServerInfo> = self.ring.read().members().cloned().collect();
-        let (info, plan, new_ring) = {
-            let mut fs = self.fs.write();
-            let mut info = ServerInfo::from_name(id, name);
-            let mut salt = 0u32;
-            while fs.ring().members().any(|s| s.key == info.key) {
-                salt += 1;
-                info = ServerInfo::from_name(id, format!("{name}+{salt}"));
-            }
-            fs.join(info.clone()).expect("fresh node id");
-            let plan = fs.join_plan(id).expect("joiner is a member");
-            (info, plan, fs.ring().clone())
-        };
-        *self.ring.write() = new_ring.clone();
-        // Protocol-level admission: the joiner learns its successor and
-        // the ring re-converges around it, every adopted pointer probed
-        // over the transport first.
-        {
-            let mut chord = ChordNet::converged_from(old_members.iter().cloned());
-            chord.join(info.clone(), old_members[0].id);
-            let max = 4 * chord.len() + 8;
-            if let Some(rounds) =
-                chord.stabilize_until_converged_probed(max, &mut |a, b| self.net.probe(a, b))
-            {
-                for r in &tally {
-                    r.stabilize_rounds.fetch_add(rounds as u64, Ordering::Relaxed);
-                }
-            }
-        }
-        self.monitor.lock().heartbeat(id, self.clock.load(Ordering::Acquire) as f64);
-        self.rebuild_placement(&new_ring);
-        // Pull the replicas the joiner's range made it responsible for
-        // from their current holders. A pull that cannot complete (a
-        // partitioned holder, an injected drop burst) is benign: the
-        // block keeps its pre-join holders and stays readable.
-        for copy in plan {
-            let pull = Rpc::BlockPull { block: copy.block, from: copy.from };
-            if let Ok(RpcReply::Synced { bytes }) = self.net.call(CLIENT, id, pull) {
-                let _ = self.fs.write().add_replica(copy.block, id);
-                for r in &tally {
-                    r.handoff_blocks.fetch_add(1, Ordering::Relaxed);
-                    r.handoff_bytes.fetch_add(bytes, Ordering::Relaxed);
-                }
-            }
-        }
-        self.handoff_stranded_cache();
-        let _ = self.view.lock().apply(MembershipEvent::Join(info));
-        for r in &tally {
-            r.joins.fetch_add(1, Ordering::Relaxed);
-            r.recovery_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            // Hand the new node to a latent worker thread so in-flight
-            // tasks can land on it.
-            r.joined.lock().push(id);
-            r.notify(DstEvent::NodeJoined { node: id });
-        }
-        id
-    }
-
-    /// The graceful-leave flow proper (see
-    /// [`leave_node`](Self::leave_node)). Unlike a crash the leaver
-    /// cooperates: its endpoint stays open to serve handoff pulls, its
-    /// committed map output stands, and only its *uncommitted* claims
-    /// are drained back to the scheduler.
-    fn graceful_leave(
-        &self,
-        leaver: NodeId,
-        trigger: Option<&RunRt>,
-    ) -> Result<RecoveryReport, FsError> {
-        let _gate = self.recovery_gate.lock();
-        {
-            let ring = self.ring.read();
-            if !ring.contains(leaver) {
-                return Err(FsError::Ring(RingError::UnknownNode(leaver)));
-            }
-            if ring.len() <= 1 {
-                return Err(FsError::Ring(RingError::EmptyRing));
-            }
-        }
-        let t0 = Instant::now();
-        let vi = leaver.index();
-        let runs = self.live_runs();
-        // The runs this leave is accounted to: the triggering run when
-        // it came from a fault schedule, every live run when it came
-        // through the public entry point.
-        let tally: Vec<&RunRt> = match trigger {
-            Some(r) => vec![r],
-            None => runs.iter().map(|r| r.as_ref()).collect(),
-        };
-        for run in &runs {
-            // Stop the leaver taking new work on every live run.
-            // Already poisoned means a crash got there first — nothing
-            // left to leave gracefully.
-            if run.poisoned.get(vi).is_none_or(|p| p.swap(true, Ordering::AcqRel)) {
-                return Err(FsError::Ring(RingError::UnknownNode(leaver)));
-            }
-            // Drain its queued-but-uncommitted claims back to the
-            // scheduler; the re-executions count as retries in the
-            // attempt ledger, deduped by (task, attempt) as usual.
-            for tid in 0..run.commits.len() {
-                if run.commits[tid].load(Ordering::Acquire) == UNCOMMITTED
-                    && run.claims[tid].load(Ordering::Acquire) == vi as u32
-                {
-                    run.retry.lock().push(tid);
-                    run.drained_tasks.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        let vkey = self.ring.read().key_of(leaver).ok();
-        let old_members: Vec<ServerInfo> = self.ring.read().members().cloned().collect();
-        let plan = self.fs.write().leave_node(leaver)?;
-        // Push the leaver's blocks to their new homes. The leaver is
-        // still online and serves pulls; if its link is disturbed the
-        // pull falls back through the block's other registered holders
-        // (mirroring `fetch_block`). Only when *no* copy is reachable
-        // anywhere has the handoff genuinely lost the block.
-        let mut report = RecoveryReport::default();
-        for copy in &plan {
-            let mut sources = vec![copy.from];
-            if let Ok(holders) = self.fs.read().block_holders(copy.block) {
-                sources.extend(holders.iter().copied().filter(|&h| h != copy.to));
-            }
-            let mut bytes = None;
-            for src in sources {
-                let pull = Rpc::BlockPull { block: copy.block, from: src };
-                if let Ok(RpcReply::Synced { bytes: b }) = self.net.call(CLIENT, copy.to, pull)
-                {
-                    bytes = Some(b);
-                    break;
-                }
-            }
-            match bytes {
-                Some(b) => {
-                    report.recovered_blocks += 1;
-                    report.recovered_bytes += b;
-                    for r in &tally {
-                        r.handoff_blocks.fetch_add(1, Ordering::Relaxed);
-                        r.handoff_bytes.fetch_add(b, Ordering::Relaxed);
-                    }
-                }
-                None => return Err(FsError::DataLoss(copy.block)),
-            }
-        }
-        let new_ring = self.fs.read().ring().clone();
-        *self.ring.write() = new_ring.clone();
-        self.rebuild_placement(&new_ring);
-        // Cache range handoff: entries the shrunk range map left
-        // stranded migrate to their new homes, then whatever remains on
-        // the leaver dies with it.
-        self.handoff_stranded_cache();
-        self.cache.invalidate_node(leaver);
-        self.monitor.lock().forget(leaver);
-        // Protocol-level departure: the ring re-converges around the
-        // hole, pointers probed over the transport.
-        {
-            let mut chord = ChordNet::converged_from(old_members.iter().cloned());
-            chord.fail(leaver);
-            let max = 4 * chord.len() + 8;
-            if let Some(rounds) =
-                chord.stabilize_until_converged_probed(max, &mut |a, b| self.net.probe(a, b))
-            {
-                for r in &tally {
-                    r.stabilize_rounds.fetch_add(rounds as u64, Ordering::Relaxed);
-                }
-            }
-        }
-        // Re-home the leaver's shuffle partitions at its successor so
-        // post-leave fetches go to the current nearest holder.
-        if let Some(key) = vkey {
-            if let Ok(heir) = new_ring.owner_of(key).map(|s| s.id) {
-                self.router.rehome_from(leaver, heir);
-            }
-        }
-        // Only now does the leaver actually go away.
-        self.store.wipe_node(leaver);
-        self.net.close_endpoint(leaver);
-        let _ = self.view.lock().apply(MembershipEvent::Leave(leaver));
-        for r in &tally {
-            r.leaves.fetch_add(1, Ordering::Relaxed);
-            r.recovery_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            r.notify(DstEvent::NodeLeft { node: leaver });
-        }
-        Ok(report)
-    }
-
-    /// Migrate cache entries stranded by a range-map change to their
-    /// current homes as one-way [`Rpc::RangeHandoff`] sends over the
-    /// windowed lane. Best-effort: the cache is an optimization, a
-    /// dropped handoff only costs a future miss.
-    fn handoff_stranded_cache(&self) {
-        let mut tickets: Vec<SendTicket> = Vec::new();
-        for i in 0..self.cache.num_nodes() {
-            let node = NodeId(i as u32);
-            for (key, data, home) in self.cache.drain_for_handoff(node) {
-                if let Ok(t) = self.net.send(node, home, Rpc::RangeHandoff { key, data }) {
-                    tickets.push(t);
-                }
-            }
-        }
-        let _ = self.net.flush(&tickets);
-    }
-
-    /// Crash a node between jobs: wipe its payloads, re-replicate from
-    /// survivors, and rebuild ring-derived state. Jobs submitted
-    /// afterwards run on the surviving nodes and still produce complete
-    /// results. Returns what recovery accomplished, or the error when a
-    /// second simultaneous failure already destroyed a source replica —
-    /// callers decide whether that is fatal.
-    pub fn fail_node(&self, node: NodeId) -> Result<RecoveryReport, FsError> {
-        self.monitor.lock().forget(node);
-        // Poison the endpoint first: a peer blocked on an RPC to the
-        // dying node is woken with a connection error now — never left
-        // hanging, never answered from a half-wiped store.
-        self.net.close_endpoint(node);
-        self.store.wipe_node(node);
-        self.cache.invalidate_node(node);
-        self.recover_node(node)
-    }
-
-    /// Crash a node *now*, whether or not jobs are in flight. With live
-    /// jobs this runs the full mid-job flow (poison every run, repair
-    /// the ring, re-queue the victim's claims on every run — recovery
-    /// counters land on an arbitrary live run); between jobs it
-    /// degrades to [`fail_node`](Self::fail_node). The entry point for
-    /// crash-under-storm tests, where no single job owns the fault.
-    pub fn crash_node(&self, victim: NodeId) -> Result<(), FsError> {
-        let runs = self.live_runs();
-        match runs.first() {
-            Some(rt) => {
-                self.crash_node_mid_job(victim, rt);
-                Ok(())
-            }
-            None => self.fail_node(victim).map(|_| ()),
-        }
-    }
-
-    // ---- Persistent worker-pool execution (see `server::JobServer`) --
-    //
-    // The scoped executor above spawns a full thread complement per
-    // job. The pool path amortizes that: `JobServer` spawns workers
-    // once, and each admitted job only places its tasks, leases the
-    // shared workers, and folds its reduce partitions on its driver.
-    // The attempt ledger, commit board, shuffle router and cache are
-    // the same machinery — a pool job is a first-class entry in the
-    // `active` registry, so crash/join/leave recovery covers it too.
-
-    /// Place one job's map tasks and register its run ledger for pool
-    /// execution. The caller (a `JobServer` driver) feeds the returned
-    /// job's tasks to the pool workers, waits for
-    /// [`PoolJob::done`], then calls
-    /// [`finish_pool_job`](Self::finish_pool_job).
-    ///
-    /// Differences from the scoped executor, by design (§ simplicity
-    /// over latency-hiding): no `TaskAssign` control-plane round, no
-    /// speculation, no replicated map-out, no windowed send pipelining
-    /// — and the cluster's pending fault schedule is left for the next
-    /// scoped run.
-    pub(crate) fn begin_pool_job(
-        &self,
-        app: Arc<dyn MapReduce>,
-        inputs: &[&str],
-        user: &str,
-        reducers: usize,
-        reuse: ReusePolicy,
-    ) -> Result<Arc<PoolJob>, JobError> {
-        self.begin_wave(app, inputs, user, reducers, reuse, None)
-    }
-
-    /// Lease one **epoch wave** of a standing job to the pool: map only
-    /// the epoch's delta blocks, tagged so the shuffle plane can
-    /// ack-drop any straggler from a previous wave. The standing `jid`
-    /// is reused across epochs (a stream must not burn a job slot per
-    /// epoch); per-epoch task ids restart at 0, disambiguated by the
-    /// epoch tag plus the per-epoch dedup prune in
-    /// [`ShuffleRouter::begin_epoch`].
-    pub(crate) fn begin_epoch_wave(
-        &self,
-        app: Arc<dyn MapReduce>,
-        input: &str,
-        user: &str,
-        reducers: usize,
-        jid: u32,
-        epoch: u32,
-    ) -> Result<Arc<PoolJob>, JobError> {
-        self.begin_wave(app, &[input], user, reducers, ReusePolicy::default(), Some((jid, epoch)))
-    }
-
-    /// Claim a standing job slot for an epoch stream. The slot is
-    /// reserved through the same modulo window batch jobs draw from,
-    /// so a stream and a batch job never collide on a jid.
+    /// Claim a job slot. Epoch streams hold one for their lifetime,
+    /// drawn from the same modulo window one-shot jobs use, so a
+    /// stream and a batch job never collide on a jid.
     pub(crate) fn reserve_jid(&self) -> u32 {
         self.next_jid.fetch_add(1, Ordering::Relaxed) % MAX_JOB_SLOTS
     }
-
-    fn begin_wave(
-        &self,
-        app: Arc<dyn MapReduce>,
-        inputs: &[&str],
-        user: &str,
-        reducers: usize,
-        reuse: ReusePolicy,
-        standing: Option<(u32, u32)>,
-    ) -> Result<Arc<PoolJob>, JobError> {
-        assert!(reducers > 0);
-        assert!(!inputs.is_empty());
-        let metas: Vec<_> = {
-            let fs = self.fs.read();
-            let mut v = Vec::with_capacity(inputs.len());
-            for input in inputs {
-                v.push(fs.open(input, user).map_err(JobError::from)?.clone());
-            }
-            v
-        };
-        let node_count = self.cache.num_nodes();
-        let mut stats =
-            LiveStats { tasks_per_node: vec![0; node_count], ..Default::default() };
-        let net_before = self.net.stats();
-        let workers: Vec<NodeId> = self.ring.read().node_ids();
-        let homes: Vec<NodeId> =
-            (0..reducers).map(|p| workers[p % workers.len()]).collect();
-        let mut inflight = vec![0u64; node_count];
-        let mut tasks: Vec<MapTask> = Vec::new();
-        {
-            let mut sched = self.sched.lock();
-            for (source, meta) in metas.iter().enumerate() {
-                for b in &meta.blocks {
-                    let node = match &mut *sched {
-                        LiveSched::Laf(laf) => {
-                            laf.assign_balanced(b.key, 0.0, |n| inflight[n.index()] as f64)
-                        }
-                        LiveSched::Delay(d) => {
-                            d.decide(b.key, 0.0, |n| inflight[n.index()] as f64).node()
-                        }
-                    };
-                    inflight[node.index()] += 1;
-                    tasks.push(MapTask { source, bid: b.id, key: b.key, node, parts: None });
-                    stats.tasks_per_node[node.index()] += 1;
-                    stats.map_tasks += 1;
-                }
-            }
-            if let LiveSched::Laf(laf) = &*sched {
-                self.cache.set_ranges(laf.ranges().to_vec());
-            }
-        }
-        assert!(tasks.len() <= TID_MASK as usize, "too many map tasks for one job");
-        let (jid, epoch) = match standing {
-            Some((jid, epoch)) => (jid, epoch),
-            None => (self.next_jid.fetch_add(1, Ordering::Relaxed) % MAX_JOB_SLOTS, 0),
-        };
-        let tenant = self.tenant_of(user);
-        let rt = Arc::new(RunRt::new(
-            jid,
-            tenant,
-            tasks.len(),
-            node_count,
-            Vec::new(),
-            self.observer.read().clone(),
-        ));
-        self.active.lock().insert(jid, Arc::clone(&rt));
-        rt.notify(DstEvent::JobStart { tasks: tasks.len() });
-        let mut senders = Vec::with_capacity(reducers);
-        let mut receivers = Vec::with_capacity(reducers);
-        for _ in 0..reducers {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        self.router.begin_epoch(jid, senders, homes, epoch);
-        Ok(Arc::new(PoolJob {
-            jid,
-            epoch,
-            rt,
-            app,
-            tasks,
-            inputs: inputs.iter().map(|s| s.to_string()).collect(),
-            reducers,
-            reuse_cache: reuse.cache_input,
-            receivers: Mutex::new(receivers),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            remote: AtomicU64::new(0),
-            spills: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            stats0: stats,
-            net_before,
-        }))
-    }
-
-    /// Execute one pool task to completion under node identity `me`:
-    /// bounded attempts, each reading the block (cache first), mapping,
-    /// shipping every partition's combined records as one blocking
-    /// `ShuffleBatch` round-trip, then taking the commit CAS. Returns
-    /// after the task is committed (by this or any racing attempt) or
-    /// the job aborted.
-    pub(crate) fn pool_exec_task(&self, job: &PoolJob, tid: usize, me: NodeId) {
-        let rt = &*job.rt;
-        loop {
-            if rt.is_aborted() || rt.commits[tid].load(Ordering::Acquire) != UNCOMMITTED {
-                return;
-            }
-            if rt.failures[tid].load(Ordering::Acquire) >= MAX_ATTEMPTS {
-                rt.abort(JobError::TaskFailed {
-                    task: tid,
-                    attempts: rt.next_attempt[tid].load(Ordering::Acquire),
-                });
-                return;
-            }
-            let attempt = rt.next_attempt[tid].fetch_add(1, Ordering::AcqRel);
-            if attempt > 0 {
-                rt.retries.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(Duration::from_micros(
-                    RETRY_BACKOFF_BASE_MICROS << attempt.min(6),
-                ));
-            }
-            rt.attempts.fetch_add(1, Ordering::Relaxed);
-            rt.claims[tid].store(me.index() as u32, Ordering::Release);
-            match self.pool_attempt(job, tid, attempt, me) {
-                Ok(true) => return,
-                Ok(false) => {
-                    // Lost shuffle output: burn one failure, retry.
-                    rt.failures[tid].fetch_add(1, Ordering::AcqRel);
-                }
-                Err(e) => {
-                    rt.abort(e);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// One pool map attempt; `Ok(false)` asks the caller to retry.
-    fn pool_attempt(
-        &self,
-        job: &PoolJob,
-        tid: usize,
-        attempt: u32,
-        me: NodeId,
-    ) -> Result<bool, JobError> {
-        let rt = &*job.rt;
-        let app = &*job.app;
-        let t = &job.tasks[tid];
-        let owner = t.node;
-        if owner != me {
-            job.steals.fetch_add(1, Ordering::Relaxed);
-        }
-        let key = CacheKey::Input(HashKey::of_block(&job.inputs[t.source], t.bid.index));
-        let payload = if rt.node_down(owner) {
-            job.misses.fetch_add(1, Ordering::Relaxed);
-            job.remote.fetch_add(1, Ordering::Relaxed);
-            self.fetch_block(t.bid, me)?
-        } else {
-            match self.cache_lookup(me, owner, &key) {
-                Some(p) => {
-                    job.hits.fetch_add(1, Ordering::Relaxed);
-                    p
-                }
-                None => {
-                    job.misses.fetch_add(1, Ordering::Relaxed);
-                    if !self.store.holds(owner, t.bid) {
-                        job.remote.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let p = self.fetch_block(t.bid, owner)?;
-                    if job.reuse_cache && !rt.node_down(owner) {
-                        if let Some(ticket) =
-                            self.cache_insert(me, owner, key, p.clone(), rt.tenant)
-                        {
-                            let _ = self.net.flush(&[ticket]);
-                        }
-                    }
-                    p
-                }
-            }
-        };
-        // Map the whole block into per-partition buffers; the pool path
-        // ships one batch per partition (no spill threshold — blocking
-        // round-trips make small batches pure overhead).
-        let parter: SpillBuffer<()> = SpillBuffer::new(job.reducers, u64::MAX);
-        let mut parts: Vec<Vec<(String, String)>> = vec![Vec::new(); job.reducers];
-        app.map_tagged(t.source, &payload, &mut |k, v| {
-            let p = app
-                .partition(&k, job.reducers)
-                .unwrap_or_else(|| parter.partition_of(shuffle_hash(&k)));
-            parts[p].push((k, v));
-        });
-        let gtid = (job.jid << JOB_SHIFT) | tid as u32;
-        let mut scratch: Vec<String> = Vec::new();
-        let mut seq = 0u32;
-        for (p, records) in parts.into_iter().enumerate() {
-            if records.is_empty() {
-                continue;
-            }
-            if rt.is_aborted() {
-                return Ok(true);
-            }
-            let records = if app.has_combiner() {
-                combine_sorted_runs(app, records, &mut scratch)
-            } else {
-                records
-            };
-            let home = self.router.home_of(job.jid, p);
-            if home == me || rt.node_down(home) {
-                if home != me {
-                    self.router.set_home(job.jid, p, me);
-                }
-                let n = records.len() as u64;
-                if !self.router.deliver(gtid, attempt, seq, job.epoch, p as u32, records) {
-                    return Ok(true); // job teardown
-                }
-                rt.local_shuffle_records.fetch_add(n, Ordering::Relaxed);
-            } else {
-                let batch = Rpc::ShuffleBatch {
-                    task: gtid,
-                    attempt,
-                    seq,
-                    epoch: job.epoch,
-                    partition: p as u32,
-                    records,
-                };
-                match self.net.call(me, home, batch) {
-                    Ok(RpcReply::Ack) => {}
-                    _ => {
-                        // Same recovery as the scoped executor's ship
-                        // failure: re-home so the retry lands locally.
-                        self.router.set_home(job.jid, p, me);
-                        return Ok(false);
-                    }
-                }
-            }
-            seq += 1;
-            job.spills.fetch_add(1, Ordering::Relaxed);
-            rt.spills_sent.fetch_add(1, Ordering::AcqRel);
-        }
-        if rt.node_down(me) {
-            // Crashed under us: in-flight output may be lost, let a
-            // survivor's retry win (reducer dedup drops this attempt).
-            return Ok(false);
-        }
-        if rt.commits[tid]
-            .compare_exchange(UNCOMMITTED, attempt, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            rt.committed.fetch_add(1, Ordering::AcqRel);
-            self.router.settle_task(gtid, attempt);
-            let done = rt.maps_done.fetch_add(1, Ordering::AcqRel) + 1;
-            rt.notify(DstEvent::MapCommitted { done });
-        }
-        Ok(true)
-    }
-
-    /// Tear a pool job down and drain its reduce partitions without
-    /// reducing: deregister the run, then collect each partition's
-    /// grouped multiset (filtering every batch against the commit
-    /// board's winner). Epoch drivers fold this grouped state into
-    /// their materialized result; batch jobs hand it straight to
-    /// [`LiveCluster::finish_pool_job`]. Call only after
-    /// [`PoolJob::done`] reports true.
-    pub(crate) fn drain_pool_job(
-        &self,
-        job: &PoolJob,
-    ) -> Result<GroupedOutput, JobError> {
-        debug_assert!(job.done(), "drain_pool_job before the job settled");
-        // Remove the route first: late racing attempts deliver into the
-        // void from here on, so the drain below sees a frozen stream.
-        self.router.end_job(job.rt.jid);
-        self.active.lock().remove(&job.rt.jid);
-        let rt = &*job.rt;
-        rt.notify(DstEvent::JobEnd);
-        if rt.is_aborted() {
-            let e = rt
-                .error
-                .lock()
-                .take()
-                .unwrap_or(JobError::TaskFailed { task: 0, attempts: 0 });
-            return Err(e);
-        }
-        let receivers = std::mem::take(&mut *job.receivers.lock());
-        let mut parts: Vec<HashMap<String, Vec<String>>> = Vec::with_capacity(job.reducers);
-        for rx in receivers {
-            let mut grouped: HashMap<String, Vec<String>> = HashMap::new();
-            while let Ok(batch) = rx.try_recv() {
-                let tid = (batch.task & TID_MASK) as usize;
-                if rt.commits[tid].load(Ordering::Acquire) == batch.attempt {
-                    for (k, v) in batch.records {
-                        grouped.entry(k).or_default().push(v);
-                    }
-                }
-            }
-            parts.push(grouped);
-        }
-        let stats = self.pool_job_stats(job);
-        Ok((parts, stats))
-    }
-
-    /// Tear a pool job down and fold its output: drain the reduce
-    /// partitions via [`LiveCluster::drain_pool_job`], then group,
-    /// sort and reduce. Call only after [`PoolJob::done`] reports true.
-    pub(crate) fn finish_pool_job(&self, job: &PoolJob) -> Result<PartitionedOutput, JobError> {
-        let (parts, stats) = self.drain_pool_job(job)?;
-        let app = &*job.app;
-        let mut parts_out: Vec<Vec<(String, String)>> = Vec::with_capacity(parts.len());
-        for grouped in parts {
-            let mut entries: Vec<(String, Vec<String>)> = grouped.into_iter().collect();
-            entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            let mut out = Vec::new();
-            for (k, vs) in &entries {
-                app.reduce(k, vs, &mut |ok, ov| out.push((ok, ov)));
-            }
-            parts_out.push(out);
-        }
-        Ok((parts_out, stats))
-    }
-
-    /// Assemble the end-of-run statistics for a pool job.
-    fn pool_job_stats(&self, job: &PoolJob) -> LiveStats {
-        let rt = &*job.rt;
-        let mut stats = job.stats0.clone();
-        stats.cache_hits = job.hits.load(Ordering::Relaxed);
-        stats.cache_misses = job.misses.load(Ordering::Relaxed);
-        stats.remote_reads = job.remote.load(Ordering::Relaxed);
-        stats.spills = job.spills.load(Ordering::Relaxed);
-        stats.steals = job.steals.load(Ordering::Relaxed);
-        stats.reduce_tasks = job.reducers as u64;
-        stats.attempts = rt.attempts.load(Ordering::Relaxed);
-        stats.retries = rt.retries.load(Ordering::Relaxed);
-        stats.local_shuffle_records = rt.local_shuffle_records.load(Ordering::Relaxed);
-        let final_nodes = self.cache.num_nodes();
-        if stats.tasks_per_node.len() < final_nodes {
-            stats.tasks_per_node.resize(final_nodes, 0);
-        }
-        // Note: with concurrent jobs the transport delta overlaps other
-        // jobs' traffic — an upper bound, not an exact attribution.
-        let net = self.net.stats().since(job.net_before);
-        stats.bytes_sent = net.bytes_sent;
-        stats.rpcs = net.rpcs;
-        stats.rpc_retries = net.rpc_retries;
-        stats.timeouts = net.timeouts;
-        stats
-    }
-}
-
-/// One job leased to the persistent worker pool: its placement, run
-/// ledger and reduce channels. Shared (`Arc`) between the admitting
-/// driver and the pool workers executing its tasks.
-pub(crate) struct PoolJob {
-    jid: u32,
-    /// Shuffle epoch this wave ships under (0 for one-shot batch jobs).
-    /// Standing jobs reuse one jid across waves; the tag lets the
-    /// router ack-drop late batches from an already-committed epoch.
-    epoch: u32,
-    rt: Arc<RunRt>,
-    app: Arc<dyn MapReduce>,
-    tasks: Vec<MapTask>,
-    inputs: Vec<String>,
-    reducers: usize,
-    reuse_cache: bool,
-    /// Reduce-partition receivers; taken by `finish_pool_job`.
-    receivers: Mutex<Vec<Receiver<TaskBatch>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    remote: AtomicU64,
-    spills: AtomicU64,
-    steals: AtomicU64,
-    /// Placement-time stats (`map_tasks`, `tasks_per_node`).
-    stats0: LiveStats,
-    net_before: NetSnapshot,
-}
-
-impl PoolJob {
-    pub(crate) fn task_count(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// The node a task was placed on (the pool worker affinity hint).
-    pub(crate) fn task_node(&self, tid: usize) -> NodeId {
-        self.tasks[tid].node
-    }
-
-    /// All map tasks committed, or the job aborted.
-    pub(crate) fn done(&self) -> bool {
-        self.rt.is_aborted()
-            || self.rt.committed.load(Ordering::Acquire) == self.tasks.len()
-    }
-}
-
-/// Partition hash for intermediate keys, executor-internal.
-///
-/// The ring hash ([`HashKey::of_name`]) is engineered for placement
-/// quality and costs far too much to run once per mapped record — it
-/// dominated the map phase's profile. Reduce partitions are plain
-/// channel indices in the live executor, so all the shuffle needs is a
-/// fast, deterministic, well-mixed 64-bit hash: FNV-1a with a murmur3
-/// finalizer (the top bits feed `SpillBuffer::partition_of`'s
-/// multiply-shift, so they must avalanche).
-#[inline]
-fn shuffle_hash(key: &str) -> HashKey {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in key.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xff51afd7ed558ccd);
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xc4ceb9fe1a85ec53);
-    h ^= h >> 33;
-    HashKey(h)
-}
-
-/// Combine one spill by sorting its records in place and folding each
-/// equal-key run through the application's combiner. Replaces the old
-/// per-spill `BTreeMap<String, Vec<String>>` — no map nodes, no
-/// per-key `Vec`s; `scratch` is the single reusable values buffer.
-fn combine_sorted_runs(
-    app: &dyn MapReduce,
-    mut records: Vec<(String, String)>,
-    scratch: &mut Vec<String>,
-) -> Vec<(String, String)> {
-    records.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    let mut out = Vec::with_capacity(records.len() / 2 + 1);
-    let mut iter = records.into_iter().peekable();
-    while let Some((key, first)) = iter.next() {
-        scratch.clear();
-        scratch.push(first);
-        while iter.peek().is_some_and(|(k, _)| *k == key) {
-            scratch.push(iter.next().expect("peeked").1);
-        }
-        app.combine(&key, scratch, &mut |ck, cv| out.push((ck, cv)));
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Word count, the canonical MapReduce.
-    struct WordCount;
-    impl MapReduce for WordCount {
-        fn map(&self, block: &[u8], emit: &mut dyn FnMut(String, String)) {
-            for w in String::from_utf8_lossy(block).split_whitespace() {
-                emit(w.to_string(), "1".to_string());
-            }
-        }
-        fn reduce(&self, key: &str, values: &[String], emit: &mut dyn FnMut(String, String)) {
-            emit(key.to_string(), values.len().to_string());
-        }
-    }
+    use crate::testkit::WordCount;
 
     fn text_cluster(data: &str) -> LiveCluster {
         let c = LiveCluster::new(LiveConfig::small().with_block_size(256));
@@ -4204,29 +1300,6 @@ mod tests {
     }
 
     #[test]
-    fn settle_prunes_dedup_trackers() {
-        let router = ShuffleRouter::new();
-        let (tx, _rx) = unbounded();
-        router.begin_job(0, vec![tx], vec![NodeId(0)]);
-        let rec = |s: &str| vec![(s.to_string(), "1".to_string())];
-        // Two racing attempts of task 7 deliver batches.
-        assert!(router.deliver(7, 0, 0, 0, 0, rec("a")));
-        assert!(router.deliver(7, 1, 0, 0, 0, rec("b")));
-        assert_eq!(router.seen.lock().len(), 2);
-        // Attempt 1 wins: the loser's tracker is pruned immediately...
-        router.settle_task(7, 1);
-        assert_eq!(router.seen.lock().len(), 1);
-        assert!(router.seen.lock().contains_key(&(7, 1)));
-        // ...and a late batch from the loser is ack-dropped without
-        // growing the tracker map back.
-        assert!(router.deliver(7, 0, 1, 0, 0, rec("c")));
-        assert_eq!(router.seen.lock().len(), 1);
-        // The winner's own retransmits still dedup normally.
-        assert!(router.deliver(7, 1, 0, 0, 0, rec("b")));
-        router.end_job(0);
-    }
-
-    #[test]
     fn speculation_preserves_results_under_straggler() {
         let data = "ant bee cow doe elk fox\n".repeat(400);
         let c = text_cluster(&data);
@@ -4334,91 +1407,5 @@ mod tests {
         c.ocache_put("app", "temp", Bytes::from_static(b"d"), Some(-1.0));
         // TTL in the past: the entry is dead on arrival.
         assert!(c.ocache_get("app", "temp").is_none());
-    }
-
-    mod epoch_dedup_props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
-            /// Epoch-tagged shuffle dedup never double-folds a delta:
-            /// for every epoch, an arbitrary interleaving of the
-            /// epoch's batches, their retransmits, and straggler
-            /// batches from earlier (already-committed) epochs must
-            /// leave the reducer sink holding exactly one copy of each
-            /// current-epoch batch and nothing stale — per-epoch task
-            /// ids restart at 0, so a stale batch admitted into the
-            /// dedup tracker would silently eat a current one.
-            #[test]
-            fn epoch_tagged_dedup_never_double_folds_under_retransmit(
-                epochs in 1u32..=3,
-                tasks in 1u32..=3,
-                seqs in 1u32..=3,
-                dup_sel in proptest::collection::vec((0u32..3, 0u32..3), 0..24),
-                stale_sel in proptest::collection::vec((1u32..=2, 0u32..3, 0u32..3), 0..16),
-                shuffle_seed in any::<u64>(),
-            ) {
-                let router = ShuffleRouter::new();
-                for e in 1..=epochs {
-                    let (tx, rx) = unbounded();
-                    router.begin_epoch(0, vec![tx], vec![NodeId(0)], e);
-                    // (epoch, tid, seq): every current pair once, plus
-                    // retransmits, plus stale-epoch stragglers.
-                    let mut sends: Vec<(u32, u32, u32)> = Vec::new();
-                    for tid in 0..tasks {
-                        for s in 0..seqs {
-                            sends.push((e, tid, s));
-                        }
-                    }
-                    for &(tid, s) in &dup_sel {
-                        sends.push((e, tid % tasks, s % seqs));
-                    }
-                    for &(back, tid, s) in &stale_sel {
-                        if e > back {
-                            sends.push((e - back, tid % tasks, s % seqs));
-                        }
-                    }
-                    // Fisher–Yates off a proptest-chosen LCG stream.
-                    let mut st = shuffle_seed | 1;
-                    for i in (1..sends.len()).rev() {
-                        st = st
-                            .wrapping_mul(6364136223846793005)
-                            .wrapping_add(1442695040888963407);
-                        let j = (st >> 33) as usize % (i + 1);
-                        sends.swap(i, j);
-                    }
-                    for (se, tid, s) in sends {
-                        // The record carries its *origin* epoch, so a
-                        // stale batch that leaked through would be
-                        // visible in the drained values.
-                        let rec = vec![(format!("k{tid}-{s}"), se.to_string())];
-                        // Everything acks: dup and stale are dropped,
-                        // never bounced back for retry.
-                        prop_assert!(router.deliver(tid, 0, s, se, 0, rec));
-                    }
-                    let mut got: Vec<(String, String)> = Vec::new();
-                    while let Ok(b) = rx.try_recv() {
-                        got.extend(b.records);
-                    }
-                    prop_assert_eq!(
-                        got.len() as u32,
-                        tasks * seqs,
-                        "epoch {} double-folded or lost a batch",
-                        e
-                    );
-                    prop_assert!(
-                        got.iter().all(|(_, v)| *v == e.to_string()),
-                        "a stale-epoch record leaked into epoch {}",
-                        e
-                    );
-                    let mut keys: Vec<&String> = got.iter().map(|(k, _)| k).collect();
-                    keys.sort();
-                    keys.dedup();
-                    prop_assert_eq!(keys.len() as u32, tasks * seqs);
-                }
-                router.end_job(0);
-            }
-        }
     }
 }

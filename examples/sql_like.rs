@@ -47,13 +47,17 @@ fn main() {
     }
 
     // -- Same join again: the tables are hot in iCache now --------------
-    let (again, stats) = cluster.run_job_inputs(
-        &EquiJoin,
-        &["customers", "orders"],
-        "analyst",
-        4,
-        ReusePolicy::default(),
-    );
+    let (parts, stats) = cluster
+        .try_run_job_inputs_partitioned(
+            &EquiJoin,
+            &["customers", "orders"],
+            "analyst",
+            4,
+            ReusePolicy::default(),
+        )
+        .expect("join job failed");
+    let mut again: Vec<(String, String)> = parts.into_iter().flatten().collect();
+    again.sort();
     assert_eq!(again, joined);
     println!(
         "\nrepeat JOIN: identical result, {} of {} block reads served from iCache",

@@ -158,3 +158,59 @@ fn concurrent_batch_of_one_equals_solo() {
     assert_eq!(batch.len(), 1);
     assert_eq!(batch[0].map_tasks, solo.map_tasks);
 }
+
+/// A request that cannot run is a typed error from every front door —
+/// never a panic, and never a dead driver thread that leaves
+/// `JobHandle::wait` blocked forever.
+#[test]
+fn invalid_requests_are_errors_not_panics_or_hangs() {
+    use eclipse_core::{JobError, JobServer, JobServerConfig, PoolJobSpec, StreamSpec};
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
+
+    let c = Arc::new(LiveCluster::new(LiveConfig::small()));
+    c.upload("in", "u", b"a b c\n");
+    let invalid = |r: Result<_, JobError>| matches!(r, Err(JobError::InvalidRequest(_)));
+
+    assert!(invalid(c.try_run_job(&WordCount, "in", "u", 0, ReusePolicy::default())));
+    assert!(invalid(
+        c.try_run_job_inputs_partitioned(&WordCount, &[], "u", 2, ReusePolicy::default())
+            .map(|(parts, stats)| (parts.concat(), stats))
+    ));
+
+    let server = Arc::new(JobServer::new(c.clone(), JobServerConfig::default()));
+    let spec = |inputs: Vec<String>, reducers| PoolJobSpec {
+        app: Arc::new(WordCount),
+        inputs,
+        user: "u".to_string(),
+        reducers,
+        reuse: ReusePolicy::default(),
+        weight: 1,
+    };
+    // Wait on a side thread so a hang fails the test instead of
+    // stalling it.
+    let (tx, rx) = mpsc::channel();
+    let waiter = {
+        let server = server.clone();
+        std::thread::spawn(move || {
+            for bad in [spec(Vec::new(), 2), spec(vec!["in".to_string()], 0)] {
+                tx.send(server.submit(bad).wait()).expect("test is listening");
+            }
+            // The drivers survived both: a good job still completes.
+            tx.send(server.submit(spec(vec!["in".to_string()], 2)).wait()).expect("listening");
+        })
+    };
+    let next = || rx.recv_timeout(Duration::from_secs(20)).expect("job server hung");
+    assert!(invalid(next()), "empty inputs");
+    assert!(invalid(next()), "zero reducers");
+    assert_eq!(next().expect("valid job").0.len(), 3);
+    waiter.join().expect("waiter");
+
+    let stream = server.open_stream(StreamSpec {
+        app: Arc::new(WordCount),
+        name: "s".to_string(),
+        user: "u".to_string(),
+        reducers: 0,
+    });
+    assert!(matches!(stream.commit_epoch(b"a b\n"), Err(JobError::InvalidRequest(_))));
+}

@@ -9,22 +9,10 @@
 //! per-epoch files or the concatenated oracle file.
 
 use eclipse_core::{
-    EpochDriver, LiveCluster, LiveConfig, MapReduce, ReusePolicy, SchedulerKind, StreamSpec,
-    TransportKind,
+    EpochDriver, LiveCluster, LiveConfig, ReusePolicy, SchedulerKind, StreamSpec, TransportKind,
 };
+use eclipse_integration_tests::WordCountNoCombiner as WordCount;
 use std::sync::Arc;
-
-struct WordCount;
-impl MapReduce for WordCount {
-    fn map(&self, block: &[u8], emit: &mut dyn FnMut(String, String)) {
-        for w in String::from_utf8_lossy(block).split_whitespace() {
-            emit(w.to_string(), "1".to_string());
-        }
-    }
-    fn reduce(&self, key: &str, values: &[String], emit: &mut dyn FnMut(String, String)) {
-        emit(key.to_string(), values.len().to_string());
-    }
-}
 
 /// Line length every delta is built from; the block size is a multiple.
 const LINE: usize = 19;
@@ -72,8 +60,9 @@ fn run_matrix_cell(sched: SchedulerKind, transport: TransportKind, epochs: usize
         assert_eq!(d.published() as usize, e, "read-your-epoch after commit");
     }
     c.upload("oracle", "tester", concat.as_bytes());
-    let (oracle, _) =
-        c.run_job_partitioned(&WordCount, "oracle", "tester", 4, ReusePolicy::default());
+    let (oracle, _) = c
+        .try_run_job_inputs_partitioned(&WordCount, &["oracle"], "tester", 4, ReusePolicy::default())
+        .expect("oracle batch");
     let snap = d.snapshot(epochs as u32).expect("published epoch readable");
     assert_eq!(
         *snap, oracle,

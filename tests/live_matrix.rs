@@ -10,21 +10,7 @@
 
 use eclipse_apps::WordCount;
 use eclipse_core::{LiveCluster, LiveConfig, MapReduce, ReusePolicy, SchedulerKind};
-
-/// WordCount with the combiner disabled: same map and reduce, but the
-/// shuffle ships one record per occurrence instead of per-spill partial
-/// sums. The fold is order-insensitive (addition), so the output must
-/// match the combined run exactly.
-struct WordCountNoCombiner;
-
-impl MapReduce for WordCountNoCombiner {
-    fn map(&self, block: &[u8], emit: &mut dyn FnMut(String, String)) {
-        WordCount.map(block, emit);
-    }
-    fn reduce(&self, key: &str, values: &[String], emit: &mut dyn FnMut(String, String)) {
-        WordCount.reduce(key, values, emit);
-    }
-}
+use eclipse_integration_tests::WordCountNoCombiner;
 
 /// Deterministic skewed corpus: a small vocabulary with heavy repetition
 /// (so combining matters) plus a unique token per line (so every

@@ -6,6 +6,17 @@ use eclipse_core::{FaultPlan, LiveCluster, LiveConfig, ReusePolicy};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap};
 
+/// Word count over several files as one multi-input job, flattened to
+/// sorted rows.
+fn count_words(c: &LiveCluster, inputs: &[&str]) -> Vec<(String, String)> {
+    let (parts, _) = c
+        .try_run_job_inputs_partitioned(&WordCount, inputs, "p", 2, ReusePolicy::default())
+        .expect("multi-input job failed");
+    let mut rows: Vec<(String, String)> = parts.into_iter().flatten().collect();
+    rows.sort();
+    rows
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -110,14 +121,12 @@ proptest! {
             c.upload(n, "p", data.as_bytes());
         }
         let inputs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
-        let (before, _) =
-            c.run_job_inputs(&WordCount, &inputs, "p", 2, ReusePolicy::default());
+        let before = count_words(&c, &inputs);
         let victim = c.ring().node_ids()[victim_ix % c.ring().len()];
         let held = c.store().blocks_on(victim).len() as u64;
         let report = c.fail_node(victim).expect("one crash is within the fault model");
         prop_assert_eq!(report.recovered_blocks, held);
-        let (after, _) =
-            c.run_job_inputs(&WordCount, &inputs, "p", 2, ReusePolicy::default());
+        let after = count_words(&c, &inputs);
         prop_assert_eq!(after, before);
     }
 
@@ -269,8 +278,7 @@ proptest! {
         c.upload("x", "p", data.as_bytes());
         c.upload("y", "p", data.as_bytes());
         let (single, _) = c.run_job(&WordCount, "x", "p", 2, ReusePolicy::default());
-        let (double, _) =
-            c.run_job_inputs(&WordCount, &["x", "y"], "p", 2, ReusePolicy::default());
+        let double = count_words(&c, &["x", "y"]);
         prop_assert_eq!(single.len(), double.len());
         for ((w1, c1), (w2, c2)) in single.iter().zip(&double) {
             prop_assert_eq!(w1, w2);

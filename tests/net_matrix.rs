@@ -10,20 +10,7 @@
 
 use eclipse_apps::WordCount;
 use eclipse_core::{LiveCluster, LiveConfig, MapReduce, ReusePolicy, SchedulerKind, TransportKind};
-
-/// Combiner-free WordCount (as in `live_matrix.rs`): one record per
-/// occurrence crosses the wire, maximising shuffle traffic per input
-/// byte — the harshest cell for the transport.
-struct WordCountNoCombiner;
-
-impl MapReduce for WordCountNoCombiner {
-    fn map(&self, block: &[u8], emit: &mut dyn FnMut(String, String)) {
-        WordCount.map(block, emit);
-    }
-    fn reduce(&self, key: &str, values: &[String], emit: &mut dyn FnMut(String, String)) {
-        WordCount.reduce(key, values, emit);
-    }
-}
+use eclipse_integration_tests::WordCountNoCombiner;
 
 /// Deterministic corpus, smaller than live_matrix's (each TCP cell pays
 /// real connection setup): heavy repetition plus per-line unique tokens.

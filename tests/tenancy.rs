@@ -1,21 +1,22 @@
 //! Multi-tenant job server: output identity, crash-under-storm, and
 //! cache-quota isolation.
 //!
-//! The PR's tentpole claim is that concurrency is invisible in the
-//! results: J jobs admitted through the persistent [`JobServer`] pool
-//! produce byte-identical output to the same jobs run one at a time on
-//! the scoped executor, across schedulers and transports. The crash
-//! test pins the recovery story when no single job owns the fault, and
-//! the quota test pins the isolation story: an antagonist scan must not
+//! Concurrency is invisible in the results: J jobs admitted through
+//! the persistent [`JobServer`] pool produce byte-identical output to
+//! the same jobs run one at a time as one-shot jobs, across schedulers
+//! and transports. The crash tests pin the recovery story when no
+//! single job owns the fault — for a storm of one-shot jobs and for a
+//! storm of server jobs — and the quota test pins the isolation story: an antagonist scan must not
 //! be able to evict a victim tenant's warm working set.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use eclipse_apps::WordCount;
 use eclipse_core::{
-    JobServer, JobServerConfig, LiveCluster, LiveConfig, PoolJobSpec, ReusePolicy, SchedulerKind,
-    TransportKind,
+    DstEvent, DstObserver, JobServer, JobServerConfig, LiveCluster, LiveConfig, PoolJobSpec,
+    ReusePolicy, SchedulerKind, TransportKind,
 };
 
 /// Deterministic per-tenant corpus: a shared skewed vocabulary plus a
@@ -67,8 +68,8 @@ fn upload_tenants(c: &LiveCluster, data: &[(String, String)]) {
 }
 
 /// J∈{2,4} jobs through the pool, across {laf,delay} × {memory,tcp}:
-/// every job's output is byte-identical to the same job run serially on
-/// the scoped executor of an identically-configured fresh cluster.
+/// every job's output is byte-identical to the same job run serially as
+/// a one-shot job on an identically-configured fresh cluster.
 #[test]
 fn pool_concurrent_matches_serial_matrix() {
     for transport in [TransportKind::Memory, TransportKind::Tcp] {
@@ -81,7 +82,7 @@ fn pool_concurrent_matches_serial_matrix() {
                     .map(|j| (format!("t{j}"), corpus(&format!("t{j}-"), 120 + 40 * j)))
                     .collect();
 
-                // Serial reference: scoped executor, one job at a time.
+                // Serial reference: one-shot jobs, one at a time.
                 let serial = LiveCluster::new(tenancy_config(sched.clone(), transport));
                 upload_tenants(&serial, &data);
                 let reference: Vec<String> = data
@@ -128,6 +129,11 @@ fn pool_concurrent_matches_serial_matrix() {
                         "job {j} diverged from serial: J={jobs}, {sched:?}, {transport:?}"
                     );
                     assert!(stats.map_tasks > 0 && stats.reduce_tasks == 3);
+                    assert_eq!(
+                        (stats.attempts, stats.retries),
+                        (stats.map_tasks, 0),
+                        "fault-free server job {j}: one attempt per task, none repeated"
+                    );
                 }
                 server.shutdown();
                 assert_eq!(pooled.active_jobs(), 0, "registry must drain after shutdown");
@@ -136,7 +142,7 @@ fn pool_concurrent_matches_serial_matrix() {
     }
 }
 
-/// Crash one node while several scoped jobs are in flight. No single
+/// Crash one node while several one-shot jobs are in flight. No single
 /// job owns the fault (`crash_node` picks an arbitrary live run to
 /// carry recovery), yet with replication 2 every job must still commit
 /// byte-identical output.
@@ -195,6 +201,93 @@ fn crash_mid_storm_all_jobs_recover() {
     });
     assert!(!c.ring().contains(victim), "victim must be out of the ring");
     assert_eq!(c.active_jobs(), 0);
+}
+
+/// Parks the first run to begin at its `JobStart` until the test has
+/// crashed a node: the crash provably lands while a run is registered
+/// (so one ledger is charged), from its own thread, with the other
+/// driver and the pool workers still mapping.
+struct HoldFirstRun {
+    armed: AtomicBool,
+    rendezvous: Barrier,
+}
+
+impl DstObserver for HoldFirstRun {
+    fn on_event(&self, ev: DstEvent) {
+        if matches!(ev, DstEvent::JobStart { .. }) && self.armed.swap(false, Ordering::AcqRel) {
+            self.rendezvous.wait(); // a run is registered and held
+            self.rendezvous.wait(); // the crash has been handled
+        }
+    }
+}
+
+/// Crash one node while a storm of jobs is in flight on the job
+/// server. A pool worker whose identity is poisoned re-homes, the
+/// victim's re-queued claims are drained by the run's own driver, and
+/// every job — including one submitted after the crash — commits
+/// output byte-identical to a calm run. The victim is once a node a
+/// pool worker maps under and once a node none does.
+#[test]
+fn pool_jobs_survive_crash_mid_storm() {
+    let jobs = 12usize;
+    let data: Vec<(String, String)> =
+        (0..jobs).map(|j| (format!("t{j}"), corpus(&format!("t{j}-"), 400))).collect();
+    let spec = |user: &str| PoolJobSpec {
+        app: Arc::new(WordCount),
+        inputs: vec![format!("in-{user}")],
+        user: user.to_string(),
+        reducers: 3,
+        reuse: ReusePolicy::default(),
+        weight: 1,
+    };
+    let reference: Vec<String> = {
+        let calm = LiveCluster::new(LiveConfig::small().with_block_size(512));
+        upload_tenants(&calm, &data);
+        data.iter()
+            .map(|(user, _)| {
+                let input = format!("in-{user}");
+                render(&calm.run_job(&WordCount, &input, user, 3, ReusePolicy::default()).0)
+            })
+            .collect()
+    };
+
+    for victim_ix in [0usize, 5] {
+        let c = Arc::new(LiveCluster::new(LiveConfig::small().with_block_size(512)));
+        upload_tenants(&c, &data);
+        let victim = c.ring().node_ids()[victim_ix];
+        let hold = Arc::new(HoldFirstRun { armed: true.into(), rendezvous: Barrier::new(2) });
+        c.set_observer(Some(hold.clone()));
+        let server = JobServer::new(c.clone(), JobServerConfig::default());
+        let handles: Vec<_> = data.iter().map(|(user, _)| server.submit(spec(user))).collect();
+        // One run is held at its start; give the other driver a moment
+        // to get its job mid-map, then crash from this thread.
+        hold.rendezvous.wait();
+        let t0 = Instant::now();
+        while c.active_jobs() < 2 && t0.elapsed() < Duration::from_millis(50) {
+            std::thread::yield_now();
+        }
+        assert!(c.active_jobs() > 0);
+        c.crash_node(victim).expect("one crash is within the fault model");
+        hold.rendezvous.wait();
+        c.set_observer(None);
+        let mut failed_nodes = 0;
+        for (j, h) in handles.into_iter().enumerate() {
+            let (out, stats) = h
+                .wait()
+                .unwrap_or_else(|e| panic!("victim {victim_ix}: job {j} did not survive: {e:?}"));
+            assert_eq!(render(&out), reference[j], "victim {victim_ix}: job {j} output corrupted");
+            failed_nodes += stats.failed_nodes;
+        }
+        assert_eq!(failed_nodes, 1, "exactly one job's ledger carries the crash");
+        assert!(!c.ring().contains(victim), "victim must be out of the ring");
+        // The server keeps working on the repaired ring.
+        let (out, stats) = server.submit(spec("t0")).wait().expect("job after the crash");
+        assert_eq!(render(&out), reference[0]);
+        assert_eq!(stats.failed_nodes, 0);
+        assert_eq!(stats.tasks_per_node[victim.index()], 0, "dead node got tasks");
+        server.shutdown();
+        assert_eq!(c.active_jobs(), 0);
+    }
 }
 
 /// Warm-run cache hit ratio for one user.
