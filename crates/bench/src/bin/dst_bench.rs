@@ -5,9 +5,9 @@
 //! under fault injection, and checks the oracle (byte-identical output
 //! or a typed allowed error, plus `LiveStats` invariants). Failures
 //! print a one-line replayable repro and are recorded in the JSON
-//! snapshot. `scripts/tier1.sh` runs the bounded smoke configuration
-//! (`--runs 50 --preset moderate`) to emit `results/BENCH_dst.json`;
-//! the acceptance sweep is `dst_bench --runs 1000 --preset chaos`.
+//! summary (default `target/dst_sweep.json`). `scripts/tier1.sh` runs
+//! the bounded smoke configuration (`--runs 50 --preset moderate`); the
+//! acceptance sweep is `dst_bench --runs 1000 --preset chaos`.
 
 use eclipse_bench::dst_bench::{sweep_range, to_json};
 use eclipse_core::dst::{repro_line, DstPreset};
@@ -16,7 +16,7 @@ fn main() {
     let mut runs: u64 = 50;
     let mut seed0: u64 = 1;
     let mut preset = DstPreset::Moderate;
-    let mut out = String::from("results/BENCH_dst.json");
+    let mut out = String::from("target/dst_sweep.json");
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -35,9 +35,9 @@ fn main() {
     let r = sweep_range(seed0, runs, preset, (runs / 10).max(10));
     let json = to_json(&r);
     if let Some(dir) = std::path::Path::new(&out).parent() {
-        std::fs::create_dir_all(dir).expect("create results dir");
+        std::fs::create_dir_all(dir).expect("create output dir");
     }
-    std::fs::write(&out, &json).expect("write BENCH_dst.json");
+    std::fs::write(&out, &json).expect("write the sweep summary");
 
     let s = &r.sweep;
     println!(

@@ -4,7 +4,7 @@
 //! preset and aggregates the results. Shared by the `dst_bench` binary
 //! (full randomized sweeps: `dst_bench --runs 1000 --preset chaos`)
 //! and the bounded smoke step in `scripts/tier1.sh` (fixed seed list,
-//! `moderate` preset, snapshot to `results/BENCH_dst.json`). Every run
+//! `moderate` preset, summary to the untracked `target/dst_smoke.json`). Every run
 //! is oracle-checked; a failure is carried in the summary together
 //! with its replayable seed line rather than panicking the sweep, so
 //! one bad seed still leaves a complete report behind.
@@ -47,7 +47,7 @@ pub fn sweep_range(seed0: u64, runs: u64, preset: DstPreset, chunk: u64) -> Swee
     SweepResult { preset, seed0, sweep: agg, secs: t.elapsed().as_secs_f64() }
 }
 
-/// Render a sweep as the `results/BENCH_dst.json` snapshot format.
+/// Render a sweep as the JSON summary `dst_bench --out` writes.
 pub fn to_json(r: &SweepResult) -> String {
     let s = &r.sweep;
     let mut json = String::from("{\n  \"bench\": \"dst_sweep\",\n");

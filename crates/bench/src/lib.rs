@@ -1,21 +1,17 @@
 //! # eclipse-bench
 //!
-//! The benchmark harness reproducing every figure in the paper's
-//! evaluation (Figs. 5–10) plus ablations of the design choices. Each
-//! figure is a pure function from a `scale` factor (data-volume
-//! multiplier; 1.0 = the paper's sizes) to the figure's series, consumed
-//! by the `figures` binary, by the criterion benches, and by shape tests.
+//! The paper's evaluation (Figs. 5–10) plus ablations of the design
+//! choices, on the simulator. Each figure is a pure function from a
+//! `scale` factor (data-volume multiplier; 1.0 = the paper's sizes) to
+//! the figure's series, consumed by the `figures` binary and by the
+//! shape tests beside it. [`dst_bench`] drives seed sweeps of the live
+//! executor's DST harness for the `dst_bench` binary.
+//!
+//! Live-system performance is measured by the stand-alone `benchmark/`
+//! package at the repository root, not here.
 
 pub mod ablations;
-pub mod cache_bench;
-pub mod chaos_bench;
 pub mod dst_bench;
-pub mod elastic_bench;
-pub mod epoch_bench;
-pub mod live_bench;
-pub mod net_bench;
-pub mod straggler_bench;
-pub mod tenancy_bench;
 pub mod fig10;
 pub mod fig5;
 pub mod fig6;

@@ -1299,7 +1299,10 @@ fn run_schedule(
     let excused = |e: &JobError| match e {
         JobError::TaskFailed { .. } => allowed.task_failed,
         JobError::DataLoss(_) => allowed.data_loss,
-        JobError::Open(_) | JobError::Cancelled | JobError::InvalidRequest(_) => false,
+        JobError::Open(_)
+        | JobError::Cancelled
+        | JobError::InvalidRequest(_)
+        | JobError::ReduceFailed { .. } => false,
     };
     let mut outcome = match res {
         Ok((out, stats)) => {
@@ -1492,7 +1495,10 @@ fn run_epoch_schedule(
         let excused = match e {
             JobError::TaskFailed { .. } => allowed.task_failed,
             JobError::DataLoss(_) => allowed.data_loss,
-            JobError::Open(_) | JobError::Cancelled | JobError::InvalidRequest(_) => false,
+            JobError::Open(_)
+            | JobError::Cancelled
+            | JobError::InvalidRequest(_)
+            | JobError::ReduceFailed { .. } => false,
         };
         if !excused {
             return (

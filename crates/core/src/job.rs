@@ -21,6 +21,9 @@ pub enum JobError {
     DataLoss(BlockId),
     /// One task kept failing after the bounded retry budget.
     TaskFailed { task: usize, attempts: u32 },
+    /// The application's `reduce` panicked on this partition. Reduce is
+    /// not retried: the same grouped input would panic again.
+    ReduceFailed { partition: usize },
     /// The job server shut down before this queued job was started.
     Cancelled,
     /// The request itself cannot run (no reducers, no inputs, more map
@@ -35,6 +38,9 @@ impl std::fmt::Display for JobError {
             JobError::DataLoss(b) => write!(f, "all replicas lost for input block {b:?}"),
             JobError::TaskFailed { task, attempts } => {
                 write!(f, "task {task} failed after {attempts} attempts")
+            }
+            JobError::ReduceFailed { partition } => {
+                write!(f, "reduce panicked on partition {partition}")
             }
             JobError::Cancelled => write!(f, "job server shut down before the job started"),
             JobError::InvalidRequest(why) => write!(f, "invalid job request: {why}"),

@@ -409,7 +409,9 @@ impl Run {
     }
 
     /// The partition fold of a batch job, for every partition of one
-    /// lane in turn: group, then sort and reduce.
+    /// lane in turn: group, then sort and reduce. A panicking `reduce`
+    /// aborts the run with [`JobError::ReduceFailed`] instead of
+    /// unwinding the folding thread, so the run still retires.
     fn fold_lane(
         &self,
         cluster: &LiveCluster,
@@ -419,7 +421,14 @@ impl Run {
         lane.into_iter()
             .map(|(p, rx)| {
                 let grouped = self.group(cluster, &rx);
-                let out = if self.is_aborted() { Vec::new() } else { reduce_grouped(app, &grouped) };
+                if self.is_aborted() {
+                    return (p, Vec::new());
+                }
+                let reduce = std::panic::AssertUnwindSafe(|| reduce_grouped(app, &grouped));
+                let out = std::panic::catch_unwind(reduce).unwrap_or_else(|_| {
+                    self.abort(JobError::ReduceFailed { partition: p });
+                    Vec::new()
+                });
                 (p, out)
             })
             .collect()

@@ -141,8 +141,8 @@ const LAT_BUCKETS: usize = (LAT_SUB + (64 - LAT_SUB_BITS as u64) * LAT_SUB) as u
 ///
 /// [`KeyHistogram`] is a key-*space* histogram for the LAF scheduler
 /// and cannot report a p999 over an unbounded duration domain; this
-/// type is the job-latency side of the story (BENCH_tenancy's
-/// p50/p99/p999 columns).
+/// type is the job-latency side of the story (per-job sojourn
+/// p50/p99/p999).
 ///
 /// Values are in nanoseconds by convention, but any non-negative u64
 /// works — buckets are value-scale-free.

@@ -9,7 +9,10 @@
 
 use eclipse_apps::WordCount;
 use eclipse_core::net::{NetError, Rpc, RpcKind, Transport};
-use eclipse_core::{FaultPlan, JobError, LiveCluster, LiveConfig, ReusePolicy, SchedulerKind};
+use eclipse_core::{
+    FaultPlan, JobError, LiveCluster, LiveConfig, ReusePolicy, SchedulerKind, SpeculationConfig,
+    TransportKind,
+};
 use eclipse_dhtfs::FsError;
 use std::time::{Duration, Instant};
 
@@ -45,6 +48,11 @@ fn baseline(sched: &str) -> Vec<(String, String)> {
     cluster(sched)
         .run_job(&WordCount, "input", USER, REDUCERS, ReusePolicy::default())
         .0
+}
+
+/// The straggler watch every speculation test runs with.
+fn speculation() -> SpeculationConfig {
+    SpeculationConfig { slowdown: 2.0, min_completed: 3, poll_micros: 200 }
 }
 
 /// The acceptance-criteria matrix: for every (victim, phase, scheduler)
@@ -173,7 +181,6 @@ fn slow_node_changes_nothing_but_time() {
 /// up here as missing or doubled counts).
 #[test]
 fn speculation_matrix_slow_node_byte_identical() {
-    use eclipse_core::{SpeculationConfig, TransportKind};
     for sched in ["laf", "delay"] {
         let expect = baseline(sched);
         for transport in [TransportKind::Memory, TransportKind::Tcp] {
@@ -187,11 +194,7 @@ fn speculation_matrix_slow_node_byte_identical() {
                     .with_scheduler(sched_of(sched))
                     .with_transport(transport);
                 if speculate {
-                    cfg = cfg.with_speculation(SpeculationConfig {
-                        slowdown: 2.0,
-                        min_completed: 3,
-                        poll_micros: 200,
-                    });
+                    cfg = cfg.with_speculation(speculation());
                 }
                 let c = LiveCluster::new(cfg);
                 c.upload("input", USER, seeded_text().as_bytes());
@@ -227,7 +230,6 @@ fn speculation_matrix_slow_node_byte_identical() {
 /// two tentpole modes compose without changing output.
 #[test]
 fn replicated_map_out_composes_with_speculation() {
-    use eclipse_core::SpeculationConfig;
     let expect = baseline("laf");
     for r in [2usize, 3] {
         let c = LiveCluster::new(
@@ -236,11 +238,7 @@ fn replicated_map_out_composes_with_speculation() {
                 .with_block_size(512)
                 .with_map_slots(NODES)
                 .with_map_replication(r)
-                .with_speculation(SpeculationConfig {
-                    slowdown: 2.0,
-                    min_completed: 3,
-                    poll_micros: 200,
-                }),
+                .with_speculation(speculation()),
         );
         c.upload("input", USER, seeded_text().as_bytes());
         let straggler = c.ring().node_ids()[REDUCERS];
@@ -251,6 +249,67 @@ fn replicated_map_out_composes_with_speculation() {
         assert_eq!(out, expect, "r={r} diverged under straggler + speculation");
         assert!(stats.local_shuffle_records > 0, "r={r} produced no local shuffle");
     }
+}
+
+/// An 8-node cluster with a worker thread per node (so a straggling
+/// node really claims map tasks) and `r`-replicated map-out.
+fn eight_node_cluster(r: usize) -> LiveConfig {
+    LiveConfig::small()
+        .with_nodes(8)
+        .with_block_size(512)
+        .with_transport(TransportKind::Memory)
+        .with_map_slots(8)
+        .with_map_replication(r)
+}
+
+/// What speculation is for: under one hard straggler (50 ms per map)
+/// some backup attempt commits before the straggler's own. The
+/// straggler homes no reducer — slowing a home would delay every
+/// mapper's shuffle instead of one node's maps. Counts only, never
+/// wall time.
+#[test]
+fn speculative_backup_beats_a_hard_straggler() {
+    let expect = baseline("laf");
+    let c = LiveCluster::new(eight_node_cluster(1).with_speculation(speculation()));
+    c.upload("input", USER, seeded_text().as_bytes());
+    let straggler = c.ring().node_ids()[REDUCERS];
+    c.inject_faults(FaultPlan::new().slow_node(straggler, 50_000));
+    let (out, stats) = c
+        .try_run_job(&WordCount, "input", USER, REDUCERS, ReusePolicy::default())
+        .expect("a slow node is not a failure");
+    assert_eq!(out, expect, "speculation under a hard straggler diverged the output");
+    assert_eq!(stats.failed_nodes, 0, "a straggler is not a crash");
+    assert!(stats.speculative_wins >= 1, "no backup beat the straggler: {stats:?}");
+}
+
+/// What replicated map-out is for: with each block mapped at the `r`
+/// reducer homes nearest its key, fewer shuffle bytes cross the wire
+/// at every step r = 1 → 2 → 3. Measured on a warm second job, so the
+/// one-time replica placement is not in the count; first sends only,
+/// so a retransmission cannot blur it.
+#[test]
+fn replicated_map_out_cuts_remote_shuffle_bytes() {
+    let expect = baseline("laf");
+    let mut first_send = Vec::new();
+    for r in [1usize, 2, 3] {
+        let c = LiveCluster::new(eight_node_cluster(r));
+        c.upload("input", USER, seeded_text().as_bytes());
+        let job = || {
+            c.try_run_job(&WordCount, "input", USER, REDUCERS, ReusePolicy::default())
+                .expect("replicated map-out is fault-free")
+        };
+        job();
+        let before = c.transport().stats();
+        let (out, _) = job();
+        let wire = c.transport().stats().since(before);
+        assert_eq!(out, expect, "r={r} diverged");
+        let (_, bytes) = wire.kind(RpcKind::ShuffleBatch);
+        first_send.push(bytes - wire.kind_retrans(RpcKind::ShuffleBatch));
+    }
+    assert!(
+        first_send[0] > first_send[1] && first_send[1] > first_send[2],
+        "remote shuffle first-send bytes at r = 1, 2, 3: {first_send:?}"
+    );
 }
 
 /// Faults and a crash composed in one plan: task 0's first attempts
@@ -481,7 +540,6 @@ fn crash_during_stabilize_with_dropped_probes() {
 #[test]
 fn partition_while_speculative_backup_races() {
     use eclipse_core::dst::{ChaosObserver, NetOp, Point};
-    use eclipse_core::SpeculationConfig;
     use std::sync::Arc;
     let expect = baseline("laf");
     let c = LiveCluster::new(
@@ -490,11 +548,7 @@ fn partition_while_speculative_backup_races() {
             .with_block_size(512)
             .with_map_slots(NODES)
             .with_scheduler(sched_of("laf"))
-            .with_speculation(SpeculationConfig {
-                slowdown: 2.0,
-                min_completed: 3,
-                poll_micros: 200,
-            }),
+            .with_speculation(speculation()),
     );
     c.upload("input", USER, seeded_text().as_bytes());
     let ids = c.ring().node_ids();
@@ -618,7 +672,6 @@ fn join_races_crash_of_its_successor() {
 /// copy of every record.
 #[test]
 fn leave_while_speculative_backup_of_drained_task_runs() {
-    use eclipse_core::SpeculationConfig;
     let expect = baseline("laf");
     let c = LiveCluster::new(
         LiveConfig::small()
@@ -626,11 +679,7 @@ fn leave_while_speculative_backup_of_drained_task_runs() {
             .with_block_size(512)
             .with_map_slots(NODES)
             .with_scheduler(sched_of("laf"))
-            .with_speculation(SpeculationConfig {
-                slowdown: 2.0,
-                min_completed: 3,
-                poll_micros: 200,
-            }),
+            .with_speculation(speculation()),
     );
     c.upload("input", USER, seeded_text().as_bytes());
     let straggler = c.ring().node_ids()[REDUCERS];
@@ -727,21 +776,23 @@ fn two_joins_second_may_fire_from_first_joiners_lane() {
 
 /// The elastic acceptance matrix: one join and one graceful leave
 /// mid-job, across both schedulers and both transports. Output must be
-/// byte-identical to the fault-free baseline in every cell.
+/// byte-identical to the fault-free baseline in every cell, and the
+/// handoff must move blocks but never more than every stored copy of
+/// the input.
 #[test]
 fn elastic_matrix_join_and_leave_byte_identical() {
-    use eclipse_core::TransportKind;
+    let input = seeded_text();
     for sched in ["laf", "delay"] {
         let expect = baseline(sched);
         for transport in [TransportKind::Memory, TransportKind::Tcp] {
-            let c = LiveCluster::new(
-                LiveConfig::small()
-                    .with_nodes(NODES)
-                    .with_block_size(512)
-                    .with_scheduler(sched_of(sched))
-                    .with_transport(transport),
-            );
-            c.upload("input", USER, seeded_text().as_bytes());
+            let cfg = LiveConfig::small()
+                .with_nodes(NODES)
+                .with_block_size(512)
+                .with_scheduler(sched_of(sched))
+                .with_transport(transport);
+            let stored = (cfg.replicas as u64 + 1) * input.len() as u64;
+            let c = LiveCluster::new(cfg);
+            c.upload("input", USER, input.as_bytes());
             let leaver = c.ring().node_ids()[2];
             c.inject_faults(FaultPlan::new().join_at_maps(2).leave_at_maps(leaver, 5));
             let (out, stats) = c
@@ -755,6 +806,12 @@ fn elastic_matrix_join_and_leave_byte_identical() {
             assert_eq!(stats.failed_nodes, 0, "[{sched}/{transport:?}] phantom crash");
             assert_eq!(c.ring().len(), NODES, "[{sched}/{transport:?}] one in, one out");
             assert!(!c.ring().contains(leaver));
+            assert!(stats.handoff_blocks > 0, "[{sched}/{transport:?}] nothing handed off");
+            assert!(
+                stats.handoff_bytes <= stored,
+                "[{sched}/{transport:?}] handoff {} B > (replicas + 1) × input = {stored} B",
+                stats.handoff_bytes
+            );
         }
     }
 }

@@ -4,7 +4,8 @@
 
 use eclipse_apps::WordCount;
 use eclipse_core::{
-    EclipseConfig, EclipseSim, JobSpec, LiveCluster, LiveConfig, ReusePolicy, SchedulerKind,
+    EclipseConfig, EclipseSim, JobSpec, LiveCluster, LiveConfig, MapReduce, ReusePolicy,
+    SchedulerKind,
 };
 use eclipse_sched::{DelayConfig, LafConfig};
 use eclipse_util::{GB, MB};
@@ -213,4 +214,64 @@ fn invalid_requests_are_errors_not_panics_or_hangs() {
         reducers: 0,
     });
     assert!(matches!(stream.commit_epoch(b"a b\n"), Err(JobError::InvalidRequest(_))));
+}
+
+/// [`WordCount`] whose `reduce` panics on the key `"b"`.
+struct PanicOnB;
+
+impl MapReduce for PanicOnB {
+    fn map(&self, block: &[u8], emit: &mut dyn FnMut(String, String)) {
+        WordCount.map(block, emit);
+    }
+    fn reduce(&self, key: &str, values: &[String], emit: &mut dyn FnMut(String, String)) {
+        assert_ne!(key, "b", "reduce refuses this key");
+        WordCount.reduce(key, values, emit);
+    }
+}
+
+/// A panicking `reduce` is a typed error from both thread suppliers:
+/// the run leaves the registry, a server job's handle is fulfilled
+/// instead of blocking forever, and the server keeps its drivers.
+#[test]
+fn reduce_panic_is_an_error_not_a_hang_or_a_leak() {
+    use eclipse_core::{JobError, JobServer, JobServerConfig, PoolJobSpec};
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
+
+    let c = Arc::new(LiveCluster::new(LiveConfig::small()));
+    c.upload("in", "u", b"a b c\n");
+    let failed = |r: Result<_, JobError>| matches!(r, Err(JobError::ReduceFailed { .. }));
+
+    assert!(failed(c.try_run_job(&PanicOnB, "in", "u", 2, ReusePolicy::default())));
+    assert_eq!(c.active_jobs(), 0, "the failed run is still registered");
+
+    let server = Arc::new(JobServer::new(
+        c.clone(),
+        JobServerConfig { concurrency: 1, ..JobServerConfig::default() },
+    ));
+    let spec = |app: Arc<dyn MapReduce>| PoolJobSpec {
+        app,
+        inputs: vec!["in".to_string()],
+        user: "u".to_string(),
+        reducers: 2,
+        reuse: ReusePolicy::default(),
+        weight: 1,
+    };
+    // Wait on a side thread so a hang fails the test instead of
+    // stalling it.
+    let (tx, rx) = mpsc::channel();
+    let waiter = {
+        let server = server.clone();
+        std::thread::spawn(move || {
+            for app in [Arc::new(PanicOnB) as Arc<dyn MapReduce>, Arc::new(WordCount)] {
+                tx.send(server.submit(spec(app)).wait()).expect("test is listening");
+            }
+        })
+    };
+    let next = || rx.recv_timeout(Duration::from_secs(20)).expect("job server hung");
+    assert!(failed(next()), "a server job's reduce panic must fail the job");
+    // The server's only driver survived: a good job still completes.
+    assert_eq!(next().expect("valid job").0.len(), 3);
+    waiter.join().expect("waiter");
+    assert_eq!(c.active_jobs(), 0, "a server run leaked");
 }
