@@ -8,9 +8,25 @@
 //! plane under an epoch tag (so a straggler batch from a committed
 //! epoch is ack-dropped, never double-folded), then folds the drained
 //! grouped records into the stream's materialized state and publishes
-//! a fresh snapshot. Committing a small delta therefore costs work
-//! proportional to the *delta*, not to everything that ever arrived —
-//! the whole point versus re-running the batch per arrival.
+//! a fresh snapshot.
+//!
+//! State shape: per partition, a key-sorted run of entries — a key,
+//! its values, and the output records `reduce` made of them. For an
+//! app with a combiner ([`MapReduce::has_combiner`]) every fold
+//! collapses a key's values through `combine`, so each key holds one
+//! folded value and the state is O(keys), not O(records ever seen) —
+//! the in-node combiner of Lee et al., held across epochs instead of
+//! across map tasks. Other apps keep each key's value multiset.
+//!
+//! Cost per commit: the delta wave (map and shuffle of the delta's
+//! blocks only), then per partition a sort of the delta's distinct
+//! keys, one `combine` + `reduce` per distinct delta key, and a merge
+//! of keys new to the stream into the run. Untouched keys are never
+//! re-sorted or re-reduced. Publishing is the O(keys) part: the
+//! snapshot is assembled from the per-key outputs, whose records are
+//! `Arc`-shared between the state, the retention window and readers
+//! (a pointer copy per record, never a string clone), and every
+//! partition is re-encoded into its pinned oCache copy.
 //!
 //! Consistency contract (read-your-epoch): [`EpochDriver::commit_epoch`]
 //! returns only after the epoch's snapshot is published, and
@@ -25,18 +41,21 @@
 //! map committed and drained) and the publish CAS is where a crash or
 //! partition hits the fold itself. The driver announces that edge via
 //! [`DstEvent::EpochBarrier`] so the DST harness can aim faults at
-//! exactly that point; a failed epoch surfaces as a typed [`JobError`]
-//! and leaves the stream readable at its previous epoch.
+//! exactly that point. The touched keys' new entries are computed
+//! beside the state, with `combine`/`reduce` under `catch_unwind`, and
+//! swapped in only once every partition folded: a failed epoch
+//! surfaces as a typed [`JobError`] (a panicking app as
+//! [`JobError::ReduceFailed`]) and leaves the stream readable at, and
+//! committing from, its previous epoch.
 #![deny(clippy::too_many_lines)]
 
 use crate::job::{JobError, ReusePolicy};
-use crate::live::{
-    reduce_grouped, DstEvent, Grouped, LiveCluster, LiveStats, MapReduce, MapWorker, Run,
-};
+use crate::live::{DstEvent, Grouped, LiveCluster, LiveStats, MapReduce, MapWorker, Run};
 use bytes::Bytes;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// How many recent epochs' reduced snapshots stay resident in driver
 /// memory. The oCache copy always carries the *latest* epoch; the
@@ -58,10 +77,54 @@ pub struct StreamSpec {
     pub reducers: usize,
 }
 
+/// One reduced output record, shared by the stream's state, its
+/// retained snapshots and every reader.
+type Record = Arc<(String, String)>;
+
+/// One published partition: its key-sorted output records. Iterating
+/// a `&SnapshotPartition` yields `&(String, String)`.
+#[derive(Debug)]
+pub struct SnapshotPartition(Vec<Record>);
+
+impl SnapshotPartition {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &(String, String)> {
+        self.into_iter()
+    }
+
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+fn record_pair(r: &Record) -> &(String, String) {
+    r
+}
+
+impl<'a> IntoIterator for &'a SnapshotPartition {
+    type Item = &'a (String, String);
+    type IntoIter = std::iter::Map<std::slice::Iter<'a, Record>, fn(&Record) -> &(String, String)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter().map(record_pair)
+    }
+}
+
+/// Compares records, so a snapshot can be checked against a batch
+/// job's partitioned output directly.
+impl PartialEq<Vec<(String, String)>> for SnapshotPartition {
+    fn eq(&self, other: &Vec<(String, String)>) -> bool {
+        self.len() == other.len() && self.iter().eq(other)
+    }
+}
+
 /// One published epoch's reduced output, per partition (partition
 /// order, each internally key-sorted). Cheap to hand out: readers
 /// share the driver's copy.
-pub type EpochSnapshot = Arc<Vec<Vec<(String, String)>>>;
+pub type EpochSnapshot = Arc<Vec<SnapshotPartition>>;
 
 /// What one committed epoch reports back.
 pub struct EpochReport {
@@ -80,26 +143,41 @@ pub struct EpochReport {
     pub snapshot: EpochSnapshot,
 }
 
+/// One key of a partition's materialized state.
+struct KeyState {
+    key: String,
+    /// With a combiner, what `combine` folded every value so far into
+    /// (one partial count for a counting app); otherwise every value
+    /// every committed epoch shuffled for the key.
+    values: Vec<String>,
+    /// What `reduce` made of `values`.
+    outputs: Vec<Record>,
+}
+
+/// One partition's fold of one epoch, computed beside the state it
+/// reads: the touched keys' new entries in key order, each with the
+/// index of the entry it replaces (`None` for a key new to the stream).
+type Fold = Vec<(Option<usize>, KeyState)>;
+
 /// Commit-side state, under one lock: epochs of a stream are strictly
-/// serialized (barrier-aligned), and the grouped multiset is the fold
-/// accumulator.
+/// serialized (barrier-aligned).
 struct EpochState {
     /// Next epoch to commit (1-based; 0 means nothing published).
     next_epoch: u32,
     /// Monotonic ingest counter: a failed epoch may be retried, so the
     /// delta file name must be unique per *attempt*, not per epoch.
     ingests: u64,
-    /// The materialized grouped multiset, per partition: every value
-    /// every committed epoch ever shuffled, keyed exactly as a one-shot
-    /// batch over the concatenated input would key it.
-    parts: Vec<Grouped>,
+    /// The materialized state, per partition: entries sorted by key,
+    /// together covering every key a one-shot batch over the
+    /// concatenated input would reduce.
+    parts: Vec<Vec<KeyState>>,
     closed: bool,
 }
 
 /// The continuous-job driver: owns one standing job slot on the
 /// cluster and turns arriving deltas into published epochs. Fronted by
 /// [`crate::server::JobServer::open_stream`] in production; usable
-/// directly (self-executing waves) in tests and benches.
+/// directly (self-executing waves) in tests.
 pub struct EpochDriver {
     cluster: Arc<LiveCluster>,
     pub(crate) app: Arc<dyn MapReduce>,
@@ -162,7 +240,12 @@ impl EpochDriver {
         delta: &[u8],
         exec: &dyn Fn(&Arc<Run>),
     ) -> Result<EpochReport, JobError> {
-        let mut st = self.state.lock().expect("epoch state");
+        // Application code runs under this lock only inside
+        // `catch_unwind`, so only an executor bug can poison it.
+        let mut st = self
+            .state
+            .lock()
+            .map_err(|_| JobError::InvalidRequest("stream state poisoned by an executor panic"))?;
         if st.closed {
             return Err(JobError::Cancelled);
         }
@@ -172,43 +255,24 @@ impl EpochDriver {
         // without colliding with its own partial upload.
         let file = format!("{}.e{}i{}", self.name, epoch, st.ingests);
         self.cluster.try_upload(&file, &self.user, delta)?;
-        // Map only the delta's blocks, on the stream's standing jid:
-        // per-epoch task ids restart at 0, and the epoch tag lets the
-        // shuffle plane ack-drop any straggler from a previous wave.
-        let wave = Run::begin(
-            &self.cluster,
-            &[&file],
-            &self.user,
-            self.reducers,
-            ReusePolicy::default(),
-            Some((self.jid, epoch)),
-        )?;
-        exec(&wave);
-        debug_assert!(wave.done(), "wave executor returned before the barrier");
-        // Barrier reached, not yet published: the epoch-boundary fault
-        // point. DST aims crashes/partitions here.
-        self.cluster.observe(DstEvent::EpochBarrier { epoch });
-        let (delta_parts, stats) = wave.finish_grouped(&self.cluster)?;
         if st.parts.is_empty() {
-            st.parts = vec![Grouped::new(); self.reducers];
+            st.parts.resize_with(self.reducers, Vec::new);
         }
-        let mut records_folded = 0u64;
-        for (p, grouped) in delta_parts.into_iter().enumerate() {
-            for (k, mut vs) in grouped {
-                records_folded += vs.len() as u64;
-                st.parts[p].entry(k).or_default().append(&mut vs);
-            }
+        let (folds, records_folded, stats) = self.fold_wave(&file, epoch, &st.parts, exec)?;
+        // Every partition folded: swap the folds in. No application
+        // code runs from here to the publish, so nothing can fail
+        // between the state advancing and the board following it.
+        for (run, fold) in st.parts.iter_mut().zip(folds) {
+            apply(run, fold);
         }
-        let snapshot: EpochSnapshot =
-            Arc::new(st.parts.iter().map(|g| reduce_grouped(&*self.app, g)).collect());
+        let snapshot: EpochSnapshot = Arc::new(st.parts.iter().map(|r| assemble(r)).collect());
         let cached = self.publish_ocache(epoch, &snapshot);
-        {
-            let mut ret = self.retained.lock().expect("retained");
+        let aged: Vec<_> = {
+            let mut ret = self.retained();
             ret.push_back((epoch, Arc::clone(&snapshot)));
-            while ret.len() > RETAINED_SNAPSHOTS {
-                ret.pop_front();
-            }
-        }
+            let excess = ret.len().saturating_sub(RETAINED_SNAPSHOTS);
+            ret.drain(..excess).collect()
+        };
         // The commit lock already serializes epochs; the CAS is what
         // *publishes* — a reader that observes `epoch` is guaranteed
         // the retention/oCache writes above happened-before it.
@@ -217,7 +281,60 @@ impl EpochDriver {
             .compare_exchange(prev, u64::from(epoch), Ordering::AcqRel, Ordering::Acquire)
             .expect("epochs are serialized; the board can only hold epoch-1 here");
         st.next_epoch += 1;
+        drop(st);
+        // Outside both locks: freeing an aged-out snapshot's replaced
+        // records blocks neither readers nor the next commit's start.
+        drop(aged);
         Ok(EpochReport { epoch, records_folded, cached, stats, snapshot })
+    }
+
+    /// Map the delta `file` as epoch `epoch`'s wave, then fold each
+    /// drained partition against `parts`, one partition at a time.
+    /// Nothing is mutated: the folds come back, in partition order,
+    /// with the count of map-side records they fold.
+    fn fold_wave(
+        &self,
+        file: &str,
+        epoch: u32,
+        parts: &[Vec<KeyState>],
+        exec: &dyn Fn(&Arc<Run>),
+    ) -> Result<(Vec<Fold>, u64, LiveStats), JobError> {
+        // Map only the delta's blocks, on the stream's standing jid:
+        // per-epoch task ids restart at 0, and the epoch tag lets the
+        // shuffle plane ack-drop any straggler from a previous wave.
+        // Each delta is mapped exactly once, so caching its blocks
+        // would only cost iCache sends and memory.
+        let wave = Run::begin(
+            &self.cluster,
+            &[file],
+            &self.user,
+            self.reducers,
+            ReusePolicy::none(),
+            Some((self.jid, epoch)),
+        )?;
+        exec(&wave);
+        debug_assert!(wave.done(), "wave executor returned before the barrier");
+        // Barrier reached, not yet published: the epoch-boundary fault
+        // point. DST aims crashes/partitions here.
+        self.cluster.observe(DstEvent::EpochBarrier { epoch });
+        let app = &*self.app;
+        let mut folds = Vec::with_capacity(self.reducers);
+        let mut records = 0u64;
+        let mut failed = None;
+        let stats = wave.finish_with(&self.cluster, |p, grouped| {
+            if failed.is_some() {
+                return;
+            }
+            records += grouped.values().map(|vs| vs.len() as u64).sum::<u64>();
+            match catch_unwind(AssertUnwindSafe(|| fold_partition(app, &parts[p], grouped))) {
+                Ok(fold) => folds.push(fold),
+                Err(_) => failed = Some(JobError::ReduceFailed { partition: p }),
+            }
+        })?;
+        match failed {
+            Some(e) => Err(e),
+            None => Ok((folds, records, stats)),
+        }
     }
 
     /// The newest published epoch (0 before the first commit).
@@ -236,7 +353,7 @@ impl EpochDriver {
             return None;
         }
         if let Some(s) = {
-            let ret = self.retained.lock().expect("retained");
+            let ret = self.retained();
             ret.iter().find(|(e, _)| *e == epoch).map(|(_, s)| Arc::clone(s))
         } {
             return Some(s);
@@ -259,7 +376,10 @@ impl EpochDriver {
     /// materialized oCache entries are released back to ordinary LRU
     /// lifetime (they age out; a reopened stream republishes).
     pub fn close(&self) {
-        let mut st = self.state.lock().expect("epoch state");
+        // Sound even on a poisoned lock: closing touches only the flag,
+        // which no commit writes. And closing must not panic: it runs
+        // in `StreamHandle`'s drop.
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if st.closed {
             return;
         }
@@ -268,6 +388,13 @@ impl EpochDriver {
         for p in 0..self.reducers {
             self.cluster.ocache_unpin(&self.ocache_app(), &part_tag(p));
         }
+    }
+
+    /// The retention window. Only `VecDeque` pushes, drains and lookups
+    /// run under its lock, none of which can panic, so even a poisoned
+    /// guard holds a consistent window.
+    fn retained(&self) -> MutexGuard<'_, VecDeque<(u32, EpochSnapshot)>> {
+        self.retained.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// oCache namespace of this stream's materialized partitions.
@@ -283,13 +410,109 @@ impl EpochDriver {
         let app = self.ocache_app();
         let mut all = true;
         for (p, records) in snap.iter().enumerate() {
-            let data = encode_partition(epoch, records);
+            let data = encode_partition(epoch, records.iter());
             if !self.cluster.ocache_put_pinned(&app, &part_tag(p), data, None, self.tenant) {
                 all = false;
             }
         }
         all
     }
+}
+
+/// Fold one partition's grouped delta against its state `run`: for
+/// each distinct delta key, in key order, the key's values so far plus
+/// the delta's — collapsed through `combine` for a combiner app — and
+/// what `reduce` makes of them. Reads `run` without changing it, so a
+/// panicking app leaves the state as it was.
+fn fold_partition(app: &dyn MapReduce, run: &[KeyState], delta: Grouped) -> Fold {
+    let mut delta: Vec<(String, Vec<String>)> = delta.into_iter().collect();
+    delta.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    let combiner = app.has_combiner();
+    // `combine`'s input, reused across keys.
+    let mut scratch: Vec<String> = Vec::new();
+    let mut from = 0;
+    delta
+        .into_iter()
+        .map(|(key, fresh)| {
+            from = seek(run, from, &key);
+            let at = run.get(from).filter(|s| s.key == key).map(|_| from);
+            let old = at.map_or(&[][..], |i| run[i].values.as_slice());
+            let values = if combiner {
+                scratch.clear();
+                scratch.extend(old.iter().cloned());
+                scratch.extend(fresh);
+                let mut folded = Vec::with_capacity(1);
+                app.combine(&key, &scratch, &mut |_, v| folded.push(v));
+                folded
+            } else {
+                let mut all = Vec::with_capacity(old.len() + fresh.len());
+                all.extend(old.iter().cloned());
+                all.extend(fresh);
+                all
+            };
+            // As in a batch, a key reduces only if it holds a value.
+            let mut outputs = Vec::new();
+            if !values.is_empty() {
+                app.reduce(&key, &values, &mut |k, v| outputs.push(Arc::new((k, v))));
+            }
+            (at, KeyState { key, values, outputs })
+        })
+        .collect()
+}
+
+/// The first index at or after `from` whose key is not below `key`.
+/// Gallops from `from`, then binary-searches the bracket it found, so
+/// a lookup costs the log of the distance skipped, not of the run:
+/// consecutive delta keys land close together in a large run.
+fn seek(run: &[KeyState], from: usize, key: &str) -> usize {
+    let (mut lo, mut step) = (from, 1);
+    while lo + step < run.len() && run[lo + step].key.as_str() < key {
+        lo += step;
+        step *= 2;
+    }
+    let hi = (lo + step).min(run.len());
+    lo + run[lo..hi].partition_point(|s| s.key.as_str() < key)
+}
+
+/// Swap one partition's fold into its state: replaced entries in
+/// place, keys new to the stream merged in key order. Runs no
+/// application code, so it cannot fail half-way.
+fn apply(run: &mut Vec<KeyState>, fold: Fold) {
+    let mut added = Vec::new();
+    for (at, entry) in fold {
+        match at {
+            Some(i) => {
+                // The run keeps its own key string, so a long-lived
+                // run's keys stay where the first fold allocated them.
+                run[i].values = entry.values;
+                run[i].outputs = entry.outputs;
+            }
+            None => added.push(entry),
+        }
+    }
+    if added.is_empty() {
+        return;
+    }
+    let old = std::mem::take(run);
+    run.reserve(old.len() + added.len());
+    let mut old = old.into_iter().peekable();
+    for entry in added {
+        while let Some(o) = old.next_if(|o| o.key < entry.key) {
+            run.push(o);
+        }
+        run.push(entry);
+    }
+    run.extend(old);
+}
+
+/// A partition's published records: every key's outputs in key order,
+/// shared with the state rather than copied.
+fn assemble(run: &[KeyState]) -> SnapshotPartition {
+    let mut records = Vec::with_capacity(run.len());
+    for s in run {
+        records.extend(s.outputs.iter().cloned());
+    }
+    SnapshotPartition(records)
 }
 
 /// Stable per-partition oCache tag: the same tag every epoch, so the
@@ -302,7 +525,10 @@ fn part_tag(p: usize) -> String {
 /// `u32` record count, then length-prefixed key/value pairs. The
 /// embedded epoch is what lets a reader detect that the stable tag has
 /// moved on past the epoch it asked for.
-fn encode_partition(epoch: u32, records: &[(String, String)]) -> Bytes {
+fn encode_partition<'a>(
+    epoch: u32,
+    records: impl ExactSizeIterator<Item = &'a (String, String)>,
+) -> Bytes {
     let mut buf = Vec::with_capacity(16 + records.len() * 16);
     buf.extend_from_slice(&epoch.to_le_bytes());
     buf.extend_from_slice(&(records.len() as u32).to_le_bytes());
@@ -318,7 +544,7 @@ fn encode_partition(epoch: u32, records: &[(String, String)]) -> Bytes {
 /// Inverse of [`encode_partition`]. `None` on any truncation or
 /// malformed length — a corrupt cache entry must read as a miss, not
 /// a panic.
-fn decode_partition(data: &[u8]) -> Option<(u32, Vec<(String, String)>)> {
+fn decode_partition(data: &[u8]) -> Option<(u32, SnapshotPartition)> {
     fn take_u32(data: &[u8], at: &mut usize) -> Option<u32> {
         let b = data.get(*at..*at + 4)?;
         *at += 4;
@@ -337,9 +563,9 @@ fn decode_partition(data: &[u8]) -> Option<(u32, Vec<(String, String)>)> {
     for _ in 0..count {
         let k = take_str(data, at)?;
         let v = take_str(data, at)?;
-        records.push((k, v));
+        records.push(Arc::new((k, v)));
     }
-    Some((epoch, records))
+    Some((epoch, SnapshotPartition(records)))
 }
 
 #[cfg(test)]
@@ -356,6 +582,58 @@ mod tests {
                 name: name.to_string(),
                 user: "tester".to_string(),
                 reducers,
+            },
+        )
+    }
+
+    fn flat(snap: &EpochSnapshot) -> Vec<(String, String)> {
+        let mut out: Vec<(String, String)> = snap.iter().flatten().cloned().collect();
+        out.sort();
+        out
+    }
+
+    /// Word count that counts its own `reduce` calls; `combiner` picks
+    /// the folded path or the multiset path.
+    struct CountingWordCount {
+        combiner: bool,
+        reduces: AtomicU64,
+    }
+
+    impl CountingWordCount {
+        fn new(combiner: bool) -> Arc<CountingWordCount> {
+            Arc::new(CountingWordCount { combiner, reduces: AtomicU64::new(0) })
+        }
+
+        fn sum(key: &str, values: &[String], emit: &mut dyn FnMut(String, String)) {
+            let total: u64 = values.iter().map(|v| v.parse::<u64>().unwrap_or(0)).sum();
+            emit(key.to_string(), total.to_string());
+        }
+    }
+
+    impl MapReduce for CountingWordCount {
+        fn map(&self, block: &[u8], emit: &mut dyn FnMut(String, String)) {
+            WordCount.map(block, emit);
+        }
+        fn reduce(&self, key: &str, values: &[String], emit: &mut dyn FnMut(String, String)) {
+            self.reduces.fetch_add(1, Ordering::Relaxed);
+            Self::sum(key, values, emit);
+        }
+        fn combine(&self, key: &str, values: &[String], emit: &mut dyn FnMut(String, String)) {
+            Self::sum(key, values, emit);
+        }
+        fn has_combiner(&self) -> bool {
+            self.combiner
+        }
+    }
+
+    fn counting_driver(c: &Arc<LiveCluster>, app: &Arc<CountingWordCount>) -> EpochDriver {
+        EpochDriver::new(
+            Arc::clone(c),
+            StreamSpec {
+                app: Arc::clone(app) as Arc<dyn MapReduce>,
+                name: format!("counting-{}", app.combiner),
+                user: "tester".to_string(),
+                reducers: 3,
             },
         )
     }
@@ -388,6 +666,59 @@ mod tests {
             .expect("oracle batch");
         let snap = d.snapshot(3).expect("published epoch readable");
         assert_eq!(*snap, oracle, "materialized result != one-shot batch");
+        d.close();
+    }
+
+    /// A commit reduces exactly the keys its delta touched — on both
+    /// the folded (combiner) and the multiset path — and the result
+    /// still covers every key the stream has seen.
+    #[test]
+    fn reduce_runs_once_per_distinct_delta_key() {
+        let c = Arc::new(LiveCluster::new(LiveConfig::small().with_block_size(256)));
+        for combiner in [false, true] {
+            let app = CountingWordCount::new(combiner);
+            let d = counting_driver(&c, &app);
+            // Distinct keys per delta: 4, 2, 1.
+            let deltas = [("a b c d\n", 4), ("a e\n", 2), ("b b b\n", 1)];
+            for (line, distinct) in deltas {
+                let before = app.reduces.load(Ordering::Relaxed);
+                d.commit_epoch(line.repeat(10).as_bytes()).expect("commit");
+                let reduced = app.reduces.load(Ordering::Relaxed) - before;
+                assert_eq!(reduced, distinct, "combiner={combiner}: reduces for {line:?}");
+            }
+            let want: Vec<(String, String)> =
+                [("a", 20), ("b", 40), ("c", 10), ("d", 10), ("e", 10)]
+                    .iter()
+                    .map(|(k, n)| (k.to_string(), n.to_string()))
+                    .collect();
+            assert_eq!(flat(&d.snapshot(3).expect("published")), want, "combiner={combiner}");
+            d.close();
+        }
+    }
+
+    /// A combiner stream's state is O(keys): after 50 epochs every key
+    /// holds exactly one folded value, however often it recurred.
+    #[test]
+    fn combiner_stream_holds_one_value_per_key() {
+        let c = Arc::new(LiveCluster::new(LiveConfig::small().with_block_size(256)));
+        let app = CountingWordCount::new(true);
+        let d = counting_driver(&c, &app);
+        for e in 0..50u32 {
+            let delta = format!("w{} shared\n", e % 7).repeat(8);
+            d.commit_epoch(delta.as_bytes()).expect("commit");
+        }
+        let st = d.state.lock().expect("state");
+        let keys: usize = st.parts.iter().map(Vec::len).sum();
+        assert_eq!(keys, 8, "w0..w6 and shared");
+        for s in st.parts.iter().flatten() {
+            assert_eq!(s.values.len(), 1, "key {:?} holds {:?}", s.key, s.values);
+        }
+        drop(st);
+        let shared = flat(&d.snapshot(50).expect("published"))
+            .into_iter()
+            .find(|(k, _)| k == "shared")
+            .expect("shared key");
+        assert_eq!(shared.1, (50 * 8).to_string());
         d.close();
     }
 
@@ -438,7 +769,7 @@ mod tests {
             ("beta".to_string(), "22".to_string()),
             (String::new(), String::new()),
         ];
-        let data = encode_partition(7, &records);
+        let data = encode_partition(7, records.iter());
         let (e, back) = decode_partition(&data).expect("roundtrip");
         assert_eq!(e, 7);
         assert_eq!(back, records);

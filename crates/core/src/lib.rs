@@ -19,7 +19,7 @@ pub use dst::{
     ChaosObserver, DstFault, DstPreset, DstReport, DstSweep, DstWorkload, FaultConfig, NetOp,
     Point, Verdict,
 };
-pub use epoch::{EpochDriver, EpochReport, EpochSnapshot, StreamSpec};
+pub use epoch::{EpochDriver, EpochReport, EpochSnapshot, SnapshotPartition, StreamSpec};
 pub use job::{JobError, JobId, JobReport, JobSpec, ReadSource, ReusePolicy};
 pub use live::{
     DstEvent, DstObserver, FaultPlan, LiveCluster, LiveConfig, LiveStats, MapReduce,

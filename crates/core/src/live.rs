@@ -119,7 +119,7 @@ mod run;
 mod worker;
 
 pub use run::PartitionedOutput;
-pub(crate) use run::{reduce_grouped, Grouped, Run};
+pub(crate) use run::{Grouped, Run};
 pub(crate) use worker::MapWorker;
 
 use router::{bind_endpoint, ShuffleRouter, MAX_JOB_SLOTS};
@@ -173,6 +173,9 @@ pub trait MapReduce: Send + Sync {
     /// when `false` (the default) the executor skips spill
     /// sorting/grouping entirely and ships mapped records untouched —
     /// the pass-through default `combine` would only have copied them.
+    /// An epoch stream also folds each key's values across epochs
+    /// through `combine`, so a combiner must emit under the key it was
+    /// given.
     fn has_combiner(&self) -> bool {
         false
     }

@@ -8,7 +8,7 @@
 //! [`Run::drive_scoped`] (scoped map workers and reducer lanes); a
 //! server job or epoch wave is mapped by [`MapWorker::work_all`] on
 //! its driver's thread, then folded there by [`Run::finish`] or
-//! [`Run::finish_grouped`]. Every run ends in [`Run::retire`].
+//! [`Run::finish_with`]. Every run ends in [`Run::retire`].
 #![deny(clippy::too_many_lines)]
 
 use super::place::MapTask;
@@ -40,10 +40,6 @@ pub type PartitionedOutput = (Vec<Vec<(String, String)>>, LiveStats);
 /// One reduce partition's grouped (pre-reduce) state: each key's full
 /// value multiset.
 pub(crate) type Grouped = HashMap<String, Vec<String>>;
-
-/// A drained run's grouped partitions plus its statistics — what an
-/// epoch wave hands the stream's materialized state.
-pub(crate) type GroupedOutput = (Vec<Grouped>, LiveStats);
 
 /// Event counters of one run; [`Run::stats`] turns them into
 /// [`LiveStats`] fields of the same names.
@@ -448,13 +444,24 @@ impl Run {
         Ok((parts, self.retire(cluster)?))
     }
 
-    /// [`finish`](Self::finish) without the reduce: an epoch wave's
-    /// grouped delta, which the stream folds into its materialized
-    /// state before reducing the whole.
-    pub(crate) fn finish_grouped(&self, cluster: &LiveCluster) -> Result<GroupedOutput, JobError> {
+    /// [`finish`](Self::finish) with the caller's fold in place of the
+    /// reduce: an epoch wave hands each partition's grouped delta to
+    /// `fold(p, grouped)`, in partition order and one partition at a
+    /// time, so only one grouped partition is resident at once. An
+    /// aborted run folds nothing and returns its error.
+    pub(crate) fn finish_with(
+        &self,
+        cluster: &LiveCluster,
+        mut fold: impl FnMut(usize, Grouped),
+    ) -> Result<LiveStats, JobError> {
         self.seal(cluster);
-        let parts = self.take_receivers().iter().map(|rx| self.group(cluster, rx)).collect();
-        Ok((parts, self.retire(cluster)?))
+        for (p, rx) in self.take_receivers().iter().enumerate() {
+            let grouped = self.group(cluster, rx);
+            if !self.is_aborted() {
+                fold(p, grouped);
+            }
+        }
+        self.retire(cluster)
     }
 
     /// Deregister the run — crash recovery and external join/leave
@@ -757,9 +764,8 @@ impl LiveCluster {
 }
 
 /// Sort one partition's grouped keys and reduce each over its full
-/// value multiset: the output shape of every batch job, and of an
-/// epoch stream's materialized state.
-pub(crate) fn reduce_grouped(app: &dyn MapReduce, grouped: &Grouped) -> Vec<(String, String)> {
+/// value multiset: the output shape of every batch job.
+fn reduce_grouped(app: &dyn MapReduce, grouped: &Grouped) -> Vec<(String, String)> {
     let mut entries: Vec<(&String, &Vec<String>)> = grouped.iter().collect();
     entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
     let mut out = Vec::new();

@@ -125,124 +125,6 @@ impl KeyHistogram {
     }
 }
 
-/// Sub-buckets per power of two in a [`LatencyHist`]. 64 sub-buckets
-/// bound the relative quantile error at 1/64 ≈ 1.6%.
-const LAT_SUB_BITS: u32 = 6;
-const LAT_SUB: u64 = 1 << LAT_SUB_BITS;
-
-/// Number of buckets: values below `LAT_SUB` get one bucket each;
-/// above that, each power of two up to 2^63 is split into `LAT_SUB`
-/// log-linear sub-buckets.
-const LAT_BUCKETS: usize = (LAT_SUB + (64 - LAT_SUB_BITS as u64) * LAT_SUB) as usize;
-
-/// A log-bucketed latency histogram (HDR-histogram shape): O(1)
-/// `record`, fixed memory, quantiles with bounded *relative* error
-/// (≤ 1/64), merge for shard/thread aggregation.
-///
-/// [`KeyHistogram`] is a key-*space* histogram for the LAF scheduler
-/// and cannot report a p999 over an unbounded duration domain; this
-/// type is the job-latency side of the story (per-job sojourn
-/// p50/p99/p999).
-///
-/// Values are in nanoseconds by convention, but any non-negative u64
-/// works — buckets are value-scale-free.
-#[derive(Clone, Debug)]
-pub struct LatencyHist {
-    counts: Vec<u64>,
-    total: u64,
-    max: u64,
-}
-
-impl Default for LatencyHist {
-    fn default() -> LatencyHist {
-        LatencyHist::new()
-    }
-}
-
-impl LatencyHist {
-    pub fn new() -> LatencyHist {
-        LatencyHist { counts: vec![0; LAT_BUCKETS], total: 0, max: 0 }
-    }
-
-    /// Bucket index for `v`: identity below `LAT_SUB`, then
-    /// `(octave, top LAT_SUB_BITS mantissa bits)` log-linear above.
-    #[inline]
-    fn bucket_of(v: u64) -> usize {
-        if v < LAT_SUB {
-            return v as usize;
-        }
-        // Highest set bit position; v >= LAT_SUB so msb >= LAT_SUB_BITS.
-        let msb = 63 - v.leading_zeros();
-        let octave = (msb - LAT_SUB_BITS) as u64;
-        let sub = (v >> (msb - LAT_SUB_BITS)) - LAT_SUB; // 0..LAT_SUB
-        (LAT_SUB + octave * LAT_SUB + sub) as usize
-    }
-
-    /// Representative value reported for a bucket: its inclusive upper
-    /// bound, so quantiles never under-report.
-    #[inline]
-    fn bucket_high(i: usize) -> u64 {
-        let i = i as u64;
-        if i < LAT_SUB {
-            return i;
-        }
-        let octave = (i - LAT_SUB) / LAT_SUB;
-        let sub = (i - LAT_SUB) % LAT_SUB;
-        // Bucket covers [(LAT_SUB+sub) << octave, (LAT_SUB+sub+1) << octave).
-        // The top octave's bound exceeds u64; widen and clamp.
-        let hi = ((LAT_SUB + sub + 1) as u128) << octave;
-        (hi - 1).min(u64::MAX as u128) as u64
-    }
-
-    /// Record one observation (saturating counter).
-    #[inline]
-    pub fn record(&mut self, v: u64) {
-        self.counts[Self::bucket_of(v)] += 1;
-        self.total += 1;
-        self.max = self.max.max(v);
-    }
-
-    /// Number of recorded observations.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Largest recorded observation (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// The value at quantile `q` ∈ [0, 1]: the smallest bucket upper
-    /// bound such that at least `ceil(q * count)` observations fall at
-    /// or below it (within one bucket's relative error, and clamped to
-    /// the true max so `quantile(1.0) == max()`). Returns 0 on an
-    /// empty histogram.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.total == 0 {
-            return 0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Self::bucket_high(i).min(self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Fold `other` into `self` (thread/shard aggregation).
-    pub fn merge(&mut self, other: &LatencyHist) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.max = self.max.max(other.max);
-    }
-}
-
 /// Cumulative distribution function over the ring key space.
 ///
 /// `cum[i]` is the probability mass in bins `0..=i`; `cum[n-1] == 1`.
@@ -455,110 +337,6 @@ mod tests {
             let q = cdf.quantile(i as f64 / 20.0);
             assert!(q >= prev, "quantile not monotone at {i}");
             prev = q;
-        }
-    }
-
-    /// Reference quantile over a sorted vec: same rank convention as
-    /// [`LatencyHist::quantile`] (smallest value with ceil(q*n)
-    /// observations at or below it).
-    fn ref_quantile(sorted: &[u64], q: f64) -> u64 {
-        let rank = ((q * sorted.len() as f64).ceil() as usize).max(1);
-        sorted[rank - 1]
-    }
-
-    #[test]
-    fn latency_hist_small_values_exact() {
-        // Values below 64 get one bucket each: quantiles are exact.
-        let mut h = LatencyHist::new();
-        let mut vals: Vec<u64> = (0..64).flat_map(|v| std::iter::repeat_n(v, 3)).collect();
-        for &v in &vals {
-            h.record(v);
-        }
-        vals.sort_unstable();
-        for q in [0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0] {
-            assert_eq!(h.quantile(q), ref_quantile(&vals, q), "q={q}");
-        }
-        assert_eq!(h.count(), 192);
-        assert_eq!(h.max(), 63);
-    }
-
-    #[test]
-    fn latency_hist_quantiles_within_relative_error() {
-        // A deterministic heavy-tailed stream spanning ns..minutes;
-        // every quantile must land within one sub-bucket (1/64 relative)
-        // of the sorted-vec reference.
-        let mut h = LatencyHist::new();
-        let mut vals = Vec::new();
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        for _ in 0..10_000 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            // Skew: mostly microseconds, a tail into tens of seconds.
-            let v = 1_000 + (x % 1_000_000) + if x.is_multiple_of(97) { x % 50_000_000_000 } else { 0 };
-            vals.push(v);
-            h.record(v);
-        }
-        vals.sort_unstable();
-        for q in [0.01, 0.1, 0.5, 0.9, 0.99, 0.999, 0.9999, 1.0] {
-            let got = h.quantile(q) as f64;
-            let want = ref_quantile(&vals, q) as f64;
-            let rel = (got - want).abs() / want;
-            assert!(rel <= 1.0 / 64.0 + 1e-12, "q={q}: got {got}, want {want}, rel {rel}");
-            // Upper-bound convention: never under-report (beyond exactness).
-            assert!(got >= want || (want - got) / want < 1e-12, "q={q} under-reports");
-        }
-    }
-
-    #[test]
-    fn latency_hist_merge_equals_combined_stream() {
-        let mut a = LatencyHist::new();
-        let mut b = LatencyHist::new();
-        let mut whole = LatencyHist::new();
-        for i in 0..5_000u64 {
-            let v = i * i % 777_777;
-            if i.is_multiple_of(2) {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-            whole.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert_eq!(a.max(), whole.max());
-        for q in [0.1, 0.5, 0.99, 0.999] {
-            assert_eq!(a.quantile(q), whole.quantile(q), "q={q}");
-        }
-    }
-
-    #[test]
-    fn latency_hist_empty_and_extremes() {
-        let mut h = LatencyHist::new();
-        assert_eq!(h.quantile(0.5), 0);
-        assert_eq!(h.count(), 0);
-        h.record(0);
-        h.record(u64::MAX);
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.max(), u64::MAX);
-        assert_eq!(h.quantile(0.0), 0);
-        assert_eq!(h.quantile(1.0), u64::MAX);
-    }
-
-    #[test]
-    fn latency_bucket_bounds_cover_and_order() {
-        // bucket_of and bucket_high agree: every value maps to a bucket
-        // whose high bound is >= it, and bounds are monotone.
-        let mut prev = 0u64;
-        for i in 0..LAT_BUCKETS {
-            let hi = LatencyHist::bucket_high(i);
-            assert!(i == 0 || hi > prev, "bucket {i} bound not monotone");
-            assert_eq!(LatencyHist::bucket_of(hi), i, "high bound of bucket {i} maps back");
-            prev = hi;
-        }
-        for v in [0, 1, 63, 64, 65, 127, 128, 1_000_000, u64::MAX] {
-            let b = LatencyHist::bucket_of(v);
-            assert!(LatencyHist::bucket_high(b) >= v, "v={v}");
         }
     }
 

@@ -13,7 +13,7 @@ pub mod sha1;
 pub mod size;
 pub mod stats;
 
-pub use hist::{Cdf, KeyHistogram, LatencyHist};
+pub use hist::{Cdf, KeyHistogram};
 pub use key::{HashKey, KeyRange};
 pub use sha1::{sha1, Digest, Sha1};
 pub use size::{fmt_bytes, num_blocks, DEFAULT_BLOCK_SIZE, DEFAULT_SPILL_BUFFER, GB, KB, MB, TB};

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate: release build, clippy, the full test suite, the frozen
-# benchmark/ package's build and tests, the chaos and transport suites
-# under --release, and a bounded DST smoke sweep. It measures nothing:
-# live performance is the benchmark's job (benchmark/README.md) and the
-# paper's figures come from `figures`. Writes no tracked file, so a
+# benchmark/ package's build and tests, the chaos, transport and epoch
+# suites under --release, and a bounded DST smoke sweep. It measures
+# nothing: live performance is the benchmark's job (benchmark/README.md)
+# and the paper's figures come from `figures`. Writes no tracked file, so a
 # passing run leaves `git status` clean. The full randomized DST sweep
 # stays behind `dst_bench --runs N --preset chaos` (docs/DST.md).
 set -euo pipefail
@@ -35,6 +35,9 @@ cargo test -q --release -p eclipse-integration-tests --test net_codec
 
 echo "== tier1: transport-identity matrix, loopback TCP (release)"
 cargo test -q --release -p eclipse-integration-tests --test net_matrix
+
+echo "== tier1: epoch/batch identity matrix (release)"
+cargo test -q --release -p eclipse-integration-tests --test epoch_matrix
 
 echo "== tier1: DST smoke sweep (50 fixed seeds, moderate preset)"
 cargo run -q --release -p eclipse-bench --bin dst_bench -- --runs 50 --seed0 1 --preset moderate --out target/dst_smoke.json

@@ -275,3 +275,42 @@ fn reduce_panic_is_an_error_not_a_hang_or_a_leak() {
     waiter.join().expect("waiter");
     assert_eq!(c.active_jobs(), 0, "a server run leaked");
 }
+
+/// A panicking `reduce` inside an epoch fold is a typed error that
+/// leaves the stream intact: still readable at its previous epoch, able
+/// to commit again, and closable (and droppable) without a panic.
+#[test]
+fn epoch_reduce_panic_keeps_the_stream_usable() {
+    use eclipse_core::{JobError, JobServer, JobServerConfig, StreamSpec};
+    use std::sync::Arc;
+
+    let pairs = |snap: &eclipse_core::EpochSnapshot| {
+        let mut out: Vec<(String, String)> = snap.iter().flatten().cloned().collect();
+        out.sort();
+        out
+    };
+    let counts = |kv: &[(&str, &str)]| -> Vec<(String, String)> {
+        kv.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect()
+    };
+    let c = Arc::new(LiveCluster::new(LiveConfig::small()));
+    let server = JobServer::new(c.clone(), JobServerConfig::default());
+    let stream = server.open_stream(StreamSpec {
+        app: Arc::new(PanicOnB),
+        name: "panicky".to_string(),
+        user: "u".to_string(),
+        reducers: 2,
+    });
+    stream.commit_epoch(b"a c\n").expect("epoch 1");
+    assert!(matches!(stream.commit_epoch(b"a b\n"), Err(JobError::ReduceFailed { .. })));
+    assert_eq!(stream.published(), 1, "a failed fold must not publish");
+    let snap = stream.snapshot(1).expect("epoch 1 still readable");
+    assert_eq!(pairs(&snap), counts(&[("a", "1"), ("c", "1")]));
+    // The failed delta left no trace in the state: the retry folds
+    // onto epoch 1, not onto a half-applied epoch 2.
+    let rep = stream.commit_epoch(b"a c c\n").expect("the stream commits again");
+    assert_eq!(rep.epoch, 2);
+    assert_eq!(pairs(&rep.snapshot), counts(&[("a", "2"), ("c", "3")]));
+    stream.close();
+    drop(stream);
+    assert_eq!(c.active_jobs(), 0, "the failed wave is still registered");
+}
