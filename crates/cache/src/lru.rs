@@ -385,9 +385,9 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// evicted from the LRU tail first until the tenant fits its
     /// budget, so one tenant's insert pressure cannot evict another's
     /// warm entries; an object larger than the tenant budget is
-    /// rejected. Without a ledger (no [`set_tenant_quota`]
-    /// (Self::set_tenant_quota) call ever) this is byte-for-byte the
-    /// legacy single-tenant path.
+    /// rejected. Without a ledger (no
+    /// [`set_tenant_quota`](Self::set_tenant_quota) call ever) this is
+    /// byte-for-byte the legacy single-tenant path.
     pub fn put_value_tenant(
         &mut self,
         key: K,

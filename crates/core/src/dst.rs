@@ -157,8 +157,9 @@ pub struct FaultConfig {
     /// Max drop tokens per drop op.
     pub drop_n_max: u32,
     /// Cap on the *total* tokens any one link or RPC kind may
-    /// accumulate across the schedule. Calm pins this below
-    /// [`NET_BUDGET`] so drops can never exhaust a retry loop.
+    /// accumulate across the schedule. Calm pins this below the
+    /// transport's retry budget (`RetryPolicy::default().max_attempts`)
+    /// so drops can never exhaust a retry loop.
     pub tokens_per_target_max: u32,
     /// Max mid-job node joins per schedule (elastic membership).
     pub join_slots_max: u32,
@@ -409,7 +410,7 @@ impl DstWorkload {
     }
 
     /// Fixed-width-line input for epoch-mode seeds: every line is
-    /// exactly [`ALIGNED_LINE`] bytes (four 3-char words), and every
+    /// exactly 16 bytes (four 3-char words), and every
     /// sampled block size is a multiple of it. Block boundaries
     /// therefore never split a word — neither in the per-epoch delta
     /// files nor in the concatenated oracle file, whose boundaries
@@ -1136,8 +1137,8 @@ pub fn check_stats(
             crash_victims.len()
         );
         // A map-phase crash trigger always fires on a successful run
-        // (every map commit count is reached), so detection must have
-        // seen at least those victims.
+        // (every map commit count is reached), so recovery must have
+        // handled at least those victims.
         inv!(
             stats.failed_nodes >= map_crashes,
             "failed_nodes {} < {} scheduled map-phase crashes",

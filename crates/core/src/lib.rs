@@ -9,7 +9,6 @@ pub mod dst;
 pub mod epoch;
 pub mod job;
 pub mod live;
-pub mod resource_manager;
 pub mod server;
 pub mod shuffle;
 pub mod sim_exec;
@@ -28,7 +27,6 @@ pub use live::{
 /// The transport plane (re-exported so downstream crates reach the
 /// chaos API and stats types without a direct dependency).
 pub use eclipse_net as net;
-pub use resource_manager::{ResourceManager, RmError, TickOutcome};
 pub use server::{
     AdmissionPolicy, JobHandle, JobServer, JobServerConfig, PoolJobSpec, StreamHandle,
 };

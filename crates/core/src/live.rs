@@ -44,7 +44,7 @@
 //! pluggable [`Transport`]: block reads/writes (`GetBlock`/`PutBlock`),
 //! re-replication (`ReplicaSync`), cross-node cache traffic
 //! (`CacheGet`/`CachePut`), shuffle delivery (`ShuffleBatch`),
-//! failure-detection pings (`Heartbeat`) and task placement
+//! progress reports (`Heartbeat`) and task placement
 //! (`TaskAssign`). [`TransportKind::Memory`] (the default) keeps runs
 //! deterministic and exposes fault injection — partitions, drops,
 //! delays — while still pushing every frame through the real wire
@@ -68,10 +68,10 @@
 //!   nodes' tails via atomic cursors. Cache and locality accounting
 //!   always uses the *assigned* node, so stealing changes wall-clock,
 //!   never stats or cache placement.
-//! - **Allocation-light shuffle.** One [`SpillBuffer`] per worker serves
-//!   all its blocks; spills are combined by sorting the run in place
-//!   (no per-spill `BTreeMap`), and only when the application actually
-//!   overrides [`MapReduce::combine`] (see
+//! - **Allocation-light shuffle.** One [`SpillBuffer`](crate::SpillBuffer)
+//!   per worker serves all its blocks; spills are combined by sorting the
+//!   run in place (no per-spill `BTreeMap`), and only when the
+//!   application actually overrides [`MapReduce::combine`] (see
 //!   [`MapReduce::has_combiner`]). Reducers ingest into a `HashMap` and
 //!   sort once at fold time.
 //!
@@ -89,13 +89,22 @@
 //! - **Crash semantics.** At the crash instant the victim's store shard
 //!   and cache shard are wiped and every not-yet-delivered send from it
 //!   is suppressed; an attempt with a suppressed send can never commit.
-//! - **Recovery flow.** Heartbeat detection ([`HeartbeatMonitor`]) →
-//!   ring repair mirrored through Chord stabilization ([`ChordNet`]) →
+//! - **Recovery flow.** The crash handler knows its victim: ring repair
+//!   mirrored through Chord stabilization ([`eclipse_ring::ChordNet`]) →
 //!   re-replication along the predecessor/successor chain → scheduler
 //!   rebuild → re-queue of the victim's unfinished tasks. Reads fall
 //!   back through surviving replicas; only when *every* copy of a block
 //!   is gone does the job end with [`JobError::DataLoss`] — never a
 //!   wrong or partial result, never a hang.
+//!
+//! # Membership (paper §II's resource manager)
+//!
+//! `live/membership.rs` plays the role the paper gives its resource
+//! manager — server join, leave and failure recovery — for every run
+//! alike. [`DhtFs`] is the authority on membership; each change ends in
+//! one step that publishes the ring it produced as the cluster's
+//! snapshot, bumps the membership epoch ([`LiveCluster::epoch`]) and
+//! re-derives scheduler and cache placement.
 #![deny(clippy::too_many_lines)]
 
 use crate::job::{JobError, ReusePolicy};
@@ -104,7 +113,7 @@ use bytes::Bytes;
 use eclipse_cache::{CacheKey, DistributedCache, OutputTag};
 use eclipse_dhtfs::{BlockId, BlockStore, DhtFs, DhtFsConfig};
 use eclipse_net::{MemTransport, RetryPolicy, Rpc, RpcReply, SendTicket, TcpTransport, Transport, CLIENT};
-use eclipse_ring::{ClusterView, HeartbeatMonitor, NodeId, Ring};
+use eclipse_ring::{NodeId, Ring};
 use eclipse_sched::{DelayScheduler, LafScheduler};
 use eclipse_util::KeyRange;
 use parking_lot::{Mutex, RwLock};
@@ -135,8 +144,6 @@ pub(crate) fn hardware_threads() -> usize {
 /// Bounded retry budget per map task; exceeding it is a terminal
 /// [`JobError::TaskFailed`].
 const MAX_ATTEMPTS: u32 = 4;
-/// Heartbeat timeout on the logical failure-detection clock.
-const HEARTBEAT_TIMEOUT_SECS: u64 = 3;
 /// Slice size for cancellable straggler sleeps. A fixed slice keeps
 /// the cancellation-check cadence a function of the injected delay
 /// alone — the same `slow_node(micros)` performs the same number of
@@ -399,7 +406,7 @@ pub struct LiveStats {
     /// mid-job crashes.
     pub stabilize_rounds: u64,
     /// Wall-clock nanoseconds spent inside mid-job crash recovery
-    /// (detection + stabilization + re-replication + re-queue).
+    /// (stabilization + re-replication + re-queue).
     pub recovery_nanos: u64,
     /// Bytes pushed onto the transport (frames, both directions the
     /// sender pays for) during this job.
@@ -562,7 +569,7 @@ pub enum DstEvent {
     /// A shuffle batch was just sent (or delivered locally); `sent`
     /// batches are out cluster-wide (1-based, monotonic).
     SpillSent { sent: u64 },
-    /// `node` finished crashing: detection, stabilization and
+    /// `node` finished crashing: stabilization and
     /// re-replication are complete and its tasks are re-queued.
     NodeCrashed { node: NodeId },
     /// `node` joined the ring mid-run: the ring stabilized around it,
@@ -600,7 +607,15 @@ pub trait DstObserver: Send + Sync {
 /// A live EclipseMR deployment.
 pub struct LiveCluster {
     cfg: LiveConfig,
+    /// The membership snapshot placement reads. [`DhtFs`] owns the ring;
+    /// only `publish_membership` (`live/membership.rs`) writes this copy,
+    /// so hot-path readers never wait behind an upload holding `fs`.
     ring: RwLock<Ring>,
+    /// The membership epoch: bumped by `publish_membership`, once per
+    /// join, leave or crash, after the ring snapshot is written. The
+    /// bump's release pairs with the acquire in [`epoch`](Self::epoch),
+    /// so a reader that sees epoch `e` reads a ring at least as new.
+    epoch: AtomicU64,
     /// Metadata only; reads (open / block_holders) share the lock.
     fs: RwLock<DhtFs>,
     store: Arc<BlockStore>,
@@ -614,10 +629,6 @@ pub struct LiveCluster {
     /// Shuffle/control receiving side, shared by all endpoints.
     router: Arc<ShuffleRouter>,
     sched: Mutex<LiveSched>,
-    /// Failure detector fed by a logical clock: crashes advance the
-    /// clock past the timeout so the victim misses its beat.
-    monitor: Mutex<HeartbeatMonitor>,
-    clock: AtomicU64,
     /// Faults scheduled for the next job run (drained at job start).
     faults: Mutex<Vec<FaultOp>>,
     /// Per-node RPC serving delay in micros, consulted by every bound
@@ -627,10 +638,6 @@ pub struct LiveCluster {
     /// DST progress observer (see [`DstObserver`]); cloned into each
     /// [`Run`] when it begins.
     observer: RwLock<Option<Arc<dyn DstObserver>>>,
-    /// Membership bookkeeping (paper §II): every join, leave and crash
-    /// is applied as a [`MembershipEvent`], bumping the epoch that lets
-    /// placement state (cache ranges, shuffle homes) notice staleness.
-    view: Mutex<ClusterView>,
     /// Every in-flight run, keyed by jid, so crash/join/
     /// leave recovery can walk *all* live jobs and the public
     /// [`join_node`](Self::join_node) / [`leave_node`](Self::leave_node)
@@ -697,14 +704,10 @@ impl LiveCluster {
             SchedulerKind::Laf(c) => LiveSched::Laf(LafScheduler::new(&ring, *c)),
             SchedulerKind::Delay(c) => LiveSched::Delay(DelayScheduler::new(&ring, *c)),
         };
-        let mut monitor = HeartbeatMonitor::new(HEARTBEAT_TIMEOUT_SECS as f64);
-        for n in ring.node_ids() {
-            monitor.heartbeat(n, 0.0);
-        }
-        let view = ClusterView::new(ring.clone());
         LiveCluster {
             cfg,
             ring: RwLock::new(ring),
+            epoch: AtomicU64::new(0),
             fs: RwLock::new(fs),
             store,
             cache,
@@ -712,12 +715,9 @@ impl LiveCluster {
             mem_net,
             router,
             sched: Mutex::new(sched),
-            monitor: Mutex::new(monitor),
-            clock: AtomicU64::new(0),
             faults: Mutex::new(Vec::new()),
             slow_serving,
             observer: RwLock::new(None),
-            view: Mutex::new(view),
             active: Mutex::new(HashMap::new()),
             next_jid: AtomicU32::new(0),
             recovery_gate: Mutex::new(()),
@@ -764,7 +764,7 @@ impl LiveCluster {
     /// The membership epoch: bumped once per join, leave or crash.
     /// Placement consumers compare epochs to detect stale snapshots.
     pub fn epoch(&self) -> u64 {
-        self.view.lock().epoch()
+        self.epoch.load(Ordering::Acquire)
     }
 
     pub fn nodes(&self) -> usize {
@@ -1300,6 +1300,27 @@ mod tests {
         c.leave_node(ids[0]).expect("one of two can leave");
         assert!(c.leave_node(ids[1]).is_err(), "the last node cannot leave");
         assert_eq!(c.ring().len(), 1);
+    }
+
+    #[test]
+    fn membership_epoch_counts_every_change() {
+        let c = text_cluster(&"red green blue\n".repeat(200));
+        let mut e = c.epoch();
+        let mut bumped = |c: &LiveCluster, what: &str| {
+            e += 1;
+            assert_eq!(c.epoch(), e, "{what} must bump the epoch exactly once");
+        };
+        let joiner = c.join_node("epoch-joiner");
+        bumped(&c, "join_node");
+        c.leave_node(joiner).expect("peers absorb the handoff");
+        bumped(&c, "leave_node");
+        c.fail_node(c.ring().node_ids()[1]).expect("survivors hold every replica");
+        bumped(&c, "fail_node");
+        assert_eq!(c.active_jobs(), 0);
+        c.crash_node(c.ring().node_ids()[1]).expect("survivors hold every replica");
+        bumped(&c, "between-jobs crash_node");
+        assert!(c.leave_node(NodeId(99)).is_err());
+        assert_eq!(c.epoch(), e, "a rejected leave changes nothing");
     }
 
     #[test]

@@ -1,22 +1,25 @@
 //! Membership changes while jobs may be running: crash recovery,
-//! elastic join and graceful leave. Every flow is serialized through
-//! the cluster's recovery gate and walks *all* live [`Run`]s.
+//! elastic join and graceful leave — the paper's §II resource-manager
+//! role ("server join, leave, failure recovery"). Every flow is
+//! serialized through the cluster's recovery gate, walks *all* live
+//! [`Run`]s, and ends in the one membership write,
+//! [`publish_membership`](LiveCluster::publish_membership).
 #![deny(clippy::too_many_lines)]
 
 use super::run::Run;
 use super::router::bind_endpoint;
-use super::{DstEvent, LiveCluster, LiveSched, RecoveryReport, HEARTBEAT_TIMEOUT_SECS};
+use super::{DstEvent, LiveCluster, LiveSched, RecoveryReport};
 use eclipse_dhtfs::FsError;
 use eclipse_net::{Rpc, RpcReply, SendTicket, CLIENT};
-use eclipse_ring::{ChordNet, MembershipEvent, NodeId, Ring, RingError, ServerInfo};
+use eclipse_ring::{ChordNet, NodeId, Ring, RingError, ServerInfo};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
 impl LiveCluster {
-    /// Crash `victim` while jobs are running: the full detection →
-    /// ring-repair → re-replication → re-queue flow, serialized so
-    /// concurrent triggers handle one crash at a time. `rt` is the run
+    /// Crash `victim` while jobs are running: the full ring-repair →
+    /// re-replication → re-queue flow, serialized so concurrent
+    /// triggers handle one crash at a time. `rt` is the run
     /// whose fault schedule (or membership call) triggered the crash —
     /// recovery counters and the DST event land on it — but the crash
     /// itself hits *every* live run: each is poisoned and has its
@@ -53,55 +56,14 @@ impl LiveCluster {
         // The crash instant: payloads, cache shard and network endpoint
         // die; from here on every send from the victim is suppressed
         // (see `ship`), and every in-flight RPC *to* the victim is
-        // woken with a connection error instead of hanging until
-        // heartbeat expiry.
+        // woken with a connection error instead of hanging.
         self.store.wipe_node(victim);
         self.cache.invalidate_node(victim);
         self.net.close_endpoint(victim);
-        // Detection: advance the logical clock past the heartbeat
-        // timeout and ping every member over the transport; live nodes
-        // ack and beat, the victim's closed endpoint cannot.
-        {
-            let mut mon = self.monitor.lock();
-            let step = HEARTBEAT_TIMEOUT_SECS + 1;
-            let clock = self.clock.fetch_add(step, Ordering::AcqRel) + step;
-            let now = clock as f64;
-            for n in self.ring.read().node_ids() {
-                let beat = !rt
-                    .poisoned
-                    .get(n.index())
-                    .is_some_and(|p| p.load(Ordering::Acquire))
-                    && matches!(
-                        self.net.call(
-                            CLIENT,
-                            n,
-                            Rpc::Heartbeat { from: CLIENT, clock, task: u32::MAX, progress: 0 },
-                        ),
-                        Ok(RpcReply::Ack)
-                    );
-                if beat {
-                    mon.heartbeat(n, now);
-                }
-            }
-            let dead = mon.expired(now);
-            debug_assert!(dead.contains(&victim), "victim must be detected");
-        }
         // Ring repair, mirrored through protocol-level Chord
-        // stabilization: successors/predecessors re-converge around the
-        // hole exactly as the paper's stabilization procedure would.
-        // Every pointer a node follows is first probed over the
-        // transport, so the dead endpoint (and any partitioned peer) is
-        // routed around rather than adopted.
-        {
-            let mut chord = ChordNet::converged_from(self.ring.read().members().cloned());
-            chord.fail(victim);
-            let max = 4 * chord.len() + 8;
-            if let Some(rounds) = chord
-                .stabilize_until_converged_probed(max, &mut |a, b| self.net.probe(a, b))
-            {
-                rt.tally.stabilize_rounds.fetch_add(rounds as u64, Ordering::Relaxed);
-            }
-        }
+        // stabilization around the hole the victim left.
+        let members: Vec<ServerInfo> = self.ring.read().members().cloned().collect();
+        self.restabilize(members, |chord| chord.fail(victim), &[rt]);
         // Re-replication from survivors + scheduler/ring rebuild.
         match self.recover_node(victim) {
             Ok(report) => {
@@ -116,7 +78,6 @@ impl LiveCluster {
                         self.router.rehome_from(victim, heir);
                     }
                 }
-                let _ = self.view.lock().apply(MembershipEvent::Fail(victim));
             }
             Err(e) => {
                 rt.tally
@@ -164,29 +125,56 @@ impl LiveCluster {
                 _ => return Err(FsError::DataLoss(copy.block)),
             }
         }
-        let new_ring = self.fs.read().ring().clone();
-        *self.ring.write() = new_ring.clone();
-        self.rebuild_placement(&new_ring);
+        self.publish_membership();
         // Cache entries on the failed node die with it.
         self.cache.invalidate_node(node);
         Ok(report)
     }
 
-    /// Re-derive every piece of placement state from a changed ring:
-    /// scheduler membership (counters survive — the scheduler is the
-    /// same, only the membership moved under it) and the distributed
-    /// cache's hash-key ranges. Shared by crash recovery, elastic join
-    /// and graceful leave.
-    fn rebuild_placement(&self, ring: &Ring) {
-        let mut sched = self.sched.lock();
-        match &mut *sched {
+    /// The one membership write, shared by crash recovery, elastic join
+    /// and graceful leave: publish the ring [`DhtFs`](eclipse_dhtfs::DhtFs)
+    /// now holds as the cluster's snapshot, bump the membership epoch,
+    /// and re-derive every piece of placement state from the new ring —
+    /// scheduler membership (counters survive: the scheduler is the same,
+    /// only the membership moved under it) and the distributed cache's
+    /// hash-key ranges. Returns the published ring.
+    fn publish_membership(&self) -> Ring {
+        let ring = self.fs.read().ring().clone();
+        *self.ring.write() = ring.clone();
+        self.epoch.fetch_add(1, Ordering::AcqRel);
+        match &mut *self.sched.lock() {
             LiveSched::Laf(laf) => {
-                laf.set_nodes(ring);
+                laf.set_nodes(&ring);
                 self.cache.set_ranges(laf.ranges().to_vec());
             }
             LiveSched::Delay(d) => {
-                d.set_nodes(ring);
+                d.set_nodes(&ring);
                 self.cache.set_ranges(d.ranges().to_vec());
+            }
+        }
+        ring
+    }
+
+    /// Mirror a membership change through protocol-level Chord
+    /// stabilization: build the converged net of `members`, apply
+    /// `change`, and re-converge. Every pointer a node would adopt is
+    /// first probed over the transport, so a dead endpoint (or a
+    /// partitioned peer) is routed around rather than adopted. The
+    /// rounds used land on every run in `tally`.
+    fn restabilize(
+        &self,
+        members: Vec<ServerInfo>,
+        change: impl FnOnce(&mut ChordNet),
+        tally: &[&Run],
+    ) {
+        let mut chord = ChordNet::converged_from(members);
+        change(&mut chord);
+        let max = 4 * chord.len() + 8;
+        if let Some(rounds) =
+            chord.stabilize_until_converged_probed(max, &mut |a, b| self.net.probe(a, b))
+        {
+            for r in tally {
+                r.tally.stabilize_rounds.fetch_add(rounds as u64, Ordering::Relaxed);
             }
         }
     }
@@ -236,7 +224,7 @@ impl LiveCluster {
             Arc::clone(&self.slow_serving),
         );
         let old_members: Vec<ServerInfo> = self.ring.read().members().cloned().collect();
-        let (info, plan, new_ring) = {
+        let (info, plan) = {
             let mut fs = self.fs.write();
             let mut info = ServerInfo::from_name(id, name);
             let mut salt = 0u32;
@@ -246,26 +234,13 @@ impl LiveCluster {
             }
             fs.join(info.clone()).expect("fresh node id");
             let plan = fs.join_plan(id).expect("joiner is a member");
-            (info, plan, fs.ring().clone())
+            (info, plan)
         };
-        *self.ring.write() = new_ring.clone();
+        self.publish_membership();
         // Protocol-level admission: the joiner learns its successor and
-        // the ring re-converges around it, every adopted pointer probed
-        // over the transport first.
-        {
-            let mut chord = ChordNet::converged_from(old_members.iter().cloned());
-            chord.join(info.clone(), old_members[0].id);
-            let max = 4 * chord.len() + 8;
-            if let Some(rounds) =
-                chord.stabilize_until_converged_probed(max, &mut |a, b| self.net.probe(a, b))
-            {
-                for r in &tally {
-                    r.tally.stabilize_rounds.fetch_add(rounds as u64, Ordering::Relaxed);
-                }
-            }
-        }
-        self.monitor.lock().heartbeat(id, self.clock.load(Ordering::Acquire) as f64);
-        self.rebuild_placement(&new_ring);
+        // the ring re-converges around it.
+        let via = old_members[0].id;
+        self.restabilize(old_members, |chord| chord.join(info, via), &tally);
         // Pull the replicas the joiner's range made it responsible for
         // from their current holders. A pull that cannot complete (a
         // partitioned holder, an injected drop burst) is benign: the
@@ -281,7 +256,6 @@ impl LiveCluster {
             }
         }
         self.handoff_stranded_cache();
-        let _ = self.view.lock().apply(MembershipEvent::Join(info));
         for r in &tally {
             r.tally.joins.fetch_add(1, Ordering::Relaxed);
             r.tally.recovery_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -371,29 +345,14 @@ impl LiveCluster {
                 None => return Err(FsError::DataLoss(copy.block)),
             }
         }
-        let new_ring = self.fs.read().ring().clone();
-        *self.ring.write() = new_ring.clone();
-        self.rebuild_placement(&new_ring);
+        let new_ring = self.publish_membership();
         // Cache range handoff: entries the shrunk range map left
         // stranded migrate to their new homes, then whatever remains on
         // the leaver dies with it.
         self.handoff_stranded_cache();
         self.cache.invalidate_node(leaver);
-        self.monitor.lock().forget(leaver);
-        // Protocol-level departure: the ring re-converges around the
-        // hole, pointers probed over the transport.
-        {
-            let mut chord = ChordNet::converged_from(old_members.iter().cloned());
-            chord.fail(leaver);
-            let max = 4 * chord.len() + 8;
-            if let Some(rounds) =
-                chord.stabilize_until_converged_probed(max, &mut |a, b| self.net.probe(a, b))
-            {
-                for r in &tally {
-                    r.tally.stabilize_rounds.fetch_add(rounds as u64, Ordering::Relaxed);
-                }
-            }
-        }
+        // Protocol-level departure: the ring re-converges around the hole.
+        self.restabilize(old_members, |chord| chord.fail(leaver), &tally);
         // Re-home the leaver's shuffle partitions at its successor so
         // post-leave fetches go to the current nearest holder.
         if let Some(key) = vkey {
@@ -404,7 +363,6 @@ impl LiveCluster {
         // Only now does the leaver actually go away.
         self.store.wipe_node(leaver);
         self.net.close_endpoint(leaver);
-        let _ = self.view.lock().apply(MembershipEvent::Leave(leaver));
         for r in &tally {
             r.tally.leaves.fetch_add(1, Ordering::Relaxed);
             r.tally.recovery_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -437,7 +395,6 @@ impl LiveCluster {
     /// second simultaneous failure already destroyed a source replica —
     /// callers decide whether that is fatal.
     pub fn fail_node(&self, node: NodeId) -> Result<RecoveryReport, FsError> {
-        self.monitor.lock().forget(node);
         // Poison the endpoint first: a peer blocked on an RPC to the
         // dying node is woken with a connection error now — never left
         // hanging, never answered from a half-wiped store.

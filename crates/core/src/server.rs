@@ -7,7 +7,7 @@
 //! [`JobServer`] supplies threads that persist instead: a small set of
 //! driver threads, each owning one admitted job end to end, and a pool
 //! of map workers that help whichever jobs are in flight. Both run the
-//! same [`Run`] / [`MapWorker`] code a one-shot job runs — a driver
+//! same `Run` / `MapWorker` code a one-shot job runs — a driver
 //! begins the run, posts it on the board, maps it inline to its
 //! barrier while pool workers attach and steal, then folds and retires
 //! it — so a server job has the same attempt ledger, windowed shuffle,

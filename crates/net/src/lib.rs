@@ -41,7 +41,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Node id used for driver/client-originated calls (upload, recovery
-/// orchestration, failure-detection pings). Never a ring member.
+/// orchestration, map progress reports). Never a ring member.
 pub const CLIENT: NodeId = NodeId(u32::MAX);
 
 /// A transport-level failure, after the backend's own retry budget.
@@ -312,7 +312,7 @@ pub trait Transport: Send + Sync {
 
     /// Poison a node's endpoints: every in-flight call *to* it is woken
     /// with [`NetError::ConnectionClosed`], and future calls fail fast.
-    /// Peers must never hang until heartbeat expiry on a dead endpoint.
+    /// Peers must never hang on a dead endpoint.
     fn close_endpoint(&self, node: NodeId);
 
     /// Cumulative counters.

@@ -257,7 +257,7 @@ impl MemTransport {
         }
         // A delay holds the frame in flight; endpoint closure while the
         // frame is in flight kills it (the fail-fast guarantee peers
-        // depend on instead of heartbeat expiry).
+        // depend on to never hang on a dead node).
         if let Some(delay) = st.delays.get(&(from.0, to.0)).copied() {
             let deadline = Instant::now() + delay;
             loop {

@@ -175,7 +175,7 @@ impl Router {
         let mut at = from;
         // Bound iterations defensively: Chord terminates in O(log n);
         // sparse partial tables may walk successor chains.
-        for _ in 0..(64 + 2 * ring.positions()) {
+        for _ in 0..(64 + 2 * ring.len()) {
             let table = self.table_of(at).ok_or(RingError::UnknownNode(at))?;
             match table.next_hop(key, ring)? {
                 None => return Ok(path),

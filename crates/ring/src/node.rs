@@ -3,8 +3,8 @@
 use eclipse_util::HashKey;
 use serde::{Deserialize, Serialize};
 
-/// Dense numeric identifier of a cluster server. These are assigned by the
-/// resource manager at join time and used as indices throughout the
+/// Dense numeric identifier of a cluster server. These are assigned at
+/// join time (the next free index) and used as indices throughout the
 /// workspace (slot tables, disk models, cache shards).
 #[derive(
     Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize,

@@ -54,9 +54,8 @@ impl std::error::Error for RingError {}
 pub struct Ring {
     /// Ring position -> server. BTreeMap keeps clockwise order.
     by_key: BTreeMap<HashKey, ServerInfo>,
-    /// Node id -> ring positions (primary first; extra entries are
-    /// virtual nodes), for O(log n) reverse lookups.
-    by_node: BTreeMap<NodeId, Vec<HashKey>>,
+    /// Node id -> ring position, for O(log n) reverse lookups.
+    by_node: BTreeMap<NodeId, HashKey>,
 }
 
 impl Ring {
@@ -101,52 +100,16 @@ impl Ring {
         ring
     }
 
-    /// Build a ring of `n` servers, each occupying `vnodes` positions
-    /// ("virtual nodes"). Virtual nodes even out the arc-length variance
-    /// of raw consistent hashing (max/mean arc ~ ln n for one position
-    /// per server), which is what gives the DHT file system its even
-    /// block distribution.
-    pub fn with_servers_vnodes(n: usize, prefix: &str, vnodes: usize) -> Ring {
-        assert!(vnodes >= 1);
-        let mut ring = Ring::new();
-        for i in 0..n {
-            ring.insert(ServerInfo::from_name(NodeId(i as u32), format!("{prefix}-{i}")))
-                .expect("fresh node id");
-            for v in 1..vnodes {
-                let mut salt = 0u32;
-                loop {
-                    let name = if salt == 0 {
-                        format!("{prefix}-{i}#v{v}")
-                    } else {
-                        format!("{prefix}-{i}#v{v}+{salt}")
-                    };
-                    let info = ServerInfo::from_name(NodeId(i as u32), name);
-                    match ring.insert_vnode(info) {
-                        Ok(()) => break,
-                        Err(_) => salt += 1,
-                    }
-                }
-            }
-        }
-        ring
-    }
-
-    /// Number of ring positions (vnode entries), not physical servers.
+    /// Number of servers.
     pub fn len(&self) -> usize {
         self.by_node.len()
-    }
-
-    /// Number of ring positions including virtual nodes.
-    pub fn positions(&self) -> usize {
-        self.by_key.len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.by_key.is_empty()
     }
 
-    /// Add a server at its primary position. Fails on duplicate node id
-    /// or ring position.
+    /// Add a server. Fails on duplicate node id or ring position.
     pub fn insert(&mut self, info: ServerInfo) -> Result<(), RingError> {
         if self.by_node.contains_key(&info.id) {
             return Err(RingError::DuplicateNode(info.id));
@@ -154,66 +117,34 @@ impl Ring {
         if self.by_key.contains_key(&info.key) {
             return Err(RingError::DuplicateKey(info.key));
         }
-        self.by_node.insert(info.id, vec![info.key]);
+        self.by_node.insert(info.id, info.key);
         self.by_key.insert(info.key, info);
         Ok(())
     }
 
-    /// Add an extra (virtual) position for an existing member.
-    pub fn insert_vnode(&mut self, info: ServerInfo) -> Result<(), RingError> {
-        let positions = self.by_node.get_mut(&info.id).ok_or(RingError::UnknownNode(info.id))?;
-        if self.by_key.contains_key(&info.key) {
-            return Err(RingError::DuplicateKey(info.key));
-        }
-        positions.push(info.key);
-        self.by_key.insert(info.key, info);
-        Ok(())
-    }
-
-    /// Remove a server and all of its virtual positions (leave or
-    /// failure). Returns the primary-position info.
+    /// Remove a server (leave or failure). Returns its info.
     pub fn remove(&mut self, id: NodeId) -> Result<ServerInfo, RingError> {
-        let keys = self.by_node.remove(&id).ok_or(RingError::UnknownNode(id))?;
-        let mut primary = None;
-        for (i, key) in keys.into_iter().enumerate() {
-            let info = self.by_key.remove(&key).expect("maps kept in sync");
-            if i == 0 {
-                primary = Some(info);
-            }
-        }
-        Ok(primary.expect("at least the primary position"))
+        let key = self.by_node.remove(&id).ok_or(RingError::UnknownNode(id))?;
+        Ok(self.by_key.remove(&key).expect("maps kept in sync"))
     }
 
-    /// Primary ring position of a member.
+    /// Ring position of a member.
     pub fn key_of(&self, id: NodeId) -> Result<HashKey, RingError> {
-        self.by_node.get(&id).map(|v| v[0]).ok_or(RingError::UnknownNode(id))
-    }
-
-    /// All ring positions (primary + virtual) of a member.
-    pub fn keys_of(&self, id: NodeId) -> Result<&[HashKey], RingError> {
-        self.by_node.get(&id).map(|v| v.as_slice()).ok_or(RingError::UnknownNode(id))
+        self.by_node.get(&id).copied().ok_or(RingError::UnknownNode(id))
     }
 
     pub fn contains(&self, id: NodeId) -> bool {
         self.by_node.contains_key(&id)
     }
 
-    /// Ring positions in clockwise (ascending key) order. With virtual
-    /// nodes a physical server appears once per position.
+    /// Servers in clockwise (ascending key) order.
     pub fn members(&self) -> impl Iterator<Item = &ServerInfo> {
         self.by_key.values()
     }
 
-    /// Distinct physical node ids, ordered by first (clockwise)
-    /// appearance on the ring.
+    /// Node ids in clockwise (ascending key) order.
     pub fn node_ids(&self) -> Vec<NodeId> {
-        let mut seen = Vec::new();
-        for s in self.by_key.values() {
-            if !seen.contains(&s.id) {
-                seen.push(s.id);
-            }
-        }
-        seen
+        self.by_key.values().map(|s| s.id).collect()
     }
 
     /// The server owning `key`: greatest ring position `<= key`, wrapping
@@ -232,47 +163,37 @@ impl Ring {
         Ok(found)
     }
 
-    /// Clockwise successor *node* of the member `id` from its primary
-    /// position, skipping the member's own virtual positions (wraps; the
-    /// single member of a 1-ring is its own successor).
-    pub fn successor(&self, id: NodeId) -> Result<&ServerInfo, RingError> {
+    /// The server at the first position clockwise after `key` (wraps).
+    fn next_after(&self, key: HashKey) -> &ServerInfo {
         use std::ops::Bound::{Excluded, Unbounded};
-        let mut key = self.key_of(id)?;
-        for _ in 0..self.by_key.len() {
-            let next = self
-                .by_key
-                .range((Excluded(key), Unbounded))
-                .next()
-                .or_else(|| self.by_key.iter().next())
-                .map(|(_, v)| v)
-                .expect("member exists");
-            if next.id != id {
-                return Ok(next);
-            }
-            key = next.key;
-        }
-        // Every position belongs to `id`: it is its own successor.
-        Ok(self.by_key.values().next().expect("member exists"))
+        self.by_key
+            .range((Excluded(key), Unbounded))
+            .next()
+            .or_else(|| self.by_key.iter().next())
+            .map(|(_, v)| v)
+            .expect("non-empty ring")
     }
 
-    /// Counter-clockwise predecessor *node* of the member `id` from its
-    /// primary position, skipping its own virtual positions (wraps).
+    /// The server at the first position counter-clockwise before `key`
+    /// (wraps).
+    fn prev_before(&self, key: HashKey) -> &ServerInfo {
+        self.by_key
+            .range(..key)
+            .next_back()
+            .or_else(|| self.by_key.iter().next_back())
+            .map(|(_, v)| v)
+            .expect("non-empty ring")
+    }
+
+    /// Clockwise successor of the member `id` (wraps; the single member
+    /// of a 1-ring is its own successor).
+    pub fn successor(&self, id: NodeId) -> Result<&ServerInfo, RingError> {
+        Ok(self.next_after(self.key_of(id)?))
+    }
+
+    /// Counter-clockwise predecessor of the member `id` (wraps).
     pub fn predecessor(&self, id: NodeId) -> Result<&ServerInfo, RingError> {
-        let mut key = self.key_of(id)?;
-        for _ in 0..self.by_key.len() {
-            let prev = self
-                .by_key
-                .range(..key)
-                .next_back()
-                .or_else(|| self.by_key.iter().next_back())
-                .map(|(_, v)| v)
-                .expect("member exists");
-            if prev.id != id {
-                return Ok(prev);
-            }
-            key = prev.key;
-        }
-        Ok(self.by_key.values().next_back().expect("member exists"))
+        Ok(self.prev_before(self.key_of(id)?))
     }
 
     /// The arc owned by member `id`: `[own_key, successor_key)`, or the
@@ -288,7 +209,6 @@ impl Ring {
     }
 
     /// All ownership arcs in clockwise position order; tiles the ring.
-    /// With virtual nodes a physical server owns several arcs.
     pub fn ranges(&self) -> Vec<(NodeId, KeyRange)> {
         let positions: Vec<(&HashKey, NodeId)> =
             self.by_key.iter().map(|(k, s)| (k, s.id)).collect();
@@ -315,43 +235,21 @@ impl Ring {
     /// {owner, successor, predecessor}. Returns fewer entries when the
     /// ring is smaller than the requested set.
     pub fn replica_set(&self, key: HashKey, replicas: usize) -> Result<Vec<NodeId>, RingError> {
-        use std::ops::Bound::{Excluded, Unbounded};
-        let owner_info = self.owner_of(key)?;
-        let owner = owner_info.id;
-        let owner_pos = owner_info.key;
-        let distinct = self.len();
-        let mut out = vec![owner];
-        // Walk positions clockwise (successor side) and counter-clockwise
-        // (predecessor side) alternately, collecting distinct physical
-        // nodes — with one position per server this is exactly
-        // {owner, successor, predecessor, ...}.
-        let mut succ_pos = owner_pos;
-        let mut pred_pos = owner_pos;
-        while out.len() < replicas + 1 && out.len() < distinct {
-            succ_pos = self
-                .by_key
-                .range((Excluded(succ_pos), Unbounded))
-                .next()
-                .or_else(|| self.by_key.iter().next())
-                .map(|(k, _)| *k)
-                .expect("non-empty");
-            let id = self.by_key[&succ_pos].id;
-            if !out.contains(&id) {
-                out.push(id);
-            }
-            if out.len() > replicas || out.len() >= distinct {
-                break;
-            }
-            pred_pos = self
-                .by_key
-                .range(..pred_pos)
-                .next_back()
-                .or_else(|| self.by_key.iter().next_back())
-                .map(|(k, _)| *k)
-                .expect("non-empty");
-            let id = self.by_key[&pred_pos].id;
-            if !out.contains(&id) {
-                out.push(id);
+        let owner = self.owner_of(key)?;
+        let want = (replicas + 1).min(self.len());
+        let mut out = vec![owner.id];
+        // Alternate one step clockwise, one counter-clockwise. The two
+        // walks cannot meet before `want <= len` servers are collected,
+        // so every entry is distinct.
+        let (mut succ, mut pred) = (owner.key, owner.key);
+        while out.len() < want {
+            let next = self.next_after(succ);
+            succ = next.key;
+            out.push(next.id);
+            if out.len() < want {
+                let prev = self.prev_before(pred);
+                pred = prev.key;
+                out.push(prev.id);
             }
         }
         Ok(out)
@@ -468,6 +366,14 @@ mod tests {
         r.insert(ServerInfo::at_key(NodeId(1), "b", HashKey(20))).unwrap();
         let set = r.replica_set(HashKey(12), 4).unwrap();
         assert_eq!(set.len(), 2);
+        // Asking for more replicas than servers yields every server once.
+        let r = paper_ring();
+        for k in [0u64, 11, 38, 56, 60] {
+            let mut set = r.replica_set(HashKey(k), 9).unwrap();
+            set.sort();
+            set.dedup();
+            assert_eq!(set.len(), 6, "key {k}");
+        }
     }
 
     #[test]
@@ -492,89 +398,5 @@ mod tests {
         assert_eq!(r.len(), 40);
         let ids = r.node_ids();
         assert_eq!(ids.len(), 40);
-    }
-}
-
-/// Default virtual nodes per server for data-placement rings. 32 brings
-/// the max/mean arc ratio from ~ln(n) down to ~1.2 on paper-scale
-/// clusters.
-pub const DEFAULT_VNODES: usize = 32;
-
-#[cfg(test)]
-mod vnode_tests {
-    use super::*;
-    use eclipse_util::HashKey;
-
-    #[test]
-    fn vnodes_balance_arc_lengths() {
-        let plain = Ring::with_servers(40, "s");
-        let vnoded = Ring::with_servers_vnodes(40, "s", 32);
-        let arc_imbalance = |r: &Ring| {
-            let mut per_node = std::collections::BTreeMap::new();
-            for (id, arc) in r.ranges() {
-                *per_node.entry(id).or_insert(0.0) += arc.fraction();
-            }
-            let fracs: Vec<f64> = per_node.values().copied().collect();
-            let max = fracs.iter().cloned().fold(0.0, f64::max);
-            max / (1.0 / fracs.len() as f64)
-        };
-        let plain_imb = arc_imbalance(&plain);
-        let vnode_imb = arc_imbalance(&vnoded);
-        assert!(vnode_imb < plain_imb, "vnodes {vnode_imb} plain {plain_imb}");
-        assert!(vnode_imb < 1.8, "vnode imbalance too high: {vnode_imb}");
-    }
-
-    #[test]
-    fn vnode_ring_counts() {
-        let r = Ring::with_servers_vnodes(10, "s", 8);
-        assert_eq!(r.len(), 10, "physical servers");
-        assert_eq!(r.positions(), 80, "ring positions");
-        assert_eq!(r.node_ids().len(), 10);
-        assert_eq!(r.keys_of(NodeId(3)).unwrap().len(), 8);
-    }
-
-    #[test]
-    fn vnode_ranges_tile() {
-        let r = Ring::with_servers_vnodes(7, "s", 16);
-        let total: u128 = r.ranges().iter().map(|(_, kr)| kr.len()).sum();
-        assert_eq!(total, 1u128 << 64);
-        for probe in 0..100u64 {
-            let k = HashKey::of_name(&format!("p{probe}"));
-            let owners = r.ranges().iter().filter(|(_, kr)| kr.contains(k)).count();
-            assert_eq!(owners, 1);
-        }
-    }
-
-    #[test]
-    fn vnode_replica_sets_distinct_physical() {
-        let r = Ring::with_servers_vnodes(6, "s", 16);
-        for probe in 0..50u64 {
-            let k = HashKey::of_name(&format!("b{probe}"));
-            let set = r.replica_set(k, 2).unwrap();
-            assert_eq!(set.len(), 3);
-            let mut uniq = set.clone();
-            uniq.sort();
-            uniq.dedup();
-            assert_eq!(uniq.len(), 3, "replicas on distinct physical nodes");
-            assert_eq!(set[0], r.owner_of(k).unwrap().id);
-        }
-    }
-
-    #[test]
-    fn vnode_remove_clears_all_positions() {
-        let mut r = Ring::with_servers_vnodes(5, "s", 8);
-        r.remove(NodeId(2)).unwrap();
-        assert_eq!(r.len(), 4);
-        assert_eq!(r.positions(), 32);
-        assert!(r.ranges().iter().all(|(id, _)| *id != NodeId(2)));
-    }
-
-    #[test]
-    fn vnode_successor_is_distinct_node() {
-        let r = Ring::with_servers_vnodes(5, "s", 32);
-        for id in r.node_ids() {
-            assert_ne!(r.successor(id).unwrap().id, id);
-            assert_ne!(r.predecessor(id).unwrap().id, id);
-        }
     }
 }

@@ -8,7 +8,7 @@
 //! [Stoica et al., SIGCOMM'01] with successor lists for fault tolerance:
 //!
 //! * `join` — the newcomer asks any member to locate its successor;
-//! * `stabilize_round` — every node asks its successor for that node's
+//! * `stabilize_round_probed` — every node asks its successor for that node's
 //!   predecessor and adopts it if closer, then notifies the successor;
 //! * failures leave **stale pointers** that subsequent rounds repair via
 //!   the successor list.
@@ -54,7 +54,7 @@ impl ChordNet {
     /// state a healthy cluster reaches after stabilization. The live
     /// executor uses this to mirror its ring at the instant a crash is
     /// detected, then drives [`fail`](Self::fail) +
-    /// [`stabilize_until_converged`](Self::stabilize_until_converged) to
+    /// [`stabilize_until_converged_probed`](Self::stabilize_until_converged_probed) to
     /// model the §II-A pointer repair before re-replication starts.
     pub fn converged_from<I>(members: I) -> ChordNet
     where
@@ -160,17 +160,13 @@ impl ChordNet {
     /// One stabilization round: every node (in id order, deterministic)
     /// drops dead successors, adopts its successor's predecessor if that
     /// node sits between them, notifies the successor, and refreshes its
-    /// successor list.
-    pub fn stabilize_round(&mut self) {
-        self.stabilize_round_probed(&mut |_, _| true);
-    }
-
-    /// [`stabilize_round`](Self::stabilize_round), but every pointer a
-    /// node would follow is first checked with `probe(from, to)` — the
-    /// live executor passes the transport's reachability probe here, so
-    /// a peer behind a closed endpoint or partition is treated exactly
-    /// like a dead one for the round. Probes are directional: a one-way
-    /// partition makes a node unreachable only for the nodes it cut.
+    /// successor list. Every pointer a node would follow is first checked
+    /// with `probe(from, to)` — the live executor passes the transport's
+    /// reachability probe here, so a peer behind a closed endpoint or
+    /// partition is treated exactly like a dead one for the round; pass
+    /// `&mut |_, _| true` for a fault-free network. Probes are
+    /// directional: a one-way partition makes a node unreachable only for
+    /// the nodes it cut.
     pub fn stabilize_round_probed(&mut self, probe: &mut dyn FnMut(NodeId, NodeId) -> bool) {
         let ids: Vec<NodeId> = self.nodes.keys().copied().collect();
         for id in ids {
@@ -263,14 +259,8 @@ impl ChordNet {
     }
 
     /// Stabilize until convergence (or the round budget runs out);
-    /// returns the rounds used.
-    pub fn stabilize_until_converged(&mut self, max_rounds: usize) -> Option<usize> {
-        self.stabilize_until_converged_probed(max_rounds, &mut |_, _| true)
-    }
-
-    /// [`stabilize_until_converged`](Self::stabilize_until_converged)
-    /// with a reachability probe (see
-    /// [`stabilize_round_probed`](Self::stabilize_round_probed)).
+    /// returns the rounds used. `probe` as in
+    /// [`stabilize_round_probed`](Self::stabilize_round_probed).
     pub fn stabilize_until_converged_probed(
         &mut self,
         max_rounds: usize,
@@ -299,7 +289,7 @@ mod tests {
         let mut net = ChordNet::bootstrap(info(0, 0));
         for i in 1..10u32 {
             net.join(info(i, (i as u64) << 60), NodeId(0));
-            let rounds = net.stabilize_until_converged(50).expect("must converge");
+            let rounds = net.stabilize_until_converged_probed(50, &mut |_, _| true).expect("must converge");
             assert!(rounds <= 20, "join {i} took {rounds} rounds");
         }
         assert_eq!(net.len(), 10);
@@ -312,7 +302,7 @@ mod tests {
         for i in 1..12u32 {
             net.join(info(i, (i as u64).wrapping_mul(0x9E3779B97F4A7C15)), NodeId(0));
         }
-        assert!(net.stabilize_until_converged(100).is_some(), "mass join diverged");
+        assert!(net.stabilize_until_converged_probed(100, &mut |_, _| true).is_some(), "mass join diverged");
     }
 
     #[test]
@@ -321,12 +311,12 @@ mod tests {
         for i in 1..10u32 {
             net.join(info(i, (i as u64) << 60), NodeId(0));
         }
-        net.stabilize_until_converged(100).unwrap();
+        net.stabilize_until_converged_probed(100, &mut |_, _| true).unwrap();
         // Kill two non-adjacent nodes silently.
         net.fail(NodeId(3));
         net.fail(NodeId(7));
         assert!(!net.converged(), "stale pointers expected right after failures");
-        let rounds = net.stabilize_until_converged(100).expect("failure healing");
+        let rounds = net.stabilize_until_converged_probed(100, &mut |_, _| true).expect("failure healing");
         assert!(rounds > 0);
         assert_eq!(net.len(), 8);
     }
@@ -337,12 +327,12 @@ mod tests {
         for i in 1..8u32 {
             net.join(info(i, (i as u64) << 61), NodeId(0));
         }
-        net.stabilize_until_converged(100).unwrap();
+        net.stabilize_until_converged_probed(100, &mut |_, _| true).unwrap();
         // Two ring-adjacent nodes die at once — the successor list is
         // exactly what survives this.
         net.fail(NodeId(4));
         net.fail(NodeId(5));
-        assert!(net.stabilize_until_converged(100).is_some(), "adjacent failures");
+        assert!(net.stabilize_until_converged_probed(100, &mut |_, _| true).is_some(), "adjacent failures");
     }
 
     #[test]
@@ -362,9 +352,9 @@ mod tests {
                     net.fail(victim);
                 }
             }
-            net.stabilize_round();
+            net.stabilize_round_probed(&mut |_, _| true);
         }
-        assert!(net.stabilize_until_converged(200).is_some(), "churn storm diverged");
+        assert!(net.stabilize_until_converged_probed(200, &mut |_, _| true).is_some(), "churn storm diverged");
     }
 
     #[test]
@@ -373,11 +363,11 @@ mod tests {
             (0..9u32).map(|i| info(i, (i as u64).wrapping_mul(0x9E3779B97F4A7C15))).collect();
         let mut net = ChordNet::converged_from(members);
         assert!(net.converged(), "constructor must produce a converged net");
-        assert_eq!(net.stabilize_until_converged(10), Some(0), "no repair needed");
+        assert_eq!(net.stabilize_until_converged_probed(10, &mut |_, _| true), Some(0), "no repair needed");
         // A failure leaves stale pointers that the successor lists heal.
         net.fail(NodeId(4));
         assert!(!net.converged());
-        let rounds = net.stabilize_until_converged(100).expect("heals");
+        let rounds = net.stabilize_until_converged_probed(100, &mut |_, _| true).expect("heals");
         assert!(rounds >= 1);
         assert_eq!(net.len(), 8);
     }
@@ -395,7 +385,7 @@ mod tests {
         for i in 1..8u32 {
             net.join(info(i, (i as u64) << 61), NodeId(0));
         }
-        net.stabilize_until_converged(100).unwrap();
+        net.stabilize_until_converged_probed(100, &mut |_, _| true).unwrap();
         // The owner of key k (successor semantics) found via pointer
         // walks must match the sorted-ring computation.
         let mut by_key: Vec<(HashKey, NodeId)> =

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, clippy, the full test suite, the frozen
+# Tier-1 gate: release build, clippy, rustdoc, the full test suite, the frozen
 # benchmark/ package's build and tests, the chaos, transport and epoch
 # suites under --release, and a bounded DST smoke sweep. It measures
 # nothing: live performance is the benchmark's job (benchmark/README.md)
@@ -16,6 +16,11 @@ cargo build --workspace --release
 # deny clippy::too_many_lines, so an over-long function fails here.
 echo "== tier1: cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
+
+# Public items come and go; a dangling or private intra-doc link fails
+# here instead of rotting silently.
+echo "== tier1: rustdoc, warnings denied"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
 echo "== tier1: cargo test -q --workspace"
 cargo test -q --workspace

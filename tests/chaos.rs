@@ -158,7 +158,7 @@ fn double_failure_returns_recovery_error() {
 }
 
 /// An injected straggler slows the job down but never changes output or
-/// trips failure detection.
+/// fails a node.
 #[test]
 fn slow_node_changes_nothing_but_time() {
     let expect = baseline("laf");
@@ -455,7 +455,7 @@ fn rpc_timeout_during_rereplication_is_absorbed() {
 /// Regression (PR 3 tentpole fix): `fail_node` must poison the victim's
 /// transport endpoint so peers blocked on in-flight RPCs get a
 /// connection error immediately — before this fix they waited out the
-/// full delivery delay (or forever, over TCP, until heartbeat expiry).
+/// full delivery delay (or, over TCP, indefinitely).
 #[test]
 fn fail_node_poisons_in_flight_rpcs() {
     let c = LiveCluster::new(LiveConfig::small().with_nodes(4).with_block_size(512));

@@ -212,6 +212,7 @@ proptest! {
         join_at in 1u64..6,
         leaver_ix in 0usize..8,
         leave_at in 1u64..6,
+        crash_ix in 0usize..8,
     ) {
         use eclipse_util::HashKey;
         let data = words.join(" ") + "\n";
@@ -223,6 +224,7 @@ proptest! {
         // Clamp both triggers into the job's actual map count so they
         // always fire (tiny random inputs may have few blocks).
         let maps = base.map_tasks.max(1);
+        let e0 = c.epoch();
         c.inject_faults(
             FaultPlan::new()
                 .join_at_maps(1 + (join_at - 1) % maps)
@@ -237,6 +239,7 @@ proptest! {
         prop_assert_eq!(stats.failed_nodes, 0, "elastic events are not crashes");
         prop_assert_eq!(c.ring().len(), n0, "one in, one out");
         prop_assert!(!c.ring().contains(leaver));
+        prop_assert_eq!(c.epoch(), e0 + 2, "the join and the leave each bump the epoch");
         prop_assert_eq!(
             stats.attempts,
             stats.map_tasks + stats.retries + stats.speculative_attempts,
@@ -267,6 +270,13 @@ proptest! {
             let homes = ranges.iter().filter(|(_, r)| r.contains(k)).count();
             prop_assert_eq!(homes, 1, "probe key {} has {} homes", i, homes);
         }
+        // A crash between jobs on the reshaped ring is one more epoch,
+        // and the follow-up job still reads every byte.
+        let victim = ring.node_ids()[crash_ix % ring.len()];
+        c.crash_node(victim).expect("the replica floor survives one crash");
+        prop_assert_eq!(c.epoch(), e0 + 3, "a between-jobs crash bumps the epoch");
+        let (again, _) = c.run_job(&WordCount, "in", "p", 2, ReusePolicy::default());
+        prop_assert_eq!(again, before, "follow-up job after the crash diverged");
     }
 
     /// A multi-input job over the same file twice doubles every count —
