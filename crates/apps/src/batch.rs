@@ -7,19 +7,39 @@
 //! over real blocks.
 
 use eclipse_core::MapReduce;
+use std::borrow::Cow;
+use std::fmt::Write;
 
 /// Classic word count: `word -> occurrence count`.
 pub struct WordCount;
 
+impl WordCount {
+    /// A partial count; unparsable values count as one occurrence.
+    fn count(v: &str) -> u64 {
+        v.parse::<u64>().unwrap_or(1)
+    }
+}
+
 impl MapReduce for WordCount {
     fn map(&self, block: &[u8], emit: &mut dyn FnMut(String, String)) {
+        self.map_into(0, block, &mut |k, v| emit(k.into_owned(), v.into_owned()));
+    }
+
+    /// Words borrowed from the block (decoded once, lossily) and a
+    /// static `"1"`: no allocation per occurrence.
+    fn map_into(
+        &self,
+        _source: usize,
+        block: &[u8],
+        emit: &mut dyn FnMut(Cow<'_, str>, Cow<'_, str>),
+    ) {
         for w in String::from_utf8_lossy(block).split_whitespace() {
-            emit(w.to_string(), "1".to_string());
+            emit(Cow::Borrowed(w), Cow::Borrowed("1"));
         }
     }
 
     fn reduce(&self, key: &str, values: &[String], emit: &mut dyn FnMut(String, String)) {
-        let total: u64 = values.iter().map(|v| v.parse::<u64>().unwrap_or(1)).sum();
+        let total: u64 = values.iter().map(|v| WordCount::count(v)).sum();
         emit(key.to_string(), total.to_string());
     }
 
@@ -32,6 +52,13 @@ impl MapReduce for WordCount {
 
     fn has_combiner(&self) -> bool {
         true
+    }
+
+    /// Sum in place, by [`reduce`](MapReduce::reduce)'s parsing rule.
+    fn combine_into(&self, _key: &str, acc: &mut String, value: &str) {
+        let total = WordCount::count(acc) + WordCount::count(value);
+        acc.clear();
+        write!(acc, "{total}").expect("writing to a String cannot fail");
     }
 }
 
@@ -180,6 +207,58 @@ doc3\tapple cherry banana
         assert!(get("x") >= 1480 && get("x") <= 1500, "x={}", get("x"));
         assert!(get("y") >= 980 && get("y") <= 1000);
         assert!(get("z") >= 480 && get("z") <= 500);
+    }
+
+    /// `map_into`'s borrowed pairs, made owned, are exactly what `map`
+    /// emits — same words, same order — on the inputs where decoding and
+    /// splitting have edges.
+    #[test]
+    fn word_count_map_into_matches_map_on_edge_inputs() {
+        let blocks: [&[u8]; 8] = [
+            b"",
+            b"no trailing newline",
+            b"crlf\r\nline two\r\n",
+            b"bad \xff\xfe utf8 a\xc3",
+            "nbsp\u{a0}joined ideographic\u{3000}space".as_bytes(),
+            b"  \t lead and trail \n\n",
+            b"\xe2\x82",
+            b"one",
+        ];
+        for block in blocks {
+            let mut via_map = Vec::new();
+            WordCount.map(block, &mut |k, v| via_map.push((k, v)));
+            let mut via_into = Vec::new();
+            WordCount
+                .map_into(3, block, &mut |k, v| via_into.push((k.into_owned(), v.into_owned())));
+            assert_eq!(via_into, via_map, "block {block:?}");
+            assert!(via_map.iter().all(|(_, v)| v == "1"));
+        }
+        let mut nbsp = Vec::new();
+        WordCount.map("a\u{a0}b\u{3000}c".as_bytes(), &mut |k, _| nbsp.push(k));
+        assert_eq!(nbsp, ["a", "b", "c"], "Unicode whitespace splits words");
+    }
+
+    /// The in-place fold leaves the accumulator holding what `combine`
+    /// emits for the same pair, parsing rule included.
+    #[test]
+    fn word_count_combine_into_matches_combine() {
+        let pairs = [
+            ("1", "1"),
+            ("41", "1"),
+            ("1", "999"),
+            ("123456789", "987654321"),
+            ("x", "1"),
+            ("1", ""),
+            ("-3", "07"),
+            ("", ""),
+        ];
+        for (a, b) in pairs {
+            let mut want = Vec::new();
+            WordCount.combine("w", &[a.to_string(), b.to_string()], &mut |k, v| want.push((k, v)));
+            let mut acc = a.to_string();
+            WordCount.combine_into("w", &mut acc, b);
+            assert_eq!(want, [("w".to_string(), acc)], "pair ({a:?}, {b:?})");
+        }
     }
 
     #[test]

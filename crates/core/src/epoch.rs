@@ -12,21 +12,24 @@
 //!
 //! State shape: per partition, a key-sorted run of entries — a key,
 //! its values, and the output records `reduce` made of them. For an
-//! app with a combiner ([`MapReduce::has_combiner`]) every fold
-//! collapses a key's values through `combine`, so each key holds one
-//! folded value and the state is O(keys), not O(records ever seen) —
-//! the in-node combiner of Lee et al., held across epochs instead of
-//! across map tasks. Other apps keep each key's value multiset.
+//! app with a combiner ([`MapReduce::has_combiner`]) every fold folds
+//! a key's new values into its one state value through
+//! [`MapReduce::combine_into`], the primitive the map side combines
+//! with. Each key holds one folded value and the state is O(keys), not
+//! O(records ever seen) — the in-node combiner of Lee et al., held
+//! across epochs instead of across map tasks. Other apps keep each
+//! key's value multiset.
 //!
 //! Cost per commit: the delta wave (map and shuffle of the delta's
 //! blocks only), then per partition a sort of the delta's distinct
-//! keys, one `combine` + `reduce` per distinct delta key, and a merge
-//! of keys new to the stream into the run. Untouched keys are never
-//! re-sorted or re-reduced. Publishing is the O(keys) part: the
-//! snapshot is assembled from the per-key outputs, whose records are
-//! `Arc`-shared between the state, the retention window and readers
-//! (a pointer copy per record, never a string clone), and every
-//! partition is re-encoded into its pinned oCache copy.
+//! keys, one `combine_into` per delta value and one `reduce` per
+//! distinct delta key, and a merge of keys new to the stream into the
+//! run. Untouched keys are never re-sorted or re-reduced. Publishing is
+//! the O(keys) part: the snapshot is assembled from the per-key
+//! outputs, whose records are `Arc`-shared between the state, the
+//! retention window and readers (a pointer copy per record, never a
+//! string clone), and every partition is re-encoded into its pinned
+//! oCache copy.
 //!
 //! Consistency contract (read-your-epoch): [`EpochDriver::commit_epoch`]
 //! returns only after the epoch's snapshot is published, and
@@ -42,7 +45,7 @@
 //! partition hits the fold itself. The driver announces that edge via
 //! [`DstEvent::EpochBarrier`] so the DST harness can aim faults at
 //! exactly that point. The touched keys' new entries are computed
-//! beside the state, with `combine`/`reduce` under `catch_unwind`, and
+//! beside the state, with `combine_into`/`reduce` under `catch_unwind`, and
 //! swapped in only once every partition folded: a failed epoch
 //! surfaces as a typed [`JobError`] (a panicking app as
 //! [`JobError::ReduceFailed`]) and leaves the stream readable at, and
@@ -146,7 +149,7 @@ pub struct EpochReport {
 /// One key of a partition's materialized state.
 struct KeyState {
     key: String,
-    /// With a combiner, what `combine` folded every value so far into
+    /// With a combiner, what `combine_into` folded every value so far into
     /// (one partial count for a counting app); otherwise every value
     /// every committed epoch shuffled for the key.
     values: Vec<String>,
@@ -421,15 +424,13 @@ impl EpochDriver {
 
 /// Fold one partition's grouped delta against its state `run`: for
 /// each distinct delta key, in key order, the key's values so far plus
-/// the delta's — collapsed through `combine` for a combiner app — and
+/// the delta's — folded through `combine_into` for a combiner app — and
 /// what `reduce` makes of them. Reads `run` without changing it, so a
 /// panicking app leaves the state as it was.
 fn fold_partition(app: &dyn MapReduce, run: &[KeyState], delta: Grouped) -> Fold {
     let mut delta: Vec<(String, Vec<String>)> = delta.into_iter().collect();
     delta.sort_unstable_by(|a, b| a.0.cmp(&b.0));
     let combiner = app.has_combiner();
-    // `combine`'s input, reused across keys.
-    let mut scratch: Vec<String> = Vec::new();
     let mut from = 0;
     delta
         .into_iter()
@@ -438,12 +439,17 @@ fn fold_partition(app: &dyn MapReduce, run: &[KeyState], delta: Grouped) -> Fold
             let at = run.get(from).filter(|s| s.key == key).map(|_| from);
             let old = at.map_or(&[][..], |i| run[i].values.as_slice());
             let values = if combiner {
-                scratch.clear();
-                scratch.extend(old.iter().cloned());
-                scratch.extend(fresh);
-                let mut folded = Vec::with_capacity(1);
-                app.combine(&key, &scratch, &mut |_, v| folded.push(v));
-                folded
+                // The key's one state value (or its first delta value)
+                // is the accumulator every other value folds into.
+                let mut fresh = fresh.into_iter();
+                let mut acc = match old.first() {
+                    Some(v) => v.clone(),
+                    None => fresh.next().expect("a grouped key holds a value"),
+                };
+                for v in fresh {
+                    app.combine_into(&key, &mut acc, &v);
+                }
+                vec![acc]
             } else {
                 let mut all = Vec::with_capacity(old.len() + fresh.len());
                 all.extend(old.iter().cloned());

@@ -68,12 +68,15 @@
 //!   nodes' tails via atomic cursors. Cache and locality accounting
 //!   always uses the *assigned* node, so stealing changes wall-clock,
 //!   never stats or cache placement.
-//! - **Allocation-light shuffle.** One [`SpillBuffer`](crate::SpillBuffer)
-//!   per worker serves all its blocks; spills are combined by sorting the
-//!   run in place (no per-spill `BTreeMap`), and only when the
-//!   application actually overrides [`MapReduce::combine`] (see
-//!   [`MapReduce::has_combiner`]). Reducers ingest into a `HashMap` and
-//!   sort once at fold time.
+//! - **Allocation-free map-side combining.** One
+//!   [`SpillBuffer`](crate::SpillBuffer) per worker serves all its
+//!   blocks and decides every spill by emitted bytes. A combiner app
+//!   ([`MapReduce::has_combiner`]) keeps one key → partial-aggregate
+//!   table per partition instead of a record list: each borrowed pair
+//!   from [`MapReduce::map_into`] is folded in place through
+//!   [`MapReduce::combine_into`], and a key is allocated only the first
+//!   time a spill sees it. Other apps buffer owned records untouched.
+//!   Reducers ingest into a `HashMap` and sort once at fold time.
 //!
 //! # Mid-job fault tolerance (see DESIGN.md, "Mid-job recovery")
 //!
@@ -117,6 +120,7 @@ use eclipse_ring::{NodeId, Ring};
 use eclipse_sched::{DelayScheduler, LafScheduler};
 use eclipse_util::KeyRange;
 use parking_lot::{Mutex, RwLock};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -160,15 +164,47 @@ const SLOW_SEND_DIV: u64 = 4;
 const RETRY_BACKOFF_BASE_MICROS: u64 = 100;
 
 /// A MapReduce application for the live executor.
+///
+/// # Which methods to implement
+///
+/// An application needs only [`map`](Self::map) and
+/// [`reduce`](Self::reduce). The executor itself calls two lower-level
+/// methods whose defaults adapt the owned-`String` surface:
+///
+/// - [`map_into`](Self::map_into) emits borrowed keys and values. Its
+///   default wraps [`map_tagged`](Self::map_tagged) (and so `map`), so
+///   an app that does not override it pays nothing extra. Override it
+///   when the mapper can hand out slices of its input: a combining
+///   executor then allocates a key only the first time it sees it in a
+///   spill, never per record.
+/// - [`combine_into`](Self::combine_into) folds one value into a key's
+///   accumulator in place. Its default calls
+///   [`combine`](Self::combine) on the pair. Override it when the fold
+///   can update the accumulator without building a value slice.
+///
+/// # The combiner contract
+///
+/// An app with a combiner overrides [`combine`](Self::combine) and
+/// returns `true` from [`has_combiner`](Self::has_combiner). `combine`
+/// must be an associative, commutative fold whose output `reduce`
+/// accepts like any mapped value, and it must emit **exactly one**
+/// value, under the key it was given. The map side folds a spill's
+/// values pairwise through `combine_into` in emit order, and an epoch
+/// stream folds each key's state across epochs the same way. A key
+/// mapped once per spill is shipped as mapped, without a `combine`
+/// call. The default `combine_into` panics when `combine` emits zero
+/// values, two or more, or a different key; the executor turns that
+/// panic into a job error, never into wrong output.
 pub trait MapReduce: Send + Sync {
     /// Emit intermediate (key, value) pairs for one input block.
     fn map(&self, block: &[u8], emit: &mut dyn FnMut(String, String));
     /// Fold all values of one intermediate key into output pairs.
     fn reduce(&self, key: &str, values: &[String], emit: &mut dyn FnMut(String, String));
-    /// Optional map-side combiner, run on each spill buffer before it is
-    /// pushed to the reducer side — shrinks shuffle volume for
-    /// associative reductions (word count's classic optimization). The
-    /// default is a pass-through.
+    /// Optional map-side combiner (see the combiner contract above):
+    /// shrinks shuffle volume for associative reductions, word count's
+    /// classic optimization. The default is a pass-through, which the
+    /// executor never calls unless [`has_combiner`](Self::has_combiner)
+    /// says so.
     fn combine(&self, key: &str, values: &[String], emit: &mut dyn FnMut(String, String)) {
         for v in values {
             emit(key.to_string(), v.clone());
@@ -177,14 +213,36 @@ pub trait MapReduce: Send + Sync {
 
     /// Whether [`combine`](Self::combine) actually reduces data. Apps
     /// that override `combine` must also override this to return `true`;
-    /// when `false` (the default) the executor skips spill
-    /// sorting/grouping entirely and ships mapped records untouched —
-    /// the pass-through default `combine` would only have copied them.
-    /// An epoch stream also folds each key's values across epochs
-    /// through `combine`, so a combiner must emit under the key it was
-    /// given.
+    /// when `false` (the default) the executor ships mapped records
+    /// untouched — the pass-through default `combine` would only have
+    /// copied them.
     fn has_combiner(&self) -> bool {
         false
+    }
+
+    /// Fold `value` into `acc`, the partial aggregate of `key` so far.
+    /// The default runs [`combine`](Self::combine) on the pair
+    /// `[acc, value]` and stores its one output value in `acc`.
+    ///
+    /// # Panics
+    ///
+    /// The default panics when `combine` breaks the combiner contract:
+    /// zero or several values, or one under another key.
+    fn combine_into(&self, key: &str, acc: &mut String, value: &str) {
+        let pair = [std::mem::take(acc), value.to_owned()];
+        let mut folded: Option<String> = None;
+        let mut emitted = 0usize;
+        self.combine(key, &pair, &mut |k, v| {
+            assert_eq!(k, key, "combine must emit under the key it was given");
+            emitted += 1;
+            folded = Some(v);
+        });
+        match folded {
+            Some(v) if emitted == 1 => *acc = v,
+            _ => panic!(
+                "combine must emit exactly one value per key, emitted {emitted} for {key:?}"
+            ),
+        }
     }
 
     /// Map one block of a *multi-input* job (reduce-side joins): the
@@ -193,6 +251,19 @@ pub trait MapReduce: Send + Sync {
     /// and delegates to [`map`](Self::map).
     fn map_tagged(&self, _source: usize, block: &[u8], emit: &mut dyn FnMut(String, String)) {
         self.map(block, emit);
+    }
+
+    /// Map one block of input file `source`, emitting borrowed or owned
+    /// pairs. This is the only map entry point the executor calls. The
+    /// default forwards [`map_tagged`](Self::map_tagged)'s owned pairs
+    /// as [`Cow::Owned`], which moves them without a copy.
+    fn map_into(
+        &self,
+        source: usize,
+        block: &[u8],
+        emit: &mut dyn FnMut(Cow<'_, str>, Cow<'_, str>),
+    ) {
+        self.map_tagged(source, block, &mut |k, v| emit(Cow::Owned(k), Cow::Owned(v)));
     }
 
     /// Optional custom partitioner. `None` (the default) partitions by

@@ -1,7 +1,8 @@
 //! The map worker: the only implementation of a map attempt.
 //!
 //! A [`MapWorker`] is one thread's working state on one [`Run`]: a
-//! node identity, a spill buffer, a combine scratch, and at most one
+//! node identity, a spill buffer (with one combining table per
+//! partition for a combiner app), and at most one
 //! shipped-but-unsettled attempt. Whoever owns the thread — a scoped
 //! one-shot worker, a persistent pool worker helping out, or a job
 //! server driver mapping inline — calls [`MapWorker::work`] or
@@ -23,6 +24,9 @@ use eclipse_dhtfs::FsError;
 use eclipse_net::{Rpc, SendTicket, CLIENT};
 use eclipse_ring::NodeId;
 use eclipse_util::HashKey;
+use std::borrow::Cow;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
@@ -135,11 +139,15 @@ pub(crate) struct MapWorker<'a> {
     /// re-homing start here.
     wi: usize,
     me: NodeId,
-    /// One spill buffer and one combine scratch per worker; the buffer
-    /// is flushed at the end of every task so each batch carries
-    /// exactly one `(task, attempt)` tag.
+    /// One spill buffer per worker, flushed at the end of every task
+    /// so each batch carries exactly one `(task, attempt)` tag. It
+    /// decides every spill by emitted bytes; for a combiner app it
+    /// holds no records, `tables` does.
     buffer: SpillBuffer<(String, String)>,
-    scratch: Vec<String>,
+    /// A combiner app's buffered output: per partition, key → partial
+    /// aggregate since that partition's last spill (the in-mapper
+    /// combiner). Empty for apps without a combiner.
+    tables: Vec<Table>,
     /// The one parked (shipped, unsettled) attempt.
     pending: Option<PendingCommit>,
 }
@@ -153,7 +161,12 @@ impl<'a> MapWorker<'a> {
         me: NodeId,
     ) -> MapWorker<'a> {
         let buffer = SpillBuffer::new(run.reducers, cluster.cfg.shuffle_batch_bytes);
-        MapWorker { cluster, run, app, wi, me, buffer, scratch: Vec::new(), pending: None }
+        let tables = if app.has_combiner() {
+            (0..run.reducers).map(|_| Table::default()).collect()
+        } else {
+            Vec::new()
+        };
+        MapWorker { cluster, run, app, wi, me, buffer, tables, pending: None }
     }
 
     /// A worker at ring position `wi` (modulo the run's membership),
@@ -389,26 +402,58 @@ impl<'a> MapWorker<'a> {
         let payload = self.read_block(tid, &mut att)?;
         att.total = payload.len().max(1) as u64;
         let parts = t.parts.as_deref();
-        // Map + proactive spill. The buffer is empty at entry and
-        // drained before return, so a batch never mixes tasks or
-        // attempts.
-        app.map_tagged(t.source, &payload, &mut |k, v| {
+        let mut out_of_range = false;
+        // Map + proactive spill. The buffer and tables are empty at
+        // entry and drained before return, so a batch never mixes tasks
+        // or attempts.
+        app.map_into(t.source, &payload, &mut |k, v| {
+            if out_of_range {
+                return;
+            }
             let bytes = (k.len() + v.len()) as u64;
             att.emitted += bytes;
-            let p = app
-                .partition(&k, run.reducers)
-                .unwrap_or_else(|| self.buffer.partition_of(shuffle_hash(&k)));
+            let p = match app.partition(&k, run.reducers) {
+                Some(p) if p >= run.reducers => {
+                    out_of_range = true;
+                    return;
+                }
+                Some(p) => p,
+                None => self.buffer.partition_of(shuffle_hash(&k)),
+            };
             // Replicated map-out: this placement only produces its
             // mask's partitions; sibling placements cover the rest.
             if parts.is_some_and(|mask| !mask[p]) {
                 return;
             }
-            if let Some(spill) = self.buffer.push_to(p, bytes, Some((k, v))) {
-                self.ship(&mut att, spill);
+            let record = match self.tables.get_mut(p) {
+                Some(table) => {
+                    fold_into(app, table, k, v);
+                    None
+                }
+                None => Some((k.into_owned(), v.into_owned())),
+            };
+            if let Some(spill) = self.buffer.push_to(p, bytes, record) {
+                let records = self.take_records(spill);
+                self.ship(&mut att, p, records);
             }
         });
+        if out_of_range {
+            // The app, not the attempt, is at fault: re-executing would
+            // only fail the same way.
+            redeem(self.cluster, &att.shuffle, &att.cache);
+            return Err(JobError::InvalidRequest("MapReduce::partition returned p >= reducers"));
+        }
         for spill in self.buffer.flush() {
-            self.ship(&mut att, spill);
+            let (p, records) = (spill.partition, self.take_records(spill));
+            self.ship(&mut att, p, records);
+        }
+        // A combiner table can hold keys whose pairs were all empty
+        // (zero bytes, so no spill above): ship those too.
+        for p in 0..self.tables.len() {
+            if !self.tables[p].is_empty() {
+                let records = drain_sorted(&mut self.tables[p]);
+                self.ship(&mut att, p, records);
+            }
         }
         // Batch boundary: put every coalesced frame (shuffle + cache)
         // on the wire now, so the acks travel while the *next* attempt
@@ -417,14 +462,31 @@ impl<'a> MapWorker<'a> {
         Ok(att)
     }
 
-    /// Combine one spill and push it to its reduce partition's home:
+    /// A spill's records: the buffered ones, or for a combiner app the
+    /// drained table of its partition, one pair per key in key order.
+    fn take_records(&mut self, spill: Spill<(String, String)>) -> Vec<(String, String)> {
+        match self.tables.get_mut(spill.partition) {
+            Some(table) => drain_sorted(table),
+            None => spill.records,
+        }
+    }
+
+    /// Drop everything buffered for an attempt that will not ship.
+    fn discard(&mut self) {
+        self.buffer.reset();
+        for table in &mut self.tables {
+            table.clear();
+        }
+    }
+
+    /// Push one spill's records to reduce partition `partition`'s home:
     /// a windowed one-way `ShuffleBatch` when the home is another live
     /// node, a direct delivery when it is this node (or dead, in which
     /// case the partition re-homes here first).
-    fn ship(&mut self, att: &mut Shipping, spill: Spill<(String, String)>) {
+    fn ship(&mut self, att: &mut Shipping, partition: usize, records: Vec<(String, String)>) {
         let (cluster, run, me) = (self.cluster, self.run, self.me);
-        let (tid, attempt, partition) = (att.tid, att.attempt, spill.partition);
-        if spill.records.is_empty() {
+        let (tid, attempt) = (att.tid, att.attempt);
+        if records.is_empty() {
             return;
         }
         // Spill boundary = cancellation point: a losing attempt stops
@@ -448,12 +510,6 @@ impl<'a> MapWorker<'a> {
             }
         }
         self.heartbeat(tid, ((att.emitted * 1000) / att.total).min(1000) as u32);
-        let records = if self.app.has_combiner() {
-            combine_sorted_runs(self.app, spill.records, &mut self.scratch)
-        } else {
-            // No combiner: ship records untouched.
-            spill.records
-        };
         let seq = att.seq;
         att.seq += 1;
         let home = cluster.router.home_of(run.jid, partition);
@@ -658,7 +714,7 @@ impl<'a> MapWorker<'a> {
             // A backup failing to read its block is not terminal — the
             // primary (or a real retry) still owns the task.
             Ok(Err(e)) => {
-                self.buffer.reset();
+                self.discard();
                 if !speculative {
                     run.abort(e);
                 }
@@ -667,7 +723,7 @@ impl<'a> MapWorker<'a> {
             // A panic inside map/combine: bounded retry. Any in-flight
             // tickets died with the unwind; their window slots expire.
             Err(_) => {
-                self.buffer.reset();
+                self.discard();
                 if !speculative {
                     self.requeue_failed(tid);
                 }
@@ -687,11 +743,8 @@ impl<'a> MapWorker<'a> {
         }
         // Not committing: redeem the window slots — outcomes are
         // irrelevant, reducer dedup drops the partial output.
-        for (ticket, _) in &shuffle {
-            let _ = self.cluster.net.flush(std::slice::from_ref(ticket));
-        }
-        let _ = self.cluster.net.flush(&cache);
-        self.buffer.reset();
+        redeem(self.cluster, &shuffle, &cache);
+        self.discard();
         match ended {
             // Another attempt committed while this one mapped: no
             // retry, no failure charged.
@@ -712,42 +765,79 @@ impl<'a> MapWorker<'a> {
 /// quality and costs far too much to run once per mapped record — it
 /// dominated the map phase's profile. Reduce partitions are plain
 /// channel indices in the live executor, so all the shuffle needs is a
-/// fast, deterministic, well-mixed 64-bit hash: FNV-1a with a murmur3
-/// finalizer (the top bits feed `SpillBuffer::partition_of`'s
-/// multiply-shift, so they must avalanche).
+/// fast, deterministic, well-mixed 64-bit hash: [`ShuffleHasher`].
 #[inline]
 fn shuffle_hash(key: &str) -> HashKey {
-    let mut h = 0xcbf29ce484222325u64;
-    for &b in key.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xff51afd7ed558ccd);
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xc4ceb9fe1a85ec53);
-    h ^= h >> 33;
-    HashKey(h)
+    let mut h = ShuffleHasher::default();
+    h.write(key.as_bytes());
+    HashKey(h.finish())
 }
 
-/// Combine one spill by sorting its records in place and folding each
-/// equal-key run through the application's combiner — no map nodes, no
-/// per-key `Vec`s; `scratch` is the single reusable values buffer.
-fn combine_sorted_runs(
-    app: &dyn MapReduce,
-    mut records: Vec<(String, String)>,
-    scratch: &mut Vec<String>,
-) -> Vec<(String, String)> {
-    records.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    let mut out = Vec::with_capacity(records.len() / 2 + 1);
-    let mut iter = records.into_iter().peekable();
-    while let Some((key, first)) = iter.next() {
-        scratch.clear();
-        scratch.push(first);
-        while iter.peek().is_some_and(|(k, _)| *k == key) {
-            scratch.push(iter.next().expect("peeked").1);
-        }
-        app.combine(&key, scratch, &mut |ck, cv| out.push((ck, cv)));
+/// FNV-1a with a murmur3 finalizer: the top bits feed
+/// `SpillBuffer::partition_of`'s multiply-shift and the low bits pick a
+/// combining table's bucket, so both ends must avalanche. (A plain
+/// multiply hash such as `FxHasher` leaves the low bits of a short key
+/// to its first few bytes, and the tables' probes collide.) No random
+/// state: a replayed seed hashes the same. Unkeyed, so crafted keys
+/// could collide, but a table never outgrows one spill's bytes.
+struct ShuffleHasher(u64);
+
+impl Default for ShuffleHasher {
+    fn default() -> ShuffleHasher {
+        ShuffleHasher(0xcbf29ce484222325)
     }
-    out
+}
+
+impl Hasher for ShuffleHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51afd7ed558ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ceb9fe1a85ec53);
+        h ^= h >> 33;
+        h
+    }
+}
+
+/// A combining table: key → partial aggregate.
+type Table = HashMap<String, String, BuildHasherDefault<ShuffleHasher>>;
+
+/// Fold one emitted pair into its partition's combining table: a key
+/// seen before since the last spill is looked up by `&str` and folded
+/// in place; a new key is allocated once (moved when already owned).
+#[inline]
+fn fold_into(app: &dyn MapReduce, table: &mut Table, k: Cow<'_, str>, v: Cow<'_, str>) {
+    match table.get_mut(k.as_ref()) {
+        Some(acc) => app.combine_into(&k, acc, &v),
+        None => {
+            table.insert(k.into_owned(), v.into_owned());
+        }
+    }
+}
+
+/// Empty a combining table into a key-sorted batch: sorted keys share
+/// prefixes the wire codec elides, and a batch is a sorted run.
+fn drain_sorted(table: &mut Table) -> Vec<(String, String)> {
+    let mut records: Vec<(String, String)> = table.drain().collect();
+    records.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    records
+}
+
+/// Redeem the window slots of an attempt that will not commit, whatever
+/// the outcome — reducer dedup drops its partial output.
+fn redeem(cluster: &LiveCluster, shuffle: &[(SendTicket, usize)], cache: &[SendTicket]) {
+    for (ticket, _) in shuffle {
+        let _ = cluster.net.flush(std::slice::from_ref(ticket));
+    }
+    let _ = cluster.net.flush(cache);
 }

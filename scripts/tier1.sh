@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: release build, clippy, rustdoc, the full test suite, the frozen
-# benchmark/ package's build and tests, the chaos, transport and epoch
-# suites under --release, and a bounded DST smoke sweep. It measures
+# benchmark/ package's build and tests, the live-matrix, chaos, transport
+# and epoch suites under --release, and a bounded DST smoke sweep. It measures
 # nothing: live performance is the benchmark's job (benchmark/README.md)
 # and the paper's figures come from `figures`. Writes no tracked file, so a
 # passing run leaves `git status` clean. The full randomized DST sweep
@@ -31,6 +31,11 @@ cargo test -q --workspace
 echo "== tier1: benchmark/ builds and passes against the current crates"
 cargo build --release --manifest-path benchmark/Cargo.toml
 cargo test -q --manifest-path benchmark/Cargo.toml
+
+# live_matrix pins the map-side combining path (borrowed emit, in-place
+# fold, default adapters) to byte-identical output in every cell.
+echo "== tier1: live output-identity matrix (release)"
+cargo test -q --release -p eclipse-integration-tests --test live_matrix
 
 echo "== tier1: chaos suite (release)"
 cargo test -q --release -p eclipse-integration-tests --test chaos

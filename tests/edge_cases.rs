@@ -314,3 +314,81 @@ fn epoch_reduce_panic_keeps_the_stream_usable() {
     drop(stream);
     assert_eq!(c.active_jobs(), 0, "the failed wave is still registered");
 }
+
+/// [`WordCount`] with a custom partitioner that answers `reducers`,
+/// one past the last partition; counts its `map` calls.
+struct PartitionPastEnd {
+    maps: std::sync::atomic::AtomicU64,
+}
+
+impl MapReduce for PartitionPastEnd {
+    fn map(&self, block: &[u8], emit: &mut dyn FnMut(String, String)) {
+        self.maps.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        WordCount.map(block, emit);
+    }
+    fn reduce(&self, key: &str, values: &[String], emit: &mut dyn FnMut(String, String)) {
+        WordCount.reduce(key, values, emit);
+    }
+    fn partition(&self, _key: &str, partitions: usize) -> Option<usize> {
+        Some(partitions)
+    }
+}
+
+/// A partition index out of range is the application's fault, not the
+/// attempt's: the job fails at once as an invalid request, without
+/// burning its retry budget, in a batch job and in an epoch wave alike.
+#[test]
+fn out_of_range_partition_is_invalid_request() {
+    use eclipse_core::{JobError, JobServer, JobServerConfig, StreamSpec};
+    use std::sync::atomic::Ordering;
+    use std::sync::Arc;
+
+    let c = Arc::new(LiveCluster::new(LiveConfig::small()));
+    c.upload("in", "u", b"a b c\n");
+    let app = Arc::new(PartitionPastEnd { maps: Default::default() });
+    let got = c.try_run_job(app.as_ref(), "in", "u", 2, ReusePolicy::default());
+    assert!(matches!(got, Err(JobError::InvalidRequest(_))), "{:?}", got.map(|(o, _)| o));
+    assert_eq!(app.maps.load(Ordering::Relaxed), 1, "the one task was retried");
+    assert_eq!(c.active_jobs(), 0, "the failed run is still registered");
+
+    let server = JobServer::new(c.clone(), JobServerConfig::default());
+    let stream = server.open_stream(StreamSpec {
+        app: app.clone(),
+        name: "past-end".to_string(),
+        user: "u".to_string(),
+        reducers: 2,
+    });
+    assert!(matches!(stream.commit_epoch(b"a b\n"), Err(JobError::InvalidRequest(_))));
+    assert_eq!(stream.published(), 0);
+    stream.close();
+}
+
+/// A combiner that breaks the contract by emitting two values per key.
+struct CombineTwice;
+
+impl MapReduce for CombineTwice {
+    fn map(&self, block: &[u8], emit: &mut dyn FnMut(String, String)) {
+        WordCount.map(block, emit);
+    }
+    fn reduce(&self, key: &str, values: &[String], emit: &mut dyn FnMut(String, String)) {
+        WordCount.reduce(key, values, emit);
+    }
+    fn combine(&self, key: &str, values: &[String], emit: &mut dyn FnMut(String, String)) {
+        WordCount.combine(key, values, emit);
+        emit(key.to_string(), "0".to_string());
+    }
+    fn has_combiner(&self) -> bool {
+        true
+    }
+}
+
+/// A combiner emitting two values for a key fails the job with an
+/// error; it never returns output, right or wrong.
+#[test]
+fn combine_emitting_two_values_fails_the_job() {
+    let c = LiveCluster::new(LiveConfig::small());
+    c.upload("in", "u", b"a b a\n");
+    let got = c.try_run_job(&CombineTwice, "in", "u", 2, ReusePolicy::default());
+    assert!(got.is_err(), "returned output {:?}", got.map(|(o, _)| o));
+    assert_eq!(c.active_jobs(), 0, "the failed run is still registered");
+}

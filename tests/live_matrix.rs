@@ -6,11 +6,36 @@
 //! corpus and block size, `run_job` returns byte-identical results no
 //! matter which scheduler places the tasks, how many virtual nodes the
 //! ring has, how many reduce partitions exist, or whether the app
-//! declares a combiner.
+//! declares a combiner — ported to the borrowed emit and in-place fold
+//! or reaching them through the trait's default adapters.
 
 use eclipse_apps::WordCount;
 use eclipse_core::{LiveCluster, LiveConfig, MapReduce, ReusePolicy, SchedulerKind};
 use eclipse_integration_tests::WordCountNoCombiner;
+
+/// Word count whose combiner reaches the executor only through the
+/// `MapReduce` default adapters: it overrides neither `map_into` nor
+/// `combine_into`, so every record is emitted owned and every fold goes
+/// through `combine` on a pair.
+struct WordCountAdapted;
+
+impl MapReduce for WordCountAdapted {
+    fn map(&self, block: &[u8], emit: &mut dyn FnMut(String, String)) {
+        for w in String::from_utf8_lossy(block).split_whitespace() {
+            emit(w.to_string(), "1".to_string());
+        }
+    }
+    fn reduce(&self, key: &str, values: &[String], emit: &mut dyn FnMut(String, String)) {
+        let total: u64 = values.iter().map(|v| v.parse::<u64>().unwrap_or(1)).sum();
+        emit(key.to_string(), total.to_string());
+    }
+    fn combine(&self, key: &str, values: &[String], emit: &mut dyn FnMut(String, String)) {
+        self.reduce(key, values, emit);
+    }
+    fn has_combiner(&self) -> bool {
+        true
+    }
+}
 
 /// Deterministic skewed corpus: a small vocabulary with heavy repetition
 /// (so combining matters) plus a unique token per line (so every
@@ -84,6 +109,11 @@ fn output_identical_across_schedulers_nodes_and_combiner() {
                 assert_eq!(
                     without, reference,
                     "combiner off, {sched:?}, {nodes} nodes, {reducers} reducers"
+                );
+                let adapted = run(&WordCountAdapted, sched.clone(), nodes, reducers, &data);
+                assert_eq!(
+                    adapted, reference,
+                    "adapter-only combiner, {sched:?}, {nodes} nodes, {reducers} reducers"
                 );
             }
         }
