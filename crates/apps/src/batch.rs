@@ -43,6 +43,11 @@ impl MapReduce for WordCount {
         emit(key.to_string(), total.to_string());
     }
 
+    fn reduce_into(&self, key: &str, values: &[&str], emit: &mut dyn FnMut(String, String)) {
+        let total: u64 = values.iter().map(|v| WordCount::count(v)).sum();
+        emit(key.to_string(), total.to_string());
+    }
+
     /// Counting is associative: pre-sum each spill map-side so the
     /// shuffle carries one partial count per word instead of one record
     /// per occurrence.
@@ -76,14 +81,28 @@ impl Grep {
 
 impl MapReduce for Grep {
     fn map(&self, block: &[u8], emit: &mut dyn FnMut(String, String)) {
+        self.map_into(0, block, &mut |k, v| emit(k.into_owned(), v.into_owned()));
+    }
+
+    /// Matching lines borrowed from the block and a static `"1"`.
+    fn map_into(
+        &self,
+        _source: usize,
+        block: &[u8],
+        emit: &mut dyn FnMut(Cow<'_, str>, Cow<'_, str>),
+    ) {
         for line in String::from_utf8_lossy(block).lines() {
             if line.contains(&self.pattern) {
-                emit(line.to_string(), "1".to_string());
+                emit(Cow::Borrowed(line), Cow::Borrowed("1"));
             }
         }
     }
 
     fn reduce(&self, key: &str, values: &[String], emit: &mut dyn FnMut(String, String)) {
+        emit(key.to_string(), values.len().to_string());
+    }
+
+    fn reduce_into(&self, key: &str, values: &[&str], emit: &mut dyn FnMut(String, String)) {
         emit(key.to_string(), values.len().to_string());
     }
 }
@@ -94,16 +113,31 @@ pub struct InvertedIndex;
 
 impl MapReduce for InvertedIndex {
     fn map(&self, block: &[u8], emit: &mut dyn FnMut(String, String)) {
+        self.map_into(0, block, &mut |k, v| emit(k.into_owned(), v.into_owned()));
+    }
+
+    /// Words and doc ids borrowed from the block.
+    fn map_into(
+        &self,
+        _source: usize,
+        block: &[u8],
+        emit: &mut dyn FnMut(Cow<'_, str>, Cow<'_, str>),
+    ) {
         for line in String::from_utf8_lossy(block).lines() {
             let Some((doc, text)) = line.split_once('\t') else { continue };
             for w in text.split_whitespace() {
-                emit(w.to_string(), doc.to_string());
+                emit(Cow::Borrowed(w), Cow::Borrowed(doc));
             }
         }
     }
 
     fn reduce(&self, key: &str, values: &[String], emit: &mut dyn FnMut(String, String)) {
-        let mut docs: Vec<&str> = values.iter().map(|s| s.as_str()).collect();
+        let docs: Vec<&str> = values.iter().map(String::as_str).collect();
+        self.reduce_into(key, &docs, emit);
+    }
+
+    fn reduce_into(&self, key: &str, values: &[&str], emit: &mut dyn FnMut(String, String)) {
+        let mut docs = values.to_vec();
         docs.sort_unstable();
         docs.dedup();
         emit(key.to_string(), docs.join(","));

@@ -7,7 +7,7 @@
 //! only the delta's blocks, ships them through the ordinary shuffle
 //! plane under an epoch tag (so a straggler batch from a committed
 //! epoch is ack-dropped, never double-folded), then folds the drained
-//! grouped records into the stream's materialized state and publishes
+//! runs' merged key groups into the stream's materialized state and publishes
 //! a fresh snapshot.
 //!
 //! State shape: per partition, a key-sorted run of entries — a key,
@@ -21,8 +21,8 @@
 //! key's value multiset.
 //!
 //! Cost per commit: the delta wave (map and shuffle of the delta's
-//! blocks only), then per partition a sort of the delta's distinct
-//! keys, one `combine_into` per delta value and one `reduce` per
+//! blocks only), then per partition a k-way merge of the delta's sorted
+//! runs, one `combine_into` per delta value and one `reduce_into` per
 //! distinct delta key, and a merge of keys new to the stream into the
 //! run. Untouched keys are never re-sorted or re-reduced. Publishing is
 //! the O(keys) part: the snapshot is assembled from the per-key
@@ -53,7 +53,7 @@
 #![deny(clippy::too_many_lines)]
 
 use crate::job::{JobError, ReusePolicy};
-use crate::live::{DstEvent, Grouped, LiveCluster, LiveStats, MapReduce, MapWorker, Run};
+use crate::live::{DstEvent, LiveCluster, LiveStats, MapReduce, MapWorker, PartitionRuns, Run};
 use bytes::Bytes;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -324,12 +324,12 @@ impl EpochDriver {
         let mut folds = Vec::with_capacity(self.reducers);
         let mut records = 0u64;
         let mut failed = None;
-        let stats = wave.finish_with(&self.cluster, |p, grouped| {
+        let stats = wave.finish_with(&self.cluster, |p, runs| {
             if failed.is_some() {
                 return;
             }
-            records += grouped.values().map(|vs| vs.len() as u64).sum::<u64>();
-            match catch_unwind(AssertUnwindSafe(|| fold_partition(app, &parts[p], grouped))) {
+            records += runs.records();
+            match catch_unwind(AssertUnwindSafe(|| fold_partition(app, &parts[p], runs))) {
                 Ok(fold) => folds.push(fold),
                 Err(_) => failed = Some(JobError::ReduceFailed { partition: p }),
             }
@@ -422,48 +422,45 @@ impl EpochDriver {
     }
 }
 
-/// Fold one partition's grouped delta against its state `run`: for
-/// each distinct delta key, in key order, the key's values so far plus
-/// the delta's — folded through `combine_into` for a combiner app — and
-/// what `reduce` makes of them. Reads `run` without changing it, so a
-/// panicking app leaves the state as it was.
-fn fold_partition(app: &dyn MapReduce, run: &[KeyState], delta: Grouped) -> Fold {
-    let mut delta: Vec<(String, Vec<String>)> = delta.into_iter().collect();
-    delta.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+/// Fold one partition's delta runs against its state `run`: for each
+/// distinct delta key, in the key order the merge yields, the key's
+/// values so far plus the delta's (in input order) — folded through
+/// `combine_into` for a combiner app — and what `reduce_into` makes of
+/// them. Reads `run` without changing it, so a panicking app leaves
+/// the state as it was.
+fn fold_partition(app: &dyn MapReduce, run: &[KeyState], delta: &PartitionRuns) -> Fold {
     let combiner = app.has_combiner();
     let mut from = 0;
-    delta
-        .into_iter()
-        .map(|(key, fresh)| {
-            from = seek(run, from, &key);
-            let at = run.get(from).filter(|s| s.key == key).map(|_| from);
-            let old = at.map_or(&[][..], |i| run[i].values.as_slice());
-            let values = if combiner {
-                // The key's one state value (or its first delta value)
-                // is the accumulator every other value folds into.
-                let mut fresh = fresh.into_iter();
-                let mut acc = match old.first() {
-                    Some(v) => v.clone(),
-                    None => fresh.next().expect("a grouped key holds a value"),
-                };
-                for v in fresh {
-                    app.combine_into(&key, &mut acc, &v);
-                }
-                vec![acc]
-            } else {
-                let mut all = Vec::with_capacity(old.len() + fresh.len());
-                all.extend(old.iter().cloned());
-                all.extend(fresh);
-                all
+    let mut fold = Fold::new();
+    let mut all: Vec<&str> = Vec::new();
+    delta.for_each_group(|key, fresh| {
+        from = seek(run, from, key);
+        let at = run.get(from).filter(|s| s.key == key).map(|_| from);
+        let old = at.map_or(&[][..], |i| run[i].values.as_slice());
+        let mut outputs = Vec::new();
+        let mut emit = |k, v| outputs.push(Arc::new((k, v)));
+        let values = if combiner {
+            // The key's one state value (or its first delta value) is
+            // the accumulator every other value folds into.
+            let (mut acc, rest) = match old.first() {
+                Some(v) => (v.clone(), fresh),
+                None => (fresh[0].to_string(), &fresh[1..]),
             };
-            // As in a batch, a key reduces only if it holds a value.
-            let mut outputs = Vec::new();
-            if !values.is_empty() {
-                app.reduce(&key, &values, &mut |k, v| outputs.push(Arc::new((k, v))));
+            for v in rest {
+                app.combine_into(key, &mut acc, v);
             }
-            (at, KeyState { key, values, outputs })
-        })
-        .collect()
+            app.reduce_into(key, &[&acc], &mut emit);
+            vec![acc]
+        } else {
+            all.clear();
+            all.extend(old.iter().map(String::as_str));
+            all.extend_from_slice(fresh);
+            app.reduce_into(key, &all, &mut emit);
+            all.iter().map(|v| v.to_string()).collect()
+        };
+        fold.push((at, KeyState { key: key.to_string(), values, outputs }));
+    });
+    fold
 }
 
 /// The first index at or after `from` whose key is not below `key`.

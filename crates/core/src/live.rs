@@ -25,9 +25,10 @@
 //!   and the only implementation of a map attempt: claim, read (iCache
 //!   first), map, combine, ship over the windowed lane, settle, commit,
 //!   re-home when its node crashes, drain retries and backups.
-//! - The **partition fold** dedups shuffle batches against the commit
-//!   board, groups by key, then sorts and reduces; an epoch wave exits
-//!   after the grouping and folds into its stream's materialized state.
+//! - The **partition fold** dedups shuffle runs against the commit
+//!   board, k-way merges the winners into key groups and reduces each;
+//!   an epoch wave folds the same merged groups into its stream's
+//!   materialized state instead.
 //!
 //! Threads are *supplied* to that code in two shapes. A one-shot job
 //! borrows its application (`&dyn MapReduce`), which a persistent
@@ -68,16 +69,21 @@
 //!   nodes' tails via atomic cursors. Cache and locality accounting
 //!   always uses the *assigned* node, so stealing changes wall-clock,
 //!   never stats or cache placement.
-//! - **Allocation-free map-side combining.** One
+//! - **Sorted byte runs end to end.** One
 //!   [`SpillBuffer`](crate::SpillBuffer) per worker serves all its
-//!   blocks and decides every spill by emitted bytes. A combiner app
-//!   ([`MapReduce::has_combiner`]) keeps one key → partial-aggregate
-//!   table per partition instead of a record list: each borrowed pair
-//!   from [`MapReduce::map_into`] is folded in place through
-//!   [`MapReduce::combine_into`], and a key is allocated only the first
-//!   time a spill sees it. Other apps buffer owned records untouched.
-//!   Reducers ingest into a `HashMap` and sort once at fold time.
-//!
+//!   blocks and decides every spill by emitted bytes. An app without a
+//!   combiner appends each borrowed pair from [`MapReduce::map_into`]
+//!   to its partition's byte arena (one buffer plus an offset table, no
+//!   allocation per record); a spill sorts the offsets by key, stably,
+//!   and writes one front-coded [`RecordRun`](eclipse_net::RecordRun).
+//!   A combiner app ([`MapReduce::has_combiner`]) keeps one key →
+//!   partial-aggregate table per partition, folded in place through
+//!   [`MapReduce::combine_into`], and drains it into a run the same
+//!   way. The run is the `ShuffleBatch` body: shipped as is, taken by
+//!   value on receipt and validated once. Reducers keep each winning
+//!   run and k-way merge them at fold time, handing
+//!   [`MapReduce::reduce_into`] each key's values in input order.
+
 //! # Mid-job fault tolerance (see DESIGN.md, "Mid-job recovery")
 //!
 //! A node may crash while a job is running — injected deterministically
@@ -132,7 +138,7 @@ mod run;
 mod worker;
 
 pub use run::PartitionedOutput;
-pub(crate) use run::{Grouped, Run};
+pub(crate) use run::{PartitionRuns, Run};
 pub(crate) use worker::MapWorker;
 
 use router::{bind_endpoint, ShuffleRouter, MAX_JOB_SLOTS};
@@ -168,19 +174,36 @@ const RETRY_BACKOFF_BASE_MICROS: u64 = 100;
 /// # Which methods to implement
 ///
 /// An application needs only [`map`](Self::map) and
-/// [`reduce`](Self::reduce). The executor itself calls two lower-level
-/// methods whose defaults adapt the owned-`String` surface:
+/// [`reduce`](Self::reduce). The executor itself calls three
+/// lower-level methods whose defaults adapt the owned-`String` surface:
 ///
 /// - [`map_into`](Self::map_into) emits borrowed keys and values. Its
-///   default wraps [`map_tagged`](Self::map_tagged) (and so `map`), so
-///   an app that does not override it pays nothing extra. Override it
-///   when the mapper can hand out slices of its input: a combining
-///   executor then allocates a key only the first time it sees it in a
-///   spill, never per record.
+///   default wraps [`map_tagged`](Self::map_tagged) (and so `map`),
+///   moving each owned pair. Override it when the mapper can hand out
+///   slices of its input: the executor copies each pair's bytes into
+///   its partition's spill arena (or, with a combiner, allocates a key
+///   only the first time a spill sees it), never into a `String`.
 /// - [`combine_into`](Self::combine_into) folds one value into a key's
 ///   accumulator in place. Its default calls
 ///   [`combine`](Self::combine) on the pair. Override it when the fold
 ///   can update the accumulator without building a value slice.
+/// - [`reduce_into`](Self::reduce_into) reduces one key over borrowed
+///   values, in a slice the executor reuses from key to key. Its
+///   default copies the values into a `Vec<String>` and calls
+///   `reduce`. Override it to reduce without those copies.
+///
+/// An app that is fast end to end overrides `map_into` and
+/// `reduce_into` (plus `combine_into` when it has a combiner), and
+/// keeps `map` and `reduce` as one-line adapters over them.
+///
+/// # Value order
+///
+/// The shuffle carries sorted runs and each reduce partition merges
+/// them stably, so a key's values reach `reduce_into` in **input
+/// order**: by input block (file order, then block order), and within a
+/// block in the order the mapper emitted them. This holds whatever the
+/// scheduler, node count, transport or thread timing. With a combiner,
+/// each value is a spill's partial aggregate, in the same order.
 ///
 /// # The combiner contract
 ///
@@ -243,6 +266,15 @@ pub trait MapReduce: Send + Sync {
                 "combine must emit exactly one value per key, emitted {emitted} for {key:?}"
             ),
         }
+    }
+
+    /// Reduce one key over borrowed values (in input order, see the
+    /// trait docs). This is the only reduce entry point the executor
+    /// calls. The default copies `values` into a `Vec<String>` and
+    /// calls [`reduce`](Self::reduce).
+    fn reduce_into(&self, key: &str, values: &[&str], emit: &mut dyn FnMut(String, String)) {
+        let owned: Vec<String> = values.iter().map(|v| v.to_string()).collect();
+        self.reduce(key, &owned, emit);
     }
 
     /// Map one block of a *multi-input* job (reduce-side joins): the

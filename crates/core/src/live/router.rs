@@ -5,7 +5,7 @@
 
 use eclipse_cache::DistributedCache;
 use eclipse_dhtfs::BlockStore;
-use eclipse_net::{Rpc, RpcReply, Transport};
+use eclipse_net::{RecordRun, Rpc, RpcReply, Transport};
 use eclipse_ring::NodeId;
 use crossbeam::channel::Sender;
 use parking_lot::{Mutex, RwLock};
@@ -28,12 +28,14 @@ pub(super) const TID_MASK: u32 = (1 << JOB_SHIFT) - 1;
 /// space.
 pub(super) const MAX_JOB_SLOTS: u32 = 1 << (31 - JOB_SHIFT);
 
-/// One shuffle batch: the complete output of `(task, attempt)` for one
-/// reduce partition. Reducers use the pair for exactly-once dedup.
+/// One shuffle batch: spill `seq` of `(task, attempt)` for one reduce
+/// partition, as a key-sorted run. Reducers use the pair for
+/// exactly-once dedup and `(task, seq)` to merge in input order.
 pub(super) struct TaskBatch {
     pub(super) task: u32,
     pub(super) attempt: u32,
-    pub(super) records: Vec<(String, String)>,
+    pub(super) seq: u32,
+    pub(super) run: RecordRun,
 }
 
 /// Reorder-tolerant duplicate detector for one map attempt's shuffle
@@ -188,7 +190,7 @@ impl ShuffleRouter {
         seq: u32,
         epoch: u32,
         partition: u32,
-        records: Vec<(String, String)>,
+        run: RecordRun,
     ) -> bool {
         let jobs = self.jobs.read();
         let Some(route) = jobs.get(&(task >> JOB_SHIFT)) else { return false };
@@ -211,7 +213,7 @@ impl ShuffleRouter {
             return true; // duplicate of a batch that already landed
         }
         let Some(tx) = route.sinks.get(partition as usize) else { return false };
-        tx.send(TaskBatch { task, attempt, records }).is_ok()
+        tx.send(TaskBatch { task, attempt, seq, run }).is_ok()
     }
 
     /// The task's commit settled with `attempt` winning: prune every
@@ -326,13 +328,16 @@ pub(super) fn bind_endpoint(
                 });
                 RpcReply::Ack
             }
-            Rpc::ShuffleBatch { task, attempt, seq, epoch, partition, records } => {
-                if router.deliver(task, attempt, seq, epoch, partition, records) {
+            Rpc::ShuffleRun { task, attempt, seq, epoch, partition, run } => {
+                if router.deliver(task, attempt, seq, epoch, partition, run) {
                     RpcReply::Ack
                 } else {
                     RpcReply::Error("no job accepting shuffle output".into())
                 }
             }
+            // Transports decode every shuffle frame as a run; the owned
+            // form never reaches an endpoint.
+            Rpc::ShuffleBatch { .. } => RpcReply::Error("shuffle batches travel as runs".into()),
             Rpc::Heartbeat { .. } => RpcReply::Ack,
             Rpc::TaskAssign { task, .. } => {
                 router.assign(node, task);
@@ -383,7 +388,7 @@ mod tests {
         let router = ShuffleRouter::new();
         let (tx, _rx) = unbounded();
         router.begin_epoch(0, vec![tx], vec![NodeId(0)], 0);
-        let rec = |s: &str| vec![(s.to_string(), "1".to_string())];
+        let rec = |s: &str| RecordRun::from_pairs(&[(s, "1")]);
         // Two racing attempts of task 7 deliver batches.
         assert!(router.deliver(7, 0, 0, 0, 0, rec("a")));
         assert!(router.deliver(7, 1, 0, 0, 0, rec("b")));
@@ -457,14 +462,14 @@ mod tests {
                         // The record carries its *origin* epoch, so a
                         // stale batch that leaked through would be
                         // visible in the drained values.
-                        let rec = vec![(format!("k{tid}-{s}"), se.to_string())];
+                        let rec = RecordRun::from_pairs(&[(format!("k{tid}-{s}"), se.to_string())]);
                         // Everything acks: dup and stale are dropped,
                         // never bounced back for retry.
                         prop_assert!(router.deliver(tid, 0, s, se, 0, rec));
                     }
                     let mut got: Vec<(String, String)> = Vec::new();
                     while let Ok(b) = rx.try_recv() {
-                        got.extend(b.records);
+                        got.extend(b.run.to_pairs());
                     }
                     prop_assert_eq!(
                         got.len() as u32,

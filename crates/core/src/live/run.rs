@@ -19,11 +19,10 @@ use super::{
     SpeculationConfig, SLOW_SERVE_DIV,
 };
 use crate::job::{JobError, ReusePolicy};
-use eclipse_net::NetSnapshot;
+use eclipse_net::{merge_groups, NetSnapshot};
 use eclipse_ring::NodeId;
 use crossbeam::channel::{unbounded, Receiver};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -37,9 +36,23 @@ const NO_CLAIM: u32 = u32::MAX;
 /// what the partitioned entry point yields.
 pub type PartitionedOutput = (Vec<Vec<(String, String)>>, LiveStats);
 
-/// One reduce partition's grouped (pre-reduce) state: each key's full
-/// value multiset.
-pub(crate) type Grouped = HashMap<String, Vec<String>>;
+/// One reduce partition's shuffle input after dedup: the committed
+/// attempts' runs, ordered by `(task, seq)` — input order.
+pub(crate) struct PartitionRuns(Vec<TaskBatch>);
+
+impl PartitionRuns {
+    /// Map-side records across the runs.
+    pub(crate) fn records(&self) -> u64 {
+        self.0.iter().map(|b| b.run.len() as u64).sum()
+    }
+
+    /// K-way merge the runs: `group(key, values)` once per distinct
+    /// key, in key order, with the key's values in input order (ties
+    /// between runs go to the lower `(task, seq)`).
+    pub(crate) fn for_each_group<'a>(&'a self, group: impl FnMut(&str, &[&'a str])) {
+        merge_groups(self.0.iter().map(|b| &b.run), group);
+    }
+}
 
 /// Event counters of one run; [`Run::stats`] turns them into
 /// [`LiveStats`] fields of the same names.
@@ -361,38 +374,24 @@ impl Run {
     }
 
     /// One partition's shuffle input, deduplicated against the commit
-    /// board and grouped by key. Blocks until the partition's channel
-    /// hangs up ([`seal`](Self::seal)), so a scoped reducer lane
-    /// ingests concurrently with the maps; after the seal it just
-    /// drains.
-    fn group(&self, cluster: &LiveCluster, rx: &Receiver<TaskBatch>) -> Grouped {
-        // Hash-ingest while the stream is live; sorting waits for the
-        // reduce so each partition's output stays key-sorted.
-        let mut grouped = Grouped::new();
-        let mut ingest = |batch: TaskBatch| {
-            for (k, v) in batch.records {
-                grouped.entry(k).or_default().push(v);
-            }
-        };
+    /// board. Blocks until the partition's channel hangs up
+    /// ([`seal`](Self::seal)), so a scoped reducer lane collects runs
+    /// concurrently with the maps; after the seal it just drains.
+    fn collect(&self, cluster: &LiveCluster, rx: &Receiver<TaskBatch>) -> PartitionRuns {
         let winner =
             |b: &TaskBatch| self.commits[(b.task & TID_MASK) as usize].load(Ordering::Acquire);
-        // Batches from attempts that have not committed yet; resolved
-        // once the channel closes (the commit board is final by then).
-        let mut pending: Vec<TaskBatch> = Vec::new();
+        // Keep the committed attempts' runs and those whose task has
+        // not committed yet; a losing attempt's output (re-executed
+        // elsewhere) is dropped on arrival.
+        let mut runs: Vec<TaskBatch> = Vec::new();
         while let Ok(batch) = rx.recv() {
-            match winner(&batch) {
-                a if a == batch.attempt => ingest(batch),
-                UNCOMMITTED => pending.push(batch),
-                // A losing attempt's output: re-executed elsewhere,
-                // drop to avoid double-count.
-                _ => {}
+            let w = winner(&batch);
+            if w == batch.attempt || w == UNCOMMITTED {
+                runs.push(batch);
             }
         }
-        for batch in pending {
-            if winner(&batch) == batch.attempt {
-                ingest(batch);
-            }
-        }
+        // The channel closed, so the commit board is final.
+        runs.retain(|b| winner(b) == b.attempt);
         // Reduce-phase crash: all maps have committed by now, so
         // recovery re-replicates and heals the ring but has nothing to
         // re-queue.
@@ -401,11 +400,13 @@ impl Run {
                 cluster.crash_node_mid_job(victim, self);
             }
         }
-        grouped
+        // Input order: block by block, each block's spills in order.
+        runs.sort_unstable_by_key(|b| (b.task, b.seq));
+        PartitionRuns(runs)
     }
 
     /// The partition fold of a batch job, for every partition of one
-    /// lane in turn: group, then sort and reduce. A panicking `reduce`
+    /// lane in turn: collect, then merge and reduce. A panicking `reduce`
     /// aborts the run with [`JobError::ReduceFailed`] instead of
     /// unwinding the folding thread, so the run still retires.
     fn fold_lane(
@@ -416,11 +417,11 @@ impl Run {
     ) -> Vec<(usize, Vec<(String, String)>)> {
         lane.into_iter()
             .map(|(p, rx)| {
-                let grouped = self.group(cluster, &rx);
+                let runs = self.collect(cluster, &rx);
                 if self.is_aborted() {
                     return (p, Vec::new());
                 }
-                let reduce = std::panic::AssertUnwindSafe(|| reduce_grouped(app, &grouped));
+                let reduce = std::panic::AssertUnwindSafe(|| reduce_runs(app, &runs));
                 let out = std::panic::catch_unwind(reduce).unwrap_or_else(|_| {
                     self.abort(JobError::ReduceFailed { partition: p });
                     Vec::new()
@@ -445,20 +446,21 @@ impl Run {
     }
 
     /// [`finish`](Self::finish) with the caller's fold in place of the
-    /// reduce: an epoch wave hands each partition's grouped delta to
-    /// `fold(p, grouped)`, in partition order and one partition at a
-    /// time, so only one grouped partition is resident at once. An
-    /// aborted run folds nothing and returns its error.
+    /// reduce: an epoch wave hands each partition's delta runs to
+    /// `fold(p, runs)`, whose [`PartitionRuns::for_each_group`] yields
+    /// the merged, key-sorted groups — in partition order and one
+    /// partition at a time. An aborted run folds nothing and returns
+    /// its error.
     pub(crate) fn finish_with(
         &self,
         cluster: &LiveCluster,
-        mut fold: impl FnMut(usize, Grouped),
+        mut fold: impl FnMut(usize, &PartitionRuns),
     ) -> Result<LiveStats, JobError> {
         self.seal(cluster);
         for (p, rx) in self.take_receivers().iter().enumerate() {
-            let grouped = self.group(cluster, rx);
+            let runs = self.collect(cluster, rx);
             if !self.is_aborted() {
-                fold(p, grouped);
+                fold(p, &runs);
             }
         }
         self.retire(cluster)
@@ -763,14 +765,10 @@ impl LiveCluster {
     }
 }
 
-/// Sort one partition's grouped keys and reduce each over its full
-/// value multiset: the output shape of every batch job.
-fn reduce_grouped(app: &dyn MapReduce, grouped: &Grouped) -> Vec<(String, String)> {
-    let mut entries: Vec<(&String, &Vec<String>)> = grouped.iter().collect();
-    entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+/// Merge one partition's runs and reduce each key over its values:
+/// the output shape of every batch job, key-sorted.
+fn reduce_runs(app: &dyn MapReduce, runs: &PartitionRuns) -> Vec<(String, String)> {
     let mut out = Vec::new();
-    for (k, vs) in entries {
-        app.reduce(k, vs, &mut |ok, ov| out.push((ok, ov)));
-    }
+    runs.for_each_group(|k, vs| app.reduce_into(k, vs, &mut |ok, ov| out.push((ok, ov))));
     out
 }

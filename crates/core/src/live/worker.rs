@@ -1,8 +1,8 @@
 //! The map worker: the only implementation of a map attempt.
 //!
 //! A [`MapWorker`] is one thread's working state on one [`Run`]: a
-//! node identity, a spill buffer (with one combining table per
-//! partition for a combiner app), and at most one
+//! node identity, a spill buffer with one byte arena per partition
+//! (one combining table for a combiner app), and at most one
 //! shipped-but-unsettled attempt. Whoever owns the thread — a scoped
 //! one-shot worker, a persistent pool worker helping out, or a job
 //! server driver mapping inline — calls [`MapWorker::work`] or
@@ -17,11 +17,11 @@ use super::{
     SLOW_SLICE_MICROS,
 };
 use crate::job::JobError;
-use crate::shuffle::{Spill, SpillBuffer};
+use crate::shuffle::SpillBuffer;
 use bytes::Bytes;
 use eclipse_cache::CacheKey;
 use eclipse_dhtfs::FsError;
-use eclipse_net::{Rpc, SendTicket, CLIENT};
+use eclipse_net::{RecordRun, Rpc, RunBuilder, SendTicket, CLIENT};
 use eclipse_ring::NodeId;
 use eclipse_util::HashKey;
 use std::borrow::Cow;
@@ -139,15 +139,13 @@ pub(crate) struct MapWorker<'a> {
     /// re-homing start here.
     wi: usize,
     me: NodeId,
-    /// One spill buffer per worker, flushed at the end of every task
+    /// One spill buffer per worker, emptied at the end of every task
     /// so each batch carries exactly one `(task, attempt)` tag. It
-    /// decides every spill by emitted bytes; for a combiner app it
-    /// holds no records, `tables` does.
-    buffer: SpillBuffer<(String, String)>,
-    /// A combiner app's buffered output: per partition, key → partial
-    /// aggregate since that partition's last spill (the in-mapper
-    /// combiner). Empty for apps without a combiner.
-    tables: Vec<Table>,
+    /// decides every spill by emitted bytes and holds no records;
+    /// `out` does.
+    buffer: SpillBuffer<()>,
+    /// The map output buffered since each partition's last spill.
+    out: Buffered,
     /// The one parked (shipped, unsettled) attempt.
     pending: Option<PendingCommit>,
 }
@@ -161,12 +159,12 @@ impl<'a> MapWorker<'a> {
         me: NodeId,
     ) -> MapWorker<'a> {
         let buffer = SpillBuffer::new(run.reducers, cluster.cfg.shuffle_batch_bytes);
-        let tables = if app.has_combiner() {
-            (0..run.reducers).map(|_| Table::default()).collect()
+        let out = if app.has_combiner() {
+            Buffered::Combined((0..run.reducers).map(|_| Table::default()).collect())
         } else {
-            Vec::new()
+            Buffered::Records((0..run.reducers).map(|_| Arena::default()).collect())
         };
-        MapWorker { cluster, run, app, wi, me, buffer, tables, pending: None }
+        MapWorker { cluster, run, app, wi, me, buffer, out, pending: None }
     }
 
     /// A worker at ring position `wi` (modulo the run's membership),
@@ -403,7 +401,7 @@ impl<'a> MapWorker<'a> {
         att.total = payload.len().max(1) as u64;
         let parts = t.parts.as_deref();
         let mut out_of_range = false;
-        // Map + proactive spill. The buffer and tables are empty at
+        // Map + proactive spill. The buffer and arenas are empty at
         // entry and drained before return, so a batch never mixes tasks
         // or attempts.
         app.map_into(t.source, &payload, &mut |k, v| {
@@ -425,16 +423,10 @@ impl<'a> MapWorker<'a> {
             if parts.is_some_and(|mask| !mask[p]) {
                 return;
             }
-            let record = match self.tables.get_mut(p) {
-                Some(table) => {
-                    fold_into(app, table, k, v);
-                    None
-                }
-                None => Some((k.into_owned(), v.into_owned())),
-            };
-            if let Some(spill) = self.buffer.push_to(p, bytes, record) {
-                let records = self.take_records(spill);
-                self.ship(&mut att, p, records);
+            self.out.add(app, p, k, v);
+            if self.buffer.push_to(p, bytes, None).is_some() {
+                let spill = self.out.take(p);
+                self.ship(&mut att, p, spill);
             }
         });
         if out_of_range {
@@ -443,17 +435,12 @@ impl<'a> MapWorker<'a> {
             redeem(self.cluster, &att.shuffle, &att.cache);
             return Err(JobError::InvalidRequest("MapReduce::partition returned p >= reducers"));
         }
-        for spill in self.buffer.flush() {
-            let (p, records) = (spill.partition, self.take_records(spill));
-            self.ship(&mut att, p, records);
-        }
-        // A combiner table can hold keys whose pairs were all empty
-        // (zero bytes, so no spill above): ship those too.
-        for p in 0..self.tables.len() {
-            if !self.tables[p].is_empty() {
-                let records = drain_sorted(&mut self.tables[p]);
-                self.ship(&mut att, p, records);
-            }
+        // Task end: every partition holding output spills, including
+        // one whose pairs were all empty (zero bytes buffered).
+        self.buffer.reset();
+        for p in 0..run.reducers {
+            let spill = self.out.take(p);
+            self.ship(&mut att, p, spill);
         }
         // Batch boundary: put every coalesced frame (shuffle + cache)
         // on the wire now, so the acks travel while the *next* attempt
@@ -462,28 +449,18 @@ impl<'a> MapWorker<'a> {
         Ok(att)
     }
 
-    /// A spill's records: the buffered ones, or for a combiner app the
-    /// drained table of its partition, one pair per key in key order.
-    fn take_records(&mut self, spill: Spill<(String, String)>) -> Vec<(String, String)> {
-        match self.tables.get_mut(spill.partition) {
-            Some(table) => drain_sorted(table),
-            None => spill.records,
-        }
-    }
-
     /// Drop everything buffered for an attempt that will not ship.
     fn discard(&mut self) {
         self.buffer.reset();
-        for table in &mut self.tables {
-            table.clear();
-        }
+        self.out.clear();
     }
 
-    /// Push one spill's records to reduce partition `partition`'s home:
-    /// a windowed one-way `ShuffleBatch` when the home is another live
+    /// Push one spill's run to reduce partition `partition`'s home: a
+    /// windowed one-way `ShuffleRun` when the home is another live
     /// node, a direct delivery when it is this node (or dead, in which
-    /// case the partition re-homes here first).
-    fn ship(&mut self, att: &mut Shipping, partition: usize, records: Vec<(String, String)>) {
+    /// case the partition re-homes here first). Both carry the same
+    /// run.
+    fn ship(&mut self, att: &mut Shipping, partition: usize, records: RecordRun) {
         let (cluster, run, me) = (self.cluster, self.run, self.me);
         let (tid, attempt) = (att.tid, att.attempt);
         if records.is_empty() {
@@ -517,13 +494,13 @@ impl<'a> MapWorker<'a> {
             // The worker keeps mapping while the batch and its ack are
             // in flight; it blocks only when `home`'s ack window is
             // full.
-            let batch = Rpc::ShuffleBatch {
+            let batch = Rpc::ShuffleRun {
                 task: run.gtid(tid),
                 attempt,
                 seq,
                 epoch: run.epoch,
                 partition: partition as u32,
-                records,
+                run: records,
             };
             match cluster.net.send(me, home, batch) {
                 Ok(ticket) => att.shuffle.push((ticket, partition)),
@@ -825,12 +802,115 @@ fn fold_into(app: &dyn MapReduce, table: &mut Table, k: Cow<'_, str>, v: Cow<'_,
     }
 }
 
-/// Empty a combining table into a key-sorted batch: sorted keys share
-/// prefixes the wire codec elides, and a batch is a sorted run.
-fn drain_sorted(table: &mut Table) -> Vec<(String, String)> {
-    let mut records: Vec<(String, String)> = table.drain().collect();
-    records.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    records
+/// A worker's map output buffered since each partition's last spill.
+enum Buffered {
+    /// An app without a combiner: one byte arena per partition.
+    Records(Vec<Arena>),
+    /// A combiner app: per partition, key → partial aggregate (the
+    /// in-mapper combiner).
+    Combined(Vec<Table>),
+}
+
+impl Buffered {
+    /// Buffer one emitted pair for partition `p`.
+    #[inline]
+    fn add(&mut self, app: &dyn MapReduce, p: usize, k: Cow<'_, str>, v: Cow<'_, str>) {
+        match self {
+            Buffered::Records(arenas) => arenas[p].push(k.as_bytes(), v.as_bytes()),
+            Buffered::Combined(tables) => fold_into(app, &mut tables[p], k, v),
+        }
+    }
+
+    /// Partition `p`'s buffered output as a key-sorted run, leaving the
+    /// partition empty (its allocations kept for the next spill).
+    fn take(&mut self, p: usize) -> RecordRun {
+        match self {
+            Buffered::Records(arenas) => arenas[p].drain(),
+            Buffered::Combined(tables) => drain_table(&mut tables[p]),
+        }
+    }
+
+    fn clear(&mut self) {
+        match self {
+            Buffered::Records(arenas) => arenas.iter_mut().for_each(Arena::clear),
+            Buffered::Combined(tables) => tables.iter_mut().for_each(Table::clear),
+        }
+    }
+}
+
+/// One partition's emitted pairs since its last spill: every key and
+/// value byte back to back in one buffer, plus one entry per pair.
+/// Appending a pair copies its bytes and allocates nothing per record.
+#[derive(Default)]
+struct Arena {
+    bytes: Vec<u8>,
+    entries: Vec<Entry>,
+}
+
+/// Where one pair sits in its arena. `prefix` holds the key's first
+/// eight bytes big-endian (zero-padded), so most comparisons in the
+/// spill sort never touch the arena.
+#[derive(Clone, Copy)]
+struct Entry {
+    prefix: u64,
+    start: u32,
+    key_len: u32,
+    value_len: u32,
+}
+
+impl Arena {
+    #[inline]
+    fn push(&mut self, key: &[u8], value: &[u8]) {
+        let start = self.bytes.len();
+        self.bytes.extend_from_slice(key);
+        self.bytes.extend_from_slice(value);
+        // The arena's end fits in a u32, so every offset sum below does.
+        let narrow = |n: usize| u32::try_from(n).expect("a spill arena stays below 4 GiB");
+        narrow(self.bytes.len());
+        let mut prefix = [0u8; 8];
+        let n = key.len().min(8);
+        prefix[..n].copy_from_slice(&key[..n]);
+        self.entries.push(Entry {
+            prefix: u64::from_be_bytes(prefix),
+            start: narrow(start),
+            key_len: narrow(key.len()),
+            value_len: narrow(value.len()),
+        });
+    }
+
+    /// Sort the entries by key — stably: equal keys keep emit order,
+    /// which the arena offsets record — and write them as a run.
+    fn drain(&mut self) -> RecordRun {
+        let bytes = &self.bytes;
+        let key = |e: &Entry| &bytes[e.start as usize..(e.start + e.key_len) as usize];
+        self.entries.sort_unstable_by(|a, b| {
+            a.prefix.cmp(&b.prefix).then_with(|| key(a).cmp(key(b))).then(a.start.cmp(&b.start))
+        });
+        let mut run = RunBuilder::with_capacity(bytes.len() + 3 * self.entries.len());
+        for e in &self.entries {
+            let value_at = (e.start + e.key_len) as usize;
+            run.push(key(e), &bytes[value_at..value_at + e.value_len as usize]);
+        }
+        self.clear();
+        run.finish()
+    }
+
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.entries.clear();
+    }
+}
+
+/// Empty a combining table into a key-sorted run: one record per key.
+fn drain_table(table: &mut Table) -> RecordRun {
+    let mut pairs: Vec<(&String, &String)> = table.iter().collect();
+    pairs.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    let mut run = RunBuilder::default();
+    for (k, v) in pairs {
+        run.push(k.as_bytes(), v.as_bytes());
+    }
+    table.clear();
+    run.finish()
 }
 
 /// Redeem the window slots of an attempt that will not commit, whatever

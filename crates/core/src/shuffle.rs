@@ -22,8 +22,9 @@ pub struct Spill<P> {
 
 /// A map task's per-partition spill buffers.
 ///
-/// Generic over the record payload `P`: the live executor buffers real
-/// key/value pairs, the simulator buffers nothing and only meters bytes.
+/// Generic over the record payload `P`. The live executor and the
+/// simulator buffer nothing here (`P = ()`) and only meter bytes: the
+/// executor's records wait in its per-partition spill arenas.
 #[derive(Clone, Debug)]
 pub struct SpillBuffer<P> {
     threshold: u64,

@@ -20,16 +20,18 @@
 //!
 //! Retries make delivery *at-least-once*; receivers that cannot
 //! tolerate duplicates deduplicate by the sequence numbers carried in
-//! the messages ([`Rpc::ShuffleBatch`]'s `(task, attempt, seq)`).
+//! the messages ([`Rpc::ShuffleRun`]'s `(task, attempt, seq)`).
 
 pub mod demux;
 pub mod mem;
+pub mod records;
 pub mod rpc;
 pub mod tcp;
 pub mod wire;
 
 pub use demux::Demux;
 pub use mem::MemTransport;
+pub use records::{merge_groups, RecordRun, RunBuilder, RunCursor};
 pub use rpc::{Rpc, RpcKind, RpcReply};
 pub use tcp::TcpTransport;
 pub use wire::{CodecError, Dir, Frame, FrameDecoder};

@@ -3,19 +3,21 @@
 //!
 //! Links are synchronous per-caller FIFO channels (a call completes
 //! before the caller issues the next, so per-link ordering is inherent)
-//! with three injectable fault classes, all keyed by directed link:
+//! with four injectable fault classes:
 //!
 //! * **one-way partitions** — frames from `a` to `b` vanish; the caller
 //!   observes silence (a timeout), exactly like a real network cut;
 //! * **drops** — the next `n` frames on a link (or of one [`RpcKind`]
 //!   anywhere) are lost in flight, exercising the retry path;
+//! * **corruption** — the next `n` frames of one kind arrive cut short
+//!   by a byte, exercising the receiver's codec rejection;
 //! * **delays** — every frame on a link waits before delivery,
 //!   modelling a slow or congested path. A delayed (blocked) call is
 //!   woken immediately when the destination endpoint closes, so peers
 //!   get a connection error instead of waiting out the delay.
 //!
 //! Every frame — even node-local ones — is encoded and decoded through
-//! the real codec ([`Rpc::encode`]/[`Rpc::decode`]), so a run over this
+//! the real codec ([`Rpc::encode`]/[`Rpc::decode_owned`]), so a run over this
 //! backend proves the byte-level protocol, not just the call graph:
 //! it is the deterministic oracle the loopback-TCP suite compares
 //! against.
@@ -43,11 +45,16 @@ struct MemState {
     /// Per-kind drop tokens: the next `n` frames of this kind vanish,
     /// whatever link they travel.
     drop_kind: HashMap<RpcKind, u32>,
+    /// Per-kind corruption tokens: the next `n` frames of this kind
+    /// arrive with their body's last byte cut.
+    corrupt_kind: HashMap<RpcKind, u32>,
 }
 
 /// Outcome of one delivery attempt.
 enum Attempt {
-    Deliver(RpcHandler),
+    /// Hand the frame to the handler — cut short by a byte when a
+    /// corruption token was consumed.
+    Deliver(RpcHandler, bool),
     /// Endpoint closed or never bound — fail fast, no retry.
     Closed,
     /// Frame lost (drop token or partition) — retry after backoff.
@@ -165,6 +172,15 @@ impl MemTransport {
         *self.state.lock().unwrap().drop_kind.entry(kind).or_insert(0) += n;
     }
 
+    /// Deliver the next `n` frames of `kind`, on any link, with the last
+    /// byte of their body cut (and the length prefix patched to match).
+    /// Every message consumes its body exactly, so the receiver's codec
+    /// rejects such a frame and the endpoint answers
+    /// [`RpcReply::Error`]; a retransmission carries the intact frame.
+    pub fn corrupt_rpcs(&self, kind: RpcKind, n: u32) {
+        *self.state.lock().unwrap().corrupt_kind.entry(kind).or_insert(0) += n;
+    }
+
     /// Seed the derived fault-timing source. After this,
     /// [`Self::delay_link_seeded`] installs link delays computed purely
     /// from `(seed, link, salt)` — the same seed yields the same delay
@@ -277,7 +293,14 @@ impl MemTransport {
                 return Attempt::Closed;
             }
         }
-        Attempt::Deliver(st.endpoints[&to.0].clone())
+        let corrupt = match st.corrupt_kind.get_mut(&kind) {
+            Some(n) if *n > 0 => {
+                *n -= 1;
+                true
+            }
+            _ => false,
+        };
+        Attempt::Deliver(st.endpoints[&to.0].clone(), corrupt)
     }
 
     /// One one-way transmission: run the fault machinery and, on
@@ -302,11 +325,10 @@ impl MemTransport {
                 self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
                 Ok(None)
             }
-            Attempt::Deliver(handler) => {
-                let decoded = crate::wire::decode_frame(frame)?;
-                let req = Rpc::decode(&decoded)?;
-                let reply = handler(req);
+            Attempt::Deliver(handler, corrupt) => {
+                let decoded = crate::wire::decode_frame(&delivered(frame, corrupt))?;
                 let corr = decoded.corr;
+                let reply = serve(&handler, decoded);
                 let reply_frame = reply.encode(corr);
                 self.stats
                     .bytes_sent
@@ -319,6 +341,28 @@ impl MemTransport {
                 }))
             }
         }
+    }
+}
+
+/// The bytes that arrive for `frame`: the frame itself, or with
+/// `corrupt` a copy whose body lost its last byte (length patched).
+fn delivered(frame: &[u8], corrupt: bool) -> std::borrow::Cow<'_, [u8]> {
+    let body = frame.len() - crate::wire::HEADER_LEN;
+    if !corrupt || body == 0 {
+        return std::borrow::Cow::Borrowed(frame);
+    }
+    let mut bad = frame[..frame.len() - 1].to_vec();
+    bad[12..16].copy_from_slice(&(body as u32 - 1).to_le_bytes());
+    std::borrow::Cow::Owned(bad)
+}
+
+/// The serving side of one delivered frame, as the TCP endpoint does
+/// it: decode the request by value and run the handler, or answer a
+/// body the codec rejects with [`RpcReply::Error`].
+fn serve(handler: &RpcHandler, frame: crate::wire::Frame) -> RpcReply {
+    match Rpc::decode_owned(frame) {
+        Ok(rpc) => handler(rpc),
+        Err(e) => RpcReply::Error(format!("bad request: {e}")),
     }
 }
 
@@ -357,10 +401,9 @@ impl Transport for MemTransport {
                     self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
-                Attempt::Deliver(handler) => {
-                    let decoded = crate::wire::decode_frame(&frame)?;
-                    let req = Rpc::decode(&decoded)?;
-                    let reply = handler(req);
+                Attempt::Deliver(handler, corrupt) => {
+                    let decoded = crate::wire::decode_frame(&delivered(&frame, corrupt))?;
+                    let reply = serve(&handler, decoded);
                     let reply_frame = reply.encode(corr);
                     self.stats
                         .bytes_sent

@@ -10,7 +10,7 @@
 //! | `ReplicaSync`  | recovery | block id + re-replication target         |
 //! | `CacheGet`     | cache    | cache key                                |
 //! | `CachePut`     | cache    | cache key + payload + TTL                |
-//! | `ShuffleBatch` | shuffle  | (task, attempt, seq) + records           |
+//! | `ShuffleBatch` | shuffle  | (task, attempt, seq) + sorted record run |
 //! | `Heartbeat`    | control  | sender + logical clock                   |
 //! | `TaskAssign`   | control  | task id + block id                       |
 //! | `RangeHandoff` | elastic  | cache key + payload (re-homed entry)     |
@@ -19,7 +19,16 @@
 //! `ShuffleBatch` carries a per-attempt sequence number so receivers can
 //! deduplicate at-least-once delivery (a retry after a lost *response*
 //! would otherwise double-deliver the batch).
+//!
+//! The kind-6 (`ShuffleBatch`) body is five `u32`s (task, attempt, seq,
+//! epoch, partition) followed by a sorted, front-coded [`RecordRun`].
+//! The executor sends and receives it as [`Rpc::ShuffleRun`]: the
+//! transports decode request frames by value ([`Rpc::decode_owned`]),
+//! so a received run keeps the frame body as its storage and is
+//! validated once. [`Rpc::ShuffleBatch`] is the same frame with owned
+//! pairs, which [`Rpc::decode`] still yields.
 
+use crate::records::RecordRun;
 use crate::wire::{self, CodecError, Dir, Frame, Reader, Writer};
 use bytes::Bytes;
 use eclipse_cache::{CacheKey, OutputTag};
@@ -70,6 +79,10 @@ pub enum Rpc {
         partition: u32,
         records: Vec<(String, String)>,
     },
+    /// The executor's form of a shuffle batch: the same frame kind and
+    /// body bytes as [`Rpc::ShuffleBatch`], with the records held as a
+    /// key-sorted [`RecordRun`] instead of owned pairs.
+    ShuffleRun { task: u32, attempt: u32, seq: u32, epoch: u32, partition: u32, run: RecordRun },
     /// Failure-detector ping, doubling as the map-progress carrier for
     /// speculative execution. `task == u32::MAX` is a pure liveness
     /// ping; otherwise `progress` is the sender's map progress for
@@ -114,7 +127,7 @@ impl Rpc {
             Rpc::ReplicaSync { .. } => RpcKind::ReplicaSync,
             Rpc::CacheGet { .. } => RpcKind::CacheGet,
             Rpc::CachePut { .. } => RpcKind::CachePut,
-            Rpc::ShuffleBatch { .. } => RpcKind::ShuffleBatch,
+            Rpc::ShuffleBatch { .. } | Rpc::ShuffleRun { .. } => RpcKind::ShuffleBatch,
             Rpc::Heartbeat { .. } => RpcKind::Heartbeat,
             Rpc::TaskAssign { .. } => RpcKind::TaskAssign,
             Rpc::RangeHandoff { .. } => RpcKind::RangeHandoff,
@@ -133,13 +146,18 @@ impl Rpc {
     /// Serialize into `out` (cleared first): header and body are written
     /// in place, with no intermediate body buffer and no copy. In debug
     /// builds the finished frame is decoded and re-encoded to assert it
-    /// round-trips to the very same bytes.
+    /// round-trips to the very same bytes (a shuffle batch in the form
+    /// it was sent in).
     pub fn encode_into(&self, corr: u64, out: &mut Vec<u8>) {
         self.encode_raw(corr, out);
         #[cfg(debug_assertions)]
         {
             let frame = wire::decode_frame(out).expect("encoded request frame must decode");
-            let back = Rpc::decode(&frame).expect("encoded request body must decode");
+            let back = match self {
+                Rpc::ShuffleBatch { .. } => Rpc::decode(&frame),
+                _ => Rpc::decode_owned(frame),
+            };
+            let back = back.expect("encoded request body must decode");
             let mut again = Vec::new();
             back.encode_raw(corr, &mut again);
             debug_assert_eq!(&again, out, "request frame must round-trip to identical bytes");
@@ -194,6 +212,14 @@ impl Rpc {
                     prev = kb;
                 }
             }
+            Rpc::ShuffleRun { task, attempt, seq, epoch, partition, run } => {
+                w.u32(*task);
+                w.u32(*attempt);
+                w.u32(*seq);
+                w.u32(*epoch);
+                w.u32(*partition);
+                run.encode(&mut w);
+            }
             Rpc::Heartbeat { from, clock, task, progress } => {
                 w.u32(from.0);
                 w.u64(*clock);
@@ -216,8 +242,25 @@ impl Rpc {
         wire::end_frame(out, at);
     }
 
+    /// Decode a request, taking the frame by value: the transports'
+    /// path. A kind-6 frame becomes [`Rpc::ShuffleRun`], whose run is
+    /// validated once here and keeps the frame body as its storage (no
+    /// second copy); every other kind decodes as [`Rpc::decode`].
+    pub fn decode_owned(frame: Frame) -> Result<Rpc, CodecError> {
+        if frame.dir != Dir::Request || frame.kind != RpcKind::ShuffleBatch as u8 {
+            return Rpc::decode(&frame);
+        }
+        let mut r = Reader::new(&frame.body);
+        let (task, attempt, seq) = (r.u32()?, r.u32()?, r.u32()?);
+        let (epoch, partition) = (r.u32()?, r.u32()?);
+        let at = r.position();
+        let run = RecordRun::from_body(frame.body, at)?;
+        Ok(Rpc::ShuffleRun { task, attempt, seq, epoch, partition, run })
+    }
+
     /// Decode a request from a frame. Total: every malformed body maps
-    /// to a [`CodecError`].
+    /// to a [`CodecError`]. A kind-6 frame decodes as the owned
+    /// [`Rpc::ShuffleBatch`], in any key order.
     pub fn decode(frame: &Frame) -> Result<Rpc, CodecError> {
         if frame.dir != Dir::Request {
             return Err(CodecError::BadKind { dir: frame.dir, kind: frame.kind });
@@ -515,6 +558,26 @@ mod tests {
             data: Bytes::new(),
         });
         roundtrip_rpc(Rpc::BlockPull { block: bid(6), from: NodeId(4) });
+    }
+
+    #[test]
+    fn shuffle_run_shares_the_batch_frame() {
+        let records: Vec<(String, String)> =
+            vec![("".into(), "e".into()), ("ab".into(), "1".into()), ("abc".into(), "".into())];
+        let run = RecordRun::from_pairs(&records);
+        let as_run = Rpc::ShuffleRun { task: 4, attempt: 1, seq: 2, epoch: 3, partition: 5, run };
+        let as_batch =
+            Rpc::ShuffleBatch { task: 4, attempt: 1, seq: 2, epoch: 3, partition: 5, records };
+        assert_eq!(as_run.kind(), RpcKind::ShuffleBatch);
+        let raw = as_run.encode(11);
+        assert_eq!(raw, as_batch.encode(11), "same body bytes");
+        let frame = decode_frame(&raw).unwrap();
+        assert_eq!(Rpc::decode(&frame).unwrap(), as_batch);
+        assert_eq!(Rpc::decode_owned(frame).unwrap(), as_run);
+        // Other kinds decode alike by value and by reference.
+        let raw = Rpc::TaskAssign { task: 1, block: bid(2) }.encode(3);
+        let frame = decode_frame(&raw).unwrap();
+        assert_eq!(Rpc::decode_owned(frame.clone()).unwrap(), Rpc::decode(&frame).unwrap());
     }
 
     #[test]

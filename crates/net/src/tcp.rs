@@ -729,11 +729,12 @@ fn serve_conn(
                             return;
                         }
                     };
-                    let reply = match Rpc::decode(&frame) {
+                    let corr = frame.corr;
+                    let reply = match Rpc::decode_owned(frame) {
                         Ok(rpc) => handler(rpc),
                         Err(e) => RpcReply::Error(format!("bad request: {e}")),
                     };
-                    reply.encode_into(frame.corr, &mut out);
+                    reply.encode_into(corr, &mut out);
                     stats.bytes_sent.fetch_add(out.len() as u64, Ordering::Relaxed);
                     batch.extend_from_slice(&out);
                 }
@@ -774,7 +775,7 @@ mod tests {
                         RpcReply::Ack
                     }
                     Rpc::Heartbeat { .. } => RpcReply::Ack,
-                    Rpc::ShuffleBatch { .. } | Rpc::CachePut { .. } => RpcReply::Ack,
+                    Rpc::ShuffleRun { .. } | Rpc::CachePut { .. } => RpcReply::Ack,
                     _ => RpcReply::Error("unsupported".into()),
                 }),
             );

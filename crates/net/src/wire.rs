@@ -66,6 +66,8 @@ pub enum CodecError {
     BadTag(u8),
     /// Bytes left over after the last field of a message.
     Trailing(usize),
+    /// A record run's keys decrease: runs are sorted by key.
+    Unsorted,
 }
 
 impl fmt::Display for CodecError {
@@ -80,6 +82,7 @@ impl fmt::Display for CodecError {
             CodecError::BadUtf8 => write!(f, "string field is not UTF-8"),
             CodecError::BadTag(t) => write!(f, "invalid tag byte {t}"),
             CodecError::Trailing(n) => write!(f, "{n} trailing bytes after message"),
+            CodecError::Unsorted => write!(f, "record run keys are not sorted"),
         }
     }
 }
@@ -283,6 +286,11 @@ impl<'a> Reader<'a> {
         String::from_utf8(raw.to_vec()).map_err(|_| CodecError::BadUtf8)
     }
 
+    /// Bytes consumed so far.
+    pub fn position(&self) -> usize {
+        self.at
+    }
+
     /// The message must consume its body exactly.
     pub fn finish(self) -> Result<(), CodecError> {
         if self.at != self.buf.len() {
@@ -346,6 +354,11 @@ impl<'a> Writer<'a> {
 
     pub fn string(&mut self, v: &str) {
         self.bytes(v.as_bytes());
+    }
+
+    /// Bytes appended as they are, with no length prefix.
+    pub fn raw(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(v);
     }
 }
 

@@ -1,4 +1,4 @@
-//! Multi-tenant job arrival processes.
+//! Job arrival processes.
 //!
 //! The paper's Fig. 7/8 workloads arrive as "a large number of subsequent
 //! jobs ... as in time series"; production traces (the paper cites
@@ -42,59 +42,6 @@ pub struct JobArrival {
     pub size: SizeClass,
 }
 
-/// One point of a recorded submission trace: when, what, over which
-/// dataset. Real traces are bursty and diurnal — nothing like a
-/// memoryless Poisson process — so replaying them is the honest way to
-/// drive continuous jobs and admission control.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TracePoint {
-    /// Submission time, seconds from stream start. Points must be
-    /// non-decreasing.
-    pub at: f64,
-    pub app: AppKind,
-    /// Dataset index (same meaning as [`JobArrival::dataset`]).
-    pub dataset: usize,
-}
-
-impl TracePoint {
-    pub fn new(at: f64, app: AppKind, dataset: usize) -> TracePoint {
-        TracePoint { at, app, dataset }
-    }
-}
-
-/// One tenant in a multi-tenant storm.
-#[derive(Clone, Debug)]
-pub struct TenantSpec {
-    /// Mean jobs per second for this tenant alone (Poisson rate).
-    /// Ignored when a `trace` is attached.
-    pub rate: f64,
-    /// Weighted-fair share stamped on the tenant's arrivals.
-    pub weight: u32,
-    pub size: SizeClass,
-    /// Recorded submission trace to replay instead of drawing a
-    /// Poisson process. `None` (the default) keeps the generator
-    /// path — and keeps every pre-trace stream byte-identical.
-    pub trace: Option<Vec<TracePoint>>,
-}
-
-impl TenantSpec {
-    pub fn new(rate: f64, weight: u32, size: SizeClass) -> TenantSpec {
-        TenantSpec { rate, weight, size, trace: None }
-    }
-
-    /// A tenant that replays `trace` verbatim (cycled if the storm
-    /// needs more points than the recording holds, each lap shifted by
-    /// the recording's span).
-    pub fn replay(trace: Vec<TracePoint>, weight: u32, size: SizeClass) -> TenantSpec {
-        assert!(!trace.is_empty(), "an empty trace submits nothing");
-        assert!(
-            trace.windows(2).all(|w| w[0].at <= w[1].at),
-            "trace timestamps must be non-decreasing"
-        );
-        TenantSpec { rate: f64::NAN, weight, size, trace: Some(trace) }
-    }
-}
-
 /// Arrival-process parameters.
 #[derive(Clone, Debug)]
 pub struct ArrivalConfig {
@@ -125,20 +72,7 @@ impl Default for ArrivalConfig {
 /// `Medium` size class.
 pub fn arrivals(cfg: &ArrivalConfig, n: usize, seed: u64) -> Vec<JobArrival> {
     let mut rng = StdRng::seed_from_u64(seed);
-    stream(cfg, cfg.rate, n, &mut rng, 0, 1, SizeClass::Medium)
-}
-
-/// Generate one tenant's private stream off its own RNG.
-fn stream(
-    cfg: &ArrivalConfig,
-    rate: f64,
-    n: usize,
-    rng: &mut StdRng,
-    tenant: usize,
-    weight: u32,
-    size: SizeClass,
-) -> Vec<JobArrival> {
-    assert!(rate > 0.0);
+    assert!(cfg.rate > 0.0);
     assert!(!cfg.mix.is_empty());
     assert!(cfg.datasets > 0);
     let total_weight: f64 = cfg.mix.iter().map(|(_, w)| w).sum();
@@ -158,7 +92,7 @@ fn stream(
     for _ in 0..n {
         // Exponential inter-arrival gap.
         let u: f64 = rng.random::<f64>().max(1e-12);
-        t += -u.ln() / rate;
+        t += -u.ln() / cfg.rate;
         // Weighted app choice.
         let mut pick: f64 = rng.random::<f64>() * total_weight;
         let mut app = cfg.mix[0].0;
@@ -172,71 +106,9 @@ fn stream(
         // Zipf dataset choice.
         let u: f64 = rng.random();
         let dataset = zipf.partition_point(|&c| c < u).min(cfg.datasets - 1);
-        out.push(JobArrival { at: t, app, dataset, tenant, weight, size });
+        out.push(JobArrival { at: t, app, dataset, tenant: 0, weight: 1, size: SizeClass::Medium });
     }
     out
-}
-
-/// Merge per-tenant Poisson streams into one time-ordered storm of `n`
-/// jobs. Each tenant draws from its **own** RNG stream
-/// (`seed`-and-tenant derived), so a tenant's sub-stream is identical
-/// whether it runs solo or alongside any number of other tenants —
-/// adding an antagonist to a storm never perturbs the victim's
-/// arrivals, only their interleaving.
-pub fn tenant_arrivals(
-    cfg: &ArrivalConfig,
-    tenants: &[TenantSpec],
-    n: usize,
-    seed: u64,
-) -> Vec<JobArrival> {
-    assert!(!tenants.is_empty());
-    let mut merged: Vec<JobArrival> = Vec::with_capacity(n * tenants.len());
-    for (i, spec) in tenants.iter().enumerate() {
-        // Each tenant could in principle supply the whole prefix.
-        let sub = match &spec.trace {
-            Some(trace) => replay(trace, n, i, spec.weight, spec.size),
-            None => {
-                // Golden-ratio salt keyed by tenant index, independent
-                // of the tenant list's length or the other entries.
-                let salt = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1);
-                let mut rng = StdRng::seed_from_u64(seed ^ salt);
-                stream(cfg, spec.rate, n, &mut rng, i, spec.weight, spec.size)
-            }
-        };
-        merged.extend(sub);
-    }
-    merged.sort_by(|a, b| a.at.total_cmp(&b.at).then(a.tenant.cmp(&b.tenant)));
-    merged.truncate(n);
-    merged
-}
-
-/// Replay a recorded trace as one tenant's sub-stream: the first `n`
-/// points verbatim, cycling with a per-lap time shift of the
-/// recording's span when the storm outlives the recording. No RNG
-/// touches this path — a traced tenant is identical across seeds,
-/// tenant counts and neighbours, by construction.
-fn replay(
-    trace: &[TracePoint],
-    n: usize,
-    tenant: usize,
-    weight: u32,
-    size: SizeClass,
-) -> Vec<JobArrival> {
-    let span = trace.last().expect("non-empty trace").at;
-    (0..n)
-        .map(|k| {
-            let lap = (k / trace.len()) as f64;
-            let p = &trace[k % trace.len()];
-            JobArrival {
-                at: p.at + lap * span,
-                app: p.app,
-                dataset: p.dataset,
-                tenant,
-                weight,
-                size,
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -271,88 +143,6 @@ mod tests {
         }
         assert!(counts[0] > 3 * counts[7], "{counts:?}");
         assert!(counts.iter().all(|&c| c > 0));
-    }
-
-    #[test]
-    fn tenant_streams_stable_across_tenant_counts() {
-        let cfg = ArrivalConfig::default();
-        let victim = TenantSpec::new(0.05, 4, SizeClass::Small);
-        let antagonist = TenantSpec::new(0.02, 1, SizeClass::Scan);
-        let solo = tenant_arrivals(&cfg, std::slice::from_ref(&victim), 60, 11);
-        let storm = tenant_arrivals(&cfg, &[victim, antagonist], 120, 11);
-        // The victim's sub-stream is byte-for-byte the solo stream —
-        // adding the antagonist changed the interleaving only.
-        let victims: Vec<&JobArrival> =
-            storm.iter().filter(|j| j.tenant == 0).collect();
-        assert!(victims.len() >= 40, "victim under-represented: {}", victims.len());
-        for (got, want) in victims.iter().zip(&solo) {
-            assert_eq!(**got, *want);
-        }
-        assert!(storm.windows(2).all(|w| w[0].at <= w[1].at));
-        assert!(storm.iter().filter(|j| j.tenant == 1).all(|j| {
-            j.weight == 1 && j.size == SizeClass::Scan
-        }));
-    }
-
-    #[test]
-    fn traced_tenant_replays_verbatim_and_merges() {
-        let cfg = ArrivalConfig::default();
-        let trace = vec![
-            TracePoint::new(0.5, AppKind::Grep, 2),
-            TracePoint::new(0.6, AppKind::Sort, 0),
-            TracePoint::new(9.0, AppKind::WordCount, 1),
-        ];
-        let traced = TenantSpec::replay(trace.clone(), 3, SizeClass::Small);
-        let poisson = TenantSpec::new(0.05, 1, SizeClass::Medium);
-        let storm = tenant_arrivals(&cfg, &[traced, poisson.clone()], 40, 11);
-        // The traced tenant's points are the recording, independent of
-        // the seed, in order, carrying its weight/size stamps.
-        let replayed: Vec<&JobArrival> =
-            storm.iter().filter(|j| j.tenant == 0).collect();
-        for (got, want) in replayed.iter().zip(&trace) {
-            assert_eq!((got.at, got.app, got.dataset), (want.at, want.app, want.dataset));
-            assert_eq!((got.weight, got.size), (3, SizeClass::Small));
-        }
-        let other_seed = tenant_arrivals(
-            &cfg,
-            &[TenantSpec::replay(trace.clone(), 3, SizeClass::Small), poisson],
-            40,
-            77,
-        );
-        let a: Vec<&JobArrival> = other_seed.iter().filter(|j| j.tenant == 0).collect();
-        for (x, y) in a.iter().zip(&replayed) {
-            assert_eq!(x, y, "a trace must not depend on the seed");
-        }
-        assert!(storm.windows(2).all(|w| w[0].at <= w[1].at), "merge stays ordered");
-    }
-
-    #[test]
-    fn trace_cycles_past_recording_end() {
-        let cfg = ArrivalConfig::default();
-        let trace =
-            vec![TracePoint::new(1.0, AppKind::Grep, 0), TracePoint::new(4.0, AppKind::Sort, 1)];
-        let spec = TenantSpec::replay(trace, 1, SizeClass::Medium);
-        let storm = tenant_arrivals(&cfg, &[spec], 6, 5);
-        let ats: Vec<f64> = storm.iter().map(|j| j.at).collect();
-        // Each lap shifts by the recording's 4 s span.
-        assert_eq!(ats, vec![1.0, 4.0, 5.0, 8.0, 9.0, 12.0]);
-    }
-
-    #[test]
-    fn traced_victim_stable_beside_poisson_antagonist() {
-        // The pre-trace invariant, now crossing generator kinds: a
-        // traced victim's sub-stream is identical solo or in a storm.
-        let cfg = ArrivalConfig::default();
-        let trace: Vec<TracePoint> =
-            (0..30).map(|i| TracePoint::new(i as f64 * 0.7, AppKind::Grep, i % 4)).collect();
-        let victim = TenantSpec::replay(trace, 2, SizeClass::Small);
-        let antagonist = TenantSpec::new(1.0, 1, SizeClass::Scan);
-        let solo = tenant_arrivals(&cfg, std::slice::from_ref(&victim), 30, 11);
-        let storm = tenant_arrivals(&cfg, &[victim, antagonist], 60, 11);
-        let victims: Vec<&JobArrival> = storm.iter().filter(|j| j.tenant == 0).collect();
-        for (got, want) in victims.iter().zip(&solo) {
-            assert_eq!(**got, *want);
-        }
     }
 
     #[test]

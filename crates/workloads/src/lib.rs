@@ -13,9 +13,7 @@ pub mod keydist;
 pub mod points;
 pub mod text;
 
-pub use arrivals::{
-    arrivals, tenant_arrivals, ArrivalConfig, JobArrival, SizeClass, TenantSpec, TracePoint,
-};
+pub use arrivals::{arrivals, ArrivalConfig, JobArrival, SizeClass};
 pub use cost::{AppKind, CostModel};
 pub use graph::WebGraph;
 pub use keydist::{KeyDist, KeySampler};

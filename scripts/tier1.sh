@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: release build, clippy, rustdoc, the full test suite, the frozen
-# benchmark/ package's build and tests, the live-matrix, chaos, transport
-# and epoch suites under --release, and a bounded DST smoke sweep. It measures
+# benchmark/ package's build and tests, the live-matrix, edge-case, chaos,
+# transport and epoch suites under --release, and a bounded DST smoke sweep. It measures
 # nothing: live performance is the benchmark's job (benchmark/README.md)
 # and the paper's figures come from `figures`. Writes no tracked file, so a
 # passing run leaves `git status` clean. The full randomized DST sweep
@@ -33,9 +33,17 @@ cargo build --release --manifest-path benchmark/Cargo.toml
 cargo test -q --manifest-path benchmark/Cargo.toml
 
 # live_matrix pins the map-side combining path (borrowed emit, in-place
-# fold, default adapters) to byte-identical output in every cell.
+# fold, default adapters) and the sorted-run path of the apps without a
+# combiner (against an in-order oracle) to byte-identical output in
+# every cell.
 echo "== tier1: live output-identity matrix (release)"
 cargo test -q --release -p eclipse-integration-tests --test live_matrix
+
+# edge_cases pins the sorted-run record shapes (empty keys and values,
+# prefix keys, a shared prefix ending inside a code point, a silent
+# block) to the same bytes over memory and TCP.
+echo "== tier1: edge cases (release)"
+cargo test -q --release -p eclipse-integration-tests --test edge_cases
 
 echo "== tier1: chaos suite (release)"
 cargo test -q --release -p eclipse-integration-tests --test chaos

@@ -5,8 +5,9 @@
 use eclipse_apps::WordCount;
 use eclipse_core::{
     EclipseConfig, EclipseSim, JobSpec, LiveCluster, LiveConfig, MapReduce, ReusePolicy,
-    SchedulerKind,
+    SchedulerKind, TransportKind,
 };
+use std::borrow::Cow;
 use eclipse_sched::{DelayConfig, LafConfig};
 use eclipse_util::{GB, MB};
 use eclipse_workloads::AppKind;
@@ -391,4 +392,79 @@ fn combine_emitting_two_values_fails_the_job() {
     let got = c.try_run_job(&CombineTwice, "in", "u", 2, ReusePolicy::default());
     assert!(got.is_err(), "returned output {:?}", got.map(|(o, _)| o));
     assert_eq!(c.active_jobs(), 0, "the failed run is still registered");
+}
+
+/// `key<TAB>value` lines, emitted as borrowed slices; a line without a
+/// tab emits nothing. `reduce` joins a key's values with `|` in arrival
+/// order, so an empty value still shows.
+struct TabPairs;
+
+impl MapReduce for TabPairs {
+    fn map(&self, block: &[u8], emit: &mut dyn FnMut(String, String)) {
+        self.map_into(0, block, &mut |k, v| emit(k.into_owned(), v.into_owned()));
+    }
+    fn map_into(&self, _: usize, block: &[u8], emit: &mut dyn FnMut(Cow<'_, str>, Cow<'_, str>)) {
+        for line in String::from_utf8_lossy(block).lines() {
+            if let Some((k, v)) = line.split_once('\t') {
+                emit(Cow::Borrowed(k), Cow::Borrowed(v));
+            }
+        }
+    }
+    fn reduce(&self, key: &str, values: &[String], emit: &mut dyn FnMut(String, String)) {
+        emit(key.to_string(), values.join("|"));
+    }
+}
+
+/// The record shapes front coding and the run merge have edges at —
+/// empty keys, empty values, a key that is a strict prefix of another,
+/// neighbouring keys whose shared byte prefix ends inside a code point
+/// (`é` = c3 a9, `ê` = c3 aa), and a block that emits nothing — give
+/// the same bytes over memory and TCP, equal to the hand-written
+/// expectation.
+#[test]
+fn sorted_run_edge_records_identical_over_memory_and_tcp() {
+    const BLOCK: usize = 64;
+    let blocks: [&[&str]; 4] = [
+        &["\tempty-key", "a\t", "ab\tx", "a\ty"],
+        &["é\t1", "ê\t2", "éé\t3", "\t"],
+        &[],
+        &["ab\tz", "abc\t", "a\tw"],
+    ];
+    let mut data = String::new();
+    for lines in blocks {
+        let mut block: String = lines.iter().map(|l| format!("{l}\n")).collect();
+        // Pad with a tab-free line so every block is exactly BLOCK bytes.
+        block.push_str(&"#".repeat(BLOCK - block.len() - 1));
+        block.push('\n');
+        assert_eq!(block.len(), BLOCK);
+        data.push_str(&block);
+    }
+    let want: Vec<(String, String)> = [
+        ("", "empty-key|"),
+        ("a", "|y|w"),
+        ("ab", "x|z"),
+        ("abc", ""),
+        ("é", "1"),
+        ("éé", "3"),
+        ("ê", "2"),
+    ]
+    .iter()
+    .map(|(k, v)| (k.to_string(), v.to_string()))
+    .collect();
+    for transport in [TransportKind::Memory, TransportKind::Tcp] {
+        for nodes in [1usize, 3] {
+            for reducers in [1usize, 4] {
+                let c = LiveCluster::new(
+                    LiveConfig::small()
+                        .with_nodes(nodes)
+                        .with_block_size(BLOCK as u64)
+                        .with_transport(transport),
+                );
+                c.upload("edges", "u", data.as_bytes());
+                let (out, stats) = c.run_job(&TabPairs, "edges", "u", reducers, ReusePolicy::default());
+                assert_eq!(stats.map_tasks, 4);
+                assert_eq!(out, want, "{transport:?}, {nodes} nodes, {reducers} reducers");
+            }
+        }
+    }
 }

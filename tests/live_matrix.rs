@@ -8,10 +8,19 @@
 //! ring has, how many reduce partitions exist, or whether the app
 //! declares a combiner — ported to the borrowed emit and in-place fold
 //! or reaching them through the trait's default adapters.
+//!
+//! The apps without a combiner (inverted index, grep) ride the sorted
+//! byte runs from the spill arena to `reduce_into`; their cells must
+//! equal a plain single-threaded oracle, and an order-sensitive app
+//! pins the guarantee that a key's values reach `reduce` in input
+//! order.
 
-use eclipse_apps::WordCount;
+use eclipse_apps::{Grep, InvertedIndex, WordCount};
 use eclipse_core::{LiveCluster, LiveConfig, MapReduce, ReusePolicy, SchedulerKind};
-use eclipse_integration_tests::WordCountNoCombiner;
+use eclipse_integration_tests::{
+    doc_corpus, grep_oracle, input_order_map, oracle, postings_map, postings_reduce, InputOrder,
+    WordCountNoCombiner,
+};
 
 /// Word count whose combiner reaches the executor only through the
 /// `MapReduce` default adapters: it overrides neither `map_into` nor
@@ -130,4 +139,55 @@ fn warm_rerun_is_identical() {
     let (warm, s2) = c.run_job(&WordCount, "input", "matrix", 3, ReusePolicy::default());
     assert_eq!(render(&cold), render(&warm));
     assert!(s2.cache_hits > s1.cache_hits, "second run should hit the input cache");
+}
+
+/// Inverted index, grep and the order-sensitive app: every cell equals
+/// the in-order oracle, byte for byte.
+#[test]
+fn non_combiner_apps_match_the_in_order_oracle() {
+    let docs = doc_corpus(400);
+    let grep_data = doc_corpus(150).repeat(2);
+    let postings = render(&oracle(docs.as_bytes(), 512, postings_map, postings_reduce));
+    let greps = render(&grep_oracle(grep_data.as_bytes(), 512, "fox"));
+    let ordered = render(&oracle(docs.as_bytes(), 512, input_order_map, |vs| vs.join(",")));
+    assert!(postings.contains("w0399\td0399\n"));
+    assert!(greps.lines().any(|l| l.ends_with("\t2")), "duplicated lines count twice");
+    for sched in [
+        SchedulerKind::Laf(Default::default()),
+        SchedulerKind::Delay(Default::default()),
+    ] {
+        for nodes in [1usize, 3, 8] {
+            for reducers in [2usize, 5] {
+                let cell = format!("{sched:?}, {nodes} nodes, {reducers} reducers");
+                let got = run(&InvertedIndex, sched.clone(), nodes, reducers, &docs);
+                assert_eq!(got, postings, "inverted index, {cell}");
+                let got = run(&Grep::new("fox"), sched.clone(), nodes, reducers, &grep_data);
+                assert_eq!(got, greps, "grep, {cell}");
+                let got = run(&InputOrder, sched.clone(), nodes, reducers, &docs);
+                assert_eq!(got, ordered, "input order, {cell}");
+            }
+        }
+    }
+}
+
+/// Many spills per block: a small shuffle batch makes every task ship
+/// several runs per partition, so the merge's tie order across one
+/// task's spills (by sequence number) is exercised, not just across
+/// tasks.
+#[test]
+fn input_order_holds_across_many_spills_per_task() {
+    let docs = doc_corpus(400);
+    let ordered = render(&oracle(docs.as_bytes(), 4096, input_order_map, |vs| vs.join(",")));
+    for nodes in [1usize, 4] {
+        let c = LiveCluster::new(
+            LiveConfig::small()
+                .with_nodes(nodes)
+                .with_block_size(4096)
+                .with_shuffle_batch_bytes(64),
+        );
+        c.upload("input", "matrix", docs.as_bytes());
+        let (out, stats) = c.run_job(&InputOrder, "input", "matrix", 3, ReusePolicy::default());
+        assert!(stats.spills > 3 * stats.map_tasks, "only {} spills", stats.spills);
+        assert_eq!(render(&out), ordered, "{nodes} nodes");
+    }
 }

@@ -12,11 +12,17 @@
 //!    produces a typed [`CodecError`] (or a valid message, for lucky
 //!    flips in payload bytes) — never a panic, never an out-of-range
 //!    read, never an unbounded allocation from a corrupt length field.
+//! 3. **Record runs**: a shuffle frame (kind 6) decodes two ways — as
+//!    owned pairs ([`Rpc::decode`]) and, on the transports' by-value
+//!    path ([`Rpc::decode_owned`]), as a validated sorted
+//!    [`RecordRun`]. Both agree on every frame; a malformed run is a
+//!    typed error, an endpoint answers it with [`RpcReply::Error`], and
+//!    a job whose shuffle frame is corrupted re-executes the attempt.
 
 use bytes::Bytes;
 use eclipse_cache::{CacheKey, OutputTag};
 use eclipse_core::net::wire::{self, CodecError, Dir, FrameDecoder, HEADER_LEN, MAX_BODY};
-use eclipse_core::net::{Demux, Rpc, RpcReply};
+use eclipse_core::net::{Demux, RecordRun, Rpc, RpcKind, RpcReply, TcpTransport, Transport, CLIENT};
 use eclipse_dhtfs::BlockId;
 use eclipse_ring::NodeId;
 use eclipse_util::HashKey;
@@ -387,4 +393,213 @@ fn unknown_kind_byte_is_typed_both_directions() {
     let raw = wire::encode_frame(Dir::Response, 200, 7, b"");
     let f = wire::decode_frame(&raw).unwrap();
     assert!(matches!(RpcReply::decode(&f), Err(CodecError::BadKind { .. })));
+}
+
+/// A kind-6 body: the five header `u32`s, then a raw run section.
+fn shuffle_body(run_section: &[u8]) -> Vec<u8> {
+    let mut body = vec![0u8; 20];
+    body.extend_from_slice(run_section);
+    body
+}
+
+fn sorted(mut pairs: Vec<(String, String)>) -> Vec<(String, String)> {
+    pairs.sort_by(|a, b| a.0.cmp(&b.0));
+    pairs
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Any sorted run round-trips: by value as the same run, by
+    /// reference as the same pairs in key order.
+    #[test]
+    fn sorted_runs_roundtrip_through_both_decoders(
+        ids in ((0u32..=u32::MAX, 0u32..8, 0u32..1000), (0u32..16, 0u32..32)),
+        pairs in prop::collection::vec((arb_string(), arb_string()), 0..24),
+        corr in 0u64..=u64::MAX,
+    ) {
+        let ((task, attempt, seq), (epoch, partition)) = ids;
+        let run = RecordRun::from_pairs(&pairs);
+        let records = sorted(pairs);
+        prop_assert_eq!(run.to_pairs(), records.clone());
+        let rpc = Rpc::ShuffleRun { task, attempt, seq, epoch, partition, run };
+        let frame = wire::decode_frame(&rpc.encode(corr)).unwrap();
+        prop_assert_eq!(
+            Rpc::decode(&frame).unwrap(),
+            Rpc::ShuffleBatch { task, attempt, seq, epoch, partition, records }
+        );
+        prop_assert_eq!(Rpc::decode_owned(frame).unwrap(), rpc);
+    }
+
+    /// Every kind-6 frame, in any key order: the run decoder yields
+    /// exactly the owned decoder's pairs, or rejects the frame as
+    /// unsorted exactly when its keys decrease.
+    #[test]
+    fn owned_and_run_decoders_agree_on_every_batch(
+        records in prop::collection::vec((arb_string(), arb_string()), 0..16),
+    ) {
+        let rpc = Rpc::ShuffleBatch { task: 1, attempt: 0, seq: 0, epoch: 0, partition: 0, records };
+        let frame = wire::decode_frame(&rpc.encode(5)).unwrap();
+        let Rpc::ShuffleBatch { records, .. } = Rpc::decode(&frame).unwrap() else {
+            panic!("kind 6 decodes as a batch by reference");
+        };
+        let ordered = records.windows(2).all(|w| w[0].0 <= w[1].0);
+        match Rpc::decode_owned(frame) {
+            Ok(Rpc::ShuffleRun { run, .. }) => {
+                prop_assert!(ordered);
+                prop_assert_eq!(run.to_pairs(), records);
+            }
+            Err(e) => {
+                prop_assert!(!ordered);
+                prop_assert_eq!(e, CodecError::Unsorted);
+            }
+            Ok(other) => panic!("kind 6 decoded as {other:?}"),
+        }
+    }
+
+    /// Every truncation of a run body is a typed error, and a
+    /// single-byte corruption either fails typed or decodes — by value
+    /// and by reference to the same pairs.
+    #[test]
+    fn run_truncation_and_corruption_are_typed(
+        pairs in prop::collection::vec((arb_string(), arb_string()), 0..12),
+        at in 0usize..100_000,
+        flip in 1u8..=255,
+    ) {
+        let rpc = Rpc::ShuffleRun {
+            task: 3, attempt: 1, seq: 2, epoch: 0, partition: 1,
+            run: RecordRun::from_pairs(&pairs),
+        };
+        let body = wire::decode_frame(&rpc.encode(9)).unwrap().body;
+        for cut in 0..body.len() {
+            prop_assert!(Rpc::decode_owned(frame_request(6, &body[..cut])).is_err(), "cut {}", cut);
+        }
+        let mut bad = body.clone();
+        bad[at % body.len()] ^= flip;
+        let owned = Rpc::decode(&frame_request(6, &bad));
+        match Rpc::decode_owned(frame_request(6, &bad)) {
+            Ok(Rpc::ShuffleRun { run, .. }) => match owned {
+                Ok(Rpc::ShuffleBatch { records, .. }) => prop_assert_eq!(run.to_pairs(), records),
+                other => panic!("run decoded but owned form gave {other:?}"),
+            },
+            Ok(other) => panic!("kind 6 decoded as {other:?}"),
+            Err(_) => {}
+        }
+    }
+}
+
+#[test]
+fn run_validation_rejects_each_malformation() {
+    let rec = |w: &mut wire::Writer, shared: u64, suffix: &[u8], value: &[u8]| {
+        w.varint(shared);
+        w.vbytes(suffix);
+        w.vbytes(value);
+    };
+    let body = |records: &dyn Fn(&mut wire::Writer)| {
+        let mut section = Vec::new();
+        records(&mut wire::Writer::new(&mut section));
+        frame_request(6, &shuffle_body(&section))
+    };
+    // Keys decrease: "b" then "a".
+    let unsorted = body(&|w| {
+        w.varint(2);
+        rec(w, 0, b"b", b"1");
+        rec(w, 0, b"a", b"1");
+    });
+    assert_eq!(Rpc::decode_owned(unsorted.clone()).unwrap_err(), CodecError::Unsorted);
+    assert!(Rpc::decode(&unsorted).is_ok(), "the owned form takes any order");
+    // Shared prefix longer than the previous key.
+    let overlong = body(&|w| {
+        w.varint(2);
+        rec(w, 0, b"ab", b"");
+        rec(w, 3, b"c", b"");
+    });
+    assert_eq!(Rpc::decode_owned(overlong).unwrap_err(), CodecError::FieldOverrun);
+    // "é" then a key sharing only its lead byte: the reconstructed key
+    // is not UTF-8 though each suffix alone is harmless.
+    let split_char = body(&|w| {
+        w.varint(2);
+        rec(w, 0, "é".as_bytes(), b"");
+        rec(w, 1, b"z", b"");
+    });
+    assert_eq!(Rpc::decode_owned(split_char).unwrap_err(), CodecError::BadUtf8);
+    // The legal neighbour: "ê" shares that byte and completes a char.
+    let legal = body(&|w| {
+        w.varint(2);
+        rec(w, 0, "é".as_bytes(), b"1");
+        rec(w, 1, &"ê".as_bytes()[1..], b"2");
+    });
+    let Rpc::ShuffleRun { run, .. } = Rpc::decode_owned(legal).unwrap() else { panic!() };
+    assert_eq!(run.to_pairs(), vec![("é".into(), "1".into()), ("ê".into(), "2".into())]);
+    // A value that is not UTF-8.
+    let bad_value = body(&|w| {
+        w.varint(1);
+        rec(w, 0, b"k", &[0xff]);
+    });
+    assert_eq!(Rpc::decode_owned(bad_value).unwrap_err(), CodecError::BadUtf8);
+}
+
+/// A malformed run reaching a node's endpoint over loopback TCP is
+/// answered with `RpcReply::Error`, and the endpoint keeps serving.
+#[test]
+fn tcp_endpoint_answers_a_malformed_run_with_an_error() {
+    use std::io::{Read, Write};
+    let t = TcpTransport::new();
+    let node = NodeId(1);
+    t.bind(node, std::sync::Arc::new(|_| RpcReply::Ack));
+    let mut sock = std::net::TcpStream::connect(t.addr_of(node).expect("bound")).unwrap();
+    let mut section = Vec::new();
+    let mut w = wire::Writer::new(&mut section);
+    w.varint(2);
+    for k in ["b", "a"] {
+        w.varint(0);
+        w.vbytes(k.as_bytes());
+        w.vbytes(b"");
+    }
+    let good = Rpc::ShuffleRun {
+        task: 0, attempt: 0, seq: 0, epoch: 0, partition: 0,
+        run: RecordRun::from_pairs(&[("a", "1")]),
+    };
+    sock.write_all(&wire::encode_frame(Dir::Request, 6, 41, &shuffle_body(&section))).unwrap();
+    sock.write_all(&good.encode(42)).unwrap();
+    let mut dec = FrameDecoder::new();
+    let mut replies = Vec::new();
+    let mut buf = [0u8; 4096];
+    while replies.len() < 2 {
+        let n = sock.read(&mut buf).unwrap();
+        assert!(n > 0, "endpoint hung up");
+        dec.feed(&buf[..n]);
+        while let Some(f) = dec.next_frame().unwrap() {
+            replies.push((f.corr, RpcReply::decode(&f).unwrap()));
+        }
+    }
+    assert_eq!(replies[0].0, 41);
+    assert!(matches!(&replies[0].1, RpcReply::Error(m) if m.contains("not sorted")), "{replies:?}");
+    assert_eq!(replies[1], (42, RpcReply::Ack));
+}
+
+/// Over the in-memory backend: a corrupted shuffle frame reaching a
+/// live node's endpoint is an error reply, and inside a job it fails
+/// the shipping attempt, which re-executes — the output is unchanged.
+#[test]
+fn corrupted_shuffle_frame_is_an_error_reply_and_the_attempt_reexecutes() {
+    use eclipse_apps::InvertedIndex;
+    use eclipse_core::{LiveCluster, LiveConfig, ReusePolicy};
+    let data = eclipse_integration_tests::doc_corpus(200);
+    let c = LiveCluster::new(LiveConfig::small().with_nodes(4).with_block_size(1024));
+    c.upload("docs", "u", data.as_bytes());
+    let mem = c.mem_net().expect("memory transport").clone();
+    let node = c.ring().node_ids()[1];
+    mem.corrupt_rpcs(RpcKind::ShuffleBatch, 1);
+    let run = RecordRun::from_pairs(&[("k", "v")]);
+    let probe = Rpc::ShuffleRun { task: 0, attempt: 0, seq: 0, epoch: 0, partition: 0, run };
+    match mem.call(CLIENT, node, probe) {
+        Ok(RpcReply::Error(m)) => assert!(m.contains("bad request"), "{m}"),
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+    let (clean, _) = c.run_job(&InvertedIndex, "docs", "u", 3, ReusePolicy::none());
+    mem.corrupt_rpcs(RpcKind::ShuffleBatch, 2);
+    let (out, stats) = c.run_job(&InvertedIndex, "docs", "u", 3, ReusePolicy::none());
+    assert_eq!(out, clean, "a corrupted run must not change the output");
+    assert!(stats.retries >= 1, "the corrupted attempt re-executes: {stats:?}");
 }

@@ -7,10 +7,18 @@
 //! once over [`TcpTransport`] on 127.0.0.1 with its connection pool,
 //! correlation ids, timeouts, and retries in the loop. Any divergence
 //! means the wire protocol, not the executor, changed the answer.
+//!
+//! The apps without a combiner (inverted index, grep, and an
+//! order-sensitive app whose `reduce` joins values in arrival order)
+//! ship every record as a sorted byte run; over both backends their
+//! cells must equal a plain single-threaded in-order oracle.
 
-use eclipse_apps::WordCount;
+use eclipse_apps::{Grep, InvertedIndex, WordCount};
 use eclipse_core::{LiveCluster, LiveConfig, MapReduce, ReusePolicy, SchedulerKind, TransportKind};
-use eclipse_integration_tests::WordCountNoCombiner;
+use eclipse_integration_tests::{
+    doc_corpus, grep_oracle, input_order_map, oracle, postings_map, postings_reduce, InputOrder,
+    WordCountNoCombiner,
+};
 
 /// Deterministic corpus, smaller than live_matrix's (each TCP cell pays
 /// real connection setup): heavy repetition plus per-line unique tokens.
@@ -108,6 +116,36 @@ fn tcp_loopback_identical_to_memory_across_grid() {
                     without, reference,
                     "combiner off, Tcp, {sched:?}, {nodes} nodes, {reducers} reducers"
                 );
+            }
+        }
+    }
+}
+
+/// Inverted index, grep and the order-sensitive app over memory and
+/// loopback TCP: every cell equals the in-order oracle.
+#[test]
+fn non_combiner_apps_match_the_oracle_over_both_transports() {
+    let docs = doc_corpus(150);
+    let grep_data = doc_corpus(60).repeat(2);
+    let postings = render(&oracle(docs.as_bytes(), 512, postings_map, postings_reduce));
+    let greps = render(&grep_oracle(grep_data.as_bytes(), 512, "fox"));
+    let ordered = render(&oracle(docs.as_bytes(), 512, input_order_map, |vs| vs.join(",")));
+    for sched in [
+        SchedulerKind::Laf(Default::default()),
+        SchedulerKind::Delay(Default::default()),
+    ] {
+        for nodes in [1usize, 3, 8] {
+            for reducers in [2usize, 5] {
+                for transport in [TransportKind::Memory, TransportKind::Tcp] {
+                    let cell = format!("{transport:?}, {sched:?}, {nodes} nodes, {reducers} reducers");
+                    let got = run(&InvertedIndex, transport, sched.clone(), nodes, reducers, &docs);
+                    assert_eq!(got, postings, "inverted index, {cell}");
+                    let grep = Grep::new("fox");
+                    let got = run(&grep, transport, sched.clone(), nodes, reducers, &grep_data);
+                    assert_eq!(got, greps, "grep, {cell}");
+                    let got = run(&InputOrder, transport, sched.clone(), nodes, reducers, &docs);
+                    assert_eq!(got, ordered, "input order, {cell}");
+                }
             }
         }
     }
