@@ -39,8 +39,7 @@ impl MapReduce for WordCount {
     }
 
     fn reduce(&self, key: &str, values: &[String], emit: &mut dyn FnMut(String, String)) {
-        let total: u64 = values.iter().map(|v| WordCount::count(v)).sum();
-        emit(key.to_string(), total.to_string());
+        self.reduce_into(key, &values.iter().map(String::as_str).collect::<Vec<_>>(), emit);
     }
 
     fn reduce_into(&self, key: &str, values: &[&str], emit: &mut dyn FnMut(String, String)) {
@@ -99,7 +98,7 @@ impl MapReduce for Grep {
     }
 
     fn reduce(&self, key: &str, values: &[String], emit: &mut dyn FnMut(String, String)) {
-        emit(key.to_string(), values.len().to_string());
+        self.reduce_into(key, &values.iter().map(String::as_str).collect::<Vec<_>>(), emit);
     }
 
     fn reduce_into(&self, key: &str, values: &[&str], emit: &mut dyn FnMut(String, String)) {
@@ -132,8 +131,7 @@ impl MapReduce for InvertedIndex {
     }
 
     fn reduce(&self, key: &str, values: &[String], emit: &mut dyn FnMut(String, String)) {
-        let docs: Vec<&str> = values.iter().map(String::as_str).collect();
-        self.reduce_into(key, &docs, emit);
+        self.reduce_into(key, &values.iter().map(String::as_str).collect::<Vec<_>>(), emit);
     }
 
     fn reduce_into(&self, key: &str, values: &[&str], emit: &mut dyn FnMut(String, String)) {

@@ -160,7 +160,7 @@ impl RunBuilder {
     /// When `key` sorts below the previous key: a run is sorted by
     /// construction.
     pub fn push(&mut self, key: &[u8], value: &[u8]) {
-        let shared = self.prev.iter().zip(key).take_while(|(a, b)| a == b).count();
+        let shared = common_prefix(&self.prev, key);
         // Past the shared prefix the previous key must be exhausted or
         // smaller at its first differing byte.
         let ordered = shared == self.prev.len() || key.get(shared) > self.prev.get(shared);
@@ -179,6 +179,11 @@ impl RunBuilder {
     pub fn finish(self) -> RecordRun {
         RecordRun { buf: self.buf, start: 0, len: self.len }
     }
+}
+
+/// Length of the longest common prefix of `a` and `b`, in bytes.
+pub(crate) fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    a.iter().zip(b).take_while(|(x, y)| x == y).count()
 }
 
 /// Reads a run's records in order. Each call to [`next`](Self::next)

@@ -28,7 +28,7 @@
 //! validated once. [`Rpc::ShuffleBatch`] is the same frame with owned
 //! pairs, which [`Rpc::decode`] still yields.
 
-use crate::records::RecordRun;
+use crate::records::{common_prefix, RecordRun};
 use crate::wire::{self, CodecError, Dir, Frame, Reader, Writer};
 use bytes::Bytes;
 use eclipse_cache::{CacheKey, OutputTag};
@@ -435,11 +435,6 @@ impl RpcReply {
         r.finish()?;
         Ok(reply)
     }
-}
-
-/// Length of the longest common prefix of `a` and `b`, in bytes.
-fn common_prefix(a: &[u8], b: &[u8]) -> usize {
-    a.iter().zip(b).take_while(|(x, y)| x == y).count()
 }
 
 fn put_block_id(w: &mut Writer, id: BlockId) {
