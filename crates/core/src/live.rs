@@ -30,14 +30,16 @@
 //!   an epoch wave folds the same merged groups into its stream's
 //!   materialized state instead.
 //!
-//! Threads are *supplied* to that code in two shapes. A one-shot job
-//! borrows its application (`&dyn MapReduce`), which a persistent
-//! thread cannot hold, so it spawns scoped map workers and reducer
-//! lanes for its own lifetime. A job server or stream driver maps its
-//! run inline on its own persistent thread while the server's pool
-//! workers attach as helpers, because per-job thread spawning is most
-//! of a small job's fixed cost (0.368 ms one-shot against 0.064 ms
-//! through the server, measured by `benchmark/`).
+//! Threads are *supplied* to that code in one shape: the thread that
+//! began the run maps it inline (`MapWorker::work_all`, each task under
+//! its assigned identity) while helpers work beside it, then seals and
+//! folds it. A one-shot job borrows its application (`&dyn MapReduce`),
+//! which a persistent thread cannot hold, so its helpers and extra fold
+//! lanes are scoped threads for its own lifetime. A job server or
+//! stream driver is helped by the server's pool workers and folds on
+//! its own thread, because per-job thread spawning is most of a small
+//! job's fixed cost (0.12 ms one-shot against 0.04 ms through the
+//! server in a traced `benchmark/` run on 2 cores).
 //!
 //! # Transport plane (see DESIGN.md §8e)
 //!
@@ -1077,8 +1079,14 @@ impl LiveCluster {
         reuse: ReusePolicy,
     ) -> Result<PartitionedOutput, JobError> {
         let run = Run::begin(self, inputs, user, reducers, reuse, None)?;
-        let parts = run.drive_scoped(self, app);
-        Ok((parts, run.retire(self)?))
+        std::thread::scope(|scope| {
+            for wi in 1..run.threads {
+                let run = &*run;
+                scope.spawn(move || MapWorker::at(self, run, app, wi).work(true));
+            }
+            MapWorker::at(self, &run, app, 0).work_all();
+        });
+        run.finish(self, app, hardware_threads())
     }
 
 

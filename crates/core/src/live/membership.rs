@@ -203,8 +203,9 @@ impl LiveCluster {
     /// The join flow proper, serialized with crash recovery through the
     /// cluster's recovery gate. `trigger` is the run whose fault
     /// schedule requested the join; `None` (the public entry point)
-    /// accounts the join to every live run instead, and every live
-    /// run's latent joiner lanes get the new identity.
+    /// accounts the join to every live run instead. The joiner serves
+    /// reads and handoffs at once and takes map attempts from the next
+    /// run on.
     pub(super) fn admit_and_handoff(&self, name: &str, trigger: Option<&Run>) -> NodeId {
         let _gate = self.recovery_gate.lock();
         let runs = self.live_runs();
@@ -259,9 +260,6 @@ impl LiveCluster {
         for r in &tally {
             r.tally.joins.fetch_add(1, Ordering::Relaxed);
             r.tally.recovery_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            // Hand the new node to a latent worker thread so in-flight
-            // tasks can land on it.
-            r.joined.lock().push(id);
             r.notify(DstEvent::NodeJoined { node: id });
         }
         id

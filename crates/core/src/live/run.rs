@@ -4,16 +4,15 @@
 //!
 //! [`Run::begin`] validates the request, places its blocks, registers
 //! the run cluster-wide and installs its shuffle route; the run's
-//! threads come from outside. A one-shot job calls
-//! [`Run::drive_scoped`] (scoped map workers and reducer lanes); a
-//! server job or epoch wave is mapped by [`MapWorker::work_all`] on
-//! its driver's thread, then folded there by [`Run::finish`] or
-//! [`Run::finish_with`]. Every run ends in [`Run::retire`].
+//! threads come from outside. Every run — one-shot job, server job or
+//! epoch wave — is mapped by [`MapWorker::work_all`] on the thread
+//! that began it, with helpers alongside, then sealed and folded by
+//! [`Run::finish`] or [`Run::finish_with`]. Every run ends in
+//! [`Run::retire`].
 #![deny(clippy::too_many_lines)]
 
 use super::place::MapTask;
 use super::router::{TaskBatch, JOB_SHIFT, TID_MASK};
-use super::worker::MapWorker;
 use super::{
     hardware_threads, DstEvent, DstObserver, FaultOp, LiveCluster, LiveSched, LiveStats, MapReduce,
     SpeculationConfig, SLOW_SERVE_DIV,
@@ -111,9 +110,10 @@ pub(crate) struct Run {
     /// one onto another node would turn its carefully co-located
     /// shuffle remote again.
     pub(super) pinned: bool,
-    /// Worker identities a scoped supplier staffs: the machine's
-    /// parallelism times `map_slots`, never more than the node count.
-    /// Queues of nodes beyond it have no owner thread coming.
+    /// Map threads a one-shot job staffs (the inline driver plus its
+    /// helpers): the machine's parallelism times `map_slots`, never
+    /// more than the node count. Queues of nodes beyond it have no
+    /// owner thread of their own, only the inline driver's pass.
     pub(super) threads: usize,
     /// Reduce-partition receivers, taken by whoever folds.
     receivers: Mutex<Vec<Receiver<TaskBatch>>>,
@@ -170,13 +170,6 @@ pub(crate) struct Run {
     /// When the straggler watch last ran (one idle worker at a time).
     watched: Mutex<Instant>,
     pub(super) tally: Tally,
-    /// Elastic joins scheduled for this run: per-node ledgers are sized
-    /// `nodes + planned_joins` so a joiner's index is in range, and a
-    /// scoped supplier parks one latent worker per planned join.
-    planned_joins: usize,
-    /// Identities posted by the join handler for latent workers to
-    /// adopt.
-    pub(super) joined: Mutex<Vec<NodeId>>,
 }
 
 fn atomics<A>(n: usize, new: impl Fn() -> A) -> Vec<A> {
@@ -228,6 +221,8 @@ impl Run {
         let queues = cluster.assign_tasks(jid, &tasks);
 
         let ops = std::mem::take(&mut *cluster.faults.lock());
+        // Per-node ledgers cover the nodes this run's elastic joins
+        // will add, so a joiner's index is in range.
         let planned_joins =
             ops.iter().filter(|op| matches!(op, FaultOp::JoinAtMaps { .. })).count();
         let (n, slots) = (tasks.len(), queues.len() + planned_joins);
@@ -275,8 +270,6 @@ impl Run {
             durations: Mutex::new(Vec::new()),
             watched: Mutex::new(Instant::now()),
             tally: Tally::default(),
-            planned_joins,
-            joined: Mutex::new(Vec::new()),
         });
         cluster.active.lock().insert(jid, Arc::clone(&run));
         // Shuffle plane: partition `p`'s reducer "lives on" a home node
@@ -289,76 +282,10 @@ impl Run {
         Ok(run)
     }
 
-    /// The one-shot supplier: scoped threads for the run's lifetime —
-    /// reducer lanes that ingest while the maps run, one map worker per
-    /// staffed identity, and one latent worker per planned elastic
-    /// join. Returns each partition's reduced output.
-    pub(super) fn drive_scoped(
-        &self,
-        cluster: &LiveCluster,
-        app: &dyn MapReduce,
-    ) -> Vec<Vec<(String, String)>> {
-        // The partition count (and thus the output shape) is always
-        // `reducers`; the reducer THREAD count is capped at hardware
-        // parallelism like the map side. Each thread drains several
-        // partition channels in turn — safe because the channels are
-        // unbounded, so mappers never block on a lane the thread has
-        // not reached yet.
-        let mut lanes: Vec<Vec<(usize, Receiver<TaskBatch>)>> =
-            (0..self.reducers.min(hardware_threads())).map(|_| Vec::new()).collect();
-        let width = lanes.len();
-        for (p, rx) in self.take_receivers().into_iter().enumerate() {
-            lanes[p % width].push((p, rx));
-        }
-        let mut parts = vec![Vec::new(); self.reducers];
-        std::thread::scope(|scope| {
-            let folds: Vec<_> = lanes
-                .into_iter()
-                .map(|lane| scope.spawn(move || self.fold_lane(cluster, app, lane)))
-                .collect();
-            std::thread::scope(|maps| {
-                for (wi, &me) in self.workers.iter().enumerate().take(self.threads) {
-                    maps.spawn(move || MapWorker::new(cluster, self, app, wi, me).work(true));
-                }
-                for _ in 0..self.planned_joins {
-                    maps.spawn(move || self.latent_worker(cluster, app));
-                }
-            });
-            self.seal(cluster);
-            for fold in folds {
-                for (p, out) in fold.join().expect("reducer lane panicked") {
-                    parts[p] = out;
-                }
-            }
-        });
-        parts
-    }
-
-    /// A latent lane for an elastic joiner: wait for a join to publish
-    /// its node id, then run the full worker loop under that identity
-    /// so in-flight tasks (retries, backups, stolen queue tails) can
-    /// land on the joiner; if the run finishes first, the lane exits.
-    fn latent_worker(&self, cluster: &LiveCluster, app: &dyn MapReduce) {
-        while !self.done() {
-            // Bind before matching: a guard temporary in the match
-            // scrutinee would stay locked across the whole worker loop,
-            // deadlocking a second join's `joined.push`.
-            let id = self.joined.lock().pop();
-            match id {
-                Some(id) => {
-                    let wi = id.index() % self.workers.len();
-                    return MapWorker::new(cluster, self, app, wi, id).work(true);
-                }
-                None => std::thread::sleep(Duration::from_micros(200)),
-            }
-        }
-    }
-
-    /// The map phase is over — every scoped worker joined, or the
-    /// inline driver saw the barrier. Tear down the shuffle plane
-    /// (dropping the router's senders) so the folds see end-of-stream;
-    /// straggler RPC deliveries after this point are refused rather
-    /// than leaking into a later job.
+    /// The map phase is over: the inline driver saw the barrier. Tear
+    /// down the shuffle plane (dropping the router's senders) so the
+    /// folds see end-of-stream; straggler RPC deliveries after this
+    /// point are refused rather than leaking into a later job.
     fn seal(&self, cluster: &LiveCluster) {
         // Tasks still uncommitted with nothing aborted: every worker
         // died mid-job — fail loudly instead of folding partial output.
@@ -374,24 +301,13 @@ impl Run {
     }
 
     /// One partition's shuffle input, deduplicated against the commit
-    /// board. Blocks until the partition's channel hangs up
-    /// ([`seal`](Self::seal)), so a scoped reducer lane collects runs
-    /// concurrently with the maps; after the seal it just drains.
+    /// board. Runs after the [`seal`](Self::seal): the channel is hung
+    /// up and the board is final, so only the winners' runs are kept.
     fn collect(&self, cluster: &LiveCluster, rx: &Receiver<TaskBatch>) -> PartitionRuns {
-        let winner =
-            |b: &TaskBatch| self.commits[(b.task & TID_MASK) as usize].load(Ordering::Acquire);
-        // Keep the committed attempts' runs and those whose task has
-        // not committed yet; a losing attempt's output (re-executed
-        // elsewhere) is dropped on arrival.
-        let mut runs: Vec<TaskBatch> = Vec::new();
-        while let Ok(batch) = rx.recv() {
-            let w = winner(&batch);
-            if w == batch.attempt || w == UNCOMMITTED {
-                runs.push(batch);
-            }
-        }
-        // The channel closed, so the commit board is final.
-        runs.retain(|b| winner(b) == b.attempt);
+        let won = |b: &TaskBatch| {
+            self.commits[(b.task & TID_MASK) as usize].load(Ordering::Acquire) == b.attempt
+        };
+        let mut runs: Vec<TaskBatch> = rx.iter().filter(won).collect();
         // Reduce-phase crash: all maps have committed by now, so
         // recovery re-replicates and heals the ring but has nothing to
         // re-queue.
@@ -431,17 +347,40 @@ impl Run {
             .collect()
     }
 
-    /// Close a run whose map phase a driver thread supplied
-    /// ([`MapWorker::work_all`]) and fold every partition on the
-    /// calling thread.
+    /// Close a run whose map phase is over and fold its partitions on
+    /// `lanes` threads, never more than one per partition: partition
+    /// `p` goes to lane `p % lanes`, lane 0 folds on the calling thread
+    /// and the rest on scoped ones. A one-shot job staffs one lane per
+    /// hardware thread; a server driver folds on its own thread alone,
+    /// since spawning per job is most of a small job's fixed cost.
     pub(crate) fn finish(
         &self,
         cluster: &LiveCluster,
         app: &dyn MapReduce,
+        lanes: usize,
     ) -> Result<PartitionedOutput, JobError> {
         self.seal(cluster);
-        let lane = self.take_receivers().into_iter().enumerate().collect();
-        let parts = self.fold_lane(cluster, app, lane).into_iter().map(|(_, out)| out).collect();
+        let mut work: Vec<Vec<(usize, Receiver<TaskBatch>)>> =
+            (0..lanes.clamp(1, self.reducers)).map(|_| Vec::new()).collect();
+        let width = work.len();
+        for (p, rx) in self.take_receivers().into_iter().enumerate() {
+            work[p % width].push((p, rx));
+        }
+        let folded = std::thread::scope(|scope| {
+            let mut work = work.into_iter();
+            let inline = work.next().expect("at least one lane");
+            let spawned: Vec<_> =
+                work.map(|lane| scope.spawn(move || self.fold_lane(cluster, app, lane))).collect();
+            let mut folded = self.fold_lane(cluster, app, inline);
+            for lane in spawned {
+                folded.extend(lane.join().expect("reducer lane panicked"));
+            }
+            folded
+        });
+        let mut parts = vec![Vec::new(); self.reducers];
+        for (p, out) in folded {
+            parts[p] = out;
+        }
         Ok((parts, self.retire(cluster)?))
     }
 

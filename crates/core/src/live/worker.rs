@@ -3,10 +3,10 @@
 //! A [`MapWorker`] is one thread's working state on one [`Run`]: a
 //! node identity, a spill buffer with one byte arena per partition
 //! (one combining table for a combiner app), and at most one
-//! shipped-but-unsettled attempt. Whoever owns the thread — a scoped
-//! one-shot worker, a persistent pool worker helping out, or a job
-//! server driver mapping inline — calls [`MapWorker::work`] or
-//! [`MapWorker::work_all`]; everything below those two is shared:
+//! shipped-but-unsettled attempt. The thread that began the run maps
+//! it inline with [`MapWorker::work_all`]; helpers — a one-shot job's
+//! scoped threads or a job server's pool workers — call
+//! [`MapWorker::work`] beside it. Everything below those two is shared:
 //! claim, read, map, combine, ship over the windowed lane, settle,
 //! commit, re-home after a crash, drain retries and backups.
 #![deny(clippy::too_many_lines)]
@@ -151,22 +151,6 @@ pub(crate) struct MapWorker<'a> {
 }
 
 impl<'a> MapWorker<'a> {
-    pub(crate) fn new(
-        cluster: &'a LiveCluster,
-        run: &'a Run,
-        app: &'a dyn MapReduce,
-        wi: usize,
-        me: NodeId,
-    ) -> MapWorker<'a> {
-        let buffer = SpillBuffer::new(run.reducers, cluster.cfg.shuffle_batch_bytes);
-        let out = if app.has_combiner() {
-            Buffered::Combined((0..run.reducers).map(|_| Table::default()).collect())
-        } else {
-            Buffered::Records((0..run.reducers).map(|_| Arena::default()).collect())
-        };
-        MapWorker { cluster, run, app, wi, me, buffer, out, pending: None }
-    }
-
     /// A worker at ring position `wi` (modulo the run's membership),
     /// under that member's identity.
     pub(crate) fn at(
@@ -176,24 +160,31 @@ impl<'a> MapWorker<'a> {
         wi: usize,
     ) -> MapWorker<'a> {
         let wi = wi % run.workers.len();
-        MapWorker::new(cluster, run, app, wi, run.workers[wi])
+        let buffer = SpillBuffer::new(run.reducers, cluster.cfg.shuffle_batch_bytes);
+        let out = if app.has_combiner() {
+            Buffered::Combined((0..run.reducers).map(|_| Table::default()).collect())
+        } else {
+            Buffered::Records((0..run.reducers).map(|_| Arena::default()).collect())
+        };
+        MapWorker { cluster, run, app, wi, me: run.workers[wi], buffer, out, pending: None }
     }
 
-    /// One thread's contribution among several: drain the frozen
-    /// queues (own first, then steal), then the re-execution queues.
-    /// `stay` keeps the worker on the run until it is done; a helper
-    /// (`!stay`) leaves at its first idle moment, parked attempt
+    /// A helper's contribution beside the inline supplier: drain the
+    /// frozen queues (own first, then steal), then the re-execution
+    /// queues. `stay` keeps the worker on the run until it is done, so
+    /// backups and pinned steals still find an idle thread; a pool
+    /// helper (`!stay`) leaves at its first idle moment, parked attempt
     /// settled.
     pub(crate) fn work(&mut self, stay: bool) {
         self.drain_queues(self.run.steal_span());
         self.drain_retries(stay);
     }
 
-    /// The inline supplier: one thread plays every node's worker in
-    /// turn — each task runs under its assigned identity, so cache and
-    /// shuffle locality are exact — then stays until the run is done.
-    /// This also guarantees an admitted job completes with no helper
-    /// at all.
+    /// The inline supplier, on the thread that began the run: it plays
+    /// every node's worker in turn — each task runs under its assigned
+    /// identity, so cache and shuffle locality are exact — then stays
+    /// until the run is done. This also guarantees a run completes with
+    /// no helper at all.
     pub(crate) fn work_all(&mut self) {
         for wi in 0..self.run.workers.len() {
             (self.wi, self.me) = (wi, self.run.workers[wi]);
@@ -268,7 +259,8 @@ impl<'a> MapWorker<'a> {
     /// locality beats stalling the job. A queue whose owner has a live
     /// thread will drain on its own, so it is only stolen from once the
     /// owner has straggled well past the grace; orphaned queues (owner
-    /// position beyond the staffed identities) have no one else coming.
+    /// position beyond the staffed identities) wait only for the inline
+    /// supplier's pass.
     fn steal_pinned(&self, idle_rounds: u32) -> Option<usize> {
         let run = self.run;
         if !run.pinned || idle_rounds <= 20 {

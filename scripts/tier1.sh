@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: release build, clippy, rustdoc, the full test suite, the frozen
 # benchmark/ package's build and tests, the live-matrix, edge-case, chaos,
-# transport and epoch suites under --release, and a bounded DST smoke sweep. It measures
+# transport and epoch suites under --release, and two bounded DST smoke sweeps. It measures
 # nothing: live performance is the benchmark's job (benchmark/README.md)
 # and the paper's figures come from `figures`. Writes no tracked file, so a
 # passing run leaves `git status` clean. The full randomized DST sweep
@@ -59,5 +59,11 @@ cargo test -q --release -p eclipse-integration-tests --test epoch_matrix
 
 echo "== tier1: DST smoke sweep (50 fixed seeds, moderate preset)"
 cargo run -q --release -p eclipse-bench --bin dst_bench -- --runs 50 --seed0 1 --preset moderate --out target/dst_smoke.json
+
+# Batch seeds map the way a job server does (inline driver plus
+# helpers), so the chaos preset's crashes, joins and leaves reach that
+# shape in every gate run.
+echo "== tier1: DST smoke sweep (50 fixed seeds, chaos preset)"
+cargo run -q --release -p eclipse-bench --bin dst_bench -- --runs 50 --seed0 1 --preset chaos --out target/dst_chaos_smoke.json
 
 echo "== tier1: OK"

@@ -750,9 +750,11 @@ fn join_under_one_way_partition_to_joiner() {
 /// joiner's *entire* worker loop. If that lane then committed the map
 /// that triggered join #2, `admit_and_handoff`'s `joined.push` blocked
 /// on the mutex its own thread held, hanging the job forever (the
-/// second latent lane and the reducers parked behind it). The fix binds
-/// the popped id before matching so the guard drops first. The hang was
-/// interleaving-dependent (~40% of runs), so loop a few times.
+/// second latent lane and the reducers parked behind it). The latent
+/// lane is gone since — a joiner takes map attempts from the next run
+/// on — so the test now pins that two joins scheduled in one run both
+/// fire and the output holds. The hang was interleaving-dependent (~40%
+/// of runs), so loop a few times.
 #[test]
 fn two_joins_second_may_fire_from_first_joiners_lane() {
     let expect = baseline("laf");

@@ -232,10 +232,12 @@ impl MapReduce for PanicOnB {
 
 /// A panicking `reduce` is a typed error from both thread suppliers:
 /// the run leaves the registry, a server job's handle is fulfilled
-/// instead of blocking forever, and the server keeps its drivers.
+/// instead of blocking forever, and the server keeps its drivers. One
+/// to four reducers move the panicking partition between the fold lane
+/// on the calling thread and a spawned one.
 #[test]
 fn reduce_panic_is_an_error_not_a_hang_or_a_leak() {
-    use eclipse_core::{JobError, JobServer, JobServerConfig, PoolJobSpec};
+    use eclipse_core::{JobError, JobHandle, JobServer, JobServerConfig, PoolJobSpec};
     use std::sync::{mpsc, Arc};
     use std::time::Duration;
 
@@ -243,38 +245,39 @@ fn reduce_panic_is_an_error_not_a_hang_or_a_leak() {
     c.upload("in", "u", b"a b c\n");
     let failed = |r: Result<_, JobError>| matches!(r, Err(JobError::ReduceFailed { .. }));
 
-    assert!(failed(c.try_run_job(&PanicOnB, "in", "u", 2, ReusePolicy::default())));
-    assert_eq!(c.active_jobs(), 0, "the failed run is still registered");
+    for reducers in 1..=4 {
+        let r = c.try_run_job(&PanicOnB, "in", "u", reducers, ReusePolicy::default());
+        assert!(failed(r), "one-shot job, {reducers} reducers");
+        assert_eq!(c.active_jobs(), 0, "the failed run is still registered ({reducers} reducers)");
+    }
 
-    let server = Arc::new(JobServer::new(
-        c.clone(),
-        JobServerConfig { concurrency: 1, ..JobServerConfig::default() },
-    ));
-    let spec = |app: Arc<dyn MapReduce>| PoolJobSpec {
+    let server =
+        JobServer::new(c.clone(), JobServerConfig { concurrency: 1, ..JobServerConfig::default() });
+    let spec = |app: Arc<dyn MapReduce>, reducers| PoolJobSpec {
         app,
         inputs: vec!["in".to_string()],
         user: "u".to_string(),
-        reducers: 2,
+        reducers,
         reuse: ReusePolicy::default(),
         weight: 1,
     };
     // Wait on a side thread so a hang fails the test instead of
     // stalling it.
-    let (tx, rx) = mpsc::channel();
-    let waiter = {
-        let server = server.clone();
+    let wait = |h: JobHandle| {
+        let (tx, rx) = mpsc::channel();
         std::thread::spawn(move || {
-            for app in [Arc::new(PanicOnB) as Arc<dyn MapReduce>, Arc::new(WordCount)] {
-                tx.send(server.submit(spec(app)).wait()).expect("test is listening");
-            }
-        })
+            let _ = tx.send(h.wait());
+        });
+        rx.recv_timeout(Duration::from_secs(20)).expect("job server hung")
     };
-    let next = || rx.recv_timeout(Duration::from_secs(20)).expect("job server hung");
-    assert!(failed(next()), "a server job's reduce panic must fail the job");
-    // The server's only driver survived: a good job still completes.
-    assert_eq!(next().expect("valid job").0.len(), 3);
-    waiter.join().expect("waiter");
-    assert_eq!(c.active_jobs(), 0, "a server run leaked");
+    for reducers in 1..=4 {
+        let r = wait(server.submit(spec(Arc::new(PanicOnB), reducers)));
+        assert!(failed(r), "a server job's reduce panic must fail the job ({reducers} reducers)");
+        assert_eq!(c.active_jobs(), 0, "a server run leaked ({reducers} reducers)");
+        // The server's only driver survived: a good job still completes.
+        let good = wait(server.submit(spec(Arc::new(WordCount), reducers)));
+        assert_eq!(good.expect("valid job").0.len(), 3);
+    }
 }
 
 /// A panicking `reduce` inside an epoch fold is a typed error that

@@ -13,14 +13,19 @@
 //! byte runs from the spill arena to `reduce_into`; their cells must
 //! equal a plain single-threaded oracle, and an order-sensitive app
 //! pins the guarantee that a key's values reach `reduce` in input
-//! order.
+//! order. Those three apps also run through a `JobServer`, whose driver
+//! folds every partition on its own thread.
 
 use eclipse_apps::{Grep, InvertedIndex, WordCount};
-use eclipse_core::{LiveCluster, LiveConfig, MapReduce, ReusePolicy, SchedulerKind};
+use eclipse_core::{
+    JobServer, JobServerConfig, LiveCluster, LiveConfig, LiveStats, MapReduce, PoolJobSpec,
+    ReusePolicy, SchedulerKind,
+};
 use eclipse_integration_tests::{
     doc_corpus, grep_oracle, input_order_map, oracle, postings_map, postings_reduce, InputOrder,
     WordCountNoCombiner,
 };
+use std::sync::Arc;
 
 /// Word count whose combiner reaches the executor only through the
 /// `MapReduce` default adapters: it overrides neither `map_into` nor
@@ -76,16 +81,44 @@ fn render(out: &[(String, String)]) -> String {
     s
 }
 
-fn run(app: &dyn MapReduce, sched: SchedulerKind, nodes: usize, reducers: usize, data: &str) -> String {
+fn cluster(sched: SchedulerKind, nodes: usize, data: &str) -> LiveCluster {
     let c = LiveCluster::new(
         LiveConfig::small().with_nodes(nodes).with_block_size(512).with_scheduler(sched),
     );
     c.upload("input", "matrix", data.as_bytes());
-    let (out, stats) = c.run_job(app, "input", "matrix", reducers, ReusePolicy::default());
+    c
+}
+
+fn rendered((out, stats): (Vec<(String, String)>, LiveStats)) -> String {
     // Work stealing must never change the per-assignment accounting.
     let assigned: u64 = stats.tasks_per_node.iter().sum();
     assert_eq!(assigned, stats.map_tasks, "accounting is by assigned node");
     render(&out)
+}
+
+fn run(app: &dyn MapReduce, sched: SchedulerKind, nodes: usize, reducers: usize, data: &str) -> String {
+    let c = cluster(sched, nodes, data);
+    rendered(c.run_job(app, "input", "matrix", reducers, ReusePolicy::default()))
+}
+
+/// [`run`] as a job submitted to a `JobServer` on the same cluster shape.
+fn serve(
+    app: Arc<dyn MapReduce>,
+    sched: SchedulerKind,
+    nodes: usize,
+    reducers: usize,
+    data: &str,
+) -> String {
+    let server = JobServer::new(Arc::new(cluster(sched, nodes, data)), JobServerConfig::default());
+    let spec = PoolJobSpec {
+        app,
+        inputs: vec!["input".to_string()],
+        user: "matrix".to_string(),
+        reducers,
+        reuse: ReusePolicy::default(),
+        weight: 1,
+    };
+    rendered(server.submit(spec).wait().expect("server job"))
 }
 
 #[test]
@@ -165,6 +198,13 @@ fn non_combiner_apps_match_the_in_order_oracle() {
                 assert_eq!(got, greps, "grep, {cell}");
                 let got = run(&InputOrder, sched.clone(), nodes, reducers, &docs);
                 assert_eq!(got, ordered, "input order, {cell}");
+                let got = serve(Arc::new(InvertedIndex), sched.clone(), nodes, reducers, &docs);
+                assert_eq!(got, postings, "inverted index, server, {cell}");
+                let grep = Arc::new(Grep::new("fox"));
+                let got = serve(grep, sched.clone(), nodes, reducers, &grep_data);
+                assert_eq!(got, greps, "grep, server, {cell}");
+                let got = serve(Arc::new(InputOrder), sched.clone(), nodes, reducers, &docs);
+                assert_eq!(got, ordered, "input order, server, {cell}");
             }
         }
     }
