@@ -18,6 +18,12 @@ impl WordCount {
     fn count(v: &str) -> u64 {
         v.parse::<u64>().unwrap_or(1)
     }
+
+    /// The partial count a combining accumulator holds: eight bytes,
+    /// little-endian.
+    fn partial(acc: &[u8]) -> u64 {
+        u64::from_le_bytes(acc.try_into().expect("a word count accumulator is eight bytes"))
+    }
 }
 
 impl MapReduce for WordCount {
@@ -58,11 +64,20 @@ impl MapReduce for WordCount {
         true
     }
 
-    /// Sum in place, by [`reduce`](MapReduce::reduce)'s parsing rule.
-    fn combine_into(&self, _key: &str, acc: &mut String, value: &str) {
-        let total = WordCount::count(acc) + WordCount::count(value);
-        acc.clear();
-        write!(acc, "{total}").expect("writing to a String cannot fail");
+    /// The accumulator is the partial count as a `u64`, parsed by
+    /// [`reduce`](MapReduce::reduce)'s rule and formatted once, by
+    /// `combine_finish`.
+    fn combine_first(&self, _key: &str, value: &str, acc: &mut Vec<u8>) {
+        acc.extend_from_slice(&WordCount::count(value).to_le_bytes());
+    }
+
+    fn combine_into(&self, _key: &str, acc: &mut Vec<u8>, value: &str) {
+        let total = WordCount::partial(acc) + WordCount::count(value);
+        acc.copy_from_slice(&total.to_le_bytes());
+    }
+
+    fn combine_finish(&self, _key: &str, acc: &[u8], out: &mut String) {
+        write!(out, "{}", WordCount::partial(acc)).expect("writing to a String cannot fail");
     }
 }
 
@@ -170,6 +185,7 @@ impl MapReduce for Sort {
 mod tests {
     use super::*;
     use eclipse_core::{LiveCluster, LiveConfig, ReusePolicy};
+    use proptest::prelude::*;
 
     fn cluster_with(data: &str) -> LiveCluster {
         let c = LiveCluster::new(LiveConfig::small().with_block_size(512));
@@ -270,26 +286,60 @@ doc3\tapple cherry banana
         assert_eq!(nbsp, ["a", "b", "c"], "Unicode whitespace splits words");
     }
 
-    /// The in-place fold leaves the accumulator holding what `combine`
-    /// emits for the same pair, parsing rule included.
-    #[test]
-    fn word_count_combine_into_matches_combine() {
-        let pairs = [
-            ("1", "1"),
-            ("41", "1"),
-            ("1", "999"),
-            ("123456789", "987654321"),
-            ("x", "1"),
-            ("1", ""),
-            ("-3", "07"),
-            ("", ""),
-        ];
-        for (a, b) in pairs {
-            let mut want = Vec::new();
-            WordCount.combine("w", &[a.to_string(), b.to_string()], &mut |k, v| want.push((k, v)));
-            let mut acc = a.to_string();
-            WordCount.combine_into("w", &mut acc, b);
-            assert_eq!(want, [("w".to_string(), acc)], "pair ({a:?}, {b:?})");
+    /// A value a word count accumulator may meet: a mapped `"1"`, a
+    /// partial count from another spill, a large count (32 of them still
+    /// fit in a `u64`), or one `reduce` counts as one occurrence —
+    /// unparsable text, the empty string, a negative number, a number
+    /// past `u64::MAX`.
+    fn count_value() -> impl Strategy<Value = String> {
+        prop_oneof![
+            Just("1".to_string()),
+            "[0-9]{1,12}",
+            Just((u64::MAX / 64).to_string()),
+            "[a-z]{1,3}",
+            Just(String::new()),
+            Just("-3".to_string()),
+            Just("18446744073709551616".to_string()),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The binary fold — `combine_first`, `combine_into` for each
+        /// further value, `combine_finish` — equals folding `combine`
+        /// pairwise, parsing rule included. A single value ships as its
+        /// count, which `reduce` reads as the value itself.
+        #[test]
+        fn word_count_combine_into_matches_combine(
+            values in prop::collection::vec(count_value(), 1..32),
+        ) {
+            let mut acc = Vec::new();
+            WordCount.combine_first("w", &values[0], &mut acc);
+            for v in &values[1..] {
+                WordCount.combine_into("w", &mut acc, v);
+            }
+            let mut finished = String::new();
+            WordCount.combine_finish("w", &acc, &mut finished);
+
+            let mut pairwise = values[0].clone();
+            for v in &values[1..] {
+                let mut out = Vec::new();
+                WordCount.combine("w", &[pairwise, v.clone()], &mut |k, v| out.push((k, v)));
+                prop_assert_eq!(out.len(), 1);
+                let (k, v) = out.pop().expect("one value");
+                prop_assert_eq!(k, "w");
+                pairwise = v;
+            }
+            if values.len() > 1 {
+                prop_assert_eq!(&finished, &pairwise, "values {:?}", values);
+            }
+            let reduce = |v: &str| {
+                let mut out = Vec::new();
+                WordCount.reduce_into("w", &[v], &mut |k, v| out.push((k, v)));
+                out
+            };
+            prop_assert_eq!(reduce(&finished), reduce(&pairwise), "values {:?}", values);
         }
     }
 

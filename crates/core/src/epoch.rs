@@ -13,23 +13,25 @@
 //! State shape: per partition, a key-sorted run of entries — a key,
 //! its values, and the output records `reduce` made of them. For an
 //! app with a combiner ([`MapReduce::has_combiner`]) every fold folds
-//! a key's new values into its one state value through
-//! [`MapReduce::combine_into`], the primitive the map side combines
-//! with. Each key holds one folded value and the state is O(keys), not
+//! a key's new values into its one state value through the accumulator
+//! the map side combines with: [`MapReduce::combine_first`] starts it
+//! from the state value, [`MapReduce::combine_into`] folds each delta
+//! value in and [`MapReduce::combine_finish`] writes the new state
+//! value. Each key holds one folded value and the state is O(keys), not
 //! O(records ever seen) — the in-node combiner of Lee et al., held
 //! across epochs instead of across map tasks. Other apps keep each
 //! key's value multiset.
 //!
 //! Cost per commit: the delta wave (map and shuffle of the delta's
 //! blocks only), then per partition a k-way merge of the delta's sorted
-//! runs, one `combine_into` per delta value and one `reduce_into` per
-//! distinct delta key, and a merge of keys new to the stream into the
-//! run. Untouched keys are never re-sorted or re-reduced. Publishing is
-//! the O(keys) part: the snapshot is assembled from the per-key
-//! outputs, whose records are `Arc`-shared between the state, the
-//! retention window and readers (a pointer copy per record, never a
-//! string clone), and every partition is re-encoded into its pinned
-//! oCache copy.
+//! runs, one `combine_into` per delta value, one `combine_finish` and
+//! one `reduce_into` per distinct delta key, and a merge of keys new to
+//! the stream into the run. Untouched keys are never re-sorted or
+//! re-reduced. Publishing is the O(keys) part: the snapshot is
+//! assembled from the per-key outputs, whose records are `Arc`-shared
+//! between the state, the retention window and readers (a pointer copy
+//! per record, never a string clone), and every partition is
+//! re-encoded into its pinned oCache copy.
 //!
 //! Consistency contract (read-your-epoch): [`EpochDriver::commit_epoch`]
 //! returns only after the epoch's snapshot is published, and
@@ -45,8 +47,8 @@
 //! partition hits the fold itself. The driver announces that edge via
 //! [`DstEvent::EpochBarrier`] so the DST harness can aim faults at
 //! exactly that point. The touched keys' new entries are computed
-//! beside the state, with `combine_into`/`reduce` under `catch_unwind`, and
-//! swapped in only once every partition folded: a failed epoch
+//! beside the state, with the combiner and `reduce` under
+//! `catch_unwind`, and swapped in only once every partition folded: a failed epoch
 //! surfaces as a typed [`JobError`] (a panicking app as
 //! [`JobError::ReduceFailed`]) and leaves the stream readable at, and
 //! committing from, its previous epoch.
@@ -149,8 +151,8 @@ pub struct EpochReport {
 /// One key of a partition's materialized state.
 struct KeyState {
     key: String,
-    /// With a combiner, what `combine_into` folded every value so far into
-    /// (one partial count for a counting app); otherwise every value
+    /// With a combiner, the finished value every value so far folded
+    /// into (one partial count for a counting app); otherwise every value
     /// every committed epoch shuffled for the key.
     values: Vec<String>,
     /// What `reduce` made of `values`.
@@ -425,14 +427,15 @@ impl EpochDriver {
 /// Fold one partition's delta runs against its state `run`: for each
 /// distinct delta key, in the key order the merge yields, the key's
 /// values so far plus the delta's (in input order) — folded through
-/// `combine_into` for a combiner app — and what `reduce_into` makes of
-/// them. Reads `run` without changing it, so a panicking app leaves
+/// the `combine_*` accumulator for a combiner app — and what
+/// `reduce_into` makes of them. Reads `run` without changing it, so a panicking app leaves
 /// the state as it was.
 fn fold_partition(app: &dyn MapReduce, run: &[KeyState], delta: &PartitionRuns) -> Fold {
     let combiner = app.has_combiner();
     let mut from = 0;
     let mut fold = Fold::new();
     let mut all: Vec<&str> = Vec::new();
+    let mut acc: Vec<u8> = Vec::new();
     delta.for_each_group(|key, fresh| {
         from = seek(run, from, key);
         let at = run.get(from).filter(|s| s.key == key).map(|_| from);
@@ -440,17 +443,21 @@ fn fold_partition(app: &dyn MapReduce, run: &[KeyState], delta: &PartitionRuns) 
         let mut outputs = Vec::new();
         let mut emit = |k, v| outputs.push(Arc::new((k, v)));
         let values = if combiner {
-            // The key's one state value (or its first delta value) is
-            // the accumulator every other value folds into.
-            let (mut acc, rest) = match old.first() {
-                Some(v) => (v.clone(), fresh),
-                None => (fresh[0].to_string(), &fresh[1..]),
+            // The key's one state value (or its first delta value)
+            // starts the accumulator every other value folds into.
+            let (first, rest) = match old.first() {
+                Some(v) => (v.as_str(), fresh),
+                None => (fresh[0], &fresh[1..]),
             };
+            acc.clear();
+            app.combine_first(key, first, &mut acc);
             for v in rest {
                 app.combine_into(key, &mut acc, v);
             }
-            app.reduce_into(key, &[&acc], &mut emit);
-            vec![acc]
+            let mut state = String::new();
+            app.combine_finish(key, &acc, &mut state);
+            app.reduce_into(key, &[&state], &mut emit);
+            vec![state]
         } else {
             all.clear();
             all.extend(old.iter().map(String::as_str));

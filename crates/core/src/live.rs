@@ -78,13 +78,19 @@
 //!   to its partition's byte arena (one buffer plus an offset table, no
 //!   allocation per record); a spill sorts the offsets by key, stably,
 //!   and writes one front-coded [`RecordRun`](eclipse_net::RecordRun).
-//!   A combiner app ([`MapReduce::has_combiner`]) keeps one key →
-//!   partial-aggregate table per partition, folded in place through
-//!   [`MapReduce::combine_into`], and drains it into a run the same
-//!   way. The run is the `ShuffleBatch` body: shipped as is, taken by
-//!   value on receipt and validated once. Reducers keep each winning
-//!   run and k-way merge them at fold time, handing
-//!   [`MapReduce::reduce_into`] each key's values in input order.
+//!   A combiner app ([`MapReduce::has_combiner`]) keeps one
+//!   open-addressing table per partition instead: each pair's key is
+//!   hashed once, the hash's top bits pick the partition and its low
+//!   bits the slot, and a key's bytes and its accumulator sit in the
+//!   partition's arena. The first occurrence in a spill starts the
+//!   accumulator ([`MapReduce::combine_first`]), each later one folds
+//!   into it in place ([`MapReduce::combine_into`]), and the spill sorts
+//!   the keys the same way and writes each accumulator out once
+//!   ([`MapReduce::combine_finish`]). The run is the `ShuffleBatch`
+//!   body: shipped as is, taken by value on receipt and validated once.
+//!   Reducers keep each winning run and k-way merge them at fold time,
+//!   handing [`MapReduce::reduce_into`] each key's values in input
+//!   order.
 
 //! # Mid-job fault tolerance (see DESIGN.md, "Mid-job recovery")
 //!
@@ -176,27 +182,34 @@ const RETRY_BACKOFF_BASE_MICROS: u64 = 100;
 /// # Which methods to implement
 ///
 /// An application needs only [`map`](Self::map) and
-/// [`reduce`](Self::reduce). The executor itself calls three
-/// lower-level methods whose defaults adapt the owned-`String` surface:
+/// [`reduce`](Self::reduce). The executor itself calls only the
+/// lower-level methods below, whose defaults adapt the owned-`String`
+/// surface:
 ///
 /// - [`map_into`](Self::map_into) emits borrowed keys and values. Its
 ///   default wraps [`map_tagged`](Self::map_tagged) (and so `map`),
 ///   moving each owned pair. Override it when the mapper can hand out
 ///   slices of its input: the executor copies each pair's bytes into
-///   its partition's spill arena (or, with a combiner, allocates a key
-///   only the first time a spill sees it), never into a `String`.
-/// - [`combine_into`](Self::combine_into) folds one value into a key's
-///   accumulator in place. Its default calls
-///   [`combine`](Self::combine) on the pair. Override it when the fold
-///   can update the accumulator without building a value slice.
+///   its partition's spill arena (with a combiner, a key's bytes only
+///   the first time a spill sees it), never into a `String`.
+/// - [`combine_first`](Self::combine_first),
+///   [`combine_into`](Self::combine_into) and
+///   [`combine_finish`](Self::combine_finish) fold a key's values into
+///   an accumulator of the app's own bytes: the first value starts it,
+///   each further value folds in, and the finished value is written
+///   out once, when the key ships. Their defaults keep the accumulator
+///   as the value's text and call [`combine`](Self::combine) on each
+///   pair. Override all three together when the fold has a cheaper
+///   binary form, as `WordCount`'s `u64` count does.
 /// - [`reduce_into`](Self::reduce_into) reduces one key over borrowed
 ///   values, in a slice the executor reuses from key to key. Its
 ///   default copies the values into a `Vec<String>` and calls
 ///   `reduce`. Override it to reduce without those copies.
 ///
 /// An app that is fast end to end overrides `map_into` and
-/// `reduce_into` (plus `combine_into` when it has a combiner), and
-/// keeps `map` and `reduce` as one-line adapters over them.
+/// `reduce_into` (plus the three `combine_*` methods when it has a
+/// combiner), and keeps `map` and `reduce` as one-line adapters over
+/// them.
 ///
 /// # Value order
 ///
@@ -213,13 +226,15 @@ const RETRY_BACKOFF_BASE_MICROS: u64 = 100;
 /// returns `true` from [`has_combiner`](Self::has_combiner). `combine`
 /// must be an associative, commutative fold whose output `reduce`
 /// accepts like any mapped value, and it must emit **exactly one**
-/// value, under the key it was given. The map side folds a spill's
-/// values pairwise through `combine_into` in emit order, and an epoch
-/// stream folds each key's state across epochs the same way. A key
-/// mapped once per spill is shipped as mapped, without a `combine`
-/// call. The default `combine_into` panics when `combine` emits zero
-/// values, two or more, or a different key; the executor turns that
-/// panic into a job error, never into wrong output.
+/// value, under the key it was given. The map side folds each key's
+/// values within one spill, in emit order: `combine_first` on the first,
+/// `combine_into` on each further one, and `combine_finish` once when
+/// the spill ships. A key seen once per spill therefore ships as
+/// `combine_finish(combine_first(v))`, which the defaults make `v`
+/// itself. An epoch stream folds each key's state across epochs through
+/// the same three methods. The default `combine_into` panics when
+/// `combine` emits zero values, two or more, or a different key; the
+/// executor turns that panic into a job error, never into wrong output.
 pub trait MapReduce: Send + Sync {
     /// Emit intermediate (key, value) pairs for one input block.
     fn map(&self, block: &[u8], emit: &mut dyn FnMut(String, String));
@@ -245,16 +260,24 @@ pub trait MapReduce: Send + Sync {
         false
     }
 
-    /// Fold `value` into `acc`, the partial aggregate of `key` so far.
-    /// The default runs [`combine`](Self::combine) on the pair
+    /// Start `key`'s accumulator from its first value. `acc` is empty on
+    /// entry. The default stores the value's bytes.
+    fn combine_first(&self, _key: &str, value: &str, acc: &mut Vec<u8>) {
+        acc.extend_from_slice(value.as_bytes());
+    }
+
+    /// Fold `value` into `acc`, the accumulator of `key` so far. The
+    /// default runs [`combine`](Self::combine) on the pair
     /// `[acc, value]` and stores its one output value in `acc`.
     ///
     /// # Panics
     ///
     /// The default panics when `combine` breaks the combiner contract:
     /// zero or several values, or one under another key.
-    fn combine_into(&self, key: &str, acc: &mut String, value: &str) {
-        let pair = [std::mem::take(acc), value.to_owned()];
+    fn combine_into(&self, key: &str, acc: &mut Vec<u8>, value: &str) {
+        let partial = String::from_utf8(std::mem::take(acc))
+            .expect("the default accumulator holds a value's UTF-8 bytes");
+        let pair = [partial, value.to_owned()];
         let mut folded: Option<String> = None;
         let mut emitted = 0usize;
         self.combine(key, &pair, &mut |k, v| {
@@ -263,11 +286,20 @@ pub trait MapReduce: Send + Sync {
             folded = Some(v);
         });
         match folded {
-            Some(v) if emitted == 1 => *acc = v,
+            Some(v) if emitted == 1 => *acc = v.into_bytes(),
             _ => panic!(
                 "combine must emit exactly one value per key, emitted {emitted} for {key:?}"
             ),
         }
+    }
+
+    /// Append the value `acc` stands for to `out`: what ships for `key`
+    /// and what `reduce` receives. The default appends the text the
+    /// default accumulator holds.
+    fn combine_finish(&self, _key: &str, acc: &[u8], out: &mut String) {
+        out.push_str(
+            std::str::from_utf8(acc).expect("the default accumulator holds a value's UTF-8 bytes"),
+        );
     }
 
     /// Reduce one key over borrowed values (in input order, see the
@@ -363,7 +395,8 @@ pub struct LiveConfig {
     /// Spill-coalescing target: a map task buffers each reduce
     /// partition's records until this many bytes accumulate, so the
     /// windowed shuffle lane carries few large batches instead of many
-    /// tiny ones.
+    /// tiny ones. Must be positive: a job on a cluster configured
+    /// with 0 fails with [`JobError::InvalidRequest`].
     pub shuffle_batch_bytes: u64,
     /// Map-slot oversubscription: worker threads per unit of hardware
     /// parallelism (the paper's nodes run several task slots each).

@@ -194,6 +194,9 @@ impl Run {
         if reducers == 0 {
             return Err(JobError::InvalidRequest("a job needs at least one reducer"));
         }
+        if cluster.cfg.shuffle_batch_bytes == 0 {
+            return Err(JobError::InvalidRequest("shuffle_batch_bytes must be positive"));
+        }
         if inputs.is_empty() {
             return Err(JobError::InvalidRequest("a job needs at least one input file"));
         }

@@ -24,9 +24,6 @@ use eclipse_dhtfs::FsError;
 use eclipse_net::{RecordRun, Rpc, RunBuilder, SendTicket, CLIENT};
 use eclipse_ring::NodeId;
 use eclipse_util::HashKey;
-use std::borrow::Cow;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
@@ -402,22 +399,25 @@ impl<'a> MapWorker<'a> {
             }
             let bytes = (k.len() + v.len()) as u64;
             att.emitted += bytes;
+            // One hash per pair: its top bits pick the partition, its
+            // low bits a combining table's slot.
+            let hash = shuffle_hash(k.as_bytes());
             let p = match app.partition(&k, run.reducers) {
                 Some(p) if p >= run.reducers => {
                     out_of_range = true;
                     return;
                 }
                 Some(p) => p,
-                None => self.buffer.partition_of(shuffle_hash(&k)),
+                None => self.buffer.partition_of(HashKey(hash)),
             };
             // Replicated map-out: this placement only produces its
             // mask's partitions; sibling placements cover the rest.
             if parts.is_some_and(|mask| !mask[p]) {
                 return;
             }
-            self.out.add(app, p, k, v);
+            self.out.add(app, p, hash, &k, &v);
             if self.buffer.push_to(p, bytes, None).is_some() {
-                let spill = self.out.take(p);
+                let spill = self.out.take(app, p);
                 self.ship(&mut att, p, spill);
             }
         });
@@ -431,7 +431,7 @@ impl<'a> MapWorker<'a> {
         // one whose pairs were all empty (zero bytes buffered).
         self.buffer.reset();
         for p in 0..run.reducers {
-            let spill = self.out.take(p);
+            let spill = self.out.take(app, p);
             self.ship(&mut att, p, spill);
         }
         // Batch boundary: put every coalesced frame (shuffle + cache)
@@ -728,97 +728,62 @@ impl<'a> MapWorker<'a> {
     }
 }
 
-/// Partition hash for intermediate keys, executor-internal.
+/// Partition hash for intermediate keys, executor-internal: FNV-1a with
+/// a murmur3 finalizer.
 ///
 /// The ring hash ([`HashKey::of_name`]) is engineered for placement
 /// quality and costs far too much to run once per mapped record — it
 /// dominated the map phase's profile. Reduce partitions are plain
 /// channel indices in the live executor, so all the shuffle needs is a
-/// fast, deterministic, well-mixed 64-bit hash: [`ShuffleHasher`].
-#[inline]
-fn shuffle_hash(key: &str) -> HashKey {
-    let mut h = ShuffleHasher::default();
-    h.write(key.as_bytes());
-    HashKey(h.finish())
-}
-
-/// FNV-1a with a murmur3 finalizer: the top bits feed
-/// `SpillBuffer::partition_of`'s multiply-shift and the low bits pick a
-/// combining table's bucket, so both ends must avalanche. (A plain
+/// fast, deterministic, well-mixed 64-bit hash. Its top bits feed
+/// `SpillBuffer::partition_of`'s multiply-shift and its low bits pick a
+/// combining table's slot, so both ends must avalanche. (A plain
 /// multiply hash such as `FxHasher` leaves the low bits of a short key
 /// to its first few bytes, and the tables' probes collide.) No random
 /// state: a replayed seed hashes the same. Unkeyed, so crafted keys
 /// could collide, but a table never outgrows one spill's bytes.
-struct ShuffleHasher(u64);
-
-impl Default for ShuffleHasher {
-    fn default() -> ShuffleHasher {
-        ShuffleHasher(0xcbf29ce484222325)
-    }
-}
-
-impl Hasher for ShuffleHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        let mut h = self.0;
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xff51afd7ed558ccd);
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xc4ceb9fe1a85ec53);
-        h ^= h >> 33;
-        h
-    }
-}
-
-/// A combining table: key → partial aggregate.
-type Table = HashMap<String, String, BuildHasherDefault<ShuffleHasher>>;
-
-/// Fold one emitted pair into its partition's combining table: a key
-/// seen before since the last spill is looked up by `&str` and folded
-/// in place; a new key is allocated once (moved when already owned).
 #[inline]
-fn fold_into(app: &dyn MapReduce, table: &mut Table, k: Cow<'_, str>, v: Cow<'_, str>) {
-    match table.get_mut(k.as_ref()) {
-        Some(acc) => app.combine_into(&k, acc, &v),
-        None => {
-            table.insert(k.into_owned(), v.into_owned());
-        }
+fn shuffle_hash(key: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for &b in key {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100000001b3);
     }
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51afd7ed558ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ceb9fe1a85ec53);
+    h ^ (h >> 33)
 }
 
 /// A worker's map output buffered since each partition's last spill.
 enum Buffered {
     /// An app without a combiner: one byte arena per partition.
     Records(Vec<Arena>),
-    /// A combiner app: per partition, key → partial aggregate (the
-    /// in-mapper combiner).
+    /// A combiner app: one combining table per partition (the in-mapper
+    /// combiner).
     Combined(Vec<Table>),
 }
 
 impl Buffered {
-    /// Buffer one emitted pair for partition `p`.
+    /// Buffer one emitted pair, whose key hashes to `hash`, for
+    /// partition `p`.
     #[inline]
-    fn add(&mut self, app: &dyn MapReduce, p: usize, k: Cow<'_, str>, v: Cow<'_, str>) {
+    fn add(&mut self, app: &dyn MapReduce, p: usize, hash: u64, k: &str, v: &str) {
         match self {
-            Buffered::Records(arenas) => arenas[p].push(k.as_bytes(), v.as_bytes()),
-            Buffered::Combined(tables) => fold_into(app, &mut tables[p], k, v),
+            Buffered::Records(arenas) => {
+                arenas[p].push(k.as_bytes(), v.as_bytes());
+            }
+            Buffered::Combined(tables) => tables[p].fold(app, hash, k, v),
         }
     }
 
     /// Partition `p`'s buffered output as a key-sorted run, leaving the
     /// partition empty (its allocations kept for the next spill).
-    fn take(&mut self, p: usize) -> RecordRun {
+    fn take(&mut self, app: &dyn MapReduce, p: usize) -> RecordRun {
         match self {
             Buffered::Records(arenas) => arenas[p].drain(),
-            Buffered::Combined(tables) => drain_table(&mut tables[p]),
+            Buffered::Combined(tables) => tables[p].drain(app),
         }
     }
 
@@ -830,6 +795,13 @@ impl Buffered {
     }
 }
 
+/// An arena offset or length as stored in an [`Entry`]. The arena's end
+/// is checked through here after every append, so every offset sum
+/// below it fits too.
+fn narrow(n: usize) -> u32 {
+    u32::try_from(n).expect("a spill arena stays below 4 GiB")
+}
+
 /// One partition's emitted pairs since its last spill: every key and
 /// value byte back to back in one buffer, plus one entry per pair.
 /// Appending a pair copies its bytes and allocates nothing per record.
@@ -839,9 +811,10 @@ struct Arena {
     entries: Vec<Entry>,
 }
 
-/// Where one pair sits in its arena. `prefix` holds the key's first
-/// eight bytes big-endian (zero-padded), so most comparisons in the
-/// spill sort never touch the arena.
+/// Where one pair sits in its arena: the key at `start`, its value right
+/// after it. `prefix` holds the key's first eight bytes big-endian
+/// (zero-padded), so most comparisons in the spill sort never touch the
+/// arena.
 #[derive(Clone, Copy)]
 struct Entry {
     prefix: u64,
@@ -851,39 +824,50 @@ struct Entry {
 }
 
 impl Arena {
+    /// Append one pair; returns its entry's index.
     #[inline]
-    fn push(&mut self, key: &[u8], value: &[u8]) {
+    fn push(&mut self, key: &[u8], value: &[u8]) -> usize {
         let start = self.bytes.len();
         self.bytes.extend_from_slice(key);
         self.bytes.extend_from_slice(value);
-        // The arena's end fits in a u32, so every offset sum below does.
-        let narrow = |n: usize| u32::try_from(n).expect("a spill arena stays below 4 GiB");
         narrow(self.bytes.len());
         let mut prefix = [0u8; 8];
         let n = key.len().min(8);
         prefix[..n].copy_from_slice(&key[..n]);
         self.entries.push(Entry {
             prefix: u64::from_be_bytes(prefix),
-            start: narrow(start),
-            key_len: narrow(key.len()),
-            value_len: narrow(value.len()),
+            start: start as u32,
+            key_len: key.len() as u32,
+            value_len: value.len() as u32,
         });
+        self.entries.len() - 1
+    }
+
+    #[inline]
+    fn key(&self, e: Entry) -> &[u8] {
+        &self.bytes[e.start as usize..(e.start + e.key_len) as usize]
     }
 
     /// Sort the entries by key — stably: equal keys keep emit order,
-    /// which the arena offsets record — and write them as a run.
-    fn drain(&mut self) -> RecordRun {
+    /// which the arena offsets record — and hand each pair to `emit` in
+    /// that order, leaving the arena empty.
+    fn drain_sorted(&mut self, mut emit: impl FnMut(&[u8], &[u8])) {
         let bytes = &self.bytes;
         let key = |e: &Entry| &bytes[e.start as usize..(e.start + e.key_len) as usize];
         self.entries.sort_unstable_by(|a, b| {
             a.prefix.cmp(&b.prefix).then_with(|| key(a).cmp(key(b))).then(a.start.cmp(&b.start))
         });
-        let mut run = RunBuilder::with_capacity(bytes.len() + 3 * self.entries.len());
         for e in &self.entries {
             let value_at = (e.start + e.key_len) as usize;
-            run.push(key(e), &bytes[value_at..value_at + e.value_len as usize]);
+            emit(key(e), &bytes[value_at..value_at + e.value_len as usize]);
         }
         self.clear();
+    }
+
+    /// The arena's pairs as one key-sorted run.
+    fn drain(&mut self) -> RecordRun {
+        let mut run = RunBuilder::with_capacity(self.bytes.len() + 3 * self.entries.len());
+        self.drain_sorted(|k, v| run.push(k, v));
         run.finish()
     }
 
@@ -893,16 +877,131 @@ impl Arena {
     }
 }
 
-/// Empty a combining table into a key-sorted run: one record per key.
-fn drain_table(table: &mut Table) -> RecordRun {
-    let mut pairs: Vec<(&String, &String)> = table.iter().collect();
-    pairs.sort_unstable_by(|a, b| a.0.cmp(b.0));
-    let mut run = RunBuilder::default();
-    for (k, v) in pairs {
-        run.push(k.as_bytes(), v.as_bytes());
+/// A combiner app's output for one partition since its last spill: one
+/// arena entry per distinct key — the key's bytes, then its accumulator
+/// (the app's own bytes, see [`MapReduce::combine_first`]) — found by
+/// linear probing on the key's shuffle hash. A key new to the spill is
+/// one arena append; a repeated one folds in place. A spill sorts the
+/// entries as an app without a combiner's arena does and writes each
+/// accumulator out once, through [`MapReduce::combine_finish`].
+#[derive(Default)]
+struct Table {
+    arena: Arena,
+    /// The probe index over `arena.entries`: a power of two long, at
+    /// most half full.
+    slots: Vec<Slot>,
+    /// Scratch the app's accumulator methods work on.
+    acc: Vec<u8>,
+}
+
+/// One slot of a [`Table`]'s index.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    /// The key's shuffle hash: a probe compares it before any key byte,
+    /// and growth re-places the slot by it.
+    hash: u64,
+    /// The arena entry plus one; 0 marks an empty slot.
+    entry: u32,
+    /// Arena bytes reserved after the key for its accumulator. A fold
+    /// that fits stays in place; a longer one moves the pair to the
+    /// arena's end with room to double.
+    room: u32,
+}
+
+/// A table's index starts at this many slots.
+const MIN_SLOTS: usize = 16;
+
+impl Table {
+    /// Fold one emitted pair whose key hashes to `hash`.
+    #[inline]
+    fn fold(&mut self, app: &dyn MapReduce, hash: u64, key: &str, value: &str) {
+        if 2 * (self.arena.entries.len() + 1) > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            let slot = self.slots[i];
+            if slot.entry == 0 {
+                self.acc.clear();
+                app.combine_first(key, value, &mut self.acc);
+                let entry = self.arena.push(key.as_bytes(), &self.acc);
+                let room = self.acc.len() as u32;
+                self.slots[i] = Slot { hash, entry: narrow(entry + 1), room };
+                return;
+            }
+            let ix = slot.entry as usize - 1;
+            if slot.hash == hash && self.arena.key(self.arena.entries[ix]) == key.as_bytes() {
+                self.fold_at(app, i, key, value);
+                return;
+            }
+            i = (i + 1) & mask;
+        }
     }
-    table.clear();
-    run.finish()
+
+    /// Fold `value` into the accumulator of the key in slot `i`.
+    #[inline]
+    fn fold_at(&mut self, app: &dyn MapReduce, i: usize, key: &str, value: &str) {
+        let slot = self.slots[i];
+        let ix = slot.entry as usize - 1;
+        let e = self.arena.entries[ix];
+        let at = (e.start + e.key_len) as usize;
+        let acc = &mut self.acc;
+        acc.clear();
+        acc.extend_from_slice(&self.arena.bytes[at..at + e.value_len as usize]);
+        app.combine_into(key, acc, value);
+        let len = acc.len();
+        if len <= slot.room as usize {
+            self.arena.bytes[at..at + len].copy_from_slice(acc);
+        } else {
+            let bytes = &mut self.arena.bytes;
+            let room = len.max(2 * slot.room as usize);
+            let start = bytes.len();
+            bytes.extend_from_slice(key.as_bytes());
+            bytes.extend_from_slice(acc);
+            bytes.resize(start + key.len() + room, 0);
+            narrow(bytes.len());
+            self.arena.entries[ix].start = start as u32;
+            self.slots[i].room = room as u32;
+        }
+        self.arena.entries[ix].value_len = len as u32;
+    }
+
+    /// Double the index (or start it) and re-place every slot by its
+    /// hash.
+    #[cold]
+    fn grow(&mut self) {
+        let len = (2 * self.slots.len()).max(MIN_SLOTS);
+        let old = std::mem::replace(&mut self.slots, vec![Slot::default(); len]);
+        for slot in old.into_iter().filter(|s| s.entry != 0) {
+            let mut i = slot.hash as usize & (len - 1);
+            while self.slots[i].entry != 0 {
+                i = (i + 1) & (len - 1);
+            }
+            self.slots[i] = slot;
+        }
+    }
+
+    /// The table as a key-sorted run, one record per key, leaving it
+    /// empty (its allocations kept for the next spill).
+    fn drain(&mut self, app: &dyn MapReduce) -> RecordRun {
+        let arena = &mut self.arena;
+        let mut run = RunBuilder::with_capacity(arena.bytes.len() + 3 * arena.entries.len());
+        let mut finished = String::new();
+        arena.drain_sorted(|key, acc| {
+            let key = std::str::from_utf8(key).expect("a table's keys are copied from a str");
+            finished.clear();
+            app.combine_finish(key, acc, &mut finished);
+            run.push(key.as_bytes(), finished.as_bytes());
+        });
+        self.slots.fill(Slot::default());
+        run.finish()
+    }
+
+    fn clear(&mut self) {
+        self.arena.clear();
+        self.slots.fill(Slot::default());
+    }
 }
 
 /// Redeem the window slots of an attempt that will not commit, whatever
@@ -912,4 +1011,160 @@ fn redeem(cluster: &LiveCluster, shuffle: &[(SendTicket, usize)], cache: &[SendT
         let _ = cluster.net.flush(std::slice::from_ref(ticket));
     }
     let _ = cluster.net.flush(cache);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeMap;
+
+    /// Signed decimal sum through the default accumulator adapters: the
+    /// accumulator is the value's text, so a fold can grow it
+    /// (`"9"` + `"1"` = `"10"`) or shrink it (`"100"` + `"-99"` = `"1"`).
+    struct Sum;
+
+    impl MapReduce for Sum {
+        fn map(&self, _block: &[u8], _emit: &mut dyn FnMut(String, String)) {}
+        fn reduce(&self, key: &str, values: &[String], emit: &mut dyn FnMut(String, String)) {
+            let total: i64 = values.iter().map(|v| v.parse::<i64>().expect("a decimal")).sum();
+            emit(key.to_string(), total.to_string());
+        }
+        fn combine(&self, key: &str, values: &[String], emit: &mut dyn FnMut(String, String)) {
+            self.reduce(key, values, emit);
+        }
+        fn has_combiner(&self) -> bool {
+            true
+        }
+    }
+
+    /// Fold `pairs` into `table`, each key under `hash(key)`, and return
+    /// what a `BTreeMap` model that folds each key's values with
+    /// `combine` pairwise says the next spill must hold.
+    fn fold_all(table: &mut Table, pairs: &[(&str, &str)], hash: impl Fn(&str) -> u64) -> Model {
+        let mut model = BTreeMap::new();
+        for &(k, v) in pairs {
+            table.fold(&Sum, hash(k), k, v);
+            let folded = match model.remove(k) {
+                None => v.to_string(),
+                Some(partial) => {
+                    let mut out = Vec::new();
+                    Sum.combine(k, &[partial, v.to_string()], &mut |_, v| out.push(v));
+                    out.pop().expect("one value")
+                }
+            };
+            model.insert(k.to_string(), folded);
+        }
+        model
+    }
+
+    type Model = BTreeMap<String, String>;
+
+    /// Drain `table` and check the run against `model`, and that the
+    /// table is left empty.
+    fn spill_matches(table: &mut Table, model: Model) {
+        let want: Vec<(String, String)> = model.into_iter().collect();
+        assert_eq!(table.drain(&Sum).to_pairs(), want);
+        assert!(table.arena.bytes.is_empty() && table.arena.entries.is_empty());
+        assert!(table.slots.iter().all(|s| s.entry == 0));
+    }
+
+    fn hashed(k: &str) -> u64 {
+        shuffle_hash(k.as_bytes())
+    }
+
+    /// The hash is FNV-1a with a murmur3 finalizer, bit for bit: the
+    /// partition every key lands in is unchanged.
+    #[test]
+    fn shuffle_hash_is_pinned() {
+        assert_eq!(shuffle_hash(b""), 0xefd01f60ba992926);
+        assert_eq!(shuffle_hash(b"the"), 0xcb3ff435b889fb31);
+        assert_eq!(shuffle_hash("abcdefgh\u{e9}".as_bytes()), 0xacdf4cbc45d485ee);
+    }
+
+    #[test]
+    fn table_with_every_key_colliding() {
+        let keys: Vec<String> = (0..100).map(|i| format!("k{i}")).collect();
+        let values = ["1", "2", "3"];
+        let pairs: Vec<(&str, &str)> =
+            values.iter().flat_map(|v| keys.iter().map(move |k| (k.as_str(), *v))).collect();
+        let mut table = Table::default();
+        let model = fold_all(&mut table, &pairs, |_| 42);
+        assert_eq!(table.arena.entries.len(), 100);
+        spill_matches(&mut table, model);
+    }
+
+    #[test]
+    fn table_grows_across_several_doublings() {
+        let keys: Vec<String> = (0..1000).map(|i| format!("w{}", i * 7919)).collect();
+        let pairs: Vec<(&str, &str)> =
+            keys.iter().chain(keys.iter().step_by(3)).map(|k| (k.as_str(), "1")).collect();
+        let mut table = Table::default();
+        let model = fold_all(&mut table, &pairs, hashed);
+        assert_eq!(table.slots.len(), 2048, "16 slots doubled seven times");
+        spill_matches(&mut table, model);
+    }
+
+    #[test]
+    fn default_accumulators_grow_and_shrink() {
+        let pairs = [
+            ("a", "9"),
+            ("b", "100"),
+            ("a", "1"),
+            ("b", "-99"),
+            ("c", "5"),
+            ("a", "90"),
+            ("a", "900"),
+            ("b", "99998"),
+            ("a", "-999"),
+            ("c", "-5"),
+            ("a", "123456789"),
+            ("b", "-99999"),
+        ];
+        let mut table = Table::default();
+        let model = fold_all(&mut table, &pairs[..3], hashed);
+        assert_eq!(model["a"], "10");
+        spill_matches(&mut table, model);
+        let model = fold_all(&mut table, &pairs, hashed);
+        assert_eq!((model["a"].as_str(), model["b"].as_str()), ("123456790", "0"));
+        spill_matches(&mut table, model);
+    }
+
+    #[test]
+    fn table_keeps_the_empty_key() {
+        let pairs = [("", "1"), ("x", "1"), ("", "2"), ("", "")];
+        let mut table = Table::default();
+        let model = fold_all(&mut table, &pairs[..3], hashed);
+        assert_eq!(model[""], "3");
+        spill_matches(&mut table, model);
+        // An empty value starts an empty accumulator, shipped as is.
+        let model = fold_all(&mut table, &pairs[3..], hashed);
+        assert_eq!(model[""], "");
+        spill_matches(&mut table, model);
+    }
+
+    #[test]
+    fn keys_sharing_their_first_eight_bytes_sort_by_the_rest() {
+        let keys = ["abcdefgh", "abcdefghi", "abcdefgh\u{e9}", "abcdefgg", "abcdefghh", "abcdefg"];
+        let pairs: Vec<(&str, &str)> =
+            keys.iter().chain(keys.iter().rev()).map(|k| (*k, "2")).collect();
+        let mut table = Table::default();
+        let model = fold_all(&mut table, &pairs, hashed);
+        spill_matches(&mut table, model);
+    }
+
+    #[test]
+    fn a_drained_or_cleared_table_spills_again() {
+        let first = [("x", "1"), ("y", "2"), ("x", "3")];
+        let second = [("y", "5"), ("z", "1"), ("y", "-1"), ("x", "7")];
+        let mut table = Table::default();
+        let model = fold_all(&mut table, &first, hashed);
+        spill_matches(&mut table, model);
+        let model = fold_all(&mut table, &second, hashed);
+        spill_matches(&mut table, model);
+        // A discarded attempt clears instead of draining.
+        fold_all(&mut table, &first, hashed);
+        table.clear();
+        let model = fold_all(&mut table, &second, hashed);
+        spill_matches(&mut table, model);
+    }
 }

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: release build, clippy, rustdoc, the full test suite, the frozen
-# benchmark/ package's build and tests, the live-matrix, edge-case, chaos,
-# transport and epoch suites under --release, and two bounded DST smoke sweeps. It measures
-# nothing: live performance is the benchmark's job (benchmark/README.md)
+# benchmark/ package's build and tests, the live-matrix, live-property,
+# edge-case, chaos, transport and epoch suites under --release, and two
+# bounded DST smoke sweeps. It measures nothing: live performance is the benchmark's job (benchmark/README.md)
 # and the paper's figures come from `figures`. Writes no tracked file, so a
 # passing run leaves `git status` clean. The full randomized DST sweep
 # stays behind `dst_bench --runs N --preset chaos` (docs/DST.md).
@@ -32,12 +32,18 @@ echo "== tier1: benchmark/ builds and passes against the current crates"
 cargo build --release --manifest-path benchmark/Cargo.toml
 cargo test -q --manifest-path benchmark/Cargo.toml
 
-# live_matrix pins the map-side combining path (borrowed emit, in-place
-# fold, default adapters) and the sorted-run path of the apps without a
-# combiner (against an in-order oracle) to byte-identical output in
-# every cell.
+# live_matrix pins the map-side combining path (borrowed emit, binary
+# accumulator in the open-addressing table, default adapters) and the
+# sorted-run path of the apps without a combiner (against an in-order
+# oracle) to byte-identical output in every cell.
 echo "== tier1: live output-identity matrix (release)"
 cargo test -q --release -p eclipse-integration-tests --test live_matrix
+
+# live_properties drives the combining table over random corpora
+# (wordcount_equals_reference, multi_input_counts_add) with the
+# optimiser's codegen, not only the debug build's.
+echo "== tier1: live property suite (release)"
+cargo test -q --release -p eclipse-integration-tests --test live_properties
 
 # edge_cases pins the sorted-run record shapes (empty keys and values,
 # prefix keys, a shared prefix ending inside a code point, a silent

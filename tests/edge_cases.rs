@@ -217,6 +217,57 @@ fn invalid_requests_are_errors_not_panics_or_hangs() {
     assert!(matches!(stream.commit_epoch(b"a b\n"), Err(JobError::InvalidRequest(_))));
 }
 
+/// A zero spill threshold is an invalid request, caught before the run
+/// registers: the one-shot job returns the error and leaves no run
+/// behind, and a server job's handle is fulfilled with it while the
+/// server's driver lives on.
+#[test]
+fn zero_shuffle_batch_bytes_is_invalid_request() {
+    use eclipse_core::{JobError, JobServer, JobServerConfig, PoolJobSpec, StreamSpec};
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
+
+    let c = Arc::new(LiveCluster::new(LiveConfig::small().with_shuffle_batch_bytes(0)));
+    c.upload("in", "u", b"a b c\n");
+    fn invalid<T>(r: Result<T, JobError>) -> bool {
+        matches!(r, Err(JobError::InvalidRequest(_)))
+    }
+
+    assert!(invalid(c.try_run_job(&WordCount, "in", "u", 2, ReusePolicy::default())));
+    assert_eq!(c.active_jobs(), 0, "the refused one-shot run is registered");
+
+    let server =
+        JobServer::new(c.clone(), JobServerConfig { concurrency: 1, ..JobServerConfig::default() });
+    let spec = || PoolJobSpec {
+        app: Arc::new(WordCount),
+        inputs: vec!["in".to_string()],
+        user: "u".to_string(),
+        reducers: 2,
+        reuse: ReusePolicy::default(),
+        weight: 1,
+    };
+    // Twice through the server's only driver: the first refusal must
+    // leave it alive to refuse the second.
+    for round in 0..2 {
+        let handle = server.submit(spec());
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(handle.wait());
+        });
+        let r = rx.recv_timeout(Duration::from_secs(20)).expect("job server hung");
+        assert!(invalid(r), "server job, round {round}");
+        assert_eq!(c.active_jobs(), 0, "the refused server run is registered");
+    }
+
+    let stream = server.open_stream(StreamSpec {
+        app: Arc::new(WordCount),
+        name: "s".to_string(),
+        user: "u".to_string(),
+        reducers: 2,
+    });
+    assert!(invalid(stream.commit_epoch(b"a b\n")), "epoch wave");
+}
+
 /// [`WordCount`] whose `reduce` panics on the key `"b"`.
 struct PanicOnB;
 

@@ -6,8 +6,8 @@
 //! corpus and block size, `run_job` returns byte-identical results no
 //! matter which scheduler places the tasks, how many virtual nodes the
 //! ring has, how many reduce partitions exist, or whether the app
-//! declares a combiner — ported to the borrowed emit and in-place fold
-//! or reaching them through the trait's default adapters.
+//! declares a combiner — ported to the borrowed emit and a binary
+//! accumulator, or reaching them through the trait's default adapters.
 //!
 //! The apps without a combiner (inverted index, grep) ride the sorted
 //! byte runs from the spill arena to `reduce_into`; their cells must
@@ -29,7 +29,8 @@ use std::sync::Arc;
 
 /// Word count whose combiner reaches the executor only through the
 /// `MapReduce` default adapters: it overrides neither `map_into` nor
-/// `combine_into`, so every record is emitted owned and every fold goes
+/// the `combine_*` accumulator methods, so every record is emitted
+/// owned, every accumulator is a value's text and every fold goes
 /// through `combine` on a pair.
 struct WordCountAdapted;
 
