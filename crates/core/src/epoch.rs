@@ -233,7 +233,7 @@ impl EpochDriver {
     /// lets the server's workers help.
     pub fn commit_epoch(&self, delta: &[u8]) -> Result<EpochReport, JobError> {
         let cluster = &*self.cluster;
-        self.commit_epoch_via(delta, &|wave| MapWorker::at(cluster, wave, &*self.app, 0).work_all())
+        self.commit_epoch_via(delta, &|wave| MapWorker::at(cluster, wave, &*self.app, 0).work(true))
     }
 
     /// Commit one epoch, delegating the wave's map phase to `exec`.

@@ -21,25 +21,26 @@
 //!   from begin to retire, so crash/join/leave recovery
 //!   (`live/membership.rs`) walks every run alike.
 //! - A **`MapWorker`** (`live/worker.rs`) is one thread's state on one
-//!   run — node identity, spill buffer, one parked unsettled attempt —
-//!   and the only implementation of a map attempt: claim, read (iCache
+//!   run — home node, spill buffer, one parked unsettled attempt — and
+//!   the only implementation of a map attempt: claim, read (iCache
 //!   first), map, combine, ship over the windowed lane, settle, commit,
-//!   re-home when its node crashes, drain retries and backups.
+//!   re-home when its home crashes, drain retries and backups.
 //! - The **partition fold** dedups shuffle runs against the commit
 //!   board, k-way merges the winners into key groups and reduces each;
 //!   an epoch wave folds the same merged groups into its stream's
 //!   materialized state instead.
 //!
-//! Threads are *supplied* to that code in one shape: the thread that
-//! began the run maps it inline (`MapWorker::work_all`, each task under
-//! its assigned identity) while helpers work beside it, then seals and
-//! folds it. A one-shot job borrows its application (`&dyn MapReduce`),
-//! which a persistent thread cannot hold, so its helpers and extra fold
-//! lanes are scoped threads for its own lifetime. A job server or
-//! stream driver is helped by the server's pool workers and folds on
-//! its own thread, because per-job thread spawning is most of a small
-//! job's fixed cost (0.12 ms one-shot against 0.04 ms through the
-//! server in a traced `benchmark/` run on 2 cores).
+//! Threads are *supplied* to that code in one shape: every thread runs
+//! one loop, `MapWorker::work` — the thread that began the run stays
+//! until it is done while helpers work beside it — and that thread then
+//! seals and folds the run. A one-shot job borrows its application
+//! (`&dyn MapReduce`), which a persistent thread cannot hold, so its
+//! helpers and extra fold lanes are scoped threads for its own
+//! lifetime. A job server or stream driver is helped by the server's
+//! pool workers and folds on its own thread, because per-job thread
+//! spawning is most of a small job's fixed cost (0.12 ms one-shot
+//! against 0.04 ms through the server in a traced `benchmark/` run on
+//! 2 cores).
 //!
 //! # Transport plane (see DESIGN.md §8e)
 //!
@@ -66,11 +67,14 @@
 //! - **Concurrent reads.** File metadata sits behind a `RwLock` (reads
 //!   during a job never block each other) and [`BlockStore`] is already
 //!   a reader-parallel payload store.
-//! - **Work stealing.** Map assignments are frozen per node at placement
-//!   time; workers drain their own queue first, then steal from other
-//!   nodes' tails via atomic cursors. Cache and locality accounting
-//!   always uses the *assigned* node, so stealing changes wall-clock,
-//!   never stats or cache placement.
+//! - **Locality first, stealing at the tail.** Map assignments are
+//!   frozen per node at placement time and claimed via atomic cursors.
+//!   A thread runs a task *as its assigned node* while no other attempt
+//!   of the run is in flight there, so its block is a local cache read;
+//!   only once every free queue is drained does it steal from a busy
+//!   owner, as its own home node. Cache accounting always uses the
+//!   *assigned* node, so stealing changes wall-clock and transport
+//!   traffic, never hit ratios or cache placement.
 //! - **Sorted byte runs end to end.** One
 //!   [`SpillBuffer`](crate::SpillBuffer) per worker serves all its
 //!   blocks and decides every spill by emitted bytes. An app without a
@@ -526,8 +530,10 @@ pub struct LiveStats {
     pub cache_misses: u64,
     pub remote_reads: u64,
     pub spills: u64,
-    /// Map tasks executed by a thread other than their assigned node
-    /// (work stealing). `tasks_per_node` still counts by assignment.
+    /// Map attempts run as a node other than the task's assigned one:
+    /// tail steals from a busy owner, stand-ins for a crashed owner,
+    /// and speculative backups. `tasks_per_node` still counts by
+    /// assignment.
     pub steals: u64,
     pub tasks_per_node: Vec<u64>,
     /// Map attempts started (≥ `map_tasks`; the surplus is fault
@@ -1117,7 +1123,7 @@ impl LiveCluster {
                 let run = &*run;
                 scope.spawn(move || MapWorker::at(self, run, app, wi).work(true));
             }
-            MapWorker::at(self, &run, app, 0).work_all();
+            MapWorker::at(self, &run, app, 0).work(true);
         });
         run.finish(self, app, hardware_threads())
     }

@@ -5,10 +5,10 @@
 //! [`Run::begin`] validates the request, places its blocks, registers
 //! the run cluster-wide and installs its shuffle route; the run's
 //! threads come from outside. Every run — one-shot job, server job or
-//! epoch wave — is mapped by [`MapWorker::work_all`] on the thread
-//! that began it, with helpers alongside, then sealed and folded by
-//! [`Run::finish`] or [`Run::finish_with`]. Every run ends in
-//! [`Run::retire`].
+//! epoch wave — is mapped by [`MapWorker::work`] on the thread that
+//! began it, with helpers running the same loop alongside, then sealed
+//! and folded by [`Run::finish`] or [`Run::finish_with`]. Every run
+//! ends in [`Run::retire`].
 #![deny(clippy::too_many_lines)]
 
 use super::place::MapTask;
@@ -97,8 +97,8 @@ pub(crate) struct Run {
     pub(super) reducers: usize,
     pub(super) reuse: ReusePolicy,
     pub(super) tasks: Vec<MapTask>,
-    /// Ring members at run start, ring order: worker identities, steal
-    /// order and re-homing all walk this.
+    /// Ring members at run start, ring order: worker homes, drain order
+    /// and re-homing all walk this.
     pub(super) workers: Vec<NodeId>,
     /// Frozen per-node work queues (indexed by node index) plus one
     /// atomic cursor each: workers claim with `fetch_add`, so every
@@ -108,12 +108,13 @@ pub(crate) struct Run {
     pub(super) cursors: Vec<AtomicUsize>,
     /// Replicated map-out pins sub-tasks to their placement: stealing
     /// one onto another node would turn its carefully co-located
-    /// shuffle remote again.
+    /// shuffle remote again. Only a crashed owner's queue runs
+    /// elsewhere.
     pub(super) pinned: bool,
-    /// Map threads a one-shot job staffs (the inline driver plus its
-    /// helpers): the machine's parallelism times `map_slots`, never
-    /// more than the node count. Queues of nodes beyond it have no
-    /// owner thread of their own, only the inline driver's pass.
+    /// Sizes a one-shot job's scoped helpers, `threads - 1` of them
+    /// beside the inline driver: the machine's parallelism times
+    /// `map_slots`, never more than the node count. A server or epoch
+    /// run takes its helpers from the pool instead.
     pub(super) threads: usize,
     /// Reduce-partition receivers, taken by whoever folds.
     receivers: Mutex<Vec<Receiver<TaskBatch>>>,
@@ -126,8 +127,8 @@ pub(crate) struct Run {
     pub(super) commits: Vec<AtomicU32>,
     /// Next attempt number to hand out per task.
     pub(super) next_attempt: Vec<AtomicU32>,
-    /// Index of the node whose worker most recently claimed each task —
-    /// the crash handler re-queues the victim's claims.
+    /// Index of the node each task's latest non-speculative attempt
+    /// runs as — the crash handler re-queues the victim's claims.
     pub(super) claims: Vec<AtomicU32>,
     /// Count of committed tasks (fast all-done check).
     pub(super) committed: AtomicUsize,
@@ -156,12 +157,12 @@ pub(crate) struct Run {
     /// retry budget — a lost backup must not push a healthy task over
     /// `MAX_ATTEMPTS`.
     pub(super) failures: Vec<AtomicU32>,
-    /// Running map attempts per node index (load signal for backup
-    /// placement).
+    /// Running map attempts per node index: the load signal for backup
+    /// placement, and a busy owner's mark in the frozen-queue drain.
     pub(super) running: Vec<AtomicU32>,
-    /// Backup launch requests: `(task, preferred node index)`. Idle
+    /// Backup launch requests: `(task, node to run it as)`. Idle
     /// workers drain this.
-    spec: Mutex<Vec<(usize, u32)>>,
+    spec: Mutex<Vec<(usize, NodeId)>>,
     /// At most one backup per task, ever.
     spec_launched: Vec<AtomicBool>,
     /// Committed map attempt durations in nanos — the straggler
@@ -490,25 +491,19 @@ impl Run {
         self.is_aborted() || self.committed.load(Ordering::Acquire) == self.tasks.len()
     }
 
-    /// Is there a first attempt left to claim in a queue a worker at
-    /// ring position `wi` would drain?
-    pub(crate) fn claimable(&self, wi: usize) -> bool {
-        let n = self.workers.len();
-        (0..self.steal_span()).any(|step| {
-            let owner = self.workers[(wi + step) % n].index();
-            self.cursors[owner].load(Ordering::Relaxed) < self.queues[owner].len()
+    /// Is there a first attempt a worker could claim now? A pinned
+    /// run's busy owner keeps its queue to itself.
+    pub(crate) fn claimable(&self) -> bool {
+        self.workers.iter().any(|&w| {
+            let q = w.index();
+            self.cursors[q].load(Ordering::Relaxed) < self.queues[q].len()
+                && (!self.pinned || self.node_down(w) || !self.busy(w))
         })
     }
 
-    /// How many queues (own first, then ring order) a worker's first
-    /// pass drains: all of them, or only its own when placements are
-    /// pinned.
-    pub(super) fn steal_span(&self) -> usize {
-        if self.pinned {
-            1
-        } else {
-            self.workers.len()
-        }
+    /// Does `node` have an attempt of this run in flight?
+    pub(super) fn busy(&self, node: NodeId) -> bool {
+        self.running.get(node.index()).is_some_and(|r| r.load(Ordering::Acquire) > 0)
     }
 
     /// Straggler watch, run by whichever worker is idle: request one
@@ -563,23 +558,19 @@ impl Run {
                     .min_by_key(|&n| (load(n), n.0)),
             };
             match choice {
-                Some(node) => self.spec.lock().push((tid, node.index() as u32)),
+                Some(node) => self.spec.lock().push((tid, node)),
                 // Nowhere to run it; allow a later retry.
                 None => self.spec_launched[tid].store(false, Ordering::Release),
             }
         }
     }
 
-    /// Pop a backup request this worker should run: prefer tasks whose
-    /// backup the watch placed here, else any task whose primary runs
-    /// elsewhere. Entries whose task already committed are dropped.
-    pub(super) fn pop_spec(&self, me: usize) -> Option<usize> {
+    /// Pop the oldest backup request with the node the watch placed
+    /// it on. Requests whose task already committed are dropped.
+    pub(super) fn pop_spec(&self) -> Option<(usize, NodeId)> {
         let mut q = self.spec.lock();
         q.retain(|&(tid, _)| self.commits[tid].load(Ordering::Acquire) == UNCOMMITTED);
-        let pick = q.iter().position(|&(_, pref)| pref == me as u32).or_else(|| {
-            q.iter().position(|&(tid, _)| self.claims[tid].load(Ordering::Acquire) != me as u32)
-        })?;
-        Some(q.remove(pick).0)
+        (!q.is_empty()).then(|| q.remove(0))
     }
 
     /// Record a terminal error (first one wins) and stop the job.

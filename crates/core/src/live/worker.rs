@@ -1,14 +1,17 @@
 //! The map worker: the only implementation of a map attempt.
 //!
-//! A [`MapWorker`] is one thread's working state on one [`Run`]: a
-//! node identity, a spill buffer with one byte arena per partition
-//! (one combining table for a combiner app), and at most one
-//! shipped-but-unsettled attempt. The thread that began the run maps
-//! it inline with [`MapWorker::work_all`]; helpers — a one-shot job's
-//! scoped threads or a job server's pool workers — call
-//! [`MapWorker::work`] beside it. Everything below those two is shared:
-//! claim, read, map, combine, ship over the windowed lane, settle,
-//! commit, re-home after a crash, drain retries and backups.
+//! A [`MapWorker`] is one thread's working state on one [`Run`]: a home
+//! node, a spill buffer with one byte arena per partition (one
+//! combining table for a combiner app), and at most one
+//! shipped-but-unsettled attempt. Every thread a run gets — the one
+//! that began it, a one-shot job's scoped helpers, a job server's pool
+//! workers — runs the one loop, [`MapWorker::work`]. Identity is per
+//! attempt: a first attempt runs as its assigned node while that node
+//! is free, and as the worker's home when it steals from a busy owner
+//! or stands in for a crashed one; a retry runs as the home and a
+//! backup as the node the straggler watch placed it on. Below the loop
+//! everything is shared: claim, read, map, combine, ship over the
+//! windowed lane, settle, commit, re-home after a crash.
 #![deny(clippy::too_many_lines)]
 
 use super::run::{Run, UNCOMMITTED};
@@ -31,7 +34,7 @@ use std::time::{Duration, Instant};
 enum Attempt {
     /// Complete output shipped; eligible to commit.
     Shipped,
-    /// The worker's node crashed mid-attempt: at least one send was
+    /// The attempt's node crashed mid-attempt: at least one send was
     /// suppressed, so the attempt must not commit.
     Voided,
     /// An injected task fault, or a shuffle batch the transport lost,
@@ -46,11 +49,15 @@ enum Attempt {
 }
 
 /// One attempt's shipping state: which `(task, attempt)` the batches
-/// are tagged with, what went wrong so far, and the still-in-flight
-/// windowed send tickets the deferred settle step must redeem.
+/// are tagged with, the node it runs as, what went wrong so far, and
+/// the still-in-flight windowed send tickets the deferred settle step
+/// must redeem.
 struct Shipping {
     tid: usize,
     attempt: u32,
+    /// The node this attempt runs as: its reads, sends, heartbeats and
+    /// injected slowness are that node's.
+    node: NodeId,
     /// Sequence number within this attempt, for at-least-once dedup at
     /// the receiver.
     seq: u32,
@@ -58,7 +65,7 @@ struct Shipping {
     /// estimate heartbeats carry to the straggler watch.
     emitted: u64,
     total: u64,
-    /// "A crash loses in-flight messages": once this worker's node is
+    /// "A crash loses in-flight messages": once the attempt's node is
     /// poisoned, nothing it ships may reach a reducer.
     voided: bool,
     /// The cancellation token fired at a spill boundary.
@@ -77,10 +84,11 @@ struct Shipping {
 }
 
 impl Shipping {
-    fn new(tid: usize, attempt: u32) -> Shipping {
+    fn new(tid: usize, attempt: u32, node: NodeId) -> Shipping {
         Shipping {
             tid,
             attempt,
+            node,
             seq: 0,
             emitted: 0,
             total: 1,
@@ -113,6 +121,9 @@ impl Shipping {
 struct PendingCommit {
     tid: usize,
     attempt: u32,
+    /// The node the attempt ran as: its crash voids the attempt, and a
+    /// lost batch re-homes the partition there.
+    node: NodeId,
     shuffle: Vec<(SendTicket, usize)>,
     cache: Vec<SendTicket>,
     /// This attempt was a speculative backup (its commit is a
@@ -124,18 +135,19 @@ struct PendingCommit {
 }
 
 /// One thread's map-side state on one run. Threads are execution
-/// resources, not nodes: a worker starts under one virtual node's
-/// identity but re-homes to a survivor when that node crashes (with
-/// fewer cores than nodes a single thread already serves many virtual
-/// nodes, so its exit would strand the whole job).
+/// resources, not nodes: with fewer cores than nodes one thread runs
+/// many nodes' tasks, each attempt as the node [`work`](Self::work)
+/// picks for it. The worker's `home` is the node it runs retries and
+/// steals as; it re-homes to a survivor when that node crashes (a
+/// thread's exit would strand the whole job).
 pub(crate) struct MapWorker<'a> {
     cluster: &'a LiveCluster,
     run: &'a Run,
     app: &'a dyn MapReduce,
-    /// Position in the run's ring-ordered worker list: steal order and
+    /// Position in the run's ring-ordered worker list: the drain and
     /// re-homing start here.
     wi: usize,
-    me: NodeId,
+    home: NodeId,
     /// One spill buffer per worker, emptied at the end of every task
     /// so each batch carries exactly one `(task, attempt)` tag. It
     /// decides every spill by emitted bytes and holds no records;
@@ -149,7 +161,7 @@ pub(crate) struct MapWorker<'a> {
 
 impl<'a> MapWorker<'a> {
     /// A worker at ring position `wi` (modulo the run's membership),
-    /// under that member's identity.
+    /// homed on that member.
     pub(crate) fn at(
         cluster: &'a LiveCluster,
         run: &'a Run,
@@ -163,60 +175,26 @@ impl<'a> MapWorker<'a> {
         } else {
             Buffered::Records((0..run.reducers).map(|_| Arena::default()).collect())
         };
-        MapWorker { cluster, run, app, wi, me: run.workers[wi], buffer, out, pending: None }
+        MapWorker { cluster, run, app, wi, home: run.workers[wi], buffer, out, pending: None }
     }
 
-    /// A helper's contribution beside the inline supplier: drain the
-    /// frozen queues (own first, then steal), then the re-execution
-    /// queues. `stay` keeps the worker on the run until it is done, so
-    /// backups and pinned steals still find an idle thread; a pool
-    /// helper (`!stay`) leaves at its first idle moment, parked attempt
+    /// The map loop of every thread a run gets: drain the frozen queues
+    /// — a pass that takes only free or crashed owners' tasks, then one
+    /// that also steals — then the re-execution and backup queues, until
+    /// every task has committed. `stay` keeps the worker on the run
+    /// until then, so backups and pinned queues still find a thread, and
+    /// a run completes with no other thread at all; a pool helper
+    /// (`!stay`) leaves at its first idle moment, parked attempt
     /// settled.
     pub(crate) fn work(&mut self, stay: bool) {
-        self.drain_queues(self.run.steal_span());
-        self.drain_retries(stay);
-    }
-
-    /// The inline supplier, on the thread that began the run: it plays
-    /// every node's worker in turn — each task runs under its assigned
-    /// identity, so cache and shuffle locality are exact — then stays
-    /// until the run is done. This also guarantees a run completes with
-    /// no helper at all.
-    pub(crate) fn work_all(&mut self) {
-        for wi in 0..self.run.workers.len() {
-            (self.wi, self.me) = (wi, self.run.workers[wi]);
-            self.drain_queues(1);
-        }
-        self.drain_retries(true);
-    }
-
-    /// Frozen queues: `span` of them starting at the own one, ring
-    /// order.
-    fn drain_queues(&mut self, span: usize) {
         let run = self.run;
-        for step in 0..span {
-            let owner = run.workers[(self.wi + step) % run.workers.len()].index();
-            loop {
-                if run.is_aborted() || !self.rehome() {
-                    return;
-                }
-                let i = run.cursors[owner].fetch_add(1, Ordering::Relaxed);
-                let Some(&tid) = run.queues[owner].get(i) else { break };
-                self.run_attempt(tid, false);
-            }
-        }
-    }
-
-    /// Crash/fault re-executions and requested backups, until every
-    /// task has committed (or, for a helper, until idle).
-    fn drain_retries(&mut self, stay: bool) {
-        let run = self.run;
-        let mut idle_rounds = 0u32;
         while !run.done() && self.rehome() {
+            if self.drain(false) || self.drain(true) {
+                continue;
+            }
             let next = run.retry.lock().pop();
             if let Some(tid) = next {
-                idle_rounds = 0;
-                self.run_attempt(tid, false);
+                self.run_attempt(tid, self.home, false);
                 continue;
             }
             // Out of work: look for stragglers, run a requested backup,
@@ -226,22 +204,14 @@ impl<'a> MapWorker<'a> {
             if let Some(spec) = self.cluster.cfg.speculation {
                 run.watch_stragglers(self.cluster, spec);
             }
-            if let Some(tid) = run.pop_spec(self.me.index()) {
-                idle_rounds = 0;
-                self.run_attempt(tid, true);
+            if let Some((tid, node)) = run.pop_spec() {
+                self.run_attempt(tid, node, true);
             } else if let Some(p) = self.pending.take() {
                 self.settle(p);
             } else if !stay {
                 return;
             } else {
-                idle_rounds += 1;
-                match self.steal_pinned(idle_rounds) {
-                    Some(tid) => {
-                        idle_rounds = 0;
-                        self.run_attempt(tid, false);
-                    }
-                    None => std::thread::sleep(Duration::from_micros(100)),
-                }
+                std::thread::sleep(Duration::from_micros(100));
             }
         }
         // Abort/rehome exits can leave a parked attempt; settle it so
@@ -251,41 +221,49 @@ impl<'a> MapWorker<'a> {
         }
     }
 
-    /// Pinned mode's work-conserving fallback: after a grace period of
-    /// idleness, steal leftover pinned sub-tasks — losing their shuffle
-    /// locality beats stalling the job. A queue whose owner has a live
-    /// thread will drain on its own, so it is only stolen from once the
-    /// owner has straggled well past the grace; orphaned queues (owner
-    /// position beyond the staffed identities) wait only for the inline
-    /// supplier's pass.
-    fn steal_pinned(&self, idle_rounds: u32) -> Option<usize> {
+    /// One pass over the frozen queues in ring order from `wi`; true if
+    /// it claimed anything. A task runs as its assigned node while that
+    /// node has no attempt of this run in flight, and as `home` when its
+    /// node is down. With `steal` a busy owner's task runs as `home`
+    /// too — the paper's trade of locality for balance, made only at a
+    /// busy queue's tail — except under replicated map-out, whose
+    /// placements stay pinned to their co-located shuffle.
+    fn drain(&mut self, steal: bool) -> bool {
         let run = self.run;
-        if !run.pinned || idle_rounds <= 20 {
-            return None;
-        }
         let n = run.workers.len();
-        (0..n).map(|step| (self.wi + step) % n).find_map(|oix| {
-            if oix < run.threads && idle_rounds <= 200 {
-                return None;
+        let mut claimed = false;
+        for step in 0..n {
+            let owner = run.workers[(self.wi + step) % n];
+            while !run.is_aborted() && self.rehome() {
+                let node = if run.node_down(owner) {
+                    self.home
+                } else if !run.busy(owner) {
+                    owner
+                } else if steal && !run.pinned {
+                    self.home
+                } else {
+                    break;
+                };
+                let i = run.cursors[owner.index()].fetch_add(1, Ordering::Relaxed);
+                let Some(&tid) = run.queues[owner.index()].get(i) else { break };
+                claimed = true;
+                self.run_attempt(tid, node, false);
             }
-            let owner = run.workers[oix].index();
-            let i = run.cursors[owner].fetch_add(1, Ordering::Relaxed);
-            run.queues[owner].get(i).copied()
-        })
+        }
+        claimed
     }
 
-    /// If this worker's node crashed, adopt the identity of the next
-    /// surviving node in ring order. False only when every node is
-    /// dead.
+    /// If this worker's home crashed, re-home to the next surviving
+    /// node in ring order. False only when every node is dead.
     fn rehome(&mut self) -> bool {
         let run = self.run;
-        if !run.node_down(self.me) {
+        if !run.node_down(self.home) {
             return true;
         }
         let n = run.workers.len();
         match (0..n).map(|s| run.workers[(self.wi + s) % n]).find(|&w| !run.node_down(w)) {
             Some(w) => {
-                self.me = w;
+                self.home = w;
                 true
             }
             None => false,
@@ -316,24 +294,24 @@ impl<'a> MapWorker<'a> {
         self.cancelled_now(tid, attempt)
     }
 
-    /// Tell the driver endpoint how far `tid` has got (speculation
+    /// Tell the driver endpoint how far `att` has got (speculation
     /// only): the straggler watch reads the board these feed.
-    fn heartbeat(&self, tid: usize, progress: u32) {
+    fn heartbeat(&self, att: &Shipping, progress: u32) {
         if self.cluster.cfg.speculation.is_some() {
-            let beat =
-                Rpc::Heartbeat { from: self.me, clock: 0, task: self.run.gtid(tid), progress };
-            let _ = self.cluster.net.call(self.me, CLIENT, beat);
+            let task = self.run.gtid(att.tid);
+            let beat = Rpc::Heartbeat { from: att.node, clock: 0, task, progress };
+            let _ = self.cluster.net.call(att.node, CLIENT, beat);
         }
     }
 
     /// Read task `tid`'s block: the assigned node's iCache shard first,
     /// then the store with replica fallback. All cache and locality
     /// accounting uses the ASSIGNED node: stats and cache placement are
-    /// identical with or without stealing. When that node is dead its
-    /// cache shard died with it, so the read goes straight to the
-    /// replica chain.
+    /// identical whichever node the attempt runs as. When that node is
+    /// dead its cache shard died with it, so the read goes straight to
+    /// the replica chain.
     fn read_block(&self, tid: usize, att: &mut Shipping) -> Result<Bytes, JobError> {
-        let (cluster, run, me) = (self.cluster, self.run, self.me);
+        let (cluster, run, me) = (self.cluster, self.run, att.node);
         let t = &run.tasks[tid];
         let (bid, owner) = (t.bid, t.node);
         let tally = &run.tally;
@@ -361,19 +339,19 @@ impl<'a> MapWorker<'a> {
         Ok(p)
     }
 
-    /// Execute one attempt: read the block, map it, ship every spill.
-    /// Windowed sends stay in flight at return — the caller settles
-    /// them via [`PendingCommit`].
-    fn exec(&mut self, tid: usize, attempt: u32) -> Result<Shipping, JobError> {
+    /// Execute one attempt as `node`: read the block, map it, ship
+    /// every spill. Windowed sends stay in flight at return — the
+    /// caller settles them via [`PendingCommit`].
+    fn exec(&mut self, tid: usize, attempt: u32, node: NodeId) -> Result<Shipping, JobError> {
         let (run, app) = (self.run, self.app);
         let t = &run.tasks[tid];
-        let mut att = Shipping::new(tid, attempt);
+        let mut att = Shipping::new(tid, attempt, node);
         // Announce the attempt to the progress board BEFORE any
         // injected straggle: the watch's first-heard timestamp must
         // cover the whole slow period, or stragglers look young.
-        self.heartbeat(tid, 0);
+        self.heartbeat(&att, 0);
         if run.armed {
-            let delay = run.slow_micros(self.me);
+            let delay = run.slow_micros(node);
             if delay > 0 && self.cancellable_sleep(tid, attempt, delay) {
                 att.cancelled = true;
                 return Ok(att);
@@ -383,7 +361,7 @@ impl<'a> MapWorker<'a> {
                 return Ok(att);
             }
         }
-        if t.node != self.me {
+        if t.node != node {
             run.tally.steals.fetch_add(1, Ordering::Relaxed);
         }
         let payload = self.read_block(tid, &mut att)?;
@@ -453,7 +431,7 @@ impl<'a> MapWorker<'a> {
     /// case the partition re-homes here first). Both carry the same
     /// run.
     fn ship(&mut self, att: &mut Shipping, partition: usize, records: RecordRun) {
-        let (cluster, run, me) = (self.cluster, self.run, self.me);
+        let (cluster, run, me) = (self.cluster, self.run, att.node);
         let (tid, attempt) = (att.tid, att.attempt);
         if records.is_empty() {
             return;
@@ -478,7 +456,7 @@ impl<'a> MapWorker<'a> {
                 return;
             }
         }
-        self.heartbeat(tid, ((att.emitted * 1000) / att.total).min(1000) as u32);
+        self.heartbeat(att, ((att.emitted * 1000) / att.total).min(1000) as u32);
         let seq = att.seq;
         att.seq += 1;
         let home = cluster.router.home_of(run.jid, partition);
@@ -543,7 +521,7 @@ impl<'a> MapWorker<'a> {
     /// flushed even on the failure paths: each holds a window slot
     /// until redeemed.
     fn settle(&self, p: PendingCommit) {
-        let (cluster, run, me) = (self.cluster, self.run, self.me);
+        let (cluster, run, me) = (self.cluster, self.run, p.node);
         let mut lost = false;
         for (ticket, partition) in &p.shuffle {
             if cluster.net.flush(std::slice::from_ref(ticket)).is_err() {
@@ -627,17 +605,17 @@ impl<'a> MapWorker<'a> {
         self.run.retry.lock().push(tid);
     }
 
-    /// Claim and execute one attempt of `tid`. A shipped attempt is
-    /// parked in `pending` — its acks ride alongside the next attempt's
-    /// map work — and the previously parked attempt is settled here,
-    /// after a whole attempt's worth of overlap.
-    fn run_attempt(&mut self, tid: usize, speculative: bool) {
-        let (run, me) = (self.run, self.me);
+    /// Claim and execute one attempt of `tid` as `node`. A shipped
+    /// attempt is parked in `pending` — its acks ride alongside the
+    /// next attempt's map work — and the previously parked attempt is
+    /// settled here, after a whole attempt's worth of overlap.
+    fn run_attempt(&mut self, tid: usize, node: NodeId, speculative: bool) {
+        let run = self.run;
         if run.commits[tid].load(Ordering::Acquire) != UNCOMMITTED {
             return; // an earlier attempt already won
         }
-        if run.node_down(me) {
-            // Our node crashed between claiming and executing; hand the
+        if run.node_down(node) {
+            // The node crashed between choosing and executing; hand the
             // task back (the loop re-homes before the next pop). A
             // backup is just dropped — its primary is still in flight.
             if !speculative {
@@ -666,15 +644,15 @@ impl<'a> MapWorker<'a> {
         } else {
             // The claim drives crash re-queueing and straggler
             // avoidance; a backup must not overwrite the primary's.
-            run.claims[tid].store(me.index() as u32, Ordering::Release);
+            run.claims[tid].store(node.index() as u32, Ordering::Release);
         }
         let started = Instant::now();
-        let running = run.running.get(me.index());
+        let running = run.running.get(node.index());
         if let Some(r) = running {
             r.fetch_add(1, Ordering::AcqRel);
         }
-        let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.exec(tid, attempt)));
+        let exec = std::panic::AssertUnwindSafe(|| self.exec(tid, attempt, node));
+        let outcome = std::panic::catch_unwind(exec);
         if let Some(r) = running {
             r.fetch_sub(1, Ordering::AcqRel);
         }
@@ -704,7 +682,8 @@ impl<'a> MapWorker<'a> {
         if let Attempt::Shipped = ended {
             // Park this attempt; settle the one whose acks just had a
             // whole map attempt to arrive.
-            let parked = PendingCommit { tid, attempt, shuffle, cache, speculative, started };
+            let parked =
+                PendingCommit { tid, attempt, node, shuffle, cache, speculative, started };
             if let Some(prev) = self.pending.replace(parked) {
                 self.settle(prev);
             }

@@ -9,11 +9,12 @@
 //! driver threads, each owning one admitted job end to end, and a pool
 //! of map workers that help whichever jobs are in flight. The shape is
 //! the one-shot job's — a driver begins the run, posts it on the
-//! board, maps it inline to its barrier while pool workers attach and
-//! steal, then folds it on its own thread and retires it — so a server
-//! job has the same attempt ledger, windowed shuffle, crash re-homing,
-//! retry draining, speculation and replicated map-out, and is walked
-//! by crash/join/leave recovery like any other run.
+//! board, maps it to its barrier while pool workers attach and run the
+//! same loop, then folds it on its own thread and retires it — so a
+//! server job has the same attempt ledger, windowed shuffle, locality
+//! rule, crash re-homing, retry draining, speculation and replicated
+//! map-out, and is walked by crash/join/leave recovery like any other
+//! run.
 //!
 //! Admission is bounded and tenant-aware: [`JobServer::submit`] blocks
 //! while the queue is full (backpressure), [`JobServer::try_submit`]
@@ -50,9 +51,11 @@ pub enum AdmissionPolicy {
 #[derive(Clone, Copy, Debug)]
 pub struct JobServerConfig {
     /// Bounded admission queue: `submit` blocks (and `try_submit`
-    /// refuses) once this many jobs are queued undispatched.
+    /// refuses) once this many jobs are queued undispatched. 0 is
+    /// treated as 1.
     pub queue_depth: usize,
     /// Driver threads — the maximum number of jobs in flight at once.
+    /// 0 is treated as 1.
     pub concurrency: usize,
     /// Pool map-worker threads; `0` sizes to the host's parallelism.
     pub workers: usize,
@@ -197,6 +200,13 @@ pub struct JobServer {
 
 impl JobServer {
     pub fn new(cluster: Arc<LiveCluster>, cfg: JobServerConfig) -> JobServer {
+        // A zero queue would admit nothing and zero drivers would run
+        // nothing: both would hang every submitter.
+        let cfg = JobServerConfig {
+            queue_depth: cfg.queue_depth.max(1),
+            concurrency: cfg.concurrency.max(1),
+            ..cfg
+        };
         let workers = if cfg.workers == 0 { hardware_threads() } else { cfg.workers };
         let shared = Arc::new(Shared {
             cluster,
@@ -396,24 +406,25 @@ fn driver_loop(s: &Shared) {
 }
 
 /// Lease one begun run to the pool and map it to its barrier: post it
-/// on the board for the pool workers, and play every node's worker on
-/// the calling thread too — work-conserving, each task under its
-/// assigned identity, and a guarantee that an admitted job completes
-/// (and drains its own retry and backup queues) even if every pool
-/// worker is busy or has already exited on shutdown. Shared by the
-/// batch driver loop and the epoch streams.
+/// on the board for the pool workers, and work it on the calling thread
+/// too, from ring position 0 until every task has committed — a
+/// guarantee that an admitted job completes (and drains its own retry
+/// and backup queues) even if every pool worker is busy or has already
+/// exited on shutdown. Shared by the batch driver loop and the epoch
+/// streams.
 fn lease(s: &Shared, run: &Arc<Run>, app: &Arc<dyn MapReduce>) {
     s.board.lock().expect("board lock").push((Arc::clone(run), Arc::clone(app)));
     s.work_cv.notify_all();
-    MapWorker::at(&s.cluster, run, &**app, 0).work_all();
+    MapWorker::at(&s.cluster, run, &**app, 0).work(true);
     s.board.lock().expect("board lock").retain(|(r, _)| !Arc::ptr_eq(r, run));
 }
 
-/// Pool map worker `wi`: attach to any posted run with unclaimed work,
-/// help until idle, detach. Its identity on a run is that run's
-/// `wi`-th ring member — membership as of the run's start, so a worker
-/// never maps under a node that crashed before the job began, and
-/// re-homes like any other worker when one crashes under it.
+/// Pool map worker `wi`: attach to any posted run with a task it could
+/// claim, help until idle, detach. On a run it starts its drain at, and
+/// is homed on, that run's `wi`-th ring member — membership as of the
+/// run's start, so its retries and steals never run as a node that
+/// crashed before the job began — and re-homes like any other worker
+/// when its home crashes under it.
 fn worker_loop(s: &Shared, wi: usize) {
     loop {
         let (run, app) = {
@@ -422,7 +433,7 @@ fn worker_loop(s: &Shared, wi: usize) {
                 if s.shutdown.load(Ordering::Acquire) {
                     return;
                 }
-                if let Some(lease) = board.iter().find(|(run, _)| run.claimable(wi)) {
+                if let Some(lease) = board.iter().find(|(run, _)| run.claimable()) {
                     break lease.clone();
                 }
                 board = s.work_cv.wait(board).expect("board lock");
@@ -491,21 +502,77 @@ mod tests {
         }
     }
 
+    /// Word count whose map waits until its gate opens: it holds a
+    /// driver busy for as long as a test needs.
+    struct Gated(Arc<(Mutex<bool>, Condvar)>);
+
+    impl MapReduce for Gated {
+        fn map(&self, block: &[u8], emit: &mut dyn FnMut(String, String)) {
+            let (open, cv) = &*self.0;
+            let mut open = open.lock().expect("gate lock");
+            while !*open {
+                open = cv.wait(open).expect("gate lock");
+            }
+            drop(open);
+            WordCount.map(block, emit);
+        }
+        fn reduce(&self, key: &str, values: &[String], emit: &mut dyn FnMut(String, String)) {
+            WordCount.reduce(key, values, emit);
+        }
+    }
+
     #[test]
     fn try_submit_saturates_and_shutdown_cancels() {
         let data = "x y z\n".repeat(16);
-        // No drivers: the queue can only fill.
         let c = cluster_with(&data, &["input"]);
-        let server = JobServer::new(
+        let server = Arc::new(JobServer::new(
             Arc::clone(&c),
-            JobServerConfig { queue_depth: 2, concurrency: 0, ..JobServerConfig::default() },
-        );
+            JobServerConfig { queue_depth: 2, concurrency: 1, ..JobServerConfig::default() },
+        ));
+        // The one driver takes the gated job and holds it: the queue
+        // behind it can only fill.
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let app = Arc::new(Gated(Arc::clone(&gate)));
+        let in_flight = server.submit(PoolJobSpec { app, ..spec("input", "tester", 1) });
+        while server.queued() > 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let h1 = server.try_submit(spec("input", "a", 1)).ok().expect("first fits");
         let _h2 = server.try_submit(spec("input", "b", 1)).ok().expect("second fits");
         assert!(server.try_submit(spec("input", "c", 1)).is_err(), "queue full");
         assert_eq!(server.queued(), 2);
-        server.shutdown();
+        // Shutdown cancels the queued jobs at once, then joins the
+        // driver, which the gate releases.
+        let stopper = {
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || server.shutdown())
+        };
         assert!(matches!(h1.wait(), Err(JobError::Cancelled)));
+        *gate.0.lock().expect("gate lock") = true;
+        gate.1.notify_all();
+        stopper.join().expect("shutdown");
+        in_flight.wait().expect("the in-flight job completes");
+    }
+
+    /// A zero `concurrency` or `queue_depth` is treated as 1: the job
+    /// runs instead of never being dispatched, or never admitted.
+    #[test]
+    fn zero_valued_server_config_still_runs_a_job() {
+        let c = cluster_with("x y z\n", &["input"]);
+        for cfg in [
+            JobServerConfig { concurrency: 0, ..JobServerConfig::default() },
+            JobServerConfig { queue_depth: 0, ..JobServerConfig::default() },
+        ] {
+            let server = Arc::new(JobServer::new(Arc::clone(&c), cfg));
+            let (tx, rx) = std::sync::mpsc::channel();
+            let submitter = Arc::clone(&server);
+            std::thread::spawn(move || {
+                let _ = tx.send(submitter.submit(spec("input", "tester", 1)).wait());
+            });
+            let res = rx.recv_timeout(Duration::from_secs(10));
+            let res = res.unwrap_or_else(|_| panic!("{cfg:?}: the job never completed"));
+            res.expect("job");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: release build, clippy, rustdoc, the full test suite, the frozen
 # benchmark/ package's build and tests, the live-matrix, live-property,
-# edge-case, chaos, transport and epoch suites under --release, and two
+# edge-case, chaos, tenancy, transport and epoch suites under --release, and two
 # bounded DST smoke sweeps. It measures nothing: live performance is the benchmark's job (benchmark/README.md)
 # and the paper's figures come from `figures`. Writes no tracked file, so a
 # passing run leaves `git status` clean. The full randomized DST sweep
@@ -53,6 +53,11 @@ cargo test -q --release -p eclipse-integration-tests --test edge_cases
 
 echo "== tier1: chaos suite (release)"
 cargo test -q --release -p eclipse-integration-tests --test chaos
+
+# Pool workers run other runs' tasks as those tasks' nodes while jobs
+# overlap; the optimiser's timing is where such interleavings show.
+echo "== tier1: tenancy suite (release)"
+cargo test -q --release -p eclipse-integration-tests --test tenancy
 
 echo "== tier1: wire-codec property suite (release)"
 cargo test -q --release -p eclipse-integration-tests --test net_codec

@@ -212,6 +212,9 @@ fn speculation_matrix_slow_node_byte_identical() {
                 if !speculate {
                     assert_eq!(stats.speculative_attempts, 0);
                     assert_eq!(stats.cancelled_attempts, 0);
+                    // One thread per node: the others run dry first and
+                    // steal the straggler's queue at its tail.
+                    assert!(stats.steals > 0, "sched={sched} transport={transport:?}: {stats:?}");
                 }
                 // Attempt accounting: every attempt is a primary, a
                 // retry, or a backup; wins can't exceed backups.

@@ -1,13 +1,15 @@
-//! Multi-tenant job server: output identity, crash-under-storm, and
-//! cache-quota isolation.
+//! Multi-tenant job server: output identity, map locality,
+//! crash-under-storm, and cache-quota isolation.
 //!
 //! Concurrency is invisible in the results: J jobs admitted through
 //! the persistent [`JobServer`] pool produce byte-identical output to
 //! the same jobs run one at a time as one-shot jobs, across schedulers
-//! and transports. The crash tests pin the recovery story when no
-//! single job owns the fault — for a storm of one-shot jobs and for a
-//! storm of server jobs — and the quota test pins the isolation story: an antagonist scan must not
-//! be able to evict a victim tenant's warm working set.
+//! and transports. The locality test pins that a pool worker maps a
+//! free node's tasks as that node. The crash tests pin the recovery
+//! story when no single job owns the fault — for a storm of one-shot
+//! jobs and for a storm of server jobs — and the quota test pins the
+//! isolation story: an antagonist scan must not be able to evict a
+//! victim tenant's warm working set.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -18,6 +20,7 @@ use eclipse_core::{
     DstEvent, DstObserver, JobServer, JobServerConfig, LiveCluster, LiveConfig, PoolJobSpec,
     ReusePolicy, SchedulerKind, TransportKind,
 };
+use eclipse_core::net::RpcKind;
 
 /// Deterministic per-tenant corpus: a shared skewed vocabulary plus a
 /// tenant-tagged unique token per line, so every job's output is
@@ -140,6 +143,37 @@ fn pool_concurrent_matches_serial_matrix() {
             }
         }
     }
+}
+
+/// Locality through the server: a warm, fault-free word count on eight
+/// nodes with one pool worker beside the driver, both starting at
+/// queue 0. A task runs as its assigned node unless another thread is
+/// mapping as that node, so only a busy queue's tail is stolen — and a
+/// stolen block is the only one fetched from another node's cache.
+#[test]
+fn pool_worker_maps_free_queues_as_their_owners() {
+    let c = Arc::new(LiveCluster::new(LiveConfig::small().with_nodes(8).with_block_size(512)));
+    c.upload("in-loc", "loc", corpus("loc-", 2000).as_bytes());
+    let server =
+        JobServer::new(Arc::clone(&c), JobServerConfig { workers: 1, ..Default::default() });
+    let job = || PoolJobSpec {
+        app: Arc::new(WordCount),
+        inputs: vec!["in-loc".to_string()],
+        user: "loc".to_string(),
+        reducers: 4,
+        reuse: ReusePolicy::default(),
+        weight: 1,
+    };
+    let (cold, _) = server.submit(job()).wait().expect("cold job");
+    let cache_gets = || c.transport().stats().kind(RpcKind::CacheGet).0;
+    let before = cache_gets();
+    let (warm, stats) = server.submit(job()).wait().expect("warm job");
+    let gets = cache_gets() - before;
+    assert_eq!(warm, cold, "the warm run diverged");
+    assert!(stats.map_tasks >= 64, "too few tasks to judge locality: {stats:?}");
+    let (steals, tasks) = (stats.steals, stats.map_tasks);
+    assert!(steals * 4 <= tasks, "{steals} of {tasks} tasks stolen");
+    assert!(gets <= steals, "{gets} CacheGet requests for {steals} steals");
 }
 
 /// Crash one node while several one-shot jobs are in flight. No single
