@@ -8,7 +8,6 @@
 
 use bytes::Bytes;
 use eclipse_core::{LiveCluster, MapReduce, ReusePolicy};
-use eclipse_util::HashKey;
 use eclipse_workloads::{Labeled, DIM};
 
 /// One gradient round with fixed weights.
@@ -150,12 +149,6 @@ pub fn accuracy(weights: &[f64; DIM], examples: &[Labeled]) -> f64 {
         })
         .count();
     correct as f64 / examples.len() as f64
-}
-
-/// A helper shared by examples: hash key for a labeled-example file name
-/// (demonstrates how application data maps onto the ring).
-pub fn input_key(name: &str) -> HashKey {
-    HashKey::of_name(name)
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! scheduling, \[while\] Hadoop suffers from various overheads including
 //! NameNode lookup, container initialization, and job scheduling."
 
-use eclipse_dhtfs::{DhtFs, DhtFsConfig, HdfsFs, HdfsPlacement, NameNodeConfig};
+use eclipse_dhtfs::{DhtFs, DhtFsConfig, HdfsFs, HdfsPlacement};
 use eclipse_ring::Ring;
 use eclipse_sim::{ClusterConfig, SerialResource, SimCluster, SimTime};
 use eclipse_util::MB;
@@ -101,7 +101,7 @@ pub fn dfsio_hdfs(
     concurrent_jobs: usize,
     container_overhead: f64,
 ) -> DfsioResult {
-    let mut fs = HdfsFs::new(nodes, 2, NameNodeConfig::default());
+    let mut fs = HdfsFs::new(nodes, 2);
     let mut cluster = SimCluster::new(ClusterConfig::paper_testbed_with_nodes(nodes));
     let jobs_f = concurrent_jobs.max(1) as f64;
     let op_secs = HDFS_MASTER_OP_SECS * (1.0 + HDFS_MASTER_CONTENTION * (jobs_f - 1.0));

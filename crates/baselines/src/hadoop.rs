@@ -77,7 +77,7 @@ impl HadoopSim {
         HadoopSim {
             cfg,
             cluster: SimCluster::new(cfg.cluster),
-            hdfs: HdfsFs::new(cfg.cluster.nodes, cfg.replicas, cfg.namenode),
+            hdfs: HdfsFs::new(cfg.cluster.nodes, cfg.replicas),
             sched: FairScheduler::new(cfg.cluster.nodes),
             namenode: SerialResource::new(1.0, cfg.namenode.op_service_time),
             page_cache: (0..cfg.cluster.nodes)
@@ -253,22 +253,12 @@ impl HadoopSim {
             self.clock = submit + r.elapsed;
             return r;
         }
-        let mut combined =
-            JobReport { tasks_per_node: vec![0; self.cfg.cluster.nodes], ..JobReport::default() };
+        let mut combined = JobReport::default();
         let mut at = submit;
         for _ in 0..spec.iterations {
             let r = self.run_round(spec, &cost, at);
             at += r.elapsed;
-            combined.iteration_times.push(r.elapsed);
-            combined.map_tasks += r.map_tasks;
-            combined.reduce_tasks += r.reduce_tasks;
-            combined.shuffle_bytes += r.shuffle_bytes;
-            for (k, v) in r.read_bytes {
-                *combined.read_bytes.entry(k).or_insert(0) += v;
-            }
-            for (i, c) in r.tasks_per_node.iter().enumerate() {
-                combined.tasks_per_node[i] += c;
-            }
+            combined.absorb(r);
         }
         combined.elapsed = at - submit;
         self.clock = at;
@@ -372,5 +362,14 @@ mod tests {
         let r = h.run_job(&JobSpec::batch(AppKind::Sort, "d").with_reducers(8));
         assert_eq!(r.shuffle_bytes, GB / 8 * 8);
         assert!(r.elapsed > r.map_elapsed, "reduce strictly after maps");
+    }
+
+    #[test]
+    fn iterative_report_sums_map_time() {
+        let mut s = hadoop(4);
+        s.upload("pts", GB);
+        let r = s.run_job(&JobSpec::iterative(AppKind::KMeans, "pts", 3));
+        assert!(r.map_elapsed > 0.0, "map time lost in the merge");
+        assert!(r.map_elapsed <= r.elapsed, "map {} of {}", r.map_elapsed, r.elapsed);
     }
 }

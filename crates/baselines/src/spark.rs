@@ -23,7 +23,7 @@
 //! * **JVM compute rates** — [`CostModel::jvm`].
 
 use eclipse_core::{JobReport, JobSpec, ReadSource};
-use eclipse_dhtfs::{HdfsFs, HdfsPlacement, NameNodeConfig};
+use eclipse_dhtfs::{HdfsFs, HdfsPlacement};
 use eclipse_sim::{ClusterConfig, SerialResource, SimCluster, SimTime};
 use eclipse_util::HashKey;
 use eclipse_workloads::CostModel;
@@ -32,7 +32,6 @@ use eclipse_workloads::CostModel;
 #[derive(Clone, Copy, Debug)]
 pub struct SparkConfig {
     pub cluster: ClusterConfig,
-    pub namenode: NameNodeConfig,
     /// Per-job executor/driver startup seconds.
     pub job_overhead: f64,
     /// Per-task launch overhead seconds (driver round trip + deserialize).
@@ -51,7 +50,6 @@ impl SparkConfig {
     pub fn paper_defaults() -> SparkConfig {
         SparkConfig {
             cluster: ClusterConfig::paper_testbed(),
-            namenode: NameNodeConfig::default(),
             job_overhead: 4.0,
             task_overhead: 0.3,
             locality_wait: 5.0,
@@ -87,7 +85,7 @@ impl SparkSim {
         SparkSim {
             cfg,
             cluster: SimCluster::new(cfg.cluster),
-            hdfs: HdfsFs::new(cfg.cluster.nodes, cfg.replicas, cfg.namenode),
+            hdfs: HdfsFs::new(cfg.cluster.nodes, cfg.replicas),
             driver: SerialResource::new(1.0, 0.002),
             rdd_store: (0..cfg.cluster.nodes)
                 .map(|_| eclipse_cache::LruCache::new(cfg.rdd_memory_per_node))
@@ -269,24 +267,12 @@ impl SparkSim {
             self.clock = submit + r.elapsed;
             return r;
         }
-        let mut combined =
-            JobReport { tasks_per_node: vec![0; self.cfg.cluster.nodes], ..JobReport::default() };
+        let mut combined = JobReport::default();
         let mut at = submit;
         for iter in 0..iters {
             let r = self.run_round(spec, &cost, at, iter, iter + 1 == iters);
             at += r.elapsed;
-            combined.iteration_times.push(r.elapsed);
-            combined.map_tasks += r.map_tasks;
-            combined.reduce_tasks += r.reduce_tasks;
-            combined.cache_hits += r.cache_hits;
-            combined.cache_lookups += r.cache_lookups;
-            combined.shuffle_bytes += r.shuffle_bytes;
-            for (k, v) in r.read_bytes {
-                *combined.read_bytes.entry(k).or_insert(0) += v;
-            }
-            for (i, c) in r.tasks_per_node.iter().enumerate() {
-                combined.tasks_per_node[i] += c;
-            }
+            combined.absorb(r);
         }
         combined.elapsed = at - submit;
         self.clock = at;
@@ -393,5 +379,14 @@ mod tests {
         let r = s.run_job(&JobSpec::batch(AppKind::Grep, "text"));
         assert_eq!(r.map_tasks, 8);
         assert!(r.elapsed > 0.0);
+    }
+
+    #[test]
+    fn iterative_report_sums_map_time() {
+        let mut s = spark(4);
+        s.upload("pts", GB);
+        let r = s.run_job(&JobSpec::iterative(AppKind::KMeans, "pts", 3));
+        assert!(r.map_elapsed > 0.0, "map time lost in the merge");
+        assert!(r.map_elapsed <= r.elapsed, "map {} of {}", r.map_elapsed, r.elapsed);
     }
 }

@@ -54,10 +54,6 @@ impl ShardedNodeCache {
         ShardedNodeCache { shards }
     }
 
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard owning `key`: multiply-shift maps the 64-bit ring key
     /// uniformly onto `0..shards` without division.
     #[inline]

@@ -188,7 +188,6 @@ pub struct EpochDriver {
     pub(crate) app: Arc<dyn MapReduce>,
     name: String,
     user: String,
-    tenant: u16,
     reducers: usize,
     /// The standing jid: one slot for the stream's whole lifetime,
     /// reused by every epoch wave (disambiguated by the epoch tag).
@@ -203,17 +202,16 @@ pub struct EpochDriver {
 }
 
 impl EpochDriver {
-    /// Open a stream: reserves the standing job slot and the tenant
-    /// identity. No cluster work happens until the first commit.
+    /// Open a stream: reserves the standing job slot. No cluster work
+    /// happens until the first commit, which also resolves the user's
+    /// cache-quota tenant (and fails if every tenant id is taken).
     pub fn new(cluster: Arc<LiveCluster>, spec: StreamSpec) -> EpochDriver {
-        let tenant = cluster.tenant_of(&spec.user);
         let jid = cluster.reserve_jid();
         EpochDriver {
             cluster,
             app: spec.app,
             name: spec.name,
             user: spec.user,
-            tenant,
             reducers: spec.reducers,
             jid,
             published: AtomicU64::new(0),
@@ -254,6 +252,7 @@ impl EpochDriver {
         if st.closed {
             return Err(JobError::Cancelled);
         }
+        let tenant = self.cluster.tenant_of(&self.user)?;
         let epoch = st.next_epoch;
         st.ingests += 1;
         // Unique per ingest *attempt*: a failed epoch can be retried
@@ -271,7 +270,7 @@ impl EpochDriver {
             apply(run, fold);
         }
         let snapshot: EpochSnapshot = Arc::new(st.parts.iter().map(|r| assemble(r)).collect());
-        let cached = self.publish_ocache(epoch, &snapshot);
+        let cached = self.publish_ocache(epoch, &snapshot, tenant);
         let aged: Vec<_> = {
             let mut ret = self.retained();
             ret.push_back((epoch, Arc::clone(&snapshot)));
@@ -411,12 +410,12 @@ impl EpochDriver {
     /// tenant-tagged oCache home under the stream's stable tags.
     /// Best-effort per partition: an unreachable home degrades that
     /// partition to retention-only service, it does not fail the epoch.
-    fn publish_ocache(&self, epoch: u32, snap: &EpochSnapshot) -> bool {
+    fn publish_ocache(&self, epoch: u32, snap: &EpochSnapshot, tenant: u16) -> bool {
         let app = self.ocache_app();
         let mut all = true;
         for (p, records) in snap.iter().enumerate() {
             let data = encode_partition(epoch, records.iter());
-            if !self.cluster.ocache_put_pinned(&app, &part_tag(p), data, None, self.tenant) {
+            if !self.cluster.ocache_put_pinned(&app, &part_tag(p), data, None, tenant) {
                 all = false;
             }
         }

@@ -115,8 +115,6 @@ pub struct JobSpec {
     /// MapReduce rounds (1 = batch; >1 = iterative driver).
     pub iterations: u32,
     pub reuse: ReusePolicy,
-    /// Proactive-shuffle spill buffer bytes (32 MB in the paper).
-    pub spill_buffer: u64,
 }
 
 impl JobSpec {
@@ -129,7 +127,6 @@ impl JobSpec {
             reducers: 64,
             iterations: 1,
             reuse: ReusePolicy::default(),
-            spill_buffer: eclipse_util::DEFAULT_SPILL_BUFFER,
         }
     }
 
@@ -156,11 +153,6 @@ impl JobSpec {
         self.user = user.into();
         self
     }
-
-    pub fn with_spill_buffer(mut self, bytes: u64) -> JobSpec {
-        self.spill_buffer = bytes;
-        self
-    }
 }
 
 /// Where a map task's input bytes came from.
@@ -176,6 +168,19 @@ pub enum ReadSource {
     LocalDisk,
     /// Remote server's disk over the network.
     RemoteDisk,
+}
+
+impl ReadSource {
+    /// The source's key in [`JobReport::read_bytes`].
+    pub fn label(self) -> &'static str {
+        match self {
+            ReadSource::LocalCache => "local_cache",
+            ReadSource::RemoteCache => "remote_cache",
+            ReadSource::PageCache => "page_cache",
+            ReadSource::LocalDisk => "local_disk",
+            ReadSource::RemoteDisk => "remote_disk",
+        }
+    }
 }
 
 /// Outcome of one job (or one iteration of an iterative job).
@@ -203,14 +208,30 @@ pub struct JobReport {
 
 impl JobReport {
     pub fn record_read(&mut self, source: ReadSource, bytes: u64) {
-        let k = match source {
-            ReadSource::LocalCache => "local_cache",
-            ReadSource::RemoteCache => "remote_cache",
-            ReadSource::PageCache => "page_cache",
-            ReadSource::LocalDisk => "local_disk",
-            ReadSource::RemoteDisk => "remote_disk",
-        };
-        *self.read_bytes.entry(k).or_insert(0) += bytes;
+        *self.read_bytes.entry(source.label()).or_insert(0) += bytes;
+    }
+
+    /// Fold one round of an iterative job into the job's report: the
+    /// round's elapsed time becomes one more iteration time, and its
+    /// map time, counters, per-source bytes and per-node tasks add up.
+    /// The caller sets the job's `elapsed`.
+    pub fn absorb(&mut self, round: JobReport) {
+        self.iteration_times.push(round.elapsed);
+        self.map_elapsed += round.map_elapsed;
+        self.map_tasks += round.map_tasks;
+        self.reduce_tasks += round.reduce_tasks;
+        self.cache_hits += round.cache_hits;
+        self.cache_lookups += round.cache_lookups;
+        self.shuffle_bytes += round.shuffle_bytes;
+        for (k, v) in round.read_bytes {
+            *self.read_bytes.entry(k).or_insert(0) += v;
+        }
+        if self.tasks_per_node.len() < round.tasks_per_node.len() {
+            self.tasks_per_node.resize(round.tasks_per_node.len(), 0);
+        }
+        for (mine, c) in self.tasks_per_node.iter_mut().zip(&round.tasks_per_node) {
+            *mine += c;
+        }
     }
 
     /// Input-block cache hit ratio observed by this job.

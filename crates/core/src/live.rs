@@ -133,7 +133,7 @@ use crate::sim_exec::SchedulerKind;
 use bytes::Bytes;
 use eclipse_cache::{CacheKey, DistributedCache, OutputTag};
 use eclipse_dhtfs::{BlockId, BlockStore, DhtFs, DhtFsConfig};
-use eclipse_net::{MemTransport, RetryPolicy, Rpc, RpcReply, SendTicket, TcpTransport, Transport, CLIENT};
+use eclipse_net::{MemTransport, Rpc, RpcReply, SendTicket, TcpTransport, Transport, CLIENT};
 use eclipse_ring::{NodeId, Ring};
 use eclipse_sched::{DelayScheduler, LafScheduler};
 use eclipse_util::KeyRange;
@@ -393,9 +393,6 @@ pub struct LiveConfig {
     pub block_size: u64,
     pub scheduler: SchedulerKind,
     pub transport: TransportKind,
-    /// Retry/backoff budget and link tuning (ack window, TCP_NODELAY,
-    /// read-buffer size) handed to the transport backend.
-    pub net_policy: RetryPolicy,
     /// Spill-coalescing target: a map task buffers each reduce
     /// partition's records until this many bytes accumulate, so the
     /// windowed shuffle lane carries few large batches instead of many
@@ -444,7 +441,6 @@ impl LiveConfig {
             block_size: 64 * 1024,
             scheduler: SchedulerKind::Laf(Default::default()),
             transport: TransportKind::Memory,
-            net_policy: RetryPolicy::default(),
             shuffle_batch_bytes: 256 * 1024,
             map_slots: 1,
             cache_shards: 8,
@@ -480,11 +476,6 @@ impl LiveConfig {
 
     pub fn with_transport(mut self, t: TransportKind) -> LiveConfig {
         self.transport = t;
-        self
-    }
-
-    pub fn with_net_policy(mut self, p: RetryPolicy) -> LiveConfig {
-        self.net_policy = p;
         self
     }
 
@@ -793,7 +784,8 @@ pub struct LiveCluster {
     /// placement mutations must not interleave across concurrent jobs.
     recovery_gate: Mutex<()>,
     /// Tenant directory: user string → cache-quota tenant id. Ids are
-    /// handed out from 1 (0 = untagged/no-quota traffic).
+    /// handed out from 1 (0 = untagged/no-quota traffic) and never
+    /// reused.
     tenants: Mutex<HashMap<String, u16>>,
 }
 
@@ -808,16 +800,13 @@ impl LiveCluster {
         let cache =
             Arc::new(DistributedCache::with_shards(&ring, cfg.cache_per_node, cfg.cache_shards));
         let router = Arc::new(ShuffleRouter::new());
-        let (net, mem_net): (Arc<dyn Transport>, Option<Arc<MemTransport>>) =
-            match cfg.transport {
-                TransportKind::Memory => {
-                    let m = Arc::new(MemTransport::with_policy(cfg.net_policy));
-                    (Arc::clone(&m) as Arc<dyn Transport>, Some(m))
-                }
-                TransportKind::Tcp => {
-                    (Arc::new(TcpTransport::with_policy(cfg.net_policy)), None)
-                }
-            };
+        let (net, mem_net): (Arc<dyn Transport>, Option<Arc<MemTransport>>) = match cfg.transport {
+            TransportKind::Memory => {
+                let m = Arc::new(MemTransport::new());
+                (Arc::clone(&m) as Arc<dyn Transport>, Some(m))
+            }
+            TransportKind::Tcp => (Arc::new(TcpTransport::new()), None),
+        };
         let slow_serving: Arc<RwLock<HashMap<u32, u64>>> = Arc::new(RwLock::new(HashMap::new()));
         for n in ring.node_ids() {
             bind_endpoint(
@@ -880,24 +869,33 @@ impl LiveCluster {
     }
 
     /// The cache-quota tenant id for `user`, allocating one on first
-    /// sight. Id 0 is reserved for untagged traffic.
-    pub fn tenant_of(&self, user: &str) -> u16 {
+    /// sight. Id 0 is reserved for untagged traffic, so 65,535 users
+    /// can hold one; after that a new user is refused with
+    /// [`JobError::InvalidRequest`] rather than handed an id in use.
+    pub fn tenant_of(&self, user: &str) -> Result<u16, JobError> {
         let mut dir = self.tenants.lock();
-        let next = dir.len() as u16 + 1;
-        *dir.entry(user.to_string()).or_insert(next)
+        if let Some(&t) = dir.get(user) {
+            return Ok(t);
+        }
+        let t = u16::try_from(dir.len() + 1)
+            .map_err(|_| JobError::InvalidRequest("every cache-quota tenant id is taken"))?;
+        dir.insert(user.to_string(), t);
+        Ok(t)
     }
 
     /// Cap `user`'s cache footprint at `bytes_per_node` on every node
     /// (applied to joiners too). See `DistributedCache::set_tenant_quota`.
-    pub fn set_tenant_quota(&self, user: &str, bytes_per_node: u64) {
-        let t = self.tenant_of(user);
+    pub fn set_tenant_quota(&self, user: &str, bytes_per_node: u64) -> Result<(), JobError> {
+        let t = self.tenant_of(user)?;
         self.cache.set_tenant_quota(t, bytes_per_node);
+        Ok(())
     }
 
-    /// Bytes currently cached under `user`'s tenant across all nodes.
+    /// Bytes currently cached under `user`'s tenant across all nodes
+    /// (0 for a user that never got a tenant id).
     pub fn tenant_cache_used(&self, user: &str) -> u64 {
-        let t = self.tenant_of(user);
-        self.cache.tenant_used(t)
+        let t = self.tenants.lock().get(user).copied();
+        t.map_or(0, |t| self.cache.tenant_used(t))
     }
 
     /// A snapshot of the current ring membership.

@@ -201,6 +201,7 @@ impl Run {
         if inputs.is_empty() {
             return Err(JobError::InvalidRequest("a job needs at least one input file"));
         }
+        let tenant = cluster.tenant_of(user)?;
         let metas = {
             let fs = cluster.fs.read();
             let open = |input: &&str| fs.open(input, user).cloned().map_err(JobError::from);
@@ -241,7 +242,7 @@ impl Run {
         let run = Arc::new(Run {
             jid,
             epoch,
-            tenant: cluster.tenant_of(user),
+            tenant,
             inputs: inputs.iter().map(|s| s.to_string()).collect(),
             reducers,
             reuse,

@@ -7,16 +7,26 @@
 //! live executor uses; the simulator only answers "when does it finish",
 //! which is what lets this reproduce the paper's 40-node / 250 GB
 //! experiments on one machine.
+//!
+//! The map phase exists once. Every driver — [`EclipseSim::run_job`]'s
+//! rounds (with shuffle, speculation and iteration state),
+//! [`EclipseSim::run_trace`] (trace keys) and
+//! [`EclipseSim::run_concurrent`] (per-job round-robin and reduce) —
+//! seeds a pull queue, lets freed servers pull from it (Algorithm 1),
+//! reads each task's input through iCache → page cache → DHT FS
+//! replica, and reserves its map slot through the same four functions.
+//! Membership changes re-derive scheduler and cache ranges in one place.
 
 use crate::job::{JobReport, JobSpec, ReadSource};
 use crate::timeline::{TaskEvent, TaskKind, Timeline};
 use eclipse_cache::{CacheKey, DistributedCache, LruCache, OutputTag};
-use eclipse_dhtfs::{BlockInfo, DhtFs, DhtFsConfig};
+use eclipse_dhtfs::{DhtFs, DhtFsConfig};
 use eclipse_ring::{NodeId, Ring};
 use eclipse_sched::{DelayConfig, DelayScheduler, LafConfig, LafScheduler};
 use eclipse_sim::{ClusterConfig, SimCluster, SimTime};
-use eclipse_util::{HashKey, GB};
+use eclipse_util::{HashKey, KeyRange, GB};
 use eclipse_workloads::CostModel;
+use std::collections::VecDeque;
 
 /// Which scheduling policy the executor runs.
 #[derive(Clone, Debug)]
@@ -130,64 +140,48 @@ pub struct EclipseSim {
     timeline: Option<Timeline>,
     /// Current submission clock.
     clock: f64,
-    repartitions_seen: u64,
+}
+
+/// The server whose range covers `key`: the bucket a pending task waits
+/// in.
+fn bucket_of(ranges: &[(NodeId, KeyRange)], key: HashKey) -> usize {
+    ranges
+        .iter()
+        .find(|(_, r)| r.contains(key))
+        .map(|(n, _)| n.index())
+        .expect("ranges tile the ring")
 }
 
 /// Pending tasks bucketed by the server whose range currently covers
 /// them, in global submission order. Servers *pull*: the earliest-free
 /// server takes the oldest task in its own bucket, or steals the oldest
-/// pending task cluster-wide when its bucket is empty.
+/// stealable pending task cluster-wide when its bucket is empty.
 struct PullQueue<T> {
-    buckets: Vec<std::collections::VecDeque<(u64, T)>>,
+    buckets: Vec<VecDeque<(u64, T)>>,
     /// Last time each bucket's own server launched one of its tasks
     /// (Spark's delay timer resets on every local launch).
     last_local: Vec<f64>,
+    /// Per server: no pull before this time (the delay scheduler
+    /// declined its offers until a bucket timer expires).
+    blocked: Vec<f64>,
+    /// Submission time: no server pulls earlier.
+    floor: f64,
+    /// The ring key of a task's input (its bucket and LAF access).
+    key_of: fn(&T) -> HashKey,
     len: usize,
 }
 
 impl<T> PullQueue<T> {
-    fn new(nodes: usize) -> PullQueue<T> {
-        PullQueue {
-            buckets: (0..nodes).map(|_| std::collections::VecDeque::new()).collect(),
-            last_local: vec![0.0; nodes],
-            len: 0,
-        }
-    }
-
-    fn push(&mut self, bucket: usize, seq: u64, item: T) {
-        self.buckets[bucket].push_back((seq, item));
-        self.len += 1;
-    }
-
     fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Oldest task in `bucket` (locality pull) at time `t`.
     fn pop_local(&mut self, bucket: usize, t: f64) -> Option<(u64, T)> {
-        let item = self.buckets[bucket].pop_front();
-        if item.is_some() {
-            self.len -= 1;
-            self.last_local[bucket] = t;
-        }
-        item
-    }
-
-    /// Oldest pending task cluster-wide (unconditional steal — LAF never
-    /// idles a slot).
-    fn pop_oldest(&mut self) -> Option<(u64, T)> {
-        let bucket = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| b.front().map(|(seq, _)| (*seq, i)))
-            .min()
-            .map(|(_, i)| i)?;
-        let item = self.buckets[bucket].pop_front();
-        if item.is_some() {
-            self.len -= 1;
-        }
-        item
+        let item = self.buckets[bucket].pop_front()?;
+        self.len -= 1;
+        self.last_local[bucket] = t;
+        Some(item)
     }
 
     /// Oldest task among buckets whose delay timer has expired at `t`:
@@ -195,21 +189,20 @@ impl<T> PullQueue<T> {
     /// local task within the last `wait` seconds. A hot bucket that keeps
     /// launching locally never yields its tasks — Spark's launch-reset
     /// pathology, the reason delay scheduling keeps its cache hits but
-    /// loses the load balance.
-    fn pop_oldest_expired(&mut self, t: f64, wait: f64) -> Option<(u64, T)> {
+    /// loses the load balance (the 2.86× slowdown of §III-C). LAF passes `wait = -∞`: every bucket is
+    /// stealable, so a slot never idles.
+    fn pop_oldest(&mut self, t: f64, wait: f64) -> Option<(u64, T)> {
         let bucket = self
             .buckets
             .iter()
             .enumerate()
-            .filter(|(i, b)| !b.is_empty() && t - self.last_local[*i] >= wait)
+            .filter(|(i, _)| t - self.last_local[*i] >= wait)
             .filter_map(|(i, b)| b.front().map(|(seq, _)| (*seq, i)))
             .min()
             .map(|(_, i)| i)?;
-        let item = self.buckets[bucket].pop_front();
-        if item.is_some() {
-            self.len -= 1;
-        }
-        item
+        let item = self.buckets[bucket].pop_front()?;
+        self.len -= 1;
+        Some(item)
     }
 
     /// Earliest time any nonempty bucket's delay timer expires.
@@ -222,34 +215,25 @@ impl<T> PullQueue<T> {
             .min_by(|a, b| a.partial_cmp(b).unwrap())
     }
 
-    /// Re-assign every pending task to a new bucket (after a LAF
-    /// re-partition), preserving global order within buckets.
-    fn rebucket(&mut self, mut bucket_of: impl FnMut(&T) -> usize) {
+    /// Re-assign every pending task to its bucket under `ranges` (after
+    /// a LAF re-partition), preserving global order within buckets.
+    fn rebucket(&mut self, ranges: &[(NodeId, KeyRange)]) {
         let mut all: Vec<(u64, T)> =
             self.buckets.iter_mut().flat_map(|b| b.drain(..)).collect();
         all.sort_by_key(|(seq, _)| *seq);
         for (seq, item) in all {
-            let b = bucket_of(&item);
-            self.buckets[b].push_back((seq, item));
+            self.buckets[bucket_of(ranges, (self.key_of)(&item))].push_back((seq, item));
         }
     }
 }
 
-/// One pull decision: which task the freed server takes and when it may
-/// start (delayed when the server stole past its locality wait).
+/// One pull decision: the task the freed server `exec` takes, the time
+/// it pulled, and the time its map slot frees.
 struct Pulled<T> {
+    exec: NodeId,
     item: T,
     not_before: f64,
-    #[allow(dead_code)]
-    stolen: bool,
-}
-
-/// Outcome of a pull attempt.
-enum PullOutcome<T> {
-    Task(Pulled<T>),
-    /// Nothing local and nothing stealable yet: the server's slots idle
-    /// until this time (the delay scheduler declining offers).
-    Blocked(f64),
+    slot_start: f64,
 }
 
 impl EclipseSim {
@@ -279,7 +263,6 @@ impl EclipseSim {
             alive,
             timeline: None,
             clock: 0.0,
-            repartitions_seen: 0,
         }
     }
 
@@ -372,6 +355,40 @@ impl EclipseSim {
         self.cfg.cluster.nodes
     }
 
+    /// The scheduler's current range table: which server's bucket each
+    /// ring key falls in.
+    fn owner_ranges(&self) -> &[(NodeId, KeyRange)] {
+        match &self.sched {
+            Sched::Laf(laf) => laf.ranges(),
+            Sched::Delay(delay) => delay.ranges(),
+        }
+    }
+
+    /// A pull queue over `items` in submission order, bucketed by the
+    /// current range owner of each item's key; servers pull from
+    /// `submit` on.
+    fn seed_queue<T>(
+        &self,
+        items: impl IntoIterator<Item = T>,
+        submit: f64,
+        key_of: fn(&T) -> HashKey,
+    ) -> PullQueue<T> {
+        let (nodes, ranges) = (self.node_count(), self.owner_ranges());
+        let mut queue = PullQueue {
+            buckets: (0..nodes).map(|_| VecDeque::new()).collect(),
+            last_local: vec![0.0; nodes],
+            blocked: vec![submit; nodes],
+            floor: submit,
+            key_of,
+            len: 0,
+        };
+        for (seq, item) in items.into_iter().enumerate() {
+            queue.buckets[bucket_of(ranges, key_of(&item))].push_back((seq as u64, item));
+            queue.len += 1;
+        }
+        queue
+    }
+
     /// The earliest-free node and its free time (the next pull event),
     /// skipping nodes blocked by the delay scheduler until their timer.
     fn next_puller(&self, floor: f64, blocked: &[f64]) -> (usize, f64) {
@@ -413,134 +430,111 @@ impl EclipseSim {
             .map(|(i, _)| i)
     }
 
-    /// Let the freed server `node` pull a task at time `t` under the
-    /// configured policy, recording scheduler state updates.
-    fn pull_task<T: Clone>(
-        &mut self,
-        queue: &mut PullQueue<T>,
-        node: usize,
-        t: f64,
-        key_of: impl Fn(&T) -> HashKey,
-    ) -> Option<PullOutcome<T>> {
-        match &mut self.sched {
-            Sched::Laf(laf) => {
-                let pulled = match queue.pop_local(node, t) {
-                    Some((_, item)) => Pulled { item, not_before: t, stolen: false },
-                    None => {
-                        let (_, item) = queue.pop_oldest()?;
-                        Pulled { item, not_before: t, stolen: true }
-                    }
-                };
-                // Record the access; a re-partition re-buckets the
-                // pending tasks and moves the cache ranges.
+    /// The one pull loop every driver runs (Algorithm 1): the
+    /// earliest-free server takes the oldest task of its own bucket, or
+    /// steals the oldest stealable one. Under LAF every pending task is
+    /// stealable and every pull is recorded, so a re-partition re-buckets
+    /// the queue and moves the cache ranges. Under delay scheduling a
+    /// server finding nothing stealable idles until the earliest bucket
+    /// timer expires, and the next server is asked. `None` once the
+    /// queue is drained.
+    fn next_task<T>(&mut self, queue: &mut PullQueue<T>) -> Option<Pulled<T>> {
+        while !queue.is_empty() {
+            let (node, t) = self.next_puller(queue.floor, &queue.blocked);
+            let wait = match &self.sched {
+                Sched::Laf(_) => f64::NEG_INFINITY,
+                Sched::Delay(delay) => delay.config().effective_wait(),
+            };
+            let Some((_, item)) = queue.pop_local(node, t).or_else(|| queue.pop_oldest(t, wait))
+            else {
+                let until = queue.earliest_expiry(wait).unwrap_or(t);
+                queue.blocked[node] = until.max(t + 1e-3);
+                continue;
+            };
+            if let Sched::Laf(laf) = &mut self.sched {
                 let before = laf.repartitions();
-                laf.assign(key_of(&pulled.item));
+                laf.assign((queue.key_of)(&item));
                 if laf.repartitions() != before {
-                    self.repartitions_seen += 1;
-                    let ranges = laf.ranges().to_vec();
-                    self.cache.set_ranges(ranges.clone());
+                    self.cache.set_ranges(laf.ranges().to_vec());
                     if self.cfg.migration {
                         self.cache.migrate_misplaced(t);
                     }
-                    queue.rebucket(|item| {
-                        let k = key_of(item);
-                        ranges
-                            .iter()
-                            .find(|(_, r)| r.contains(k))
-                            .map(|(n, _)| n.index())
-                            .expect("ranges tile the ring")
-                    });
+                    queue.rebucket(laf.ranges());
                 }
-                Some(PullOutcome::Task(pulled))
             }
-            Sched::Delay(delay) => match queue.pop_local(node, t) {
-                Some((_, item)) => {
-                    Some(PullOutcome::Task(Pulled { item, not_before: t, stolen: false }))
-                }
-                None => {
-                    // Delay scheduling: a non-matching server may only
-                    // steal from a bucket whose delay timer expired — and
-                    // every local launch resets that timer, so a busy hot
-                    // bucket keeps its tasks (and its cache hits) while
-                    // its server grinds through them (Spark's launch-
-                    // reset pathology, the 2.86× slowdown of §III-C).
-                    let wait = delay.config().effective_wait();
-                    match queue.pop_oldest_expired(t, wait) {
-                        Some((_, item)) => {
-                            Some(PullOutcome::Task(Pulled { item, not_before: t, stolen: true }))
-                        }
-                        None => {
-                            let until = queue.earliest_expiry(wait).unwrap_or(t);
-                            Some(PullOutcome::Blocked(until.max(t + 1e-3)))
-                        }
-                    }
-                }
-            },
+            let slot_start = self.cluster.nodes[node].map_slots.next_free(SimTime(t)).secs();
+            return Some(Pulled { exec: NodeId(node as u32), item, not_before: t, slot_start });
         }
+        None
     }
 
-    /// Acquire one map task's input bytes at `at` on `exec`; returns
-    /// (completion time, source). Consults, in order: distributed
-    /// in-memory cache on the executing server, OS page cache, then the
-    /// DHT file system (local or remote replica).
+    /// Acquire one map task's input object (`key`, `size` bytes) at `at`
+    /// on `exec`; returns (completion time, source). Consults, in order:
+    /// the distributed in-memory cache on the executing server, its OS
+    /// page cache, then the DHT file system copy among `holders` (its own
+    /// if it holds one). A disk read populates the page cache and, when
+    /// `cache_input` is set, iCache; so does a page-cache hit.
     fn read_input(
         &mut self,
         exec: NodeId,
-        block: &BlockInfo,
+        (key, size): (HashKey, u64),
+        holders: &[NodeId],
         at: f64,
         cache_input: bool,
         report: &mut JobReport,
-    ) -> f64 {
-        let key = CacheKey::Input(block.key);
+    ) -> (f64, ReadSource) {
+        let (ckey, node, at_t) = (CacheKey::Input(key), exec.index(), SimTime(at));
         report.cache_lookups += 1;
-        if self.cache.with_node(exec, |c| c.get(&key, at).is_some()) {
+        let source = if self.cache.with_node(exec, |c| c.get(&ckey, at).is_some()) {
             report.cache_hits += 1;
-            report.record_read(ReadSource::LocalCache, block.size);
-            return self.cluster.mem_read(SimTime(at), exec.index(), block.size).secs();
-        }
-        if self.page_cache[exec.index()].get(&block.key, at).is_some() {
-            report.record_read(ReadSource::PageCache, block.size);
-            let done = self.cluster.mem_read(SimTime(at), exec.index(), block.size).secs();
-            if cache_input {
-                self.cache.with_node(exec, |c| c.put(key, block.size, at, None));
+            ReadSource::LocalCache
+        } else if self.page_cache[node].get(&key, at).is_some() {
+            ReadSource::PageCache
+        } else if holders.contains(&exec) {
+            ReadSource::LocalDisk
+        } else {
+            ReadSource::RemoteDisk
+        };
+        report.record_read(source, size);
+        let done = match source {
+            ReadSource::LocalCache | ReadSource::PageCache => {
+                self.cluster.mem_read(at_t, node, size)
             }
-            return done;
-        }
-        // Read the replica whose disk frees earliest — the reader holds a
-        // copy itself whenever the cache range has not drifted past the
-        // predecessor/successor arcs (§II-E's misalignment discussion).
-        let holder = {
-            let holders = self.fs.block_holders(block.id).expect("block exists");
-            if holders.contains(&exec) {
-                exec
-            } else {
-                holders
+            ReadSource::LocalDisk => self.cluster.disk_read(at_t, node, size),
+            _ => {
+                // Read the replica whose disk frees earliest — the reader
+                // holds a copy itself whenever the cache range has not
+                // drifted past the predecessor/successor arcs (§II-E's
+                // misalignment discussion).
+                let free = |n: NodeId| self.cluster.nodes[n.index()].disk.available_at(at_t).secs();
+                let holder = holders
                     .iter()
                     .copied()
-                    .min_by(|&a, &b| {
-                        let fa = self.cluster.nodes[a.index()].disk.available_at(SimTime(at)).secs();
-                        let fb = self.cluster.nodes[b.index()].disk.available_at(SimTime(at)).secs();
-                        fa.partial_cmp(&fb).unwrap().then(a.cmp(&b))
-                    })
-                    .expect("replicated")
+                    .min_by(|&a, &b| free(a).partial_cmp(&free(b)).unwrap().then(a.cmp(&b)))
+                    .expect("replicated");
+                self.cluster.remote_disk_read(at_t, holder.index(), node, size)
             }
-        };
-        let done = if holder == exec {
-            report.record_read(ReadSource::LocalDisk, block.size);
-            self.cluster.disk_read(SimTime(at), exec.index(), block.size).secs()
-        } else {
-            report.record_read(ReadSource::RemoteDisk, block.size);
-            self.cluster
-                .remote_disk_read(SimTime(at), holder.index(), exec.index(), block.size)
-                .secs()
-        };
-        // Disk reads populate the OS page cache on the executing node and
-        // (policy permitting) the distributed in-memory cache.
-        self.page_cache[exec.index()].put(block.key, block.size, at, None);
-        if cache_input {
-            self.cache.with_node(exec, |c| c.put(key, block.size, at, None));
         }
-        done
+        .secs();
+        if matches!(source, ReadSource::LocalDisk | ReadSource::RemoteDisk) {
+            self.page_cache[node].put(key, size, at, None);
+        }
+        if cache_input && source != ReadSource::LocalCache {
+            self.cache.with_node(exec, |c| c.put(ckey, size, at, None));
+        }
+        (done, source)
+    }
+
+    /// Reserve the map slot `task` pulled: its input I/O (finished at
+    /// `io_done`) plus `cpu_secs` of nominal map CPU, scaled by the
+    /// executing node's speed. Returns the slot's (start, end).
+    fn run_map<T>(&mut self, task: &Pulled<T>, io_done: f64, cpu_secs: f64) -> (SimTime, SimTime) {
+        let node = task.exec.index();
+        let cpu = self.cluster.cpu_time(node, cpu_secs);
+        let dur = (io_done - task.slot_start).max(0.0) + cpu;
+        let (start, end) = self.cluster.nodes[node].map_slots.run(SimTime(task.not_before), dur);
+        debug_assert!((start.secs() - task.slot_start).abs() < 1e-6);
+        (start, end)
     }
 
     /// Ring node that hosts reduce partition `r` of `total` (reducers run
@@ -577,49 +571,20 @@ impl EclipseSim {
             (0..reducers).map(|r| self.reducer_node(r, reducers)).collect();
         let mut shuffle_bytes_total = 0u64;
 
-        // Seed the pull queue: tasks bucketed by current range owners.
-        let mut queue: PullQueue<BlockInfo> = PullQueue::new(self.node_count());
-        let owner_ranges: Vec<(NodeId, eclipse_util::KeyRange)> = match &self.sched {
-            Sched::Laf(laf) => laf.ranges().to_vec(),
-            Sched::Delay(d) => d.ranges().to_vec(),
-        };
-        for (seq, block) in meta.blocks.iter().enumerate() {
-            let bucket = owner_ranges
-                .iter()
-                .find(|(_, r)| r.contains(block.key))
-                .map(|(n, _)| n.index())
-                .expect("ranges tile the ring");
-            queue.push(bucket, seq as u64, *block);
-        }
-
-        let mut blocked = vec![submit; self.node_count()];
-        while !queue.is_empty() {
-            let (node, t) = self.next_puller(submit, &blocked);
-            let pulled = match self.pull_task(&mut queue, node, t, |b| b.key) {
-                Some(PullOutcome::Task(p)) => p,
-                Some(PullOutcome::Blocked(until)) => {
-                    blocked[node] = until;
-                    continue;
-                }
-                None => break,
-            };
-            let exec = NodeId(node as u32);
-            let block = pulled.item;
+        let mut queue = self.seed_queue(meta.blocks.iter().copied(), submit, |b| b.key);
+        while let Some(task) = self.next_task(&mut queue) {
+            let (exec, block, slot_start) = (task.exec, task.item, task.slot_start);
             report.tasks_per_node[exec.index()] += 1;
             report.map_tasks += 1;
-            let slot_start = self.cluster.nodes[exec.index()]
-                .map_slots
-                .next_free(SimTime(pulled.not_before))
-                .secs();
-            // Input block read.
-            let before_sources = report.read_bytes.clone();
-            let mut io_done =
-                self.read_input(exec, &block, slot_start, spec.reuse.cache_input, &mut report);
-            let source = report
-                .read_bytes
-                .iter()
-                .find(|(k, v)| before_sources.get(*k).copied().unwrap_or(0) < **v)
-                .map(|(k, _)| *k);
+            let holders = self.fs.block_holders(block.id).expect("block exists").to_vec();
+            let (mut io_done, source) = self.read_input(
+                exec,
+                (block.key, block.size),
+                &holders,
+                slot_start,
+                spec.reuse.cache_input,
+                &mut report,
+            );
             // Iteration-state read (previous round's output share).
             if extra_input_per_map > 0 {
                 io_done = io_done.max(self.read_iter_state(
@@ -631,12 +596,7 @@ impl EclipseSim {
                     &mut report,
                 ));
             }
-            let cpu = self.cluster.cpu_time(exec.index(), cost.map_cpu_secs(block.size));
-            let dur = (io_done - slot_start).max(0.0) + cpu;
-            let (start, mut end) = self.cluster.nodes[exec.index()]
-                .map_slots
-                .run(SimTime(pulled.not_before), dur);
-            debug_assert!((start.secs() - slot_start).abs() < 1e-6);
+            let (start, mut end) = self.run_map(&task, io_done, cost.map_cpu_secs(block.size));
             // Speculative execution: back up a straggling copy on an
             // idle full-speed node; the earlier finisher wins.
             if self.cfg.speculation && self.cluster.speed_of(exec.index()) < 1.0 {
@@ -655,7 +615,7 @@ impl EclipseSim {
                 }
             }
             map_phase_end = map_phase_end.max(end.secs());
-            self.log_task(TaskKind::Map, exec.0, start.secs(), end.secs(), source);
+            self.log_task(TaskKind::Map, exec.0, start.secs(), end.secs(), Some(source.label()));
 
             // ---- Proactive shuffle (overlapped with the map) ------------
             let im = cost.intermediate_bytes(block.size);
@@ -809,8 +769,7 @@ impl EclipseSim {
         let meta_size = self.fs.stat(&spec.input).expect("input uploaded").size;
         let blocks = eclipse_util::num_blocks(meta_size, self.cfg.block_size).max(1);
         let iter_out = cost.iter_output_bytes(meta_size);
-        let mut combined =
-            JobReport { tasks_per_node: vec![0; self.node_count()], ..JobReport::default() };
+        let mut combined = JobReport::default();
         let mut at = submit;
         for iter in 0..spec.iterations {
             let prev_tag = (iter > 0).then(|| format!("iter{}", iter - 1));
@@ -832,19 +791,7 @@ impl EclipseSim {
                 }
             }
             at += r.elapsed;
-            combined.iteration_times.push(r.elapsed);
-            combined.map_tasks += r.map_tasks;
-            combined.reduce_tasks += r.reduce_tasks;
-            combined.cache_hits += r.cache_hits;
-            combined.cache_lookups += r.cache_lookups;
-            combined.shuffle_bytes += r.shuffle_bytes;
-            for (k, v) in r.read_bytes {
-                *combined.read_bytes.entry(k).or_insert(0) += v;
-            }
-            for (i, c) in r.tasks_per_node.iter().enumerate() {
-                combined.tasks_per_node[i] += c;
-            }
-            combined.map_elapsed += r.map_elapsed;
+            combined.absorb(r);
         }
         combined.elapsed = at - submit;
         self.clock = at;
@@ -866,99 +813,21 @@ impl EclipseSim {
         let mut report =
             JobReport { tasks_per_node: vec![0; self.node_count()], ..JobReport::default() };
         let mut end_max = submit;
-        // Bucket the trace by current range owners; servers pull.
-        let mut queue: PullQueue<HashKey> = PullQueue::new(self.node_count());
-        let owner_ranges: Vec<(NodeId, eclipse_util::KeyRange)> = match &self.sched {
-            Sched::Laf(laf) => laf.ranges().to_vec(),
-            Sched::Delay(d) => d.ranges().to_vec(),
-        };
-        for (seq, &hkey) in keys.iter().enumerate() {
-            let bucket = owner_ranges
-                .iter()
-                .find(|(_, r)| r.contains(hkey))
-                .map(|(n, _)| n.index())
-                .expect("ranges tile the ring");
-            queue.push(bucket, seq as u64, hkey);
-        }
-        let mut blocked = vec![submit; self.node_count()];
-        while !queue.is_empty() {
-            let (node, t) = self.next_puller(submit, &blocked);
-            let pulled = match self.pull_task(&mut queue, node, t, |k| *k) {
-                Some(PullOutcome::Task(p)) => p,
-                Some(PullOutcome::Blocked(until)) => {
-                    blocked[node] = until;
-                    continue;
-                }
-                None => break,
-            };
-            let exec = NodeId(node as u32);
-            let hkey = pulled.item;
+        let mut queue = self.seed_queue(keys.iter().copied(), submit, |k| *k);
+        while let Some(task) = self.next_task(&mut queue) {
+            let (exec, key) = (task.exec, task.item);
             report.tasks_per_node[exec.index()] += 1;
             report.map_tasks += 1;
-            let slot_start = self.cluster.nodes[exec.index()]
-                .map_slots
-                .next_free(SimTime(pulled.not_before))
-                .secs();
-            // Data acquisition: iCache → page cache → DHT FS replica.
-            let key = CacheKey::Input(hkey);
-            report.cache_lookups += 1;
-            let io_done = if self.cache.with_node(exec, |c| c.get(&key, slot_start).is_some()) {
-                report.cache_hits += 1;
-                report.record_read(ReadSource::LocalCache, bytes_per_access);
-                self.cluster.mem_read(SimTime(slot_start), exec.index(), bytes_per_access).secs()
-            } else if self.page_cache[exec.index()].get(&hkey, slot_start).is_some() {
-                report.record_read(ReadSource::PageCache, bytes_per_access);
-                let d = self
-                    .cluster
-                    .mem_read(SimTime(slot_start), exec.index(), bytes_per_access)
-                    .secs();
-                self.cache.with_node(exec, |c| c.put(key, bytes_per_access, slot_start, None));
-                d
-            } else {
-                let holders = self.ring.replica_set(hkey, self.cfg.replicas).expect("ring");
-                let src = if holders.contains(&exec) {
-                    exec
-                } else {
-                    holders
-                        .iter()
-                        .copied()
-                        .min_by(|&a, &b| {
-                            let fa = self.cluster.nodes[a.index()]
-                                .disk
-                                .available_at(SimTime(slot_start))
-                                .secs();
-                            let fb = self.cluster.nodes[b.index()]
-                                .disk
-                                .available_at(SimTime(slot_start))
-                                .secs();
-                            fa.partial_cmp(&fb).unwrap().then(a.cmp(&b))
-                        })
-                        .expect("replicated")
-                };
-                let d = if src == exec {
-                    report.record_read(ReadSource::LocalDisk, bytes_per_access);
-                    self.cluster
-                        .disk_read(SimTime(slot_start), exec.index(), bytes_per_access)
-                        .secs()
-                } else {
-                    report.record_read(ReadSource::RemoteDisk, bytes_per_access);
-                    self.cluster
-                        .remote_disk_read(
-                            SimTime(slot_start),
-                            src.index(),
-                            exec.index(),
-                            bytes_per_access,
-                        )
-                        .secs()
-                };
-                self.page_cache[exec.index()].put(hkey, bytes_per_access, slot_start, None);
-                self.cache.with_node(exec, |c| c.put(key, bytes_per_access, slot_start, None));
-                d
-            };
-            let cpu = self.cluster.cpu_time(exec.index(), cost.map_cpu_secs(bytes_per_access));
-            let dur = (io_done - slot_start).max(0.0) + cpu;
-            let (_, end) =
-                self.cluster.nodes[exec.index()].map_slots.run(SimTime(pulled.not_before), dur);
+            let holders = self.ring.replica_set(key, self.cfg.replicas).expect("ring");
+            let (io_done, _) = self.read_input(
+                exec,
+                (key, bytes_per_access),
+                &holders,
+                task.slot_start,
+                true,
+                &mut report,
+            );
+            let (_, end) = self.run_map(&task, io_done, cost.map_cpu_secs(bytes_per_access));
             end_max = end_max.max(end.secs());
         }
         report.map_elapsed = end_max - submit;
@@ -989,75 +858,39 @@ impl EclipseSim {
             .map(|s| self.fs.open(&s.input, &s.user).expect("input uploaded").clone())
             .collect();
 
-        // Round-robin merge of every job's passes of map tasks.
-        let owner_ranges: Vec<(NodeId, eclipse_util::KeyRange)> = match &self.sched {
-            Sched::Laf(laf) => laf.ranges().to_vec(),
-            Sched::Delay(d) => d.ranges().to_vec(),
-        };
-        let mut queue: PullQueue<(usize, BlockInfo, u32)> = PullQueue::new(self.node_count());
-        let mut cursors: Vec<(u32, usize)> = vec![(0, 0); n_jobs]; // (pass, block idx)
-        let mut seq = 0u64;
-        loop {
-            let mut progressed = false;
-            for (j, spec) in specs.iter().enumerate() {
-                let (pass, idx) = cursors[j];
-                if pass >= spec.iterations.max(1) {
-                    continue;
+        // Round-robin merge of every job's passes of map tasks: each
+        // job's k-th task (pass-major, block-minor) before any (k+1)-th.
+        let per_job: Vec<usize> = specs
+            .iter()
+            .zip(&metas)
+            .map(|(s, m)| s.iterations.max(1) as usize * m.blocks.len())
+            .collect();
+        let mut tasks = Vec::new();
+        for k in 0..per_job.iter().copied().max().unwrap_or(0) {
+            for (j, m) in metas.iter().enumerate() {
+                if k < per_job[j] {
+                    tasks.push((j, m.blocks[k % m.blocks.len()]));
                 }
-                let block = metas[j].blocks[idx];
-                let bucket = owner_ranges
-                    .iter()
-                    .find(|(_, r)| r.contains(block.key))
-                    .map(|(n, _)| n.index())
-                    .expect("ranges tile the ring");
-                queue.push(bucket, seq, (j, block, pass));
-                seq += 1;
-                progressed = true;
-                cursors[j] = if idx + 1 == metas[j].blocks.len() {
-                    (pass + 1, 0)
-                } else {
-                    (pass, idx + 1)
-                };
-            }
-            if !progressed {
-                break;
             }
         }
 
         // ---- Merged map phase -------------------------------------------
         let mut map_end = vec![submit; n_jobs];
-        let mut blocked = vec![submit; self.node_count()];
-        while !queue.is_empty() {
-            let (node, t) = self.next_puller(submit, &blocked);
-            let pulled = match self.pull_task(&mut queue, node, t, |(_, b, _)| b.key) {
-                Some(PullOutcome::Task(p)) => p,
-                Some(PullOutcome::Blocked(until)) => {
-                    blocked[node] = until;
-                    continue;
-                }
-                None => break,
-            };
-            let (j, block, _pass) = pulled.item;
-            let exec = NodeId(node as u32);
+        let mut queue = self.seed_queue(tasks, submit, |(_, b)| b.key);
+        while let Some(task) = self.next_task(&mut queue) {
+            let (exec, (j, block)) = (task.exec, task.item);
             reports[j].tasks_per_node[exec.index()] += 1;
             reports[j].map_tasks += 1;
-            let slot_start = self.cluster.nodes[exec.index()]
-                .map_slots
-                .next_free(SimTime(pulled.not_before))
-                .secs();
-            let io_done = self.read_input(
+            let holders = self.fs.block_holders(block.id).expect("block exists").to_vec();
+            let (io_done, _) = self.read_input(
                 exec,
-                &block,
-                slot_start,
+                (block.key, block.size),
+                &holders,
+                task.slot_start,
                 specs[j].reuse.cache_input,
                 &mut reports[j],
             );
-            let cpu =
-                self.cluster.cpu_time(exec.index(), costs[j].map_cpu_secs(block.size));
-            let dur = (io_done - slot_start).max(0.0) + cpu;
-            let (_, end) = self.cluster.nodes[exec.index()]
-                .map_slots
-                .run(SimTime(pulled.not_before), dur);
+            let (_, end) = self.run_map(&task, io_done, costs[j].map_cpu_secs(block.size));
             map_end[j] = map_end[j].max(end.secs());
         }
 
@@ -1101,7 +934,7 @@ impl EclipseSim {
 
     /// Admit a new server: fresh hardware in the simulator, a new ring
     /// position in the DHT FS (existing blocks stay put), a new cache
-    /// shard, and re-cut scheduler ranges. Returns the node id.
+    /// shard, and re-cut scheduler and cache ranges. Returns the node id.
     pub fn join_node(&mut self, name: &str) -> NodeId {
         let idx = self.cluster.add_node();
         let id = NodeId(idx as u32);
@@ -1118,31 +951,14 @@ impl EclipseSim {
             info = eclipse_ring::ServerInfo::from_name(id, format!("{name}+{salt}"));
         }
         self.fs.join(info).expect("fresh node id");
-        self.ring = self.fs.ring().clone();
         self.cfg.cluster.nodes += 1;
-        match &mut self.sched {
-            Sched::Laf(laf) => {
-                laf.set_nodes(&self.ring);
-                self.cache.set_ranges(laf.ranges().to_vec());
-            }
-            Sched::Delay(_) => {
-                let d = DelayScheduler::new(
-                    &self.ring,
-                    match &self.cfg.scheduler {
-                        SchedulerKind::Delay(c) => *c,
-                        _ => DelayConfig::default(),
-                    },
-                );
-                self.cache.set_ranges(d.ranges().to_vec());
-                self.sched = Sched::Delay(d);
-            }
-        }
+        self.publish_membership();
         id
     }
 
     /// Kill a node: removes it from the ring, re-replicates its blocks
-    /// (charging recovery traffic), and rebuilds the schedulers. Returns
-    /// the simulated seconds the recovery copies took.
+    /// (charging recovery traffic), and re-cuts the scheduler and cache
+    /// ranges. Returns the simulated seconds the recovery copies took.
     pub fn fail_node(&mut self, node: NodeId) -> f64 {
         let plan = self.fs.fail_node(node).expect("node is a member");
         let start = self.clock;
@@ -1154,24 +970,23 @@ impl EclipseSim {
             let wrote = self.cluster.disk_read(SimTime(moved.secs()), copy.to.index(), copy.bytes);
             done = done.max(wrote.secs());
         }
-        self.ring.remove(node).ok();
         self.alive[node.index()] = false;
-        // Rebuild ring-derived state. (DhtFs already removed it.)
+        self.publish_membership();
+        self.clock = done;
+        done - start
+    }
+
+    /// Re-derive everything that follows ring membership from the ring
+    /// the DHT FS now holds: the scheduler's ranges and the cache's range
+    /// table. The simulator's counterpart of the live executor's
+    /// `publish_membership`, shared by join and failure.
+    fn publish_membership(&mut self) {
         self.ring = self.fs.ring().clone();
         match &mut self.sched {
             Sched::Laf(laf) => laf.set_nodes(&self.ring),
-            Sched::Delay(_) => {
-                self.sched = Sched::Delay(DelayScheduler::new(
-                    &self.ring,
-                    match &self.cfg.scheduler {
-                        SchedulerKind::Delay(c) => *c,
-                        _ => DelayConfig::default(),
-                    },
-                ));
-            }
+            Sched::Delay(delay) => delay.set_nodes(&self.ring),
         }
-        self.clock = done;
-        done - start
+        self.cache.set_ranges(self.owner_ranges().to_vec());
     }
 }
 
@@ -1306,6 +1121,20 @@ mod tests {
         let r = s.run_job(&JobSpec::batch(AppKind::Grep, "data"));
         assert_eq!(r.map_tasks, 32);
         assert!(r.tasks_per_node[victim.index()] == 0, "dead node got tasks");
+    }
+
+    #[test]
+    fn failed_node_leaves_the_cache_range_table() {
+        for kind in [laf(), delay()] {
+            let mut s = sim(kind, 6);
+            s.upload("data", 2 * GB);
+            let victim = s.ring().node_ids()[2];
+            s.fail_node(victim);
+            let owns = |s: &EclipseSim| s.cache().ranges().iter().any(|(n, _)| *n == victim);
+            assert!(!owns(&s), "the dead node still owns a cache range");
+            s.run_job(&JobSpec::batch(AppKind::Grep, "data"));
+            assert!(!owns(&s), "the dead node owns a cache range after a job");
+        }
     }
 
     #[test]

@@ -184,11 +184,6 @@ impl DhtFs {
         self.replicas.get(&id).map(|v| v.as_slice()).ok_or(FsError::BlockNotFound(id))
     }
 
-    /// Primary holder of a block.
-    pub fn block_primary(&self, id: BlockId) -> Result<NodeId, FsError> {
-        Ok(self.block_holders(id)?[0])
-    }
-
     /// The closest replica of `id` to `reader`: the reader itself if it
     /// holds one, else the primary.
     pub fn nearest_replica(&self, id: BlockId, reader: NodeId) -> Result<NodeId, FsError> {
@@ -389,11 +384,6 @@ impl DhtFs {
             self.meta_home.insert(name, new_home);
         }
         Ok(plan)
-    }
-
-    /// All files currently stored.
-    pub fn file_names(&self) -> Vec<&str> {
-        self.files.keys().map(|s| s.as_str()).collect()
     }
 
     /// Total number of stored blocks.

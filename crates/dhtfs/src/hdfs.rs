@@ -32,13 +32,11 @@ pub struct NameNodeConfig {
     /// Service time per metadata operation, seconds. The NameNode is a
     /// serial resource: concurrent lookups queue.
     pub op_service_time: f64,
-    /// Which node hosts the NameNode.
-    pub host: NodeId,
 }
 
 impl Default for NameNodeConfig {
     fn default() -> Self {
-        NameNodeConfig { op_service_time: 0.002, host: NodeId(0) }
+        NameNodeConfig { op_service_time: 0.002 }
     }
 }
 
@@ -47,7 +45,6 @@ impl Default for NameNodeConfig {
 pub struct HdfsFs {
     nodes: usize,
     replicas: usize,
-    namenode: NameNodeConfig,
     files: HashMap<String, FileMetadata>,
     locations: HashMap<BlockId, Vec<NodeId>>,
     /// Count of NameNode metadata operations (lookup load).
@@ -56,21 +53,16 @@ pub struct HdfsFs {
 }
 
 impl HdfsFs {
-    pub fn new(nodes: usize, replicas: usize, namenode: NameNodeConfig) -> HdfsFs {
+    pub fn new(nodes: usize, replicas: usize) -> HdfsFs {
         assert!(nodes > 0);
         HdfsFs {
             nodes,
             replicas,
-            namenode,
             files: HashMap::new(),
             locations: HashMap::new(),
             namenode_ops: 0,
             rr_cursor: 0,
         }
-    }
-
-    pub fn namenode_config(&self) -> &NameNodeConfig {
-        &self.namenode
     }
 
     pub fn namenode_ops(&self) -> u64 {
@@ -151,7 +143,7 @@ mod tests {
 
     #[test]
     fn writer_local_placement_skews_primaries() {
-        let mut fs = HdfsFs::new(8, 2, NameNodeConfig::default());
+        let mut fs = HdfsFs::new(8, 2);
         fs.upload("f", "u", GB, 128 * MB, HdfsPlacement::WriterLocal(NodeId(3)));
         let counts = fs.primary_blocks_per_node();
         assert_eq!(counts[3], 8, "all primaries on the writer");
@@ -160,7 +152,7 @@ mod tests {
 
     #[test]
     fn round_robin_placement_balances_primaries() {
-        let mut fs = HdfsFs::new(8, 2, NameNodeConfig::default());
+        let mut fs = HdfsFs::new(8, 2);
         fs.upload("f", "u", GB, 128 * MB, HdfsPlacement::RoundRobin);
         let counts = fs.primary_blocks_per_node();
         assert!(counts.iter().all(|&c| c == 1), "{counts:?}");
@@ -168,7 +160,7 @@ mod tests {
 
     #[test]
     fn replica_sets_distinct() {
-        let mut fs = HdfsFs::new(10, 2, NameNodeConfig::default());
+        let mut fs = HdfsFs::new(10, 2);
         let meta = fs.upload("f", "u", 2 * GB, 128 * MB, HdfsPlacement::RoundRobin).clone();
         for b in &meta.blocks {
             let locs = fs.block_locations_cached(b.id).unwrap();
@@ -182,7 +174,7 @@ mod tests {
 
     #[test]
     fn namenode_ops_accumulate() {
-        let mut fs = HdfsFs::new(4, 2, NameNodeConfig::default());
+        let mut fs = HdfsFs::new(4, 2);
         let before = fs.namenode_ops();
         let meta = fs.upload("f", "u", 256 * MB, 128 * MB, HdfsPlacement::RoundRobin).clone();
         assert_eq!(fs.namenode_ops(), before + 3, "create + 2 addBlock");
@@ -196,7 +188,7 @@ mod tests {
 
     #[test]
     fn replicas_clamped_to_cluster() {
-        let mut fs = HdfsFs::new(2, 2, NameNodeConfig::default());
+        let mut fs = HdfsFs::new(2, 2);
         let meta = fs.upload("f", "u", 128 * MB, 128 * MB, HdfsPlacement::RoundRobin).clone();
         assert_eq!(fs.block_locations_cached(meta.blocks[0].id).unwrap().len(), 2);
     }

@@ -320,11 +320,6 @@ impl LafScheduler {
         let parts = cdf.partition(self.nodes.len());
         self.ranges = self.nodes.iter().copied().zip(parts).collect();
     }
-
-    /// Expose the moving-average histogram (diagnostics and tests).
-    pub fn ma_histogram(&self) -> &KeyHistogram {
-        &self.ma
-    }
 }
 
 #[cfg(test)]

@@ -185,11 +185,6 @@ impl SimCluster {
         self.cfg.node.disk_seek + bytes as f64 / self.cfg.node.disk_bw
     }
 
-    /// Latency of a memory read without reserving the channel.
-    pub fn mem_latency(&self, _node: usize, bytes: u64) -> f64 {
-        bytes as f64 / self.cfg.node.mem_bw
-    }
-
     /// Latency of a network transfer without reserving the path.
     pub fn net_latency(&self, from: usize, to: usize, bytes: u64) -> f64 {
         if from == to {

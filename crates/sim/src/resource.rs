@@ -52,16 +52,6 @@ impl SerialResource {
         SimTime(self.busy_until)
     }
 
-    /// Reserve a fixed duration (e.g. CPU work) instead of bytes.
-    pub fn reserve_duration(&mut self, now: SimTime, dur: f64) -> SimTime {
-        assert!(dur >= 0.0);
-        let start = self.busy_until.max(now.secs());
-        self.busy_until = start + dur;
-        self.busy_total += dur;
-        self.requests += 1;
-        SimTime(self.busy_until)
-    }
-
     pub fn busy_seconds(&self) -> f64 {
         self.busy_total
     }

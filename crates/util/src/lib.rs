@@ -16,5 +16,5 @@ pub mod stats;
 pub use hist::{Cdf, KeyHistogram};
 pub use key::{HashKey, KeyRange};
 pub use sha1::{sha1, Digest, Sha1};
-pub use size::{fmt_bytes, num_blocks, DEFAULT_BLOCK_SIZE, DEFAULT_SPILL_BUFFER, GB, KB, MB, TB};
+pub use size::{fmt_bytes, num_blocks, DEFAULT_BLOCK_SIZE, GB, KB, MB, TB};
 pub use stats::OnlineStats;

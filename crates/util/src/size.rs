@@ -13,9 +13,6 @@ pub const TB: u64 = 1 << 40;
 /// The paper's HDFS/DHT-FS block size (128 MB).
 pub const DEFAULT_BLOCK_SIZE: u64 = 128 * MB;
 
-/// The paper's proactive-shuffle spill buffer size (32 MB, §III-B).
-pub const DEFAULT_SPILL_BUFFER: u64 = 32 * MB;
-
 /// Render a byte count with a binary-unit suffix, e.g. `1.5 GB`.
 pub fn fmt_bytes(bytes: u64) -> String {
     let b = bytes as f64;

@@ -56,15 +56,6 @@ impl WebGraph {
         d
     }
 
-    /// Out-degree of every vertex.
-    pub fn out_degrees(&self) -> Vec<u32> {
-        let mut d = vec![0u32; self.nodes as usize];
-        for &(from, _) in &self.edges {
-            d[from as usize] += 1;
-        }
-        d
-    }
-
     /// Serialize as adjacency lines `src\tdst` — the on-disk format the
     /// live page rank example parses.
     pub fn to_edge_lines(&self) -> String {

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 gate: release build, clippy, rustdoc, the full test suite, the frozen
 # benchmark/ package's build and tests, the live-matrix, live-property,
-# edge-case, chaos, tenancy, transport and epoch suites under --release, and two
-# bounded DST smoke sweeps. It measures nothing: live performance is the benchmark's job (benchmark/README.md)
-# and the paper's figures come from `figures`. Writes no tracked file, so a
+# edge-case, chaos, tenancy, transport and epoch suites under --release, the
+# figure CSVs against results/, and two bounded DST smoke sweeps. It measures
+# nothing: live performance is the benchmark's job (benchmark/README.md) and
+# the paper's figures come from `figures`. Writes no tracked file, so a
 # passing run leaves `git status` clean. The full randomized DST sweep
 # stays behind `dst_bench --runs N --preset chaos` (docs/DST.md).
 set -euo pipefail
@@ -67,6 +68,15 @@ cargo test -q --release -p eclipse-integration-tests --test net_matrix
 
 echo "== tier1: epoch/batch identity matrix (release)"
 cargo test -q --release -p eclipse-integration-tests --test epoch_matrix
+
+# The committed CSVs under results/ are the simulator's golden output:
+# every figure is regenerated and must match byte for byte. A change
+# that moves a figure on purpose updates results/ and EXPERIMENTS.md in
+# the same commit.
+echo "== tier1: figure CSVs match results/"
+rm -rf target/figures
+cargo run -q --release -p eclipse-bench --bin figures -- all --csv target/figures > /dev/null
+diff -r results target/figures
 
 echo "== tier1: DST smoke sweep (50 fixed seeds, moderate preset)"
 cargo run -q --release -p eclipse-bench --bin dst_bench -- --runs 50 --seed0 1 --preset moderate --out target/dst_smoke.json

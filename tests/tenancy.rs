@@ -9,7 +9,9 @@
 //! story when no single job owns the fault — for a storm of one-shot
 //! jobs and for a storm of server jobs — and the quota test pins the
 //! isolation story: an antagonist scan must not be able to evict a
-//! victim tenant's warm working set.
+//! victim tenant's warm working set. The tenant-id test pins that ids
+//! never wrap: a user past the 16-bit id space is refused, not merged
+//! into another tenant's quota.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -17,8 +19,8 @@ use std::time::{Duration, Instant};
 
 use eclipse_apps::WordCount;
 use eclipse_core::{
-    DstEvent, DstObserver, JobServer, JobServerConfig, LiveCluster, LiveConfig, PoolJobSpec,
-    ReusePolicy, SchedulerKind, TransportKind,
+    DstEvent, DstObserver, EpochDriver, JobError, JobServer, JobServerConfig, LiveCluster,
+    LiveConfig, PoolJobSpec, ReusePolicy, SchedulerKind, StreamSpec, TransportKind,
 };
 use eclipse_core::net::RpcKind;
 
@@ -376,7 +378,7 @@ fn quota_confines_antagonist_scan() {
     let fair = LiveCluster::new(small_cache());
     fair.upload("in-victim", "victim", victim_text.as_bytes());
     fair.upload("in-scan", "scan", scan_text.as_bytes());
-    fair.set_tenant_quota("scan", 24 * 1024);
+    fair.set_tenant_quota("scan", 24 * 1024).expect("a tenant id is free");
     warm_ratio(&fair, "victim");
     warm_ratio(&fair, "scan");
     let defended = warm_ratio(&fair, "victim");
@@ -388,4 +390,39 @@ fn quota_confines_antagonist_scan() {
         fair.tenant_cache_used("scan") <= 4 * 24 * 1024,
         "scan tenant exceeded its per-node quota in aggregate"
     );
+}
+
+/// Tenant ids are 16 bits with 0 reserved, and never wrap or repeat:
+/// once 65,535 users hold one, a new user's job is refused before it
+/// registers (and so is a new user's stream, at its first commit),
+/// while a user who already holds an id keeps running jobs.
+#[test]
+fn tenant_ids_run_out_without_wrapping() {
+    let config = || tenancy_config(SchedulerKind::Laf(Default::default()), TransportKind::Memory);
+    let c = Arc::new(LiveCluster::new(config()));
+    let text = corpus("t", 16);
+    c.upload("known", "user0", text.as_bytes());
+    c.upload("late", "latecomer", text.as_bytes());
+    for i in 0..65_535u32 {
+        c.tenant_of(&format!("user{i}")).expect("a tenant id is free");
+    }
+    let refused = c.try_run_job(&WordCount, "late", "latecomer", 2, ReusePolicy::none());
+    assert!(matches!(refused, Err(JobError::InvalidRequest(_))), "{:?}", refused.err());
+    assert_eq!(c.active_jobs(), 0);
+    let stream = EpochDriver::new(
+        Arc::clone(&c),
+        StreamSpec {
+            app: Arc::new(WordCount),
+            name: "late-stream".to_string(),
+            user: "latecomer".to_string(),
+            reducers: 2,
+        },
+    );
+    let first = stream.commit_epoch(text.as_bytes());
+    assert!(matches!(first, Err(JobError::InvalidRequest(_))), "{:?}", first.err());
+    let (out, _) = c.run_job(&WordCount, "known", "user0", 2, ReusePolicy::none());
+    let fresh = LiveCluster::new(config());
+    fresh.upload("known", "user0", text.as_bytes());
+    let (alone, _) = fresh.run_job(&WordCount, "known", "user0", 2, ReusePolicy::none());
+    assert_eq!(render(&out), render(&alone));
 }
