@@ -110,10 +110,10 @@
 //! - **Crash semantics.** At the crash instant the victim's store shard
 //!   and cache shard are wiped and every not-yet-delivered send from it
 //!   is suppressed; an attempt with a suppressed send can never commit.
-//! - **Recovery flow.** The crash handler knows its victim: ring repair
-//!   mirrored through Chord stabilization ([`eclipse_ring::ChordNet`]) →
-//!   re-replication along the predecessor/successor chain → scheduler
-//!   rebuild → re-queue of the victim's unfinished tasks. Reads fall
+//! - **Recovery flow.** The crash handler knows its victim:
+//!   re-replication along the predecessor/successor chain → publish of
+//!   the repaired ring with its scheduler and cache ranges → re-queue of
+//!   the victim's unfinished tasks. Reads fall
 //!   back through surviving replicas; only when *every* copy of a block
 //!   is gone does the job end with [`JobError::DataLoss`] — never a
 //!   wrong or partial result, never a hang.
@@ -537,11 +537,9 @@ pub struct LiveStats {
     /// Block copies re-replicated from survivors during mid-job
     /// recovery.
     pub recovered_blocks: u64,
-    /// Chord stabilization rounds run to re-converge the ring after
-    /// mid-job crashes.
-    pub stabilize_rounds: u64,
-    /// Wall-clock nanoseconds spent inside mid-job crash recovery
-    /// (stabilization + re-replication + re-queue).
+    /// Wall-clock nanoseconds spent inside mid-job membership changes:
+    /// crash recovery (re-replication + ring publish + re-queue), joins
+    /// and leaves (block and cache handoff).
     pub recovery_nanos: u64,
     /// Bytes pushed onto the transport (frames, both directions the
     /// sender pays for) during this job.
@@ -601,7 +599,7 @@ enum FaultOp {
     /// Delay every attempt executed by `node` (a straggler).
     SlowNode { node: NodeId, micros: u64 },
     /// Admit a fresh node once `maps` map tasks have committed: full
-    /// elastic join — stabilization, replica pull, cache-range handoff,
+    /// elastic join — ring publish, replica pull, cache-range handoff,
     /// and a parked worker thread waking under the new identity.
     JoinAtMaps { maps: u64 },
     /// Gracefully remove `node` once `maps` map tasks have committed:
@@ -704,10 +702,10 @@ pub enum DstEvent {
     /// A shuffle batch was just sent (or delivered locally); `sent`
     /// batches are out cluster-wide (1-based, monotonic).
     SpillSent { sent: u64 },
-    /// `node` finished crashing: stabilization and
-    /// re-replication are complete and its tasks are re-queued.
+    /// `node` finished crashing: re-replication is complete, the ring
+    /// without it is published and its tasks are re-queued.
     NodeCrashed { node: NodeId },
-    /// `node` joined the ring mid-run: the ring stabilized around it,
+    /// `node` joined the ring mid-run: the ring with it is published,
     /// it pulled its cache range and block replicas, and it is
     /// accepting work.
     NodeJoined { node: NodeId },

@@ -11,14 +11,14 @@ use super::router::bind_endpoint;
 use super::{DstEvent, LiveCluster, LiveSched, RecoveryReport};
 use eclipse_dhtfs::FsError;
 use eclipse_net::{Rpc, RpcReply, SendTicket, CLIENT};
-use eclipse_ring::{ChordNet, NodeId, Ring, RingError, ServerInfo};
+use eclipse_ring::{NodeId, Ring, RingError, ServerInfo};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
 impl LiveCluster {
-    /// Crash `victim` while jobs are running: the full ring-repair →
-    /// re-replication → re-queue flow, serialized so concurrent
+    /// Crash `victim` while jobs are running: the full re-replication →
+    /// ring-publish → re-queue flow, serialized so concurrent
     /// triggers handle one crash at a time. `rt` is the run
     /// whose fault schedule (or membership call) triggered the crash —
     /// recovery counters and the DST event land on it — but the crash
@@ -32,21 +32,20 @@ impl LiveCluster {
     /// [`crash_node_mid_job`](Self::crash_node_mid_job) proper; the
     /// caller holds the recovery gate.
     fn crash_gated(&self, victim: NodeId, rt: &Run) {
-        let vi = victim.index();
-        // Already crashed (or joined after the job started): no-op.
-        if vi >= rt.poisoned.len() || rt.poisoned[vi].swap(true, Ordering::AcqRel) {
-            return;
-        }
-        // Poison the victim on every other live run too: their workers
-        // must stop shipping under its identity from this instant.
-        let runs = self.live_runs();
-        for other in runs.iter().filter(|r| !std::ptr::eq(r.as_ref(), rt)) {
-            if let Some(p) = other.poisoned.get(vi) {
-                p.store(true, Ordering::Release);
-            }
-        }
+        // Already crashed or departed (the published ring no longer
+        // holds it): no-op.
         if !self.ring.read().contains(victim) {
             return;
+        }
+        // Poison the victim on every run it may work for: their workers
+        // must stop shipping under its identity from this instant. A
+        // run that began before the victim joined has no slot for it,
+        // and nothing of it to poison.
+        let runs = self.live_runs();
+        for run in runs.iter().map(|r| r.as_ref()).chain([rt]) {
+            if let Some(p) = run.poisoned.get(victim.index()) {
+                p.store(true, Ordering::Release);
+            }
         }
         // The victim's ring key, captured before repair removes it:
         // after recovery the key's owner is the successor that inherited
@@ -60,10 +59,6 @@ impl LiveCluster {
         self.store.wipe_node(victim);
         self.cache.invalidate_node(victim);
         self.net.close_endpoint(victim);
-        // Ring repair, mirrored through protocol-level Chord
-        // stabilization around the hole the victim left.
-        let members: Vec<ServerInfo> = self.ring.read().members().cloned().collect();
-        self.restabilize(members, |chord| chord.fail(victim), &[rt]);
         // Re-replication from survivors + scheduler/ring rebuild.
         match self.recover_node(victim) {
             Ok(report) => {
@@ -155,32 +150,8 @@ impl LiveCluster {
         ring
     }
 
-    /// Mirror a membership change through protocol-level Chord
-    /// stabilization: build the converged net of `members`, apply
-    /// `change`, and re-converge. Every pointer a node would adopt is
-    /// first probed over the transport, so a dead endpoint (or a
-    /// partitioned peer) is routed around rather than adopted. The
-    /// rounds used land on every run in `tally`.
-    fn restabilize(
-        &self,
-        members: Vec<ServerInfo>,
-        change: impl FnOnce(&mut ChordNet),
-        tally: &[&Run],
-    ) {
-        let mut chord = ChordNet::converged_from(members);
-        change(&mut chord);
-        let max = 4 * chord.len() + 8;
-        if let Some(rounds) =
-            chord.stabilize_until_converged_probed(max, &mut |a, b| self.net.probe(a, b))
-        {
-            for r in tally {
-                r.tally.stabilize_rounds.fetch_add(rounds as u64, Ordering::Relaxed);
-            }
-        }
-    }
-
     /// Admit a new virtual node: a fresh ring position, cache shard and
-    /// (empty) store shard. The joiner walks the Chord stabilize flow,
+    /// (empty) store shard. The joiner enters the published ring,
     /// pulls the block replicas its new range makes it responsible for
     /// from their current holders ([`Rpc::BlockPull`]), and inherits
     /// stranded cache entries ([`Rpc::RangeHandoff`]). Works while a
@@ -224,8 +195,7 @@ impl LiveCluster {
             Arc::clone(&self.router),
             Arc::clone(&self.slow_serving),
         );
-        let old_members: Vec<ServerInfo> = self.ring.read().members().cloned().collect();
-        let (info, plan) = {
+        let plan = {
             let mut fs = self.fs.write();
             let mut info = ServerInfo::from_name(id, name);
             let mut salt = 0u32;
@@ -233,15 +203,10 @@ impl LiveCluster {
                 salt += 1;
                 info = ServerInfo::from_name(id, format!("{name}+{salt}"));
             }
-            fs.join(info.clone()).expect("fresh node id");
-            let plan = fs.join_plan(id).expect("joiner is a member");
-            (info, plan)
+            fs.join(info).expect("fresh node id");
+            fs.join_plan(id).expect("joiner is a member")
         };
         self.publish_membership();
-        // Protocol-level admission: the joiner learns its successor and
-        // the ring re-converges around it.
-        let via = old_members[0].id;
-        self.restabilize(old_members, |chord| chord.join(info, via), &tally);
         // Pull the replicas the joiner's range made it responsible for
         // from their current holders. A pull that cannot complete (a
         // partitioned holder, an injected drop burst) is benign: the
@@ -285,9 +250,14 @@ impl LiveCluster {
                 return Err(FsError::Ring(RingError::EmptyRing));
             }
         }
-        let t0 = Instant::now();
-        let vi = leaver.index();
         let runs = self.live_runs();
+        // Already poisoned on some run means a crash got there first —
+        // nothing left to leave gracefully. Checked before any run is
+        // touched, so a refused leave changes nothing.
+        if runs.iter().any(|run| run.node_down(leaver)) {
+            return Err(FsError::Ring(RingError::UnknownNode(leaver)));
+        }
+        let t0 = Instant::now();
         // The runs this leave is accounted to: the triggering run when
         // it came from a fault schedule, every live run when it came
         // through the public entry point.
@@ -296,12 +266,13 @@ impl LiveCluster {
             None => runs.iter().map(|r| r.as_ref()).collect(),
         };
         for run in &runs {
-            // Stop the leaver taking new work on every live run.
-            // Already poisoned means a crash got there first — nothing
-            // left to leave gracefully.
-            if run.poisoned.get(vi).is_none_or(|p| p.swap(true, Ordering::AcqRel)) {
-                return Err(FsError::Ring(RingError::UnknownNode(leaver)));
-            }
+            // Stop the leaver taking new work on every live run it may
+            // work for. A run that began before the leaver joined has
+            // no slot for it: the leaver never worked for that run.
+            let Some(p) = run.poisoned.get(leaver.index()) else {
+                continue;
+            };
+            p.store(true, Ordering::Release);
             // Drain its queued-but-uncommitted claims back to the
             // scheduler; the re-executions count as retries in the
             // attempt ledger, deduped by (task, attempt) as usual.
@@ -309,7 +280,6 @@ impl LiveCluster {
             run.tally.drained_tasks.fetch_add(drained, Ordering::Relaxed);
         }
         let vkey = self.ring.read().key_of(leaver).ok();
-        let old_members: Vec<ServerInfo> = self.ring.read().members().cloned().collect();
         let plan = self.fs.write().leave_node(leaver)?;
         // Push the leaver's blocks to their new homes. The leaver is
         // still online and serves pulls; if its link is disturbed the
@@ -349,8 +319,6 @@ impl LiveCluster {
         // the leaver dies with it.
         self.handoff_stranded_cache();
         self.cache.invalidate_node(leaver);
-        // Protocol-level departure: the ring re-converges around the hole.
-        self.restabilize(old_members, |chord| chord.fail(leaver), &tally);
         // Re-home the leaver's shuffle partitions at its successor so
         // post-leave fetches go to the current nearest holder.
         if let Some(key) = vkey {

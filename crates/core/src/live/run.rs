@@ -66,7 +66,6 @@ pub(super) struct Tally {
     pub(super) retries: AtomicU64,
     pub(super) failed_nodes: AtomicU64,
     pub(super) recovered_blocks: AtomicU64,
-    pub(super) stabilize_rounds: AtomicU64,
     pub(super) recovery_nanos: AtomicU64,
     pub(super) speculative_attempts: AtomicU64,
     pub(super) speculative_wins: AtomicU64,
@@ -464,7 +463,6 @@ impl Run {
             retries: get(&t.retries),
             failed_nodes: get(&t.failed_nodes),
             recovered_blocks: get(&t.recovered_blocks),
-            stabilize_rounds: get(&t.stabilize_rounds),
             recovery_nanos: get(&t.recovery_nanos),
             bytes_sent: net.bytes_sent,
             rpcs: net.rpcs,

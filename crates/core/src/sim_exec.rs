@@ -526,14 +526,21 @@ impl EclipseSim {
     }
 
     /// Reserve the map slot `task` pulled: its input I/O (finished at
-    /// `io_done`) plus `cpu_secs` of nominal map CPU, scaled by the
-    /// executing node's speed. Returns the slot's (start, end).
-    fn run_map<T>(&mut self, task: &Pulled<T>, io_done: f64, cpu_secs: f64) -> (SimTime, SimTime) {
+    /// `io_done`, read from `source`) plus `cpu_secs` of nominal map
+    /// CPU, scaled by the executing node's speed, and record it on the
+    /// timeline. Returns the slot's (start, end).
+    fn run_map<T>(
+        &mut self,
+        task: &Pulled<T>,
+        (io_done, source): (f64, ReadSource),
+        cpu_secs: f64,
+    ) -> (SimTime, SimTime) {
         let node = task.exec.index();
         let cpu = self.cluster.cpu_time(node, cpu_secs);
         let dur = (io_done - task.slot_start).max(0.0) + cpu;
         let (start, end) = self.cluster.nodes[node].map_slots.run(SimTime(task.not_before), dur);
         debug_assert!((start.secs() - task.slot_start).abs() < 1e-6);
+        self.log_task(TaskKind::Map, task.exec.0, start.secs(), end.secs(), Some(source.label()));
         (start, end)
     }
 
@@ -596,7 +603,8 @@ impl EclipseSim {
                     &mut report,
                 ));
             }
-            let (start, mut end) = self.run_map(&task, io_done, cost.map_cpu_secs(block.size));
+            let (start, mut end) =
+                self.run_map(&task, (io_done, source), cost.map_cpu_secs(block.size));
             // Speculative execution: back up a straggling copy on an
             // idle full-speed node; the earlier finisher wins.
             if self.cfg.speculation && self.cluster.speed_of(exec.index()) < 1.0 {
@@ -615,7 +623,6 @@ impl EclipseSim {
                 }
             }
             map_phase_end = map_phase_end.max(end.secs());
-            self.log_task(TaskKind::Map, exec.0, start.secs(), end.secs(), Some(source.label()));
 
             // ---- Proactive shuffle (overlapped with the map) ------------
             let im = cost.intermediate_bytes(block.size);
@@ -819,7 +826,7 @@ impl EclipseSim {
             report.tasks_per_node[exec.index()] += 1;
             report.map_tasks += 1;
             let holders = self.ring.replica_set(key, self.cfg.replicas).expect("ring");
-            let (io_done, _) = self.read_input(
+            let read = self.read_input(
                 exec,
                 (key, bytes_per_access),
                 &holders,
@@ -827,7 +834,7 @@ impl EclipseSim {
                 true,
                 &mut report,
             );
-            let (_, end) = self.run_map(&task, io_done, cost.map_cpu_secs(bytes_per_access));
+            let (_, end) = self.run_map(&task, read, cost.map_cpu_secs(bytes_per_access));
             end_max = end_max.max(end.secs());
         }
         report.map_elapsed = end_max - submit;
@@ -882,7 +889,7 @@ impl EclipseSim {
             reports[j].tasks_per_node[exec.index()] += 1;
             reports[j].map_tasks += 1;
             let holders = self.fs.block_holders(block.id).expect("block exists").to_vec();
-            let (io_done, _) = self.read_input(
+            let read = self.read_input(
                 exec,
                 (block.key, block.size),
                 &holders,
@@ -890,7 +897,7 @@ impl EclipseSim {
                 specs[j].reuse.cache_input,
                 &mut reports[j],
             );
-            let (_, end) = self.run_map(&task, io_done, costs[j].map_cpu_secs(block.size));
+            let (_, end) = self.run_map(&task, read, costs[j].map_cpu_secs(block.size));
             map_end[j] = map_end[j].max(end.secs());
         }
 
@@ -916,8 +923,9 @@ impl EclipseSim {
                 };
                 let cpu = self.cluster.cpu_time(node.index(), costs[j].reduce_cpu_secs(share));
                 let dur = (read_done - ready).max(0.0) + cpu;
-                let (_, end) =
+                let (red_start, end) =
                     self.cluster.nodes[node.index()].reduce_slots.run(SimTime(ready), dur);
+                self.log_task(TaskKind::Reduce, node.0, red_start.secs(), end.secs(), None);
                 let out = costs[j].output_bytes(share);
                 let mut end_t = end.secs();
                 if out > 0 {
@@ -1215,6 +1223,32 @@ mod tests {
         // The utilization profile peaks above one busy task.
         let peak = t.utilization_profile(1.0).iter().map(|(_, b)| *b).max().unwrap();
         assert!(peak >= 2, "peak busy {peak}");
+    }
+
+    /// The trace and concurrent drivers record their tasks too: as many
+    /// map and reduce events as their reports count.
+    #[test]
+    fn timeline_records_trace_and_concurrent_tasks() {
+        use crate::timeline::TaskKind;
+        use eclipse_workloads::{CostModel, KeyDist, KeySampler};
+        let count = |s: &EclipseSim, kind: TaskKind| {
+            let t = s.timeline().expect("recording enabled");
+            t.events.iter().filter(|e| e.kind == kind).count() as u64
+        };
+        let mut s = sim(laf(), 6);
+        s.record_timeline();
+        let trace = KeySampler::new(KeyDist::Uniform, 3).sample_n(40);
+        let r = s.run_trace(&trace, 8 * MB, &CostModel::eclipse(AppKind::Grep));
+        assert_eq!((r.map_tasks, count(&s, TaskKind::Map)), (40, 40));
+        assert_eq!(count(&s, TaskKind::Reduce), 0);
+
+        let mut s = sim(laf(), 6);
+        s.upload("data", GB);
+        s.record_timeline();
+        let reports = s.run_concurrent(&[JobSpec::batch(AppKind::WordCount, "data")]);
+        assert_eq!(count(&s, TaskKind::Map), reports[0].map_tasks);
+        assert_eq!(count(&s, TaskKind::Reduce), reports[0].reduce_tasks);
+        assert!(reports[0].reduce_tasks > 0);
     }
 
     #[test]

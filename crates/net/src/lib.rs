@@ -308,10 +308,6 @@ pub trait Transport: Send + Sync {
         false
     }
 
-    /// Cheap reachability probe (stabilization uses this): can `from`
-    /// currently exchange a frame with `to`? Counts as one RPC.
-    fn probe(&self, from: NodeId, to: NodeId) -> bool;
-
     /// Poison a node's endpoints: every in-flight call *to* it is woken
     /// with [`NetError::ConnectionClosed`], and future calls fail fast.
     /// Peers must never hang on a dead endpoint.

@@ -487,34 +487,6 @@ impl Transport for MemTransport {
         }
     }
 
-    fn probe(&self, from: NodeId, to: NodeId) -> bool {
-        // A probe is a minimal heartbeat frame on the wire.
-        self.stats
-            .count_request(RpcKind::Heartbeat, (crate::wire::HEADER_LEN + 20) as u64);
-        let mut st = self.state.lock().unwrap();
-        // A probe frame travels the same wire as any Heartbeat, so it
-        // consumes drop tokens like one: a dropped probe is transient
-        // unreachability (stabilization routes around it and re-probes
-        // next round). Before this, `drop_rpcs(Heartbeat, n)` silently
-        // never matched the probe path — it counted a Heartbeat request
-        // in the stats yet could not be faulted.
-        if let Some(n) = st.drop_kind.get_mut(&RpcKind::Heartbeat) {
-            if *n > 0 {
-                *n -= 1;
-                return false;
-            }
-        }
-        if let Some(n) = st.drop_link.get_mut(&(from.0, to.0)) {
-            if *n > 0 {
-                *n -= 1;
-                return false;
-            }
-        }
-        st.endpoints.contains_key(&to.0)
-            && !st.closed.contains(&to.0)
-            && !st.cut.contains(&(from.0, to.0))
-    }
-
     fn close_endpoint(&self, node: NodeId) {
         self.state.lock().unwrap().closed.insert(node.0);
         self.wake.notify_all();
@@ -619,18 +591,6 @@ mod tests {
             started.elapsed() < Duration::from_secs(5),
             "blocked call must not wait out the delay"
         );
-    }
-
-    #[test]
-    fn probe_respects_partitions_and_closure() {
-        let t = echo_transport();
-        assert!(t.probe(NodeId(0), NodeId(1)));
-        t.cut_one_way(NodeId(0), NodeId(1));
-        assert!(!t.probe(NodeId(0), NodeId(1)));
-        assert!(t.probe(NodeId(1), NodeId(0)), "one-way cut");
-        t.heal_all();
-        t.close_endpoint(NodeId(1));
-        assert!(!t.probe(NodeId(0), NodeId(1)));
     }
 
     fn batch(seq: u32) -> Rpc {
@@ -802,25 +762,6 @@ mod tests {
             assert_eq!(s.kind(kind).0, 2, "{kind:?}: frame must cross the wire twice");
             assert!(s.kind_retrans(kind) > 0, "{kind:?}: second crossing is a retransmit");
         }
-    }
-
-    /// A probe is a Heartbeat frame on the wire, so Heartbeat drop
-    /// tokens (and link drop tokens) must fault it like any other
-    /// frame. Regression: probe used to bypass the drop machinery
-    /// entirely, making `drop_rpcs(Heartbeat, n)` silently unable to
-    /// touch stabilization traffic.
-    #[test]
-    fn probe_consumes_drop_tokens() {
-        let t = echo_transport();
-        t.drop_rpcs(RpcKind::Heartbeat, 1);
-        assert!(!t.probe(NodeId(0), NodeId(1)), "dropped probe looks unreachable");
-        assert!(t.probe(NodeId(0), NodeId(1)), "token consumed, next probe clean");
-        t.drop_next_on_link(NodeId(0), NodeId(1), 1);
-        assert!(!t.probe(NodeId(0), NodeId(1)), "link drop tokens match probes too");
-        assert!(t.probe(NodeId(0), NodeId(1)));
-        // Other kinds' tokens never touch probes.
-        t.drop_rpcs(RpcKind::ShuffleBatch, 1);
-        assert!(t.probe(NodeId(0), NodeId(1)));
     }
 
     /// Seeded link delays are a pure function of (seed, link, salt):

@@ -594,11 +594,6 @@ impl Transport for TcpTransport {
         }
     }
 
-    fn probe(&self, _from: NodeId, to: NodeId) -> bool {
-        self.call(_from, to, Rpc::Heartbeat { from: _from, clock: 0, task: u32::MAX, progress: 0 })
-            .is_ok()
-    }
-
     fn close_endpoint(&self, node: NodeId) {
         let (flag, served, peer, window) = {
             let mut st = self.state.lock();
@@ -899,15 +894,13 @@ mod tests {
     }
 
     #[test]
-    fn closed_endpoint_fails_fast_and_probe_sees_it() {
+    fn closed_endpoint_fails_fast() {
         let t = store_transport();
-        assert!(t.probe(NodeId(0), NodeId(2)));
         t.close_endpoint(NodeId(2));
         let started = Instant::now();
         let e = t.call(NodeId(0), NodeId(2), Rpc::GetBlock { block: bid(0) }).unwrap_err();
         assert_eq!(e, NetError::ConnectionClosed { to: NodeId(2) });
         assert!(started.elapsed() < Duration::from_secs(1), "no retry loop on closed");
-        assert!(!t.probe(NodeId(0), NodeId(2)));
     }
 
     #[test]

@@ -83,8 +83,9 @@ cargo run -q --release -p eclipse-bench --bin dst_bench -- --runs 50 --seed0 1 -
 
 # Batch seeds map the way a job server does (inline driver plus
 # helpers), so the chaos preset's crashes, joins and leaves reach that
-# shape in every gate run.
-echo "== tier1: DST smoke sweep (50 fixed seeds, chaos preset)"
-cargo run -q --release -p eclipse-bench --bin dst_bench -- --runs 50 --seed0 1 --preset chaos --out target/dst_chaos_smoke.json
+# shape in every gate run. A thousand seeds (~11 s on 2 CPUs) cover
+# which frames a membership change exposes to drop and cut tokens.
+echo "== tier1: DST smoke sweep (1000 fixed seeds, chaos preset)"
+cargo run -q --release -p eclipse-bench --bin dst_bench -- --runs 1000 --seed0 1 --preset chaos --out target/dst_chaos_smoke.json
 
 echo "== tier1: OK"

@@ -8,7 +8,7 @@
 //! in this suite replays identically on every run.
 
 use eclipse_apps::WordCount;
-use eclipse_core::net::{NetError, Rpc, RpcKind, Transport};
+use eclipse_core::net::{NetError, RetryPolicy, Rpc, RpcKind, Transport};
 use eclipse_core::{
     FaultPlan, JobError, LiveCluster, LiveConfig, ReusePolicy, SchedulerKind, SpeculationConfig,
     TransportKind,
@@ -58,7 +58,8 @@ fn speculation() -> SpeculationConfig {
 /// The acceptance-criteria matrix: for every (victim, phase, scheduler)
 /// combination, one crash mid-job still yields output byte-identical to
 /// the fault-free run, the victim leaves the ring, and recovery is
-/// visible in the stats.
+/// visible in the stats. With speculation off nothing sends a
+/// `Heartbeat`: recovery costs only the RPCs that move data.
 #[test]
 fn crash_matrix_every_victim_every_phase() {
     for sched in ["laf", "delay"] {
@@ -79,6 +80,7 @@ fn crash_matrix_every_victim_every_phase() {
                     _ => unreachable!(),
                 };
                 c.inject_faults(plan);
+                let before = c.transport().stats();
                 let (out, stats) = c
                     .try_run_job(&WordCount, "input", USER, REDUCERS, ReusePolicy::default())
                     .unwrap_or_else(|e| {
@@ -100,9 +102,10 @@ fn crash_matrix_every_victim_every_phase() {
                     stats.recovered_blocks > 0,
                     "[{sched}] victim {vi} phase {phase}: nothing re-replicated"
                 );
-                assert!(
-                    stats.stabilize_rounds > 0,
-                    "[{sched}] victim {vi} phase {phase}: ring never re-stabilized"
+                assert_eq!(
+                    c.transport().stats().since(before).kind(RpcKind::Heartbeat).0,
+                    0,
+                    "[{sched}] victim {vi} phase {phase}: recovery sent Heartbeat frames"
                 );
             }
         }
@@ -498,14 +501,13 @@ fn fail_node_poisons_in_flight_rpcs() {
 // output. A failing DST seed that shrinks to one of these shapes
 // belongs here as the next named entry.
 
-/// Crash-during-stabilize: a node dies mid-map and the very first
-/// stabilization probes of the recovery path are eaten by drop tokens
-/// armed at the same progress point. Probes consume drop/cut tokens
-/// like any frame (a dropped probe reads as transient unreachability),
-/// so stabilization must simply run more rounds — never expel a
+/// Crash-during-recovery: a node dies mid-map and the very first
+/// `ReplicaSync` frames of its re-replication are eaten by drop tokens
+/// armed at the same progress point, one fewer than the transport's
+/// attempt budget. The retry loop must absorb them — never expel a
 /// survivor, never lose a block, never change a byte.
 #[test]
-fn crash_during_stabilize_with_dropped_probes() {
+fn crash_during_recovery_with_dropped_replica_syncs() {
     use eclipse_core::dst::{ChaosObserver, NetOp, Point};
     use std::sync::Arc;
     let expect = baseline("laf");
@@ -513,25 +515,26 @@ fn crash_during_stabilize_with_dropped_probes() {
     let victim = c.ring().node_ids()[2];
     let net = c.mem_net().expect("default transport is the mem backend").clone();
     // Armed at the crash trigger's own milestone: the observer fires
-    // before the crash hook at the same map count, so the probes that
-    // stabilize the post-crash ring find the tokens already installed.
+    // before the crash hook at the same map count, so the frames that
+    // re-replicate the victim's blocks find the tokens already installed.
+    let drops = RetryPolicy::default().max_attempts - 1;
     let obs = Arc::new(ChaosObserver::new(
         net,
-        vec![(Point::Maps(2), NetOp::DropKind { kind: RpcKind::Heartbeat, n: 2 })],
+        vec![(Point::Maps(2), NetOp::DropKind { kind: RpcKind::ReplicaSync, n: drops })],
     ));
     c.set_observer(Some(obs.clone()));
     c.inject_faults(FaultPlan::new().crash_after_maps(victim, 2));
     let (out, stats) = c
         .try_run_job(&WordCount, "input", USER, REDUCERS, ReusePolicy::default())
-        .expect("dropped probes during stabilization are absorbed");
+        .expect("dropped re-replication frames under the retry budget are absorbed");
     c.set_observer(None);
-    assert_eq!(out, expect, "crash + dropped probes diverged the output");
+    assert_eq!(out, expect, "crash + dropped ReplicaSync frames diverged the output");
     assert_eq!(obs.fired(), 1, "the armed drop never fired");
     assert_eq!(stats.failed_nodes, 1, "exactly the scheduled victim fails");
-    assert!(stats.stabilize_rounds >= 1, "recovery never re-stabilized the ring");
     assert!(stats.recovered_blocks > 0, "the victim's blocks were not re-replicated");
+    assert!(stats.rpc_retries >= u64::from(drops), "the dropped ReplicaSyncs were not retried");
     assert!(!c.ring().contains(victim));
-    assert_eq!(c.ring().len(), NODES - 1, "a survivor was expelled over lost probes");
+    assert_eq!(c.ring().len(), NODES - 1, "a survivor was expelled over lost frames");
 }
 
 /// Partition-while-speculative-backup-races: a straggler provokes a
@@ -781,9 +784,9 @@ fn two_joins_second_may_fire_from_first_joiners_lane() {
 
 /// The elastic acceptance matrix: one join and one graceful leave
 /// mid-job, across both schedulers and both transports. Output must be
-/// byte-identical to the fault-free baseline in every cell, and the
+/// byte-identical to the fault-free baseline in every cell, the
 /// handoff must move blocks but never more than every stored copy of
-/// the input.
+/// the input, and (speculation off) no `Heartbeat` frame is sent.
 #[test]
 fn elastic_matrix_join_and_leave_byte_identical() {
     let input = seeded_text();
@@ -800,6 +803,7 @@ fn elastic_matrix_join_and_leave_byte_identical() {
             c.upload("input", USER, input.as_bytes());
             let leaver = c.ring().node_ids()[2];
             c.inject_faults(FaultPlan::new().join_at_maps(2).leave_at_maps(leaver, 5));
+            let before = c.transport().stats();
             let (out, stats) = c
                 .try_run_job(&WordCount, "input", USER, REDUCERS, ReusePolicy::default())
                 .unwrap_or_else(|e| {
@@ -812,6 +816,11 @@ fn elastic_matrix_join_and_leave_byte_identical() {
             assert_eq!(c.ring().len(), NODES, "[{sched}/{transport:?}] one in, one out");
             assert!(!c.ring().contains(leaver));
             assert!(stats.handoff_blocks > 0, "[{sched}/{transport:?}] nothing handed off");
+            assert_eq!(
+                c.transport().stats().since(before).kind(RpcKind::Heartbeat).0,
+                0,
+                "[{sched}/{transport:?}] join or leave sent Heartbeat frames"
+            );
             assert!(
                 stats.handoff_bytes <= stored,
                 "[{sched}/{transport:?}] handoff {} B > (replicas + 1) × input = {stored} B",

@@ -9,7 +9,9 @@
 //! story when no single job owns the fault — for a storm of one-shot
 //! jobs and for a storm of server jobs — and the quota test pins the
 //! isolation story: an antagonist scan must not be able to evict a
-//! victim tenant's warm working set. The tenant-id test pins that ids
+//! victim tenant's warm working set. Two membership tests pin that a
+//! node joining while a run is in flight can leave or crash before the
+//! run ends. The tenant-id test pins that ids
 //! never wrap: a user past the 16-bit id space is refused, not merged
 //! into another tenant's quota.
 
@@ -20,7 +22,7 @@ use std::time::{Duration, Instant};
 use eclipse_apps::WordCount;
 use eclipse_core::{
     DstEvent, DstObserver, EpochDriver, JobError, JobServer, JobServerConfig, LiveCluster,
-    LiveConfig, PoolJobSpec, ReusePolicy, SchedulerKind, StreamSpec, TransportKind,
+    LiveConfig, LiveStats, PoolJobSpec, ReusePolicy, SchedulerKind, StreamSpec, TransportKind,
 };
 use eclipse_core::net::RpcKind;
 
@@ -324,6 +326,78 @@ fn pool_jobs_survive_crash_mid_storm() {
         server.shutdown();
         assert_eq!(c.active_jobs(), 0);
     }
+}
+
+/// Run one word count held at its start while `change` runs on the
+/// cluster from this thread, so the run's worker table predates every
+/// node `change` joins. Returns the held run's result.
+fn hold_run_during(
+    c: &Arc<LiveCluster>,
+    change: impl FnOnce(&LiveCluster),
+) -> Result<(Vec<(String, String)>, LiveStats), JobError> {
+    let hold = Arc::new(HoldFirstRun { armed: true.into(), rendezvous: Barrier::new(2) });
+    c.set_observer(Some(hold.clone()));
+    let held = std::thread::spawn({
+        let c = Arc::clone(c);
+        move || c.try_run_job(&WordCount, "in-t0", "t0", 3, ReusePolicy::default())
+    });
+    hold.rendezvous.wait();
+    change(c);
+    hold.rendezvous.wait();
+    let res = held.join().expect("held run must not panic");
+    c.set_observer(None);
+    res
+}
+
+/// A node that joins while a run is in flight is a full member: it may
+/// leave gracefully before that run ends. The held run never had a slot
+/// for it, so the leave skips that run instead of refusing the node.
+#[test]
+fn node_joined_mid_run_can_leave() {
+    let data = vec![("t0".to_string(), corpus("t0-", 400))];
+    let c = Arc::new(LiveCluster::new(LiveConfig::small().with_block_size(512)));
+    upload_tenants(&c, &data);
+    let reference = render(&c.run_job(&WordCount, "in-t0", "t0", 3, ReusePolicy::default()).0);
+    let (out, stats) = hold_run_during(&c, |c| {
+        let joiner = c.join_node("late");
+        assert!(c.ring().contains(joiner));
+        c.leave_node(joiner).expect("a member that joined mid-run may leave");
+        assert!(!c.ring().contains(joiner), "the leaver is still in the ring");
+    })
+    .expect("held run survives a join and leave");
+    assert_eq!(render(&out), reference, "held run's output moved");
+    assert_eq!((stats.joins, stats.leaves, stats.failed_nodes), (1, 1, 0));
+}
+
+/// A node that joins while a run is in flight can crash before that
+/// run ends: it leaves the ring, its endpoint closes and its store is
+/// wiped, the held run's output does not move, and later jobs run on
+/// the survivors.
+#[test]
+fn node_joined_mid_run_can_crash() {
+    let data = vec![("t0".to_string(), corpus("t0-", 400))];
+    let c = Arc::new(LiveCluster::new(LiveConfig::small().with_block_size(512)));
+    upload_tenants(&c, &data);
+    let reference = render(&c.run_job(&WordCount, "in-t0", "t0", 3, ReusePolicy::default()).0);
+    let mut joiner = None;
+    let (out, stats) = hold_run_during(&c, |c| {
+        let id = c.join_node("late");
+        c.crash_node(id).expect("one crash is within the fault model");
+        joiner = Some(id);
+    })
+    .expect("held run survives the joiner's crash");
+    let joiner = joiner.expect("the change ran");
+    assert_eq!(render(&out), reference, "held run's output moved");
+    assert_eq!(stats.failed_nodes, 1, "the crash was not recovered");
+    assert!(!c.ring().contains(joiner), "the crashed joiner is still in the ring");
+    assert!(c.store().blocks_on(joiner).is_empty(), "the crashed joiner kept its store");
+    let net = c.mem_net().expect("default transport is the mem backend");
+    assert!(!net.endpoint_open(joiner), "the crashed joiner's endpoint is open");
+    let (again, stats) = c
+        .try_run_job(&WordCount, "in-t0", "t0", 3, ReusePolicy::default())
+        .expect("the survivors run later jobs");
+    assert_eq!(render(&again), reference);
+    assert_eq!(stats.tasks_per_node.get(joiner.index()).copied().unwrap_or(0), 0);
 }
 
 /// Warm-run cache hit ratio for one user.
