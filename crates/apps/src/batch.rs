@@ -6,6 +6,7 @@
 //! Each is a real [`MapReduce`] implementation the live executor runs
 //! over real blocks.
 
+use crate::words::for_each_word;
 use eclipse_core::MapReduce;
 use std::borrow::Cow;
 use std::fmt::Write;
@@ -14,9 +15,14 @@ use std::fmt::Write;
 pub struct WordCount;
 
 impl WordCount {
-    /// A partial count; unparsable values count as one occurrence.
+    /// A partial count; unparsable values count as one occurrence. The
+    /// mapped `"1"` is not parsed.
     fn count(v: &str) -> u64 {
-        v.parse::<u64>().unwrap_or(1)
+        if v == "1" {
+            1
+        } else {
+            v.parse::<u64>().unwrap_or(1)
+        }
     }
 
     /// The partial count a combining accumulator holds: eight bytes,
@@ -31,17 +37,18 @@ impl MapReduce for WordCount {
         self.map_into(0, block, &mut |k, v| emit(k.into_owned(), v.into_owned()));
     }
 
-    /// Words borrowed from the block (decoded once, lossily) and a
-    /// static `"1"`: no allocation per occurrence.
+    /// Words borrowed from the block (decoded once, lossily, and split
+    /// as `split_whitespace` splits) and a static `"1"`: no allocation
+    /// per occurrence.
     fn map_into(
         &self,
         _source: usize,
         block: &[u8],
         emit: &mut dyn FnMut(Cow<'_, str>, Cow<'_, str>),
     ) {
-        for w in String::from_utf8_lossy(block).split_whitespace() {
+        for_each_word(&String::from_utf8_lossy(block), |w| {
             emit(Cow::Borrowed(w), Cow::Borrowed("1"));
-        }
+        });
     }
 
     fn reduce(&self, key: &str, values: &[String], emit: &mut dyn FnMut(String, String)) {
@@ -139,9 +146,7 @@ impl MapReduce for InvertedIndex {
     ) {
         for line in String::from_utf8_lossy(block).lines() {
             let Some((doc, text)) = line.split_once('\t') else { continue };
-            for w in text.split_whitespace() {
-                emit(Cow::Borrowed(w), Cow::Borrowed(doc));
-            }
+            for_each_word(text, |w| emit(Cow::Borrowed(w), Cow::Borrowed(doc)));
         }
     }
 
@@ -262,8 +267,9 @@ doc3\tapple cherry banana
     /// splitting have edges.
     #[test]
     fn word_count_map_into_matches_map_on_edge_inputs() {
-        let blocks: [&[u8]; 8] = [
+        let blocks: [&[u8]; 9] = [
             b"",
+            b"vertical\x0btab\x0b\x0b splits \x1c not",
             b"no trailing newline",
             b"crlf\r\nline two\r\n",
             b"bad \xff\xfe utf8 a\xc3",
@@ -284,6 +290,38 @@ doc3\tapple cherry banana
         let mut nbsp = Vec::new();
         WordCount.map("a\u{a0}b\u{3000}c".as_bytes(), &mut |k, _| nbsp.push(k));
         assert_eq!(nbsp, ["a", "b", "c"], "Unicode whitespace splits words");
+        let mut vt = Vec::new();
+        WordCount.map(b"a\x0bb\x1cc", &mut |k, _| vt.push(k));
+        assert_eq!(vt, ["a", "b\x1cc"], "vertical tab splits words, U+001C does not");
+    }
+
+    /// The words and pairs the apps emitted before they had their own
+    /// tokenizer: the lossily decoded block through `split_whitespace`.
+    fn reference_words(block: &[u8]) -> Vec<(String, String)> {
+        let text = String::from_utf8_lossy(block);
+        text.split_whitespace().map(|w| (w.to_string(), "1".to_string())).collect()
+    }
+
+    fn reference_postings(block: &[u8]) -> Vec<(String, String)> {
+        let text = String::from_utf8_lossy(block);
+        let mut out = Vec::new();
+        for line in text.lines() {
+            let Some((doc, text)) = line.split_once('\t') else { continue };
+            out.extend(text.split_whitespace().map(|w| (w.to_string(), doc.to_string())));
+        }
+        out
+    }
+
+    fn via_map(app: &dyn MapReduce, block: &[u8]) -> Vec<(String, String)> {
+        let mut out = Vec::new();
+        app.map(block, &mut |k, v| out.push((k, v)));
+        out
+    }
+
+    fn via_map_into(app: &dyn MapReduce, block: &[u8]) -> Vec<(String, String)> {
+        let mut out = Vec::new();
+        app.map_into(1, block, &mut |k, v| out.push((k.into_owned(), v.into_owned())));
+        out
     }
 
     /// A value a word count accumulator may meet: a mapped `"1"`, a
@@ -305,6 +343,29 @@ doc3\tapple cherry banana
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// On any block — separators of every class, invalid UTF-8 — the
+        /// text apps' `map` and `map_into` emit the reference pairs.
+        #[test]
+        fn text_apps_map_like_split_whitespace(
+            block in crate::words::tests::arb_block(),
+            doc in prop::collection::vec(crate::words::tests::arb_block(), 0..4),
+        ) {
+            prop_assert_eq!(via_map(&WordCount, &block), reference_words(&block));
+            prop_assert_eq!(via_map_into(&WordCount, &block), reference_words(&block));
+            // Inverted-index lines: `doc<TAB>text`, some without a tab.
+            let mut lines = Vec::new();
+            for (i, text) in doc.iter().enumerate() {
+                if i % 3 != 2 {
+                    lines.extend_from_slice(format!("d{i}\t").as_bytes());
+                }
+                lines.extend_from_slice(text);
+                lines.push(b'\n');
+            }
+            lines.extend_from_slice(&block);
+            prop_assert_eq!(via_map(&InvertedIndex, &lines), reference_postings(&lines));
+            prop_assert_eq!(via_map_into(&InvertedIndex, &lines), reference_postings(&lines));
+        }
 
         /// The binary fold — `combine_first`, `combine_into` for each
         /// further value, `combine_finish` — equals folding `combine`
@@ -340,6 +401,38 @@ doc3\tapple cherry banana
                 out
             };
             prop_assert_eq!(reduce(&finished), reduce(&pairwise), "values {:?}", values);
+        }
+    }
+
+    /// The text apps' map cost in ns per input line, on Zipf corpora cut
+    /// into 262,080-byte blocks: word count over 2,000 words and the
+    /// inverted index over 50,000, 10 words per line. Best of five:
+    ///
+    /// ```text
+    /// cargo test --release -p eclipse-apps --lib map_timing -- --ignored --nocapture
+    /// ```
+    #[test]
+    #[ignore = "a timing, not a check: run by hand in release"]
+    fn map_timing() {
+        use eclipse_workloads::TextGen;
+        use std::time::Instant;
+        let words = TextGen::new(2_000, 1.0, 10).generate(42, 4 << 20);
+        let docs = TextGen::new(50_000, 1.0, 10).generate_documents(42, 4 << 20);
+        let apps: [(&str, &dyn MapReduce, &str); 2] =
+            [("WordCount", &WordCount, &words), ("InvertedIndex", &InvertedIndex, &docs)];
+        for (name, app, text) in apps {
+            let lines = text.lines().count() as f64;
+            let mut best = f64::MAX;
+            let mut emitted = 0usize;
+            for _ in 0..5 {
+                let t = Instant::now();
+                for block in text.as_bytes().chunks(262_080) {
+                    app.map_into(0, block, &mut |k, v| emitted += k.len() + v.len());
+                }
+                best = best.min(t.elapsed().as_nanos() as f64 / lines);
+            }
+            assert!(emitted > 0);
+            println!("{name} map_into: {best:.1} ns/line");
         }
     }
 

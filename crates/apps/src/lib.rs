@@ -12,6 +12,7 @@ pub mod kmeans;
 pub mod logreg;
 pub mod pagerank;
 pub mod terasort;
+mod words;
 
 pub use batch::{Grep, InvertedIndex, Sort, WordCount};
 pub use join::{run_equijoin, EquiJoin};

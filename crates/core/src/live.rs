@@ -1294,6 +1294,59 @@ mod tests {
         assert_eq!(stats.tasks_per_node[victim.index()], 0, "dead node got tasks");
     }
 
+    /// Re-replication falls back through every surviving holder: with
+    /// the planned source cut off from the new home, another survivor
+    /// serves the copy and the crash recovers.
+    #[test]
+    fn crash_recovers_through_another_holder_when_the_first_source_is_cut() {
+        let c = LiveCluster::new(LiveConfig::small().with_nodes(6).with_block_size(256));
+        c.upload("input", "tester", "alpha beta gamma delta\n".repeat(60).as_bytes());
+        let (before, _) = c.run_job(&WordCount, "input", "tester", 2, ReusePolicy::default());
+        let victim = c.ring().node_ids()[1];
+        let held = c.store().blocks_on(victim).len() as u64;
+        assert!(held > 0, "the victim holds blocks");
+        let plan = c.fs.read().clone().fail_node(victim).expect("victim is a member");
+        let copy = plan.copies[0];
+        let net = c.mem_net().expect("memory transport");
+        net.cut_one_way(copy.from, copy.to);
+        net.cut_one_way(copy.to, copy.from);
+        let report = c.fail_node(victim).expect("another survivor serves the copy");
+        assert_eq!(report.recovered_blocks, plan.copies.len() as u64);
+        assert!(report.recovered_blocks >= held);
+        assert!(c.store().get(copy.to, copy.block).is_some(), "the new home got its copy");
+        net.heal_all();
+        let (after, _) = c.run_job(&WordCount, "input", "tester", 2, ReusePolicy::default());
+        assert_eq!(before, after, "recovery lost data");
+    }
+
+    /// A crash that loses data still publishes the new membership: the
+    /// error names a lost block, the ring drops the victim and the
+    /// epoch moves.
+    #[test]
+    fn crash_that_loses_data_still_publishes_membership() {
+        let c = LiveCluster::new(
+            LiveConfig::small().with_nodes(4).with_block_size(256).with_replicas(0),
+        );
+        c.upload("input", "tester", "alpha beta gamma delta\n".repeat(60).as_bytes());
+        let victim = c
+            .ring()
+            .node_ids()
+            .into_iter()
+            .find(|&n| !c.store().blocks_on(n).is_empty())
+            .expect("some node holds blocks");
+        let held = c.store().blocks_on(victim);
+        let epoch = c.epoch();
+        match c.fail_node(victim) {
+            Err(eclipse_dhtfs::FsError::DataLoss(b)) => {
+                assert!(held.contains(&b), "{b:?} not on the victim")
+            }
+            other => panic!("expected DataLoss, got {other:?}"),
+        }
+        assert!(!c.ring().contains(victim), "the published ring still names the victim");
+        assert!(c.epoch() > epoch, "the membership epoch did not move");
+        assert!(c.cache_ranges().iter().all(|(n, _)| *n != victim));
+    }
+
     #[test]
     fn crash_during_map_preserves_results() {
         let data = "alpha beta gamma delta\n".repeat(400);

@@ -9,12 +9,21 @@
 use super::run::Run;
 use super::router::bind_endpoint;
 use super::{DstEvent, LiveCluster, LiveSched, RecoveryReport};
-use eclipse_dhtfs::FsError;
+use eclipse_dhtfs::{FsError, RecoveryCopy};
 use eclipse_net::{Rpc, RpcReply, SendTicket, CLIENT};
 use eclipse_ring::{NodeId, Ring, RingError, ServerInfo};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// How [`LiveCluster::copy_block`] moves a block: a crash has a
+/// surviving holder push it ([`Rpc::ReplicaSync`]); a leave has the new
+/// home pull it ([`Rpc::BlockPull`]).
+#[derive(Clone, Copy)]
+enum Transfer {
+    Push,
+    Pull,
+}
 
 impl LiveCluster {
     /// Crash `victim` while jobs are running: the full re-replication →
@@ -59,27 +68,20 @@ impl LiveCluster {
         self.store.wipe_node(victim);
         self.cache.invalidate_node(victim);
         self.net.close_endpoint(victim);
-        // Re-replication from survivors + scheduler/ring rebuild.
-        match self.recover_node(victim) {
-            Ok(report) => {
-                rt.tally.failed_nodes.fetch_add(1, Ordering::Relaxed);
-                rt.tally.recovered_blocks.fetch_add(report.recovered_blocks, Ordering::Relaxed);
-                // Re-home the victim's shuffle partitions at the ring
-                // successor that inherited its range — epoch-aware
-                // placement: fetches after this event go to the current
-                // nearest holder, not the job-start snapshot.
-                if let Some(key) = vkey {
-                    if let Ok(heir) = self.ring.read().owner_of(key).map(|s| s.id) {
-                        self.router.rehome_from(victim, heir);
-                    }
-                }
-            }
-            Err(e) => {
-                rt.tally
-                    .recovery_nanos
-                    .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                rt.abort(e.into());
-                return;
+        // Re-replication from survivors + scheduler/ring rebuild. The
+        // new ring is published whether or not every block survived.
+        let recovered = self.recover_node(victim);
+        if let Ok(report) = &recovered {
+            rt.tally.failed_nodes.fetch_add(1, Ordering::Relaxed);
+            rt.tally.recovered_blocks.fetch_add(report.recovered_blocks, Ordering::Relaxed);
+        }
+        // Re-home the victim's shuffle partitions at the ring successor
+        // that inherited its range — epoch-aware placement: fetches
+        // after this event go to the current nearest holder, not the
+        // job-start snapshot.
+        if let Some(key) = vkey {
+            if let Ok(heir) = self.ring.read().owner_of(key).map(|s| s.id) {
+                self.router.rehome_from(victim, heir);
             }
         }
         // Re-queue the victim's claimed-but-uncommitted tasks on every
@@ -93,37 +95,73 @@ impl LiveCluster {
             rt.requeue_claims_of(victim);
         }
         rt.tally.recovery_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        rt.notify(DstEvent::NodeCrashed { node: victim });
+        match recovered {
+            Ok(_) => rt.notify(DstEvent::NodeCrashed { node: victim }),
+            Err(e) => rt.abort(e.into()),
+        }
     }
 
     /// Metadata + payload recovery shared by the mid-job path and the
     /// public [`fail_node`](Self::fail_node): re-replicate the victim's
-    /// blocks from survivors and rebuild ring-derived state.
+    /// blocks from survivors and rebuild ring-derived state. Every copy
+    /// is tried, and the new membership is published, even when a block
+    /// is lost; the error then names a lost block.
     fn recover_node(&self, node: NodeId) -> Result<RecoveryReport, FsError> {
-        let plan = {
-            let mut fs = self.fs.write();
-            fs.fail_node(node)?
-        };
+        let plan = self.fs.write().fail_node(node)?;
         let mut report = RecoveryReport::default();
-        for copy in plan {
-            // Drive re-replication over the transport: the surviving
-            // holder relays its replica to the new home (`ReplicaSync`
-            // → nested `PutBlock`). The transport's bounded retry
-            // absorbs dropped frames; `Missing` — or an unreachable
-            // source — means the double failure destroyed every copy.
-            let sync = Rpc::ReplicaSync { block: copy.block, to: copy.to };
-            match self.net.call(CLIENT, copy.from, sync) {
-                Ok(RpcReply::Synced { bytes }) => {
+        let mut lost = plan.lost.first().copied();
+        for copy in &plan.copies {
+            match self.copy_block(copy, Transfer::Push) {
+                Some(bytes) => {
                     report.recovered_blocks += 1;
                     report.recovered_bytes += bytes;
                 }
-                _ => return Err(FsError::DataLoss(copy.block)),
+                None => {
+                    lost.get_or_insert(copy.block);
+                }
             }
         }
         self.publish_membership();
         // Cache entries on the failed node die with it.
         self.cache.invalidate_node(node);
-        Ok(report)
+        match lost {
+            Some(block) => Err(FsError::DataLoss(block)),
+            None => Ok(report),
+        }
+    }
+
+    /// Copy `copy.block` to `copy.to`, shared by crash recovery and
+    /// graceful leave: from the plan's source first, then from every
+    /// other holder the DHT FS lists (owner first), until one delivers.
+    /// The transport's bounded retry absorbs dropped frames on each
+    /// try; `Missing` or an unreachable source moves on to the next.
+    /// Returns the bytes copied, or `None` when no source could; the
+    /// new home then stops being listed as a holder.
+    fn copy_block(&self, copy: &RecoveryCopy, how: Transfer) -> Option<u64> {
+        let mut sources = vec![copy.from];
+        if let Ok(holders) = self.fs.read().block_holders(copy.block) {
+            sources.extend(holders.iter().copied().filter(|&h| h != copy.to && h != copy.from));
+        }
+        let copied = sources.into_iter().find_map(|src| {
+            let reply = match how {
+                Transfer::Push => {
+                    let sync = Rpc::ReplicaSync { block: copy.block, to: copy.to };
+                    self.net.call(CLIENT, src, sync)
+                }
+                Transfer::Pull => {
+                    let pull = Rpc::BlockPull { block: copy.block, from: src };
+                    self.net.call(CLIENT, copy.to, pull)
+                }
+            };
+            match reply {
+                Ok(RpcReply::Synced { bytes }) => Some(bytes),
+                _ => None,
+            }
+        });
+        if copied.is_none() {
+            let _ = self.fs.write().remove_replica(copy.block, copy.to);
+        }
+        copied
     }
 
     /// The one membership write, shared by crash recovery, elastic join
@@ -285,32 +323,21 @@ impl LiveCluster {
         // still online and serves pulls; if its link is disturbed the
         // pull falls back through the block's other registered holders
         // (mirroring `fetch_block`). Only when *no* copy is reachable
-        // anywhere has the handoff genuinely lost the block.
+        // anywhere has the handoff genuinely lost the block; the leave
+        // still completes, since the DHT FS has already dropped the
+        // leaver, and the error names that block.
         let mut report = RecoveryReport::default();
+        let mut lost = None;
         for copy in &plan {
-            let mut sources = vec![copy.from];
-            if let Ok(holders) = self.fs.read().block_holders(copy.block) {
-                sources.extend(holders.iter().copied().filter(|&h| h != copy.to));
-            }
-            let mut bytes = None;
-            for src in sources {
-                let pull = Rpc::BlockPull { block: copy.block, from: src };
-                if let Ok(RpcReply::Synced { bytes: b }) = self.net.call(CLIENT, copy.to, pull)
-                {
-                    bytes = Some(b);
-                    break;
-                }
-            }
-            match bytes {
-                Some(b) => {
-                    report.recovered_blocks += 1;
-                    report.recovered_bytes += b;
-                    for r in &tally {
-                        r.tally.handoff_blocks.fetch_add(1, Ordering::Relaxed);
-                        r.tally.handoff_bytes.fetch_add(b, Ordering::Relaxed);
-                    }
-                }
-                None => return Err(FsError::DataLoss(copy.block)),
+            let Some(b) = self.copy_block(copy, Transfer::Pull) else {
+                lost.get_or_insert(copy.block);
+                continue;
+            };
+            report.recovered_blocks += 1;
+            report.recovered_bytes += b;
+            for r in &tally {
+                r.tally.handoff_blocks.fetch_add(1, Ordering::Relaxed);
+                r.tally.handoff_bytes.fetch_add(b, Ordering::Relaxed);
             }
         }
         let new_ring = self.publish_membership();
@@ -334,7 +361,10 @@ impl LiveCluster {
             r.tally.recovery_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
             r.notify(DstEvent::NodeLeft { node: leaver });
         }
-        Ok(report)
+        match lost {
+            Some(block) => Err(FsError::DataLoss(block)),
+            None => Ok(report),
+        }
     }
 
     /// Migrate cache entries stranded by a range-map change to their
@@ -357,9 +387,10 @@ impl LiveCluster {
     /// Crash a node between jobs: wipe its payloads, re-replicate from
     /// survivors, and rebuild ring-derived state. Jobs submitted
     /// afterwards run on the surviving nodes and still produce complete
-    /// results. Returns what recovery accomplished, or the error when a
-    /// second simultaneous failure already destroyed a source replica —
-    /// callers decide whether that is fatal.
+    /// results. Returns what recovery accomplished, or
+    /// [`FsError::DataLoss`] naming a block no surviving holder
+    /// could restore — callers decide whether that is fatal. The new
+    /// membership is published either way.
     pub fn fail_node(&self, node: NodeId) -> Result<RecoveryReport, FsError> {
         // Poison the endpoint first: a peer blocked on an RPC to the
         // dying node is woken with a connection error now — never left

@@ -794,7 +794,7 @@ struct Arena {
 /// after it. `prefix` holds the key's first eight bytes big-endian
 /// (zero-padded), so most comparisons in the spill sort never touch the
 /// arena.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 struct Entry {
     prefix: u64,
     start: u32,
@@ -830,12 +830,37 @@ impl Arena {
     /// Sort the entries by key — stably: equal keys keep emit order,
     /// which the arena offsets record — and hand each pair to `emit` in
     /// that order, leaving the arena empty.
+    ///
+    /// A large spill radix-sorts the prefixes, then orders each run of
+    /// equal prefixes, which is usually sorted already. Equal prefixes
+    /// with a key of at most eight bytes need no key bytes: that key is
+    /// then a prefix of the other (its zero padding matches the other's
+    /// bytes), so the shorter one sorts first and equal lengths mean
+    /// equal keys. Only two longer keys compare their bytes past the
+    /// prefix.
     fn drain_sorted(&mut self, mut emit: impl FnMut(&[u8], &[u8])) {
         let bytes = &self.bytes;
         let key = |e: &Entry| &bytes[e.start as usize..(e.start + e.key_len) as usize];
-        self.entries.sort_unstable_by(|a, b| {
-            a.prefix.cmp(&b.prefix).then_with(|| key(a).cmp(key(b))).then(a.start.cmp(&b.start))
-        });
+        let tail = |e: &Entry| &bytes[e.start as usize + 8..(e.start + e.key_len) as usize];
+        let within = |a: &Entry, b: &Entry| {
+            if a.key_len.min(b.key_len) <= 8 {
+                a.key_len.cmp(&b.key_len)
+            } else {
+                tail(a).cmp(tail(b))
+            }
+            .then(a.start.cmp(&b.start))
+        };
+        if self.entries.len() < RADIX_MIN {
+            self.entries
+                .sort_unstable_by(|a, b| a.prefix.cmp(&b.prefix).then_with(|| within(a, b)));
+        } else {
+            radix_sort_by_prefix(&mut self.entries);
+            for run in self.entries.chunk_by_mut(|a, b| a.prefix == b.prefix) {
+                if !run.is_sorted_by(|a, b| within(a, b).is_le()) {
+                    run.sort_unstable_by(within);
+                }
+            }
+        }
         for e in &self.entries {
             let value_at = (e.start + e.key_len) as usize;
             emit(key(e), &bytes[value_at..value_at + e.value_len as usize]);
@@ -853,6 +878,39 @@ impl Arena {
     fn clear(&mut self) {
         self.bytes.clear();
         self.entries.clear();
+    }
+}
+
+/// Spills of fewer entries sort by comparison alone; from this many on,
+/// a radix sort of the prefixes costs less.
+const RADIX_MIN: usize = 256;
+
+/// Stable LSD radix sort of `entries` by prefix, one byte per pass. A
+/// pass whose byte is the same in every entry is skipped: short keys
+/// leave their low bytes zero, and text shares its first letters.
+fn radix_sort_by_prefix(entries: &mut Vec<Entry>) {
+    let n = entries.len();
+    let mut counts = [[0usize; 256]; 8];
+    for e in entries.iter() {
+        for (d, c) in counts.iter_mut().enumerate() {
+            c[(e.prefix >> (8 * d)) as u8 as usize] += 1;
+        }
+    }
+    let mut spare = vec![Entry::default(); n];
+    for (d, c) in counts.iter_mut().enumerate() {
+        if c.contains(&n) {
+            continue;
+        }
+        let mut sum = 0;
+        for count in c.iter_mut() {
+            sum += std::mem::replace(count, sum);
+        }
+        for e in entries.iter() {
+            let slot = &mut c[(e.prefix >> (8 * d)) as u8 as usize];
+            spare[*slot] = *e;
+            *slot += 1;
+        }
+        std::mem::swap(entries, &mut spare);
     }
 }
 
@@ -1129,6 +1187,121 @@ mod tests {
         let mut table = Table::default();
         let model = fold_all(&mut table, &pairs, hashed);
         spill_matches(&mut table, model);
+    }
+
+    /// Keys the eight-byte prefix cannot tell apart — trailing NULs
+    /// look like its zero padding, 8- and 9-byte keys share it — leave
+    /// the spill in byte order, with equal keys in emit order. Checked
+    /// below and above [`RADIX_MIN`], so through both sorts.
+    #[test]
+    fn keys_equal_in_their_padded_prefix_sort_by_length_then_emit_order() {
+        let short = ["a\0", "a", "a\0\0", "", "a\0", "a", "b"];
+        let long =
+            ["abcdefgh\0", "abcdefgh", "abcdefghij", "abcdefgh", "abcdefgh\u{e9}", "abcdefghi"];
+        let keys = [&short[..], &long[..]].concat();
+        for copies in [1, RADIX_MIN / keys.len() + 1] {
+            let n = keys.len() * copies;
+            // Emit order: a fixed permutation of the copies (7 is
+            // coprime to every `n` here).
+            let emitted: Vec<(&str, String)> =
+                (0..n).map(|i| (keys[i * 7 % n % keys.len()], i.to_string())).collect();
+            let mut arena = Arena::default();
+            for (k, v) in &emitted {
+                arena.push(k.as_bytes(), v.as_bytes());
+            }
+            let mut got = Vec::new();
+            arena.drain_sorted(|k, v| {
+                got.push((k.to_vec(), String::from_utf8(v.to_vec()).unwrap()))
+            });
+            let mut want: Vec<(Vec<u8>, String)> =
+                emitted.iter().map(|(k, v)| (k.as_bytes().to_vec(), v.clone())).collect();
+            want.sort_by(|a, b| a.0.cmp(&b.0));
+            assert_eq!(got, want, "{n} entries");
+            assert!(arena.bytes.is_empty() && arena.entries.is_empty());
+        }
+    }
+
+    /// Per-record cost of each stage of the shuffle's record path for an
+    /// app without a combiner: inverted-index pairs (word, doc id) from a
+    /// Zipf corpus (50,000 words, 10 per line), in 8 partitions and
+    /// 262,080-byte blocks as the executor cuts them. Each block spills
+    /// every partition once; each partition merges one run per block.
+    /// Prints the best of five passes, in ns per record:
+    ///
+    /// ```text
+    /// cargo test --release -p eclipse-core --lib record_path_timing -- --ignored --nocapture
+    /// ```
+    #[test]
+    #[ignore = "a timing, not a check: run by hand in release"]
+    fn record_path_timing() {
+        use eclipse_net::wire::Writer;
+        use eclipse_net::{merge_groups, RecordRun};
+        use std::time::Instant;
+        const PARTS: usize = 8;
+        let text = eclipse_workloads::TextGen::new(50_000, 1.0, 10).generate_documents(42, 4 << 20);
+        let blocks: Vec<&[u8]> = text.as_bytes().chunks(262_080).collect();
+        let mut pairs = Vec::new();
+        for block in &blocks {
+            let mut block_pairs = Vec::new();
+            for line in std::str::from_utf8(block).expect("ASCII corpus").lines() {
+                let Some((doc, words)) = line.split_once('\t') else { continue };
+                for w in words.split_whitespace() {
+                    let h = shuffle_hash(w.as_bytes());
+                    let p = ((h as u128 * PARTS as u128) >> 64) as usize;
+                    block_pairs.push((p, w, doc));
+                }
+            }
+            pairs.push(block_pairs);
+        }
+        let records: usize = pairs.iter().map(Vec::len).sum();
+        let per = |t: Instant| t.elapsed().as_nanos() as f64 / records as f64;
+        let mut best = [f64::MAX; 4];
+        for _ in 0..5 {
+            let mut arenas: Vec<Arena> = (0..PARTS).map(|_| Arena::default()).collect();
+            let (mut push, mut spill) = (0.0, 0.0);
+            let mut runs: Vec<Vec<RecordRun>> = vec![Vec::new(); PARTS];
+            for block_pairs in &pairs {
+                let t = Instant::now();
+                for &(p, k, v) in block_pairs {
+                    arenas[p].push(k.as_bytes(), v.as_bytes());
+                }
+                push += per(t);
+                let t = Instant::now();
+                for (p, arena) in arenas.iter_mut().enumerate() {
+                    runs[p].push(arena.drain());
+                }
+                spill += per(t);
+            }
+            let bodies: Vec<Vec<u8>> = runs
+                .iter()
+                .flatten()
+                .map(|r| {
+                    let mut body = Vec::new();
+                    r.encode(&mut Writer::new(&mut body));
+                    body
+                })
+                .collect();
+            let t = Instant::now();
+            for body in bodies {
+                RecordRun::from_body(body, 0).expect("a built run validates");
+            }
+            let validate = per(t);
+            let t = Instant::now();
+            let mut values = 0;
+            for part in &runs {
+                merge_groups(part, |_, vs| values += vs.len());
+            }
+            let merge = per(t);
+            assert_eq!(values, records);
+            for (b, v) in best.iter_mut().zip([push, spill, validate, merge]) {
+                *b = b.min(v);
+            }
+        }
+        println!(
+            "record path, ns/record over {records} records: arena push {:.1}, \
+             spill sort + RunBuilder {:.1}, RecordRun::from_body {:.1}, merge_groups {:.1}",
+            best[0], best[1], best[2], best[3]
+        );
     }
 
     #[test]

@@ -971,7 +971,7 @@ impl EclipseSim {
         let plan = self.fs.fail_node(node).expect("node is a member");
         let start = self.clock;
         let mut done = start;
-        for copy in &plan {
+        for copy in &plan.copies {
             let read = self.cluster.disk_read(SimTime(start), copy.from.index(), copy.bytes);
             let moved =
                 self.cluster.network.transfer(read, copy.from.index(), copy.to.index(), copy.bytes);

@@ -57,6 +57,16 @@ pub struct RecoveryCopy {
     pub to: NodeId,
 }
 
+/// What a node failure leaves to do: the copies that restore every
+/// surviving block's replication, and the blocks whose every holder
+/// failed.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct FailurePlan {
+    pub copies: Vec<RecoveryCopy>,
+    /// Blocks with no copy left anywhere, in block order.
+    pub lost: Vec<BlockId>,
+}
+
 /// Configuration for the DHT FS.
 #[derive(Clone, Copy, Debug)]
 pub struct DhtFsConfig {
@@ -206,6 +216,20 @@ impl DhtFs {
         Ok(())
     }
 
+    /// Record that `node` does not hold a copy of `id` after all: a
+    /// planned copy to it never landed. No-op when it is not a holder.
+    pub fn remove_replica(&mut self, id: BlockId, node: NodeId) -> Result<(), FsError> {
+        let bytes = self.block_sizes.get(&id).copied().ok_or(FsError::BlockNotFound(id))?;
+        let holders = self.replicas.get_mut(&id).ok_or(FsError::BlockNotFound(id))?;
+        if let Some(pos) = holders.iter().position(|&h| h == node) {
+            holders.remove(pos);
+            if let Some(b) = self.node_bytes.get_mut(&node) {
+                *b = b.saturating_sub(bytes);
+            }
+        }
+        Ok(())
+    }
+
     /// Bytes stored on `node` (primaries plus replicas).
     pub fn bytes_on(&self, node: NodeId) -> u64 {
         self.node_bytes.get(&node).copied().unwrap_or(0)
@@ -332,13 +356,16 @@ impl DhtFs {
     /// predecessor if the successor already holds one). Metadata homes on
     /// the failed server also move to the new owner of their key.
     ///
-    /// Returns the copies to perform. The control-plane state is updated
-    /// immediately; callers charge the copy costs to the simulator or
-    /// perform the actual copies in the live executor.
-    pub fn fail_node(&mut self, failed: NodeId) -> Result<Vec<RecoveryCopy>, FsError> {
+    /// A block the failed node held alone has no source left: it is
+    /// listed in [`FailurePlan::lost`] (keeping no holder) and planning
+    /// goes on, so the rest of the state is repaired either way. The
+    /// control-plane state is updated immediately; callers charge the
+    /// copy costs to the simulator or perform the actual copies in the
+    /// live executor.
+    pub fn fail_node(&mut self, failed: NodeId) -> Result<FailurePlan, FsError> {
         self.ring.remove(failed)?;
         self.node_bytes.remove(&failed);
-        let mut plan = Vec::new();
+        let mut plan = FailurePlan::default();
         let block_ids: Vec<BlockId> = self.replicas.keys().copied().collect();
         for id in block_ids {
             let holders = self.replicas.get_mut(&id).expect("key just listed");
@@ -347,28 +374,21 @@ impl DhtFs {
             };
             holders.remove(pos);
             if holders.is_empty() {
-                return Err(FsError::DataLoss(id));
+                plan.lost.push(id);
+                continue;
             }
             let bytes = self.block_sizes[&id];
             // Recompute the ideal replica set under the new membership and
             // restore any missing holder.
-            let key = {
-                // Block key must be recomputed from the stored metadata.
-                let meta = self
-                    .files
-                    .values()
-                    .find(|m| m.key == id.file)
-                    .expect("block belongs to a known file");
-                meta.blocks[id.index as usize].key
-            };
-            let ideal = self.ring.replica_set(key, self.cfg.replicas)?;
+            let ideal = self.ring.replica_set(self.block_key(id), self.cfg.replicas)?;
+            let holders = self.replicas.get_mut(&id).expect("key just listed");
             let missing: Vec<NodeId> =
                 ideal.iter().copied().filter(|n| !holders.contains(n)).collect();
             for target in missing {
                 let source = holders[0];
                 holders.push(target);
                 *self.node_bytes.entry(target).or_insert(0) += bytes;
-                plan.push(RecoveryCopy { block: id, bytes, from: source, to: target });
+                plan.copies.push(RecoveryCopy { block: id, bytes, from: source, to: target });
             }
         }
         // Metadata homes: move records owned by the failed node.
@@ -470,6 +490,8 @@ mod tests {
         // Fail a node that holds at least one replica.
         let victim = fs.block_holders(ids[0]).unwrap()[0];
         let plan = fs.fail_node(victim).unwrap();
+        assert!(plan.lost.is_empty());
+        let plan = plan.copies;
         assert!(!plan.is_empty(), "victim held replicas, so recovery must copy");
         for id in ids {
             let holders = fs.block_holders(id).unwrap();
@@ -481,6 +503,36 @@ mod tests {
             assert_ne!(c.from, victim);
             assert_ne!(c.to, victim);
             assert!(c.bytes > 0);
+        }
+    }
+
+    /// Losing a block's only copy does not stop the plan: every lost
+    /// block is listed, and the rest of the state is repaired.
+    #[test]
+    fn failure_plan_lists_every_lost_block_and_repairs_the_rest() {
+        let mut fs = DhtFs::new(
+            Ring::with_servers(6, "srv"),
+            DhtFsConfig { block_size: 128 * MB, replicas: 0 },
+        );
+        let meta = fs.upload("f", "u", 4 * GB).unwrap().clone();
+        let victim = fs.block_holders(meta.blocks[0].id).unwrap()[0];
+        let held: Vec<BlockId> = meta
+            .blocks
+            .iter()
+            .map(|b| b.id)
+            .filter(|&id| fs.block_holders(id).unwrap() == [victim])
+            .collect();
+        assert!(held.len() > 1, "the victim owns several single-copy blocks");
+        let home = fs.metadata_home("f").unwrap();
+        let plan = fs.fail_node(victim).unwrap();
+        assert_eq!(plan.lost, held);
+        assert!(plan.copies.is_empty(), "single copies leave nothing to copy from");
+        assert!(!fs.ring().contains(victim));
+        for b in &meta.blocks {
+            assert!(!fs.block_holders(b.id).unwrap().contains(&victim));
+        }
+        if home == victim {
+            assert_ne!(fs.metadata_home("f").unwrap(), victim, "metadata home moved");
         }
     }
 

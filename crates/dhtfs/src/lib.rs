@@ -14,7 +14,7 @@ pub mod intermediate;
 pub mod meta;
 pub mod store;
 
-pub use fs::{DhtFs, DhtFsConfig, FsError, RecoveryCopy};
+pub use fs::{DhtFs, DhtFsConfig, FailurePlan, FsError, RecoveryCopy};
 pub use intermediate::{IntermediateConfig, IntermediateStore, SegmentId};
 pub use hdfs::{HdfsFs, HdfsPlacement, NameNodeConfig};
 pub use meta::{BlockId, BlockInfo, FileMetadata};

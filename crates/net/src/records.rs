@@ -12,6 +12,12 @@
 //!   varint len + value bytes
 //! ```
 //!
+//! A key equal to its predecessor is the general rule's special case:
+//! `shared` is the whole key and the suffix is empty. Every stage below
+//! pays one value for it, not one key: the builder writes it without a
+//! prefix scan, validation checks only its value, the cursor keeps the
+//! key it holds, and the merge keeps that cursor on top of its heap.
+//!
 //! A map worker builds a run once per spill ([`RunBuilder`]); the run
 //! travels unchanged to the reducer, whether over the wire (the frame
 //! body *is* the run, taken by value with no second copy) or through a
@@ -99,22 +105,36 @@ impl RecordRun {
         let mut r = Reader::new(rest);
         let len = usize::try_from(r.varint()?).map_err(|_| CodecError::FieldOverrun)?;
         let start = at + r.position();
-        let (mut prev, mut key) = (Vec::new(), Vec::new());
+        // The previous key, rebuilt in place record by record.
+        let mut prev = Vec::new();
         for _ in 0..len {
             let shared = usize::try_from(r.varint()?).map_err(|_| CodecError::FieldOverrun)?;
             if shared > prev.len() {
                 return Err(CodecError::FieldOverrun);
             }
             let suffix = r.vbytes()?;
-            key.clear();
-            key.extend_from_slice(&prev[..shared]);
-            key.extend_from_slice(suffix);
-            std::str::from_utf8(&key).map_err(|_| CodecError::BadUtf8)?;
+            // A repeated key (the whole previous key shared, no suffix)
+            // is as valid and as sorted as its predecessor.
+            let mut sorted = true;
+            if !(suffix.is_empty() && shared == prev.len()) {
+                // The new key is `prev[..shared] + suffix`, so it sorts
+                // below `prev` exactly when `suffix` sorts below the
+                // tail it replaces.
+                sorted = suffix >= &prev[shared..];
+                // `prev` is UTF-8: only the bytes from the last
+                // character boundary at or before `shared` need checking.
+                let mut from = shared;
+                while from > 0 && from < prev.len() && prev[from] & 0xc0 == 0x80 {
+                    from -= 1;
+                }
+                prev.truncate(shared);
+                prev.extend_from_slice(suffix);
+                std::str::from_utf8(&prev[from..]).map_err(|_| CodecError::BadUtf8)?;
+            }
             std::str::from_utf8(r.vbytes()?).map_err(|_| CodecError::BadUtf8)?;
-            if key < prev {
+            if !sorted {
                 return Err(CodecError::Unsorted);
             }
-            std::mem::swap(&mut prev, &mut key);
         }
         r.finish()?;
         Ok(RecordRun { buf: body, start, len })
@@ -160,16 +180,24 @@ impl RunBuilder {
     /// When `key` sorts below the previous key: a run is sorted by
     /// construction.
     pub fn push(&mut self, key: &[u8], value: &[u8]) {
+        debug_assert!(std::str::from_utf8(key).is_ok() && std::str::from_utf8(value).is_ok());
+        if key == self.prev.as_slice() {
+            // The general path's bytes for a repeat: the whole previous
+            // key shared, an empty suffix.
+            put_varint(&mut self.buf, key.len() as u64);
+            self.buf.push(0);
+            put_vbytes(&mut self.buf, value);
+            self.len += 1;
+            return;
+        }
         let shared = common_prefix(&self.prev, key);
         // Past the shared prefix the previous key must be exhausted or
         // smaller at its first differing byte.
         let ordered = shared == self.prev.len() || key.get(shared) > self.prev.get(shared);
         assert!(ordered, "RunBuilder::push: keys must be pushed in order");
-        debug_assert!(std::str::from_utf8(key).is_ok() && std::str::from_utf8(value).is_ok());
-        let mut w = Writer::new(&mut self.buf);
-        w.varint(shared as u64);
-        w.vbytes(&key[shared..]);
-        w.vbytes(value);
+        put_varint(&mut self.buf, shared as u64);
+        put_vbytes(&mut self.buf, &key[shared..]);
+        put_vbytes(&mut self.buf, value);
         self.prev.truncate(shared);
         self.prev.extend_from_slice(&key[shared..]);
         self.len += 1;
@@ -181,15 +209,34 @@ impl RunBuilder {
     }
 }
 
+/// Append `v` as [`Writer::varint`] does; most record lengths take
+/// the one-byte branch.
+#[inline]
+fn put_varint(buf: &mut Vec<u8>, v: u64) {
+    if v < 0x80 {
+        buf.push(v as u8);
+    } else {
+        Writer::new(buf).varint(v);
+    }
+}
+
+/// Append `v` as [`Writer::vbytes`] does.
+#[inline]
+fn put_vbytes(buf: &mut Vec<u8>, v: &[u8]) {
+    put_varint(buf, v.len() as u64);
+    buf.extend_from_slice(v);
+}
+
 /// Length of the longest common prefix of `a` and `b`, in bytes.
 pub(crate) fn common_prefix(a: &[u8], b: &[u8]) -> usize {
     a.iter().zip(b).take_while(|(x, y)| x == y).count()
 }
 
 /// Reads a run's records in order. Each call to [`next`](Self::next)
-/// rebuilds the key in one reused buffer and borrows the value from
-/// the run, so iterating allocates nothing per record. Total: a
-/// malformed tail (which a validated run never has) ends the iteration.
+/// rebuilds the key in one reused buffer (a repeated key is left as it
+/// is) and borrows the value from the run, so iterating allocates
+/// nothing per record. Total: a malformed tail (which a validated run
+/// never has) ends the iteration.
 pub struct RunCursor<'a> {
     rest: &'a [u8],
     left: usize,
@@ -201,6 +248,14 @@ impl<'a> RunCursor<'a> {
     /// value borrowed from the run.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<(&str, &'a str)> {
+        let (value, _) = self.advance()?;
+        Some((&self.key, value))
+    }
+
+    /// Step to the next record: its value, and `true` when its key
+    /// repeats the previous one (the whole key shared, no suffix), in
+    /// which case the key is neither rebuilt nor re-checked.
+    fn advance(&mut self) -> Option<(&'a str, bool)> {
         if self.left == 0 {
             return None;
         }
@@ -208,16 +263,25 @@ impl<'a> RunCursor<'a> {
         let shared = usize::try_from(self.varint()?).ok()?;
         let suffix = self.vbytes()?;
         let value = std::str::from_utf8(self.vbytes()?).ok()?;
-        // Rebuild in place: a shared prefix may end inside a code point
-        // (`é` then `ê`), so the bytes are re-checked as a whole.
-        let mut bytes = std::mem::take(&mut self.key).into_bytes();
-        if shared > bytes.len() {
+        if suffix.is_empty() && shared == self.key.len() {
+            return Some((value, true));
+        }
+        if shared > self.key.len() {
             return None;
         }
-        bytes.truncate(shared);
-        bytes.extend_from_slice(suffix);
-        self.key = String::from_utf8(bytes).ok()?;
-        Some((&self.key, value))
+        if self.key.is_char_boundary(shared) {
+            let suffix = std::str::from_utf8(suffix).ok()?;
+            self.key.truncate(shared);
+            self.key.push_str(suffix);
+        } else {
+            // The shared prefix ends inside a code point (`é` then
+            // `ê`): rebuild the bytes and re-check them as a whole.
+            let mut bytes = std::mem::take(&mut self.key).into_bytes();
+            bytes.truncate(shared);
+            bytes.extend_from_slice(suffix);
+            self.key = String::from_utf8(bytes).ok()?;
+        }
+        Some((value, false))
     }
 
     /// The key [`next`](Self::next) last returned.
@@ -286,15 +350,24 @@ pub fn merge_groups<'a>(
             key.push_str(cursor.key());
         }
         values.push(*value);
-        match cursor.next() {
-            Some((_, v)) => *value = v,
-            None => {
-                let last = heap.pop().expect("heap is non-empty");
-                if heap.is_empty() {
-                    break;
+        // A record repeating the key keeps its cursor on top without a
+        // sift-down: any other run at this key has a higher index.
+        let exhausted = loop {
+            match cursor.advance() {
+                Some((v, true)) => values.push(v),
+                Some((v, false)) => {
+                    *value = v;
+                    break false;
                 }
-                heap[0] = last;
+                None => break true,
             }
+        };
+        if exhausted {
+            let last = heap.pop().expect("heap is non-empty");
+            if heap.is_empty() {
+                break;
+            }
+            heap[0] = last;
         }
         sift_down(&mut heap, 0, |a, b| less(&heads, a, b));
     }

@@ -18,11 +18,17 @@
 //!    [`RecordRun`]. Both agree on every frame; a malformed run is a
 //!    typed error, an endpoint answers it with [`RpcReply::Error`], and
 //!    a job whose shuffle frame is corrupted re-executes the attempt.
+//!    Each run property also runs on duplicate-heavy runs over a tiny
+//!    key alphabet, where the codec's repeated-key paths do the work;
+//!    [`merge_groups`] is checked against a stable sort-and-group, and
+//!    one duplicate-heavy frame is pinned byte for byte.
 
 use bytes::Bytes;
 use eclipse_cache::{CacheKey, OutputTag};
 use eclipse_core::net::wire::{self, CodecError, Dir, FrameDecoder, HEADER_LEN, MAX_BODY};
-use eclipse_core::net::{Demux, RecordRun, Rpc, RpcKind, RpcReply, TcpTransport, Transport, CLIENT};
+use eclipse_core::net::{
+    merge_groups, Demux, RecordRun, Rpc, RpcKind, RpcReply, TcpTransport, Transport, CLIENT,
+};
 use eclipse_dhtfs::BlockId;
 use eclipse_ring::NodeId;
 use eclipse_util::HashKey;
@@ -407,11 +413,117 @@ fn sorted(mut pairs: Vec<(String, String)>) -> Vec<(String, String)> {
     pairs
 }
 
+/// Keys over a tiny alphabet, so runs repeat keys and share prefixes:
+/// `""`, `"a"`, `"a\0"` (a NUL the spill sort's zero-padded prefix
+/// cannot tell from the key's end), and `"é"`/`"ê"`, whose shared
+/// prefix ends inside a code point.
+fn arb_dup_key() -> impl Strategy<Value = String> {
+    prop_oneof![Just(""), Just("a"), Just("a\0"), Just("é"), Just("ê")].prop_map(String::from)
+}
+
+/// Duplicate-heavy records: tiny-alphabet keys, short values (some
+/// empty, some past a one-byte length).
+fn arb_dup_pairs(max: usize) -> impl Strategy<Value = Vec<(String, String)>> {
+    let value = prop_oneof![
+        Just(String::new()),
+        Just("1".to_string()),
+        arb_string(),
+        (128usize..300).prop_map(|n| "v".repeat(n)),
+    ];
+    prop::collection::vec((arb_dup_key(), value), 0..max)
+}
+
+/// Any sorted run round-trips: by value as the same run, by reference
+/// as the same pairs in key order.
+fn check_run_roundtrip(ids: (u32, u32, u32, u32, u32), pairs: &[(String, String)], corr: u64) {
+    let (task, attempt, seq, epoch, partition) = ids;
+    let run = RecordRun::from_pairs(pairs);
+    let records = sorted(pairs.to_vec());
+    assert_eq!(run.to_pairs(), records);
+    let rpc = Rpc::ShuffleRun { task, attempt, seq, epoch, partition, run };
+    let raw = rpc.encode(corr);
+    let batch = Rpc::ShuffleBatch { task, attempt, seq, epoch, partition, records };
+    assert_eq!(raw, batch.encode(corr), "a run's frame is the owned encoder's frame");
+    let frame = wire::decode_frame(&raw).unwrap();
+    assert_eq!(Rpc::decode(&frame).unwrap(), batch);
+    assert_eq!(Rpc::decode_owned(frame).unwrap(), rpc);
+}
+
+/// Every kind-6 frame, in any key order: the run decoder yields exactly
+/// the owned decoder's pairs, or rejects the frame as unsorted exactly
+/// when its keys decrease.
+fn check_decoders_agree(records: Vec<(String, String)>) {
+    let rpc = Rpc::ShuffleBatch { task: 1, attempt: 0, seq: 0, epoch: 0, partition: 0, records };
+    let frame = wire::decode_frame(&rpc.encode(5)).unwrap();
+    let Rpc::ShuffleBatch { records, .. } = Rpc::decode(&frame).unwrap() else {
+        panic!("kind 6 decodes as a batch by reference");
+    };
+    let ordered = records.windows(2).all(|w| w[0].0 <= w[1].0);
+    match Rpc::decode_owned(frame) {
+        Ok(Rpc::ShuffleRun { run, .. }) => {
+            assert!(ordered);
+            assert_eq!(run.to_pairs(), records);
+        }
+        Err(e) => {
+            assert!(!ordered);
+            assert_eq!(e, CodecError::Unsorted);
+        }
+        Ok(other) => panic!("kind 6 decoded as {other:?}"),
+    }
+}
+
+/// Every truncation of a run body is a typed error, and a single-byte
+/// corruption either fails typed or decodes — by value and by
+/// reference to the same pairs.
+fn check_run_truncation_and_corruption(pairs: &[(String, String)], at: usize, flip: u8) {
+    let rpc = Rpc::ShuffleRun {
+        task: 3,
+        attempt: 1,
+        seq: 2,
+        epoch: 0,
+        partition: 1,
+        run: RecordRun::from_pairs(pairs),
+    };
+    let body = wire::decode_frame(&rpc.encode(9)).unwrap().body;
+    for cut in 0..body.len() {
+        assert!(Rpc::decode_owned(frame_request(6, &body[..cut])).is_err(), "cut {cut}");
+    }
+    let mut bad = body.clone();
+    bad[at % body.len()] ^= flip;
+    let owned = Rpc::decode(&frame_request(6, &bad));
+    match Rpc::decode_owned(frame_request(6, &bad)) {
+        Ok(Rpc::ShuffleRun { run, .. }) => match owned {
+            Ok(Rpc::ShuffleBatch { records, .. }) => assert_eq!(run.to_pairs(), records),
+            other => panic!("run decoded but owned form gave {other:?}"),
+        },
+        Ok(other) => panic!("kind 6 decoded as {other:?}"),
+        Err(_) => {}
+    }
+}
+
+/// `merge_groups` against the naive oracle: every run's records in run
+/// order, stably sorted by key, cut into groups of equal keys.
+fn check_merge_groups(runs: &[Vec<(String, String)>]) {
+    let runs: Vec<RecordRun> = runs.iter().map(|p| RecordRun::from_pairs(p)).collect();
+    let mut all: Vec<(String, String)> = runs.iter().flat_map(RecordRun::to_pairs).collect();
+    all.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut want: Vec<(String, Vec<String>)> = Vec::new();
+    for (k, v) in all {
+        match want.last_mut() {
+            Some((last, vs)) if *last == k => vs.push(v),
+            _ => want.push((k, vec![v])),
+        }
+    }
+    let mut got = Vec::new();
+    merge_groups(&runs, |k, vs| {
+        got.push((k.to_string(), vs.iter().map(|v| v.to_string()).collect()))
+    });
+    assert_eq!(got, want);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Any sorted run round-trips: by value as the same run, by
-    /// reference as the same pairs in key order.
     #[test]
     fn sorted_runs_roundtrip_through_both_decoders(
         ids in ((0u32..=u32::MAX, 0u32..8, 0u32..1000), (0u32..16, 0u32..32)),
@@ -419,73 +531,115 @@ proptest! {
         corr in 0u64..=u64::MAX,
     ) {
         let ((task, attempt, seq), (epoch, partition)) = ids;
-        let run = RecordRun::from_pairs(&pairs);
-        let records = sorted(pairs);
-        prop_assert_eq!(run.to_pairs(), records.clone());
-        let rpc = Rpc::ShuffleRun { task, attempt, seq, epoch, partition, run };
-        let frame = wire::decode_frame(&rpc.encode(corr)).unwrap();
-        prop_assert_eq!(
-            Rpc::decode(&frame).unwrap(),
-            Rpc::ShuffleBatch { task, attempt, seq, epoch, partition, records }
-        );
-        prop_assert_eq!(Rpc::decode_owned(frame).unwrap(), rpc);
+        check_run_roundtrip((task, attempt, seq, epoch, partition), &pairs, corr);
     }
 
-    /// Every kind-6 frame, in any key order: the run decoder yields
-    /// exactly the owned decoder's pairs, or rejects the frame as
-    /// unsorted exactly when its keys decrease.
     #[test]
     fn owned_and_run_decoders_agree_on_every_batch(
         records in prop::collection::vec((arb_string(), arb_string()), 0..16),
     ) {
-        let rpc = Rpc::ShuffleBatch { task: 1, attempt: 0, seq: 0, epoch: 0, partition: 0, records };
-        let frame = wire::decode_frame(&rpc.encode(5)).unwrap();
-        let Rpc::ShuffleBatch { records, .. } = Rpc::decode(&frame).unwrap() else {
-            panic!("kind 6 decodes as a batch by reference");
-        };
-        let ordered = records.windows(2).all(|w| w[0].0 <= w[1].0);
-        match Rpc::decode_owned(frame) {
-            Ok(Rpc::ShuffleRun { run, .. }) => {
-                prop_assert!(ordered);
-                prop_assert_eq!(run.to_pairs(), records);
-            }
-            Err(e) => {
-                prop_assert!(!ordered);
-                prop_assert_eq!(e, CodecError::Unsorted);
-            }
-            Ok(other) => panic!("kind 6 decoded as {other:?}"),
-        }
+        check_decoders_agree(records);
     }
 
-    /// Every truncation of a run body is a typed error, and a
-    /// single-byte corruption either fails typed or decodes — by value
-    /// and by reference to the same pairs.
     #[test]
     fn run_truncation_and_corruption_are_typed(
         pairs in prop::collection::vec((arb_string(), arb_string()), 0..12),
         at in 0usize..100_000,
         flip in 1u8..=255,
     ) {
-        let rpc = Rpc::ShuffleRun {
-            task: 3, attempt: 1, seq: 2, epoch: 0, partition: 1,
-            run: RecordRun::from_pairs(&pairs),
-        };
-        let body = wire::decode_frame(&rpc.encode(9)).unwrap().body;
-        for cut in 0..body.len() {
-            prop_assert!(Rpc::decode_owned(frame_request(6, &body[..cut])).is_err(), "cut {}", cut);
-        }
-        let mut bad = body.clone();
-        bad[at % body.len()] ^= flip;
-        let owned = Rpc::decode(&frame_request(6, &bad));
-        match Rpc::decode_owned(frame_request(6, &bad)) {
-            Ok(Rpc::ShuffleRun { run, .. }) => match owned {
-                Ok(Rpc::ShuffleBatch { records, .. }) => prop_assert_eq!(run.to_pairs(), records),
-                other => panic!("run decoded but owned form gave {other:?}"),
-            },
-            Ok(other) => panic!("kind 6 decoded as {other:?}"),
-            Err(_) => {}
-        }
+        check_run_truncation_and_corruption(&pairs, at, flip);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The same three properties on duplicate-heavy runs, where most
+    /// records repeat their predecessor's key.
+    #[test]
+    fn duplicate_key_runs_roundtrip_through_both_decoders(
+        pairs in arb_dup_pairs(32),
+        corr in 0u64..=u64::MAX,
+    ) {
+        check_run_roundtrip((7, 1, 2, 3, 4), &pairs, corr);
+    }
+
+    #[test]
+    fn owned_and_run_decoders_agree_on_duplicate_key_batches(records in arb_dup_pairs(16)) {
+        check_decoders_agree(records);
+    }
+
+    #[test]
+    fn duplicate_key_run_truncation_and_corruption_are_typed(
+        pairs in arb_dup_pairs(12),
+        at in 0usize..100_000,
+        flip in 1u8..=255,
+    ) {
+        check_run_truncation_and_corruption(&pairs, at, flip);
+    }
+
+    /// `merge_groups` equals a stable sort-and-group of its runs, on
+    /// duplicate-heavy runs and on runs of arbitrary strings.
+    #[test]
+    fn merge_groups_equals_a_stable_sort_and_group(
+        runs in prop::collection::vec(arb_dup_pairs(12), 0..6),
+        wide in prop::collection::vec(
+            prop::collection::vec((arb_string(), arb_string()), 0..6), 0..4),
+    ) {
+        check_merge_groups(&runs);
+        check_merge_groups(&wide);
+    }
+}
+
+/// The exact frame of a duplicate-heavy run, byte for byte: a repeated
+/// key is `varint(len), 0, value`, a length past 127 takes two varint
+/// bytes, and the `é`/`ê` neighbours share one byte of a code point.
+#[test]
+fn duplicate_heavy_run_frame_is_pinned() {
+    let long = "v".repeat(130);
+    let pairs = [
+        ("ê", "2"),
+        ("a", "1"),
+        ("", "e"),
+        ("ab", "x"),
+        ("a", "2"),
+        ("é", "1"),
+        ("", "f"),
+        ("ab", "y"),
+        ("a", ""),
+        ("ê", "3"),
+        ("ê", long.as_str()),
+    ];
+    let run = RecordRun::from_pairs(&pairs);
+    let mut section: Vec<u8> = vec![
+        0x0b, // 11 records
+        0x00, 0x00, 0x01, b'e', // ""   "e"
+        0x00, 0x00, 0x01, b'f', // ""   "f"  (repeat of the empty key)
+        0x00, 0x01, b'a', 0x01, b'1', // "a"  "1"
+        0x01, 0x00, 0x01, b'2', // "a"  "2"  (repeat)
+        0x01, 0x00, 0x00, // "a"  ""   (repeat, empty value)
+        0x01, 0x01, b'b', 0x01, b'x', // "ab" "x"
+        0x02, 0x00, 0x01, b'y', // "ab" "y"  (repeat)
+        0x00, 0x02, 0xc3, 0xa9, 0x01, b'1', // "é"  "1"
+        0x01, 0x01, 0xaa, 0x01, b'2', // "ê"  "2"  (shares 0xc3)
+        0x02, 0x00, 0x01, b'3', // "ê"  "3"  (repeat)
+        0x02, 0x00, 0x82, 0x01, // "ê"  130 × "v" (repeat)
+    ];
+    section.extend_from_slice(long.as_bytes());
+    assert_eq!(run.len(), 11);
+    assert_eq!(run.as_bytes(), &section[1..]);
+    let mut body = Vec::new();
+    for id in [1u32, 2, 3, 4, 5] {
+        body.extend_from_slice(&id.to_le_bytes());
+    }
+    body.extend_from_slice(&section);
+    let frame = wire::encode_frame(Dir::Request, 6, 77, &body);
+    let rpc = Rpc::ShuffleRun { task: 1, attempt: 2, seq: 3, epoch: 4, partition: 5, run };
+    assert_eq!(rpc.encode(77), frame);
+    let records = sorted(pairs.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect());
+    let batch = Rpc::ShuffleBatch { task: 1, attempt: 2, seq: 3, epoch: 4, partition: 5, records };
+    assert_eq!(batch.encode(77), frame, "the owned encoder writes the same bytes");
+    assert_eq!(Rpc::decode_owned(wire::decode_frame(&frame).unwrap()).unwrap(), rpc);
 }
 
 #[test]
