@@ -1324,16 +1324,7 @@ mod tests {
     /// epoch moves.
     #[test]
     fn crash_that_loses_data_still_publishes_membership() {
-        let c = LiveCluster::new(
-            LiveConfig::small().with_nodes(4).with_block_size(256).with_replicas(0),
-        );
-        c.upload("input", "tester", "alpha beta gamma delta\n".repeat(60).as_bytes());
-        let victim = c
-            .ring()
-            .node_ids()
-            .into_iter()
-            .find(|&n| !c.store().blocks_on(n).is_empty())
-            .expect("some node holds blocks");
+        let (c, victim) = single_copy_cluster();
         let held = c.store().blocks_on(victim);
         let epoch = c.epoch();
         match c.fail_node(victim) {
@@ -1345,6 +1336,89 @@ mod tests {
         assert!(!c.ring().contains(victim), "the published ring still names the victim");
         assert!(c.epoch() > epoch, "the membership epoch did not move");
         assert!(c.cache_ranges().iter().all(|(n, _)| *n != victim));
+    }
+
+    /// A four-node cluster that keeps one copy of each block, holding
+    /// `input`, and a node holding some of it.
+    fn single_copy_cluster() -> (LiveCluster, NodeId) {
+        let c = LiveCluster::new(
+            LiveConfig::small().with_nodes(4).with_block_size(256).with_replicas(0),
+        );
+        c.upload("input", "tester", "alpha beta gamma delta\n".repeat(60).as_bytes());
+        let holder = c
+            .ring()
+            .node_ids()
+            .into_iter()
+            .find(|&n| !c.store().blocks_on(n).is_empty())
+            .expect("some node holds blocks");
+        (c, holder)
+    }
+
+    /// After data was lost: a job over `input` fails with `DataLoss`
+    /// rather than panicking, and a fresh file uploads and runs.
+    fn jobs_run_after_a_loss(c: &LiveCluster) {
+        match c.try_run_job(&WordCount, "input", "tester", 2, ReusePolicy::default()) {
+            Err(JobError::DataLoss(_)) => {}
+            other => panic!("expected DataLoss, got {:?}", other.map(|(out, _)| out.len())),
+        }
+        c.upload("fresh", "tester", "one two two\n".repeat(40).as_bytes());
+        let (out, _) = c.run_job(&WordCount, "fresh", "tester", 2, ReusePolicy::default());
+        assert_eq!(out, [("one".to_string(), "40".to_string()), ("two".into(), "80".into())]);
+    }
+
+    /// A block a crash lost keeps no holder. A later joiner whose arc
+    /// covers it plans no pull for it, and jobs still run.
+    #[test]
+    fn a_join_after_a_crash_that_lost_data_skips_the_lost_block() {
+        let (c, victim) = single_copy_cluster();
+        let lost = match c.fail_node(victim) {
+            Err(eclipse_dhtfs::FsError::DataLoss(b)) => b,
+            other => panic!("expected DataLoss, got {other:?}"),
+        };
+        let meta = c.fs.read().stat("input").expect("uploaded").clone();
+        let key = meta.blocks.iter().find(|b| b.id == lost).expect("a block of input").key;
+        // A joiner name whose ring position makes it the lost block's
+        // owner, so the block is in the joiner's arc.
+        let probe = NodeId(u32::MAX);
+        let name = (0..)
+            .map(|i| format!("joiner-{i}"))
+            .find(|name| {
+                let mut fs = c.fs.read().clone();
+                fs.join(eclipse_ring::ServerInfo::from_name(probe, name.as_str())).is_ok()
+                    && fs.ring().owner_of(key).map(|s| s.id) == Ok(probe)
+            })
+            .expect("some name lands on the block");
+        let joiner = c.join_node(&name);
+        assert_eq!(c.ring().owner_of(key).map(|s| s.id), Ok(joiner));
+        assert!(c.fs.read().block_holders(lost).expect("still listed").is_empty());
+        jobs_run_after_a_loss(&c);
+    }
+
+    /// A graceful leave whose handoff reaches no new home still
+    /// completes the departure: the error names a lost block, the ring
+    /// drops the leaver, and later joins and jobs work.
+    #[test]
+    fn a_leave_that_loses_data_still_departs() {
+        let (c, leaver) = single_copy_cluster();
+        let held = c.store().blocks_on(leaver);
+        let net = c.mem_net().expect("memory transport");
+        for other in c.ring().node_ids().into_iter().filter(|&n| n != leaver) {
+            net.cut_one_way(other, leaver);
+            net.cut_one_way(leaver, other);
+        }
+        let epoch = c.epoch();
+        match c.leave_node(leaver) {
+            Err(eclipse_dhtfs::FsError::DataLoss(b)) => {
+                assert!(held.contains(&b), "{b:?} was not on the leaver")
+            }
+            other => panic!("expected DataLoss, got {other:?}"),
+        }
+        net.heal_all();
+        assert!(!c.ring().contains(leaver), "the published ring still names the leaver");
+        assert!(c.epoch() > epoch, "the membership epoch did not move");
+        assert!(c.store().blocks_on(leaver).is_empty(), "the leaver kept its store");
+        c.join_node("after-leave");
+        jobs_run_after_a_loss(&c);
     }
 
     #[test]

@@ -841,25 +841,10 @@ impl Arena {
     fn drain_sorted(&mut self, mut emit: impl FnMut(&[u8], &[u8])) {
         let bytes = &self.bytes;
         let key = |e: &Entry| &bytes[e.start as usize..(e.start + e.key_len) as usize];
-        let tail = |e: &Entry| &bytes[e.start as usize + 8..(e.start + e.key_len) as usize];
-        let within = |a: &Entry, b: &Entry| {
-            if a.key_len.min(b.key_len) <= 8 {
-                a.key_len.cmp(&b.key_len)
-            } else {
-                tail(a).cmp(tail(b))
-            }
-            .then(a.start.cmp(&b.start))
-        };
         if self.entries.len() < RADIX_MIN {
-            self.entries
-                .sort_unstable_by(|a, b| a.prefix.cmp(&b.prefix).then_with(|| within(a, b)));
+            sort_by_comparison(bytes, &mut self.entries);
         } else {
-            radix_sort_by_prefix(&mut self.entries);
-            for run in self.entries.chunk_by_mut(|a, b| a.prefix == b.prefix) {
-                if !run.is_sorted_by(|a, b| within(a, b).is_le()) {
-                    run.sort_unstable_by(within);
-                }
-            }
+            sort_by_radix(bytes, &mut self.entries);
         }
         for e in &self.entries {
             let value_at = (e.start + e.key_len) as usize;
@@ -881,9 +866,45 @@ impl Arena {
     }
 }
 
+/// The order of two entries of `bytes` with equal prefixes: by key,
+/// then emit order (`start`).
+#[inline]
+fn within_prefix(bytes: &[u8], a: &Entry, b: &Entry) -> std::cmp::Ordering {
+    let tail = |e: &Entry| &bytes[e.start as usize + 8..(e.start + e.key_len) as usize];
+    if a.key_len.min(b.key_len) <= 8 {
+        a.key_len.cmp(&b.key_len)
+    } else {
+        tail(a).cmp(tail(b))
+    }
+    .then(a.start.cmp(&b.start))
+}
+
+/// Sort `entries` of `bytes` by key, then emit order, comparing
+/// prefixes first.
+fn sort_by_comparison(bytes: &[u8], entries: &mut [Entry]) {
+    entries.sort_unstable_by(|a, b| {
+        a.prefix.cmp(&b.prefix).then_with(|| within_prefix(bytes, a, b))
+    });
+}
+
+/// [`sort_by_comparison`]'s order: radix-sort the prefixes, then order
+/// each run of equal prefixes, which is usually sorted already.
+fn sort_by_radix(bytes: &[u8], entries: &mut Vec<Entry>) {
+    radix_sort_by_prefix(entries);
+    for run in entries.chunk_by_mut(|a, b| a.prefix == b.prefix) {
+        if !run.is_sorted_by(|a, b| within_prefix(bytes, a, b).is_le()) {
+            run.sort_unstable_by(|a, b| within_prefix(bytes, a, b));
+        }
+    }
+}
+
 /// Spills of fewer entries sort by comparison alone; from this many on,
-/// a radix sort of the prefixes costs less.
-const RADIX_MIN: usize = 256;
+/// a radix sort of the prefixes costs less. Measured by
+/// `spill_sort_timing` (2-CPU host, five runs): comparison was cheaper
+/// at every size up to 384 entries, including a word count's ~250-key
+/// combined spill, the two split at 512, and radix was cheaper at 768
+/// and above (25–34 against 52–77 ns per entry at ~4,000).
+const RADIX_MIN: usize = 768;
 
 /// Stable LSD radix sort of `entries` by prefix, one byte per pass. A
 /// pass whose byte is the same in every entry is skipped: short keys
@@ -1302,6 +1323,83 @@ mod tests {
              spill sort + RunBuilder {:.1}, RecordRun::from_body {:.1}, merge_groups {:.1}",
             best[0], best[1], best[2], best[3]
         );
+    }
+
+    /// The spill sort alone, radix against comparison, at the spill
+    /// sizes the benchmark's workloads produce from 262,080-byte blocks
+    /// in 8 partitions: a word count's combined spill holds each
+    /// distinct word of its partition once (a 2,000-word vocabulary:
+    /// about 250 entries), an inverted index's spill every (word, doc)
+    /// pair of its partition (about 4,000, mostly repeated keys).
+    /// Prefixes of the inverted-index spills fill the sizes between.
+    /// Prints ns per entry, best of five:
+    ///
+    /// ```text
+    /// cargo test --release -p eclipse-core --lib spill_sort_timing -- --ignored --nocapture
+    /// ```
+    #[test]
+    #[ignore = "a timing, not a check: run by hand in release"]
+    fn spill_sort_timing() {
+        use eclipse_workloads::TextGen;
+        use std::time::Instant;
+        const PARTS: usize = 8;
+        const BLOCK: usize = 262_080;
+        let part = |w: &str| ((shuffle_hash(w.as_bytes()) as u128 * PARTS as u128) >> 64) as usize;
+        let spills = || (0..PARTS).map(|_| Arena::default()).collect::<Vec<_>>();
+        let mut combined = spills();
+        let mut seen = std::collections::HashSet::new();
+        for w in TextGen::new(2_000, 1.0, 10).generate(42, BLOCK).split_whitespace() {
+            if seen.insert(w) {
+                combined[part(w)].push(w.as_bytes(), b"1");
+            }
+        }
+        let mut pairs = spills();
+        for line in TextGen::new(50_000, 1.0, 10).generate_documents(42, BLOCK).lines() {
+            let Some((doc, words)) = line.split_once('\t') else { continue };
+            for w in words.split_whitespace() {
+                pairs[part(w)].push(w.as_bytes(), doc.as_bytes());
+            }
+        }
+        let cut = |n: usize| -> Vec<Arena> {
+            pairs
+                .iter()
+                .map(|a| Arena { bytes: a.bytes.clone(), entries: a.entries[..n].to_vec() })
+                .collect()
+        };
+        let mean = |s: &[Arena]| s.iter().map(|a| a.entries.len()).sum::<usize>() / s.len();
+        let mut cases = vec![(format!("word count, {} distinct keys", mean(&combined)), combined)];
+        for n in [16, 64, 128, 256, 384, 512, 768, 1024, 2048] {
+            cases.push((format!("inverted index, first {n} pairs"), cut(n)));
+        }
+        cases.push((format!("inverted index, {} pairs", mean(&pairs)), pairs));
+        for (label, case) in &cases {
+            let total: usize = case.iter().map(|a| a.entries.len()).sum();
+            let reps = (2_000_000 / total).max(1);
+            let mut work = Vec::new();
+            let mut best = [f64::MAX; 2];
+            for _ in 0..5 {
+                for (b, radix) in best.iter_mut().zip([false, true]) {
+                    let t = Instant::now();
+                    for _ in 0..reps {
+                        for a in case {
+                            work.clear();
+                            work.extend_from_slice(&a.entries);
+                            if radix {
+                                sort_by_radix(&a.bytes, &mut work);
+                            } else {
+                                sort_by_comparison(&a.bytes, &mut work);
+                            }
+                            std::hint::black_box(&work);
+                        }
+                    }
+                    *b = b.min(t.elapsed().as_nanos() as f64 / (reps * total) as f64);
+                }
+            }
+            println!(
+                "spill sort, {label}: comparison {:.1} ns/entry, radix {:.1} ns/entry",
+                best[0], best[1]
+            );
+        }
     }
 
     #[test]

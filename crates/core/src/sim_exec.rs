@@ -969,6 +969,7 @@ impl EclipseSim {
     /// ranges. Returns the simulated seconds the recovery copies took.
     pub fn fail_node(&mut self, node: NodeId) -> f64 {
         let plan = self.fs.fail_node(node).expect("node is a member");
+        assert!(plan.lost.is_empty(), "the simulator models no data loss: {:?}", plan.lost);
         let start = self.clock;
         let mut done = start;
         for copy in &plan.copies {

@@ -195,10 +195,14 @@ impl DhtFs {
     }
 
     /// The closest replica of `id` to `reader`: the reader itself if it
-    /// holds one, else the primary.
+    /// holds one, else the primary. A block a failure left with no
+    /// holder is [`FsError::DataLoss`].
     pub fn nearest_replica(&self, id: BlockId, reader: NodeId) -> Result<NodeId, FsError> {
         let holders = self.block_holders(id)?;
-        Ok(if holders.contains(&reader) { reader } else { holders[0] })
+        if holders.contains(&reader) {
+            return Ok(reader);
+        }
+        holders.first().copied().ok_or(FsError::DataLoss(id))
     }
 
     /// Record that `node` now holds a copy of `id` (the caller performed
@@ -269,20 +273,23 @@ impl DhtFs {
     /// [`add_replica`](Self::add_replica), so a failed pull leaves the
     /// old holders authoritative and costs nothing but a future remote
     /// read. Holder sets that exceed the ideal are left alone; extra
-    /// replicas are harmless and age out through later failures.
+    /// replicas are harmless and age out through later failures. A
+    /// block with no holder left (lost to a failure or a failed copy)
+    /// has no source and gets no pull.
     pub fn join_plan(&mut self, joiner: NodeId) -> Result<Vec<RecoveryCopy>, FsError> {
         if !self.ring.contains(joiner) {
             return Err(FsError::Ring(eclipse_ring::RingError::UnknownNode(joiner)));
         }
         let mut plan = Vec::new();
         for (&id, holders) in &self.replicas {
+            let Some(&from) = holders.first() else { continue };
             if holders.contains(&joiner) {
                 continue;
             }
             let ideal = self.ring.replica_set(self.block_key(id), self.cfg.replicas)?;
             if ideal.contains(&joiner) {
                 let bytes = self.block_sizes[&id];
-                plan.push(RecoveryCopy { block: id, bytes, from: holders[0], to: joiner });
+                plan.push(RecoveryCopy { block: id, bytes, from, to: joiner });
             }
         }
         let names: Vec<String> = self
@@ -534,6 +541,26 @@ mod tests {
         if home == victim {
             assert_ne!(fs.metadata_home("f").unwrap(), victim, "metadata home moved");
         }
+    }
+
+    /// A block a failure left with no holder has no source: a joiner
+    /// whose arc covers it plans no pull for it, and a read of it is
+    /// `DataLoss`.
+    #[test]
+    fn a_lost_block_gets_no_pull_and_reads_as_data_loss() {
+        let mut fs = DhtFs::new(
+            Ring::with_servers(6, "srv"),
+            DhtFsConfig { block_size: 128 * MB, replicas: 0 },
+        );
+        let meta = fs.upload("f", "u", 4 * GB).unwrap().clone();
+        let victim = fs.block_holders(meta.blocks[0].id).unwrap()[0];
+        let lost = fs.fail_node(victim).unwrap().lost;
+        let block = meta.blocks.iter().find(|b| b.id == lost[0]).expect("a listed block");
+        let joiner = NodeId(100);
+        fs.join(eclipse_ring::ServerInfo::at_key(joiner, "srv-joiner", block.key)).unwrap();
+        let plan = fs.join_plan(joiner).unwrap();
+        assert!(plan.iter().all(|c| !lost.contains(&c.block)), "pulled a lost block");
+        assert_eq!(fs.nearest_replica(block.id, joiner), Err(FsError::DataLoss(block.id)));
     }
 
     #[test]

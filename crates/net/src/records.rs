@@ -184,9 +184,10 @@ impl RunBuilder {
         if key == self.prev.as_slice() {
             // The general path's bytes for a repeat: the whole previous
             // key shared, an empty suffix.
-            put_varint(&mut self.buf, key.len() as u64);
-            self.buf.push(0);
-            put_vbytes(&mut self.buf, value);
+            let mut w = Writer::new(&mut self.buf);
+            w.varint(key.len() as u64);
+            w.u8(0);
+            w.vbytes(value);
             self.len += 1;
             return;
         }
@@ -195,9 +196,10 @@ impl RunBuilder {
         // smaller at its first differing byte.
         let ordered = shared == self.prev.len() || key.get(shared) > self.prev.get(shared);
         assert!(ordered, "RunBuilder::push: keys must be pushed in order");
-        put_varint(&mut self.buf, shared as u64);
-        put_vbytes(&mut self.buf, &key[shared..]);
-        put_vbytes(&mut self.buf, value);
+        let mut w = Writer::new(&mut self.buf);
+        w.varint(shared as u64);
+        w.vbytes(&key[shared..]);
+        w.vbytes(value);
         self.prev.truncate(shared);
         self.prev.extend_from_slice(&key[shared..]);
         self.len += 1;
@@ -207,24 +209,6 @@ impl RunBuilder {
     pub fn finish(self) -> RecordRun {
         RecordRun { buf: self.buf, start: 0, len: self.len }
     }
-}
-
-/// Append `v` as [`Writer::varint`] does; most record lengths take
-/// the one-byte branch.
-#[inline]
-fn put_varint(buf: &mut Vec<u8>, v: u64) {
-    if v < 0x80 {
-        buf.push(v as u8);
-    } else {
-        Writer::new(buf).varint(v);
-    }
-}
-
-/// Append `v` as [`Writer::vbytes`] does.
-#[inline]
-fn put_vbytes(buf: &mut Vec<u8>, v: &[u8]) {
-    put_varint(buf, v.len() as u64);
-    buf.extend_from_slice(v);
 }
 
 /// Length of the longest common prefix of `a` and `b`, in bytes.

@@ -328,8 +328,14 @@ impl<'a> Writer<'a> {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// LEB128 unsigned varint. Inverse of [`Reader::varint`].
+    /// LEB128 unsigned varint. Inverse of [`Reader::varint`]. Most
+    /// shuffle lengths take the one-byte branch.
+    #[inline]
     pub fn varint(&mut self, mut v: u64) {
+        if v < 0x80 {
+            self.buf.push(v as u8);
+            return;
+        }
         loop {
             let b = (v & 0x7f) as u8;
             v >>= 7;
@@ -347,6 +353,7 @@ impl<'a> Writer<'a> {
     }
 
     /// Varint-length-prefixed bytes. Inverse of [`Reader::vbytes`].
+    #[inline]
     pub fn vbytes(&mut self, v: &[u8]) {
         self.varint(v.len() as u64);
         self.buf.extend_from_slice(v);
