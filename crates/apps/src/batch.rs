@@ -7,7 +7,7 @@
 //! over real blocks.
 
 use crate::words::for_each_word;
-use eclipse_core::MapReduce;
+use eclipse_core::{Accumulator, MapReduce};
 use std::borrow::Cow;
 use std::fmt::Write;
 
@@ -72,13 +72,14 @@ impl MapReduce for WordCount {
     }
 
     /// The accumulator is the partial count as a `u64`, parsed by
-    /// [`reduce`](MapReduce::reduce)'s rule and formatted once, by
-    /// `combine_finish`.
+    /// [`reduce`](MapReduce::reduce)'s rule, summed where it sits and
+    /// formatted once, by `combine_finish`.
     fn combine_first(&self, _key: &str, value: &str, acc: &mut Vec<u8>) {
         acc.extend_from_slice(&WordCount::count(value).to_le_bytes());
     }
 
-    fn combine_into(&self, _key: &str, acc: &mut Vec<u8>, value: &str) {
+    fn combine_into(&self, _key: &str, acc: &mut Accumulator<'_>, value: &str) {
+        let acc = acc.get_mut();
         let total = WordCount::partial(acc) + WordCount::count(value);
         acc.copy_from_slice(&total.to_le_bytes());
     }
@@ -377,8 +378,9 @@ doc3\tapple cherry banana
         ) {
             let mut acc = Vec::new();
             WordCount.combine_first("w", &values[0], &mut acc);
+            let mut handle = Accumulator::of(&mut acc);
             for v in &values[1..] {
-                WordCount.combine_into("w", &mut acc, v);
+                WordCount.combine_into("w", &mut handle, v);
             }
             let mut finished = String::new();
             WordCount.combine_finish("w", &acc, &mut finished);

@@ -26,6 +26,10 @@
 //!    (`attempts = map_tasks + retries + speculative_attempts`,
 //!    per-node task counts summing to `map_tasks`, no phantom recovery
 //!    on crash-free schedules, …) checked by [`check_stats`].
+//! 3. **Membership**: after every crash, join and leave, whatever its
+//!    outcome, the membership epoch moved and the published ring, the
+//!    DHT FS ring, the scheduler's and the cache's ranges agree (see
+//!    [`ChaosObserver`]).
 //!
 //! On failure the harness *shrinks*: it bisects the fault schedule to
 //! a minimal failing subset ([`shrink_schedule`]) and prints a
@@ -48,6 +52,7 @@ use crate::live::{
     SpeculationConfig,
 };
 use crate::sim_exec::SchedulerKind;
+use eclipse_dhtfs::FsError;
 use eclipse_net::{MemTransport, RpcKind};
 use eclipse_ring::NodeId;
 use parking_lot::Mutex;
@@ -769,7 +774,7 @@ pub enum NetOp {
 /// A fault a [`ChaosObserver`] can fire at a [`Point`]: a transport
 /// op, or — for epoch-mode runs that hold a cluster handle — a
 /// node-level membership fault at an epoch barrier.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub enum ChaosOp {
     Net(NetOp),
     /// Crash the node via [`LiveCluster::crash_node`].
@@ -790,13 +795,33 @@ struct ChaosAction {
 /// Counts fired actions for the `faults_injected` total. Also usable
 /// directly from tests to stage a hand-written progress-keyed net
 /// fault (see `tests/chaos.rs`).
+///
+/// Given a cluster handle it also checks the **membership invariant**
+/// after every crash, join and leave, whatever its outcome: the
+/// membership epoch moved, the published ring equals the DHT FS ring,
+/// the cache ranges equal the scheduler's and tile the key space, and
+/// no range names a node outside the ring. The first violation is kept for
+/// the oracle ([`membership_violation`](Self::membership_violation)).
 pub struct ChaosObserver {
     net: Arc<MemTransport>,
-    /// Needed only for node-level ops; the batch harness arms pure
-    /// transport faults and leaves this empty.
+    /// Needed for node-level ops and the membership invariant; tests
+    /// that stage a transport fault by hand leave it empty.
     cluster: Option<Arc<LiveCluster>>,
     pending: Mutex<Vec<ChaosAction>>,
     fired: AtomicU64,
+    membership: Mutex<MembershipLog>,
+}
+
+/// What the membership invariant has seen so far.
+#[derive(Default)]
+struct MembershipLog {
+    /// The membership epoch after the last change checked.
+    epoch: u64,
+    /// The last change event checked, with its epoch: a change
+    /// accounted to several runs reports the same event to each.
+    last: Option<(DstEvent, u64)>,
+    checks: u64,
+    violation: Option<String>,
 }
 
 impl ChaosObserver {
@@ -811,16 +836,22 @@ impl ChaosObserver {
                     .collect(),
             ),
             fired: AtomicU64::new(0),
+            membership: Mutex::new(MembershipLog::default()),
         }
     }
 
-    /// Observer for epoch-mode runs: the cluster handle lets barrier
-    /// points crash or retire nodes, not just disturb the transport.
+    /// Observer holding the cluster: barrier points can crash or retire
+    /// nodes, not just disturb the transport, and every membership
+    /// change is checked against the membership invariant. The caller
+    /// breaks the observer↔cluster cycle with
+    /// `cluster.set_observer(None)` once its runs are registered or
+    /// done.
     pub fn with_cluster(
         net: Arc<MemTransport>,
         cluster: Arc<LiveCluster>,
         armed: Vec<(Point, ChaosOp)>,
     ) -> ChaosObserver {
+        let log = MembershipLog { epoch: cluster.epoch(), ..MembershipLog::default() };
         ChaosObserver {
             net,
             cluster: Some(cluster),
@@ -828,12 +859,42 @@ impl ChaosObserver {
                 armed.into_iter().map(|(at, act)| ChaosAction { at, act }).collect(),
             ),
             fired: AtomicU64::new(0),
+            membership: Mutex::new(log),
         }
     }
 
     /// How many armed ops have fired so far.
     pub fn fired(&self) -> u64 {
         self.fired.load(Ordering::Relaxed)
+    }
+
+    /// The first membership-invariant violation seen, if any.
+    pub fn membership_violation(&self) -> Option<String> {
+        self.membership.lock().violation.clone()
+    }
+
+    /// How many membership changes the invariant checked.
+    pub fn membership_checks(&self) -> u64 {
+        self.membership.lock().checks
+    }
+
+    /// Check the membership invariant after `change`. `moved` says
+    /// whether the membership epoch must have moved past the last one
+    /// checked: a change the cluster refused (a departed victim, an
+    /// unknown leaver) publishes nothing.
+    fn check_membership(&self, c: &LiveCluster, change: &dyn fmt::Debug, moved: bool) {
+        let epoch = c.epoch();
+        let mut log = self.membership.lock();
+        log.checks += 1;
+        let fault = if moved && epoch <= log.epoch {
+            Some(format!("the membership epoch stayed at {epoch}"))
+        } else {
+            c.membership_fault()
+        };
+        log.epoch = log.epoch.max(epoch);
+        if let Some(f) = fault {
+            log.violation.get_or_insert(format!("after {change:?}: {f}"));
+        }
     }
 
     fn apply(&self, act: ChaosOp) {
@@ -849,15 +910,24 @@ impl ChaosObserver {
             ChaosOp::Net(NetOp::DropKind { kind, n }) => self.net.drop_rpcs(kind, n),
             // Node-level barrier faults are best-effort by design: a
             // recovery error here surfaces through the job's own typed
-            // result, which is what the oracle judges.
+            // result, which is what the oracle judges. The membership
+            // invariant holds after either outcome, and the epoch moves
+            // unless the call was refused; a change made while a run
+            // is live was already checked through its event.
             ChaosOp::Crash { node } => {
                 if let Some(c) = &self.cluster {
+                    let (member, before) = (c.ring().contains(node), c.epoch());
                     let _ = c.crash_node(node);
+                    let seen = self.membership.lock().epoch > before;
+                    self.check_membership(c, &act, member && !seen);
                 }
             }
             ChaosOp::Leave { node } => {
                 if let Some(c) = &self.cluster {
-                    let _ = c.leave_node(node);
+                    let before = c.epoch();
+                    let refused = matches!(c.leave_node(node), Err(FsError::Ring(_)));
+                    let seen = self.membership.lock().epoch > before;
+                    self.check_membership(c, &act, !refused && !seen);
                 }
             }
         }
@@ -866,6 +936,19 @@ impl ChaosObserver {
 
 impl DstObserver for ChaosObserver {
     fn on_event(&self, ev: DstEvent) {
+        if let (
+            Some(c),
+            DstEvent::NodeCrashed { .. } | DstEvent::NodeJoined { .. } | DstEvent::NodeLeft { .. },
+        ) = (&self.cluster, ev)
+        {
+            let epoch = c.epoch();
+            let repeat = self.membership.lock().last == Some((ev, epoch));
+            if !repeat {
+                self.check_membership(c, &ev, true);
+                self.membership.lock().last = Some((ev, epoch));
+            }
+            return;
+        }
         let mut due = Vec::new();
         {
             let mut pending = self.pending.lock();
@@ -1209,7 +1292,7 @@ fn run_schedule(
     expect: &[(String, String)],
     jobs: u32,
 ) -> (Outcome, u64, u64) {
-    let c = LiveCluster::new(w.config());
+    let c = Arc::new(LiveCluster::new(w.config()));
     c.upload(INPUT, DST_USER, input.as_bytes());
     let net = c.mem_net().expect("DST drives the in-memory transport").clone();
     net.seed_faults(w.seed);
@@ -1251,7 +1334,8 @@ fn run_schedule(
     }
     let planned = plan.len() as u64;
     c.inject_faults(plan);
-    let obs = Arc::new(ChaosObserver::new(net.clone(), pending));
+    let armed = pending.into_iter().map(|(at, op)| (at, ChaosOp::Net(op))).collect();
+    let obs = Arc::new(ChaosObserver::with_cluster(net.clone(), Arc::clone(&c), armed));
     c.set_observer(Some(obs.clone() as Arc<dyn DstObserver>));
 
     // The primary job drains the fault plan and carries the chaos
@@ -1272,7 +1356,8 @@ fn run_schedule(
             std::thread::sleep(std::time::Duration::from_micros(50));
         }
         // From here on new runs see no observer: the logical clock
-        // driving injection points is the primary's alone.
+        // driving injection points is the primary's alone. This also
+        // breaks the observer↔cluster cycle.
         c.set_observer(None);
         let sibs: Vec<_> = (1..jobs)
             .map(|_| {
@@ -1289,7 +1374,10 @@ fn run_schedule(
 
     let injected = planned + obs.fired();
     let allowed = allowed_errors(schedule);
-    let mut checks = 0u64;
+    let mut checks = obs.membership_checks();
+    if let Some(v) = obs.membership_violation() {
+        return (Outcome::Fail(format!("membership invariant violated {v}")), injected, checks);
+    }
     let excused = |e: &JobError| match e {
         JobError::TaskFailed { .. } => allowed.task_failed,
         JobError::DataLoss(_) => allowed.data_loss,
@@ -1480,6 +1568,10 @@ fn run_epoch_schedule(
     net.heal_all();
     let injected = obs.fired();
 
+    checks += obs.membership_checks();
+    if let Some(v) = obs.membership_violation() {
+        return (Outcome::Fail(format!("membership invariant violated {v}")), injected, checks);
+    }
     if let Some(msg) = board_fail {
         return (Outcome::Fail(msg), injected, checks);
     }

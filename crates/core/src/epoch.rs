@@ -55,7 +55,9 @@
 #![deny(clippy::too_many_lines)]
 
 use crate::job::{JobError, ReusePolicy};
-use crate::live::{DstEvent, LiveCluster, LiveStats, MapReduce, MapWorker, PartitionRuns, Run};
+use crate::live::{
+    Accumulator, DstEvent, LiveCluster, LiveStats, MapReduce, MapWorker, PartitionRuns, Run,
+};
 use bytes::Bytes;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -450,8 +452,9 @@ fn fold_partition(app: &dyn MapReduce, run: &[KeyState], delta: &PartitionRuns) 
             };
             acc.clear();
             app.combine_first(key, first, &mut acc);
+            let mut handle = Accumulator::of(&mut acc);
             for v in rest {
-                app.combine_into(key, &mut acc, v);
+                app.combine_into(key, &mut handle, v);
             }
             let mut state = String::new();
             app.combine_finish(key, &acc, &mut state);

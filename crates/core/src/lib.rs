@@ -21,7 +21,7 @@ pub use dst::{
 pub use epoch::{EpochDriver, EpochReport, EpochSnapshot, SnapshotPartition, StreamSpec};
 pub use job::{JobError, JobId, JobReport, JobSpec, ReadSource, ReusePolicy};
 pub use live::{
-    DstEvent, DstObserver, FaultPlan, LiveCluster, LiveConfig, LiveStats, MapReduce,
+    Accumulator, DstEvent, DstObserver, FaultPlan, LiveCluster, LiveConfig, LiveStats, MapReduce,
     RecoveryReport, SpeculationConfig, TransportKind,
 };
 /// The transport plane (re-exported so downstream crates reach the

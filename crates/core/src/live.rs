@@ -92,9 +92,11 @@
 //!   the keys the same way and writes each accumulator out once
 //!   ([`MapReduce::combine_finish`]). The run is the `ShuffleBatch`
 //!   body: shipped as is, taken by value on receipt and validated once.
-//!   Reducers keep each winning run and k-way merge them at fold time,
-//!   handing [`MapReduce::reduce_into`] each key's values in input
-//!   order.
+//!   Reducers keep each winning run until fold time. A combiner app's
+//!   partition with several runs folds them through one combining
+//!   table, as a spill is folded, and hands [`MapReduce::reduce_into`]
+//!   one finished value per key; any other partition k-way merges its
+//!   runs, handing `reduce_into` each key's values in input order.
 
 //! # Mid-job fault tolerance (see DESIGN.md, "Mid-job recovery")
 //!
@@ -200,11 +202,13 @@ const RETRY_BACKOFF_BASE_MICROS: u64 = 100;
 ///   [`combine_into`](Self::combine_into) and
 ///   [`combine_finish`](Self::combine_finish) fold a key's values into
 ///   an accumulator of the app's own bytes: the first value starts it,
-///   each further value folds in, and the finished value is written
-///   out once, when the key ships. Their defaults keep the accumulator
-///   as the value's text and call [`combine`](Self::combine) on each
-///   pair. Override all three together when the fold has a cheaper
-///   binary form, as `WordCount`'s `u64` count does.
+///   each further value folds in where the accumulator sits (an
+///   [`Accumulator`] handle), and the finished value is written out
+///   once, when the key ships or reduces. Their defaults keep the
+///   accumulator as the value's text and call
+///   [`combine`](Self::combine) on each pair. Override all three
+///   together when the fold has a cheaper binary form, as `WordCount`'s
+///   `u64` count does.
 /// - [`reduce_into`](Self::reduce_into) reduces one key over borrowed
 ///   values, in a slice the executor reuses from key to key. Its
 ///   default copies the values into a `Vec<String>` and calls
@@ -222,7 +226,9 @@ const RETRY_BACKOFF_BASE_MICROS: u64 = 100;
 /// order**: by input block (file order, then block order), and within a
 /// block in the order the mapper emitted them. This holds whatever the
 /// scheduler, node count, transport or thread timing. With a combiner,
-/// each value is a spill's partial aggregate, in the same order.
+/// `reduce_into` gets **one value per key**: the reduce partition folds
+/// every spill's partial aggregate through the same `combine_*`
+/// methods, in that order, and hands `reduce_into` the finished value.
 ///
 /// # The combiner contract
 ///
@@ -230,15 +236,21 @@ const RETRY_BACKOFF_BASE_MICROS: u64 = 100;
 /// returns `true` from [`has_combiner`](Self::has_combiner). `combine`
 /// must be an associative, commutative fold whose output `reduce`
 /// accepts like any mapped value, and it must emit **exactly one**
-/// value, under the key it was given. The map side folds each key's
-/// values within one spill, in emit order: `combine_first` on the first,
-/// `combine_into` on each further one, and `combine_finish` once when
-/// the spill ships. A key seen once per spill therefore ships as
-/// `combine_finish(combine_first(v))`, which the defaults make `v`
-/// itself. An epoch stream folds each key's state across epochs through
-/// the same three methods. The default `combine_into` panics when
-/// `combine` emits zero values, two or more, or a different key; the
-/// executor turns that panic into a job error, never into wrong output.
+/// value, under the key it was given. `reduce` must not tell the
+/// folded value from the values folded: **`reduce(k, [combine(k, vs)])`
+/// must equal `reduce(k, vs)`** for every key and value list. The map
+/// side folds each key's values within one spill, in emit order:
+/// `combine_first` on the first, `combine_into` on each further one,
+/// and `combine_finish` once when the spill ships. A key seen once per
+/// spill therefore ships as `combine_finish(combine_first(v))`, which
+/// the defaults make `v` itself. A reduce partition that receives more
+/// than one spill folds their partial aggregates the same way and calls
+/// `reduce_into` once per key, on the finished value; an epoch stream
+/// folds each key's state across epochs through the same three
+/// methods. Both rely on the equation above. The default
+/// `combine_into` panics when `combine` emits zero values, two or more,
+/// or a different key; the executor turns that panic into a job error,
+/// never into wrong output.
 pub trait MapReduce: Send + Sync {
     /// Emit intermediate (key, value) pairs for one input block.
     fn map(&self, block: &[u8], emit: &mut dyn FnMut(String, String));
@@ -270,18 +282,23 @@ pub trait MapReduce: Send + Sync {
         acc.extend_from_slice(value.as_bytes());
     }
 
-    /// Fold `value` into `acc`, the accumulator of `key` so far. The
-    /// default runs [`combine`](Self::combine) on the pair
-    /// `[acc, value]` and stores its one output value in `acc`.
+    /// Fold `value` into `acc`, the accumulator of `key` so far, where
+    /// it sits: a fold that keeps the accumulator's length rewrites it
+    /// through [`Accumulator::get_mut`], one that changes the length
+    /// stores the new bytes with [`Accumulator::set`]. On the map side
+    /// and in a reduce partition the accumulator lives in the table's
+    /// byte arena, so a same-length fold copies nothing. The default
+    /// runs [`combine`](Self::combine) on the pair `[acc, value]` and
+    /// sets `acc` to its one output value.
     ///
     /// # Panics
     ///
     /// The default panics when `combine` breaks the combiner contract:
     /// zero or several values, or one under another key.
-    fn combine_into(&self, key: &str, acc: &mut Vec<u8>, value: &str) {
-        let partial = String::from_utf8(std::mem::take(acc))
+    fn combine_into(&self, key: &str, acc: &mut Accumulator<'_>, value: &str) {
+        let partial = std::str::from_utf8(acc.get())
             .expect("the default accumulator holds a value's UTF-8 bytes");
-        let pair = [partial, value.to_owned()];
+        let pair = [partial.to_owned(), value.to_owned()];
         let mut folded: Option<String> = None;
         let mut emitted = 0usize;
         self.combine(key, &pair, &mut |k, v| {
@@ -290,7 +307,7 @@ pub trait MapReduce: Send + Sync {
             folded = Some(v);
         });
         match folded {
-            Some(v) if emitted == 1 => *acc = v.into_bytes(),
+            Some(v) if emitted == 1 => acc.set(v.as_bytes()),
             _ => panic!(
                 "combine must emit exactly one value per key, emitted {emitted} for {key:?}"
             ),
@@ -343,6 +360,69 @@ pub trait MapReduce: Send + Sync {
     /// partitioning, which makes partition order = global sort order).
     fn partition(&self, _key: &str, _partitions: usize) -> Option<usize> {
         None
+    }
+}
+
+/// A key's combining accumulator where it lives, handed to
+/// [`MapReduce::combine_into`]: in a combining table's byte arena,
+/// right after the key's bytes, or in a plain `Vec<u8>`
+/// ([`Accumulator::of`]).
+///
+/// [`get_mut`](Self::get_mut) rewrites the bytes at their length;
+/// [`set`](Self::set) replaces them with bytes of any length. A set
+/// that fits the room the arena reserved, or that lands on the
+/// buffer's last accumulator, stays where it is; a longer one moves the
+/// key and its accumulator to the buffer's end, with room to double.
+pub struct Accumulator<'a> {
+    /// The buffer: the key's `key_len` bytes end at `at`, the
+    /// accumulator is `buf[at..at + len]`, and `room` bytes from `at`
+    /// are reserved for it.
+    buf: &'a mut Vec<u8>,
+    at: usize,
+    len: usize,
+    room: usize,
+    key_len: usize,
+}
+
+impl<'a> Accumulator<'a> {
+    /// The accumulator that is all of `buf`: a set resizes `buf`.
+    pub fn of(buf: &'a mut Vec<u8>) -> Accumulator<'a> {
+        let len = buf.len();
+        Accumulator { buf, at: 0, len, room: len, key_len: 0 }
+    }
+
+    /// The accumulator's bytes.
+    #[inline]
+    pub fn get(&self) -> &[u8] {
+        &self.buf[self.at..self.at + self.len]
+    }
+
+    /// The accumulator's bytes, to rewrite in place at their length.
+    #[inline]
+    pub fn get_mut(&mut self) -> &mut [u8] {
+        &mut self.buf[self.at..self.at + self.len]
+    }
+
+    /// Replace the accumulator's bytes with `bytes`, of any length.
+    pub fn set(&mut self, bytes: &[u8]) {
+        let n = bytes.len();
+        if self.at + self.room == self.buf.len() {
+            // The buffer's last accumulator grows or shrinks in place.
+            self.buf.truncate(self.at);
+            self.buf.extend_from_slice(bytes);
+            self.room = n;
+        } else if n <= self.room {
+            self.buf[self.at..self.at + n].copy_from_slice(bytes);
+        } else {
+            let room = n.max(2 * self.room);
+            let start = self.buf.len();
+            self.buf.extend_from_within(self.at - self.key_len..self.at);
+            self.buf.extend_from_slice(bytes);
+            self.buf.resize(start + self.key_len + room, 0);
+            self.at = start + self.key_len;
+            self.room = room;
+        }
+        self.len = n;
     }
 }
 
@@ -702,8 +782,10 @@ pub enum DstEvent {
     /// A shuffle batch was just sent (or delivered locally); `sent`
     /// batches are out cluster-wide (1-based, monotonic).
     SpillSent { sent: u64 },
-    /// `node` finished crashing: re-replication is complete, the ring
-    /// without it is published and its tasks are re-queued.
+    /// `node` finished crashing: re-replication is over, the ring
+    /// without it is published and its tasks are re-queued. Fired
+    /// whether or not every block survived; a lost block has aborted
+    /// the run first.
     NodeCrashed { node: NodeId },
     /// `node` joined the ring mid-run: the ring with it is published,
     /// it pulled its cache range and block replicas, and it is
@@ -731,7 +813,9 @@ pub enum DstEvent {
 ///
 /// Callbacks run inline on executor threads (mappers, reducers, the
 /// crash handler), so implementations must be cheap and must not call
-/// back into the running job.
+/// back into the running job. A membership event arrives under the
+/// cluster's recovery gate, after the change is published: reading
+/// the cluster's membership there sees it whole.
 pub trait DstObserver: Send + Sync {
     fn on_event(&self, ev: DstEvent);
 }

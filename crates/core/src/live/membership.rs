@@ -12,6 +12,7 @@ use super::{DstEvent, LiveCluster, LiveSched, RecoveryReport};
 use eclipse_dhtfs::{FsError, RecoveryCopy};
 use eclipse_net::{Rpc, RpcReply, SendTicket, CLIENT};
 use eclipse_ring::{NodeId, Ring, RingError, ServerInfo};
+use eclipse_util::KeyRange;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -95,10 +96,10 @@ impl LiveCluster {
             rt.requeue_claims_of(victim);
         }
         rt.tally.recovery_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        match recovered {
-            Ok(_) => rt.notify(DstEvent::NodeCrashed { node: victim }),
-            Err(e) => rt.abort(e.into()),
+        if let Err(e) = recovered {
+            rt.abort(e.into());
         }
+        rt.notify(DstEvent::NodeCrashed { node: victim });
     }
 
     /// Metadata + payload recovery shared by the mid-job path and the
@@ -186,6 +187,37 @@ impl LiveCluster {
             }
         }
         ring
+    }
+
+    /// What is wrong with the membership every change publishes, if
+    /// anything: the published ring must equal the DHT FS ring, the
+    /// cache ranges must equal the scheduler's, and those ranges must
+    /// tile the key space and name only members of the published ring.
+    /// The DST oracle checks it after every crash, join and leave.
+    pub(crate) fn membership_fault(&self) -> Option<String> {
+        let ring = self.ring();
+        if !ring.members().eq(self.fs.read().ring().members()) {
+            return Some("the published ring differs from the DHT FS ring".to_string());
+        }
+        let ranges = {
+            let sched = self.sched.lock();
+            let sched_ranges = match &*sched {
+                LiveSched::Laf(laf) => laf.ranges(),
+                LiveSched::Delay(d) => d.ranges(),
+            };
+            let ranges = self.cache.ranges();
+            if ranges != sched_ranges {
+                return Some("the cache ranges differ from the scheduler's".to_string());
+            }
+            ranges
+        };
+        if let Some((n, _)) = ranges.iter().find(|(n, _)| !ring.contains(*n)) {
+            return Some(format!("a range names {n:?}, which is not in the ring"));
+        }
+        if !tiles(&ranges) {
+            return Some(format!("the ranges do not tile the key space: {ranges:?}"));
+        }
+        None
     }
 
     /// Admit a new virtual node: a fresh ring position, cache shard and
@@ -419,5 +451,48 @@ impl LiveCluster {
             }
             None => self.fail_node(victim).map(|_| ()),
         }
+    }
+}
+
+/// Whether `ranges` cover every key exactly once: their lengths sum to
+/// the whole key space and each non-empty range ends where the next one
+/// in clockwise order starts.
+fn tiles(ranges: &[(NodeId, KeyRange)]) -> bool {
+    let mut arcs: Vec<KeyRange> = ranges.iter().map(|&(_, r)| r).filter(|r| !r.is_empty()).collect();
+    arcs.sort_by_key(|r| r.start());
+    let whole = arcs.iter().map(KeyRange::len).sum::<u128>() == 1u128 << 64;
+    whole && (0..arcs.len()).all(|i| arcs[i].end() == arcs[(i + 1) % arcs.len()].start())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use eclipse_util::HashKey;
+
+    #[test]
+    fn ranges_tile_only_as_one_gapless_lap() {
+        let r = |a: u64, b: u64| KeyRange::new(HashKey(a), HashKey(b));
+        let n = |i: u32| NodeId(i);
+        let wrapping = [(n(0), r(10, 20)), (n(1), r(20, u64::MAX - 5)), (n(2), r(u64::MAX - 5, 10))];
+        assert!(tiles(&wrapping));
+        assert!(tiles(&[(n(0), KeyRange::full(HashKey(7)))]));
+        assert!(tiles(&[(n(0), r(10, 20)), (n(1), r(20, 10)), (n(2), r(15, 15))]), "empty range");
+        assert!(!tiles(&[(n(0), r(10, 20)), (n(1), r(21, 10))]), "a gap");
+        assert!(!tiles(&[(n(0), r(10, 20)), (n(1), r(15, 10))]), "an overlap");
+        assert!(!tiles(&[(n(0), r(10, 20)), (n(1), r(20, 10)), (n(2), r(10, 20))]), "a second lap");
+    }
+
+    #[test]
+    fn every_membership_change_leaves_no_fault() {
+        let c = LiveCluster::new(super::super::LiveConfig::small());
+        c.upload("in", "u", b"a b c\n");
+        assert_eq!(c.membership_fault(), None);
+        let joined = c.join_node("extra");
+        assert_eq!(c.membership_fault(), None, "after a join");
+        c.leave_node(joined).expect("a graceful leave");
+        assert_eq!(c.membership_fault(), None, "after a leave");
+        c.crash_node(NodeId(0)).expect("a crash the replicas survive");
+        assert_eq!(c.membership_fault(), None, "after a crash");
+        assert_eq!(c.epoch(), 3);
     }
 }

@@ -9,10 +9,18 @@
 //! began it, with helpers running the same loop alongside, then sealed
 //! and folded by [`Run::finish`] or [`Run::finish_with`]. Every run
 //! ends in [`Run::retire`].
+//!
+//! A batch partition's fold mirrors the map side's two buffers
+//! (`Buffered::{Records, Combined}` in `worker.rs`): a combiner app's
+//! partition with more than one run folds every partial aggregate
+//! through a combining table and reduces each key once; any other
+//! partition k-way merges its runs into key groups (`reduce_runs`).
+//! Epoch waves always take the merged groups.
 #![deny(clippy::too_many_lines)]
 
 use super::place::MapTask;
 use super::router::{TaskBatch, JOB_SHIFT, TID_MASK};
+use super::worker::{shuffle_hash, Table};
 use super::{
     hardware_threads, DstEvent, DstObserver, FaultOp, LiveCluster, LiveSched, LiveStats, MapReduce,
     SpeculationConfig, SLOW_SERVE_DIV,
@@ -697,10 +705,163 @@ impl LiveCluster {
     }
 }
 
-/// Merge one partition's runs and reduce each key over its values:
-/// the output shape of every batch job, key-sorted.
+/// Reduce one partition's runs, key by key: the output shape of every
+/// batch job, key-sorted.
+///
+/// A combiner app's partition with more than one run folds every
+/// shipped partial aggregate, in input order, through a combining
+/// [`Table`] — the one its map side spills from — and calls
+/// `reduce_into` once per key, on the finished value; the combiner
+/// contract makes that equal to reducing the partials themselves. Any
+/// other partition (no combiner, or one run, whose keys are already
+/// distinct) k-way merges its runs into key groups.
 fn reduce_runs(app: &dyn MapReduce, runs: &PartitionRuns) -> Vec<(String, String)> {
     let mut out = Vec::new();
-    runs.for_each_group(|k, vs| app.reduce_into(k, vs, &mut |ok, ov| out.push((ok, ov))));
+    let mut emit = |ok, ov| out.push((ok, ov));
+    if app.has_combiner() && runs.0.len() > 1 {
+        let mut table = Table::default();
+        for batch in &runs.0 {
+            let mut cursor = batch.run.cursor();
+            while let Some((k, v)) = cursor.next() {
+                table.fold(app, shuffle_hash(k.as_bytes()), k, v);
+            }
+        }
+        table.drain_with(app, |k, v| app.reduce_into(k, &[v], &mut emit));
+    } else {
+        runs.for_each_group(|k, vs| app.reduce_into(k, vs, &mut emit));
+    }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dst::DstApp;
+    use crate::testkit::{CountWords, Sum};
+    use eclipse_net::RecordRun;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// The empty key, a key and its NUL-extended twin (equal in their
+    /// zero-padded prefix), and two keys whose shared byte prefix ends
+    /// inside a code point (`é` = c3 a9, `ê` = c3 aa).
+    const KEYS: [&str; 5] = ["", "a", "a\0", "é", "ê"];
+
+    /// One partition of combined runs in input order: each run holds
+    /// each of its keys once, as a combining map side ships it.
+    fn partition(runs: &[Vec<(usize, u64)>]) -> PartitionRuns {
+        let batch = |(task, run): (usize, &Vec<(usize, u64)>)| {
+            let pairs: BTreeMap<&str, String> =
+                run.iter().map(|&(k, n)| (KEYS[k], n.to_string())).collect();
+            let pairs: Vec<(&str, String)> = pairs.into_iter().collect();
+            TaskBatch { task: task as u32, attempt: 0, seq: 0, run: RecordRun::from_pairs(&pairs) }
+        };
+        PartitionRuns(runs.iter().enumerate().map(batch).collect())
+    }
+
+    /// The k-way merge's output: every key's values, then `reduce_into`.
+    fn merged(app: &dyn MapReduce, runs: &PartitionRuns) -> Vec<(String, String)> {
+        let mut out = Vec::new();
+        runs.for_each_group(|k, vs| app.reduce_into(k, vs, &mut |ok, ov| out.push((ok, ov))));
+        out
+    }
+
+    /// A partial count: small, or past what 32 bits hold.
+    fn count() -> impl Strategy<Value = u64> {
+        prop_oneof![1u64..100, u64::from(u32::MAX)..3 * u64::from(u32::MAX)]
+    }
+
+    /// Per-record cost of a word count's two combining folds on a
+    /// `wc_warm`-shaped corpus: 12 MiB drawn from 2,000 words, cut into
+    /// 262,080-byte blocks, in 8 partitions. The map side folds each
+    /// block's words into its partitions' tables and spills every table
+    /// once per block (the spill is not timed); each partition then
+    /// reduces one combined run per block. Prints the best of five
+    /// passes, the map-side fold in ns per word and the reduce-side
+    /// fold (`reduce_runs`) in ns per shipped record:
+    ///
+    /// ```text
+    /// cargo test --release -p eclipse-core --lib combine_path_timing -- --ignored --nocapture
+    /// ```
+    #[test]
+    #[ignore = "a timing, not a check: run by hand in release"]
+    fn combine_path_timing() {
+        use eclipse_net::RunBuilder;
+        use eclipse_workloads::TextGen;
+        use std::time::Instant;
+        const PARTS: usize = 8;
+        const BLOCK: usize = 262_080;
+        let text = TextGen::new(2_000, 1.0, 10).generate(42, 12 << 20);
+        let blocks: Vec<Vec<(usize, u64, &str)>> = text
+            .as_bytes()
+            .chunks(BLOCK)
+            .map(|block| {
+                let block = std::str::from_utf8(block).expect("an ASCII corpus");
+                let part = |h: u64| ((h as u128 * PARTS as u128) >> 64) as usize;
+                block
+                    .split_whitespace()
+                    .map(|w| {
+                        let h = shuffle_hash(w.as_bytes());
+                        (part(h), h, w)
+                    })
+                    .collect()
+            })
+            .collect();
+        let words: usize = blocks.iter().map(Vec::len).sum();
+        let (mut best, mut records) = ([f64::MAX; 2], 0);
+        for _ in 0..5 {
+            let mut tables: Vec<Table> = (0..PARTS).map(|_| Table::default()).collect();
+            let mut runs: Vec<Vec<TaskBatch>> = (0..PARTS).map(|_| Vec::new()).collect();
+            let mut fold = 0.0;
+            for (task, block) in blocks.iter().enumerate() {
+                let t = Instant::now();
+                for &(p, h, w) in block {
+                    tables[p].fold(&CountWords, h, w, "1");
+                }
+                fold += t.elapsed().as_nanos() as f64;
+                for (table, part) in tables.iter_mut().zip(&mut runs) {
+                    let mut run = RunBuilder::with_capacity(0);
+                    table.drain_with(&CountWords, |k, v| run.push(k.as_bytes(), v.as_bytes()));
+                    part.push(TaskBatch { task: task as u32, attempt: 0, seq: 0, run: run.finish() });
+                }
+            }
+            let parts: Vec<PartitionRuns> = runs.into_iter().map(PartitionRuns).collect();
+            records = parts.iter().map(PartitionRuns::records).sum();
+            let t = Instant::now();
+            let keys: usize = parts.iter().map(|p| reduce_runs(&CountWords, p).len()).sum();
+            let reduce = t.elapsed().as_nanos() as f64;
+            assert!(keys <= 2_000, "{keys} distinct words from a 2,000-word vocabulary");
+            best[0] = best[0].min(fold / words as f64);
+            best[1] = best[1].min(reduce / records as f64);
+        }
+        println!(
+            "combine path, {} blocks: map-side fold {:.1} ns/word over {words} words, \
+             reduce-side fold {:.1} ns/record over {records} shipped records",
+            blocks.len(),
+            best[0],
+            best[1]
+        );
+    }
+
+    proptest! {
+        /// The combining fold of a partition — every run's partials
+        /// folded through one table, one `reduce_into` per key — gives
+        /// the k-way merge's output exactly, for a binary in-place
+        /// accumulator, the default text adapters and the DST word
+        /// count, over zero to six runs.
+        #[test]
+        fn combining_fold_equals_merge_then_reduce(
+            runs in prop::collection::vec(
+                prop::collection::vec((0..KEYS.len(), count()), 0..8),
+                0..=6,
+            ),
+        ) {
+            let runs = partition(&runs);
+            let apps: [&dyn MapReduce; 3] =
+                [&CountWords, &Sum, &DstApp::WordCount { combiner: true }];
+            for app in apps {
+                prop_assert_eq!(reduce_runs(app, &runs), merged(app, &runs));
+            }
+        }
+    }
 }

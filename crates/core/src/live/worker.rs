@@ -16,8 +16,8 @@
 
 use super::run::{Run, UNCOMMITTED};
 use super::{
-    DstEvent, LiveCluster, MapReduce, MAX_ATTEMPTS, RETRY_BACKOFF_BASE_MICROS, SLOW_SEND_DIV,
-    SLOW_SLICE_MICROS,
+    Accumulator, DstEvent, LiveCluster, MapReduce, MAX_ATTEMPTS, RETRY_BACKOFF_BASE_MICROS,
+    SLOW_SEND_DIV, SLOW_SLICE_MICROS,
 };
 use crate::job::JobError;
 use crate::shuffle::SpillBuffer;
@@ -722,7 +722,7 @@ impl<'a> MapWorker<'a> {
 /// state: a replayed seed hashes the same. Unkeyed, so crafted keys
 /// could collide, but a table never outgrows one spill's bytes.
 #[inline]
-fn shuffle_hash(key: &[u8]) -> u64 {
+pub(super) fn shuffle_hash(key: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for &b in key {
         h ^= b as u64;
@@ -810,11 +810,8 @@ impl Arena {
         self.bytes.extend_from_slice(key);
         self.bytes.extend_from_slice(value);
         narrow(self.bytes.len());
-        let mut prefix = [0u8; 8];
-        let n = key.len().min(8);
-        prefix[..n].copy_from_slice(&key[..n]);
         self.entries.push(Entry {
-            prefix: u64::from_be_bytes(prefix),
+            prefix: prefix_of(key),
             start: start as u32,
             key_len: key.len() as u32,
             value_len: value.len() as u32,
@@ -864,6 +861,16 @@ impl Arena {
         self.bytes.clear();
         self.entries.clear();
     }
+}
+
+/// A key's [`Entry::prefix`]: its first eight bytes, big-endian and
+/// zero-padded.
+#[inline]
+fn prefix_of(key: &[u8]) -> u64 {
+    let mut prefix = [0u8; 8];
+    let n = key.len().min(8);
+    prefix[..n].copy_from_slice(&key[..n]);
+    u64::from_be_bytes(prefix)
 }
 
 /// The order of two entries of `bytes` with equal prefixes: by key,
@@ -935,34 +942,40 @@ fn radix_sort_by_prefix(entries: &mut Vec<Entry>) {
     }
 }
 
-/// A combiner app's output for one partition since its last spill: one
-/// arena entry per distinct key — the key's bytes, then its accumulator
-/// (the app's own bytes, see [`MapReduce::combine_first`]) — found by
-/// linear probing on the key's shuffle hash. A key new to the spill is
-/// one arena append; a repeated one folds in place. A spill sorts the
-/// entries as an app without a combiner's arena does and writes each
-/// accumulator out once, through [`MapReduce::combine_finish`].
+/// One partition's combined values: one arena entry per distinct key —
+/// the key's bytes, then its accumulator (the app's own bytes, see
+/// [`MapReduce::combine_first`]) — found by linear probing on the key's
+/// shuffle hash. A key new to the table is one arena append; a repeated
+/// one folds into its accumulator where it sits
+/// ([`MapReduce::combine_into`] through an [`Accumulator`]). A drain
+/// sorts the entries as an app without a combiner's arena does and
+/// finishes each accumulator once, through
+/// [`MapReduce::combine_finish`].
+///
+/// A combiner app's map worker keeps one per partition between spills
+/// (the in-mapper combiner); a reduce partition that receives several
+/// runs folds them through one (see `run.rs`).
 #[derive(Default)]
-struct Table {
+pub(super) struct Table {
     arena: Arena,
     /// The probe index over `arena.entries`: a power of two long, at
     /// most half full.
     slots: Vec<Slot>,
-    /// Scratch the app's accumulator methods work on.
+    /// Scratch [`MapReduce::combine_first`] starts a new key's
+    /// accumulator in.
     acc: Vec<u8>,
 }
 
 /// One slot of a [`Table`]'s index.
 #[derive(Clone, Copy, Default)]
 struct Slot {
-    /// The key's shuffle hash: a probe compares it before any key byte,
-    /// and growth re-places the slot by it.
+    /// The key's shuffle hash: a probe compares it before the entry's
+    /// prefix and length, and growth re-places the slot by it.
     hash: u64,
     /// The arena entry plus one; 0 marks an empty slot.
     entry: u32,
-    /// Arena bytes reserved after the key for its accumulator. A fold
-    /// that fits stays in place; a longer one moves the pair to the
-    /// arena's end with room to double.
+    /// Arena bytes reserved after the key for its accumulator (see
+    /// [`Accumulator::set`]).
     room: u32,
 }
 
@@ -970,12 +983,13 @@ struct Slot {
 const MIN_SLOTS: usize = 16;
 
 impl Table {
-    /// Fold one emitted pair whose key hashes to `hash`.
+    /// Fold one pair whose key hashes to `hash`.
     #[inline]
-    fn fold(&mut self, app: &dyn MapReduce, hash: u64, key: &str, value: &str) {
+    pub(super) fn fold(&mut self, app: &dyn MapReduce, hash: u64, key: &str, value: &str) {
         if 2 * (self.arena.entries.len() + 1) > self.slots.len() {
             self.grow();
         }
+        let prefix = prefix_of(key.as_bytes());
         let mask = self.slots.len() - 1;
         let mut i = hash as usize & mask;
         loop {
@@ -988,8 +1002,7 @@ impl Table {
                 self.slots[i] = Slot { hash, entry: narrow(entry + 1), room };
                 return;
             }
-            let ix = slot.entry as usize - 1;
-            if slot.hash == hash && self.arena.key(self.arena.entries[ix]) == key.as_bytes() {
+            if slot.hash == hash && self.holds(slot, key.as_bytes(), prefix) {
                 self.fold_at(app, i, key, value);
                 return;
             }
@@ -997,32 +1010,37 @@ impl Table {
         }
     }
 
-    /// Fold `value` into the accumulator of the key in slot `i`.
+    /// Whether `slot`'s entry holds `key`, whose prefix is `prefix`. The
+    /// stored prefix and length decide a key of at most eight bytes;
+    /// only a longer one compares the bytes past its prefix.
+    #[inline]
+    fn holds(&self, slot: Slot, key: &[u8], prefix: u64) -> bool {
+        let e = self.arena.entries[slot.entry as usize - 1];
+        e.prefix == prefix
+            && e.key_len as usize == key.len()
+            && (key.len() <= 8 || self.arena.key(e)[8..] == key[8..])
+    }
+
+    /// Fold `value` into the accumulator of the key in slot `i`, where
+    /// it sits in the arena.
     #[inline]
     fn fold_at(&mut self, app: &dyn MapReduce, i: usize, key: &str, value: &str) {
-        let slot = self.slots[i];
-        let ix = slot.entry as usize - 1;
-        let e = self.arena.entries[ix];
-        let at = (e.start + e.key_len) as usize;
-        let acc = &mut self.acc;
-        acc.clear();
-        acc.extend_from_slice(&self.arena.bytes[at..at + e.value_len as usize]);
-        app.combine_into(key, acc, value);
-        let len = acc.len();
-        if len <= slot.room as usize {
-            self.arena.bytes[at..at + len].copy_from_slice(acc);
-        } else {
-            let bytes = &mut self.arena.bytes;
-            let room = len.max(2 * slot.room as usize);
-            let start = bytes.len();
-            bytes.extend_from_slice(key.as_bytes());
-            bytes.extend_from_slice(acc);
-            bytes.resize(start + key.len() + room, 0);
-            narrow(bytes.len());
-            self.arena.entries[ix].start = start as u32;
-            self.slots[i].room = room as u32;
-        }
-        self.arena.entries[ix].value_len = len as u32;
+        let slot = &mut self.slots[i];
+        let e = &mut self.arena.entries[slot.entry as usize - 1];
+        let key_len = e.key_len as usize;
+        let mut acc = Accumulator {
+            buf: &mut self.arena.bytes,
+            at: e.start as usize + key_len,
+            len: e.value_len as usize,
+            room: slot.room as usize,
+            key_len,
+        };
+        app.combine_into(key, &mut acc, value);
+        let Accumulator { at, len, room, .. } = acc;
+        narrow(self.arena.bytes.len());
+        e.start = (at - key_len) as u32;
+        e.value_len = len as u32;
+        slot.room = room as u32;
     }
 
     /// Double the index (or start it) and re-place every slot by its
@@ -1040,19 +1058,24 @@ impl Table {
         }
     }
 
-    /// The table as a key-sorted run, one record per key, leaving it
-    /// empty (its allocations kept for the next spill).
-    fn drain(&mut self, app: &dyn MapReduce) -> RecordRun {
-        let arena = &mut self.arena;
-        let mut run = RunBuilder::with_capacity(arena.bytes.len() + 3 * arena.entries.len());
+    /// Hand `f` each key with its finished value, in key order, leaving
+    /// the table empty (its allocations kept for the next fold).
+    pub(super) fn drain_with(&mut self, app: &dyn MapReduce, mut f: impl FnMut(&str, &str)) {
         let mut finished = String::new();
-        arena.drain_sorted(|key, acc| {
+        self.arena.drain_sorted(|key, acc| {
             let key = std::str::from_utf8(key).expect("a table's keys are copied from a str");
             finished.clear();
             app.combine_finish(key, acc, &mut finished);
-            run.push(key.as_bytes(), finished.as_bytes());
+            f(key, &finished);
         });
         self.slots.fill(Slot::default());
+    }
+
+    /// The table as a key-sorted run, one record per key.
+    fn drain(&mut self, app: &dyn MapReduce) -> RecordRun {
+        let arena = &self.arena;
+        let mut run = RunBuilder::with_capacity(arena.bytes.len() + 3 * arena.entries.len());
+        self.drain_with(app, |key, value| run.push(key.as_bytes(), value.as_bytes()));
         run.finish()
     }
 
@@ -1074,26 +1097,8 @@ fn redeem(cluster: &LiveCluster, shuffle: &[(SendTicket, usize)], cache: &[SendT
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::Sum;
     use std::collections::BTreeMap;
-
-    /// Signed decimal sum through the default accumulator adapters: the
-    /// accumulator is the value's text, so a fold can grow it
-    /// (`"9"` + `"1"` = `"10"`) or shrink it (`"100"` + `"-99"` = `"1"`).
-    struct Sum;
-
-    impl MapReduce for Sum {
-        fn map(&self, _block: &[u8], _emit: &mut dyn FnMut(String, String)) {}
-        fn reduce(&self, key: &str, values: &[String], emit: &mut dyn FnMut(String, String)) {
-            let total: i64 = values.iter().map(|v| v.parse::<i64>().expect("a decimal")).sum();
-            emit(key.to_string(), total.to_string());
-        }
-        fn combine(&self, key: &str, values: &[String], emit: &mut dyn FnMut(String, String)) {
-            self.reduce(key, values, emit);
-        }
-        fn has_combiner(&self) -> bool {
-            true
-        }
-    }
 
     /// Fold `pairs` into `table`, each key under `hash(key)`, and return
     /// what a `BTreeMap` model that folds each key's values with
@@ -1185,6 +1190,52 @@ mod tests {
         let model = fold_all(&mut table, &pairs, hashed);
         assert_eq!((model["a"].as_str(), model["b"].as_str()), ("123456790", "0"));
         spill_matches(&mut table, model);
+    }
+
+    /// Inside one spill, an accumulator that outgrows its room while
+    /// another key follows it in the arena moves to the arena's end with
+    /// room to double; once a key follows it there too, a shorter value
+    /// and then one that fits its room again rewrite it where it sits.
+    #[test]
+    fn an_accumulator_outgrows_its_room_then_shrinks_in_place() {
+        let mut table = Table::default();
+        let at = |t: &Table, k: &str| {
+            let e = t.arena.entries.iter().find(|e| t.arena.key(**e) == k.as_bytes()).copied();
+            let e = e.expect("a key in the table");
+            (e.start, e.value_len)
+        };
+        let mut model = fold_all(&mut table, &[("a", "9"), ("b", "1")], hashed);
+        let (first, _) = at(&table, "a");
+        model.extend(fold_all(&mut table, &[("a", "1")], hashed));
+        let (moved, len) = at(&table, "a");
+        assert!(moved > first, "\"10\" outgrew the one byte \"9\" left it");
+        assert_eq!(len, 2);
+        fold_all(&mut table, &[("c", "1")], hashed);
+        let end = table.arena.bytes.len();
+        for (v, want, len) in [("-5", "5", 1), ("5", "10", 2)] {
+            fold_all(&mut table, &[("a", v)], hashed);
+            assert_eq!(at(&table, "a"), (moved, len), "folding {v} moved the accumulator");
+            assert_eq!(table.arena.bytes.len(), end, "folding {v} appended to the arena");
+            model.insert("a".to_string(), want.to_string());
+        }
+        model.insert("c".to_string(), "1".to_string());
+        spill_matches(&mut table, model);
+    }
+
+    /// An accumulator over a whole `Vec` is the `Vec`: a set of any
+    /// length resizes it.
+    #[test]
+    fn a_vec_accumulator_resizes_with_every_set() {
+        let mut buf = b"12".to_vec();
+        let mut acc = Accumulator::of(&mut buf);
+        acc.get_mut()[0] = b'3';
+        assert_eq!(acc.get(), b"32");
+        acc.set(b"12345");
+        assert_eq!(acc.get(), b"12345");
+        acc.set(b"");
+        assert_eq!(acc.get(), b"");
+        acc.set(b"7");
+        assert_eq!(buf, b"7");
     }
 
     #[test]

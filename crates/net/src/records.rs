@@ -24,7 +24,11 @@
 //! node-local channel. A received run is validated once, on receipt
 //! ([`RecordRun::from_body`]); afterwards a [`RunCursor`] reads it
 //! without allocating per record, and [`merge_groups`] k-way merges a
-//! partition's runs into key groups.
+//! partition's runs into key groups. The executor merges the runs of
+//! an app without a combiner, a partition's single run and an epoch
+//! fold's delta runs; a combiner app's partition with several runs
+//! reads each with a cursor and folds its records into a combining
+//! table instead.
 
 use crate::wire::{CodecError, Reader, Writer};
 use std::fmt;

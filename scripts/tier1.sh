@@ -16,8 +16,10 @@ cargo build --workspace --release
 
 # clippy.toml sets too-many-lines-threshold = 150; the executor modules
 # deny clippy::too_many_lines, so an over-long function fails here.
-echo "== tier1: cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+# --all-targets lints the tests, property tests, ignored timing tests
+# and examples too, not only the libraries and binaries.
+echo "== tier1: cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 # Public items come and go; a dangling or private intra-doc link fails
 # here instead of rotting silently.
@@ -34,10 +36,12 @@ echo "== tier1: benchmark/ builds and passes against the current crates"
 cargo build --release --manifest-path benchmark/Cargo.toml
 cargo test -q --manifest-path benchmark/Cargo.toml
 
-# live_matrix pins the map-side combining path (borrowed emit, binary
-# accumulator in the open-addressing table, default adapters) and the
-# sorted-run path of the apps without a combiner (against an in-order
-# oracle) to byte-identical output in every cell.
+# live_matrix pins the combining path on both sides of the shuffle
+# (borrowed emit, binary accumulator folded in place in the
+# open-addressing table, default adapters, the reduce partition's
+# combining fold) and the sorted-run path of the apps without a
+# combiner (against an in-order oracle) to byte-identical output in
+# every cell.
 echo "== tier1: live output-identity matrix (release)"
 cargo test -q --release -p eclipse-integration-tests --test live_matrix
 

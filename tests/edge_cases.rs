@@ -448,6 +448,68 @@ fn combine_emitting_two_values_fails_the_job() {
     assert_eq!(c.active_jobs(), 0, "the failed run is still registered");
 }
 
+/// A word count whose `combine` panics unless every value after the
+/// first is a mapped `"1"`: the map side never trips it, but a reduce
+/// partition folding two spills' partial counts does.
+struct CombinePanicsOnPartials;
+
+impl MapReduce for CombinePanicsOnPartials {
+    fn map(&self, block: &[u8], emit: &mut dyn FnMut(String, String)) {
+        WordCount.map(block, emit);
+    }
+    fn reduce(&self, key: &str, values: &[String], emit: &mut dyn FnMut(String, String)) {
+        WordCount.reduce(key, values, emit);
+    }
+    fn combine(&self, key: &str, values: &[String], emit: &mut dyn FnMut(String, String)) {
+        assert!(values[1..].iter().all(|v| v == "1"), "combine refuses partial counts");
+        WordCount.combine(key, values, emit);
+    }
+    fn has_combiner(&self) -> bool {
+        true
+    }
+}
+
+/// A `combine` that panics only on reduce-side input — a partition
+/// folding several spills' partial counts — fails the job with
+/// [`JobError::ReduceFailed`] and leaves no run registered, one-shot
+/// and through the job server alike.
+#[test]
+fn reduce_side_combine_panic_is_a_reduce_failure() {
+    use eclipse_core::{JobError, JobServer, JobServerConfig, PoolJobSpec};
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
+
+    // Four 4-byte blocks, each mapping "a" twice: the map side folds
+    // "1" into "1", and "a"'s partition receives four runs of "2".
+    let c = Arc::new(LiveCluster::new(LiveConfig::small().with_block_size(4)));
+    c.upload("in", "u", "a a\n".repeat(4).as_bytes());
+    let failed = |r: Result<_, JobError>| matches!(r, Err(JobError::ReduceFailed { .. }));
+    let app = Arc::new(CombinePanicsOnPartials);
+    for reducers in [1, 3] {
+        let r = c.try_run_job(app.as_ref(), "in", "u", reducers, ReusePolicy::default());
+        assert!(failed(r), "one-shot job, {reducers} reducers");
+        assert_eq!(c.active_jobs(), 0, "the failed run is still registered ({reducers} reducers)");
+    }
+    let server = JobServer::new(c.clone(), JobServerConfig::default());
+    for reducers in [1, 3] {
+        let handle = server.submit(PoolJobSpec {
+            app: app.clone(),
+            inputs: vec!["in".to_string()],
+            user: "u".to_string(),
+            reducers,
+            reuse: ReusePolicy::default(),
+            weight: 1,
+        });
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(handle.wait());
+        });
+        let r = rx.recv_timeout(Duration::from_secs(20)).expect("job server hung");
+        assert!(failed(r), "server job, {reducers} reducers");
+        assert_eq!(c.active_jobs(), 0, "a server run leaked ({reducers} reducers)");
+    }
+}
+
 /// `key<TAB>value` lines, emitted as borrowed slices; a line without a
 /// tab emits nothing. `reduce` joins a key's values with `|` in arrival
 /// order, so an empty value still shows.
