@@ -4,10 +4,13 @@
 //! Each seed samples a workload and a fault schedule, runs the job
 //! under fault injection, and checks the oracle (byte-identical output
 //! or a typed allowed error, plus `LiveStats` invariants). Failures
-//! print a one-line replayable repro and are recorded in the JSON
-//! summary (default `target/dst_sweep.json`). `scripts/tier1.sh` runs
-//! the bounded smoke configuration (`--runs 50 --preset moderate`); the
-//! acceptance sweep is `dst_bench --runs 1000 --preset chaos`.
+//! print a one-line replayable repro; they and the seeds that ended in
+//! an allowed error, with its kind, are recorded with their replay
+//! lines in the JSON summary (default `target/dst_sweep.json`), and the
+//! progress and summary lines tally the allowed errors by kind.
+//! `scripts/tier1.sh` runs the bounded smoke configuration (`--runs 50
+//! --preset moderate`); the acceptance sweep is `dst_bench --runs 1000
+//! --preset chaos`.
 
 use eclipse_bench::dst_bench::{sweep_range, to_json};
 use eclipse_core::dst::{repro_line, DstPreset};
@@ -41,12 +44,13 @@ fn main() {
 
     let s = &r.sweep;
     println!(
-        "preset={preset} seeds={seed0}..{} runs={} matches={} allowed_errors={} \
+        "preset={preset} seeds={seed0}..{} runs={} matches={} allowed_errors={} ({}) \
          faults_injected={} oracle_checks={} secs={:.2}",
         seed0 + runs - 1,
         s.runs,
         s.matches,
-        s.allowed_errors,
+        s.allowed.len(),
+        s.allowed_by_kind(),
         s.faults_injected,
         s.oracle_checks,
         r.secs

@@ -9,7 +9,7 @@
 //! with its replayable seed line rather than panicking the sweep, so
 //! one bad seed still leaves a complete report behind.
 
-use eclipse_core::dst::{repro_line, run_seed, DstPreset, DstSweep, Verdict};
+use eclipse_core::dst::{repro_line, run_seed, DstPreset, DstSweep};
 use std::time::Instant;
 
 /// One sweep's result: the aggregate counters plus wall-clock.
@@ -27,45 +27,71 @@ pub fn sweep_range(seed0: u64, runs: u64, preset: DstPreset, chunk: u64) -> Swee
     let t = Instant::now();
     let mut agg = DstSweep::default();
     for seed in seed0..seed0 + runs {
-        let r = run_seed(seed, preset);
-        agg.runs += 1;
-        agg.faults_injected += r.faults_injected;
-        agg.oracle_checks += r.oracle_checks;
-        match r.verdict {
-            Verdict::Match => agg.matches += 1,
-            Verdict::AllowedError(_) => agg.allowed_errors += 1,
-            Verdict::Fail { reason, .. } => agg.failures.push((r.seed, reason)),
-        }
+        agg.record(run_seed(seed, preset));
         if chunk > 0 && agg.runs % chunk == 0 {
             eprintln!(
-                "dst[{preset}] {}/{runs} seeds, {} match, {} allowed, {} FAIL, {} faults, {} checks",
-                agg.runs, agg.matches, agg.allowed_errors, agg.failures.len(),
-                agg.faults_injected, agg.oracle_checks
+                "dst[{preset}] {}/{runs} seeds, {} match, {} allowed ({}), {} FAIL, {} faults, \
+                 {} checks",
+                agg.runs,
+                agg.matches,
+                agg.allowed.len(),
+                agg.allowed_by_kind(),
+                agg.failures.len(),
+                agg.faults_injected,
+                agg.oracle_checks
             );
         }
     }
     SweepResult { preset, seed0, sweep: agg, secs: t.elapsed().as_secs_f64() }
 }
 
-/// Render a sweep as the JSON summary `dst_bench --out` writes.
+/// Render a sweep as the JSON summary `dst_bench --out` writes: the
+/// counters, then every allowed error and every failure with its seed
+/// and replay line.
 pub fn to_json(r: &SweepResult) -> String {
     let s = &r.sweep;
     let mut json = String::from("{\n  \"bench\": \"dst_sweep\",\n");
     json.push_str(&format!(
         "  \"preset\": \"{}\",\n  \"seed0\": {},\n  \"runs\": {},\n  \"matches\": {},\n  \
          \"allowed_errors\": {},\n  \"faults_injected\": {},\n  \"oracle_checks\": {},\n  \
-         \"secs\": {:.3},\n  \"failures\": [\n",
-        r.preset, r.seed0, s.runs, s.matches, s.allowed_errors, s.faults_injected,
-        s.oracle_checks, r.secs
+         \"secs\": {:.3},\n",
+        r.preset,
+        r.seed0,
+        s.runs,
+        s.matches,
+        s.allowed.len(),
+        s.faults_injected,
+        s.oracle_checks,
+        r.secs
     ));
-    for (i, (seed, reason)) in s.failures.iter().enumerate() {
+    let allowed: Vec<(u64, String)> = s
+        .allowed
+        .iter()
+        .map(|(seed, kind, reason)| {
+            (*seed, format!("\"seed\": {seed}, \"kind\": \"{kind}\", \"reason\": {reason:?}"))
+        })
+        .collect();
+    push_list(&mut json, "allowed", r.preset, &allowed, ",");
+    let failures: Vec<(u64, String)> = s
+        .failures
+        .iter()
+        .map(|(seed, reason)| (*seed, format!("\"seed\": {seed}, \"reason\": {reason:?}")))
+        .collect();
+    push_list(&mut json, "failures", r.preset, &failures, "");
+    json.push_str("}\n");
+    json
+}
+
+/// Append `"name": [...]`: one object per `(seed, fields)`, each
+/// with the seed's replay line, then `after`.
+fn push_list(json: &mut String, name: &str, preset: DstPreset, items: &[(u64, String)], after: &str) {
+    json.push_str(&format!("  \"{name}\": [\n"));
+    for (i, (seed, fields)) in items.iter().enumerate() {
+        let comma = if i + 1 < items.len() { "," } else { "" };
         json.push_str(&format!(
-            "    {{\"seed\": {seed}, \"reason\": {:?}, \"replay\": {:?}}}{}\n",
-            reason,
-            repro_line(*seed, r.preset),
-            if i + 1 < s.failures.len() { "," } else { "" }
+            "    {{{fields}, \"replay\": {:?}}}{comma}\n",
+            repro_line(*seed, preset)
         ));
     }
-    json.push_str("  ]\n}\n");
-    json
+    json.push_str(&format!("  ]{after}\n"));
 }

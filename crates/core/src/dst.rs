@@ -1233,8 +1233,27 @@ pub fn check_stats(
 #[derive(Clone, Debug, PartialEq, Eq)]
 enum Outcome {
     Match,
-    Allowed(String),
+    /// An allowed terminal error: its kind and message.
+    Allowed(&'static str, String),
     Fail(String),
+}
+
+impl Outcome {
+    fn allowed(e: &JobError) -> Outcome {
+        Outcome::Allowed(error_kind(e), e.to_string())
+    }
+}
+
+/// A terminal error's kind, as sweeps tally allowed errors.
+fn error_kind(e: &JobError) -> &'static str {
+    match e {
+        JobError::Open(_) => "open",
+        JobError::DataLoss(_) => "data_loss",
+        JobError::TaskFailed { .. } => "task_failed",
+        JobError::ReduceFailed { .. } => "reduce_failed",
+        JobError::Cancelled => "cancelled",
+        JobError::InvalidRequest(_) => "invalid_request",
+    }
 }
 
 /// Final verdict of a seeded run.
@@ -1242,8 +1261,9 @@ enum Outcome {
 pub enum Verdict {
     /// Output byte-identical to the fault-free run, invariants hold.
     Match,
-    /// A typed terminal error the schedule legitimately allows.
-    AllowedError(String),
+    /// A typed terminal error the schedule legitimately allows: its
+    /// kind (`task_failed`, `data_loss`) and message.
+    AllowedError { kind: &'static str, reason: String },
     /// Oracle violation: wrong output, bad accounting, or a
     /// disallowed error. Carries the shrunk schedule and a repro line.
     Fail { reason: String, minimal: Vec<DstFault>, repro: String },
@@ -1405,7 +1425,7 @@ fn run_schedule(
         Err(e) => {
             checks += 1;
             if excused(&e) {
-                Outcome::Allowed(e.to_string())
+                Outcome::allowed(&e)
             } else {
                 Outcome::Fail(format!("disallowed terminal error: {e}"))
             }
@@ -1647,7 +1667,7 @@ fn run_epoch_schedule(
     }
     driver.close();
     match terminal {
-        Some(e) => (Outcome::Allowed(e.to_string()), injected, checks),
+        Some(e) => (Outcome::allowed(&e), injected, checks),
         None => (Outcome::Match, injected, checks),
     }
 }
@@ -1726,7 +1746,7 @@ pub fn run_seed(seed: u64, preset: DstPreset) -> DstReport {
         run_schedule(&w, &input, &schedule, &expect, concurrent_jobs);
     let verdict = match outcome {
         Outcome::Match => Verdict::Match,
-        Outcome::Allowed(e) => Verdict::AllowedError(e),
+        Outcome::Allowed(kind, reason) => Verdict::AllowedError { kind, reason },
         Outcome::Fail(reason) => {
             let minimal = shrink_schedule(&schedule, &mut |cand| {
                 matches!(
@@ -1790,7 +1810,7 @@ fn run_epoch_seed(seed: u64, preset: DstPreset, w: DstWorkload) -> DstReport {
         run_epoch_schedule(&w, &deltas, &schedule, &expect);
     let verdict = match outcome {
         Outcome::Match => Verdict::Match,
-        Outcome::Allowed(e) => Verdict::AllowedError(e),
+        Outcome::Allowed(kind, reason) => Verdict::AllowedError { kind, reason },
         Outcome::Fail(reason) => {
             let minimal = shrink_schedule(&schedule, &mut |cand| {
                 matches!(run_epoch_schedule(&w, &deltas, cand, &expect).0, Outcome::Fail(_))
@@ -1824,27 +1844,48 @@ fn run_epoch_seed(seed: u64, preset: DstPreset, w: DstWorkload) -> DstReport {
 pub struct DstSweep {
     pub runs: u64,
     pub matches: u64,
-    pub allowed_errors: u64,
     pub faults_injected: u64,
     pub oracle_checks: u64,
+    /// `(seed, kind, reason)` for every run that ended in an allowed
+    /// error, so a sweep shows which seeds took an excuse and why.
+    pub allowed: Vec<(u64, &'static str, String)>,
     /// `(seed, reason)` for every oracle violation; the repro line is
     /// reconstructible via [`repro_line`].
     pub failures: Vec<(u64, String)>,
+}
+
+impl DstSweep {
+    /// Count one seed's report.
+    pub fn record(&mut self, r: DstReport) {
+        self.runs += 1;
+        self.faults_injected += r.faults_injected;
+        self.oracle_checks += r.oracle_checks;
+        match r.verdict {
+            Verdict::Match => self.matches += 1,
+            Verdict::AllowedError { kind, reason } => self.allowed.push((r.seed, kind, reason)),
+            Verdict::Fail { reason, .. } => self.failures.push((r.seed, reason)),
+        }
+    }
+
+    /// The allowed errors tallied by kind, in kind order:
+    /// `data_loss=1 task_failed=3`, or `none`.
+    pub fn allowed_by_kind(&self) -> String {
+        let mut kinds = std::collections::BTreeMap::new();
+        for (_, kind, _) in &self.allowed {
+            *kinds.entry(*kind).or_insert(0u64) += 1;
+        }
+        if kinds.is_empty() {
+            return "none".to_string();
+        }
+        kinds.iter().map(|(k, n)| format!("{k}={n}")).collect::<Vec<_>>().join(" ")
+    }
 }
 
 /// Run `runs` consecutive seeds starting at `seed0`.
 pub fn sweep(seed0: u64, runs: u64, preset: DstPreset) -> DstSweep {
     let mut agg = DstSweep::default();
     for seed in seed0..seed0 + runs {
-        let r = run_seed(seed, preset);
-        agg.runs += 1;
-        agg.faults_injected += r.faults_injected;
-        agg.oracle_checks += r.oracle_checks;
-        match r.verdict {
-            Verdict::Match => agg.matches += 1,
-            Verdict::AllowedError(_) => agg.allowed_errors += 1,
-            Verdict::Fail { reason, .. } => agg.failures.push((r.seed, reason)),
-        }
+        agg.record(run_seed(seed, preset));
     }
     agg
 }

@@ -75,13 +75,14 @@
 //!   owner, as its own home node. Cache accounting always uses the
 //!   *assigned* node, so stealing changes wall-clock and transport
 //!   traffic, never hit ratios or cache placement.
-//! - **Sorted byte runs end to end.** One
+//! - **Sorted record runs end to end.** One
 //!   [`SpillBuffer`](crate::SpillBuffer) per worker serves all its
 //!   blocks and decides every spill by emitted bytes. An app without a
 //!   combiner appends each borrowed pair from [`MapReduce::map_into`]
 //!   to its partition's byte arena (one buffer plus an offset table, no
 //!   allocation per record); a spill sorts the offsets by key, stably,
-//!   and writes one front-coded [`RecordRun`](eclipse_net::RecordRun).
+//!   and appends them to one [`RecordRun`](eclipse_net::RecordRun)'s
+//!   key and value columns.
 //!   A combiner app ([`MapReduce::has_combiner`]) keeps one
 //!   open-addressing table per partition instead: each pair's key is
 //!   hashed once, the hash's top bits pick the partition and its low
@@ -90,8 +91,10 @@
 //!   accumulator ([`MapReduce::combine_first`]), each later one folds
 //!   into it in place ([`MapReduce::combine_into`]), and the spill sorts
 //!   the keys the same way and writes each accumulator out once
-//!   ([`MapReduce::combine_finish`]). The run is the `ShuffleBatch`
-//!   body: shipped as is, taken by value on receipt and validated once.
+//!   ([`MapReduce::combine_finish`]). A run for a reducer on the same
+//!   node travels as it is; one for another node is front-coded into a
+//!   `ShuffleBatch` frame and decoded back into columns on receipt, in
+//!   one walk of the frame body that also validates it.
 //!   Reducers keep each winning run until fold time. A combiner app's
 //!   partition with several runs folds them through one combining
 //!   table, as a spill is folded, and hands [`MapReduce::reduce_into`]

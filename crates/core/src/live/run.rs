@@ -44,7 +44,9 @@ const NO_CLAIM: u32 = u32::MAX;
 pub type PartitionedOutput = (Vec<Vec<(String, String)>>, LiveStats);
 
 /// One reduce partition's shuffle input after dedup: the committed
-/// attempts' runs, ordered by `(task, seq)` — input order.
+/// attempts' runs, ordered by `(task, seq)` — input order. Each run is
+/// held as columns, however it arrived, so every fold slices keys and
+/// values out of them.
 pub(crate) struct PartitionRuns(Vec<TaskBatch>);
 
 impl PartitionRuns {
@@ -53,9 +55,9 @@ impl PartitionRuns {
         self.0.iter().map(|b| b.run.len() as u64).sum()
     }
 
-    /// K-way merge the runs: `group(key, values)` once per distinct
-    /// key, in key order, with the key's values in input order (ties
-    /// between runs go to the lower `(task, seq)`).
+    /// K-way merge the runs by their key groups: `group(key, values)`
+    /// once per distinct key, in key order, with the key's values in
+    /// input order (ties between runs go to the lower `(task, seq)`).
     pub(crate) fn for_each_group<'a>(&'a self, group: impl FnMut(&str, &[&'a str])) {
         merge_groups(self.0.iter().map(|b| &b.run), group);
     }
@@ -710,20 +712,24 @@ impl LiveCluster {
 ///
 /// A combiner app's partition with more than one run folds every
 /// shipped partial aggregate, in input order, through a combining
-/// [`Table`] — the one its map side spills from — and calls
-/// `reduce_into` once per key, on the finished value; the combiner
-/// contract makes that equal to reducing the partials themselves. Any
-/// other partition (no combiner, or one run, whose keys are already
-/// distinct) k-way merges its runs into key groups.
+/// [`Table`] — the one its map side spills from — hashing each run's
+/// key group once, and calls `reduce_into` once per key, on the
+/// finished value; the combiner contract makes that equal to reducing
+/// the partials themselves. Any other partition (no combiner, or one
+/// run, whose keys are already distinct) k-way merges its runs' key
+/// groups, comparing cached 8-byte key prefixes first
+/// ([`merge_groups`]).
 fn reduce_runs(app: &dyn MapReduce, runs: &PartitionRuns) -> Vec<(String, String)> {
     let mut out = Vec::new();
     let mut emit = |ok, ov| out.push((ok, ov));
     if app.has_combiner() && runs.0.len() > 1 {
         let mut table = Table::default();
         for batch in &runs.0 {
-            let mut cursor = batch.run.cursor();
-            while let Some((k, v)) = cursor.next() {
-                table.fold(app, shuffle_hash(k.as_bytes()), k, v);
+            for (k, values) in batch.run.groups() {
+                let hash = shuffle_hash(k.as_bytes());
+                for v in values {
+                    table.fold(app, hash, k, v);
+                }
             }
         }
         table.drain_with(app, |k, v| app.reduce_into(k, &[v], &mut emit));
@@ -820,8 +826,8 @@ mod tests {
                 }
                 fold += t.elapsed().as_nanos() as f64;
                 for (table, part) in tables.iter_mut().zip(&mut runs) {
-                    let mut run = RunBuilder::with_capacity(0);
-                    table.drain_with(&CountWords, |k, v| run.push(k.as_bytes(), v.as_bytes()));
+                    let mut run = RunBuilder::default();
+                    table.drain_with(&CountWords, |k, v| run.push(k, v));
                     part.push(TaskBatch { task: task as u32, attempt: 0, seq: 0, run: run.finish() });
                 }
             }

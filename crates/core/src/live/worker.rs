@@ -24,7 +24,7 @@ use crate::shuffle::SpillBuffer;
 use bytes::Bytes;
 use eclipse_cache::CacheKey;
 use eclipse_dhtfs::FsError;
-use eclipse_net::{RecordRun, Rpc, RunBuilder, SendTicket, CLIENT};
+use eclipse_net::{key_prefix, RecordRun, Rpc, RunBuilder, SendTicket, CLIENT};
 use eclipse_ring::NodeId;
 use eclipse_util::HashKey;
 use std::sync::atomic::Ordering;
@@ -802,6 +802,15 @@ struct Entry {
     value_len: u32,
 }
 
+impl Entry {
+    /// Where the entry's key and value sit in its arena's bytes.
+    #[inline]
+    fn spans(&self) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
+        let (start, value_at) = (self.start as usize, (self.start + self.key_len) as usize);
+        (start..value_at, value_at..value_at + self.value_len as usize)
+    }
+}
+
 impl Arena {
     /// Append one pair; returns its entry's index.
     #[inline]
@@ -811,7 +820,7 @@ impl Arena {
         self.bytes.extend_from_slice(value);
         narrow(self.bytes.len());
         self.entries.push(Entry {
-            prefix: prefix_of(key),
+            prefix: key_prefix(key),
             start: start as u32,
             key_len: key.len() as u32,
             value_len: value.len() as u32,
@@ -836,24 +845,35 @@ impl Arena {
     /// equal keys. Only two longer keys compare their bytes past the
     /// prefix.
     fn drain_sorted(&mut self, mut emit: impl FnMut(&[u8], &[u8])) {
-        let bytes = &self.bytes;
-        let key = |e: &Entry| &bytes[e.start as usize..(e.start + e.key_len) as usize];
-        if self.entries.len() < RADIX_MIN {
-            sort_by_comparison(bytes, &mut self.entries);
-        } else {
-            sort_by_radix(bytes, &mut self.entries);
-        }
+        self.sort();
         for e in &self.entries {
-            let value_at = (e.start + e.key_len) as usize;
-            emit(key(e), &bytes[value_at..value_at + e.value_len as usize]);
+            let (key, value) = e.spans();
+            emit(&self.bytes[key], &self.bytes[value]);
         }
         self.clear();
     }
 
-    /// The arena's pairs as one key-sorted run.
+    fn sort(&mut self) {
+        if self.entries.len() < RADIX_MIN {
+            sort_by_comparison(&self.bytes, &mut self.entries);
+        } else {
+            sort_by_radix(&self.bytes, &mut self.entries);
+        }
+    }
+
+    /// The arena's pairs as one key-sorted run, leaving the arena empty.
+    /// Every pair was pushed from `&str`s, so the arena's bytes are
+    /// UTF-8 as a whole: one check here makes every key and value a
+    /// slice of them.
     fn drain(&mut self) -> RecordRun {
-        let mut run = RunBuilder::with_capacity(self.bytes.len() + 3 * self.entries.len());
-        self.drain_sorted(|k, v| run.push(k, v));
+        self.sort();
+        let text = std::str::from_utf8(&self.bytes).expect("a record arena holds the strs pushed");
+        let mut run = RunBuilder::with_capacity(self.entries.len(), self.bytes.len());
+        for e in &self.entries {
+            let (key, value) = e.spans();
+            run.push(&text[key], &text[value]);
+        }
+        self.clear();
         run.finish()
     }
 
@@ -863,15 +883,6 @@ impl Arena {
     }
 }
 
-/// A key's [`Entry::prefix`]: its first eight bytes, big-endian and
-/// zero-padded.
-#[inline]
-fn prefix_of(key: &[u8]) -> u64 {
-    let mut prefix = [0u8; 8];
-    let n = key.len().min(8);
-    prefix[..n].copy_from_slice(&key[..n]);
-    u64::from_be_bytes(prefix)
-}
 
 /// The order of two entries of `bytes` with equal prefixes: by key,
 /// then emit order (`start`).
@@ -989,7 +1000,7 @@ impl Table {
         if 2 * (self.arena.entries.len() + 1) > self.slots.len() {
             self.grow();
         }
-        let prefix = prefix_of(key.as_bytes());
+        let prefix = key_prefix(key.as_bytes());
         let mask = self.slots.len() - 1;
         let mut i = hash as usize & mask;
         loop {
@@ -1074,8 +1085,8 @@ impl Table {
     /// The table as a key-sorted run, one record per key.
     fn drain(&mut self, app: &dyn MapReduce) -> RecordRun {
         let arena = &self.arena;
-        let mut run = RunBuilder::with_capacity(arena.bytes.len() + 3 * arena.entries.len());
-        self.drain_with(app, |key, value| run.push(key.as_bytes(), value.as_bytes()));
+        let mut run = RunBuilder::with_capacity(arena.entries.len(), arena.bytes.len());
+        self.drain_with(app, |key, value| run.push(key, value));
         run.finish()
     }
 
@@ -1297,8 +1308,11 @@ mod tests {
     /// app without a combiner: inverted-index pairs (word, doc id) from a
     /// Zipf corpus (50,000 words, 10 per line), in 8 partitions and
     /// 262,080-byte blocks as the executor cuts them. Each block spills
-    /// every partition once; each partition merges one run per block.
-    /// Prints the best of five passes, in ns per record:
+    /// every partition once into a run's columns (the arena pushes
+    /// before it are not timed); each run is front-coded into a frame
+    /// body and decoded back, as a run bound for another node is; each
+    /// partition merges one run per block. Prints the best of five
+    /// passes, in ns per record:
     ///
     /// ```text
     /// cargo test --release -p eclipse-core --lib record_path_timing -- --ignored --nocapture
@@ -1330,20 +1344,19 @@ mod tests {
         let mut best = [f64::MAX; 4];
         for _ in 0..5 {
             let mut arenas: Vec<Arena> = (0..PARTS).map(|_| Arena::default()).collect();
-            let (mut push, mut spill) = (0.0, 0.0);
+            let mut spill = 0.0;
             let mut runs: Vec<Vec<RecordRun>> = vec![Vec::new(); PARTS];
             for block_pairs in &pairs {
-                let t = Instant::now();
                 for &(p, k, v) in block_pairs {
                     arenas[p].push(k.as_bytes(), v.as_bytes());
                 }
-                push += per(t);
                 let t = Instant::now();
                 for (p, arena) in arenas.iter_mut().enumerate() {
                     runs[p].push(arena.drain());
                 }
                 spill += per(t);
             }
+            let t = Instant::now();
             let bodies: Vec<Vec<u8>> = runs
                 .iter()
                 .flatten()
@@ -1353,11 +1366,14 @@ mod tests {
                     body
                 })
                 .collect();
+            let encode = per(t);
             let t = Instant::now();
-            for body in bodies {
-                RecordRun::from_body(body, 0).expect("a built run validates");
-            }
-            let validate = per(t);
+            let decoded: Vec<RecordRun> = bodies
+                .into_iter()
+                .map(|body| RecordRun::from_body(body, 0).expect("a built run decodes"))
+                .collect();
+            let decode = per(t);
+            assert_eq!(decoded.iter().map(RecordRun::len).sum::<usize>(), records);
             let t = Instant::now();
             let mut values = 0;
             for part in &runs {
@@ -1365,13 +1381,13 @@ mod tests {
             }
             let merge = per(t);
             assert_eq!(values, records);
-            for (b, v) in best.iter_mut().zip([push, spill, validate, merge]) {
+            for (b, v) in best.iter_mut().zip([spill, encode, decode, merge]) {
                 *b = b.min(v);
             }
         }
         println!(
-            "record path, ns/record over {records} records: arena push {:.1}, \
-             spill sort + RunBuilder {:.1}, RecordRun::from_body {:.1}, merge_groups {:.1}",
+            "record path, ns/record over {records} records: spill into columns {:.1}, \
+             encode {:.1}, from_body {:.1}, merge_groups {:.1}",
             best[0], best[1], best[2], best[3]
         );
     }

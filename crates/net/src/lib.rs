@@ -31,7 +31,7 @@ pub mod wire;
 
 pub use demux::Demux;
 pub use mem::MemTransport;
-pub use records::{merge_groups, RecordRun, RunBuilder, RunCursor};
+pub use records::{key_prefix, merge_groups, Groups, RecordRun, RunBuilder, Values};
 pub use rpc::{Rpc, RpcKind, RpcReply};
 pub use tcp::TcpTransport;
 pub use wire::{CodecError, Dir, Frame, FrameDecoder};

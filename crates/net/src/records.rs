@@ -1,11 +1,24 @@
-//! Sorted, front-coded record runs: the shuffle's record format from
-//! the map-side spill to `reduce`.
+//! Sorted record runs: the shuffle's record format from the map-side
+//! spill to `reduce`.
 //!
-//! A [`RecordRun`] is an owned byte buffer plus a record count. Its
-//! bytes are exactly the record section of a `ShuffleBatch` body:
+//! In memory a [`RecordRun`] is four columns: each key group's key
+//! once, back to back in one `String`; every value back to back in
+//! another; and `u32` ends into both. The records `(apple, d1)`,
+//! `(apple, d7)`, `(pear, d3)` are held as
 //!
 //! ```text
-//! varint count                      (written by the codec, see `encode`)
+//! keys    "applepear"     groups  [(5, 2), (9, 3)]   key end, record end
+//! values  "d1d7d3"        ends    [2, 4, 6]          value end
+//! ```
+//!
+//! so every reader slices `&str` out of the columns, with no varint to
+//! walk and no UTF-8 to check again.
+//!
+//! On the wire, and only there, the records are front-coded. The record
+//! section of a `ShuffleBatch` body is
+//!
+//! ```text
+//! varint count
 //! per record, in key order:
 //!   varint shared    bytes the key shares with the previous key
 //!   varint len + key suffix bytes
@@ -13,36 +26,45 @@
 //! ```
 //!
 //! A key equal to its predecessor is the general rule's special case:
-//! `shared` is the whole key and the suffix is empty. Every stage below
-//! pays one value for it, not one key: the builder writes it without a
-//! prefix scan, validation checks only its value, the cursor keeps the
-//! key it holds, and the merge keeps that cursor on top of its heap.
+//! `shared` is the whole key and the suffix is empty.
 //!
-//! A map worker builds a run once per spill ([`RunBuilder`]); the run
-//! travels unchanged to the reducer, whether over the wire (the frame
-//! body *is* the run, taken by value with no second copy) or through a
-//! node-local channel. A received run is validated once, on receipt
-//! ([`RecordRun::from_body`]); afterwards a [`RunCursor`] reads it
-//! without allocating per record, and [`merge_groups`] k-way merges a
-//! partition's runs into key groups. The executor merges the runs of
-//! an app without a combiner, a partition's single run and an epoch
-//! fold's delta runs; a combiner app's partition with several runs
-//! reads each with a cursor and folds its records into a combining
-//! table instead.
+//! A map worker builds a run once per spill ([`RunBuilder`]). A run for
+//! a reducer on the worker's own node goes through a channel as it is
+//! and is never front-coded; a run for another node is front-coded into
+//! its frame ([`RecordRun::encode`]) and decoded back into columns on
+//! receipt ([`RecordRun::from_body`]), which validates it as it
+//! decodes and frees the frame body. [`RecordRun::groups`] reads a run key
+//! group by key group, and [`merge_groups`] k-way merges a partition's
+//! runs into key groups. The executor merges the runs of an app without
+//! a combiner, a partition's single run and an epoch fold's delta runs;
+//! a combiner app's partition with several runs folds each run's groups
+//! into a combining table instead.
 
-use crate::wire::{CodecError, Reader, Writer};
+use crate::wire::{append_short, CodecError, Reader, Writer};
+use std::cmp::Ordering;
 use std::fmt;
 
-/// An owned, key-sorted run of `(key, value)` records (see the module
-/// docs for the byte layout). Keys never decrease; every key and value
-/// is UTF-8.
-#[derive(Clone, Default)]
+/// An owned, key-sorted run of `(key, value)` records, held as columns
+/// (see the module docs). Keys never decrease; equal keys form one key
+/// group, which holds its key once and its values in record order.
+#[derive(Clone, Default, PartialEq)]
 pub struct RecordRun {
-    /// Backing bytes; the records start at `start`. A run taken from a
-    /// frame body keeps the body's message header in front.
-    buf: Vec<u8>,
-    start: usize,
-    len: usize,
+    /// Each key group's key, back to back.
+    keys: String,
+    /// Every record's value, back to back.
+    values: String,
+    /// Per key group, in key order: where its key ends in `keys` and
+    /// where its records end in `ends`. A group always holds a record.
+    groups: Vec<GroupEnd>,
+    /// Per record: where its value ends in `values`.
+    ends: Vec<u32>,
+}
+
+/// Where one key group ends in a [`RecordRun`]'s columns.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+struct GroupEnd {
+    key: u32,
+    records: u32,
 }
 
 impl RecordRun {
@@ -53,21 +75,17 @@ impl RecordRun {
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.len
+        self.ends.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.ends.is_empty()
     }
 
-    /// The encoded records, without the count.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.buf[self.start..]
-    }
-
-    /// Iterate the records in key order.
-    pub fn cursor(&self) -> RunCursor<'_> {
-        RunCursor { rest: self.as_bytes(), left: self.len, key: String::new() }
+    /// The key groups in key order: each distinct key once, with its
+    /// values in record order.
+    pub fn groups(&self) -> Groups<'_> {
+        Groups { run: self, next: 0 }
     }
 
     /// Build a run from owned pairs, sorting them by key first (stable:
@@ -78,225 +96,374 @@ impl RecordRun {
         order.sort_by(|a, b| a.0.as_ref().cmp(b.0.as_ref()));
         let mut b = RunBuilder::default();
         for (k, v) in order {
-            b.push(k.as_ref().as_bytes(), v.as_ref().as_bytes());
+            b.push(k.as_ref(), v.as_ref());
         }
         b.finish()
     }
 
     /// The records as owned pairs, in run order.
     pub fn to_pairs(&self) -> Vec<(String, String)> {
-        let mut out = Vec::with_capacity(self.len);
-        let mut c = self.cursor();
-        while let Some((k, v)) = c.next() {
-            out.push((k.to_string(), v.to_string()));
-        }
-        out
+        let records = self.groups().flat_map(|(k, vs)| vs.map(move |v| (k, v)));
+        records.map(|(k, v)| (k.to_string(), v.to_string())).collect()
     }
 
-    /// Append the run to a message body: the count, then the records.
+    /// Append the run to a message body, front-coded: the count, then
+    /// the records (see the module docs).
     pub fn encode(&self, w: &mut Writer<'_>) {
-        w.varint(self.len as u64);
-        w.raw(self.as_bytes());
+        // Room for the usual case: suffixes no longer than their keys,
+        // three one-byte varints per record, and a short value's block.
+        w.reserve(26 + self.keys.len() + self.values.len() + 3 * self.len());
+        w.varint(self.len() as u64);
+        let (keys, values) = (self.keys.as_bytes(), self.values.as_bytes());
+        let (mut key_at, mut first, mut value_at) = (0, 0, 0);
+        let mut prev: &[u8] = &[];
+        for g in &self.groups {
+            let key = &keys[key_at..g.key as usize];
+            let shared = common_prefix(prev, key);
+            w.varint(shared as u64);
+            w.vbytes(&key[shared..]);
+            for (i, &end) in self.ends[first..g.records as usize].iter().enumerate() {
+                let (at, len) = (value_at, end as usize - value_at);
+                value_at = end as usize;
+                if i > 0 && key.len() < 0x80 && len < 0x80 {
+                    // A repeat, its head in one append: the whole key
+                    // shared, an empty suffix.
+                    w.raw(&[key.len() as u8, 0, len as u8]);
+                } else {
+                    if i > 0 {
+                        w.varint(key.len() as u64);
+                        w.u8(0);
+                    }
+                    w.varint(len as u64);
+                }
+                w.raw_from(values, at, len);
+            }
+            (key_at, first, prev) = (g.key as usize, g.records as usize, key);
+        }
     }
 
-    /// Take a message body by value and validate the run that fills it
-    /// from byte `at` to the end: the count, then every record. Checks
-    /// bounds, `shared <= previous key length`, UTF-8 of every
-    /// reconstructed key and every value, and that keys never decrease.
-    /// The body is kept as the run's storage; nothing is copied.
+    /// Take a message body by value and decode the front-coded run that
+    /// fills it from byte `at` to the end into columns, validating it on
+    /// the way: bounds, `shared <= previous key length` and that keys
+    /// never decrease as it walks the records, then the UTF-8 of every
+    /// key and every value, one column at a time. The first violation
+    /// in record order is the error. The body is freed on return.
+    ///
+    /// The columns are sized from the body's length, never from the
+    /// count it declares: every record takes at least three bytes. A
+    /// body past 4 GiB, or a run whose keys, each held once in full,
+    /// would pass 4 GiB, is a [`CodecError::FieldOverrun`].
     pub fn from_body(body: Vec<u8>, at: usize) -> Result<RecordRun, CodecError> {
         let rest = body.get(at..).ok_or(CodecError::FieldOverrun)?;
-        let mut r = Reader::new(rest);
-        let len = usize::try_from(r.varint()?).map_err(|_| CodecError::FieldOverrun)?;
-        let start = at + r.position();
-        // The previous key, rebuilt in place record by record.
-        let mut prev = Vec::new();
-        for _ in 0..len {
-            let shared = usize::try_from(r.varint()?).map_err(|_| CodecError::FieldOverrun)?;
-            if shared > prev.len() {
-                return Err(CodecError::FieldOverrun);
-            }
-            let suffix = r.vbytes()?;
-            // A repeated key (the whole previous key shared, no suffix)
-            // is as valid and as sorted as its predecessor.
-            let mut sorted = true;
-            if !(suffix.is_empty() && shared == prev.len()) {
-                // The new key is `prev[..shared] + suffix`, so it sorts
-                // below `prev` exactly when `suffix` sorts below the
-                // tail it replaces.
-                sorted = suffix >= &prev[shared..];
-                // `prev` is UTF-8: only the bytes from the last
-                // character boundary at or before `shared` need checking.
-                let mut from = shared;
-                while from > 0 && from < prev.len() && prev[from] & 0xc0 == 0x80 {
-                    from -= 1;
-                }
-                prev.truncate(shared);
-                prev.extend_from_slice(suffix);
-                std::str::from_utf8(&prev[from..]).map_err(|_| CodecError::BadUtf8)?;
-            }
-            std::str::from_utf8(r.vbytes()?).map_err(|_| CodecError::BadUtf8)?;
-            if !sorted {
-                return Err(CodecError::Unsorted);
-            }
+        // Values and records fit `u32` ends from here on.
+        offset(rest.len())?;
+        let mut d = Decoding::default();
+        let decoded = d.decode(rest);
+        // Keys and values are checked as UTF-8 after the walk, each
+        // column as a whole: any of them decoded before a failure comes
+        // before it in record order.
+        let keys = checked_utf8(d.keys, d.groups.iter().map(|g| g.key))?;
+        let values = checked_utf8(d.values, d.ends.iter().copied())?;
+        decoded?;
+        let mut run = RecordRun { keys, values, groups: d.groups, ends: d.ends };
+        run.seal();
+        Ok(run)
+    }
+
+    /// Key group `g`'s key.
+    fn key(&self, g: usize) -> &str {
+        let start = g.checked_sub(1).map_or(0, |p| self.groups[p].key);
+        &self.keys[start as usize..self.groups[g].key as usize]
+    }
+
+    /// Key group `g`'s values.
+    fn values(&self, g: usize) -> Values<'_> {
+        let first = g.checked_sub(1).map_or(0, |p| self.groups[p].records as usize);
+        let at = first.checked_sub(1).map_or(0, |i| self.ends[i] as usize);
+        let ends = &self.ends[first..self.groups[g].records as usize];
+        Values { values: &self.values, ends, at }
+    }
+
+    /// Close the last group and give back the columns' spare capacity.
+    fn seal(&mut self) {
+        let records = self.ends.len() as u32;
+        if let Some(last) = self.groups.last_mut() {
+            last.records = records;
         }
-        r.finish()?;
-        Ok(RecordRun { buf: body, start, len })
+        self.keys.shrink_to_fit();
+        self.values.shrink_to_fit();
+        self.groups.shrink_to_fit();
+        self.ends.shrink_to_fit();
     }
 }
 
-impl PartialEq for RecordRun {
-    /// Equal runs hold the same records in the same encoding, wherever
-    /// their storage starts.
-    fn eq(&self, other: &RecordRun) -> bool {
-        self.len == other.len && self.as_bytes() == other.as_bytes()
+/// Close the last of `groups` at record `records` and open one whose key
+/// ends at `key_end`. The record count fits a `u32`: a decoded body is
+/// below 4 GiB, and a builder checks its count.
+#[inline]
+fn open_group(groups: &mut Vec<GroupEnd>, key_end: u32, records: usize) {
+    if let Some(last) = groups.last_mut() {
+        last.records = records as u32;
     }
+    groups.push(GroupEnd { key: key_end, records: 0 });
+}
+
+/// A run being decoded from the wire: its keys and values are raw
+/// bytes until [`RecordRun::from_body`] checks each column at once.
+#[derive(Default)]
+struct Decoding {
+    keys: Vec<u8>,
+    groups: Vec<GroupEnd>,
+    values: Vec<u8>,
+    ends: Vec<u32>,
+}
+
+impl Decoding {
+    /// Walk the front-coded records of `rest` into the columns, checking
+    /// everything but the UTF-8 of the keys and values it keeps. A key
+    /// that sorts below its predecessor is not kept, so it is checked
+    /// here; its value is kept, as its UTF-8 error would come first.
+    fn decode(&mut self, rest: &[u8]) -> Result<(), CodecError> {
+        let mut r = Reader::new(rest);
+        let count = usize::try_from(r.varint()?).map_err(|_| CodecError::FieldOverrun)?;
+        let (records, value_bytes) = capacities(count, rest.len() - r.position());
+        // A short value's block may reach sixteen bytes past the end.
+        self.values.reserve_exact(value_bytes + 16);
+        self.ends.reserve_exact(records);
+        let Decoding { keys, groups, values, ends } = self;
+        // Where the previous key starts in `keys`; it runs to the end.
+        let mut prev_at = 0;
+        for i in 0..count {
+            let shared = usize::try_from(r.varint()?).map_err(|_| CodecError::FieldOverrun)?;
+            let prev_len = keys.len() - prev_at;
+            if shared > prev_len {
+                return Err(CodecError::FieldOverrun);
+            }
+            let suffix = r.vbytes()?;
+            // The new key is `prev[..shared] + suffix`: equal to `prev`
+            // (the same group), above it or below it exactly as `suffix`
+            // compares with the tail it replaces.
+            let order = if i == 0 {
+                Ordering::Greater
+            } else if suffix.is_empty() && shared == prev_len {
+                Ordering::Equal
+            } else {
+                suffix.cmp(&keys[prev_at + shared..])
+            };
+            match order {
+                Ordering::Equal => {}
+                Ordering::Greater => {
+                    let key_at = keys.len();
+                    keys.extend_from_within(prev_at..prev_at + shared);
+                    keys.extend_from_slice(suffix);
+                    open_group(groups, offset(keys.len())?, ends.len());
+                    prev_at = key_at;
+                }
+                Ordering::Less => check_key(&keys[prev_at..], shared, suffix)?,
+            }
+            let len = r.vbytes()?.len();
+            append_short(values, rest, r.position() - len, len);
+            ends.push(values.len() as u32);
+            if order == Ordering::Less {
+                return Err(CodecError::Unsorted);
+            }
+        }
+        r.finish()
+    }
+}
+
+/// Is `prev[..shared] + suffix` UTF-8, given that `prev` is? Only the
+/// bytes from `prev`'s last character boundary at or before `shared`
+/// need checking: a shared prefix may end inside a code point (`é`
+/// then `ê`).
+fn check_key(prev: &[u8], shared: usize, suffix: &[u8]) -> Result<(), CodecError> {
+    let from = (0..=shared).rev().find(|&at| prev.get(at).is_none_or(|b| b & 0xc0 != 0x80));
+    let mut tail = prev[from.unwrap_or(0)..shared].to_vec();
+    tail.extend_from_slice(suffix);
+    std::str::from_utf8(&tail).map(drop).map_err(|_| CodecError::BadUtf8)
+}
+
+/// `column` as a `String`, if every entry in it — cut at `ends` — is
+/// UTF-8: the whole is, and every cut falls on a character boundary.
+fn checked_utf8(column: Vec<u8>, mut ends: impl Iterator<Item = u32>) -> Result<String, CodecError> {
+    let column = String::from_utf8(column).map_err(|_| CodecError::BadUtf8)?;
+    if !ends.all(|end| column.is_char_boundary(end as usize)) {
+        return Err(CodecError::BadUtf8);
+    }
+    Ok(column)
+}
+
+/// Room for the records of a front-coded run body that declares `count`
+/// records in `room` bytes: `(records, value bytes)`. Each record holds
+/// at least three varint bytes besides its value, so neither figure can
+/// exceed what the body holds, whatever the count says.
+fn capacities(count: usize, room: usize) -> (usize, usize) {
+    let records = count.min(room / 3);
+    (records, room - 3 * records)
+}
+
+/// A column offset as a `u32`.
+#[inline]
+fn offset(n: usize) -> Result<u32, CodecError> {
+    u32::try_from(n).map_err(|_| CodecError::FieldOverrun)
 }
 
 impl fmt::Debug for RecordRun {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RecordRun")
-            .field("len", &self.len)
-            .field("bytes", &self.as_bytes().len())
+            .field("len", &self.len())
+            .field("groups", &self.groups.len())
+            .field("key_bytes", &self.keys.len())
+            .field("value_bytes", &self.values.len())
             .finish()
     }
 }
 
-/// Writes a [`RecordRun`] from `(key, value)` byte pairs given in key
-/// order, front-coding each key against its predecessor.
+/// A run's key groups in key order (see [`RecordRun::groups`]).
+pub struct Groups<'a> {
+    run: &'a RecordRun,
+    next: usize,
+}
+
+impl<'a> Iterator for Groups<'a> {
+    type Item = (&'a str, Values<'a>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let g = self.next;
+        if g == self.run.groups.len() {
+            return None;
+        }
+        self.next += 1;
+        Some((self.run.key(g), self.run.values(g)))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.run.groups.len() - self.next;
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for Groups<'_> {}
+
+/// One key group's values in record order.
+pub struct Values<'a> {
+    values: &'a str,
+    /// The ends of the values still to come.
+    ends: &'a [u32],
+    /// Where the next value starts.
+    at: usize,
+}
+
+impl<'a> Iterator for Values<'a> {
+    type Item = &'a str;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a str> {
+        let (&end, rest) = self.ends.split_first()?;
+        let value = &self.values[self.at..end as usize];
+        self.at = end as usize;
+        self.ends = rest;
+        Some(value)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.ends.len(), Some(self.ends.len()))
+    }
+}
+
+impl ExactSizeIterator for Values<'_> {}
+
+/// Writes a [`RecordRun`]'s columns from `(key, value)` pairs given in
+/// key order.
 #[derive(Default)]
 pub struct RunBuilder {
-    buf: Vec<u8>,
-    len: usize,
-    prev: Vec<u8>,
+    run: RecordRun,
+    /// Where the last key starts in the run's `keys`; it runs to the end.
+    key_at: usize,
 }
 
 impl RunBuilder {
-    /// A builder whose buffer starts with `bytes` of capacity.
-    pub fn with_capacity(bytes: usize) -> RunBuilder {
-        RunBuilder { buf: Vec::with_capacity(bytes), ..RunBuilder::default() }
+    /// A builder with room for `records` records whose values take
+    /// `value_bytes` bytes; [`finish`](Self::finish) gives back what
+    /// the run did not use.
+    pub fn with_capacity(records: usize, value_bytes: usize) -> RunBuilder {
+        let run = RecordRun {
+            values: String::with_capacity(value_bytes),
+            ends: Vec::with_capacity(records),
+            ..RecordRun::default()
+        };
+        RunBuilder { run, key_at: 0 }
     }
 
-    /// Append one record. `key` and `value` are UTF-8 bytes.
+    /// Append one record: a key equal to the previous one joins its key
+    /// group.
     ///
     /// # Panics
     ///
-    /// When `key` sorts below the previous key: a run is sorted by
-    /// construction.
-    pub fn push(&mut self, key: &[u8], value: &[u8]) {
-        debug_assert!(std::str::from_utf8(key).is_ok() && std::str::from_utf8(value).is_ok());
-        if key == self.prev.as_slice() {
-            // The general path's bytes for a repeat: the whole previous
-            // key shared, an empty suffix.
-            let mut w = Writer::new(&mut self.buf);
-            w.varint(key.len() as u64);
-            w.u8(0);
-            w.vbytes(value);
-            self.len += 1;
-            return;
+    /// When `key` sorts below the previous key (a run is sorted by
+    /// construction), or when the run's columns pass 4 GiB.
+    pub fn push(&mut self, key: &str, value: &str) {
+        let run = &mut self.run;
+        let order = if run.groups.is_empty() {
+            Ordering::Greater
+        } else {
+            key.as_bytes().cmp(&run.keys.as_bytes()[self.key_at..])
+        };
+        match order {
+            Ordering::Equal => {}
+            Ordering::Greater => {
+                self.key_at = run.keys.len();
+                run.keys.push_str(key);
+                let key_end = offset(run.keys.len()).expect("a run's keys stay below 4 GiB");
+                open_group(&mut run.groups, key_end, run.ends.len());
+            }
+            Ordering::Less => panic!("RunBuilder::push: keys must be pushed in order"),
         }
-        let shared = common_prefix(&self.prev, key);
-        // Past the shared prefix the previous key must be exhausted or
-        // smaller at its first differing byte.
-        let ordered = shared == self.prev.len() || key.get(shared) > self.prev.get(shared);
-        assert!(ordered, "RunBuilder::push: keys must be pushed in order");
-        let mut w = Writer::new(&mut self.buf);
-        w.varint(shared as u64);
-        w.vbytes(&key[shared..]);
-        w.vbytes(value);
-        self.prev.truncate(shared);
-        self.prev.extend_from_slice(&key[shared..]);
-        self.len += 1;
+        run.values.push_str(value);
+        let end = offset(run.values.len()).expect("a run's values stay below 4 GiB");
+        assert!(run.ends.len() < u32::MAX as usize, "a run holds fewer than 2^32 records");
+        run.ends.push(end);
     }
 
     /// Seal the run.
-    pub fn finish(self) -> RecordRun {
-        RecordRun { buf: self.buf, start: 0, len: self.len }
+    pub fn finish(mut self) -> RecordRun {
+        self.run.seal();
+        self.run
     }
 }
 
 /// Length of the longest common prefix of `a` and `b`, in bytes.
 pub(crate) fn common_prefix(a: &[u8], b: &[u8]) -> usize {
-    a.iter().zip(b).take_while(|(x, y)| x == y).count()
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[..n], &b[..n]);
+    // Up to eight bytes at a time, as big-endian words: the first byte
+    // that differs is their xor's count of leading zero bytes.
+    let mut at = 0;
+    while at < n {
+        let x = key_prefix(&a[at..]) ^ key_prefix(&b[at..]);
+        if x != 0 {
+            return at + x.leading_zeros() as usize / 8;
+        }
+        at += 8;
+    }
+    n
 }
 
-/// Reads a run's records in order. Each call to [`next`](Self::next)
-/// rebuilds the key in one reused buffer (a repeated key is left as it
-/// is) and borrows the value from the run, so iterating allocates
-/// nothing per record. Total: a malformed tail (which a validated run
-/// never has) ends the iteration.
-pub struct RunCursor<'a> {
-    rest: &'a [u8],
-    left: usize,
-    key: String,
-}
-
-impl<'a> RunCursor<'a> {
-    /// The next record: a key valid until the following call, and a
-    /// value borrowed from the run.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Option<(&str, &'a str)> {
-        let (value, _) = self.advance()?;
-        Some((&self.key, value))
+/// A key's first eight bytes, big-endian and zero-padded: the spill
+/// sort and the merge order keys by this before any key byte. Read with
+/// fixed-size loads (a key of four to seven bytes as two overlapping
+/// four-byte words), not a `memcpy` call of the key's length.
+#[inline]
+pub fn key_prefix(key: &[u8]) -> u64 {
+    if let Some(head) = key.first_chunk::<8>() {
+        return u64::from_be_bytes(*head);
     }
-
-    /// Step to the next record: its value, and `true` when its key
-    /// repeats the previous one (the whole key shared, no suffix), in
-    /// which case the key is neither rebuilt nor re-checked.
-    fn advance(&mut self) -> Option<(&'a str, bool)> {
-        if self.left == 0 {
-            return None;
+    match (key.first_chunk::<4>(), key.last_chunk::<4>()) {
+        (Some(head), Some(tail)) => {
+            let (head, tail) = (u32::from_be_bytes(*head), u32::from_be_bytes(*tail));
+            u64::from(head) << 32 | u64::from(tail) << (8 * (8 - key.len()))
         }
-        self.left -= 1;
-        let shared = usize::try_from(self.varint()?).ok()?;
-        let suffix = self.vbytes()?;
-        let value = std::str::from_utf8(self.vbytes()?).ok()?;
-        if suffix.is_empty() && shared == self.key.len() {
-            return Some((value, true));
-        }
-        if shared > self.key.len() {
-            return None;
-        }
-        if self.key.is_char_boundary(shared) {
-            let suffix = std::str::from_utf8(suffix).ok()?;
-            self.key.truncate(shared);
-            self.key.push_str(suffix);
-        } else {
-            // The shared prefix ends inside a code point (`é` then
-            // `ê`): rebuild the bytes and re-check them as a whole.
-            let mut bytes = std::mem::take(&mut self.key).into_bytes();
-            bytes.truncate(shared);
-            bytes.extend_from_slice(suffix);
-            self.key = String::from_utf8(bytes).ok()?;
-        }
-        Some((value, false))
-    }
-
-    /// The key [`next`](Self::next) last returned.
-    pub fn key(&self) -> &str {
-        &self.key
-    }
-
-    fn varint(&mut self) -> Option<u64> {
-        let mut v = 0u64;
-        for (i, &b) in self.rest.iter().enumerate().take(10) {
-            v |= u64::from(b & 0x7f) << (7 * i);
-            if b & 0x80 == 0 {
-                self.rest = &self.rest[i + 1..];
-                return Some(v);
-            }
-        }
-        None
-    }
-
-    fn vbytes(&mut self) -> Option<&'a [u8]> {
-        let n = usize::try_from(self.varint()?).ok()?;
-        if n > self.rest.len() {
-            return None;
-        }
-        let (head, tail) = self.rest.split_at(n);
-        self.rest = tail;
-        Some(head)
+        _ => key.iter().enumerate().fold(0, |p, (i, &b)| p | u64::from(b) << (56 - 8 * i)),
     }
 }
 
@@ -304,75 +471,103 @@ impl<'a> RunCursor<'a> {
 /// once per distinct key, in key order. A key's values arrive run by
 /// run in the order `runs` yields them, and within a run in record
 /// order: ties are broken by run position, so the merge is stable.
+///
+/// Each run's head is its current key group, with the key's
+/// [`key_prefix`] and length cached, and heads order as the map side's
+/// spill sort orders keys: by prefix; then, when either key is at most
+/// eight bytes, by length (that key is then a prefix of the other);
+/// otherwise by the bytes past the prefix; and then by run position. A
+/// pop takes the head's whole key group.
 pub fn merge_groups<'a>(
     runs: impl IntoIterator<Item = &'a RecordRun>,
     mut group: impl FnMut(&str, &[&'a str]),
 ) {
-    // One cursor per non-empty run, positioned on its first record.
-    let mut heads: Vec<(RunCursor<'a>, &'a str)> = Vec::new();
-    for run in runs {
-        let mut c = run.cursor();
-        if let Some((_, v)) = c.next() {
-            heads.push((c, v));
-        }
-    }
-    // Min-heap of head indices by (key, index): index order is run
-    // order, which makes equal keys pop in input order.
-    let less = |heads: &[(RunCursor<'a>, &'a str)], a: usize, b: usize| {
-        (heads[a].0.key(), a) < (heads[b].0.key(), b)
-    };
-    let mut heap: Vec<usize> = (0..heads.len()).collect();
+    let mut heap: Vec<Head<'a>> =
+        runs.into_iter().enumerate().filter_map(|(index, run)| Head::first(run, index)).collect();
     for i in (0..heap.len() / 2).rev() {
-        sift_down(&mut heap, i, |a, b| less(&heads, a, b));
+        sift_down(&mut heap, i);
     }
-    let mut key = String::new();
     let mut values: Vec<&'a str> = Vec::new();
-    while let Some(&top) = heap.first() {
-        let (cursor, value) = &mut heads[top];
-        if cursor.key() != key || values.is_empty() {
-            if !values.is_empty() {
-                group(&key, &values);
-                values.clear();
+    while let Some(top) = heap.first() {
+        let (key, prefix) = (top.key, top.prefix);
+        // Every run at this key is on top in turn, in run order.
+        loop {
+            let top = &mut heap[0];
+            values.extend(top.run.values(top.group));
+            if !top.advance() {
+                heap.swap_remove(0);
             }
-            key.clear();
-            key.push_str(cursor.key());
-        }
-        values.push(*value);
-        // A record repeating the key keeps its cursor on top without a
-        // sift-down: any other run at this key has a higher index.
-        let exhausted = loop {
-            match cursor.advance() {
-                Some((v, true)) => values.push(v),
-                Some((v, false)) => {
-                    *value = v;
-                    break false;
-                }
-                None => break true,
-            }
-        };
-        if exhausted {
-            let last = heap.pop().expect("heap is non-empty");
-            if heap.is_empty() {
+            sift_down(&mut heap, 0);
+            if !heap.first().is_some_and(|h| h.holds(key, prefix)) {
                 break;
             }
-            heap[0] = last;
         }
-        sift_down(&mut heap, 0, |a, b| less(&heads, a, b));
-    }
-    if !values.is_empty() {
-        group(&key, &values);
+        group(key, &values);
+        values.clear();
     }
 }
 
-/// Restore the min-heap property below `i` under `less`.
-fn sift_down(heap: &mut [usize], mut i: usize, less: impl Fn(usize, usize) -> bool) {
+/// One run's current key group in [`merge_groups`].
+struct Head<'a> {
+    prefix: u64,
+    key: &'a str,
+    run: &'a RecordRun,
+    group: usize,
+    /// The run's position among the merged runs.
+    index: usize,
+}
+
+impl<'a> Head<'a> {
+    /// The head of `run`'s first group, unless the run is empty.
+    fn first(run: &'a RecordRun, index: usize) -> Option<Head<'a>> {
+        let key = (!run.groups.is_empty()).then(|| run.key(0))?;
+        Some(Head { prefix: key_prefix(key.as_bytes()), key, run, group: 0, index })
+    }
+
+    /// Step to the run's next group; `false` when the run is exhausted.
+    fn advance(&mut self) -> bool {
+        self.group += 1;
+        if self.group == self.run.groups.len() {
+            return false;
+        }
+        self.key = self.run.key(self.group);
+        self.prefix = key_prefix(self.key.as_bytes());
+        true
+    }
+
+    /// Is the head's key `key`, whose prefix is `prefix`?
+    fn holds(&self, key: &str, prefix: u64) -> bool {
+        self.prefix == prefix
+            && self.key.len() == key.len()
+            && (key.len() <= 8 || self.key.as_bytes()[8..] == key.as_bytes()[8..])
+    }
+
+    /// Does this head pop before `other`?
+    fn precedes(&self, other: &Head<'_>) -> bool {
+        let (a, b) = (self.key.as_bytes(), other.key.as_bytes());
+        self.prefix
+            .cmp(&other.prefix)
+            .then_with(|| {
+                if a.len().min(b.len()) <= 8 {
+                    a.len().cmp(&b.len())
+                } else {
+                    a[8..].cmp(&b[8..])
+                }
+            })
+            .then(self.index.cmp(&other.index))
+            .is_lt()
+    }
+}
+
+/// Restore the min-heap property below `i`.
+fn sift_down(heap: &mut [Head<'_>], mut i: usize) {
     loop {
         let (l, r) = (2 * i + 1, 2 * i + 2);
         let mut min = i;
-        if l < heap.len() && less(heap[l], heap[min]) {
+        if l < heap.len() && heap[l].precedes(&heap[min]) {
             min = l;
         }
-        if r < heap.len() && less(heap[r], heap[min]) {
+        if r < heap.len() && heap[r].precedes(&heap[min]) {
             min = r;
         }
         if min == i {
@@ -398,25 +593,47 @@ mod tests {
     }
 
     #[test]
-    fn builder_front_codes_and_cursor_reads_back() {
+    fn builder_columns_read_back_and_encode_front_coded() {
         let recs = pairs(&[("", "e"), ("a", ""), ("ab", "1"), ("ab", "2"), ("b", "x"), ("é", "1"), ("ê", "2")]);
         let run = RecordRun::from_pairs(&recs);
         assert_eq!(run.len(), recs.len());
         assert_eq!(run.to_pairs(), recs);
-        // "ab" after "a" shares one byte; the repeat shares both.
-        let back = RecordRun::from_body(body_of(&run), 0).expect("valid run");
+        // One group per distinct key, its key held once.
+        let groups: Vec<(&str, Vec<&str>)> = run.groups().map(|(k, vs)| (k, vs.collect())).collect();
+        assert_eq!(groups[2], ("ab", vec!["1", "2"]));
+        assert_eq!(groups.len(), 6);
+        assert_eq!(run.keys, "aabbéê");
+        // "ab" after "a" shares one byte; the repeat shares both; "ê"
+        // shares the first byte of "é".
+        let body = body_of(&run);
+        assert_eq!(&body[..11], &[7, 0, 0, 1, b'e', 0, 1, b'a', 0, 1, 1]);
+        let back = RecordRun::from_body(body, 0).expect("valid run");
         assert_eq!(back, run);
         assert_eq!(back.to_pairs(), recs);
     }
 
     #[test]
-    fn from_body_keeps_a_header_prefix_without_copying() {
+    fn from_body_decodes_past_a_header_prefix() {
         let run = RecordRun::from_pairs(&pairs(&[("k", "v"), ("kk", "w")]));
         let mut body = vec![9u8; 20];
         run.encode(&mut Writer::new(&mut body));
         let back = RecordRun::from_body(body, 20).unwrap();
         assert_eq!(back, run);
-        assert_eq!(back.buf.len(), 20 + 1 + run.as_bytes().len(), "body reused as storage");
+        assert_eq!((back.keys.capacity(), back.values.capacity()), (3, 2), "no spare room kept");
+    }
+
+    #[test]
+    fn an_untrusted_count_sizes_nothing() {
+        // A count of 2^40 in a 20-byte body: six varint bytes, then
+        // fourteen bytes holding four empty records and a cut one.
+        let mut body = Vec::new();
+        Writer::new(&mut body).varint(1 << 40);
+        body.resize(20, 0);
+        assert_eq!(RecordRun::from_body(body, 0), Err(CodecError::FieldOverrun));
+        // The columns were sized for what fourteen bytes can hold.
+        assert_eq!(capacities(1 << 40, 14), (4, 2));
+        assert_eq!(capacities(usize::MAX, 0), (0, 0));
+        assert_eq!(capacities(2, 100), (2, 94));
     }
 
     #[test]
@@ -474,6 +691,41 @@ mod tests {
     }
 
     #[test]
+    fn values_that_split_a_code_point_are_bad_utf8() {
+        // "a" twice, with values c3 and a9: each half of "é" alone is
+        // not UTF-8, though the two side by side in the value column
+        // are.
+        let mut body = Vec::new();
+        let mut w = Writer::new(&mut body);
+        w.varint(2);
+        for (shared, suffix, value) in [(0, &b"a"[..], &[0xc3u8][..]), (1, b"", &[0xa9])] {
+            w.varint(shared);
+            w.vbytes(suffix);
+            w.vbytes(value);
+        }
+        assert_eq!(RecordRun::from_body(body, 0), Err(CodecError::BadUtf8));
+    }
+
+    #[test]
+    fn a_repeat_written_the_long_way_joins_its_group() {
+        // "ab" then "ab" again, as shared 1 + suffix "b" rather than
+        // the repeat form: one key group, and `encode` writes the
+        // repeat form back.
+        let mut body = Vec::new();
+        let mut w = Writer::new(&mut body);
+        w.varint(2);
+        for (shared, suffix, value) in [(0, &b"ab"[..], b"1"), (1, b"b", b"2")] {
+            w.varint(shared);
+            w.vbytes(suffix);
+            w.vbytes(value);
+        }
+        let run = RecordRun::from_body(body, 0).unwrap();
+        assert_eq!(run, RecordRun::from_pairs(&[("ab", "1"), ("ab", "2")]));
+        assert_eq!(run.groups().len(), 1);
+        assert_eq!(body_of(&run), [2, 0, 2, b'a', b'b', 1, b'1', 2, 0, 1, b'2']);
+    }
+
+    #[test]
     fn every_truncation_and_byte_flip_is_typed() {
         let run = RecordRun::from_pairs(&pairs(&[("alpha", "1"), ("alphabet", "22"), ("beta", "é")]));
         let body = body_of(&run);
@@ -485,19 +737,50 @@ mod tests {
                 let mut bad = body.clone();
                 bad[i] ^= flip;
                 if let Ok(r) = RecordRun::from_body(bad, 0) {
-                    // A lucky flip decodes; its cursor still reads it all.
+                    // A lucky flip decodes; its records read back whole.
                     assert_eq!(r.to_pairs().len(), r.len());
+                    assert_eq!(RecordRun::from_body(body_of(&r), 0), Ok(r));
                 }
             }
         }
     }
 
     #[test]
+    fn key_prefix_is_the_zero_padded_big_endian_head() {
+        let long = b"\xffabcdefghi";
+        for n in 0..=long.len() {
+            let mut padded = [0u8; 8];
+            let m = n.min(8);
+            padded[..m].copy_from_slice(&long[..m]);
+            assert_eq!(key_prefix(&long[..n]), u64::from_be_bytes(padded), "{n} bytes");
+        }
+        assert_eq!(key_prefix(b"a"), key_prefix(b"a\0"));
+    }
+
+    #[test]
+    fn common_prefix_counts_across_whole_words() {
+        let long = b"abcdefghijklmnopq";
+        for n in 0..=long.len() {
+            for m in 0..=long.len() {
+                assert_eq!(common_prefix(&long[..n], &long[..m]), n.min(m));
+            }
+            let mut other = long.to_vec();
+            if n < other.len() {
+                other[n] ^= 0x80;
+                assert_eq!(common_prefix(long, &other), n, "differ at {n}");
+                assert_eq!(common_prefix(&other, long), n, "differ at {n}");
+            }
+        }
+        assert_eq!(common_prefix(b"a\0", b"a"), 1);
+        assert_eq!(common_prefix("é".as_bytes(), "ê".as_bytes()), 1);
+    }
+
+    #[test]
     #[should_panic(expected = "keys must be pushed in order")]
     fn builder_refuses_a_decreasing_key() {
         let mut b = RunBuilder::default();
-        b.push(b"b", b"");
-        b.push(b"a", b"");
+        b.push("b", "");
+        b.push("a", "");
     }
 
     #[test]
@@ -516,4 +799,23 @@ mod tests {
         merge_groups([&c], |_, _| none += 1);
         assert_eq!(none, 0);
     }
+
+    #[test]
+    fn merge_orders_keys_that_share_their_prefix() {
+        // Equal 8-byte prefixes: "a" < "a\0" by length, 7 < 8 < 9 < 16
+        // bytes by length, and two 9-byte keys by their last byte.
+        let keys = ["a", "a\0", "abcdefg", "abcdefgh", "abcdefgh\0", "abcdefgha", "abcdefghabcdefgh"];
+        let runs: Vec<RecordRun> = keys
+            .iter()
+            .rev()
+            .enumerate()
+            .map(|(i, k)| RecordRun::from_pairs(&[(*k, i.to_string()), ("abcdefgh", format!("{i}"))]))
+            .collect();
+        let mut got = Vec::new();
+        merge_groups(&runs, |k, vs| got.push((k.to_string(), vs.len())));
+        let want: Vec<(String, usize)> =
+            keys.iter().map(|k| (k.to_string(), if *k == "abcdefgh" { 8 } else { 1 })).collect();
+        assert_eq!(got, want);
+    }
 }
+

@@ -24,9 +24,9 @@
 //! epoch, partition) followed by a sorted, front-coded [`RecordRun`].
 //! The executor sends and receives it as [`Rpc::ShuffleRun`]: the
 //! transports decode request frames by value ([`Rpc::decode_owned`]),
-//! so a received run keeps the frame body as its storage and is
-//! validated once. [`Rpc::ShuffleBatch`] is the same frame with owned
-//! pairs, which [`Rpc::decode`] still yields.
+//! which decodes the run into its columns in one walk of the body,
+//! validating it, then frees the frame body. [`Rpc::ShuffleBatch`] is
+//! the same frame with owned pairs, which [`Rpc::decode`] still yields.
 
 use crate::records::{common_prefix, RecordRun};
 use crate::wire::{self, CodecError, Dir, Frame, Reader, Writer};
@@ -244,8 +244,9 @@ impl Rpc {
 
     /// Decode a request, taking the frame by value: the transports'
     /// path. A kind-6 frame becomes [`Rpc::ShuffleRun`], whose run is
-    /// validated once here and keeps the frame body as its storage (no
-    /// second copy); every other kind decodes as [`Rpc::decode`].
+    /// decoded into columns in one walk of the body and validated here,
+    /// freeing the frame body; every other kind decodes as
+    /// [`Rpc::decode`].
     pub fn decode_owned(frame: Frame) -> Result<Rpc, CodecError> {
         if frame.dir != Dir::Request || frame.kind != RpcKind::ShuffleBatch as u8 {
             return Rpc::decode(&frame);

@@ -224,6 +224,7 @@ impl<'a> Reader<'a> {
         Reader { buf, at: 0 }
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         let end = self.at.checked_add(n).ok_or(CodecError::FieldOverrun)?;
         if end > self.buf.len() {
@@ -251,8 +252,20 @@ impl<'a> Reader<'a> {
     }
 
     /// LEB128 unsigned varint, at most 10 bytes. A continuation chain
-    /// that would overflow 64 bits is a typed error, not a wrap.
+    /// that would overflow 64 bits is a typed error, not a wrap. Most
+    /// shuffle lengths take the one-byte branch.
+    #[inline]
     pub fn varint(&mut self) -> Result<u64, CodecError> {
+        match self.buf.get(self.at) {
+            Some(&b) if b < 0x80 => {
+                self.at += 1;
+                Ok(u64::from(b))
+            }
+            _ => self.long_varint(),
+        }
+    }
+
+    fn long_varint(&mut self) -> Result<u64, CodecError> {
         let mut v: u64 = 0;
         for shift in (0..64).step_by(7) {
             let b = self.u8()?;
@@ -275,6 +288,7 @@ impl<'a> Reader<'a> {
 
     /// A byte field whose length prefix is a varint (shuffle records use
     /// this: lengths are small, u32 prefixes were mostly zero bytes).
+    #[inline]
     pub fn vbytes(&mut self) -> Result<&'a [u8], CodecError> {
         let len = self.varint()?;
         let len = usize::try_from(len).map_err(|_| CodecError::FieldOverrun)?;
@@ -300,6 +314,22 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Append `src[at..at + len]` to `out`. A run of at most sixteen bytes
+/// whose source holds sixteen from `at` is copied as one fixed-size
+/// block and the excess cut off again: for a short shuffle value a
+/// `memcpy` call of its exact length costs more than the copy.
+#[inline]
+pub(crate) fn append_short(out: &mut Vec<u8>, src: &[u8], at: usize, len: usize) {
+    match src[at..].first_chunk::<16>() {
+        Some(block) if len <= 16 => {
+            let keep = out.len() + len;
+            out.extend_from_slice(block);
+            out.truncate(keep);
+        }
+        _ => out.extend_from_slice(&src[at..at + len]),
+    }
+}
+
 /// Body writer mirroring [`Reader`]. Appends to a caller-owned buffer
 /// (usually a reused thread-local scratch holding the frame under
 /// construction) instead of allocating its own.
@@ -312,6 +342,7 @@ impl<'a> Writer<'a> {
         Writer { buf }
     }
 
+    #[inline]
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -363,7 +394,19 @@ impl<'a> Writer<'a> {
         self.bytes(v.as_bytes());
     }
 
+    /// Append `src[at..at + len]`, as [`append_short`] does.
+    #[inline]
+    pub(crate) fn raw_from(&mut self, src: &[u8], at: usize, len: usize) {
+        append_short(self.buf, src, at, len);
+    }
+
+    /// Make room for `additional` more bytes.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
     /// Bytes appended as they are, with no length prefix.
+    #[inline]
     pub fn raw(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
     }
@@ -372,6 +415,19 @@ impl<'a> Writer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn append_short_copies_exactly_the_span() {
+        let src: Vec<u8> = (0..40).collect();
+        for at in 0..src.len() {
+            for len in 0..=src.len() - at {
+                let mut out = vec![7u8; 3];
+                append_short(&mut out, &src, at, len);
+                assert_eq!(out[..3], [7, 7, 7]);
+                assert_eq!(&out[3..], &src[at..at + len], "{at}+{len}");
+            }
+        }
+    }
 
     #[test]
     fn frame_roundtrip() {

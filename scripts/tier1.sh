@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 gate: release build, clippy, rustdoc, the full test suite, the frozen
 # benchmark/ package's build and tests, the live-matrix, live-property,
-# edge-case, chaos, tenancy, transport, net/apps unit and epoch suites under
-# --release, the
-# figure CSVs against results/, and two bounded DST smoke sweeps. It measures
-# nothing: live performance is the benchmark's job (benchmark/README.md) and
-# the paper's figures come from `figures`. Writes no tracked file, so a
+# edge-case, chaos, tenancy, transport, net/apps/core unit and epoch suites
+# under --release, the figure CSVs against results/, and two bounded DST
+# smoke sweeps. It measures nothing: live performance is the benchmark's
+# job (benchmark/README.md) and the paper's figures come from `figures`. Writes no tracked file, so a
 # passing run leaves `git status` clean. The full randomized DST sweep
 # stays behind `dst_bench --runs N --preset chaos` (docs/DST.md).
 set -euo pipefail
@@ -69,11 +68,17 @@ echo "== tier1: wire-codec property suite (release)"
 cargo test -q --release -p eclipse-integration-tests --test net_codec
 
 # The run codec's repeated-key paths and the text apps' tokenizer are
-# byte-level fast paths: their unit and property tests (cursor, merge,
-# validation; tokens equal to split_whitespace's) also run with the
-# optimiser's codegen.
+# byte-level fast paths: their unit and property tests (columns,
+# front-coding, decoding, the prefix merge; tokens equal to
+# split_whitespace's) also run with the optimiser's codegen.
 echo "== tier1: net and apps unit suites (release)"
 cargo test -q --release -p eclipse-net -p eclipse-apps
+
+# The executor's spill arena, combining table, partition merge and
+# combining fold are fast paths too: their unit and property tests run
+# with the optimiser's codegen as well.
+echo "== tier1: core unit suite (release)"
+cargo test -q --release -p eclipse-core --lib
 
 echo "== tier1: transport-identity matrix, loopback TCP (release)"
 cargo test -q --release -p eclipse-integration-tests --test net_matrix

@@ -10,7 +10,7 @@
 //! accumulator, or reaching them through the trait's default adapters.
 //!
 //! The apps without a combiner (inverted index, grep) ride the sorted
-//! byte runs from the spill arena to `reduce_into`; their cells must
+//! record runs from the spill arena to `reduce_into`; their cells must
 //! equal a plain single-threaded oracle, and an order-sensitive app
 //! pins the guarantee that a key's values reach `reduce` in input
 //! order. Those three apps also run through a `JobServer`, whose driver

@@ -20,8 +20,11 @@
 //!    a job whose shuffle frame is corrupted re-executes the attempt.
 //!    Each run property also runs on duplicate-heavy runs over a tiny
 //!    key alphabet, where the codec's repeated-key paths do the work;
-//!    [`merge_groups`] is checked against a stable sort-and-group, and
-//!    one duplicate-heavy frame is pinned byte for byte.
+//!    [`merge_groups`] is checked against a stable sort-and-group, also
+//!    on keys that share their first eight bytes; one duplicate-heavy
+//!    frame is pinned byte for byte; and the columnar decoder agrees
+//!    with the front-coded validator it replaced on every truncation and
+//!    byte flip of a run's body.
 
 use bytes::Bytes;
 use eclipse_cache::{CacheKey, OutputTag};
@@ -421,16 +424,44 @@ fn arb_dup_key() -> impl Strategy<Value = String> {
     prop_oneof![Just(""), Just("a"), Just("a\0"), Just("é"), Just("ê")].prop_map(String::from)
 }
 
-/// Duplicate-heavy records: tiny-alphabet keys, short values (some
-/// empty, some past a one-byte length).
-fn arb_dup_pairs(max: usize) -> impl Strategy<Value = Vec<(String, String)>> {
-    let value = prop_oneof![
+/// Keys around the merge's 8-byte prefix: 7-, 8-, 9- and 16-byte keys
+/// that share their first bytes, so only their lengths or the bytes
+/// past the prefix order them (`"abcdefg"` and `"abcdefg\0"` have the
+/// same zero-padded prefix), plus `"a"`/`"a\0"`.
+fn arb_long_key() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just("a"),
+        Just("a\0"),
+        Just("abcdefg"),
+        Just("abcdefg\0"),
+        Just("abcdefgh"),
+        Just("abcdefgh\0"),
+        Just("abcdefghi"),
+        Just("abcdefghé"),
+        Just("abcdefghabcdefgh"),
+        Just("abcdefghabcdefgi"),
+    ]
+    .prop_map(String::from)
+}
+
+fn arb_value() -> impl Strategy<Value = String> {
+    prop_oneof![
         Just(String::new()),
         Just("1".to_string()),
         arb_string(),
         (128usize..300).prop_map(|n| "v".repeat(n)),
-    ];
-    prop::collection::vec((arb_dup_key(), value), 0..max)
+    ]
+}
+
+/// Duplicate-heavy records: tiny-alphabet keys, short values (some
+/// empty, some past a one-byte length).
+fn arb_dup_pairs(max: usize) -> impl Strategy<Value = Vec<(String, String)>> {
+    prop::collection::vec((arb_dup_key(), arb_value()), 0..max)
+}
+
+/// Records over the long-key alphabet.
+fn arb_long_pairs(max: usize) -> impl Strategy<Value = Vec<(String, String)>> {
+    prop::collection::vec((arb_long_key(), arb_value()), 0..max)
 }
 
 /// Any sorted run round-trips: by value as the same run, by reference
@@ -585,10 +616,97 @@ proptest! {
         runs in prop::collection::vec(arb_dup_pairs(12), 0..6),
         wide in prop::collection::vec(
             prop::collection::vec((arb_string(), arb_string()), 0..6), 0..4),
+        long in prop::collection::vec(arb_long_pairs(12), 0..6),
     ) {
         check_merge_groups(&runs);
         check_merge_groups(&wide);
+        check_merge_groups(&long);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `RecordRun::from_body` decodes exactly what the front-coded
+    /// validator it replaced accepts, and fails with that validator's
+    /// error: on valid runs behind a header, and on every truncation
+    /// and every byte flip of their bodies.
+    #[test]
+    fn from_body_agrees_with_the_front_coded_model(
+        pairs in prop_oneof![
+            arb_dup_pairs(12),
+            arb_long_pairs(12),
+            prop::collection::vec((arb_string(), arb_string()), 0..8),
+        ],
+        header in 0usize..4,
+        flip in 1u8..=255,
+    ) {
+        let run = RecordRun::from_pairs(&pairs);
+        let mut body = vec![0xa5; header];
+        run.encode(&mut wire::Writer::new(&mut body));
+        let agree = |body: &[u8]| {
+            let got = RecordRun::from_body(body.to_vec(), header).map(|r| r.to_pairs());
+            assert_eq!(got, model_from_body(body, header), "body {body:?}");
+        };
+        prop_assert_eq!(model_from_body(&body, header), Ok(run.to_pairs()));
+        agree(&body);
+        for cut in 0..body.len() {
+            agree(&body[..cut]);
+        }
+        for i in 0..body.len() {
+            for f in [flip, 0x01, 0x80, 0xff] {
+                let mut bad = body.clone();
+                bad[i] ^= f;
+                agree(&bad);
+            }
+        }
+    }
+}
+
+/// The run validator `RecordRun::from_body` replaced, kept as the
+/// model: one pass over the front-coded section from byte `at`, holding
+/// only the previous key. Returns the records, or the first error in
+/// record order.
+fn model_from_body(body: &[u8], at: usize) -> Result<Vec<(String, String)>, CodecError> {
+    let rest = body.get(at..).ok_or(CodecError::FieldOverrun)?;
+    let mut r = wire::Reader::new(rest);
+    let len = usize::try_from(r.varint()?).map_err(|_| CodecError::FieldOverrun)?;
+    let mut records = Vec::new();
+    // The previous key, rebuilt in place record by record.
+    let mut prev = Vec::new();
+    for _ in 0..len {
+        let shared = usize::try_from(r.varint()?).map_err(|_| CodecError::FieldOverrun)?;
+        if shared > prev.len() {
+            return Err(CodecError::FieldOverrun);
+        }
+        let suffix = r.vbytes()?;
+        // A repeated key (the whole previous key shared, no suffix)
+        // is as valid and as sorted as its predecessor.
+        let mut sorted = true;
+        if !(suffix.is_empty() && shared == prev.len()) {
+            // The new key is `prev[..shared] + suffix`, so it sorts
+            // below `prev` exactly when `suffix` sorts below the tail
+            // it replaces.
+            sorted = suffix >= &prev[shared..];
+            // `prev` is UTF-8: only the bytes from the last character
+            // boundary at or before `shared` need checking.
+            let mut from = shared;
+            while from > 0 && from < prev.len() && prev[from] & 0xc0 == 0x80 {
+                from -= 1;
+            }
+            prev.truncate(shared);
+            prev.extend_from_slice(suffix);
+            std::str::from_utf8(&prev[from..]).map_err(|_| CodecError::BadUtf8)?;
+        }
+        let value = std::str::from_utf8(r.vbytes()?).map_err(|_| CodecError::BadUtf8)?;
+        if !sorted {
+            return Err(CodecError::Unsorted);
+        }
+        let key = String::from_utf8(prev.clone()).expect("checked above");
+        records.push((key, value.to_string()));
+    }
+    r.finish()?;
+    Ok(records)
 }
 
 /// The exact frame of a duplicate-heavy run, byte for byte: a repeated
@@ -627,7 +745,9 @@ fn duplicate_heavy_run_frame_is_pinned() {
     ];
     section.extend_from_slice(long.as_bytes());
     assert_eq!(run.len(), 11);
-    assert_eq!(run.as_bytes(), &section[1..]);
+    let mut encoded = Vec::new();
+    run.encode(&mut wire::Writer::new(&mut encoded));
+    assert_eq!(encoded, section);
     let mut body = Vec::new();
     for id in [1u32, 2, 3, 4, 5] {
         body.extend_from_slice(&id.to_le_bytes());
