@@ -869,9 +869,12 @@ impl Arena {
         self.sort();
         let text = std::str::from_utf8(&self.bytes).expect("a record arena holds the strs pushed");
         let mut run = RunBuilder::with_capacity(self.entries.len(), self.bytes.len());
-        for e in &self.entries {
-            let (key, value) = e.spans();
+        for group in self.entries.chunk_by(|a, b| same_key(&self.bytes, a, b)) {
+            let (key, value) = group[0].spans();
             run.push(&text[key], &text[value]);
+            for e in &group[1..] {
+                run.push_repeat(&text[e.spans().1]);
+            }
         }
         self.clear();
         run.finish()
@@ -895,6 +898,14 @@ fn within_prefix(bytes: &[u8], a: &Entry, b: &Entry) -> std::cmp::Ordering {
         tail(a).cmp(tail(b))
     }
     .then(a.start.cmp(&b.start))
+}
+
+/// Do entries `a` and `b` of `bytes` hold the same key? Equal prefixes
+/// and lengths settle it for a key of at most eight bytes.
+#[inline]
+fn same_key(bytes: &[u8], a: &Entry, b: &Entry) -> bool {
+    let tail = |e: &Entry| &bytes[e.start as usize + 8..(e.start + e.key_len) as usize];
+    a.prefix == b.prefix && a.key_len == b.key_len && (a.key_len <= 8 || tail(a) == tail(b))
 }
 
 /// Sort `entries` of `bytes` by key, then emit order, comparing
@@ -1301,6 +1312,13 @@ mod tests {
             want.sort_by(|a, b| a.0.cmp(&b.0));
             assert_eq!(got, want, "{n} entries");
             assert!(arena.bytes.is_empty() && arena.entries.is_empty());
+            // A spill into a run groups exactly the equal keys.
+            for (k, v) in &emitted {
+                arena.push(k.as_bytes(), v.as_bytes());
+            }
+            let want: Vec<(String, String)> =
+                want.into_iter().map(|(k, v)| (String::from_utf8(k).unwrap(), v)).collect();
+            assert_eq!(arena.drain(), eclipse_net::RecordRun::from_pairs(&want), "{n} entries");
         }
     }
 

@@ -40,7 +40,7 @@
 //! a combiner app's partition with several runs folds each run's groups
 //! into a combining table instead.
 
-use crate::wire::{append_short, CodecError, Reader, Writer};
+use crate::wire::{append_short, CodecError, Reader, Writer, MAX_BODY};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -150,9 +150,14 @@ impl RecordRun {
     /// in record order is the error. The body is freed on return.
     ///
     /// The columns are sized from the body's length, never from the
-    /// count it declares: every record takes at least three bytes. A
-    /// body past 4 GiB, or a run whose keys, each held once in full,
-    /// would pass 4 GiB, is a [`CodecError::FieldOverrun`].
+    /// count it declares: every record takes at least three bytes. The
+    /// key column, which holds each distinct key in full, is capped at
+    /// [`MAX_BODY`] bytes: front-coding lets a few body bytes stand for a
+    /// long key, so without a cap a small body could decode into
+    /// gigabytes. A run travels in one frame, so the cap refuses only a
+    /// run whose distinct keys, held in full, would outgrow a frame
+    /// body. A body past 4 GiB, or a run whose keys would pass the cap,
+    /// is a [`CodecError::FieldOverrun`].
     pub fn from_body(body: Vec<u8>, at: usize) -> Result<RecordRun, CodecError> {
         let rest = body.get(at..).ok_or(CodecError::FieldOverrun)?;
         // Values and records fit `u32` ends from here on.
@@ -254,9 +259,12 @@ impl Decoding {
                 Ordering::Equal => {}
                 Ordering::Greater => {
                     let key_at = keys.len();
+                    if key_at + shared + suffix.len() > MAX_BODY {
+                        return Err(CodecError::FieldOverrun);
+                    }
                     keys.extend_from_within(prev_at..prev_at + shared);
                     keys.extend_from_slice(suffix);
-                    open_group(groups, offset(keys.len())?, ends.len());
+                    open_group(groups, keys.len() as u32, ends.len());
                     prev_at = key_at;
                 }
                 Ordering::Less => check_key(&keys[prev_at..], shared, suffix)?,
@@ -419,6 +427,25 @@ impl RunBuilder {
             }
             Ordering::Less => panic!("RunBuilder::push: keys must be pushed in order"),
         }
+        self.push_value(value);
+    }
+
+    /// Append one record to the last key group: its key is the
+    /// previous record's. A caller that knows the keys are equal skips
+    /// [`push`](Self::push)'s key comparison.
+    ///
+    /// # Panics
+    ///
+    /// When the run is empty, or when its columns pass 4 GiB.
+    #[inline]
+    pub fn push_repeat(&mut self, value: &str) {
+        assert!(!self.run.groups.is_empty(), "RunBuilder::push_repeat: no key to repeat");
+        self.push_value(value);
+    }
+
+    #[inline]
+    fn push_value(&mut self, value: &str) {
+        let run = &mut self.run;
         run.values.push_str(value);
         let end = offset(run.values.len()).expect("a run's values stay below 4 GiB");
         assert!(run.ends.len() < u32::MAX as usize, "a run holds fewer than 2^32 records");
@@ -476,29 +503,28 @@ pub fn key_prefix(key: &[u8]) -> u64 {
 /// [`key_prefix`] and length cached, and heads order as the map side's
 /// spill sort orders keys: by prefix; then, when either key is at most
 /// eight bytes, by length (that key is then a prefix of the other);
-/// otherwise by the bytes past the prefix; and then by run position. A
-/// pop takes the head's whole key group.
+/// otherwise by the bytes past the prefix; and then by run position.
+/// The heads play a tournament (a loser tree): taking the winner's
+/// whole key group and advancing its run replays one match per level.
 pub fn merge_groups<'a>(
     runs: impl IntoIterator<Item = &'a RecordRun>,
     mut group: impl FnMut(&str, &[&'a str]),
 ) {
-    let mut heap: Vec<Head<'a>> =
-        runs.into_iter().enumerate().filter_map(|(index, run)| Head::first(run, index)).collect();
-    for i in (0..heap.len() / 2).rev() {
-        sift_down(&mut heap, i);
+    let heads: Vec<Head<'a>> = runs.into_iter().filter_map(Head::first).collect();
+    if heads.is_empty() {
+        return;
     }
+    let mut t = Tournament::new(heads);
     let mut values: Vec<&'a str> = Vec::new();
-    while let Some(top) = heap.first() {
+    while let Some(top) = t.winner() {
         let (key, prefix) = (top.key, top.prefix);
-        // Every run at this key is on top in turn, in run order.
+        // Every run at this key wins in turn, in run order.
         loop {
-            let top = &mut heap[0];
+            let top = &mut t.heads[t.tree[0]];
             values.extend(top.run.values(top.group));
-            if !top.advance() {
-                heap.swap_remove(0);
-            }
-            sift_down(&mut heap, 0);
-            if !heap.first().is_some_and(|h| h.holds(key, prefix)) {
+            top.advance();
+            t.replay();
+            if !t.winner().is_some_and(|h| h.holds(key, prefix)) {
                 break;
             }
         }
@@ -513,26 +539,27 @@ struct Head<'a> {
     key: &'a str,
     run: &'a RecordRun,
     group: usize,
-    /// The run's position among the merged runs.
-    index: usize,
 }
 
 impl<'a> Head<'a> {
     /// The head of `run`'s first group, unless the run is empty.
-    fn first(run: &'a RecordRun, index: usize) -> Option<Head<'a>> {
+    fn first(run: &'a RecordRun) -> Option<Head<'a>> {
         let key = (!run.groups.is_empty()).then(|| run.key(0))?;
-        Some(Head { prefix: key_prefix(key.as_bytes()), key, run, group: 0, index })
+        Some(Head { prefix: key_prefix(key.as_bytes()), key, run, group: 0 })
     }
 
-    /// Step to the run's next group; `false` when the run is exhausted.
-    fn advance(&mut self) -> bool {
+    /// Step to the run's next group, if it has one.
+    fn advance(&mut self) {
         self.group += 1;
-        if self.group == self.run.groups.len() {
-            return false;
+        if !self.done() {
+            self.key = self.run.key(self.group);
+            self.prefix = key_prefix(self.key.as_bytes());
         }
-        self.key = self.run.key(self.group);
-        self.prefix = key_prefix(self.key.as_bytes());
-        true
+    }
+
+    /// Is the run exhausted?
+    fn done(&self) -> bool {
+        self.group == self.run.groups.len()
     }
 
     /// Is the head's key `key`, whose prefix is `prefix`?
@@ -542,39 +569,68 @@ impl<'a> Head<'a> {
             && (key.len() <= 8 || self.key.as_bytes()[8..] == key.as_bytes()[8..])
     }
 
-    /// Does this head pop before `other`?
-    fn precedes(&self, other: &Head<'_>) -> bool {
+    /// The order of this head's key and `other`'s.
+    fn order(&self, other: &Head<'_>) -> Ordering {
         let (a, b) = (self.key.as_bytes(), other.key.as_bytes());
-        self.prefix
-            .cmp(&other.prefix)
-            .then_with(|| {
-                if a.len().min(b.len()) <= 8 {
-                    a.len().cmp(&b.len())
-                } else {
-                    a[8..].cmp(&b[8..])
-                }
-            })
-            .then(self.index.cmp(&other.index))
-            .is_lt()
+        self.prefix.cmp(&other.prefix).then_with(|| {
+            if a.len().min(b.len()) <= 8 {
+                a.len().cmp(&b.len())
+            } else {
+                a[8..].cmp(&b[8..])
+            }
+        })
     }
 }
 
-/// Restore the min-heap property below `i`.
-fn sift_down(heap: &mut [Head<'_>], mut i: usize) {
-    loop {
-        let (l, r) = (2 * i + 1, 2 * i + 2);
-        let mut min = i;
-        if l < heap.len() && heap[l].precedes(&heap[min]) {
-            min = l;
+/// A loser tree over the heads of [`merge_groups`]: `tree[0]` is the
+/// winner, and internal node `n` in `1..k` holds the loser of the match
+/// between its children `2n` and `2n + 1`, where node `k + i` is head
+/// `i`. An exhausted head loses every match.
+struct Tournament<'a> {
+    heads: Vec<Head<'a>>,
+    tree: Vec<usize>,
+}
+
+impl<'a> Tournament<'a> {
+    fn new(heads: Vec<Head<'a>>) -> Tournament<'a> {
+        let k = heads.len();
+        let mut t = Tournament { heads, tree: vec![0; k] };
+        // The winner of each node's subtree, built bottom up; node
+        // `k + i` is head `i`.
+        let mut wins: Vec<usize> = (0..2 * k).map(|n| n.saturating_sub(k)).collect();
+        for n in (1..k).rev() {
+            let (a, b) = (wins[2 * n], wins[2 * n + 1]);
+            let a_wins = t.beats(a, b);
+            (wins[n], t.tree[n]) = if a_wins { (a, b) } else { (b, a) };
         }
-        if r < heap.len() && heap[r].precedes(&heap[min]) {
-            min = r;
+        t.tree[0] = wins[1];
+        t
+    }
+
+    /// Does head `a` pop before head `b`?
+    #[inline]
+    fn beats(&self, a: usize, b: usize) -> bool {
+        let (x, y) = (&self.heads[a], &self.heads[b]);
+        !x.done() && (y.done() || x.order(y).then(a.cmp(&b)).is_lt())
+    }
+
+    /// The winning head, unless every run is exhausted.
+    fn winner(&self) -> Option<&Head<'a>> {
+        let top = &self.heads[self.tree[0]];
+        (!top.done()).then_some(top)
+    }
+
+    /// Replay the winner's path to the root after it advanced.
+    fn replay(&mut self) {
+        let mut winner = self.tree[0];
+        let mut n = (self.heads.len() + winner) / 2;
+        while n > 0 {
+            if self.beats(self.tree[n], winner) {
+                std::mem::swap(&mut self.tree[n], &mut winner);
+            }
+            n /= 2;
         }
-        if min == i {
-            return;
-        }
-        heap.swap(i, min);
-        i = min;
+        self.tree[0] = winner;
     }
 }
 
@@ -634,6 +690,46 @@ mod tests {
         assert_eq!(capacities(1 << 40, 14), (4, 2));
         assert_eq!(capacities(usize::MAX, 0), (0, 0));
         assert_eq!(capacities(2, 100), (2, 94));
+    }
+
+    /// A body of one `first`-byte key followed by `extra` records, each
+    /// of which shares all of the previous key and adds one byte: each
+    /// record costs the body a few bytes and the key column a whole key.
+    fn expanding_body(first: usize, extra: usize) -> Vec<u8> {
+        let mut body = Vec::new();
+        let mut w = Writer::new(&mut body);
+        w.varint(1 + extra as u64);
+        w.varint(0);
+        w.vbytes(&vec![b'a'; first]);
+        w.vbytes(b"");
+        for i in 0..extra {
+            w.varint((first + i) as u64);
+            w.vbytes(b"b");
+            w.vbytes(b"");
+        }
+        body
+    }
+
+    #[test]
+    fn expanding_keys_decode_up_to_the_key_cap() {
+        // 15,006 body bytes stand for 10,510,500 key bytes: below the
+        // cap, so the run decodes in full.
+        let body = expanding_body(10_000, 1_000);
+        assert_eq!(body.len(), 15_006);
+        let run = RecordRun::from_body(body, 0).expect("within the cap");
+        assert_eq!((run.len(), run.keys.len()), (1_001, 10_510_500));
+        // An 8 MiB key extended eight times, in a body of about 8 MiB:
+        // the seventh extension would bring the key column to 64 MiB + 28
+        // bytes, so it is refused before it is copied and the column
+        // never passes the cap.
+        let body = expanding_body(8 << 20, 8);
+        assert!(body.len() < (8 << 20) + 8 * 8);
+        let mut d = Decoding::default();
+        assert_eq!(d.decode(&body), Err(CodecError::FieldOverrun));
+        assert_eq!(d.groups.len(), 7);
+        assert!(d.keys.len() <= MAX_BODY && d.keys.capacity() <= MAX_BODY);
+        drop(d);
+        assert_eq!(RecordRun::from_body(body, 0), Err(CodecError::FieldOverrun));
     }
 
     #[test]
@@ -781,6 +877,23 @@ mod tests {
         let mut b = RunBuilder::default();
         b.push("b", "");
         b.push("a", "");
+    }
+
+    #[test]
+    fn a_pushed_repeat_joins_the_last_group() {
+        let mut b = RunBuilder::default();
+        b.push("k", "1");
+        b.push_repeat("2");
+        b.push("l", "3");
+        b.push_repeat("");
+        let want = pairs(&[("k", "1"), ("k", "2"), ("l", "3"), ("l", "")]);
+        assert_eq!(b.finish(), RecordRun::from_pairs(&want));
+    }
+
+    #[test]
+    #[should_panic(expected = "no key to repeat")]
+    fn builder_refuses_a_repeat_of_nothing() {
+        RunBuilder::default().push_repeat("v");
     }
 
     #[test]

@@ -613,7 +613,7 @@ proptest! {
     /// duplicate-heavy runs and on runs of arbitrary strings.
     #[test]
     fn merge_groups_equals_a_stable_sort_and_group(
-        runs in prop::collection::vec(arb_dup_pairs(12), 0..6),
+        runs in prop::collection::vec(arb_dup_pairs(12), 0..12),
         wide in prop::collection::vec(
             prop::collection::vec((arb_string(), arb_string()), 0..6), 0..4),
         long in prop::collection::vec(arb_long_pairs(12), 0..6),
@@ -630,7 +630,9 @@ proptest! {
     /// `RecordRun::from_body` decodes exactly what the front-coded
     /// validator it replaced accepts, and fails with that validator's
     /// error: on valid runs behind a header, and on every truncation
-    /// and every byte flip of their bodies.
+    /// and every byte flip of their bodies. These bodies are far too
+    /// small to reach the key column's `MAX_BODY` cap, which the model
+    /// does not have.
     #[test]
     fn from_body_agrees_with_the_front_coded_model(
         pairs in prop_oneof![
