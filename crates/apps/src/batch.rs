@@ -156,11 +156,33 @@ impl MapReduce for InvertedIndex {
     }
 
     fn reduce_into(&self, key: &str, values: &[&str], emit: &mut dyn FnMut(String, String)) {
-        let mut docs = values.to_vec();
-        docs.sort_unstable();
-        docs.dedup();
-        emit(key.to_string(), docs.join(","));
+        emit(key.to_string(), posting_list(values));
     }
+}
+
+/// `docs` sorted, deduplicated and joined with commas, in one walk when
+/// they arrive in order: the merge hands `reduce_into` a key's values
+/// in input order, where doc ids ascend, so adjacent duplicates are
+/// skipped as the list is written. Only a doc id below its predecessor
+/// sends the list through a sort.
+fn posting_list(docs: &[&str]) -> String {
+    let mut out = String::with_capacity(docs.iter().map(|d| d.len() + 1).sum());
+    let mut prev: Option<&str> = None;
+    for &doc in docs {
+        match prev {
+            Some(p) if doc == p => continue,
+            Some(p) if doc < p => {
+                let mut sorted = docs.to_vec();
+                sorted.sort_unstable();
+                return posting_list(&sorted);
+            }
+            Some(_) => out.push(','),
+            None => {}
+        }
+        out.push_str(doc);
+        prev = Some(doc);
+    }
+    out
 }
 
 /// Sort: identity map keyed by the record; the engine's per-partition
@@ -403,6 +425,29 @@ doc3\tapple cherry banana
                 out
             };
             prop_assert_eq!(reduce(&finished), reduce(&pairwise), "values {:?}", values);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A posting list is the doc ids sorted, deduplicated and joined
+        /// with commas, for any list: in order or not, with duplicates
+        /// and empty ids.
+        #[test]
+        fn posting_list_equals_sort_dedup_join(
+            docs in prop::collection::vec(
+                prop_oneof![Just(String::new()), "[a-c]{1,2}", "d[0-9]{2}"], 0..24),
+            sort_first in any::<bool>(),
+        ) {
+            let mut docs: Vec<&str> = docs.iter().map(String::as_str).collect();
+            if sort_first {
+                docs.sort_unstable();
+            }
+            let mut want = docs.clone();
+            want.sort_unstable();
+            want.dedup();
+            prop_assert_eq!(posting_list(&docs), want.join(","), "docs {:?}", docs);
         }
     }
 

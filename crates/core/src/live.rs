@@ -92,9 +92,10 @@
 //!   into it in place ([`MapReduce::combine_into`]), and the spill sorts
 //!   the keys the same way and writes each accumulator out once
 //!   ([`MapReduce::combine_finish`]). A run for a reducer on the same
-//!   node travels as it is; one for another node is front-coded into a
-//!   `ShuffleBatch` frame and decoded back into columns on receipt, in
-//!   one walk of the frame body that also validates it.
+//!   node travels as it is; one for another node is encoded into a
+//!   `ShuffleBatch` frame (its key groups, front-coded, then its value
+//!   lengths and value column) and decoded back into columns on
+//!   receipt, in one walk of the frame body that also validates it.
 //!   Reducers keep each winning run until fold time. A combiner app's
 //!   partition with several runs folds them through one combining
 //!   table, as a spill is folded, and hands [`MapReduce::reduce_into`]

@@ -707,8 +707,12 @@ impl<'a> MapWorker<'a> {
     }
 }
 
-/// Partition hash for intermediate keys, executor-internal: FNV-1a with
-/// a murmur3 finalizer.
+/// Partition hash for intermediate keys, executor-internal: the key's
+/// length, then its 8-byte words, each folded in with a rotate, an xor
+/// and a multiply, and a murmur3 finalizer. The words are big-endian
+/// and the last is zero-padded: each is read as [`key_prefix`] reads a
+/// key, with fixed-size loads, so a key costs one multiply per eight
+/// bytes rather than one per byte.
 ///
 /// The ring hash ([`HashKey::of_name`]) is engineered for placement
 /// quality and costs far too much to run once per mapped record — it
@@ -716,17 +720,23 @@ impl<'a> MapWorker<'a> {
 /// channel indices in the live executor, so all the shuffle needs is a
 /// fast, deterministic, well-mixed 64-bit hash. Its top bits feed
 /// `SpillBuffer::partition_of`'s multiply-shift and its low bits pick a
-/// combining table's slot, so both ends must avalanche. (A plain
-/// multiply hash such as `FxHasher` leaves the low bits of a short key
-/// to its first few bytes, and the tables' probes collide.) No random
-/// state: a replayed seed hashes the same. Unkeyed, so crafted keys
-/// could collide, but a table never outgrows one spill's bytes.
+/// combining table's slot, so both ends must avalanche: the finalizer
+/// sees to that. (A plain multiply hash such as `FxHasher` leaves the
+/// low bits of a short key to its first few bytes, and the tables'
+/// probes collide.) Keys of one length that fit a word never collide:
+/// each step is a bijection of the word. No random state: a replayed
+/// seed hashes the same. Unkeyed, so crafted keys could collide, but a
+/// table never outgrows one spill's bytes.
 #[inline]
 pub(super) fn shuffle_hash(key: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in key {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
+    let mut h = 0xcbf2_9ce4_8422_2325 ^ key.len() as u64;
+    let mut rest = key;
+    loop {
+        h = (h.rotate_left(23) ^ key_prefix(rest)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        match rest.get(8..) {
+            Some(tail) if !tail.is_empty() => rest = tail,
+            _ => break,
+        }
     }
     h ^= h >> 33;
     h = h.wrapping_mul(0xff51afd7ed558ccd);
@@ -1157,13 +1167,48 @@ mod tests {
         shuffle_hash(k.as_bytes())
     }
 
-    /// The hash is FNV-1a with a murmur3 finalizer, bit for bit: the
-    /// partition every key lands in is unchanged.
+    /// The hash, bit for bit, on an empty key, a short one, one word
+    /// and a word plus a tail: the partition every key lands in only
+    /// moves when this test is re-pinned.
     #[test]
     fn shuffle_hash_is_pinned() {
-        assert_eq!(shuffle_hash(b""), 0xefd01f60ba992926);
-        assert_eq!(shuffle_hash(b"the"), 0xcb3ff435b889fb31);
-        assert_eq!(shuffle_hash("abcdefgh\u{e9}".as_bytes()), 0xacdf4cbc45d485ee);
+        let got = [b"".as_slice(), b"the", b"abcdefgh", "abcdefgh\u{e9}".as_bytes()].map(shuffle_hash);
+        let want = [0xc39ba6ce0c13aa3f, 0x185a6083098c25c3, 0x8536c45df943700e, 0xcd09d1ae7327e089];
+        assert_eq!(got, want, "{got:x?}");
+    }
+
+    /// The benchmark corpora's `w%05d` vocabularies, 2,000 and 50,000
+    /// words, spread evenly over 8 partitions (each within four standard
+    /// deviations of a uniform draw), and a combining table of either
+    /// keeps its probe runs short: the mean distance of a key from its
+    /// home slot is under one slot, and the longest run under 48.
+    #[test]
+    fn word_vocabularies_spread_evenly_and_probe_short() {
+        for words in [2_000usize, 50_000] {
+            let vocab: Vec<String> = (0..words).map(|i| format!("w{i:05}")).collect();
+            let mut parts = [0usize; 8];
+            for w in &vocab {
+                parts[((hashed(w) as u128 * 8) >> 64) as usize] += 1;
+            }
+            let mean = words as f64 / 8.0;
+            let bound = 4.0 * (mean * 7.0 / 8.0).sqrt();
+            for n in parts {
+                assert!((n as f64 - mean).abs() < bound, "{words} words: {parts:?}");
+            }
+            let mut table = Table::default();
+            for w in &vocab {
+                table.fold(&Sum, hashed(w), w, "1");
+            }
+            let mask = table.slots.len() - 1;
+            let distances: Vec<usize> = (0..table.slots.len())
+                .filter(|&i| table.slots[i].entry != 0)
+                .map(|i| i.wrapping_sub(table.slots[i].hash as usize) & mask)
+                .collect();
+            assert_eq!(distances.len(), words);
+            let mean = distances.iter().sum::<usize>() as f64 / words as f64;
+            let longest = distances.iter().max().copied().unwrap_or(0);
+            assert!(mean < 1.0 && longest < 48, "{words} words: mean {mean}, longest {longest}");
+        }
     }
 
     #[test]
@@ -1327,10 +1372,14 @@ mod tests {
     /// Zipf corpus (50,000 words, 10 per line), in 8 partitions and
     /// 262,080-byte blocks as the executor cuts them. Each block spills
     /// every partition once into a run's columns (the arena pushes
-    /// before it are not timed); each run is front-coded into a frame
-    /// body and decoded back, as a run bound for another node is; each
+    /// before it are not timed); each run is encoded into a frame body
+    /// and decoded back, as a run bound for another node is; each
     /// partition merges one run per block. Prints the best of five
-    /// passes, in ns per record:
+    /// passes, in ns per record, then the run section's bytes per record
+    /// for these runs and for a word count's combined runs (a 2,000-word
+    /// vocabulary, each block's distinct words with their counts per
+    /// partition), so a change of wire size shows without a traced
+    /// benchmark run:
     ///
     /// ```text
     /// cargo test --release -p eclipse-core --lib record_path_timing -- --ignored --nocapture
@@ -1360,6 +1409,7 @@ mod tests {
         let records: usize = pairs.iter().map(Vec::len).sum();
         let per = |t: Instant| t.elapsed().as_nanos() as f64 / records as f64;
         let mut best = [f64::MAX; 4];
+        let mut wire_bytes = 0;
         for _ in 0..5 {
             let mut arenas: Vec<Arena> = (0..PARTS).map(|_| Arena::default()).collect();
             let mut spill = 0.0;
@@ -1385,6 +1435,7 @@ mod tests {
                 })
                 .collect();
             let encode = per(t);
+            wire_bytes = bodies.iter().map(Vec::len).sum::<usize>();
             let t = Instant::now();
             let decoded: Vec<RecordRun> = bodies
                 .into_iter()
@@ -1408,6 +1459,42 @@ mod tests {
              encode {:.1}, from_body {:.1}, merge_groups {:.1}",
             best[0], best[1], best[2], best[3]
         );
+        let (counted, counted_bytes) = combined_wire_bytes(PARTS);
+        println!(
+            "wire bytes/record: inverted index {:.2}, combined word count {:.2} \
+             ({counted} records)",
+            wire_bytes as f64 / records as f64,
+            counted_bytes as f64 / counted as f64
+        );
+    }
+
+    /// A word count's combined runs, encoded: each 262,080-byte block of
+    /// a 2,000-word Zipf corpus (4 MiB) as one run per partition of its
+    /// distinct words with their counts. Returns `(records, bytes)`.
+    fn combined_wire_bytes(parts: usize) -> (usize, usize) {
+        use eclipse_net::wire::Writer;
+        use eclipse_net::RunBuilder;
+        use std::collections::BTreeMap;
+        let text = eclipse_workloads::TextGen::new(2_000, 1.0, 10).generate(42, 4 << 20);
+        let (mut records, mut bytes) = (0, 0);
+        for block in text.as_bytes().chunks(262_080) {
+            let mut counts: Vec<BTreeMap<&str, u64>> = vec![BTreeMap::new(); parts];
+            for w in std::str::from_utf8(block).expect("ASCII corpus").split_whitespace() {
+                let p = ((shuffle_hash(w.as_bytes()) as u128 * parts as u128) >> 64) as usize;
+                *counts[p].entry(w).or_default() += 1;
+            }
+            for part in counts {
+                let mut b = RunBuilder::default();
+                for (w, n) in part {
+                    b.push(w, &n.to_string());
+                }
+                let run = b.finish();
+                let mut body = Vec::new();
+                run.encode(&mut Writer::new(&mut body));
+                (records, bytes) = (records + run.len(), bytes + body.len());
+            }
+        }
+        (records, bytes)
     }
 
     /// The spill sort alone, radix against comparison, at the spill

@@ -14,24 +14,30 @@
 //! so every reader slices `&str` out of the columns, with no varint to
 //! walk and no UTF-8 to check again.
 //!
-//! On the wire, and only there, the records are front-coded. The record
-//! section of a `ShuffleBatch` body is
+//! On the wire the run section of a `ShuffleBatch` body carries the
+//! same columns: the key groups, front-coded, then the value lengths,
+//! then the value column as one block.
 //!
 //! ```text
-//! varint count
-//! per record, in key order:
-//!   varint shared    bytes the key shares with the previous key
-//!   varint len + key suffix bytes
-//!   varint len + value bytes
+//! varint G (key groups), varint R (records)
+//! G group heads, in key order:
+//!   varint (shared << 1 | multi)   bytes shared with the previous group's key;
+//!                                  multi = the group holds 2+ records
+//!   varint suffix_len, suffix bytes
+//!   [varint records - 2]           only when multi
+//! R value lengths, one varint each
+//! the value bytes, back to back    = the run's `values` column
 //! ```
 //!
-//! A key equal to its predecessor is the general rule's special case:
-//! `shared` is the whole key and the suffix is empty.
+//! The three records above are `2, 3`, the heads `(0 << 1 | 1), 5,
+//! "apple", 0` and `(0 << 1 | 0), 4, "pear"`, the lengths `2, 2, 2` and
+//! the block `"d1d7d3"`. A record that repeats its key costs the wire
+//! one length byte and its value.
 //!
 //! A map worker builds a run once per spill ([`RunBuilder`]). A run for
 //! a reducer on the worker's own node goes through a channel as it is
-//! and is never front-coded; a run for another node is front-coded into
-//! its frame ([`RecordRun::encode`]) and decoded back into columns on
+//! and is never encoded; a run for another node is encoded into its
+//! frame ([`RecordRun::encode`]) and decoded back into columns on
 //! receipt ([`RecordRun::from_body`]), which validates it as it
 //! decodes and frees the frame body. [`RecordRun::groups`] reads a run key
 //! group by key group, and [`merge_groups`] k-way merges a partition's
@@ -40,9 +46,10 @@
 //! a combiner app's partition with several runs folds each run's groups
 //! into a combining table instead.
 
-use crate::wire::{append_short, CodecError, Reader, Writer, MAX_BODY};
+use crate::wire::{CodecError, Reader, Writer, MAX_BODY};
 use std::cmp::Ordering;
 use std::fmt;
+use std::ops::Range;
 
 /// An owned, key-sorted run of `(key, value)` records, held as columns
 /// (see the module docs). Keys never decrease; equal keys form one key
@@ -107,71 +114,114 @@ impl RecordRun {
         records.map(|(k, v)| (k.to_string(), v.to_string())).collect()
     }
 
-    /// Append the run to a message body, front-coded: the count, then
-    /// the records (see the module docs).
+    /// Append the run to a message body (see the module docs): the
+    /// counts, each key group's head, each value's length, then the
+    /// value column in one append.
     pub fn encode(&self, w: &mut Writer<'_>) {
-        // Room for the usual case: suffixes no longer than their keys,
-        // three one-byte varints per record, and a short value's block.
-        w.reserve(26 + self.keys.len() + self.values.len() + 3 * self.len());
-        w.varint(self.len() as u64);
         let (keys, values) = (self.keys.as_bytes(), self.values.as_bytes());
-        let (mut key_at, mut first, mut value_at) = (0, 0, 0);
+        // Room for the usual case: one-byte varints, and suffixes no
+        // longer than their keys.
+        w.reserve(20 + 3 * self.groups.len() + keys.len() + self.len() + values.len());
+        w.varint(self.groups.len() as u64);
+        w.varint(self.len() as u64);
+        let (mut key_at, mut first) = (0, 0);
         let mut prev: &[u8] = &[];
         for g in &self.groups {
-            let key = &keys[key_at..g.key as usize];
-            let shared = common_prefix(prev, key);
-            w.varint(shared as u64);
-            w.vbytes(&key[shared..]);
-            for (i, &end) in self.ends[first..g.records as usize].iter().enumerate() {
-                let (at, len) = (value_at, end as usize - value_at);
-                value_at = end as usize;
-                if i > 0 && key.len() < 0x80 && len < 0x80 {
-                    // A repeat, its head in one append: the whole key
-                    // shared, an empty suffix.
-                    w.raw(&[key.len() as u8, 0, len as u8]);
-                } else {
-                    if i > 0 {
-                        w.varint(key.len() as u64);
-                        w.u8(0);
-                    }
-                    w.varint(len as u64);
-                }
-                w.raw_from(values, at, len);
-            }
-            (key_at, first, prev) = (g.key as usize, g.records as usize, key);
+            let end = g.key as usize;
+            write_head(w, prev, keys, key_at..end, g.records as usize - first);
+            (key_at, first, prev) = (end, g.records as usize, &keys[key_at..end]);
+        }
+        let mut at = 0;
+        for &end in &self.ends {
+            w.varint(u64::from(end - at));
+            at = end;
+        }
+        w.raw(values);
+    }
+
+    /// Append `records` to a message body as a run section, in the
+    /// order given: each run of consecutive equal keys is one key group,
+    /// whatever the key order. The owned shuffle batch's encoder: for
+    /// key-sorted records it writes what [`encode`](Self::encode) writes
+    /// for their run.
+    pub(crate) fn encode_pairs(records: &[(String, String)], w: &mut Writer<'_>) {
+        let groups = || records.chunk_by(|a, b| a.0 == b.0);
+        w.varint(groups().count() as u64);
+        w.varint(records.len() as u64);
+        let mut prev: &[u8] = &[];
+        for g in groups() {
+            let key = g[0].0.as_bytes();
+            write_head(w, prev, key, 0..key.len(), g.len());
+            prev = key;
+        }
+        for (_, v) in records {
+            w.varint(v.len() as u64);
+        }
+        for (_, v) in records {
+            w.raw(v.as_bytes());
         }
     }
 
-    /// Take a message body by value and decode the front-coded run that
-    /// fills it from byte `at` to the end into columns, validating it on
-    /// the way: bounds, `shared <= previous key length` and that keys
-    /// never decrease as it walks the records, then the UTF-8 of every
-    /// key and every value, one column at a time. The first violation
-    /// in record order is the error. The body is freed on return.
+    /// Take a message body by value and decode the run section that
+    /// fills it from byte `at` to the end into columns, validating it
+    /// on the way. The checks, in order, and the first violation is the
+    /// error:
     ///
-    /// The columns are sized from the body's length, never from the
-    /// count it declares: every record takes at least three bytes. The
-    /// key column, which holds each distinct key in full, is capped at
-    /// [`MAX_BODY`] bytes: front-coding lets a few body bytes stand for a
-    /// long key, so without a cap a small body could decode into
-    /// gigabytes. A run travels in one frame, so the cap refuses only a
-    /// run whose distinct keys, held in full, would outgrow a frame
-    /// body. A body past 4 GiB, or a run whose keys would pass the cap,
-    /// is a [`CodecError::FieldOverrun`].
+    /// - the counts: each group holds a record, each group head takes at
+    ///   least two bytes and each record's length one, so `G <= R` and
+    ///   `2G + R` fit what follows them; nothing is sized before this;
+    /// - group by group: `shared` no longer than the previous key; the
+    ///   suffix and the record count in bounds; the records counted so
+    ///   far no more than `R`; a key above its predecessor (keys
+    ///   strictly increase, or the run is [`CodecError::Unsorted`]); the
+    ///   key column no longer than [`MAX_BODY`];
+    /// - the groups' records add up to `R`;
+    /// - every value's end in bounds, and the value block exactly what
+    ///   is left;
+    /// - the key column, then the value column, is UTF-8 and every end
+    ///   in it falls on a character boundary.
+    ///
+    /// The key column holds each distinct key in full, and front-coding
+    /// lets a few body bytes stand for a long key: the cap keeps a small
+    /// body from decoding into gigabytes. A run travels in one frame, so
+    /// it refuses only a run whose distinct keys, held in full, would
+    /// outgrow a frame body. The value block is taken in one copy, and
+    /// the body is freed on return.
     pub fn from_body(body: Vec<u8>, at: usize) -> Result<RecordRun, CodecError> {
-        let rest = body.get(at..).ok_or(CodecError::FieldOverrun)?;
-        // Values and records fit `u32` ends from here on.
-        offset(rest.len())?;
-        let mut d = Decoding::default();
-        let decoded = d.decode(rest);
-        // Keys and values are checked as UTF-8 after the walk, each
-        // column as a whole: any of them decoded before a failure comes
-        // before it in record order.
-        let keys = checked_utf8(d.keys, d.groups.iter().map(|g| g.key))?;
-        let values = checked_utf8(d.values, d.ends.iter().copied())?;
-        decoded?;
-        let mut run = RecordRun { keys, values, groups: d.groups, ends: d.ends };
-        run.seal();
+        RecordRun::decode(body.get(at..).ok_or(CodecError::FieldOverrun)?, true)
+    }
+
+    /// Decode the run section that fills `section` into columns, with
+    /// [`from_body`](Self::from_body)'s checks; the key order is checked
+    /// only when `ordered`.
+    pub(crate) fn decode(section: &[u8], ordered: bool) -> Result<RecordRun, CodecError> {
+        // Every end fits a `u32` from here on.
+        offset(section.len())?;
+        let mut r = Reader::new(section);
+        let (groups, records) = counts(&mut r, section.len())?;
+        let mut keys = Vec::new();
+        let mut group_ends = Vec::with_capacity(groups);
+        read_heads(&mut r, &mut keys, &mut group_ends, groups, records, ordered)?;
+        let mut ends = Vec::with_capacity(records);
+        let mut end = 0usize;
+        for _ in 0..records {
+            let len = r.varint()?;
+            if len > (section.len() - end) as u64 {
+                return Err(CodecError::FieldOverrun);
+            }
+            end += len as usize;
+            ends.push(end as u32);
+        }
+        let block = &section[r.position()..];
+        match end.cmp(&block.len()) {
+            Ordering::Greater => return Err(CodecError::FieldOverrun),
+            Ordering::Less => return Err(CodecError::Trailing(block.len() - end)),
+            Ordering::Equal => {}
+        }
+        let keys = checked_utf8(keys, group_ends.iter().map(|g| g.key))?;
+        let values = checked_utf8(block.to_vec(), ends.iter().copied())?;
+        let mut run = RecordRun { keys, values, groups: group_ends, ends };
+        run.keys.shrink_to_fit();
         Ok(run)
     }
 
@@ -202,112 +252,136 @@ impl RecordRun {
     }
 }
 
-/// Close the last of `groups` at record `records` and open one whose key
-/// ends at `key_end`. The record count fits a `u32`: a decoded body is
-/// below 4 GiB, and a builder checks its count.
-#[inline]
-fn open_group(groups: &mut Vec<GroupEnd>, key_end: u32, records: usize) {
-    if let Some(last) = groups.last_mut() {
-        last.records = records as u32;
+/// Write the head of a key group whose key is `src[key]`, front-coded
+/// against the previous group's key `prev`, and which holds `records`
+/// records (see the module docs). A short suffix is copied as one
+/// fixed-size block when `src` has the room ([`Writer::raw_from`]).
+/// Inlined into both encoders: as a call per group it cost the run
+/// encoder a tenth of its time.
+#[inline(always)]
+fn write_head(w: &mut Writer<'_>, prev: &[u8], src: &[u8], key: Range<usize>, records: usize) {
+    let shared = common_prefix(prev, &src[key.clone()]);
+    w.varint((shared as u64) << 1 | u64::from(records > 1));
+    w.varint((key.len() - shared) as u64);
+    w.raw_from(src, key.start + shared, key.len() - shared);
+    if records > 1 {
+        w.varint(records as u64 - 2);
     }
-    groups.push(GroupEnd { key: key_end, records: 0 });
 }
 
-/// A run being decoded from the wire: its keys and values are raw
-/// bytes until [`RecordRun::from_body`] checks each column at once.
-#[derive(Default)]
-struct Decoding {
-    keys: Vec<u8>,
-    groups: Vec<GroupEnd>,
-    values: Vec<u8>,
-    ends: Vec<u32>,
+/// Read a run section's counts `(G, R)`, refusing any the `section`
+/// bytes cannot hold (see [`RecordRun::from_body`]).
+fn counts(r: &mut Reader<'_>, section: usize) -> Result<(usize, usize), CodecError> {
+    let (groups, records) = (r.varint()?, r.varint()?);
+    let left = (section - r.position()) as u64;
+    if groups > records || groups.saturating_mul(2).saturating_add(records) > left {
+        return Err(CodecError::FieldOverrun);
+    }
+    Ok((groups as usize, records as usize))
 }
 
-impl Decoding {
-    /// Walk the front-coded records of `rest` into the columns, checking
-    /// everything but the UTF-8 of the keys and values it keeps. A key
-    /// that sorts below its predecessor is not kept, so it is checked
-    /// here; its value is kept, as its UTF-8 error would come first.
-    fn decode(&mut self, rest: &[u8]) -> Result<(), CodecError> {
-        let mut r = Reader::new(rest);
-        let count = usize::try_from(r.varint()?).map_err(|_| CodecError::FieldOverrun)?;
-        let (records, value_bytes) = capacities(count, rest.len() - r.position());
-        // A short value's block may reach sixteen bytes past the end.
-        self.values.reserve_exact(value_bytes + 16);
-        self.ends.reserve_exact(records);
-        let Decoding { keys, groups, values, ends } = self;
-        // Where the previous key starts in `keys`; it runs to the end.
-        let mut prev_at = 0;
-        for i in 0..count {
-            let shared = usize::try_from(r.varint()?).map_err(|_| CodecError::FieldOverrun)?;
-            let prev_len = keys.len() - prev_at;
-            if shared > prev_len {
-                return Err(CodecError::FieldOverrun);
-            }
-            let suffix = r.vbytes()?;
-            // The new key is `prev[..shared] + suffix`: equal to `prev`
-            // (the same group), above it or below it exactly as `suffix`
-            // compares with the tail it replaces.
-            let order = if i == 0 {
-                Ordering::Greater
-            } else if suffix.is_empty() && shared == prev_len {
-                Ordering::Equal
+/// Read `groups` key group heads from `r`, appending each group's key
+/// to `keys` and its ends to `ends` (see [`RecordRun::from_body`] for
+/// the checks). The key column is raw bytes until the caller checks it
+/// as UTF-8.
+///
+/// A key is rebuilt with no call per group. The previous key's first
+/// sixteen bytes are kept as one big-endian word, zero-padded; a key of
+/// at most sixteen bytes whose suffix is at most eight is that word cut
+/// to `shared` bytes with the suffix's [`key_prefix`] word shifted in,
+/// stored as one sixteen-byte block and cut back to length. Its order
+/// against its predecessor is the suffix's against the tail it
+/// replaces, and when both are at most eight bytes it is read off their
+/// words, as the spill sort and the merge compare keys.
+fn read_heads(
+    r: &mut Reader<'_>,
+    keys: &mut Vec<u8>,
+    ends: &mut Vec<GroupEnd>,
+    groups: usize,
+    records: usize,
+    ordered: bool,
+) -> Result<(), CodecError> {
+    // The previous key starts at `prev_at` and runs to the end of
+    // `keys`; `head` is its first sixteen bytes, zero-padded.
+    let (mut prev_at, mut head) = (0, 0u128);
+    let mut counted = 0usize;
+    for g in 0..groups {
+        let word = r.varint()?;
+        let key_at = keys.len();
+        let prev_len = key_at - prev_at;
+        let shared = usize::try_from(word >> 1)
+            .ok()
+            .filter(|&shared| shared <= prev_len)
+            .ok_or(CodecError::FieldOverrun)?;
+        let suffix = r.vbytes()?;
+        let n = if word & 1 == 0 { Some(1) } else { r.varint()?.checked_add(2) };
+        counted = n
+            .and_then(|n| usize::try_from(n).ok())
+            .and_then(|n| counted.checked_add(n))
+            .filter(|&counted| counted <= records)
+            .ok_or(CodecError::FieldOverrun)?;
+        let suffix_word = key_prefix(suffix);
+        if ordered && g > 0 {
+            let tail = prev_len - shared;
+            let order = if suffix.len() <= 8 && tail <= 8 && prev_len <= 16 {
+                (suffix_word, suffix.len()).cmp(&(word_from(head, shared), tail))
             } else {
-                suffix.cmp(&keys[prev_at + shared..])
+                key_order(suffix, &keys[prev_at + shared..])
             };
-            match order {
-                Ordering::Equal => {}
-                Ordering::Greater => {
-                    let key_at = keys.len();
-                    if key_at + shared + suffix.len() > MAX_BODY {
-                        return Err(CodecError::FieldOverrun);
-                    }
-                    keys.extend_from_within(prev_at..prev_at + shared);
-                    keys.extend_from_slice(suffix);
-                    open_group(groups, keys.len() as u32, ends.len());
-                    prev_at = key_at;
-                }
-                Ordering::Less => check_key(&keys[prev_at..], shared, suffix)?,
-            }
-            let len = r.vbytes()?.len();
-            append_short(values, rest, r.position() - len, len);
-            ends.push(values.len() as u32);
-            if order == Ordering::Less {
+            if order.is_le() {
                 return Err(CodecError::Unsorted);
             }
         }
-        r.finish()
+        let end = key_at + shared + suffix.len();
+        if end > MAX_BODY {
+            return Err(CodecError::FieldOverrun);
+        }
+        if suffix.len() <= 8 && end - key_at <= 16 {
+            let kept = head & !shr(u128::MAX, shared);
+            head = kept | shr(u128::from(suffix_word) << 64, shared);
+            keys.extend_from_slice(&head.to_be_bytes());
+        } else {
+            if shared <= 16 {
+                keys.extend_from_slice(&head.to_be_bytes());
+                keys.truncate(key_at + shared);
+            } else {
+                keys.extend_from_within(prev_at..prev_at + shared);
+            }
+            keys.extend_from_slice(suffix);
+            keys.extend_from_slice(&[0; 16]);
+            head = u128::from_be_bytes(*keys[key_at..].first_chunk().expect("sixteen bytes appended"));
+        }
+        keys.truncate(end);
+        ends.push(GroupEnd { key: end as u32, records: counted as u32 });
+        prev_at = key_at;
     }
+    if counted != records {
+        return Err(CodecError::FieldOverrun);
+    }
+    Ok(())
 }
 
-/// Is `prev[..shared] + suffix` UTF-8, given that `prev` is? Only the
-/// bytes from `prev`'s last character boundary at or before `shared`
-/// need checking: a shared prefix may end inside a code point (`é`
-/// then `ê`).
-fn check_key(prev: &[u8], shared: usize, suffix: &[u8]) -> Result<(), CodecError> {
-    let from = (0..=shared).rev().find(|&at| prev.get(at).is_none_or(|b| b & 0xc0 != 0x80));
-    let mut tail = prev[from.unwrap_or(0)..shared].to_vec();
-    tail.extend_from_slice(suffix);
-    std::str::from_utf8(&tail).map(drop).map_err(|_| CodecError::BadUtf8)
+/// `word` shifted right by `bytes` bytes, at most sixteen.
+#[inline]
+fn shr(word: u128, bytes: usize) -> u128 {
+    word.checked_shr(8 * bytes as u32).unwrap_or(0)
+}
+
+/// The eight bytes of the big-endian `head` from byte `at` on, at most
+/// sixteen, as a big-endian word, zero-padded.
+#[inline]
+fn word_from(head: u128, at: usize) -> u64 {
+    (head.checked_shl(8 * at as u32).unwrap_or(0) >> 64) as u64
 }
 
 /// `column` as a `String`, if every entry in it — cut at `ends` — is
 /// UTF-8: the whole is, and every cut falls on a character boundary.
 fn checked_utf8(column: Vec<u8>, mut ends: impl Iterator<Item = u32>) -> Result<String, CodecError> {
     let column = String::from_utf8(column).map_err(|_| CodecError::BadUtf8)?;
-    if !ends.all(|end| column.is_char_boundary(end as usize)) {
+    if !column.is_ascii() && !ends.all(|end| column.is_char_boundary(end as usize)) {
         return Err(CodecError::BadUtf8);
     }
     Ok(column)
-}
-
-/// Room for the records of a front-coded run body that declares `count`
-/// records in `room` bytes: `(records, value bytes)`. Each record holds
-/// at least three varint bytes besides its value, so neither figure can
-/// exceed what the body holds, whatever the count says.
-fn capacities(count: usize, room: usize) -> (usize, usize) {
-    let records = count.min(room / 3);
-    (records, room - 3 * records)
 }
 
 /// A column offset as a `u32`.
@@ -420,10 +494,15 @@ impl RunBuilder {
         match order {
             Ordering::Equal => {}
             Ordering::Greater => {
+                // Close the last group: its record count fits a `u32`,
+                // as `push_value` checks.
+                if let Some(last) = run.groups.last_mut() {
+                    last.records = run.ends.len() as u32;
+                }
                 self.key_at = run.keys.len();
                 run.keys.push_str(key);
-                let key_end = offset(run.keys.len()).expect("a run's keys stay below 4 GiB");
-                open_group(&mut run.groups, key_end, run.ends.len());
+                let key = offset(run.keys.len()).expect("a run's keys stay below 4 GiB");
+                run.groups.push(GroupEnd { key, records: 0 });
             }
             Ordering::Less => panic!("RunBuilder::push: keys must be pushed in order"),
         }
@@ -460,7 +539,7 @@ impl RunBuilder {
 }
 
 /// Length of the longest common prefix of `a` and `b`, in bytes.
-pub(crate) fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
     let n = a.len().min(b.len());
     let (a, b) = (&a[..n], &b[..n]);
     // Up to eight bytes at a time, as big-endian words: the first byte
@@ -491,6 +570,26 @@ pub fn key_prefix(key: &[u8]) -> u64 {
             u64::from(head) << 32 | u64::from(tail) << (8 * (8 - key.len()))
         }
         _ => key.iter().enumerate().fold(0, |p, (i, &b)| p | u64::from(b) << (56 - 8 * i)),
+    }
+}
+
+/// The byte order of `a` and `b`, compared as the spill sort and the
+/// merge compare keys: by [`key_prefix`] first, then as
+/// [`past_prefix`] says.
+#[inline]
+fn key_order(a: &[u8], b: &[u8]) -> Ordering {
+    key_prefix(a).cmp(&key_prefix(b)).then_with(|| past_prefix(a, b))
+}
+
+/// The byte order of `a` and `b`, whose [`key_prefix`]es are equal: by
+/// length when either is at most eight bytes (it is then a prefix of
+/// the other), otherwise by the bytes past the prefix.
+#[inline]
+fn past_prefix(a: &[u8], b: &[u8]) -> Ordering {
+    if a.len().min(b.len()) <= 8 {
+        a.len().cmp(&b.len())
+    } else {
+        a[8..].cmp(&b[8..])
     }
 }
 
@@ -572,13 +671,7 @@ impl<'a> Head<'a> {
     /// The order of this head's key and `other`'s.
     fn order(&self, other: &Head<'_>) -> Ordering {
         let (a, b) = (self.key.as_bytes(), other.key.as_bytes());
-        self.prefix.cmp(&other.prefix).then_with(|| {
-            if a.len().min(b.len()) <= 8 {
-                a.len().cmp(&b.len())
-            } else {
-                a[8..].cmp(&b[8..])
-            }
-        })
+        self.prefix.cmp(&other.prefix).then_with(|| past_prefix(a, b))
     }
 }
 
@@ -644,8 +737,37 @@ mod tests {
         body
     }
 
+    fn pairs_body(records: &[(String, String)]) -> Vec<u8> {
+        let mut body = Vec::new();
+        RecordRun::encode_pairs(records, &mut Writer::new(&mut body));
+        body
+    }
+
     fn pairs(v: &[(&str, &str)]) -> Vec<(String, String)> {
         v.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect()
+    }
+
+    /// A run section written head by head: `heads` are `(shared,
+    /// suffix, records)` and `values` every record's value, in order.
+    fn section(heads: &[(u64, &[u8], u64)], values: &[&[u8]]) -> Vec<u8> {
+        let mut body = Vec::new();
+        let mut w = Writer::new(&mut body);
+        w.varint(heads.len() as u64);
+        w.varint(values.len() as u64);
+        for &(shared, suffix, records) in heads {
+            w.varint(shared << 1 | u64::from(records > 1));
+            w.vbytes(suffix);
+            if records > 1 {
+                w.varint(records - 2);
+            }
+        }
+        for v in values {
+            w.varint(v.len() as u64);
+        }
+        for v in values {
+            w.raw(v);
+        }
+        body
     }
 
     #[test]
@@ -659,10 +781,26 @@ mod tests {
         assert_eq!(groups[2], ("ab", vec!["1", "2"]));
         assert_eq!(groups.len(), 6);
         assert_eq!(run.keys, "aabbéê");
-        // "ab" after "a" shares one byte; the repeat shares both; "ê"
-        // shares the first byte of "é".
+        // Six group heads: "ab" after "a" shares one byte and holds two
+        // records; "ê" shares the first byte of "é". Then seven value
+        // lengths and the value column.
         let body = body_of(&run);
-        assert_eq!(&body[..11], &[7, 0, 0, 1, b'e', 0, 1, b'a', 0, 1, 1]);
+        #[rustfmt::skip]
+        let want = [
+            6, 7,
+            0, 0,                 // ""
+            0, 1, b'a',           // "a"
+            3, 1, b'b', 0,        // "ab": shared 1, multi, 2 records
+            0, 1, b'b',           // "b"
+            0, 2, 0xc3, 0xa9,     // "é"
+            2, 1, 0xaa,           // "ê": shared 1
+            1, 0, 1, 1, 1, 1, 1,  // value lengths
+            b'e', b'1', b'2', b'x', b'1', b'2',
+        ];
+        assert_eq!(body, want);
+        assert_eq!(section(&[(0, b"", 1), (0, b"a", 1), (1, b"b", 2)], &[b"e", b"", b"1", b"2"]), {
+            body_of(&RecordRun::from_pairs(&recs[..4]))
+        });
         let back = RecordRun::from_body(body, 0).expect("valid run");
         assert_eq!(back, run);
         assert_eq!(back.to_pairs(), recs);
@@ -680,110 +818,101 @@ mod tests {
 
     #[test]
     fn an_untrusted_count_sizes_nothing() {
-        // A count of 2^40 in a 20-byte body: six varint bytes, then
-        // fourteen bytes holding four empty records and a cut one.
-        let mut body = Vec::new();
-        Writer::new(&mut body).varint(1 << 40);
-        body.resize(20, 0);
-        assert_eq!(RecordRun::from_body(body, 0), Err(CodecError::FieldOverrun));
-        // The columns were sized for what fourteen bytes can hold.
-        assert_eq!(capacities(1 << 40, 14), (4, 2));
-        assert_eq!(capacities(usize::MAX, 0), (0, 0));
-        assert_eq!(capacities(2, 100), (2, 94));
+        // A group or record count of 2^40 in a 20-byte body is refused
+        // before anything is sized.
+        for (groups, records) in [(1 << 40, 1 << 40), (1, 1 << 40), (1 << 40, 1)] {
+            let mut body = Vec::new();
+            let mut w = Writer::new(&mut body);
+            w.varint(groups);
+            w.varint(records);
+            body.resize(20, 0);
+            assert_eq!(RecordRun::from_body(body, 0), Err(CodecError::FieldOverrun));
+        }
+        // What the counts leave must hold two bytes per group head and
+        // one per record length, and every group holds a record.
+        let counted = |g: u8, r: u8, left: usize| {
+            let mut body = vec![g, r];
+            body.resize(2 + left, 0);
+            counts(&mut Reader::new(&body), body.len())
+        };
+        assert_eq!(counted(3, 4, 10), Ok((3, 4)));
+        assert_eq!(counted(3, 4, 9), Err(CodecError::FieldOverrun));
+        assert_eq!(counted(5, 4, 100), Err(CodecError::FieldOverrun));
+        assert_eq!(counted(0, 0, 0), Ok((0, 0)));
     }
 
-    /// A body of one `first`-byte key followed by `extra` records, each
-    /// of which shares all of the previous key and adds one byte: each
-    /// record costs the body a few bytes and the key column a whole key.
-    fn expanding_body(first: usize, extra: usize) -> Vec<u8> {
-        let mut body = Vec::new();
-        let mut w = Writer::new(&mut body);
-        w.varint(1 + extra as u64);
-        w.varint(0);
-        w.vbytes(&vec![b'a'; first]);
-        w.vbytes(b"");
-        for i in 0..extra {
-            w.varint((first + i) as u64);
-            w.vbytes(b"b");
-            w.vbytes(b"");
-        }
-        body
+    /// A section of one `first`-byte key followed by `extra` key groups,
+    /// each of which shares all of the previous key and adds one byte:
+    /// each group costs the body a few bytes and the key column a whole
+    /// key. Every value is empty.
+    fn expanding_section(first: usize, extra: usize) -> Vec<u8> {
+        let a = vec![b'a'; first];
+        let mut heads = vec![(0, &a[..], 1)];
+        heads.extend((0..extra).map(|i| ((first + i) as u64, &b"b"[..], 1)));
+        section(&heads, &vec![&b""[..]; 1 + extra])
     }
 
     #[test]
     fn expanding_keys_decode_up_to_the_key_cap() {
-        // 15,006 body bytes stand for 10,510,500 key bytes: below the
+        // 16,008 body bytes stand for 10,510,500 key bytes: below the
         // cap, so the run decodes in full.
-        let body = expanding_body(10_000, 1_000);
-        assert_eq!(body.len(), 15_006);
+        let body = expanding_section(10_000, 1_000);
+        assert_eq!(body.len(), 16_008);
         let run = RecordRun::from_body(body, 0).expect("within the cap");
         assert_eq!((run.len(), run.keys.len()), (1_001, 10_510_500));
         // An 8 MiB key extended eight times, in a body of about 8 MiB:
         // the seventh extension would bring the key column to 64 MiB + 28
         // bytes, so it is refused before it is copied and the column
         // never passes the cap.
-        let body = expanding_body(8 << 20, 8);
-        assert!(body.len() < (8 << 20) + 8 * 8);
-        let mut d = Decoding::default();
-        assert_eq!(d.decode(&body), Err(CodecError::FieldOverrun));
-        assert_eq!(d.groups.len(), 7);
-        assert!(d.keys.len() <= MAX_BODY && d.keys.capacity() <= MAX_BODY);
-        drop(d);
+        let body = expanding_section(8 << 20, 8);
+        assert!(body.len() < (8 << 20) + 100);
+        let mut r = Reader::new(&body);
+        let (groups, records) = counts(&mut r, body.len()).unwrap();
+        let (mut keys, mut ends) = (Vec::new(), Vec::new());
+        let heads = read_heads(&mut r, &mut keys, &mut ends, groups, records, true);
+        assert_eq!(heads, Err(CodecError::FieldOverrun));
+        assert_eq!(ends.len(), 7);
+        assert!(keys.len() <= MAX_BODY && keys.capacity() <= MAX_BODY);
         assert_eq!(RecordRun::from_body(body, 0), Err(CodecError::FieldOverrun));
     }
 
     #[test]
     fn validation_rejects_each_malformation() {
-        // Unsorted keys: "b" then "a".
-        let mut body = Vec::new();
-        let mut w = Writer::new(&mut body);
-        w.varint(2);
-        for k in ["b", "a"] {
-            w.varint(0);
-            w.vbytes(k.as_bytes());
-            w.vbytes(b"v");
-        }
-        assert_eq!(RecordRun::from_body(body, 0), Err(CodecError::Unsorted));
+        let decoded = |body: Vec<u8>| RecordRun::from_body(body, 0);
+        // Unsorted keys: "b" then "a"; and a key equal to its
+        // predecessor's, which belongs in its group.
+        let unsorted = section(&[(0, b"b", 1), (0, b"a", 1)], &[b"v", b"v"]);
+        assert_eq!(decoded(unsorted), Err(CodecError::Unsorted));
+        let repeat = section(&[(0, b"ab", 1), (1, b"b", 1)], &[b"1", b"2"]);
+        assert_eq!(decoded(repeat), Err(CodecError::Unsorted));
         // Shared prefix longer than the previous key.
-        let mut body = Vec::new();
-        let mut w = Writer::new(&mut body);
-        w.varint(2);
-        w.varint(0);
-        w.vbytes(b"a");
-        w.vbytes(b"");
-        w.varint(2);
-        w.vbytes(b"b");
-        w.vbytes(b"");
-        assert_eq!(RecordRun::from_body(body, 0), Err(CodecError::FieldOverrun));
+        let overlong = section(&[(0, b"a", 1), (2, b"b", 1)], &[b"", b""]);
+        assert_eq!(decoded(overlong), Err(CodecError::FieldOverrun));
         // A reconstructed key that is not UTF-8: "é" (c3 a9) then a key
         // sharing only its first byte with a bad continuation.
-        let mut body = Vec::new();
-        let mut w = Writer::new(&mut body);
-        w.varint(2);
-        w.varint(0);
-        w.vbytes("é".as_bytes());
-        w.vbytes(b"");
-        w.varint(1);
-        w.vbytes(&[0xff]);
-        w.vbytes(b"");
-        assert_eq!(RecordRun::from_body(body, 0), Err(CodecError::BadUtf8));
+        let split_char = section(&[(0, "é".as_bytes(), 1), (1, &[0xff], 1)], &[b"", b""]);
+        assert_eq!(decoded(split_char), Err(CodecError::BadUtf8));
         // A value that is not UTF-8.
-        let mut body = Vec::new();
-        let mut w = Writer::new(&mut body);
-        w.varint(1);
-        w.varint(0);
-        w.vbytes(b"k");
-        w.vbytes(&[0xc3]);
-        assert_eq!(RecordRun::from_body(body, 0), Err(CodecError::BadUtf8));
-        // Count larger than the records present, and trailing bytes.
+        assert_eq!(decoded(section(&[(0, b"k", 1)], &[&[0xc3]])), Err(CodecError::BadUtf8));
+        // Groups that hold more records than the section declares, or
+        // fewer.
+        let mut body = section(&[(0, b"k", 2)], &[b"v", b"w"]);
+        body[1] = 1;
+        assert_eq!(decoded(body), Err(CodecError::FieldOverrun));
+        let mut body = section(&[(0, b"k", 1)], &[b"v", b"w"]);
+        body[0] = 1;
+        assert_eq!(decoded(body), Err(CodecError::FieldOverrun));
+        // Lengths past the value block, and bytes past it.
         let run = RecordRun::from_pairs(&pairs(&[("k", "v")]));
         let mut body = body_of(&run);
-        body[0] = 2;
-        assert_eq!(RecordRun::from_body(body, 0), Err(CodecError::FieldOverrun));
+        body.pop();
+        assert_eq!(decoded(body), Err(CodecError::FieldOverrun));
         let mut body = body_of(&run);
-        body.push(0);
-        assert_eq!(RecordRun::from_body(body, 0), Err(CodecError::Trailing(1)));
+        body.push(b'x');
+        assert_eq!(decoded(body), Err(CodecError::Trailing(1)));
+        assert_eq!(decoded(vec![]), Err(CodecError::FieldOverrun));
         assert_eq!(RecordRun::from_body(vec![], 1), Err(CodecError::FieldOverrun));
+        assert_eq!(decoded(vec![0, 0]), Ok(RecordRun::new()));
     }
 
     #[test]
@@ -791,34 +920,58 @@ mod tests {
         // "a" twice, with values c3 and a9: each half of "é" alone is
         // not UTF-8, though the two side by side in the value column
         // are.
-        let mut body = Vec::new();
-        let mut w = Writer::new(&mut body);
-        w.varint(2);
-        for (shared, suffix, value) in [(0, &b"a"[..], &[0xc3u8][..]), (1, b"", &[0xa9])] {
-            w.varint(shared);
-            w.vbytes(suffix);
-            w.vbytes(value);
-        }
+        let body = section(&[(0, b"a", 2)], &[&[0xc3], &[0xa9]]);
         assert_eq!(RecordRun::from_body(body, 0), Err(CodecError::BadUtf8));
     }
 
     #[test]
-    fn a_repeat_written_the_long_way_joins_its_group() {
-        // "ab" then "ab" again, as shared 1 + suffix "b" rather than
-        // the repeat form: one key group, and `encode` writes the
-        // repeat form back.
-        let mut body = Vec::new();
-        let mut w = Writer::new(&mut body);
-        w.varint(2);
-        for (shared, suffix, value) in [(0, &b"ab"[..], b"1"), (1, b"b", b"2")] {
-            w.varint(shared);
-            w.vbytes(suffix);
-            w.vbytes(value);
+    fn a_repeated_group_key_is_unsorted_but_joins_its_group_in_the_owned_form() {
+        // "ab" then "ab" again, as a second group sharing 1 byte plus
+        // suffix "b": a run refuses it, as keys must strictly increase.
+        // The owned form takes any order and reads two records, and its
+        // encoder writes them back as one group.
+        let body = section(&[(0, b"ab", 1), (1, b"b", 1)], &[b"1", b"2"]);
+        assert_eq!(RecordRun::from_body(body.clone(), 0), Err(CodecError::Unsorted));
+        let recs = RecordRun::decode(&body, false).unwrap().to_pairs();
+        assert_eq!(recs, pairs(&[("ab", "1"), ("ab", "2")]));
+        assert_eq!(pairs_body(&recs), section(&[(0, b"ab", 2)], &[b"1", b"2"]));
+        assert_eq!(pairs_body(&recs), body_of(&RecordRun::from_pairs(&recs)));
+        // Out of order, each change of key opens a group.
+        let recs = pairs(&[("b", "1"), ("a", "2"), ("a", "3"), ("b", "4")]);
+        let body = pairs_body(&recs);
+        assert_eq!(body, section(&[(0, b"b", 1), (0, b"a", 2), (0, b"b", 1)], &[b"1", b"2", b"3", b"4"]));
+        assert_eq!(RecordRun::decode(&body, false).unwrap().to_pairs(), recs);
+    }
+
+    #[test]
+    fn keys_rebuild_and_order_across_the_fixed_blocks() {
+        // Keys that share 0..=20 bytes with their predecessors and add
+        // suffixes of 0..=12 bytes: either side of the sixteen-byte head
+        // block and the eight-byte suffix word.
+        let base = "abcdefghijklmnopqrstuvwxyz";
+        let mut keys = Vec::new();
+        for shared in 0..=20 {
+            for extra in 0..=12 {
+                let mut k = base[..shared].to_string();
+                k.extend(std::iter::repeat_n('~', extra));
+                keys.push(k);
+            }
         }
-        let run = RecordRun::from_body(body, 0).unwrap();
-        assert_eq!(run, RecordRun::from_pairs(&[("ab", "1"), ("ab", "2")]));
-        assert_eq!(run.groups().len(), 1);
-        assert_eq!(body_of(&run), [2, 0, 2, b'a', b'b', 1, b'1', 2, 0, 1, b'2']);
+        keys.sort();
+        keys.dedup();
+        let recs: Vec<(String, String)> = keys.iter().map(|k| (k.clone(), k.len().to_string())).collect();
+        let run = RecordRun::from_pairs(&recs);
+        let back = RecordRun::from_body(body_of(&run), 0).unwrap();
+        assert_eq!(back.to_pairs(), recs);
+        // Any two of them, in either order: a run takes them exactly when
+        // the first does not sort above the second (equal keys are one
+        // group).
+        for a in &keys {
+            for b in &keys {
+                let decoded = RecordRun::from_body(pairs_body(&pairs(&[(a, ""), (b, "")])), 0);
+                assert_eq!(decoded.is_ok(), a <= b, "{a:?} then {b:?}: {decoded:?}");
+            }
+        }
     }
 
     #[test]

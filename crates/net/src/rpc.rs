@@ -21,14 +21,18 @@
 //! would otherwise double-deliver the batch).
 //!
 //! The kind-6 (`ShuffleBatch`) body is five `u32`s (task, attempt, seq,
-//! epoch, partition) followed by a sorted, front-coded [`RecordRun`].
+//! epoch, partition) followed by a [`RecordRun`]'s run section: its key
+//! groups, front-coded, then every value's length, then the value column
+//! as one block (the layout is in the [`records`](crate::records) docs).
 //! The executor sends and receives it as [`Rpc::ShuffleRun`]: the
 //! transports decode request frames by value ([`Rpc::decode_owned`]),
 //! which decodes the run into its columns in one walk of the body,
-//! validating it, then frees the frame body. [`Rpc::ShuffleBatch`] is
-//! the same frame with owned pairs, which [`Rpc::decode`] still yields.
+//! validating it (keys must strictly increase), then frees the frame
+//! body. [`Rpc::ShuffleBatch`] is the same frame with owned pairs: it
+//! encodes consecutive equal keys as one key group, and [`Rpc::decode`]
+//! yields it from a frame in any key order.
 
-use crate::records::{common_prefix, RecordRun};
+use crate::records::RecordRun;
 use crate::wire::{self, CodecError, Dir, Frame, Reader, Writer};
 use bytes::Bytes;
 use eclipse_cache::{CacheKey, OutputTag};
@@ -197,20 +201,7 @@ impl Rpc {
                 w.u32(*seq);
                 w.u32(*epoch);
                 w.u32(*partition);
-                // Shuffle records dominate wire bytes, so they get the
-                // compact encoding: varint lengths, and keys front-coded
-                // against their predecessor (combined spills arrive
-                // sorted, so consecutive keys share long prefixes).
-                w.varint(records.len() as u64);
-                let mut prev: &[u8] = &[];
-                for (k, v) in records {
-                    let kb = k.as_bytes();
-                    let shared = common_prefix(prev, kb);
-                    w.varint(shared as u64);
-                    w.vbytes(&kb[shared..]);
-                    w.vbytes(v.as_bytes());
-                    prev = kb;
-                }
+                RecordRun::encode_pairs(records, &mut w);
             }
             Rpc::ShuffleRun { task, attempt, seq, epoch, partition, run } => {
                 w.u32(*task);
@@ -303,26 +294,10 @@ impl Rpc {
                 let seq = r.u32()?;
                 let epoch = r.u32()?;
                 let partition = r.u32()?;
-                let n = usize::try_from(r.varint()?).map_err(|_| CodecError::FieldOverrun)?;
-                // Cap pre-allocation: a corrupt count must not OOM.
-                let mut records = Vec::with_capacity(n.min(64 * 1024));
-                let mut prev: Vec<u8> = Vec::new();
-                for _ in 0..n {
-                    let shared = usize::try_from(r.varint()?)
-                        .map_err(|_| CodecError::FieldOverrun)?;
-                    if shared > prev.len() {
-                        return Err(CodecError::FieldOverrun);
-                    }
-                    let suffix = r.vbytes()?;
-                    prev.truncate(shared);
-                    prev.extend_from_slice(suffix);
-                    let key =
-                        String::from_utf8(prev.clone()).map_err(|_| CodecError::BadUtf8)?;
-                    let value = String::from_utf8(r.vbytes()?.to_vec())
-                        .map_err(|_| CodecError::BadUtf8)?;
-                    records.push((key, value));
-                }
-                Rpc::ShuffleBatch { task, attempt, seq, epoch, partition, records }
+                // The run section runs to the end of the body.
+                let run = RecordRun::decode(&frame.body[r.position()..], false)?;
+                let records = run.to_pairs();
+                return Ok(Rpc::ShuffleBatch { task, attempt, seq, epoch, partition, records });
             }
             k if k == RpcKind::Heartbeat as u8 => {
                 let from = NodeId(r.u32()?);

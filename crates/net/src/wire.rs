@@ -319,7 +319,7 @@ impl<'a> Reader<'a> {
 /// block and the excess cut off again: for a short shuffle value a
 /// `memcpy` call of its exact length costs more than the copy.
 #[inline]
-pub(crate) fn append_short(out: &mut Vec<u8>, src: &[u8], at: usize, len: usize) {
+fn append_short(out: &mut Vec<u8>, src: &[u8], at: usize, len: usize) {
     match src[at..].first_chunk::<16>() {
         Some(block) if len <= 16 => {
             let keep = out.len() + len;

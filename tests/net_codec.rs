@@ -19,11 +19,11 @@
 //!    typed error, an endpoint answers it with [`RpcReply::Error`], and
 //!    a job whose shuffle frame is corrupted re-executes the attempt.
 //!    Each run property also runs on duplicate-heavy runs over a tiny
-//!    key alphabet, where the codec's repeated-key paths do the work;
+//!    key alphabet, where most key groups hold several records;
 //!    [`merge_groups`] is checked against a stable sort-and-group, also
 //!    on keys that share their first eight bytes; one duplicate-heavy
-//!    frame is pinned byte for byte; and the columnar decoder agrees
-//!    with the front-coded validator it replaced on every truncation and
+//!    frame is pinned byte for byte; and the run decoder agrees with a
+//!    plain model decoder of the run section on every truncation and
 //!    byte flip of a run's body.
 
 use bytes::Bytes;
@@ -313,8 +313,8 @@ fn corrupt_shuffle_record_count_is_overrun_not_oom() {
     let raw = rpc.encode(7);
     let frame = wire::decode_frame(&raw).unwrap();
     let mut body = frame.body.clone();
-    // The record count sits after task/attempt/seq/epoch/partition
-    // (5 × u32).
+    // The group and record counts sit after task/attempt/seq/epoch/
+    // partition (5 × u32): a group count near 2^34 in a 27-byte body.
     body[20..24].copy_from_slice(&u32::MAX.to_le_bytes());
     let bad = frame_request(frame.kind, &body);
     assert_eq!(Rpc::decode(&bad).unwrap_err(), CodecError::FieldOverrun);
@@ -411,6 +411,29 @@ fn shuffle_body(run_section: &[u8]) -> Vec<u8> {
     body
 }
 
+/// A run section written head by head: `heads` are `(shared, suffix,
+/// records)` and `values` every record's value, in order.
+fn run_section(heads: &[(u64, &[u8], u64)], values: &[&[u8]]) -> Vec<u8> {
+    let mut section = Vec::new();
+    let mut w = wire::Writer::new(&mut section);
+    w.varint(heads.len() as u64);
+    w.varint(values.len() as u64);
+    for &(shared, suffix, records) in heads {
+        w.varint(shared << 1 | u64::from(records > 1));
+        w.vbytes(suffix);
+        if records > 1 {
+            w.varint(records - 2);
+        }
+    }
+    for v in values {
+        w.varint(v.len() as u64);
+    }
+    for v in values {
+        w.raw(v);
+    }
+    section
+}
+
 fn sorted(mut pairs: Vec<(String, String)>) -> Vec<(String, String)> {
     pairs.sort_by(|a, b| a.0.cmp(&b.0));
     pairs
@@ -424,10 +447,11 @@ fn arb_dup_key() -> impl Strategy<Value = String> {
     prop_oneof![Just(""), Just("a"), Just("a\0"), Just("é"), Just("ê")].prop_map(String::from)
 }
 
-/// Keys around the merge's 8-byte prefix: 7-, 8-, 9- and 16-byte keys
-/// that share their first bytes, so only their lengths or the bytes
-/// past the prefix order them (`"abcdefg"` and `"abcdefg\0"` have the
-/// same zero-padded prefix), plus `"a"`/`"a\0"`.
+/// Keys around the merge's 8-byte prefix and the run decoder's 16-byte
+/// head block: 7-, 8-, 9-, 16-, 17-, 18- and 24-byte keys that share
+/// their first bytes, so only their lengths or the bytes past the
+/// prefix order them (`"abcdefg"` and `"abcdefg\0"` have the same
+/// zero-padded prefix), plus `"a"`/`"a\0"`.
 fn arb_long_key() -> impl Strategy<Value = String> {
     prop_oneof![
         Just("a"),
@@ -440,6 +464,9 @@ fn arb_long_key() -> impl Strategy<Value = String> {
         Just("abcdefghé"),
         Just("abcdefghabcdefgh"),
         Just("abcdefghabcdefgi"),
+        Just("abcdefghabcdefghi"),
+        Just("abcdefghabcdefghij"),
+        Just("abcdefghabcdefgiabcdefgh"),
     ]
     .prop_map(String::from)
 }
@@ -627,14 +654,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `RecordRun::from_body` decodes exactly what the front-coded
-    /// validator it replaced accepts, and fails with that validator's
-    /// error: on valid runs behind a header, and on every truncation
-    /// and every byte flip of their bodies. These bodies are far too
-    /// small to reach the key column's `MAX_BODY` cap, which the model
-    /// does not have.
+    /// `RecordRun::from_body` decodes exactly what the plain model of
+    /// the run section accepts, and fails with the model's error: on
+    /// valid runs behind a header, and on every truncation and every
+    /// byte flip of their bodies.
     #[test]
-    fn from_body_agrees_with_the_front_coded_model(
+    fn from_body_agrees_with_the_group_model(
         pairs in prop_oneof![
             arb_dup_pairs(12),
             arb_long_pairs(12),
@@ -665,55 +690,86 @@ proptest! {
     }
 }
 
-/// The run validator `RecordRun::from_body` replaced, kept as the
-/// model: one pass over the front-coded section from byte `at`, holding
-/// only the previous key. Returns the records, or the first error in
-/// record order.
+/// A plain decoder of the run section from byte `at`, the model for
+/// `RecordRun::from_body`: each key rebuilt in full, the checks in the
+/// order the layout is read, the first failure the error, and UTF-8
+/// checked last, every key before every value.
 fn model_from_body(body: &[u8], at: usize) -> Result<Vec<(String, String)>, CodecError> {
     let rest = body.get(at..).ok_or(CodecError::FieldOverrun)?;
     let mut r = wire::Reader::new(rest);
-    let len = usize::try_from(r.varint()?).map_err(|_| CodecError::FieldOverrun)?;
-    let mut records = Vec::new();
-    // The previous key, rebuilt in place record by record.
-    let mut prev = Vec::new();
-    for _ in 0..len {
-        let shared = usize::try_from(r.varint()?).map_err(|_| CodecError::FieldOverrun)?;
-        if shared > prev.len() {
+    let (groups, records) = (r.varint()?, r.varint()?);
+    // Each group holds a record; its head takes two bytes or more, and
+    // each record's length one.
+    let left = (rest.len() - r.position()) as u128;
+    if groups > records || 2 * u128::from(groups) + u128::from(records) > left {
+        return Err(CodecError::FieldOverrun);
+    }
+    // Each group's key and record count.
+    let mut keys: Vec<(Vec<u8>, u128)> = Vec::new();
+    let (mut key_bytes, mut counted) = (0, 0u128);
+    for _ in 0..groups {
+        let head = r.varint()?;
+        let prev = keys.last().map_or(&[][..], |(k, _)| k.as_slice());
+        if head >> 1 > prev.len() as u64 {
             return Err(CodecError::FieldOverrun);
         }
-        let suffix = r.vbytes()?;
-        // A repeated key (the whole previous key shared, no suffix)
-        // is as valid and as sorted as its predecessor.
-        let mut sorted = true;
-        if !(suffix.is_empty() && shared == prev.len()) {
-            // The new key is `prev[..shared] + suffix`, so it sorts
-            // below `prev` exactly when `suffix` sorts below the tail
-            // it replaces.
-            sorted = suffix >= &prev[shared..];
-            // `prev` is UTF-8: only the bytes from the last character
-            // boundary at or before `shared` need checking.
-            let mut from = shared;
-            while from > 0 && from < prev.len() && prev[from] & 0xc0 == 0x80 {
-                from -= 1;
-            }
-            prev.truncate(shared);
-            prev.extend_from_slice(suffix);
-            std::str::from_utf8(&prev[from..]).map_err(|_| CodecError::BadUtf8)?;
+        let mut key = prev[..(head >> 1) as usize].to_vec();
+        key.extend_from_slice(r.vbytes()?);
+        let n = if head & 1 == 1 { u128::from(r.varint()?) + 2 } else { 1 };
+        counted += n;
+        if counted > u128::from(records) {
+            return Err(CodecError::FieldOverrun);
         }
-        let value = std::str::from_utf8(r.vbytes()?).map_err(|_| CodecError::BadUtf8)?;
-        if !sorted {
+        if !keys.is_empty() && key.as_slice() <= prev {
             return Err(CodecError::Unsorted);
         }
-        let key = String::from_utf8(prev.clone()).expect("checked above");
-        records.push((key, value.to_string()));
+        key_bytes += key.len();
+        if key_bytes > MAX_BODY {
+            return Err(CodecError::FieldOverrun);
+        }
+        keys.push((key, n));
     }
-    r.finish()?;
+    if counted != u128::from(records) {
+        return Err(CodecError::FieldOverrun);
+    }
+    let (mut lens, mut end) = (Vec::new(), 0u128);
+    for _ in 0..records {
+        let len = r.varint()?;
+        end += u128::from(len);
+        if end > rest.len() as u128 {
+            return Err(CodecError::FieldOverrun);
+        }
+        lens.push(len as usize);
+    }
+    let block = &rest[r.position()..];
+    if end > block.len() as u128 {
+        return Err(CodecError::FieldOverrun);
+    }
+    if end < block.len() as u128 {
+        return Err(CodecError::Trailing(block.len() - end as usize));
+    }
+    let utf8 = |b: &[u8]| String::from_utf8(b.to_vec()).map_err(|_| CodecError::BadUtf8);
+    let keys = keys.iter().map(|(k, n)| Ok((utf8(k)?, *n))).collect::<Result<Vec<_>, _>>()?;
+    let mut values = Vec::new();
+    let mut value_at = 0;
+    for len in lens {
+        values.push(utf8(&block[value_at..value_at + len])?);
+        value_at += len;
+    }
+    let mut values = values.into_iter();
+    let mut records = Vec::new();
+    for (key, n) in keys {
+        for _ in 0..n {
+            records.push((key.clone(), values.next().expect("one value per record")));
+        }
+    }
     Ok(records)
 }
 
-/// The exact frame of a duplicate-heavy run, byte for byte: a repeated
-/// key is `varint(len), 0, value`, a length past 127 takes two varint
-/// bytes, and the `é`/`ê` neighbours share one byte of a code point.
+/// The exact frame of a duplicate-heavy run, byte for byte: a key group
+/// of several records carries its count once, a length past 127 takes
+/// two varint bytes, and the `é`/`ê` neighbours share one byte of a
+/// code point.
 #[test]
 fn duplicate_heavy_run_frame_is_pinned() {
     let long = "v".repeat(130);
@@ -731,20 +787,18 @@ fn duplicate_heavy_run_frame_is_pinned() {
         ("ê", long.as_str()),
     ];
     let run = RecordRun::from_pairs(&pairs);
+    #[rustfmt::skip]
     let mut section: Vec<u8> = vec![
-        0x0b, // 11 records
-        0x00, 0x00, 0x01, b'e', // ""   "e"
-        0x00, 0x00, 0x01, b'f', // ""   "f"  (repeat of the empty key)
-        0x00, 0x01, b'a', 0x01, b'1', // "a"  "1"
-        0x01, 0x00, 0x01, b'2', // "a"  "2"  (repeat)
-        0x01, 0x00, 0x00, // "a"  ""   (repeat, empty value)
-        0x01, 0x01, b'b', 0x01, b'x', // "ab" "x"
-        0x02, 0x00, 0x01, b'y', // "ab" "y"  (repeat)
-        0x00, 0x02, 0xc3, 0xa9, 0x01, b'1', // "é"  "1"
-        0x01, 0x01, 0xaa, 0x01, b'2', // "ê"  "2"  (shares 0xc3)
-        0x02, 0x00, 0x01, b'3', // "ê"  "3"  (repeat)
-        0x02, 0x00, 0x82, 0x01, // "ê"  130 × "v" (repeat)
+        0x05, 0x0b, // 5 key groups, 11 records
+        0x01, 0x00, 0x00, // ""   shared 0, 2 records
+        0x01, 0x01, b'a', 0x01, // "a"  shared 0, 3 records
+        0x03, 0x01, b'b', 0x00, // "ab" shared 1, 2 records
+        0x00, 0x02, 0xc3, 0xa9, // "é"  shared 0, 1 record
+        0x03, 0x01, 0xaa, 0x01, // "ê"  shared 1 (0xc3), 3 records
+        0x01, 0x01, 0x01, 0x01, 0x00, 0x01, 0x01, 0x01, 0x01, 0x01, // value lengths
+        0x82, 0x01, // 130
     ];
+    section.extend_from_slice(b"ef12xy123");
     section.extend_from_slice(long.as_bytes());
     assert_eq!(run.len(), 11);
     let mut encoded = Vec::new();
@@ -766,53 +820,46 @@ fn duplicate_heavy_run_frame_is_pinned() {
 
 #[test]
 fn run_validation_rejects_each_malformation() {
-    let rec = |w: &mut wire::Writer, shared: u64, suffix: &[u8], value: &[u8]| {
-        w.varint(shared);
-        w.vbytes(suffix);
-        w.vbytes(value);
-    };
-    let body = |records: &dyn Fn(&mut wire::Writer)| {
-        let mut section = Vec::new();
-        records(&mut wire::Writer::new(&mut section));
-        frame_request(6, &shuffle_body(&section))
+    let body = |heads: &[(u64, &[u8], u64)], values: &[&[u8]]| {
+        frame_request(6, &shuffle_body(&run_section(heads, values)))
     };
     // Keys decrease: "b" then "a".
-    let unsorted = body(&|w| {
-        w.varint(2);
-        rec(w, 0, b"b", b"1");
-        rec(w, 0, b"a", b"1");
-    });
+    let unsorted = body(&[(0, b"b", 1), (0, b"a", 1)], &[b"1", b"1"]);
     assert_eq!(Rpc::decode_owned(unsorted.clone()).unwrap_err(), CodecError::Unsorted);
     assert!(Rpc::decode(&unsorted).is_ok(), "the owned form takes any order");
+    // A key group repeating its predecessor's key.
+    let repeat = body(&[(0, b"a", 1), (1, b"", 1)], &[b"1", b"2"]);
+    assert_eq!(Rpc::decode_owned(repeat.clone()).unwrap_err(), CodecError::Unsorted);
+    let Rpc::ShuffleBatch { records, .. } = Rpc::decode(&repeat).unwrap() else { panic!() };
+    assert_eq!(records, vec![("a".into(), "1".into()), ("a".into(), "2".into())]);
     // Shared prefix longer than the previous key.
-    let overlong = body(&|w| {
-        w.varint(2);
-        rec(w, 0, b"ab", b"");
-        rec(w, 3, b"c", b"");
-    });
+    let overlong = body(&[(0, b"ab", 1), (3, b"c", 1)], &[b"", b""]);
     assert_eq!(Rpc::decode_owned(overlong).unwrap_err(), CodecError::FieldOverrun);
-    // "é" then a key sharing only its lead byte: the reconstructed key
-    // is not UTF-8 though each suffix alone is harmless.
-    let split_char = body(&|w| {
-        w.varint(2);
-        rec(w, 0, "é".as_bytes(), b"");
-        rec(w, 1, b"z", b"");
-    });
+    // "é" then a key sharing only its lead byte and going on with
+    // "\u{80}", which sorts above: the reconstructed key is not UTF-8
+    // though each suffix alone is.
+    let split_char = body(&[(0, "é".as_bytes(), 1), (1, "\u{80}".as_bytes(), 1)], &[b"", b""]);
     assert_eq!(Rpc::decode_owned(split_char).unwrap_err(), CodecError::BadUtf8);
     // The legal neighbour: "ê" shares that byte and completes a char.
-    let legal = body(&|w| {
-        w.varint(2);
-        rec(w, 0, "é".as_bytes(), b"1");
-        rec(w, 1, &"ê".as_bytes()[1..], b"2");
-    });
+    let legal = body(&[(0, "é".as_bytes(), 1), (1, &"ê".as_bytes()[1..], 1)], &[b"1", b"2"]);
     let Rpc::ShuffleRun { run, .. } = Rpc::decode_owned(legal).unwrap() else { panic!() };
     assert_eq!(run.to_pairs(), vec![("é".into(), "1".into()), ("ê".into(), "2".into())]);
     // A value that is not UTF-8.
-    let bad_value = body(&|w| {
-        w.varint(1);
-        rec(w, 0, b"k", &[0xff]);
-    });
+    let bad_value = body(&[(0, b"k", 1)], &[&[0xff]]);
     assert_eq!(Rpc::decode_owned(bad_value).unwrap_err(), CodecError::BadUtf8);
+    // Groups holding more records than declared, and a value block
+    // longer than the lengths say: by value and by reference alike.
+    let mut section = run_section(&[(0, b"k", 3)], &[b"v", b"w", b"x"]);
+    section[1] = 2;
+    section.remove(section.len() - 1);
+    let over = frame_request(6, &shuffle_body(&section));
+    assert_eq!(Rpc::decode_owned(over.clone()).unwrap_err(), CodecError::FieldOverrun);
+    assert_eq!(Rpc::decode(&over).unwrap_err(), CodecError::FieldOverrun);
+    let mut section = run_section(&[(0, b"k", 1)], &[b"v"]);
+    section.push(b'w');
+    let trailing = frame_request(6, &shuffle_body(&section));
+    assert_eq!(Rpc::decode_owned(trailing.clone()).unwrap_err(), CodecError::Trailing(1));
+    assert_eq!(Rpc::decode(&trailing).unwrap_err(), CodecError::Trailing(1));
 }
 
 /// A malformed run reaching a node's endpoint over loopback TCP is
@@ -824,14 +871,7 @@ fn tcp_endpoint_answers_a_malformed_run_with_an_error() {
     let node = NodeId(1);
     t.bind(node, std::sync::Arc::new(|_| RpcReply::Ack));
     let mut sock = std::net::TcpStream::connect(t.addr_of(node).expect("bound")).unwrap();
-    let mut section = Vec::new();
-    let mut w = wire::Writer::new(&mut section);
-    w.varint(2);
-    for k in ["b", "a"] {
-        w.varint(0);
-        w.vbytes(k.as_bytes());
-        w.vbytes(b"");
-    }
+    let section = run_section(&[(0, b"b", 1), (0, b"a", 1)], &[b"", b""]);
     let good = Rpc::ShuffleRun {
         task: 0, attempt: 0, seq: 0, epoch: 0, partition: 0,
         run: RecordRun::from_pairs(&[("a", "1")]),
