@@ -6,6 +6,7 @@
 //! Inputs are tab-separated `key\tvalue` tables; the mapper tags each
 //! record with its side, the reducer cross-products matching keys.
 
+use eclipse_core::net::merge_sorted_pairs;
 use eclipse_core::{LiveCluster, LiveStats, MapReduce, ReusePolicy};
 
 /// Two-table equi-join.
@@ -57,7 +58,7 @@ pub fn run_equijoin(
 }
 
 /// The join as one multi-input job: both tables mapped into one
-/// shuffle, the per-partition output flattened into sorted rows.
+/// shuffle, the per-partition output merged into sorted rows.
 fn join_tables(
     cluster: &LiveCluster,
     tables: &[&str],
@@ -67,9 +68,7 @@ fn join_tables(
     let (parts, stats) = cluster
         .try_run_job_inputs_partitioned(&EquiJoin, tables, user, reducers, ReusePolicy::default())
         .expect("join job failed");
-    let mut rows: Vec<(String, String)> = parts.into_iter().flatten().collect();
-    rows.sort();
-    (rows, stats)
+    (merge_sorted_pairs(parts), stats)
 }
 
 #[cfg(test)]

@@ -53,7 +53,7 @@ use crate::live::{
 };
 use crate::sim_exec::SchedulerKind;
 use eclipse_dhtfs::FsError;
-use eclipse_net::{MemTransport, RpcKind};
+use eclipse_net::{merge_sorted_pairs, MemTransport, RpcKind};
 use eclipse_ring::NodeId;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -1636,8 +1636,7 @@ fn run_epoch_schedule(
                 return (Outcome::Fail(format!("published epoch {k} unreadable")), injected, checks)
             }
         };
-        let mut flat: Vec<(String, String)> = snap.iter().flatten().cloned().collect();
-        flat.sort();
+        let flat = merge_sorted_pairs(snap.iter().map(|p| p.iter().cloned().collect()));
         let want = if k as usize == deltas.len() {
             expect.to_vec()
         } else {

@@ -599,9 +599,7 @@ mod tests {
     }
 
     fn flat(snap: &EpochSnapshot) -> Vec<(String, String)> {
-        let mut out: Vec<(String, String)> = snap.iter().flatten().cloned().collect();
-        out.sort();
-        out
+        eclipse_net::merge_sorted_pairs(snap.iter().map(|p| p.iter().cloned().collect()))
     }
 
     /// Word count that counts its own `reduce` calls; `combiner` picks

@@ -139,7 +139,9 @@ use crate::sim_exec::SchedulerKind;
 use bytes::Bytes;
 use eclipse_cache::{CacheKey, DistributedCache, OutputTag};
 use eclipse_dhtfs::{BlockId, BlockStore, DhtFs, DhtFsConfig};
-use eclipse_net::{MemTransport, Rpc, RpcReply, SendTicket, TcpTransport, Transport, CLIENT};
+use eclipse_net::{
+    merge_sorted_pairs, MemTransport, Rpc, RpcReply, SendTicket, TcpTransport, Transport, CLIENT,
+};
 use eclipse_ring::{NodeId, Ring};
 use eclipse_sched::{DelayScheduler, LafScheduler};
 use eclipse_util::KeyRange;
@@ -158,6 +160,7 @@ mod worker;
 pub use run::PartitionedOutput;
 pub(crate) use run::{PartitionRuns, Run};
 pub(crate) use worker::MapWorker;
+use worker::Buffers;
 
 use router::{bind_endpoint, ShuffleRouter, MAX_JOB_SLOTS};
 
@@ -873,6 +876,9 @@ pub struct LiveCluster {
     /// handed out from 1 (0 = untagged/no-quota traffic) and never
     /// reused.
     tenants: Mutex<HashMap<String, u16>>,
+    /// Map workers' spill buffers and reduce folds' combining tables,
+    /// kept cleared between uses (see [`worker::FreeList`]).
+    buffers: Buffers,
 }
 
 impl LiveCluster {
@@ -924,6 +930,7 @@ impl LiveCluster {
             SchedulerKind::Delay(c) => LiveSched::Delay(DelayScheduler::new(&ring, *c)),
         };
         LiveCluster {
+            buffers: Buffers::new(cfg.shuffle_batch_bytes),
             cfg,
             ring: RwLock::new(ring),
             epoch: AtomicU64::new(0),
@@ -1179,9 +1186,7 @@ impl LiveCluster {
     ) -> Result<(Vec<(String, String)>, LiveStats), JobError> {
         let (parts, stats) =
             self.try_run_job_inputs_partitioned(app, &[input], user, reducers, reuse)?;
-        let mut result: Vec<(String, String)> = parts.into_iter().flatten().collect();
-        result.sort();
-        Ok((result, stats))
+        Ok((merge_sorted_pairs(parts), stats))
     }
 
     /// The general one-shot job: fallible, over several input files at

@@ -20,7 +20,7 @@
 
 use super::place::MapTask;
 use super::router::{TaskBatch, JOB_SHIFT, TID_MASK};
-use super::worker::{shuffle_hash, Table};
+use super::worker::{shuffle_hash, FreeList, Table};
 use super::{
     hardware_threads, DstEvent, DstObserver, FaultOp, LiveCluster, LiveSched, LiveStats, MapReduce,
     SpeculationConfig, SLOW_SERVE_DIV,
@@ -351,7 +351,8 @@ impl Run {
                 if self.is_aborted() {
                     return (p, Vec::new());
                 }
-                let reduce = std::panic::AssertUnwindSafe(|| reduce_runs(app, &runs));
+                let tables = &cluster.buffers.tables;
+                let reduce = std::panic::AssertUnwindSafe(|| reduce_runs(app, &runs, tables));
                 let out = std::panic::catch_unwind(reduce).unwrap_or_else(|_| {
                     self.abort(JobError::ReduceFailed { partition: p });
                     Vec::new()
@@ -718,12 +719,18 @@ impl LiveCluster {
 /// the partials themselves. Any other partition (no combiner, or one
 /// run, whose keys are already distinct) k-way merges its runs' key
 /// groups, comparing cached 8-byte key prefixes first
-/// ([`merge_groups`]).
-fn reduce_runs(app: &dyn MapReduce, runs: &PartitionRuns) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    let mut emit = |ok, ov| out.push((ok, ov));
+/// ([`merge_groups`]). The output is sized for one pair per key when
+/// the key count is known: the table's keys, or a single run's groups.
+///
+/// The table comes from, and goes back to, `tables`; a `reduce` that
+/// panics drops it instead.
+fn reduce_runs(
+    app: &dyn MapReduce,
+    runs: &PartitionRuns,
+    tables: &FreeList<Table>,
+) -> Vec<(String, String)> {
     if app.has_combiner() && runs.0.len() > 1 {
-        let mut table = Table::default();
+        let mut table = tables.take_one();
         for batch in &runs.0 {
             for (k, values) in batch.run.groups() {
                 let hash = shuffle_hash(k.as_bytes());
@@ -732,10 +739,17 @@ fn reduce_runs(app: &dyn MapReduce, runs: &PartitionRuns) -> Vec<(String, String
                 }
             }
         }
-        table.drain_with(app, |k, v| app.reduce_into(k, &[v], &mut emit));
-    } else {
-        runs.for_each_group(|k, vs| app.reduce_into(k, vs, &mut emit));
+        let mut out = Vec::with_capacity(table.len());
+        table.drain_with(app, |k, v| app.reduce_into(k, &[v], &mut |ok, ov| out.push((ok, ov))));
+        tables.give([table]);
+        return out;
     }
+    let keys = match &runs.0[..] {
+        [one] => one.run.groups().len(),
+        _ => 0,
+    };
+    let mut out = Vec::with_capacity(keys);
+    runs.for_each_group(|k, vs| app.reduce_into(k, vs, &mut |ok, ov| out.push((ok, ov))));
     out
 }
 
@@ -815,6 +829,7 @@ mod tests {
             .collect();
         let words: usize = blocks.iter().map(Vec::len).sum();
         let (mut best, mut records) = ([f64::MAX; 2], 0);
+        let free = FreeList::new(u64::MAX);
         for _ in 0..5 {
             let mut tables: Vec<Table> = (0..PARTS).map(|_| Table::default()).collect();
             let mut runs: Vec<Vec<TaskBatch>> = (0..PARTS).map(|_| Vec::new()).collect();
@@ -834,7 +849,7 @@ mod tests {
             let parts: Vec<PartitionRuns> = runs.into_iter().map(PartitionRuns).collect();
             records = parts.iter().map(PartitionRuns::records).sum();
             let t = Instant::now();
-            let keys: usize = parts.iter().map(|p| reduce_runs(&CountWords, p).len()).sum();
+            let keys: usize = parts.iter().map(|p| reduce_runs(&CountWords, p, &free).len()).sum();
             let reduce = t.elapsed().as_nanos() as f64;
             assert!(keys <= 2_000, "{keys} distinct words from a 2,000-word vocabulary");
             best[0] = best[0].min(fold / words as f64);
@@ -849,12 +864,114 @@ mod tests {
         );
     }
 
+    /// A `storm_pool`-shaped small job's per-job cost: 70 KiB of word
+    /// count over a 50,000-word vocabulary, in one 262,080-byte block as
+    /// the benchmark cuts it, 8 reducers. Runs the job
+    /// through a `JobServer` 300 times and prints its p50 wall time;
+    /// then replays its phases in process on the same blocks, 300
+    /// times, and prints each phase's p50 in ns per output key: map
+    /// (each block's words folded into its partitions' tables, taken
+    /// from a free list), drain (every table spilled as a run), fold
+    /// (`reduce_runs` over each partition's runs) and output (the
+    /// partitions merged into one sorted list):
+    ///
+    /// ```text
+    /// cargo test --release -p eclipse-core --lib small_job_timing -- --ignored --nocapture
+    /// ```
+    #[test]
+    #[ignore = "a timing, not a check: run by hand in release"]
+    fn small_job_timing() {
+        use crate::live::LiveConfig;
+        use crate::server::{JobServer, JobServerConfig, PoolJobSpec};
+        use eclipse_net::{merge_sorted_pairs, RunBuilder};
+        use eclipse_workloads::TextGen;
+        const PARTS: usize = 8;
+        const JOBS: usize = 300;
+        let text = TextGen::new(50_000, 1.0, 10).generate(42, 70 * 1024);
+        let cluster = Arc::new(LiveCluster::new(LiveConfig::small().with_block_size(262_080)));
+        cluster.upload("small", "timing", text.as_bytes());
+        let server = JobServer::new(Arc::clone(&cluster), JobServerConfig::default());
+        let spec = PoolJobSpec {
+            app: Arc::new(CountWords),
+            inputs: vec!["small".to_string()],
+            user: "timing".to_string(),
+            reducers: PARTS,
+            reuse: ReusePolicy::default(),
+            weight: 1,
+        };
+        let p50 = |mut ns: Vec<f64>| {
+            ns.sort_by(f64::total_cmp);
+            ns[ns.len() / 2]
+        };
+        let since = |t: Instant| t.elapsed().as_nanos() as f64;
+        let wall = p50((0..JOBS)
+            .map(|_| {
+                let t = Instant::now();
+                server.submit(spec.clone()).wait().expect("the small job runs");
+                since(t)
+            })
+            .collect());
+        server.shutdown();
+        let blocks: Vec<&str> = text
+            .as_bytes()
+            .chunks(cluster.cfg.block_size as usize)
+            .map(|b| std::str::from_utf8(b).expect("an ASCII corpus"))
+            .collect();
+        let part = |h: u64| ((h as u128 * PARTS as u128) >> 64) as usize;
+        let free = FreeList::<Table>::new(u64::MAX);
+        let mut phases: [Vec<f64>; 4] = Default::default();
+        let mut keys = 0;
+        for _ in 0..JOBS {
+            let (mut map, mut drain) = (0.0, 0.0);
+            let mut runs: Vec<Vec<TaskBatch>> = (0..PARTS).map(|_| Vec::new()).collect();
+            for (task, block) in blocks.iter().enumerate() {
+                let t = Instant::now();
+                let mut tables = free.take(PARTS);
+                CountWords.map_into(0, block.as_bytes(), &mut |k, v| {
+                    let h = shuffle_hash(k.as_bytes());
+                    tables[part(h)].fold(&CountWords, h, &k, &v);
+                });
+                map += since(t);
+                let t = Instant::now();
+                for (table, runs) in tables.iter_mut().zip(&mut runs) {
+                    let mut run = RunBuilder::with_capacity(table.len(), 0);
+                    table.drain_with(&CountWords, |k, v| run.push(k, v));
+                    runs.push(TaskBatch { task: task as u32, attempt: 0, seq: 0, run: run.finish() });
+                }
+                free.give(tables);
+                drain += since(t);
+            }
+            let parts: Vec<PartitionRuns> = runs.into_iter().map(PartitionRuns).collect();
+            let t = Instant::now();
+            let out: Vec<Vec<(String, String)>> =
+                parts.iter().map(|p| reduce_runs(&CountWords, p, &free)).collect();
+            let fold = since(t);
+            // The merged output is freed after its timing, as a job
+            // hands it to its caller.
+            let t = Instant::now();
+            let merged = merge_sorted_pairs(out);
+            let output = since(t);
+            keys = merged.len();
+            for (phase, ns) in phases.iter_mut().zip([map, drain, fold, output]) {
+                phase.push(ns);
+            }
+        }
+        let [map, drain, fold, output] = phases.map(|ns| p50(ns) / keys as f64);
+        println!(
+            "small job, {} blocks, {keys} keys: server p50 {:.3} ms; phases p50 per key: \
+             map {map:.1} ns, drain {drain:.1} ns, fold {fold:.1} ns, output {output:.1} ns",
+            blocks.len(),
+            wall / 1e6,
+        );
+    }
+
     proptest! {
         /// The combining fold of a partition — every run's partials
         /// folded through one table, one `reduce_into` per key — gives
         /// the k-way merge's output exactly, for a binary in-place
         /// accumulator, the default text adapters and the DST word
-        /// count, over zero to six runs.
+        /// count, over zero to six runs. The three apps fold through
+        /// one table in turn, as folds share the cluster's free list.
         #[test]
         fn combining_fold_equals_merge_then_reduce(
             runs in prop::collection::vec(
@@ -865,8 +982,9 @@ mod tests {
             let runs = partition(&runs);
             let apps: [&dyn MapReduce; 3] =
                 [&CountWords, &Sum, &DstApp::WordCount { combiner: true }];
+            let tables = FreeList::new(u64::MAX);
             for app in apps {
-                prop_assert_eq!(reduce_runs(app, &runs), merged(app, &runs));
+                prop_assert_eq!(reduce_runs(app, &runs, &tables), merged(app, &runs));
             }
         }
     }

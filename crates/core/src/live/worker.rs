@@ -2,7 +2,8 @@
 //!
 //! A [`MapWorker`] is one thread's working state on one [`Run`]: a home
 //! node, a spill buffer with one byte arena per partition (one
-//! combining table for a combiner app), and at most one
+//! combining table for a combiner app), taken from and handed back to
+//! the cluster's free lists ([`FreeList`]), and at most one
 //! shipped-but-unsettled attempt. Every thread a run gets — the one
 //! that began it, a one-shot job's scoped helpers, a job server's pool
 //! workers — runs the one loop, [`MapWorker::work`]. Identity is per
@@ -27,6 +28,7 @@ use eclipse_dhtfs::FsError;
 use eclipse_net::{key_prefix, RecordRun, Rpc, RunBuilder, SendTicket, CLIENT};
 use eclipse_ring::NodeId;
 use eclipse_util::HashKey;
+use parking_lot::Mutex;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
@@ -171,9 +173,9 @@ impl<'a> MapWorker<'a> {
         let wi = wi % run.workers.len();
         let buffer = SpillBuffer::new(run.reducers, cluster.cfg.shuffle_batch_bytes);
         let out = if app.has_combiner() {
-            Buffered::Combined((0..run.reducers).map(|_| Table::default()).collect())
+            Buffered::Combined(cluster.buffers.tables.take(run.reducers))
         } else {
-            Buffered::Records((0..run.reducers).map(|_| Arena::default()).collect())
+            Buffered::Records(cluster.buffers.arenas.take(run.reducers))
         };
         MapWorker { cluster, run, app, wi, home: run.workers[wi], buffer, out, pending: None }
     }
@@ -707,6 +709,17 @@ impl<'a> MapWorker<'a> {
     }
 }
 
+impl Drop for MapWorker<'_> {
+    /// Hand the worker's buffers back to the cluster's free list.
+    fn drop(&mut self) {
+        let buffers = &self.cluster.buffers;
+        match std::mem::replace(&mut self.out, Buffered::Records(Vec::new())) {
+            Buffered::Records(arenas) => buffers.arenas.give(arenas),
+            Buffered::Combined(tables) => buffers.tables.give(tables),
+        }
+    }
+}
+
 /// Partition hash for intermediate keys, executor-internal: the key's
 /// length, then its 8-byte words, each folded in with a rotate, an xor
 /// and a multiply, and a murmur3 finalizer. The words are big-endian
@@ -795,9 +808,11 @@ fn narrow(n: usize) -> u32 {
 /// value byte back to back in one buffer, plus one entry per pair.
 /// Appending a pair copies its bytes and allocates nothing per record.
 #[derive(Default)]
-struct Arena {
+pub(super) struct Arena {
     bytes: Vec<u8>,
     entries: Vec<Entry>,
+    /// The radix sort's second entry buffer, kept between sorts.
+    spare: Vec<Entry>,
 }
 
 /// Where one pair sits in its arena: the key at `start`, its value right
@@ -867,7 +882,7 @@ impl Arena {
         if self.entries.len() < RADIX_MIN {
             sort_by_comparison(&self.bytes, &mut self.entries);
         } else {
-            sort_by_radix(&self.bytes, &mut self.entries);
+            sort_by_radix(&self.bytes, &mut self.entries, &mut self.spare);
         }
     }
 
@@ -926,10 +941,11 @@ fn sort_by_comparison(bytes: &[u8], entries: &mut [Entry]) {
     });
 }
 
-/// [`sort_by_comparison`]'s order: radix-sort the prefixes, then order
-/// each run of equal prefixes, which is usually sorted already.
-fn sort_by_radix(bytes: &[u8], entries: &mut Vec<Entry>) {
-    radix_sort_by_prefix(entries);
+/// [`sort_by_comparison`]'s order: radix-sort the prefixes (through
+/// `spare`), then order each run of equal prefixes, which is usually
+/// sorted already.
+fn sort_by_radix(bytes: &[u8], entries: &mut Vec<Entry>, spare: &mut Vec<Entry>) {
+    radix_sort_by_prefix(entries, spare);
     for run in entries.chunk_by_mut(|a, b| a.prefix == b.prefix) {
         if !run.is_sorted_by(|a, b| within_prefix(bytes, a, b).is_le()) {
             run.sort_unstable_by(|a, b| within_prefix(bytes, a, b));
@@ -945,10 +961,11 @@ fn sort_by_radix(bytes: &[u8], entries: &mut Vec<Entry>) {
 /// and above (25–34 against 52–77 ns per entry at ~4,000).
 const RADIX_MIN: usize = 768;
 
-/// Stable LSD radix sort of `entries` by prefix, one byte per pass. A
-/// pass whose byte is the same in every entry is skipped: short keys
-/// leave their low bytes zero, and text shares its first letters.
-fn radix_sort_by_prefix(entries: &mut Vec<Entry>) {
+/// Stable LSD radix sort of `entries` by prefix, one byte per pass,
+/// each pass writing into the other of `entries` and `spare`. A pass
+/// whose byte is the same in every entry is skipped: short keys leave
+/// their low bytes zero, and text shares its first letters.
+fn radix_sort_by_prefix(entries: &mut Vec<Entry>, spare: &mut Vec<Entry>) {
     let n = entries.len();
     let mut counts = [[0usize; 256]; 8];
     for e in entries.iter() {
@@ -956,7 +973,8 @@ fn radix_sort_by_prefix(entries: &mut Vec<Entry>) {
             c[(e.prefix >> (8 * d)) as u8 as usize] += 1;
         }
     }
-    let mut spare = vec![Entry::default(); n];
+    spare.clear();
+    spare.resize(n, Entry::default());
     for (d, c) in counts.iter_mut().enumerate() {
         if c.contains(&n) {
             continue;
@@ -970,7 +988,7 @@ fn radix_sort_by_prefix(entries: &mut Vec<Entry>) {
             spare[*slot] = *e;
             *slot += 1;
         }
-        std::mem::swap(entries, &mut spare);
+        std::mem::swap(entries, spare);
     }
 }
 
@@ -993,6 +1011,10 @@ pub(super) struct Table {
     /// The probe index over `arena.entries`: a power of two long, at
     /// most half full.
     slots: Vec<Slot>,
+    /// The occupied slots' indices: growth and clearing visit these,
+    /// so a table kept for reuse clears in proportion to its keys, not
+    /// to the index it grew for an earlier job.
+    used: Vec<u32>,
     /// Scratch [`MapReduce::combine_first`] starts a new key's
     /// accumulator in.
     acc: Vec<u8>,
@@ -1032,6 +1054,7 @@ impl Table {
                 let entry = self.arena.push(key.as_bytes(), &self.acc);
                 let room = self.acc.len() as u32;
                 self.slots[i] = Slot { hash, entry: narrow(entry + 1), room };
+                self.used.push(i as u32);
                 return;
             }
             if slot.hash == hash && self.holds(slot, key.as_bytes(), prefix) {
@@ -1075,19 +1098,34 @@ impl Table {
         slot.room = room as u32;
     }
 
-    /// Double the index (or start it) and re-place every slot by its
-    /// hash.
+    /// Double the index (or start it) and re-place every occupied slot
+    /// by its hash.
     #[cold]
     fn grow(&mut self) {
         let len = (2 * self.slots.len()).max(MIN_SLOTS);
         let old = std::mem::replace(&mut self.slots, vec![Slot::default(); len]);
-        for slot in old.into_iter().filter(|s| s.entry != 0) {
+        for at in &mut self.used {
+            let slot = old[*at as usize];
             let mut i = slot.hash as usize & (len - 1);
             while self.slots[i].entry != 0 {
                 i = (i + 1) & (len - 1);
             }
             self.slots[i] = slot;
+            *at = narrow(i);
         }
+    }
+
+    /// Distinct keys held.
+    pub(super) fn len(&self) -> usize {
+        self.arena.entries.len()
+    }
+
+    /// Empty every occupied slot.
+    fn clear_slots(&mut self) {
+        for &i in &self.used {
+            self.slots[i as usize] = Slot::default();
+        }
+        self.used.clear();
     }
 
     /// Hand `f` each key with its finished value, in key order, leaving
@@ -1100,7 +1138,7 @@ impl Table {
             app.combine_finish(key, acc, &mut finished);
             f(key, &finished);
         });
-        self.slots.fill(Slot::default());
+        self.clear_slots();
     }
 
     /// The table as a key-sorted run, one record per key.
@@ -1113,7 +1151,99 @@ impl Table {
 
     fn clear(&mut self) {
         self.arena.clear();
-        self.slots.fill(Slot::default());
+        self.clear_slots();
+    }
+}
+
+/// A map worker's per-partition buffer or a reduce fold's table, kept
+/// on a [`FreeList`] between uses.
+pub(super) trait Reusable: Default {
+    /// Drop every pair held, keeping the allocations.
+    fn clear(&mut self);
+    /// The bytes the key and value buffer has room for.
+    fn byte_capacity(&self) -> usize;
+}
+
+impl Reusable for Arena {
+    fn clear(&mut self) {
+        Arena::clear(self);
+    }
+
+    fn byte_capacity(&self) -> usize {
+        self.bytes.capacity()
+    }
+}
+
+impl Reusable for Table {
+    fn clear(&mut self) {
+        Table::clear(self);
+    }
+
+    fn byte_capacity(&self) -> usize {
+        self.arena.bytes.capacity()
+    }
+}
+
+/// Buffers handed back cleared, for the next map worker or reduce fold
+/// to take instead of growing fresh ones from empty: a small job then
+/// starts with tables already sized by earlier jobs. The list only
+/// ever holds buffers that were taken from it or made by a `take`, so
+/// it never holds more than were out at once; and a buffer whose byte
+/// capacity outgrew `cap` — the spill threshold, which a small job's
+/// buffers stay below — is freed on return instead of kept.
+pub(super) struct FreeList<T> {
+    free: Mutex<Vec<T>>,
+    cap: usize,
+}
+
+impl<T: Reusable> FreeList<T> {
+    pub(super) fn new(cap: u64) -> FreeList<T> {
+        FreeList { free: Mutex::new(Vec::new()), cap: usize::try_from(cap).unwrap_or(usize::MAX) }
+    }
+
+    /// `n` empty buffers: the most recently returned first, new ones
+    /// for the rest.
+    pub(super) fn take(&self, n: usize) -> Vec<T> {
+        let mut got = {
+            let mut free = self.free.lock();
+            let at = free.len().saturating_sub(n);
+            free.split_off(at)
+        };
+        got.resize_with(n, T::default);
+        got
+    }
+
+    /// One empty buffer, as [`take`](Self::take) gives it.
+    pub(super) fn take_one(&self) -> T {
+        let free = self.free.lock().pop();
+        free.unwrap_or_default()
+    }
+
+    /// Hand buffers back, clearing the ones within the cap.
+    pub(super) fn give(&self, buffers: impl IntoIterator<Item = T>) {
+        let kept: Vec<T> = buffers
+            .into_iter()
+            .filter(|b| b.byte_capacity() <= self.cap)
+            .map(|mut b| {
+                b.clear();
+                b
+            })
+            .collect();
+        self.free.lock().extend(kept);
+    }
+}
+
+/// The cluster's free lists: map-side spill arenas and combining
+/// tables (a reduce fold's table comes from the same list).
+pub(super) struct Buffers {
+    pub(super) arenas: FreeList<Arena>,
+    pub(super) tables: FreeList<Table>,
+}
+
+impl Buffers {
+    /// Free lists that keep buffers of up to `cap` bytes.
+    pub(super) fn new(cap: u64) -> Buffers {
+        Buffers { arenas: FreeList::new(cap), tables: FreeList::new(cap) }
     }
 }
 
@@ -1535,7 +1665,11 @@ mod tests {
         let cut = |n: usize| -> Vec<Arena> {
             pairs
                 .iter()
-                .map(|a| Arena { bytes: a.bytes.clone(), entries: a.entries[..n].to_vec() })
+                .map(|a| Arena {
+                    bytes: a.bytes.clone(),
+                    entries: a.entries[..n].to_vec(),
+                    spare: Vec::new(),
+                })
                 .collect()
         };
         let mean = |s: &[Arena]| s.iter().map(|a| a.entries.len()).sum::<usize>() / s.len();
@@ -1547,7 +1681,7 @@ mod tests {
         for (label, case) in &cases {
             let total: usize = case.iter().map(|a| a.entries.len()).sum();
             let reps = (2_000_000 / total).max(1);
-            let mut work = Vec::new();
+            let (mut work, mut spare) = (Vec::new(), Vec::new());
             let mut best = [f64::MAX; 2];
             for _ in 0..5 {
                 for (b, radix) in best.iter_mut().zip([false, true]) {
@@ -1557,7 +1691,7 @@ mod tests {
                             work.clear();
                             work.extend_from_slice(&a.entries);
                             if radix {
-                                sort_by_radix(&a.bytes, &mut work);
+                                sort_by_radix(&a.bytes, &mut work, &mut spare);
                             } else {
                                 sort_by_comparison(&a.bytes, &mut work);
                             }
@@ -1572,6 +1706,28 @@ mod tests {
                 best[0], best[1]
             );
         }
+    }
+
+    /// A free list hands back what it was given cleared, index kept,
+    /// and frees a table whose bytes outgrew its cap; a reused table
+    /// folds and spills like a new one.
+    #[test]
+    fn a_free_list_hands_back_cleared_tables_and_frees_oversized_ones() {
+        let free = FreeList::<Table>::new(64);
+        let mut tables = free.take(2);
+        fold_all(&mut tables[0], &[("x", "1"), ("y", "2"), ("x", "3")], hashed);
+        let keys: Vec<String> = (0..40).map(|i| format!("key{i}")).collect();
+        let pairs: Vec<(&str, &str)> = keys.iter().map(|k| (k.as_str(), "1")).collect();
+        fold_all(&mut tables[1], &pairs, hashed);
+        assert!(tables[1].byte_capacity() > 64);
+        free.give(tables);
+        let mut got = free.take(3);
+        assert!(got.iter().all(|t| t.len() == 0 && t.used.is_empty()));
+        assert!(got.iter().all(|t| t.slots.iter().all(|s| s.entry == 0)));
+        let kept: Vec<usize> = (0..3).filter(|&i| !got[i].slots.is_empty()).collect();
+        assert_eq!(kept, [0], "the small table comes back first, the large one was freed");
+        let model = fold_all(&mut got[0], &[("y", "5"), ("z", "1")], hashed);
+        spill_matches(&mut got[0], model);
     }
 
     #[test]

@@ -27,6 +27,7 @@
 use crate::epoch::{EpochDriver, EpochReport, EpochSnapshot, StreamSpec};
 use crate::job::{JobError, ReusePolicy};
 use crate::live::{hardware_threads, LiveCluster, LiveStats, MapReduce, MapWorker, Run};
+use eclipse_net::merge_sorted_pairs;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -396,11 +397,7 @@ fn driver_loop(s: &Shared) {
                 lease(s, &run, app);
                 run.finish(&s.cluster, &**app, 1)
             })
-            .map(|(parts, stats)| {
-                let mut out: Vec<(String, String)> = parts.into_iter().flatten().collect();
-                out.sort();
-                (out, stats)
-            });
+            .map(|(parts, stats)| (merge_sorted_pairs(parts), stats));
         p.handle.fulfill(res);
     }
 }

@@ -2,6 +2,7 @@
 #![cfg(test)]
 
 use crate::live::{Accumulator, MapReduce};
+use std::borrow::Cow;
 use std::fmt::Write;
 
 /// Word count, the canonical MapReduce.
@@ -38,6 +39,16 @@ impl CountWords {
 impl MapReduce for CountWords {
     fn map(&self, block: &[u8], emit: &mut dyn FnMut(String, String)) {
         WordCount.map(block, emit);
+    }
+    fn map_into(
+        &self,
+        _source: usize,
+        block: &[u8],
+        emit: &mut dyn FnMut(Cow<'_, str>, Cow<'_, str>),
+    ) {
+        for w in String::from_utf8_lossy(block).split_whitespace() {
+            emit(Cow::Borrowed(w), Cow::Borrowed("1"));
+        }
     }
     fn reduce(&self, key: &str, values: &[String], emit: &mut dyn FnMut(String, String)) {
         let total: u64 = values.iter().map(|v| CountWords::count(v)).sum();

@@ -31,7 +31,9 @@ pub mod wire;
 
 pub use demux::Demux;
 pub use mem::MemTransport;
-pub use records::{key_prefix, merge_groups, Groups, RecordRun, RunBuilder, Values};
+pub use records::{
+    key_prefix, merge_groups, merge_sorted_pairs, Groups, RecordRun, RunBuilder, Values,
+};
 pub use rpc::{Rpc, RpcKind, RpcReply};
 pub use tcp::TcpTransport;
 pub use wire::{CodecError, Dir, Frame, FrameDecoder};

@@ -44,7 +44,8 @@
 //! runs into key groups. The executor merges the runs of an app without
 //! a combiner, a partition's single run and an epoch fold's delta runs;
 //! a combiner app's partition with several runs folds each run's groups
-//! into a combining table instead.
+//! into a combining table instead. [`merge_sorted_pairs`] merges a
+//! job's reduced partitions into its one sorted output.
 
 use crate::wire::{CodecError, Reader, Writer, MAX_BODY};
 use std::cmp::Ordering;
@@ -605,16 +606,23 @@ fn past_prefix(a: &[u8], b: &[u8]) -> Ordering {
 /// otherwise by the bytes past the prefix; and then by run position.
 /// The heads play a tournament (a loser tree): taking the winner's
 /// whole key group and advancing its run replays one match per level.
+/// A single non-empty run is walked group by group, with no tournament.
 pub fn merge_groups<'a>(
     runs: impl IntoIterator<Item = &'a RecordRun>,
     mut group: impl FnMut(&str, &[&'a str]),
 ) {
-    let heads: Vec<Head<'a>> = runs.into_iter().filter_map(Head::first).collect();
-    if heads.is_empty() {
+    let mut heads: Vec<Head<'a>> = runs.into_iter().filter_map(Head::first).collect();
+    let mut values: Vec<&'a str> = Vec::new();
+    if heads.len() <= 1 {
+        let Some(only) = heads.pop() else { return };
+        for (key, vs) in only.run.groups() {
+            values.extend(vs);
+            group(key, &values);
+            values.clear();
+        }
         return;
     }
     let mut t = Tournament::new(heads);
-    let mut values: Vec<&'a str> = Vec::new();
     while let Some(top) = t.winner() {
         let (key, prefix) = (top.key, top.prefix);
         // Every run at this key wins in turn, in run order.
@@ -629,6 +637,106 @@ pub fn merge_groups<'a>(
         }
         group(key, &values);
         values.clear();
+    }
+}
+
+/// Partitions merged per pass in [`merge_sorted_pairs`].
+const FAN_IN: usize = 16;
+
+/// Merge a job's output partitions into one `(key, value)`-sorted list:
+/// exactly what concatenating them and calling `sort()` gives, for any
+/// partitions. A partition that is not sorted already (a `reduce` that
+/// emits several values for a key out of order, or keys other than its
+/// input keys) is sorted first.
+///
+/// The partitions are then merged up to 16 at a time: each
+/// output pair is the least of the partitions' heads, found by a scan
+/// that compares their cached [`key_prefix`]es and only on equal
+/// prefixes looks at the keys' bytes past them (as [`merge_groups`]
+/// orders keys), then at the values. With a job's few partitions the
+/// scan costs less per pair than a tournament, whose matches branch
+/// unpredictably: over 8 partitions of 3,865 word-count pairs on a
+/// 2-CPU host, 18 ns per pair against a loser tree's 26 and
+/// concatenate-and-sort's 43; over 200 partitions, 74 against 70 for
+/// concatenate-and-sort.
+pub fn merge_sorted_pairs(
+    parts: impl IntoIterator<Item = Vec<(String, String)>>,
+) -> Vec<(String, String)> {
+    let mut parts: Vec<Vec<(String, String)>> = parts
+        .into_iter()
+        .filter(|p| !p.is_empty())
+        .map(|mut p| {
+            if !p.is_sorted() {
+                p.sort_unstable();
+            }
+            p
+        })
+        .collect();
+    while parts.len() > 1 {
+        let mut rest = parts.into_iter();
+        parts = std::iter::from_fn(|| {
+            let chunk: Vec<Vec<(String, String)>> = rest.by_ref().take(FAN_IN).collect();
+            (!chunk.is_empty()).then(|| merge_scan(chunk))
+        })
+        .collect();
+    }
+    parts.pop().unwrap_or_default()
+}
+
+/// One pass of [`merge_sorted_pairs`]: merge `parts`, each sorted.
+fn merge_scan(parts: Vec<Vec<(String, String)>>) -> Vec<(String, String)> {
+    let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+    let mut heads: Vec<PairHead> = parts.into_iter().map(PairHead::new).collect();
+    loop {
+        let mut least = 0;
+        for i in 1..heads.len() {
+            if heads[i].before(&heads[least]) {
+                least = i;
+            }
+        }
+        let Some(pair) = heads[least].take() else { break };
+        out.push(pair);
+    }
+    out
+}
+
+/// One partition's next pair in [`merge_scan`], with its key's
+/// [`key_prefix`] — `u64::MAX` once the partition is exhausted: no
+/// UTF-8 key starts with byte `0xff`, so no pair's prefix is that.
+struct PairHead {
+    prefix: u64,
+    pair: Option<(String, String)>,
+    rest: std::vec::IntoIter<(String, String)>,
+}
+
+impl PairHead {
+    fn new(part: Vec<(String, String)>) -> PairHead {
+        let mut head = PairHead { prefix: u64::MAX, pair: None, rest: part.into_iter() };
+        head.take();
+        head
+    }
+
+    /// The head's pair, the partition's next one taking its place.
+    fn take(&mut self) -> Option<(String, String)> {
+        let next = self.rest.next();
+        self.prefix = next.as_ref().map_or(u64::MAX, |(k, _)| key_prefix(k.as_bytes()));
+        std::mem::replace(&mut self.pair, next)
+    }
+
+    /// Does this head's pair sort strictly before `other`'s? An
+    /// exhausted head is never before another.
+    #[inline]
+    fn before(&self, other: &PairHead) -> bool {
+        match self.prefix.cmp(&other.prefix) {
+            Ordering::Less => true,
+            Ordering::Greater => false,
+            Ordering::Equal => match (&self.pair, &other.pair) {
+                (Some((ak, av)), Some((bk, bv))) => {
+                    past_prefix(ak.as_bytes(), bk.as_bytes()).then_with(|| av.cmp(bv)).is_lt()
+                }
+                _ => false,
+            },
+        }
     }
 }
 
@@ -1083,5 +1191,61 @@ mod tests {
             keys.iter().map(|k| (k.to_string(), if *k == "abcdefgh" { 8 } else { 1 })).collect();
         assert_eq!(got, want);
     }
-}
 
+    /// Keys for [`merge_sorted_pairs`]: the empty key; `"a"` and
+    /// `"a\0"`, equal in their zero-padded prefix; keys that first
+    /// differ after byte 8; and `é` and `ê` (two bytes each) straddling
+    /// byte 8.
+    const MERGE_KEYS: [&str; 10] = [
+        "",
+        "a",
+        "a\0",
+        "abcdefgh",
+        "abcdefghX",
+        "abcdefghY",
+        "abcdefghXY",
+        "abcdefg\u{e9}",
+        "abcdefg\u{e9}z",
+        "abcdefg\u{ea}",
+    ];
+    const MERGE_VALUES: [&str; 4] = ["", "0", "1", "\u{e9}"];
+
+    /// A partition: pairs drawn from the key and value sets, key-sorted
+    /// as a reduce emits them (values in draw order) or left unsorted.
+    fn arb_partition() -> impl proptest::strategy::Strategy<Value = Vec<(String, String)>> {
+        use proptest::prelude::*;
+        let pair = (0..MERGE_KEYS.len(), 0..MERGE_VALUES.len())
+            .prop_map(|(k, v)| (MERGE_KEYS[k].to_string(), MERGE_VALUES[v].to_string()));
+        (prop::collection::vec(pair, 0..24), any::<bool>()).prop_map(|(mut part, by_key)| {
+            if by_key {
+                part.sort_by(|a, b| a.0.cmp(&b.0));
+            }
+            part
+        })
+    }
+
+    proptest::proptest! {
+        /// The merged job output equals flatten-then-sort over any
+        /// partitions: sorted, key-sorted with values out of order, or
+        /// unsorted; with duplicate pairs; empty; none at all, or more
+        /// than one pass merges.
+        #[test]
+        fn merged_output_equals_flatten_then_sort(
+            parts in proptest::collection::vec(arb_partition(), 0..2 * FAN_IN + 3),
+        ) {
+            let mut want: Vec<(String, String)> = parts.iter().flatten().cloned().collect();
+            want.sort();
+            proptest::prop_assert_eq!(merge_sorted_pairs(parts), want);
+        }
+    }
+
+    #[test]
+    fn merge_groups_walks_a_single_run() {
+        let a = RecordRun::from_pairs(&pairs(&[("x", "1"), ("x", "2"), ("y", "3")]));
+        let mut got = Vec::new();
+        merge_groups([&RecordRun::new(), &a, &RecordRun::new()], |k, vs| {
+            got.push((k.to_string(), vs.join(",")))
+        });
+        assert_eq!(got, pairs(&[("x", "1,2"), ("y", "3")]));
+    }
+}

@@ -9,6 +9,7 @@
 //! ```
 
 use eclipse_apps::{run_equijoin, run_terasort, EquiJoin};
+use eclipse_core::net::merge_sorted_pairs;
 use eclipse_core::{LiveCluster, LiveConfig, ReusePolicy};
 
 fn main() {
@@ -56,8 +57,7 @@ fn main() {
             ReusePolicy::default(),
         )
         .expect("join job failed");
-    let mut again: Vec<(String, String)> = parts.into_iter().flatten().collect();
-    again.sort();
+    let again = merge_sorted_pairs(parts);
     assert_eq!(again, joined);
     println!(
         "\nrepeat JOIN: identical result, {} of {} block reads served from iCache",

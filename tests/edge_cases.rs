@@ -3,6 +3,7 @@
 //! caches must all behave sensibly rather than panic or hang.
 
 use eclipse_apps::WordCount;
+use eclipse_core::net::merge_sorted_pairs;
 use eclipse_core::{
     EclipseConfig, EclipseSim, JobSpec, LiveCluster, LiveConfig, MapReduce, ReusePolicy,
     SchedulerKind, TransportKind,
@@ -340,9 +341,7 @@ fn epoch_reduce_panic_keeps_the_stream_usable() {
     use std::sync::Arc;
 
     let pairs = |snap: &eclipse_core::EpochSnapshot| {
-        let mut out: Vec<(String, String)> = snap.iter().flatten().cloned().collect();
-        out.sort();
-        out
+        merge_sorted_pairs(snap.iter().map(|p| p.iter().cloned().collect()))
     };
     let counts = |kv: &[(&str, &str)]| -> Vec<(String, String)> {
         kv.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect()

@@ -2,19 +2,18 @@
 //! data, the distributed results must equal single-machine references.
 
 use eclipse_apps::{run_equijoin, run_terasort, EquiJoin, WordCount};
+use eclipse_core::net::merge_sorted_pairs;
 use eclipse_core::{FaultPlan, LiveCluster, LiveConfig, ReusePolicy};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap};
 
-/// Word count over several files as one multi-input job, flattened to
+/// Word count over several files as one multi-input job, merged into
 /// sorted rows.
 fn count_words(c: &LiveCluster, inputs: &[&str]) -> Vec<(String, String)> {
     let (parts, _) = c
         .try_run_job_inputs_partitioned(&WordCount, inputs, "p", 2, ReusePolicy::default())
         .expect("multi-input job failed");
-    let mut rows: Vec<(String, String)> = parts.into_iter().flatten().collect();
-    rows.sort();
-    rows
+    merge_sorted_pairs(parts)
 }
 
 proptest! {
