@@ -8,6 +8,7 @@
 
 use eclipse_core::net::merge_sorted_pairs;
 use eclipse_core::{LiveCluster, LiveStats, MapReduce, ReusePolicy};
+use std::borrow::Cow;
 
 /// Two-table equi-join.
 pub struct EquiJoin;
@@ -15,14 +16,19 @@ pub struct EquiJoin;
 impl MapReduce for EquiJoin {
     fn map(&self, block: &[u8], emit: &mut dyn FnMut(String, String)) {
         // Single-input fallback: treat everything as the left side.
-        self.map_tagged(0, block, emit);
+        self.map_into(0, block, &mut |k, v| emit(k.into_owned(), v.into_owned()));
     }
 
-    fn map_tagged(&self, source: usize, block: &[u8], emit: &mut dyn FnMut(String, String)) {
+    fn map_into(
+        &self,
+        source: usize,
+        block: &[u8],
+        emit: &mut dyn FnMut(Cow<'_, str>, Cow<'_, str>),
+    ) {
         let side = if source == 0 { 'L' } else { 'R' };
         for line in String::from_utf8_lossy(block).lines() {
             if let Some((k, v)) = line.split_once('\t') {
-                emit(k.to_string(), format!("{side}:{v}"));
+                emit(Cow::Borrowed(k), Cow::Owned(format!("{side}:{v}")));
             }
         }
     }

@@ -8,12 +8,13 @@
 //! an allowed error, with its kind, are recorded with their replay
 //! lines in the JSON summary (default `target/dst_sweep.json`), and the
 //! progress and summary lines tally the allowed errors by kind.
-//! `scripts/tier1.sh` runs the bounded smoke configuration (`--runs 50
-//! --preset moderate`); the acceptance sweep is `dst_bench --runs 1000
-//! --preset chaos`.
+//! `scripts/tier1.sh` runs 1,000 seeds of each of the moderate and
+//! chaos presets (`--runs 1000 --seed0 1`); the acceptance sweep is
+//! `dst_bench --runs 1000 --preset chaos`.
 
-use eclipse_bench::dst_bench::{sweep_range, to_json};
-use eclipse_core::dst::{repro_line, DstPreset};
+use eclipse_bench::dst_bench::{to_json, SweepResult};
+use eclipse_core::dst::{repro_line, sweep, DstPreset};
+use std::time::Instant;
 
 fn main() {
     let mut runs: u64 = 50;
@@ -35,7 +36,24 @@ fn main() {
         }
     }
 
-    let r = sweep_range(seed0, runs, preset, (runs / 10).max(10));
+    let t = Instant::now();
+    let chunk = (runs / 10).max(10);
+    let sweep = sweep(seed0, runs, preset, |agg| {
+        if agg.runs % chunk == 0 {
+            eprintln!(
+                "dst[{preset}] {}/{runs} seeds, {} match, {} allowed ({}), {} FAIL, {} faults, \
+                 {} checks",
+                agg.runs,
+                agg.matches,
+                agg.allowed.len(),
+                agg.allowed_by_kind(),
+                agg.failures.len(),
+                agg.faults_injected,
+                agg.oracle_checks
+            );
+        }
+    });
+    let r = SweepResult { preset, seed0, sweep, secs: t.elapsed().as_secs_f64() };
     let json = to_json(&r);
     if let Some(dir) = std::path::Path::new(&out).parent() {
         std::fs::create_dir_all(dir).expect("create output dir");

@@ -1,16 +1,16 @@
-//! Seed-sweep driver for the DST harness (`eclipse_core::dst`).
+//! Seed-sweep reporting for the DST harness (`eclipse_core::dst`).
 //!
-//! Runs a contiguous range of seeds through [`run_seed`] at a chosen
-//! preset and aggregates the results. Shared by the `dst_bench` binary
-//! (full randomized sweeps: `dst_bench --runs 1000 --preset chaos`)
-//! and the bounded smoke step in `scripts/tier1.sh` (fixed seed list,
-//! `moderate` preset, summary to the untracked `target/dst_smoke.json`). Every run
-//! is oracle-checked; a failure is carried in the summary together
-//! with its replayable seed line rather than panicking the sweep, so
-//! one bad seed still leaves a complete report behind.
+//! The `dst_bench` binary runs a contiguous range of seeds through
+//! [`sweep`](eclipse_core::dst::sweep) at a chosen preset (full
+//! randomized sweeps: `dst_bench --runs 1000 --preset chaos`; the
+//! smoke steps in `scripts/tier1.sh` write their summaries to the
+//! untracked `target/dst_smoke.json` and `target/dst_chaos_smoke.json`)
+//! and renders the result here. Every run is oracle-checked; a failure
+//! is carried in the summary together with its replayable seed line
+//! rather than panicking the sweep, so one bad seed still leaves a
+//! complete report behind.
 
-use eclipse_core::dst::{repro_line, run_seed, DstPreset, DstSweep};
-use std::time::Instant;
+use eclipse_core::dst::{repro_line, DstPreset, DstSweep};
 
 /// One sweep's result: the aggregate counters plus wall-clock.
 #[derive(Clone, Debug)]
@@ -19,30 +19,6 @@ pub struct SweepResult {
     pub seed0: u64,
     pub sweep: DstSweep,
     pub secs: f64,
-}
-
-/// Run `runs` consecutive seeds starting at `seed0`, printing progress
-/// every `chunk` seeds (0 disables progress output).
-pub fn sweep_range(seed0: u64, runs: u64, preset: DstPreset, chunk: u64) -> SweepResult {
-    let t = Instant::now();
-    let mut agg = DstSweep::default();
-    for seed in seed0..seed0 + runs {
-        agg.record(run_seed(seed, preset));
-        if chunk > 0 && agg.runs % chunk == 0 {
-            eprintln!(
-                "dst[{preset}] {}/{runs} seeds, {} match, {} allowed ({}), {} FAIL, {} faults, \
-                 {} checks",
-                agg.runs,
-                agg.matches,
-                agg.allowed.len(),
-                agg.allowed_by_kind(),
-                agg.failures.len(),
-                agg.faults_injected,
-                agg.oracle_checks
-            );
-        }
-    }
-    SweepResult { preset, seed0, sweep: agg, secs: t.elapsed().as_secs_f64() }
 }
 
 /// Render a sweep as the JSON summary `dst_bench --out` writes: the

@@ -199,12 +199,14 @@ const RETRY_BACKOFF_BASE_MICROS: u64 = 100;
 /// lower-level methods below, whose defaults adapt the owned-`String`
 /// surface:
 ///
-/// - [`map_into`](Self::map_into) emits borrowed keys and values. Its
-///   default wraps [`map_tagged`](Self::map_tagged) (and so `map`),
-///   moving each owned pair. Override it when the mapper can hand out
-///   slices of its input: the executor copies each pair's bytes into
-///   its partition's spill arena (with a combiner, a key's bytes only
-///   the first time a spill sees it), never into a `String`.
+/// - [`map_into`](Self::map_into) emits borrowed keys and values, and
+///   is told which input file a block came from. Its default ignores
+///   the file and wraps `map`, moving each owned pair. Override it when
+///   the mapper can hand out slices of its input: the executor copies
+///   each pair's bytes into its partition's spill arena (with a
+///   combiner, a key's bytes only the first time a spill sees it),
+///   never into a `String`. A multi-input job's mapper (a reduce-side
+///   join) overrides it to tag records by their input.
 /// - [`combine_first`](Self::combine_first),
 ///   [`combine_into`](Self::combine_into) and
 ///   [`combine_finish`](Self::combine_finish) fold a key's values into
@@ -339,25 +341,19 @@ pub trait MapReduce: Send + Sync {
         self.reduce(key, &owned, emit);
     }
 
-    /// Map one block of a *multi-input* job (reduce-side joins): the
-    /// `source` index says which input file the block came from, so the
-    /// mapper can tag records by side. The default ignores the source
-    /// and delegates to [`map`](Self::map).
-    fn map_tagged(&self, _source: usize, block: &[u8], emit: &mut dyn FnMut(String, String)) {
-        self.map(block, emit);
-    }
-
-    /// Map one block of input file `source`, emitting borrowed or owned
-    /// pairs. This is the only map entry point the executor calls. The
-    /// default forwards [`map_tagged`](Self::map_tagged)'s owned pairs
-    /// as [`Cow::Owned`], which moves them without a copy.
+    /// Map one block of input file `source` (its index among a
+    /// multi-input job's inputs, so a join's mapper can tag records by
+    /// side), emitting borrowed or owned pairs. This is the only map
+    /// entry point the executor calls. The default ignores `source` and
+    /// forwards [`map`](Self::map)'s owned pairs as [`Cow::Owned`],
+    /// which moves them without a copy.
     fn map_into(
         &self,
-        source: usize,
+        _source: usize,
         block: &[u8],
         emit: &mut dyn FnMut(Cow<'_, str>, Cow<'_, str>),
     ) {
-        self.map_tagged(source, block, &mut |k, v| emit(Cow::Owned(k), Cow::Owned(v)));
+        self.map(block, &mut |k, v| emit(Cow::Owned(k), Cow::Owned(v)));
     }
 
     /// Optional custom partitioner. `None` (the default) partitions by
@@ -1192,7 +1188,7 @@ impl LiveCluster {
     /// The general one-shot job: fallible, over several input files at
     /// once, output kept per reduce partition. Every input's blocks are
     /// mapped (with their source index passed to
-    /// [`MapReduce::map_tagged`], for reduce-side joins) into one
+    /// [`MapReduce::map_into`], for reduce-side joins) into one
     /// shared shuffle, and a single reduce phase sees the co-grouped
     /// records of all inputs. Partitions come back in partition order,
     /// each internally key-sorted — with a range partitioner,
@@ -1380,7 +1376,7 @@ mod tests {
         let (before, _) = c.run_job(&WordCount, "input", "tester", 2, ReusePolicy::default());
         let victim = c.ring().node_ids()[2];
         let held = c.store().blocks_on(victim).len() as u64;
-        let report = c.fail_node(victim).expect("survivors hold every replica");
+        let report = c.crash_node(victim).expect("survivors hold every replica");
         assert_eq!(report.recovered_blocks, held, "every held block re-replicated");
         let (after, stats) = c.run_job(&WordCount, "input", "tester", 2, ReusePolicy::default());
         assert_eq!(before, after, "failure must not lose data");
@@ -1403,7 +1399,7 @@ mod tests {
         let net = c.mem_net().expect("memory transport");
         net.cut_one_way(copy.from, copy.to);
         net.cut_one_way(copy.to, copy.from);
-        let report = c.fail_node(victim).expect("another survivor serves the copy");
+        let report = c.crash_node(victim).expect("another survivor serves the copy");
         assert_eq!(report.recovered_blocks, plan.copies.len() as u64);
         assert!(report.recovered_blocks >= held);
         assert!(c.store().get(copy.to, copy.block).is_some(), "the new home got its copy");
@@ -1420,7 +1416,7 @@ mod tests {
         let (c, victim) = single_copy_cluster();
         let held = c.store().blocks_on(victim);
         let epoch = c.epoch();
-        match c.fail_node(victim) {
+        match c.crash_node(victim) {
             Err(eclipse_dhtfs::FsError::DataLoss(b)) => {
                 assert!(held.contains(&b), "{b:?} not on the victim")
             }
@@ -1464,7 +1460,7 @@ mod tests {
     #[test]
     fn a_join_after_a_crash_that_lost_data_skips_the_lost_block() {
         let (c, victim) = single_copy_cluster();
-        let lost = match c.fail_node(victim) {
+        let lost = match c.crash_node(victim) {
             Err(eclipse_dhtfs::FsError::DataLoss(b)) => b,
             other => panic!("expected DataLoss, got {other:?}"),
         };
@@ -1680,8 +1676,6 @@ mod tests {
         bumped(&c, "join_node");
         c.leave_node(joiner).expect("peers absorb the handoff");
         bumped(&c, "leave_node");
-        c.fail_node(c.ring().node_ids()[1]).expect("survivors hold every replica");
-        bumped(&c, "fail_node");
         assert_eq!(c.active_jobs(), 0);
         c.crash_node(c.ring().node_ids()[1]).expect("survivors hold every replica");
         bumped(&c, "between-jobs crash_node");

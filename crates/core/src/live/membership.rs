@@ -36,23 +36,26 @@ impl LiveCluster {
     /// victim-claimed tasks re-queued.
     pub(super) fn crash_node_mid_job(&self, victim: NodeId, rt: &Run) {
         let _gate = self.recovery_gate.lock();
-        self.crash_gated(victim, rt);
+        // A recovery error has already aborted `rt`.
+        let _ = self.crash_gated(victim, Some(rt));
     }
 
-    /// [`crash_node_mid_job`](Self::crash_node_mid_job) proper; the
-    /// caller holds the recovery gate.
-    fn crash_gated(&self, victim: NodeId, rt: &Run) {
+    /// [`crash_node_mid_job`](Self::crash_node_mid_job) and
+    /// [`crash_node`](Self::crash_node) proper; the caller holds the
+    /// recovery gate. `rt`, if any, is the run charged with the
+    /// recovery.
+    fn crash_gated(&self, victim: NodeId, rt: Option<&Run>) -> Result<RecoveryReport, FsError> {
         // Already crashed or departed (the published ring no longer
-        // holds it): no-op.
+        // holds it): nothing to do.
         if !self.ring.read().contains(victim) {
-            return;
+            return Err(RingError::UnknownNode(victim).into());
         }
         // Poison the victim on every run it may work for: their workers
         // must stop shipping under its identity from this instant. A
         // run that began before the victim joined has no slot for it,
         // and nothing of it to poison.
         let runs = self.live_runs();
-        for run in runs.iter().map(|r| r.as_ref()).chain([rt]) {
+        for run in runs.iter().map(|r| r.as_ref()).chain(rt) {
             if let Some(p) = run.poisoned.get(victim.index()) {
                 p.store(true, Ordering::Release);
             }
@@ -62,17 +65,18 @@ impl LiveCluster {
         // the range, which is where re-homed shuffle partitions go.
         let vkey = self.ring.read().key_of(victim).ok();
         let t0 = Instant::now();
-        // The crash instant: payloads, cache shard and network endpoint
-        // die; from here on every send from the victim is suppressed
-        // (see `ship`), and every in-flight RPC *to* the victim is
-        // woken with a connection error instead of hanging.
+        // The crash instant. The endpoint closes first: every in-flight
+        // RPC *to* the victim is woken with a connection error now —
+        // never left hanging, never answered from a half-wiped store —
+        // and from here on every send from the victim is suppressed
+        // (see `ship`). Then its payloads and cache shard die.
+        self.net.close_endpoint(victim);
         self.store.wipe_node(victim);
         self.cache.invalidate_node(victim);
-        self.net.close_endpoint(victim);
         // Re-replication from survivors + scheduler/ring rebuild. The
         // new ring is published whether or not every block survived.
         let recovered = self.recover_node(victim);
-        if let Ok(report) = &recovered {
+        if let (Some(rt), Ok(report)) = (rt, &recovered) {
             rt.tally.failed_nodes.fetch_add(1, Ordering::Relaxed);
             rt.tally.recovered_blocks.fetch_add(report.recovered_blocks, Ordering::Relaxed);
         }
@@ -92,18 +96,19 @@ impl LiveCluster {
         for run in &runs {
             run.requeue_claims_of(victim);
         }
+        let Some(rt) = rt else { return recovered };
         if !runs.iter().any(|r| std::ptr::eq(r.as_ref(), rt)) {
             rt.requeue_claims_of(victim);
         }
         rt.tally.recovery_nanos.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        if let Err(e) = recovered {
-            rt.abort(e.into());
+        if let Err(e) = &recovered {
+            rt.abort(e.clone().into());
         }
         rt.notify(DstEvent::NodeCrashed { node: victim });
+        recovered
     }
 
-    /// Metadata + payload recovery shared by the mid-job path and the
-    /// public [`fail_node`](Self::fail_node): re-replicate the victim's
+    /// Metadata + payload recovery of a crash: re-replicate the victim's
     /// blocks from survivors and rebuild ring-derived state. Every copy
     /// is tried, and the new membership is published, even when a block
     /// is lost; the error then names a lost block.
@@ -416,41 +421,25 @@ impl LiveCluster {
         let _ = self.net.flush(&tickets);
     }
 
-    /// Crash a node between jobs: wipe its payloads, re-replicate from
-    /// survivors, and rebuild ring-derived state. Jobs submitted
-    /// afterwards run on the surviving nodes and still produce complete
-    /// results. Returns what recovery accomplished, or
-    /// [`FsError::DataLoss`] naming a block no surviving holder
-    /// could restore — callers decide whether that is fatal. The new
-    /// membership is published either way.
-    pub fn fail_node(&self, node: NodeId) -> Result<RecoveryReport, FsError> {
-        // Poison the endpoint first: a peer blocked on an RPC to the
-        // dying node is woken with a connection error now — never left
-        // hanging, never answered from a half-wiped store.
-        self.net.close_endpoint(node);
-        self.store.wipe_node(node);
-        self.cache.invalidate_node(node);
-        self.recover_node(node)
-    }
-
-    /// Crash a node *now*, whether or not jobs are in flight. With live
-    /// jobs this runs the full mid-job flow (poison every run, repair
-    /// the ring, re-queue the victim's claims on every run — recovery
-    /// counters land on an arbitrary live run); between jobs it
-    /// degrades to [`fail_node`](Self::fail_node). The entry point for
-    /// crash-under-storm tests, where no single job owns the fault.
-    pub fn crash_node(&self, victim: NodeId) -> Result<(), FsError> {
+    /// Crash a node *now*, whether or not jobs are in flight: close its
+    /// endpoint, wipe its payloads and cache shard, re-replicate its
+    /// blocks from survivors, and rebuild ring-derived state. Every
+    /// live run is poisoned for the victim and has the victim's claimed
+    /// tasks re-queued; recovery counters land on an arbitrary live
+    /// run. Jobs submitted afterwards run on the surviving nodes and
+    /// still produce complete results. Returns what recovery
+    /// accomplished, or [`FsError::DataLoss`] naming a block no
+    /// surviving holder could restore (a live run charged with the
+    /// recovery then aborts with it) — callers decide whether that is
+    /// fatal. The new membership is published either way. A victim
+    /// that is not a member is refused with [`FsError::Ring`].
+    pub fn crash_node(&self, victim: NodeId) -> Result<RecoveryReport, FsError> {
         // No run begins or retires under the gate, so the run charged
         // stays registered — and its ledger open — for the whole
         // recovery.
         let _gate = self.recovery_gate.lock();
-        match self.live_runs().first() {
-            Some(rt) => {
-                self.crash_gated(victim, rt);
-                Ok(())
-            }
-            None => self.fail_node(victim).map(|_| ()),
-        }
+        let runs = self.live_runs();
+        self.crash_gated(victim, runs.first().map(|r| r.as_ref()))
     }
 }
 

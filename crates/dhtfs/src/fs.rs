@@ -11,7 +11,7 @@ use eclipse_util::HashKey;
 use std::collections::{BTreeMap, HashMap};
 
 /// Errors surfaced by the DHT file system.
-#[derive(Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum FsError {
     Ring(RingError),
     FileExists(String),

@@ -11,7 +11,7 @@ use eclipse_util::{HashKey, KeyRange};
 use std::collections::BTreeMap;
 
 /// Error type for ring mutations.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RingError {
     /// Two servers may not share one ring coordinate.
     DuplicateKey(HashKey),

@@ -24,7 +24,7 @@ fn main() {
     // replication factor, and the schedulers re-cut their ranges.
     for round in 0..3 {
         let victim = cluster.ring().node_ids()[1];
-        let report = cluster.fail_node(victim).expect("replication factor holds");
+        let report = cluster.crash_node(victim).expect("replication factor holds");
         println!(
             "\nround {}: killed {}, re-replicated {} blocks, ring now has {} nodes",
             round + 1,

@@ -95,8 +95,11 @@ rm -rf target/figures
 cargo run -q --release -p eclipse-bench --bin figures -- all --csv target/figures > /dev/null
 diff -r results target/figures
 
-echo "== tier1: DST smoke sweep (50 fixed seeds, moderate preset)"
-cargo run -q --release -p eclipse-bench --bin dst_bench -- --runs 50 --seed0 1 --preset moderate --out target/dst_smoke.json
+# Batch and epoch-mode seeds share one runner (docs/DST.md), so a
+# thousand moderate seeds (~6.5 s on 2 CPUs) drive it through both
+# kinds of seed at the moderate rates.
+echo "== tier1: DST smoke sweep (1000 fixed seeds, moderate preset)"
+cargo run -q --release -p eclipse-bench --bin dst_bench -- --runs 1000 --seed0 1 --preset moderate --out target/dst_smoke.json
 
 # Batch seeds map the way a job server does (inline driver plus
 # helpers), so the chaos preset's crashes, joins and leaves reach that

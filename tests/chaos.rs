@@ -135,7 +135,7 @@ fn total_replica_loss_is_terminal_not_wrong() {
     assert!(matches!(err, JobError::DataLoss(_)), "unexpected error: {err:?}");
 }
 
-/// Regression for the double-failure path in `fail_node`: when the
+/// Regression for the double-failure path in `crash_node`: when the
 /// designated source replica is itself gone, recovery must return
 /// `FsError::DataLoss` instead of panicking (it used to `assert!`).
 #[test]
@@ -156,7 +156,7 @@ fn double_failure_returns_recovery_error() {
             c.store().wipe_node(n);
         }
     }
-    let err = c.fail_node(victim).expect_err("sources are gone");
+    let err = c.crash_node(victim).expect_err("sources are gone");
     assert!(matches!(err, FsError::DataLoss(_)), "unexpected error: {err:?}");
 }
 
@@ -458,12 +458,12 @@ fn rpc_timeout_during_rereplication_is_absorbed() {
     assert!(stats.rpc_retries >= 1, "the dropped ReplicaSync was not retried");
 }
 
-/// Regression (PR 3 tentpole fix): `fail_node` must poison the victim's
-/// transport endpoint so peers blocked on in-flight RPCs get a
-/// connection error immediately — before this fix they waited out the
-/// full delivery delay (or, over TCP, indefinitely).
+/// Regression: `crash_node` must poison the victim's transport endpoint
+/// before it wipes the victim, so peers blocked on in-flight RPCs get a
+/// connection error immediately — without it they waited out the full
+/// delivery delay (or, over TCP, indefinitely).
 #[test]
-fn fail_node_poisons_in_flight_rpcs() {
+fn crash_node_poisons_in_flight_rpcs() {
     let c = LiveCluster::new(LiveConfig::small().with_nodes(4).with_block_size(512));
     c.upload("input", USER, seeded_text().as_bytes());
     let ids = c.ring().node_ids();
@@ -480,7 +480,7 @@ fn fail_node_poisons_in_flight_rpcs() {
     });
     // Let the call reach its in-flight wait, then kill the node.
     std::thread::sleep(Duration::from_millis(50));
-    let report = c.fail_node(victim).expect("replicas survive on 3 nodes");
+    let report = c.crash_node(victim).expect("replicas survive on 3 nodes");
     assert!(report.recovered_blocks > 0, "the victim held data");
     let err = blocked.join().unwrap().expect_err("poisoned endpoint must error");
     assert_eq!(err, NetError::ConnectionClosed { to: victim });
@@ -488,7 +488,7 @@ fn fail_node_poisons_in_flight_rpcs() {
         started.elapsed() < Duration::from_secs(5),
         "blocked RPC waited out the delay instead of failing fast"
     );
-    assert!(!net.endpoint_open(victim), "endpoint must stay closed after fail_node");
+    assert!(!net.endpoint_open(victim), "endpoint must stay closed after crash_node");
     assert!(!c.ring().contains(victim));
 }
 

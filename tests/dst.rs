@@ -33,7 +33,7 @@ fn calm_fixed_seeds_are_byte_identical() {
 /// every run satisfies the oracle.
 #[test]
 fn moderate_fixed_seed_sweep_passes_oracle() {
-    let s = sweep(1, 25, DstPreset::Moderate);
+    let s = sweep(1, 25, DstPreset::Moderate, |_| {});
     assert_eq!(s.runs, 25);
     assert!(
         s.failures.is_empty(),

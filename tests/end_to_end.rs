@@ -129,7 +129,7 @@ fn results_survive_cascading_failures() {
     let (baseline, _) = c.run_job(&WordCount, "input", "it", 4, ReusePolicy::default());
     for _ in 0..3 {
         let victim = c.ring().node_ids()[0];
-        c.fail_node(victim).expect("survivors hold every replica");
+        c.crash_node(victim).expect("survivors hold every replica");
         let (after, stats) = c.run_job(&WordCount, "input", "it", 4, ReusePolicy::default());
         assert_eq!(baseline, after, "output changed after failing {victim}");
         assert_eq!(stats.tasks_per_node[victim.index()], 0);

@@ -104,7 +104,7 @@ proptest! {
     }
 
     /// Between-jobs recovery: for random upload sets and any single
-    /// victim, `fail_node` re-replicates exactly the blocks the victim
+    /// victim, `crash_node` re-replicates exactly the blocks the victim
     /// held, and every block stays readable through the replica chain
     /// (the re-run output is byte-identical).
     #[test]
@@ -123,7 +123,7 @@ proptest! {
         let before = count_words(&c, &inputs);
         let victim = c.ring().node_ids()[victim_ix % c.ring().len()];
         let held = c.store().blocks_on(victim).len() as u64;
-        let report = c.fail_node(victim).expect("one crash is within the fault model");
+        let report = c.crash_node(victim).expect("one crash is within the fault model");
         prop_assert_eq!(report.recovered_blocks, held);
         let after = count_words(&c, &inputs);
         prop_assert_eq!(after, before);

@@ -222,7 +222,7 @@ fn crash_mid_storm_all_jobs_recover() {
             .collect();
         // Land the crash mid-storm: wait for at least one registered
         // run, but crash regardless once the grace period lapses (the
-        // between-jobs degradation to `fail_node` is also legal).
+        // between-jobs crash is also legal).
         let t0 = Instant::now();
         while c.active_jobs() == 0 && t0.elapsed() < Duration::from_secs(2) {
             std::thread::sleep(Duration::from_micros(200));
