@@ -109,11 +109,6 @@ impl DistributedCache {
         self.nodes.read().len()
     }
 
-    /// Lock shards inside each node cache.
-    pub fn shards_per_node(&self) -> usize {
-        self.shards_per_node
-    }
-
     /// Snapshot of the current range table.
     pub fn ranges(&self) -> Vec<(NodeId, KeyRange)> {
         self.ranges.read().clone()
@@ -189,11 +184,6 @@ impl DistributedCache {
     /// Global hit ratio.
     pub fn hit_ratio(&self) -> f64 {
         self.total_stats().hit_ratio()
-    }
-
-    /// Bytes cached per node (distribution check).
-    pub fn used_per_node(&self) -> Vec<u64> {
-        self.nodes.read().iter().map(|n| n.used()).collect()
     }
 
     /// Drop every entry cached on one server — the crash path: a failed
@@ -367,7 +357,7 @@ mod tests {
         let old_home = cache.put_at_home(key.clone(), 10, 0.0, None);
         cache.with_node(old_home, |c| {
             c.take_payload(&key);
-            c.put_payload(key.clone(), bytes::Bytes::from_static(b"payload"), 0.0, None)
+            c.put_payload(key.clone(), bytes::Bytes::from_static(b"payload"), 0.0, None, 0, false)
         });
         let r = cache.ranges();
         cache.set_ranges(vec![(r[1].0, r[0].1), (r[0].0, r[1].1)]);
@@ -404,7 +394,7 @@ mod tests {
         cache.with_node(NodeId(0), |c| c.put(CacheKey::Input(HashKey(2)), 5, 0.0, None));
         cache.with_node(NodeId(1), |c| c.put(CacheKey::Input(HashKey(3)), 5, 0.0, None));
         assert_eq!(cache.invalidate_node(NodeId(0)), 2);
-        assert_eq!(cache.used_per_node()[0], 0, "crashed shard emptied");
+        assert_eq!(cache.node(NodeId(0)).used(), 0, "crashed shard emptied");
         assert!(cache.with_node(NodeId(1), |c| c.contains(&CacheKey::Input(HashKey(3)), 1.0)));
         assert_eq!(cache.invalidate_node(NodeId(0)), 0, "idempotent");
     }
@@ -414,7 +404,7 @@ mod tests {
         let (_, cache) = cache_n(3, MB);
         cache.put_at_home(CacheKey::Input(HashKey(1)), 5, 0.0, None);
         cache.clear_all();
-        assert!(cache.used_per_node().iter().all(|&b| b == 0));
+        assert!((0..3).all(|i| cache.node(NodeId(i)).used() == 0));
     }
 
     #[test]
@@ -458,7 +448,6 @@ mod tests {
         // stats aggregation, and invalidation must be unaffected.
         let ring = Ring::with_servers(4, "c");
         let cache = DistributedCache::with_shards(&ring, MB, 8);
-        assert_eq!(cache.shards_per_node(), 8);
         let mut homes = std::collections::HashSet::new();
         for i in 0..200u64 {
             let key = CacheKey::Input(HashKey::of_name(&format!("blk{i}")));
@@ -469,10 +458,12 @@ mod tests {
         let s = cache.total_stats();
         assert_eq!(s.hits, 200);
         assert_eq!(s.insertions, 200);
+        // Eight shards per node: the last shard exists and sees traffic.
+        assert!((0..4).any(|i| !cache.node(NodeId(i)).shard_keys(7).is_empty()));
         let dropped: usize =
             (0..4).map(|i| cache.invalidate_node(NodeId(i))).sum();
         assert_eq!(dropped, 200);
-        assert!(cache.used_per_node().iter().all(|&b| b == 0));
+        assert!((0..4).all(|i| cache.node(NodeId(i)).used() == 0));
     }
 
     #[test]

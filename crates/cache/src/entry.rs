@@ -116,14 +116,6 @@ impl CacheKey {
             CacheKey::Output(t) => t.hash_key(),
         }
     }
-
-    pub fn is_input(&self) -> bool {
-        matches!(self, CacheKey::Input(_))
-    }
-
-    pub fn is_output(&self) -> bool {
-        matches!(self, CacheKey::Output(_))
-    }
 }
 
 #[cfg(test)]
@@ -176,8 +168,8 @@ mod tests {
     fn cache_key_kinds() {
         let i = CacheKey::Input(HashKey(5));
         let o = CacheKey::Output(OutputTag::new("a", "b"));
-        assert!(i.is_input() && !i.is_output());
-        assert!(o.is_output() && !o.is_input());
         assert_eq!(i.hash_key(), HashKey(5));
+        assert_eq!(o.hash_key(), OutputTag::new("a", "b").hash_key());
+        assert_ne!(i, CacheKey::Input(o.hash_key()));
     }
 }

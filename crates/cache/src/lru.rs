@@ -23,7 +23,7 @@
 //! Freed slots are recycled through a free list, so a cache that has
 //! reached steady state allocates nothing at all. Entries may carry an
 //! in-slot value `V` (the live executor stores real payloads there —
-//! see [`crate::NodeCache`]); the simulator meters sizes only and uses
+//! see [`crate::ShardedNodeCache`]); the simulator meters sizes only and uses
 //! the default `V = ()`.
 //!
 //! TTL stays lazy exactly as before: a `get` of an expired entry drops
@@ -364,63 +364,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
             .is_some_and(|&i| !self.slots[i as usize].expires.is_some_and(|e| now >= e))
     }
 
-    /// Insert `key` of `bytes` size with an in-slot value, evicting LRU
-    /// entries to fit. `ttl` is seconds from `now` (`None` = no expiry).
-    /// An object larger than the whole capacity is rejected (returns
-    /// false). Re-inserting an existing key updates size/TTL/value and
-    /// refreshes recency.
-    pub fn put_value(
-        &mut self,
-        key: K,
-        value: Option<V>,
-        bytes: u64,
-        now: f64,
-        ttl: Option<f64>,
-    ) -> bool {
-        self.put_value_tenant(key, value, bytes, now, ttl, 0)
-    }
-
-    /// [`put_value`](Self::put_value) attributed to `tenant`. With a
-    /// quota configured for the tenant, entries of *that tenant* are
-    /// evicted from the LRU tail first until the tenant fits its
-    /// budget, so one tenant's insert pressure cannot evict another's
-    /// warm entries; an object larger than the tenant budget is
-    /// rejected. Without a ledger (no
-    /// [`set_tenant_quota`](Self::set_tenant_quota) call ever) this is
-    /// byte-for-byte the legacy single-tenant path.
-    pub fn put_value_tenant(
-        &mut self,
-        key: K,
-        value: Option<V>,
-        bytes: u64,
-        now: f64,
-        ttl: Option<f64>,
-        tenant: u16,
-    ) -> bool {
-        self.put_inner(key, value, bytes, now, ttl, tenant, false)
-    }
-
-    /// [`put_value_tenant`](Self::put_value_tenant) for **pinned**
-    /// entries: materialized epoch state that LRU pressure must never
-    /// evict. Pinned entries still count against the tenant's quota and
-    /// the global capacity; when the unpinned remainder can't absorb an
-    /// insert (everything else resident is pinned) the insert is
-    /// rejected rather than evicting a pin. Explicit invalidation,
-    /// [`take`](Self::take), TTL expiry, and re-insertion of the same
-    /// key all still remove a pinned entry — a pin guards against
-    /// *capacity pressure*, not against its owner.
-    pub fn put_pinned_tenant(
-        &mut self,
-        key: K,
-        value: Option<V>,
-        bytes: u64,
-        now: f64,
-        ttl: Option<f64>,
-        tenant: u16,
-    ) -> bool {
-        self.put_inner(key, value, bytes, now, ttl, tenant, true)
-    }
-
     /// Clear the pin on `key`, returning it to normal LRU lifetime.
     /// Returns false when the key is not resident.
     pub fn unpin(&mut self, key: &K) -> bool {
@@ -450,8 +393,31 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         false
     }
 
+    /// Insert `key` of `bytes` size with an in-slot value (`None` for a
+    /// metered-only entry), evicting LRU entries to fit. `ttl` is
+    /// seconds from `now` (`None` = no expiry). An object larger than
+    /// the whole capacity is rejected (returns false). Re-inserting an
+    /// existing key replaces its size, TTL, value, tenant and pin and
+    /// refreshes recency.
+    ///
+    /// `tenant` attributes the entry for quota accounting. With a quota
+    /// configured for the tenant, entries of *that tenant* are evicted
+    /// from the LRU tail first until the tenant fits its budget, so one
+    /// tenant's insert pressure cannot evict another's warm entries; an
+    /// object larger than the tenant budget is rejected. Without a
+    /// ledger (no [`set_tenant_quota`](Self::set_tenant_quota) call
+    /// ever) the tenant is carried but ignored.
+    ///
+    /// A `pinned` entry is materialized epoch state that LRU pressure
+    /// must never evict. It still counts against the tenant's quota and
+    /// the global capacity; when the unpinned remainder can't absorb an
+    /// insert (everything else resident is pinned) the insert is
+    /// rejected rather than evicting a pin. Explicit invalidation,
+    /// [`take`](Self::take), TTL expiry, and re-insertion of the same
+    /// key all still remove a pinned entry — a pin guards against
+    /// *capacity pressure*, not against its owner.
     #[allow(clippy::too_many_arguments)]
-    fn put_inner(
+    pub fn insert(
         &mut self,
         key: K,
         value: Option<V>,
@@ -577,10 +543,10 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         true
     }
 
-    /// Insert a metered-only entry (no in-slot value) — the simulator
-    /// path. See [`put_value`](Self::put_value) for semantics.
+    /// Insert a metered-only, untagged, unpinned entry — the simulator
+    /// path. See [`insert`](Self::insert) for semantics.
     pub fn put(&mut self, key: K, bytes: u64, now: f64, ttl: Option<f64>) -> bool {
-        self.put_value(key, None, bytes, now, ttl)
+        self.insert(key, None, bytes, now, ttl, 0, false)
     }
 
     /// Remove `key` explicitly; returns its size if present (expired or
@@ -752,7 +718,7 @@ mod tests {
     #[test]
     fn in_slot_values_roundtrip() {
         let mut c: LruCache<&str, String> = LruCache::new(100);
-        assert!(c.put_value("k", Some("payload".to_string()), 10, 0.0, None));
+        assert!(c.insert("k", Some("payload".to_string()), 10, 0.0, None, 0, false));
         let (bytes, v) = c.get_value(&"k", 1.0).unwrap();
         assert_eq!(bytes, 10);
         assert_eq!(v.unwrap(), "payload");
@@ -765,8 +731,8 @@ mod tests {
     #[test]
     fn value_dropped_on_eviction_and_reinsert() {
         let mut c: LruCache<&str, String> = LruCache::new(10);
-        c.put_value("a", Some("va".into()), 10, 0.0, None);
-        c.put_value("b", Some("vb".into()), 10, 1.0, None); // evicts a
+        c.insert("a", Some("va".into()), 10, 0.0, None, 0, false);
+        c.insert("b", Some("vb".into()), 10, 1.0, None, 0, false); // evicts a
         assert!(c.get_value(&"a", 2.0).is_none());
         // A metered re-insert of b replaces (drops) the in-slot value.
         c.put("b", 10, 3.0, None);
@@ -779,12 +745,12 @@ mod tests {
         c.set_tenant_quota(2, 30);
         // Tenant 1 (no quota) warms 60 bytes.
         for k in 0..6u32 {
-            c.put_value_tenant(k, None, 10, k as f64, None, 1);
+            c.insert(k, None, 10, k as f64, None, 1, false);
         }
         // Tenant 2 scans 10 entries of 10 bytes: its quota forces its
         // own entries out, never tenant 1's.
         for k in 100..110u32 {
-            c.put_value_tenant(k, None, 10, k as f64, None, 2);
+            c.insert(k, None, 10, k as f64, None, 2, false);
         }
         assert_eq!(c.tenant_used(1), 60, "tenant 1 untouched by the scan");
         assert_eq!(c.tenant_used(2), 30, "tenant 2 held to its quota");
@@ -802,20 +768,20 @@ mod tests {
     fn tenant_oversized_object_rejected() {
         let mut c: LruCache<&str> = LruCache::new(100);
         c.set_tenant_quota(5, 20);
-        assert!(!c.put_value_tenant("big", None, 21, 0.0, None, 5));
+        assert!(!c.insert("big", None, 21, 0.0, None, 5, false));
         assert_eq!(c.stats().rejected, 1);
-        assert!(c.put_value_tenant("ok", None, 20, 0.0, None, 5));
+        assert!(c.insert("ok", None, 20, 0.0, None, 5, false));
     }
 
     #[test]
     fn tenant_accounting_tracks_detach_paths() {
         let mut c: LruCache<&str> = LruCache::new(100);
         c.set_tenant_quota(1, 100);
-        c.put_value_tenant("a", None, 10, 0.0, Some(5.0), 1);
-        c.put_value_tenant("b", None, 10, 0.0, None, 1);
+        c.insert("a", None, 10, 0.0, Some(5.0), 1, false);
+        c.insert("b", None, 10, 0.0, None, 1, false);
         assert_eq!(c.tenant_used(1), 20);
         // Re-insert with a new size replaces the accounting.
-        c.put_value_tenant("b", None, 30, 1.0, None, 1);
+        c.insert("b", None, 30, 1.0, None, 1, false);
         assert_eq!(c.tenant_used(1), 40);
         // TTL expiry and invalidation both release tenant bytes.
         assert_eq!(c.get(&"a", 6.0), None);
@@ -823,23 +789,23 @@ mod tests {
         c.invalidate(&"b");
         assert_eq!(c.tenant_used(1), 0);
         // Clear resets usage but keeps the quota enforceable.
-        c.put_value_tenant("c", None, 10, 7.0, None, 1);
+        c.insert("c", None, 10, 7.0, None, 1, false);
         c.clear();
         assert_eq!(c.tenant_used(1), 0);
-        assert!(!c.put_value_tenant("big", None, 101, 8.0, None, 1), "capacity still applies");
+        assert!(!c.insert("big", None, 101, 8.0, None, 1, false), "capacity still applies");
     }
 
     #[test]
     fn quota_set_late_backfills_existing_usage() {
         let mut c: LruCache<u32> = LruCache::new(100);
-        c.put_value_tenant(1, None, 40, 0.0, None, 3);
-        c.put_value_tenant(2, None, 20, 0.0, None, 4);
+        c.insert(1, None, 40, 0.0, None, 3, false);
+        c.insert(2, None, 20, 0.0, None, 4, false);
         c.set_tenant_quota(3, 50);
         assert_eq!(c.tenant_used(3), 40);
         assert_eq!(c.tenant_used(4), 20);
         // Next tenant-3 insert that would exceed 50 evicts tenant 3's
         // own LRU entry.
-        c.put_value_tenant(5, None, 20, 1.0, None, 3);
+        c.insert(5, None, 20, 1.0, None, 3, false);
         assert!(!c.contains(&1, 2.0));
         assert!(c.contains(&2, 2.0), "tenant 4 unaffected");
         assert_eq!(c.tenant_used(3), 20);
@@ -854,7 +820,7 @@ mod tests {
         for i in 0..40u32 {
             let t = (i % 3) as u16;
             assert_eq!(
-                tagged.put_value_tenant(i % 11, None, 7, i as f64, None, t),
+                tagged.insert(i % 11, None, 7, i as f64, None, t, false),
                 plain.put(i % 11, 7, i as f64, None)
             );
             assert_eq!(tagged.get(&(i % 5), i as f64), plain.get(&(i % 5), i as f64));
@@ -871,7 +837,7 @@ mod tests {
     #[test]
     fn pinned_entries_survive_lru_pressure() {
         let mut c: LruCache<u32> = LruCache::new(30);
-        assert!(c.put_pinned_tenant(0, None, 10, 0.0, None, 0));
+        assert!(c.insert(0, None, 10, 0.0, None, 0, true));
         assert_eq!(c.pinned_bytes(), 10);
         // A scan of 10 unpinned entries churns past the pin.
         for k in 1..11u32 {
@@ -893,8 +859,8 @@ mod tests {
     #[test]
     fn all_pinned_rejects_instead_of_evicting() {
         let mut c: LruCache<u32> = LruCache::new(20);
-        assert!(c.put_pinned_tenant(1, None, 10, 0.0, None, 0));
-        assert!(c.put_pinned_tenant(2, None, 10, 0.0, None, 0));
+        assert!(c.insert(1, None, 10, 0.0, None, 0, true));
+        assert!(c.insert(2, None, 10, 0.0, None, 0, true));
         // Nothing evictable remains: the insert must lose, not the pins.
         assert!(!c.put(3, 10, 1.0, None));
         assert_eq!(c.stats().rejected, 1);
@@ -902,7 +868,7 @@ mod tests {
         assert_eq!(c.used(), 20);
         // Re-inserting a pinned key replaces it (the owner writes a
         // newer epoch) — that is not capacity pressure.
-        assert!(c.put_pinned_tenant(1, None, 10, 3.0, None, 0));
+        assert!(c.insert(1, None, 10, 3.0, None, 0, true));
         assert_eq!(c.used(), 20);
         assert_eq!(c.pinned_bytes(), 20);
         assert!(c.contains(&1, 4.0) && c.contains(&2, 4.0));
@@ -912,25 +878,25 @@ mod tests {
     fn pinned_respects_tenant_quota() {
         let mut c: LruCache<u32> = LruCache::new(100);
         c.set_tenant_quota(7, 30);
-        assert!(c.put_pinned_tenant(1, None, 20, 0.0, None, 7));
+        assert!(c.insert(1, None, 20, 0.0, None, 7, true));
         // Second pin would push tenant 7 past its quota and the first
         // pin can't be evicted to make room: reject, quota holds.
-        assert!(!c.put_pinned_tenant(2, None, 20, 1.0, None, 7));
+        assert!(!c.insert(2, None, 20, 1.0, None, 7, true));
         assert_eq!(c.tenant_used(7), 20);
         assert!(c.contains(&1, 2.0));
         // An unpinned sibling entry *can* be displaced by a pin.
-        assert!(c.put_value_tenant(3, None, 10, 2.0, None, 7));
-        assert!(c.put_pinned_tenant(4, None, 10, 3.0, None, 7));
+        assert!(c.insert(3, None, 10, 2.0, None, 7, false));
+        assert!(c.insert(4, None, 10, 3.0, None, 7, true));
         assert_eq!(c.tenant_used(7), 30);
     }
 
     #[test]
     fn pinned_entries_still_expire_and_invalidate() {
         let mut c: LruCache<&str> = LruCache::new(100);
-        c.put_pinned_tenant("ttl", None, 10, 0.0, Some(5.0), 0);
+        c.insert("ttl", None, 10, 0.0, Some(5.0), 0, true);
         assert_eq!(c.get(&"ttl", 6.0), None, "TTL still applies to pins");
         assert_eq!(c.pinned_bytes(), 0);
-        c.put_pinned_tenant("inv", None, 10, 0.0, None, 0);
+        c.insert("inv", None, 10, 0.0, None, 0, true);
         assert_eq!(c.invalidate(&"inv"), Some(10));
         assert_eq!(c.pinned_bytes(), 0);
     }

@@ -1,24 +1,29 @@
-//! Intra-node cache sharding.
+//! One worker server's cache, sharded by key hash.
 //!
-//! One worker server's cache, split N ways by key hash so concurrent
-//! lookups from the server's map slots and its RPC service thread
-//! contend on a shard lock instead of one per-node mutex. Each shard is
-//! a full [`NodeCache`] with its own byte budget; the budgets sum
-//! exactly to the node's configured capacity, and a key always maps to
-//! the same shard (multiply-shift on the 64-bit ring key), so the
+//! The server's byte budget is shared by the iCache (input blocks) and
+//! the oCache (tagged outputs) and split N ways by key hash, so
+//! concurrent lookups from the server's map slots and its RPC service
+//! thread contend on a shard lock instead of one per-node mutex. Each
+//! shard is a full [`LruCache`] with its own byte budget; the budgets
+//! sum exactly to the node's configured capacity, and a key always maps
+//! to the same shard (multiply-shift on the 64-bit ring key), so the
 //! union of shards behaves like one cache partitioned by key.
 //!
-//! With `shards = 1` the wrapper is a single [`NodeCache`] behind one
-//! mutex and reproduces the unsharded cache's hit/miss/eviction
-//! sequence *exactly* — the simulator pins this configuration so the
-//! paper figures stay bit-for-bit reproducible. The live executor
-//! defaults to more shards (see `LiveConfig::cache_shards`), trading
-//! per-shard LRU horizon for lock independence, as real cache servers
-//! (e.g. memcached's slab arenas) do.
+//! Live-executor payloads live *inside* the LRU slots
+//! (`LruCache<CacheKey, Bytes>`), so a payload hit is a single hash
+//! lookup and eviction frees the bytes with the index entry. The
+//! simulator stores metered entries only ([`put`](ShardedNodeCache::put)).
+//!
+//! With `shards = 1` the wrapper is a single [`LruCache`] behind one
+//! mutex and reproduces the bare LRU's hit/miss/eviction sequence
+//! *exactly* — the simulator pins this configuration so the paper
+//! figures stay bit-for-bit reproducible. The live executor defaults to
+//! more shards (see `LiveConfig::cache_shards`), trading per-shard LRU
+//! horizon for lock independence, as real cache servers (e.g.
+//! memcached's slab arenas) do.
 
 use crate::entry::CacheKey;
-use crate::lru::CacheStats;
-use crate::node_cache::NodeCache;
+use crate::lru::{CacheStats, LruCache};
 use bytes::Bytes;
 use parking_lot::Mutex;
 
@@ -26,7 +31,7 @@ use parking_lot::Mutex;
 /// `&self` and lock exactly one shard for the duration of the call.
 #[derive(Debug)]
 pub struct ShardedNodeCache {
-    shards: Vec<Mutex<NodeCache>>,
+    shards: Vec<Mutex<LruCache<CacheKey, Bytes>>>,
 }
 
 impl Clone for ShardedNodeCache {
@@ -48,7 +53,7 @@ impl ShardedNodeCache {
         let shards = (0..n)
             .map(|i| {
                 let budget = capacity / n + u64::from(i < capacity % n);
-                Mutex::new(NodeCache::new(budget))
+                Mutex::new(LruCache::new(budget))
             })
             .collect();
         ShardedNodeCache { shards }
@@ -57,7 +62,7 @@ impl ShardedNodeCache {
     /// The shard owning `key`: multiply-shift maps the 64-bit ring key
     /// uniformly onto `0..shards` without division.
     #[inline]
-    fn shard_of(&self, key: &CacheKey) -> &Mutex<NodeCache> {
+    fn shard_of(&self, key: &CacheKey) -> &Mutex<LruCache<CacheKey, Bytes>> {
         let i = ((key.hash_key().0 as u128 * self.shards.len() as u128) >> 64) as usize;
         &self.shards[i]
     }
@@ -77,9 +82,11 @@ impl ShardedNodeCache {
         self.shard_of(key).lock().get(key, now)
     }
 
-    /// Look up and return the real payload (live executor path).
+    /// Look up and return the real payload (live executor path). One
+    /// lookup serves the index and the payload; a metered-only entry
+    /// counts as a hit but yields no bytes.
     pub fn get_payload(&self, key: &CacheKey, now: f64) -> Option<Bytes> {
-        self.shard_of(key).lock().get_payload(key, now)
+        self.shard_of(key).lock().get_value(key, now).and_then(|(_, v)| v.cloned())
     }
 
     /// Cache a metered entry (simulator path).
@@ -87,44 +94,25 @@ impl ShardedNodeCache {
         self.shard_of(&key).lock().put(key, bytes, now, ttl)
     }
 
-    /// Cache a real payload (live executor path).
-    pub fn put_payload(&self, key: CacheKey, data: Bytes, now: f64, ttl: Option<f64>) -> bool {
-        self.shard_of(&key).lock().put_payload(key, data, now, ttl)
-    }
-
-    /// Cache a real payload attributed to `tenant` (quota accounting).
-    pub fn put_payload_tenant(
+    /// Cache a real payload attributed to `tenant` (live executor path),
+    /// pinned when `pinned` is set. See [`LruCache::insert`] for the
+    /// quota and pin semantics.
+    pub fn put_payload(
         &self,
         key: CacheKey,
         data: Bytes,
         now: f64,
         ttl: Option<f64>,
         tenant: u16,
+        pinned: bool,
     ) -> bool {
-        self.shard_of(&key).lock().put_payload_tenant(key, data, now, ttl, tenant)
-    }
-
-    /// Cache a **pinned** payload: materialized epoch state that LRU
-    /// pressure never evicts (see [`NodeCache::put_payload_pinned`]).
-    pub fn put_payload_pinned(
-        &self,
-        key: CacheKey,
-        data: Bytes,
-        now: f64,
-        ttl: Option<f64>,
-        tenant: u16,
-    ) -> bool {
-        self.shard_of(&key).lock().put_payload_pinned(key, data, now, ttl, tenant)
+        let bytes = data.len() as u64;
+        self.shard_of(&key).lock().insert(key, Some(data), bytes, now, ttl, tenant, pinned)
     }
 
     /// Return a pinned entry to normal LRU lifetime.
     pub fn unpin(&self, key: &CacheKey) -> bool {
         self.shard_of(key).lock().unpin(key)
-    }
-
-    /// Resident bytes held by pinned entries (sum over shards).
-    pub fn pinned_bytes(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().pinned_bytes()).sum()
     }
 
     /// Give `tenant` a byte budget within this node's cache, split over
@@ -153,12 +141,15 @@ impl ShardedNodeCache {
     }
 
     /// Remove `key`, returning its payload when one is resident
-    /// (elastic handoff path; no statistics recorded).
+    /// (elastic handoff path). No hit or miss is recorded — a handoff
+    /// is bookkeeping, not a lookup. Metered entries are removed and
+    /// yield `None`.
     pub fn take_payload(&self, key: &CacheKey) -> Option<Bytes> {
-        self.shard_of(key).lock().take_payload(key)
+        self.shard_of(key).lock().take(key).and_then(|(_, v)| v)
     }
 
-    /// Evict everything (cold-cache experiment setup).
+    /// Evict everything (cold-cache experiment setup). Statistics
+    /// survive.
     pub fn clear(&self) {
         for s in &self.shards {
             s.lock().clear();
@@ -169,40 +160,22 @@ impl ShardedNodeCache {
     pub fn keys(&self) -> Vec<CacheKey> {
         let mut all = Vec::new();
         for s in &self.shards {
-            all.extend(s.lock().keys());
+            all.extend(s.lock().keys().cloned());
         }
         all
     }
 
     /// Resident keys of one shard (invariant tests).
     pub fn shard_keys(&self, shard: usize) -> Vec<CacheKey> {
-        self.shards[shard].lock().keys()
+        self.shards[shard].lock().keys().cloned().collect()
     }
 
-    /// One shard's combined LRU statistics (invariant tests).
+    /// One shard's LRU statistics (invariant tests).
     pub fn shard_stats(&self, shard: usize) -> CacheStats {
         self.shards[shard].lock().stats()
     }
 
-    /// iCache statistics, aggregated over shards.
-    pub fn input_stats(&self) -> CacheStats {
-        let mut agg = CacheStats::default();
-        for s in &self.shards {
-            agg.merge(&s.lock().input_stats());
-        }
-        agg
-    }
-
-    /// oCache statistics, aggregated over shards.
-    pub fn output_stats(&self) -> CacheStats {
-        let mut agg = CacheStats::default();
-        for s in &self.shards {
-            agg.merge(&s.lock().output_stats());
-        }
-        agg
-    }
-
-    /// Combined LRU statistics, aggregated over shards.
+    /// LRU statistics, aggregated over shards.
     pub fn stats(&self) -> CacheStats {
         let mut agg = CacheStats::default();
         for s in &self.shards {
@@ -221,6 +194,17 @@ mod tests {
     fn ik(v: u64) -> CacheKey {
         CacheKey::Input(HashKey(v))
     }
+    fn ok_(tag: &str) -> CacheKey {
+        CacheKey::Output(OutputTag::new("app", tag))
+    }
+
+    /// The simulator's shard count and the live executor's.
+    const SHARDS: [usize; 2] = [1, 8];
+
+    /// A cache whose every shard holds `per_shard` bytes.
+    fn cache(per_shard: u64, shards: usize) -> ShardedNodeCache {
+        ShardedNodeCache::new(per_shard * shards as u64, shards)
+    }
 
     #[test]
     fn budgets_sum_to_capacity() {
@@ -231,11 +215,95 @@ mod tests {
     }
 
     #[test]
+    fn partitions_share_capacity() {
+        for shards in SHARDS {
+            let c = cache(100, shards);
+            // An input key on the tag's ring position shares its shard.
+            let tag = ok_("t");
+            let input = CacheKey::Input(tag.hash_key());
+            assert!(c.put(input.clone(), 60, 0.0, None));
+            assert!(c.put(tag.clone(), 60, 1.0, None)); // must evict the input entry
+            assert!(!c.contains(&input, 1.0), "shards={shards}");
+            assert!(c.contains(&tag, 1.0));
+            assert!(c.used() <= c.capacity());
+        }
+    }
+
+    #[test]
+    fn payload_roundtrip() {
+        for shards in SHARDS {
+            let c = cache(100, shards);
+            assert!(c.put_payload(ok_("r"), Bytes::from_static(b"result"), 0.0, None, 0, false));
+            assert_eq!(c.get_payload(&ok_("r"), 1.0).unwrap(), Bytes::from_static(b"result"));
+            assert_eq!(c.get_payload(&ok_("zzz"), 1.0), None);
+        }
+    }
+
+    #[test]
+    fn payload_dropped_with_eviction() {
+        for shards in SHARDS {
+            let c = cache(10, shards);
+            // Neighbouring ring keys share a shard.
+            c.put_payload(ik(1), Bytes::from(vec![0u8; 10]), 0.0, None, 0, false);
+            c.put_payload(ik(2), Bytes::from(vec![0u8; 10]), 1.0, None, 0, false); // evicts 1
+            assert_eq!(c.get_payload(&ik(1), 2.0), None, "shards={shards}");
+            assert!(c.get_payload(&ik(2), 2.0).is_some());
+        }
+    }
+
+    #[test]
+    fn metered_entry_hits_index_without_payload() {
+        for shards in SHARDS {
+            let c = cache(100, shards);
+            c.put(ik(7), 10, 0.0, None);
+            // Index hit (counts in stats) but no payload bytes to return.
+            assert_eq!(c.get_payload(&ik(7), 1.0), None);
+            assert_eq!(c.stats().hits, 1);
+            assert_eq!(c.stats().misses, 0);
+        }
+    }
+
+    #[test]
+    fn payload_stats_match_metered_stats() {
+        for shards in SHARDS {
+            let c = cache(100, shards);
+            c.put_payload(ok_("r"), Bytes::from_static(b"xyz"), 0.0, None, 0, false);
+            c.get_payload(&ok_("r"), 1.0);
+            c.get_payload(&ok_("nope"), 1.0);
+            let s = c.stats();
+            assert_eq!((s.hits, s.misses, s.insertions), (1, 1, 1), "shards={shards}");
+        }
+    }
+
+    #[test]
+    fn ttl_applies_to_outputs() {
+        for shards in SHARDS {
+            let c = cache(100, shards);
+            c.put(ok_("temp"), 5, 0.0, Some(10.0));
+            assert!(c.get(&ok_("temp"), 9.0).is_some());
+            assert!(c.get(&ok_("temp"), 11.0).is_none());
+        }
+    }
+
+    #[test]
+    fn clear_resets_contents_not_stats() {
+        for shards in SHARDS {
+            let c = cache(100, shards);
+            c.put(ik(1), 10, 0.0, None);
+            c.get(&ik(1), 0.0);
+            c.clear();
+            assert!(!c.contains(&ik(1), 0.0));
+            assert_eq!(c.stats().hits, 1, "stats survive clears");
+            assert_eq!(c.used(), 0);
+        }
+    }
+
+    #[test]
     fn single_shard_matches_node_cache_sequence() {
-        // shards=1 must reproduce NodeCache exactly: same hits, misses,
-        // evictions, same victims.
+        // shards=1 must reproduce a bare node LRU exactly: same hits,
+        // misses, evictions, same victims.
         let sharded = ShardedNodeCache::new(100, 1);
-        let mut plain = NodeCache::new(100);
+        let mut plain: LruCache<CacheKey, Bytes> = LruCache::new(100);
         for i in 0..200u64 {
             let key = ik(i.wrapping_mul(0x9E3779B97F4A7C15));
             let t = i as f64;
@@ -291,11 +359,11 @@ mod tests {
     fn payloads_and_tags_work_through_shards() {
         let c = ShardedNodeCache::new(1 << 20, 4);
         let key = CacheKey::Output(OutputTag::new("app", "iter1"));
-        assert!(c.put_payload(key.clone(), Bytes::from_static(b"data"), 0.0, Some(5.0)));
+        assert!(c.put_payload(key.clone(), Bytes::from_static(b"data"), 0.0, Some(5.0), 0, false));
         assert_eq!(c.get_payload(&key, 1.0).unwrap(), Bytes::from_static(b"data"));
         assert_eq!(c.get_payload(&key, 6.0), None, "TTL applies");
-        assert_eq!(c.output_stats().hits, 1);
-        assert_eq!(c.output_stats().misses, 1);
+        assert_eq!(c.stats().hits, 1);
+        assert_eq!(c.stats().misses, 1);
     }
 
     #[test]

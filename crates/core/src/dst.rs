@@ -1577,9 +1577,11 @@ impl Judge<'_> {
 /// fresh cluster, with its stats and node ids (what a schedule is
 /// drawn against). A stream is judged against the batch over its
 /// concatenated deltas — only those folded so far, when an excused
-/// fault stopped it early.
+/// fault stopped it early. Speculation is off: it leaves the output
+/// alone, but backup attempts ship batches too, so the spill count a
+/// schedule's points are drawn from would vary from run to run.
 fn oracle(w: &DstWorkload, input: &str) -> (JobResult, Vec<NodeId>) {
-    let c = LiveCluster::new(w.config());
+    let c = LiveCluster::new(LiveConfig { speculation: None, ..w.config() });
     c.upload(INPUT, DST_USER, input.as_bytes());
     let res = c.try_run_job(&w.app, INPUT, DST_USER, w.reducers, ReusePolicy::default());
     (res, c.ring().node_ids())
@@ -1640,13 +1642,21 @@ fn concurrent_jobs(seed: u64, cfg: &FaultConfig) -> u32 {
     rng.random_range(1..=cfg.concurrent_jobs_max.max(1))
 }
 
-/// Run one seed end to end: sample the workload, take the fault-free
-/// oracle run, sample a schedule at `preset` rates, execute it, check
-/// the oracle, and shrink + print a repro on failure. An epoch-mode
-/// seed's input arrives as `w.epochs` deltas through a standing job,
-/// its schedule comes from [`sample_epoch_schedule`], and it reports
-/// `concurrent_jobs = 1`: the stream itself is the standing tenant.
-pub fn run_seed(seed: u64, preset: DstPreset) -> DstReport {
+/// What a seed draws before anything is injected: its workload and
+/// case, the fault-free output, and the fault schedule. A pure
+/// function of the seed and preset.
+struct Drawn {
+    w: DstWorkload,
+    case: Case,
+    expect: Vec<(String, String)>,
+    schedule: Vec<DstFault>,
+}
+
+/// Sample the workload, take the fault-free oracle run and sample a
+/// schedule at `preset` rates against it. An epoch-mode seed's input
+/// arrives as `w.epochs` deltas through a standing job and its
+/// schedule comes from [`sample_epoch_schedule`].
+fn draw(seed: u64, preset: DstPreset) -> Drawn {
     let w = DstWorkload::sample(seed);
     let cfg = preset.config();
     let case = if w.epochs > 1 {
@@ -1673,7 +1683,15 @@ pub fn run_seed(seed: u64, preset: DstPreset) -> DstReport {
             sample_epoch_schedule(&mut rng, &cfg, &nodes, w.epochs, wave_maps)
         }
     };
+    Drawn { w, case, expect, schedule }
+}
 
+/// Run one seed end to end: draw its workload, fault-free output and
+/// schedule, execute the schedule, check the oracle, and shrink + print
+/// a repro on failure. An epoch-mode seed reports `concurrent_jobs = 1`:
+/// the stream itself is the standing tenant.
+pub fn run_seed(seed: u64, preset: DstPreset) -> DstReport {
+    let Drawn { w, case, expect, schedule } = draw(seed, preset);
     let (outcome, faults_injected, oracle_checks) = run_schedule(&w, &case, &schedule, &expect);
     let verdict = match outcome {
         Ok(None) => Verdict::Match,
@@ -1834,6 +1852,34 @@ mod tests {
             }
         }
         assert_eq!(h, 0x267b_ea1d_7c88_e5e8, "seed draws moved: {h:#018x}");
+    }
+
+    /// A seed pins its schedule even where the workload speculates: the
+    /// spill count a batch schedule's points are drawn from must not
+    /// depend on how many backup attempts a run happened to launch.
+    #[test]
+    fn batch_schedules_are_pure_functions_of_the_seed() {
+        const DRAWS: usize = 20;
+        let seeds = [
+            (DstPreset::Moderate, 45),
+            (DstPreset::Moderate, 598),
+            (DstPreset::Chaos, 362),
+            (DstPreset::Chaos, 367),
+            (DstPreset::Calm, 521),
+            (DstPreset::Calm, 796),
+        ];
+        for (preset, seed) in seeds {
+            let first = draw(seed, preset);
+            assert!(first.w.speculation, "seed {seed} no longer speculates");
+            for _ in 0..DRAWS {
+                let again = draw(seed, preset);
+                assert_eq!(
+                    format!("{:?} {:?}", again.w, again.schedule),
+                    format!("{:?} {:?}", first.w, first.schedule),
+                    "{preset} seed {seed} drew two schedules"
+                );
+            }
+        }
     }
 
     #[test]

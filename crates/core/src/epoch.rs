@@ -36,9 +36,14 @@
 //! Consistency contract (read-your-epoch): [`EpochDriver::commit_epoch`]
 //! returns only after the epoch's snapshot is published, and
 //! [`EpochDriver::snapshot`] for any `epoch <= published()` serves
-//! exactly that epoch's result — from the pinned oCache copy when it
-//! still carries the requested epoch, else from the short in-memory
-//! retention window. The publish step is a single atomic
+//! exactly that epoch's result or nothing. It reads the in-memory
+//! retention window first, which holds the last `RETAINED_SNAPSHOTS`
+//! epochs and so always the latest. Past the window it serves the
+//! pinned oCache copies, but only when every partition's copy carries
+//! the requested epoch: each copy holds the last epoch whose publish
+//! reached that partition's home, so after a partly failed publish
+//! ([`EpochReport::cached`] false) partitions may hold different,
+//! older epochs. The publish step is a single atomic
 //! compare-exchange on the published-epoch board; a reader never
 //! observes a half-folded epoch.
 //!
@@ -65,9 +70,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// How many recent epochs' reduced snapshots stay resident in driver
-/// memory. The oCache copy always carries the *latest* epoch; the
-/// retention window is what keeps `snapshot(published - 1)` answerable
-/// while a reader races a commit.
+/// memory. `snapshot` reads this window first, so the latest epoch and
+/// `published - 1` stay answerable while a reader races a commit. The
+/// pinned oCache copies are no such guarantee: each partition's copy
+/// holds the last epoch whose publish reached its home, which a partly
+/// failed publish leaves older in some partitions than in others.
 const RETAINED_SNAPSHOTS: usize = 2;
 
 /// What a continuous job runs: the app, its identity, and its shape.
@@ -350,10 +357,10 @@ impl EpochDriver {
 
     /// Read a published epoch's materialized result. Read-your-epoch:
     /// any `epoch` up to [`published`](Self::published) that is still
-    /// within reach — the latest epoch always (pinned oCache copy,
-    /// with the in-memory retention window as fallback), earlier
-    /// epochs while retained. Unpublished or aged-out epochs yield
-    /// `None`.
+    /// within reach — from the retention window (the latest
+    /// `RETAINED_SNAPSHOTS` epochs, so the latest always), else from
+    /// the pinned oCache copies when every partition's copy carries
+    /// `epoch`. Unpublished or aged-out epochs yield `None`.
     pub fn snapshot(&self, epoch: u32) -> Option<EpochSnapshot> {
         if epoch == 0 || u64::from(epoch) > self.published.load(Ordering::Acquire) {
             return None;

@@ -150,6 +150,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 mod membership;
 mod place;
@@ -841,6 +842,9 @@ pub struct LiveCluster {
     store: Arc<BlockStore>,
     /// Internally sharded: per-node locks, no cluster-wide mutex.
     cache: Arc<DistributedCache>,
+    /// The cache clock's origin: every cache call passes the seconds
+    /// since the cluster was built, so oCache TTLs expire in wall time.
+    born: Instant,
     /// The RPC fabric every inter-node interaction travels.
     net: Arc<dyn Transport>,
     /// The concrete in-memory backend when configured — the chaos API
@@ -887,6 +891,7 @@ impl LiveCluster {
         let store = Arc::new(BlockStore::new());
         let cache =
             Arc::new(DistributedCache::with_shards(&ring, cfg.cache_per_node, cfg.cache_shards));
+        let born = Instant::now();
         let router = Arc::new(ShuffleRouter::new());
         let (net, mem_net): (Arc<dyn Transport>, Option<Arc<MemTransport>>) = match cfg.transport {
             TransportKind::Memory => {
@@ -902,6 +907,7 @@ impl LiveCluster {
                 n,
                 Arc::clone(&store),
                 Arc::clone(&cache),
+                born,
                 Arc::clone(&router),
                 Arc::clone(&slow_serving),
             );
@@ -933,6 +939,7 @@ impl LiveCluster {
             fs: RwLock::new(fs),
             store,
             cache,
+            born,
             net,
             mem_net,
             router,
@@ -1119,13 +1126,18 @@ impl LiveCluster {
         Err(JobError::DataLoss(id))
     }
 
+    /// The cache clock: seconds since the cluster was built.
+    fn cache_now(&self) -> f64 {
+        self.born.elapsed().as_secs_f64()
+    }
+
     /// iCache lookup on `owner`'s shard: direct when the reading node
     /// *is* the owner, a `CacheGet` RPC otherwise. Transport failures
     /// read as a miss — the cache is an optimization, never a source of
     /// truth.
     fn cache_lookup(&self, me: NodeId, owner: NodeId, key: &CacheKey) -> Option<Bytes> {
         if me == owner {
-            return self.cache.with_node(owner, |c| c.get_payload(key, 0.0));
+            return self.cache.with_node(owner, |c| c.get_payload(key, self.cache_now()));
         }
         match self.net.call(me, owner, Rpc::CacheGet { key: key.clone() }) {
             Ok(RpcReply::CacheValue(v)) => v,
@@ -1147,7 +1159,8 @@ impl LiveCluster {
         tenant: u16,
     ) -> Option<SendTicket> {
         if me == owner {
-            self.cache.with_node(owner, |c| c.put_payload_tenant(key, data, 0.0, None, tenant));
+            let now = self.cache_now();
+            self.cache.with_node(owner, |c| c.put_payload(key, data, now, None, tenant, false));
             return None;
         }
         self.net
@@ -1791,5 +1804,15 @@ mod tests {
         c.ocache_put("app", "temp", Bytes::from_static(b"d"), Some(-1.0));
         // TTL in the past: the entry is dead on arrival.
         assert!(c.ocache_get("app", "temp").is_none());
+    }
+
+    #[test]
+    fn ocache_ttl_expires_in_wall_time() {
+        let c = LiveCluster::new(LiveConfig::small());
+        c.ocache_put("app", "short", Bytes::from_static(b"d"), Some(0.05));
+        c.ocache_put("app", "long", Bytes::from_static(b"d"), Some(3600.0));
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        assert!(c.ocache_get("app", "short").is_none(), "a 50 ms TTL outlived 100 ms");
+        assert!(c.ocache_get("app", "long").is_some());
     }
 }

@@ -267,6 +267,7 @@ impl LiveCluster {
             id,
             Arc::clone(&self.store),
             Arc::clone(&self.cache),
+            self.born,
             Arc::clone(&self.router),
             Arc::clone(&self.slow_serving),
         );

@@ -270,12 +270,14 @@ impl ShuffleRouter {
 }
 
 /// Bind `node`'s RPC endpoint: the serving side of every data-plane,
-/// cache, shuffle and control message addressed to it.
+/// cache, shuffle and control message addressed to it. Cache calls read
+/// the cluster's cache clock, seconds since `born`.
 pub(super) fn bind_endpoint(
     net: &Arc<dyn Transport>,
     node: NodeId,
     store: Arc<BlockStore>,
     cache: Arc<DistributedCache>,
+    born: Instant,
     router: Arc<ShuffleRouter>,
     slow_serving: Arc<RwLock<HashMap<u32, u64>>>,
 ) {
@@ -316,16 +318,12 @@ pub(super) fn bind_endpoint(
                 }
             }
             Rpc::CacheGet { key } => {
-                RpcReply::CacheValue(cache.with_node(node, |c| c.get_payload(&key, 0.0)))
+                let now = born.elapsed().as_secs_f64();
+                RpcReply::CacheValue(cache.with_node(node, |c| c.get_payload(&key, now)))
             }
             Rpc::CachePut { key, data, ttl, tenant, pin } => {
-                cache.with_node(node, |c| {
-                    if pin {
-                        c.put_payload_pinned(key, data, 0.0, ttl, tenant)
-                    } else {
-                        c.put_payload_tenant(key, data, 0.0, ttl, tenant)
-                    }
-                });
+                let now = born.elapsed().as_secs_f64();
+                cache.with_node(node, |c| c.put_payload(key, data, now, ttl, tenant, pin));
                 RpcReply::Ack
             }
             Rpc::ShuffleRun { task, attempt, seq, epoch, partition, run } => {
@@ -348,7 +346,8 @@ pub(super) fn bind_endpoint(
                 // owner (elastic join or leave). Adopt it into this
                 // node's shard; a lost handoff is only a future miss,
                 // so there is no further handshake.
-                cache.with_node(node, |c| c.put_payload(key, data, 0.0, None));
+                let now = born.elapsed().as_secs_f64();
+                cache.with_node(node, |c| c.put_payload(key, data, now, None, 0, false));
                 RpcReply::Ack
             }
             Rpc::BlockPull { block, from } => {

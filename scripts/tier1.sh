@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: release build, clippy, rustdoc, the full test suite, the frozen
 # benchmark/ package's build and tests, the live-matrix, live-property,
-# edge-case, chaos, tenancy, transport, net/apps/core unit and epoch suites
-# under --release, the figure CSVs against results/, and two bounded DST
+# edge-case, chaos, tenancy, transport, cache/net/apps/core unit and epoch
+# suites under --release, the figure CSVs against results/, and two bounded DST
 # smoke sweeps. It measures nothing: live performance is the benchmark's
 # job (benchmark/README.md) and the paper's figures come from `figures`. Writes no tracked file, so a
 # passing run leaves `git status` clean. The full randomized DST sweep
@@ -66,6 +66,12 @@ cargo test -q --release -p eclipse-integration-tests --test tenancy
 
 echo "== tier1: wire-codec property suite (release)"
 cargo test -q --release -p eclipse-integration-tests --test net_codec
+
+# The LRU is checked against a reference model, and the shards against
+# their partition invariants and, at one shard, a bare LRU: those unit
+# and property tests run with the optimiser's codegen too.
+echo "== tier1: cache unit and property suites (release)"
+cargo test -q --release -p eclipse-cache
 
 # The run codec's repeated-key paths and the text apps' tokenizer are
 # byte-level fast paths: their unit and property tests (columns,
